@@ -107,6 +107,10 @@ class GstPartition(Process):
     #: overridden by subclasses
     flavor = "gst"
 
+    #: Same background-replication lane as every other store here: remote
+    #: installs must not queue behind foreground client operations.
+    LANES = {"RemoteData": "replication"}
+
     def __init__(self, env: Environment, name: str, dc_id: int, index: int,
                  n_dcs: int, clock: PhysicalClock, timings: GstTimings,
                  summary_width: int,
@@ -166,13 +170,6 @@ class GstPartition(Process):
     @property
     def is_aggregator(self) -> bool:
         return self.aggregator_view == self.roster_pos
-
-    def lane_of(self, msg) -> str:
-        # Same background-replication lane as every other store here: remote
-        # installs must not queue behind foreground client operations.
-        if type(msg).__name__ == "RemoteData":
-            return "replication"
-        return "cpu"
 
     def start(self) -> None:
         self.periodic(self.timings.heartbeat_interval, self._send_heartbeats)

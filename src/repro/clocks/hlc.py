@@ -25,24 +25,21 @@ __all__ = ["HybridLogicalClock"]
 class HybridLogicalClock:
     """Scalar hybrid clock: physical microseconds with logical catch-up."""
 
-    __slots__ = ("physical", "_max_ts")
+    __slots__ = ("physical", "last")
 
     def __init__(self, physical: PhysicalClock):
         self.physical = physical
-        self._max_ts = 0
-
-    @property
-    def last(self) -> int:
-        """The last timestamp generated (0 if none yet)."""
-        return self._max_ts
+        #: the last timestamp generated or observed (0 if none yet); a plain
+        #: attribute because the uplink reads it on every idle tick
+        self.last = 0
 
     def tick(self) -> int:
         """Timestamp a local event with no external dependency.
 
         Equivalent to :meth:`update` with ``dependency = 0``.
         """
-        self._max_ts = max(self.physical.read_us(), self._max_ts + 1)
-        return self._max_ts
+        self.last = max(self.physical.read_us(), self.last + 1)
+        return self.last
 
     def update(self, dependency: int) -> int:
         """Timestamp an event that causally follows ``dependency``.
@@ -51,8 +48,8 @@ class HybridLogicalClock:
         greater than both ``dependency`` and every timestamp previously
         produced by this clock (Properties 1 and 2 of the paper).
         """
-        self._max_ts = max(self.physical.read_us(), dependency + 1, self._max_ts + 1)
-        return self._max_ts
+        self.last = max(self.physical.read_us(), dependency + 1, self.last + 1)
+        return self.last
 
     def observe(self, remote_ts: int) -> None:
         """Fold a timestamp seen from elsewhere into the clock (no event).
@@ -61,8 +58,8 @@ class HybridLogicalClock:
         used when a partition applies remote updates so that local updates
         overwriting them sort later.
         """
-        if remote_ts > self._max_ts:
-            self._max_ts = remote_ts
+        if remote_ts > self.last:
+            self.last = remote_ts
 
     def logical_lead_us(self) -> int:
         """How far the logical part runs ahead of the physical clock.
@@ -71,4 +68,4 @@ class HybridLogicalClock:
         bursts.  Heartbeat logic (Alg. 2 line 11) consults this: a partition
         only emits a heartbeat when its physical clock has caught up.
         """
-        return max(0, self._max_ts - self.physical.read_us())
+        return max(0, self.last - self.physical.read_us())

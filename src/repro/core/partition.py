@@ -52,6 +52,13 @@ __all__ = ["EunomiaPartition"]
 class EunomiaPartition(Process):
     """Partition p_n^m: local storage + Eunomia uplink + remote execution."""
 
+    #: Remote replication work runs on a background lane.  Real stores
+    #: apply replicated updates on separate scheduler threads; queueing them
+    #: behind foreground client operations would inflate visibility latency
+    #: far beyond anything the paper measures.
+    LANES = {"ApplyRemote": "replication", "ApplyRemoteRun": "replication",
+             "RemoteData": "replication"}
+
     def __init__(self, env: Environment, name: str, dc_id: int, index: int,
                  n_dcs: int, clock: PhysicalClock, config: EunomiaConfig,
                  calibration: Optional[Calibration] = None,
@@ -120,18 +127,6 @@ class EunomiaPartition(Process):
         """
         super().recover()
         self.uplink.restart()
-
-    def lane_of(self, msg) -> str:
-        """Remote replication work runs on a background lane.
-
-        Real stores apply replicated updates on separate scheduler threads;
-        queueing them behind foreground client operations would inflate
-        visibility latency far beyond anything the paper measures.
-        """
-        if type(msg).__name__ in ("ApplyRemote", "ApplyRemoteRun",
-                                  "RemoteData"):
-            return "replication"
-        return "cpu"
 
     # ------------------------------------------------------------------
     # Client operations (Algorithm 2, vector form of §4)

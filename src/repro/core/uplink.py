@@ -63,6 +63,7 @@ class EunomiaUplink:
         self.clock = clock
         self.op_cost = op_cost
         self.batch_cost = batch_cost
+        self._heartbeat_us = int(config.heartbeat_interval * 1e6)   # Δ
         self.replicas: list[Process] = []
         #: columnar pending run, ascending ts (hlc is monotone)
         self._pending = OpRunBuilder(partition_index)
@@ -183,7 +184,7 @@ class EunomiaUplink:
             self._prune()
         else:
             pending = self._pending
-            if pending:
+            if pending.ts:
                 block = pending.cut(0)
                 pending.drop_prefix(len(pending))
                 self._transmit(self.replicas[0], block, n_new=len(block),
@@ -252,7 +253,7 @@ class EunomiaUplink:
             now, site = self.host.now, self.host.site
             for op in batch.ops:
                 tracer.stage_once(op, "uplink_ship", now, site)
-        self.host._enqueue(lambda: self.host.send(replica, batch), cost)
+        self.host._enqueue(self.host.send, cost, replica, batch)
 
     def _prune(self) -> None:
         """Drop the prefix acknowledged by *every* replica."""
@@ -275,35 +276,35 @@ class EunomiaUplink:
         update is tagged strictly greater (keeps Property 2 intact).
         """
         clock_now = self.clock.read_us()
-        delta_us = int(self.config.heartbeat_interval * 1e6)
-        if clock_now < self.hlc.last + delta_us:
+        if clock_now < self.hlc.last + self._heartbeat_us:
             return
-        targets = []
+        ts_col = self._pending.ts
+        host = self.host
+        # Both branches route through the host's service queue: batch
+        # transmissions are queued there too, and a heartbeat sent directly
+        # would overtake a still-queued batch on the wire, making the
+        # service's PartitionTime jump past the batch's timestamps
+        # (Property 2 break from the service's perspective — its dedup
+        # would then discard the batch).  Queue order preserves send order,
+        # and FIFO links preserve it on the wire.
         if self.config.fault_tolerant:
-            ts_col = self._pending.ts
             last_ts = ts_col[-1] if ts_col else 0
-            for replica in self.replicas:
-                if self._ack[replica.pid] >= last_ts:  # nothing outstanding
-                    targets.append(replica)
-        elif not self._pending:
-            targets = self.replicas[:1]
-        if not targets:
+            ack = self._ack
+            targets = [replica for replica in self.replicas
+                       if ack[replica.pid] >= last_ts]  # nothing outstanding
+            if not targets:
+                return
+            beat = PartitionHeartbeat(self.partition_index, clock_now)
+            self.heartbeats_sent += len(targets)
+            host._enqueue(host.multicast, 0.0, targets, beat)
+        elif ts_col:
             return
+        else:
+            beat = PartitionHeartbeat(self.partition_index, clock_now)
+            self.heartbeats_sent += 1
+            host._enqueue(host.env.network.send, 0.0, host, self.replicas[0],
+                          beat)
         self.hlc.observe(clock_now)
-        beat = PartitionHeartbeat(self.partition_index, clock_now)
-        self.heartbeats_sent += len(targets)
-
-        def transmit() -> None:
-            self.host.multicast(targets, beat)
-
-        # Route through the host's service queue: batch transmissions are
-        # queued there too, and a heartbeat sent directly would overtake a
-        # still-queued batch on the wire, making the service's
-        # PartitionTime jump past the batch's timestamps (Property 2 break
-        # from the service's perspective — its dedup would then discard
-        # the batch).  Queue order preserves send order, and FIFO links
-        # preserve it on the wire.
-        self.host._enqueue(transmit, 0.0)
 
     # ------------------------------------------------------------------
     # Introspection (tests)

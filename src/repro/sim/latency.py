@@ -77,6 +77,12 @@ class RttMatrix(LatencyModel):
         for row in self.rtt_ms:
             if len(row) != n:
                 raise ValueError("RTT matrix must be square")
+        #: jitter-free one-way seconds per (src site, dst site), computed
+        #: once so that :meth:`delay` is two index operations
+        self._one_way = [
+            [intra_us / 1e6 if i == j else rtt / 2.0 / 1e3
+             for j, rtt in enumerate(row)]
+            for i, row in enumerate(self.rtt_ms)]
 
     @property
     def n_sites(self) -> int:
@@ -84,12 +90,10 @@ class RttMatrix(LatencyModel):
 
     def one_way_s(self, src_site: int, dst_site: int) -> float:
         """Deterministic (jitter-free) one-way delay between two sites."""
-        if src_site == dst_site:
-            return self.intra_us / 1e6
-        return self.rtt_ms[src_site][dst_site] / 2.0 / 1e3
+        return self._one_way[src_site][dst_site]
 
     def delay(self, src, dst, rng: random.Random) -> float:
-        base = self.one_way_s(src.site, dst.site)
+        base = self._one_way[src.site][dst.site]
         if self.jitter_frac:
             base *= 1.0 + rng.random() * self.jitter_frac
         return base

@@ -9,15 +9,21 @@ messages or periodic local tasks) is served one item at a time, each item
 occupying the process for its *service cost* before its handler runs.
 
 Handlers are discovered by naming convention: a message of class ``AddOp``
-is dispatched to ``on_add_op(msg, src)``.  Unhandled messages raise, so
-protocol typos fail loudly.
+is handled by ``on_add_op(msg, src)``.  Unhandled messages raise when their
+service slot completes, so protocol typos fail loudly.
 
 Work is scheduled on named **lanes**, each an independent single server
 (defaulting to one lane, ``"cpu"``).  Storage partitions route remote-
 replication work to a ``"replication"`` lane — modelling the background
 scheduler threads real stores use — so geo-replication applies do not queue
-behind foreground client operations.  Override :meth:`Process.lane_of` to
-choose lanes per message.
+behind foreground client operations.  Declare lanes by message type in
+:attr:`Process.LANES`, or override :meth:`Process.lane_of` to choose them
+per message.
+
+The first delivery of each message type builds a **delivery plan**
+``(lane, fixed cost, bound handler)`` (see :meth:`Process._plan`); every
+later delivery of that type costs one dict lookup instead of a cost-model
+call, a lane call and a handler search.
 
 Crash-stop failures are supported: :meth:`Process.crash` drops everything in
 flight for the process and makes future deliveries no-ops until
@@ -74,35 +80,37 @@ class PeriodicTask:
     """Handle for a repeating local task; ``stop()`` cancels future firings.
 
     A thin crash-aware veneer over the loop-level
-    :class:`repro.sim.loop.PeriodicHandle`: ``period`` stays a mutable
-    attribute (and may be a zero-argument callable), re-read before every
-    firing, preserving the historical contract that runtime mutation takes
-    effect on the next tick.
+    :class:`repro.sim.loop.PeriodicHandle` (wired by
+    :meth:`Process.periodic`): ``period`` is the handle's interval, a number
+    of seconds or a zero-argument callable, assignable at runtime and
+    re-read before every re-arm, so a mutation takes effect on the next
+    tick.
     """
 
-    __slots__ = ("_stopped", "_handle", "period")
-
-    def __init__(self, period):
-        self.period = period
-        self._stopped = False
-        self._handle = None   # wired by Process.periodic
+    __slots__ = ("_handle",)
 
     def stop(self) -> None:
-        self._stopped = True
-        if self._handle is not None:
-            self._handle.cancel()
+        self._handle.cancel()
 
     @property
     def stopped(self) -> bool:
-        return self._stopped
+        return self._handle.cancelled
 
-    def _interval(self) -> float:
-        period = self.period
-        return period() if callable(period) else period
+    @property
+    def period(self):
+        return self._handle.interval
+
+    @period.setter
+    def period(self, value) -> None:
+        self._handle.interval = value
 
 
 class Process:
     """Base class for every simulated server, service, or client."""
+
+    #: message class name -> lane, for the types served off ``"cpu"``
+    #: (read by the default :meth:`lane_of`; subclasses replace the table)
+    LANES: dict[str, str] = {}
 
     def __init__(self, env: Environment, name: str, site: int = 0,
                  cost_model: Optional[CostModel] = None):
@@ -116,7 +124,8 @@ class Process:
         self.state_lost = False   # set by an amnesia crash, cleared on restore
         self._epoch = 0           # bumped on crash; stale callbacks are dropped
         self._lane_busy: dict[str, float] = {}   # lane -> end of last slot
-        self._handler_cache: dict[type, Callable] = {}
+        #: message type -> ``(lane, cost, handler)``, see :meth:`_plan`
+        self._plans: dict[type, tuple] = {}
         if env.network is not None:
             env.network.register(self)
 
@@ -127,14 +136,16 @@ class Process:
     def now(self) -> float:
         return self._loop._now
 
-    def after(self, delay: float, fn: Callable[..., Any], *args: Any):
+    def after(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn`` after ``delay`` seconds (no CPU cost, crash-aware)."""
-        return self._loop.schedule(delay, self._run_deferred, self._epoch,
-                                   fn, args)
+        loop = self._loop
+        loop.schedule_at(loop._now + delay, self._run_guarded, self._epoch,
+                         fn, args)
 
-    def _run_deferred(self, epoch: int, fn: Callable[..., Any],
-                      args: tuple) -> None:
-        """Crash/epoch-guarded trampoline for :meth:`after` callbacks."""
+    def _run_guarded(self, epoch: int, fn: Callable[..., Any],
+                     args: tuple) -> None:
+        """Crash/epoch-guarded trampoline for :meth:`after` callbacks and
+        :meth:`_enqueue` slots."""
         if not self.crashed and self._epoch == epoch:
             fn(*args)
 
@@ -154,11 +165,11 @@ class Process:
         crash guard retires the whole chain (one uniform re-arm point —
         recovery paths simply call the owning component's ``start()`` again).
         """
-        task = PeriodicTask(period)
+        task = PeriodicTask()
         epoch = self._epoch
 
         def body() -> None:
-            if task.stopped or self.crashed or self._epoch != epoch:
+            if self.crashed or self._epoch != epoch:
                 task.stop()
                 return
             if cost > 0.0:
@@ -166,9 +177,9 @@ class Process:
             else:
                 fn()
 
-        task._handle = self.env.loop.schedule_periodic(
-            task._interval, body,
-            phase=task._interval() if phase is None else phase)
+        task._handle = self._loop.schedule_periodic(
+            period, body, phase=phase,
+            name=f"{getattr(fn, '__qualname__', fn)} of {self.name}")
         return task
 
     # ------------------------------------------------------------------
@@ -193,24 +204,69 @@ class Process:
         self.env.network.multicast(self, dsts, msg)
 
     def lane_of(self, msg: Any) -> str:
-        """Service lane for ``msg`` (override to add background servers)."""
-        return "cpu"
+        """Service lane for ``msg``: its type's :attr:`LANES` entry.
+
+        An override may look at the payload; it is then called for every
+        message instead of once per type.
+        """
+        return self.LANES.get(type(msg).__name__, "cpu")
+
+    def _plan(self, kind: type) -> tuple:
+        """Build and cache the delivery plan of message type ``kind``.
+
+        A plan is ``(lane, cost, handler)``.  ``cost`` is None when the cost
+        model has to see every message (a callable entry, or a per-byte
+        rate), ``lane`` is None when a subclass overrides :meth:`lane_of`;
+        :meth:`_resolve` evaluates those per message.  A missing handler is
+        planned as :meth:`_unhandled`, which raises only when dispatched.
+        Plans assume what they cache is fixed for the process's life: the
+        cost table's plain numbers, :attr:`LANES` and the ``on_*`` methods.
+        """
+        name = kind.__name__
+        model = self.cost_model
+        cost = model.costs.get(name, model.default)
+        if callable(cost) or model.per_byte:
+            cost = None
+        lane = (self.LANES.get(name, "cpu")
+                if type(self).lane_of is Process.lane_of else None)
+        handler = getattr(self, "on_" + _snake(name), self._unhandled)
+        plan = self._plans[kind] = (lane, cost, handler)
+        return plan
+
+    def _resolve(self, msg: Any) -> tuple:
+        """``(lane, cost, handler)`` for one message, nothing left None."""
+        kind = type(msg)
+        lane, cost, handler = self._plans.get(kind) or self._plan(kind)
+        if cost is None:
+            cost = self.cost_model.cost_of(msg)
+        if lane is None:
+            lane = self.lane_of(msg)
+        return lane, cost, handler
+
+    def _unhandled(self, msg: Any, src: "Process") -> None:
+        raise NotImplementedError(
+            f"{type(self).__name__} {self.name!r} has no handler for "
+            f"{type(msg).__name__}")
 
     def deliver(self, msg: Any, src: "Process") -> None:
         """Called by the network at delivery time; feeds the service queue.
 
-        This is :meth:`_enqueue` inlined for the dominant per-message case:
-        the service-slot reservation is identical, but the scheduled event
-        carries ``(epoch, msg, src)`` as plain args into
-        :meth:`_run_delivery` instead of allocating two closures per
-        message (the dispatch lambda and the guard) — same completion time,
-        same event order, two fewer allocations on the hottest path in the
-        simulator.
+        The hottest path in the simulator, so :meth:`_resolve` and
+        :meth:`_enqueue` are inlined: one plan lookup, the service-slot
+        reservation, and one scheduled entry carrying ``(epoch, handler,
+        msg, src)`` as plain args into :meth:`_run_delivery` — no closure,
+        no per-message cost-model, lane or handler search.
         """
         if self.crashed:
             return
-        cost = self.cost_model.cost_of(msg)
-        lane = self.lane_of(msg)
+        try:
+            lane, cost, handler = self._plans[type(msg)]
+        except KeyError:
+            lane, cost, handler = self._plan(type(msg))
+        if cost is None:
+            cost = self.cost_model.cost_of(msg)
+        if lane is None:
+            lane = self.lane_of(msg)
         busy = self._lane_busy
         loop = self._loop
         start = busy.get(lane, 0.0)
@@ -219,12 +275,14 @@ class Process:
             start = now
         complete = start + cost
         busy[lane] = complete
-        loop.schedule_at(complete, self._run_delivery, self._epoch, msg, src)
+        loop.schedule_at(complete, self._run_delivery, self._epoch, handler,
+                         msg, src)
 
-    def _run_delivery(self, epoch: int, msg: Any, src: "Process") -> None:
-        """Service-slot completion: dispatch unless crashed/re-epoched."""
+    def _run_delivery(self, epoch: int, handler: Callable, msg: Any,
+                      src: "Process") -> None:
+        """Service-slot completion: handle unless crashed/re-epoched."""
         if not self.crashed and self._epoch == epoch:
-            self._dispatch(msg, src)
+            handler(msg, src)
 
     def deliver_batch(self, msgs: tuple, src: "Process") -> None:
         """One network batch arriving as a single event (``send_many``).
@@ -244,65 +302,46 @@ class Process:
         """
         if self.crashed:
             return
-        cost_of = self.cost_model.cost_of
-        lane_of = self.lane_of
         loop = self._loop
-        costs = [cost_of(msg) for msg in msgs]
-        if not any(costs):
-            lanes = {lane_of(msg) for msg in msgs}
-            if len(lanes) == 1 and not self._lane_busy.get(lanes.pop(), 0.0) > loop._now:
-                loop.schedule_at(loop._now, self._run_group, self._epoch,
+        now = loop._now
+        busy = self._lane_busy
+        resolved = [self._resolve(msg) for msg in msgs]
+        if not any(cost for _, cost, _ in resolved):
+            lanes = {lane for lane, _, _ in resolved}
+            if len(lanes) == 1 and not busy.get(lanes.pop(), 0.0) > now:
+                loop.schedule_at(now, self._run_group, self._epoch,
+                                 [handler for _, _, handler in resolved],
                                  msgs, src)
                 return
-        busy = self._lane_busy
-        now = loop._now
         run_delivery = self._run_delivery
         epoch = self._epoch
-        for msg, cost in zip(msgs, costs):
-            lane = lane_of(msg)
+        for msg, (lane, cost, handler) in zip(msgs, resolved):
             start = busy.get(lane, 0.0)
             if start < now:
                 start = now
             complete = start + cost
             busy[lane] = complete
-            loop.schedule_at(complete, run_delivery, epoch, msg, src)
+            loop.schedule_at(complete, run_delivery, epoch, handler, msg, src)
 
-    def _run_group(self, epoch: int, msgs: tuple, src: "Process") -> None:
+    def _run_group(self, epoch: int, handlers: list, msgs: tuple,
+                   src: "Process") -> None:
         """Fire one merged free-message group (``deliver_batch``)."""
-        dispatch = self._dispatch
-        for msg in msgs:
+        for handler, msg in zip(handlers, msgs):
             # A handler may crash (or crash+recover) the process mid-batch;
             # the per-message path's delivery guard drops the remainder, so
             # the group run must too.
             if self.crashed or self._epoch != epoch:
                 return
-            dispatch(msg, src)
+            handler(msg, src)
 
-    def _enqueue(self, fn: Callable[[], Any], cost: float,
+    def _enqueue(self, fn: Callable[..., Any], cost: float, *args: Any,
                  lane: str = "cpu") -> None:
-        """Reserve a ``cost``-second slot on ``lane``, then run ``fn``."""
+        """Reserve a ``cost``-second slot on ``lane``, then run ``fn(*args)``."""
         loop = self._loop
         start = max(loop._now, self._lane_busy.get(lane, 0.0))
         complete = start + cost
         self._lane_busy[lane] = complete
-        loop.schedule_at(complete, self._run_enqueued, self._epoch, fn)
-
-    def _run_enqueued(self, epoch: int, fn: Callable[[], Any]) -> None:
-        """Crash/epoch-guarded trampoline for :meth:`_enqueue` slots."""
-        if not self.crashed and self._epoch == epoch:
-            fn()
-
-    def _dispatch(self, msg: Any, src: "Process") -> None:
-        handler = self._handler_cache.get(type(msg))
-        if handler is None:
-            handler = getattr(self, "on_" + _snake(type(msg).__name__), None)
-            if handler is None:
-                raise NotImplementedError(
-                    f"{type(self).__name__} {self.name!r} has no handler for "
-                    f"{type(msg).__name__}"
-                )
-            self._handler_cache[type(msg)] = handler
-        handler(msg, src)
+        loop.schedule_at(complete, self._run_guarded, self._epoch, fn, args)
 
     # ------------------------------------------------------------------
     # Failure injection

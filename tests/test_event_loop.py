@@ -270,6 +270,68 @@ def test_periodic_rearms_after_callback_returns():
     assert order == [("tick", 1.0), ("inner", 2.0), ("tick", 2.0)]
 
 
+def test_schedule_at_returns_the_sequence_number_not_a_handle():
+    """The queue holds plain ``(time, seq, fn, args)`` tuples; only
+    ``schedule`` / ``schedule_periodic`` callers pay for a handle."""
+    loop = EventLoop()
+    assert loop.schedule_at(1.0, lambda: None) == 0
+    assert loop.schedule_at(0.5, lambda: None) == 1
+    assert loop._heap[0][:2] == (0.5, 1)
+    assert all(type(entry) is tuple and len(entry) == 4
+               for entry in loop._heap)
+
+
+def test_event_cancelling_itself_from_its_callback_is_a_noop():
+    loop = EventLoop()
+    handles = []
+    handles.append(loop.schedule(1.0, lambda: handles[0].cancel()))
+    loop.schedule(2.0, lambda: None)
+    loop.run(until=1.5)
+    assert (loop.processed_events, loop.pending()) == (1, 1)
+    loop.run()
+    assert (loop.processed_events, loop.pending()) == (2, 0)
+
+
+LOOPS = [EventLoop, lambda: TimeWheelLoop(resolution=1e-3, wheel_slots=4)]
+
+
+@pytest.mark.parametrize("make_loop", LOOPS)
+@pytest.mark.parametrize("period", [0, 0.0, -0.5, float("nan")])
+def test_non_positive_period_is_rejected_at_arm_time(make_loop, period):
+    loop = make_loop()
+
+    def beat():
+        pass
+
+    with pytest.raises(SimulationError, match="beat.*non-positive period"):
+        loop.schedule_periodic(period, beat)
+    with pytest.raises(SimulationError, match="non-positive period"):
+        loop.schedule_periodic(lambda: period, beat, phase=0.25)
+    assert loop.pending() == 0
+
+
+@pytest.mark.parametrize("make_loop", LOOPS)
+def test_period_turning_zero_raises_at_rearm_instead_of_spinning(make_loop):
+    """Regression: a callable interval that later returns 0 used to re-arm
+    at ``now`` forever, so ``run(until=...)`` never returned."""
+    loop = make_loop()
+    step = [0.001]
+    fired = []
+
+    def beat():
+        fired.append(loop.now)
+        if len(fired) == 3:
+            step[0] = 0.0
+
+    loop.schedule_periodic(lambda: step[0], beat, name="beat@p7")
+    with pytest.raises(SimulationError, match="beat@p7.*non-positive period"):
+        loop.run(until=1.0)
+    assert len(fired) == 3
+    assert loop.pending() == 0      # the chain is dead, not re-armed
+    loop.run(until=1.0)             # and the loop is usable again
+    assert loop.now == 1.0
+
+
 # ----------------------------------------------------------------------
 # TimeWheelLoop
 # ----------------------------------------------------------------------
@@ -352,3 +414,21 @@ def test_wheel_supports_periodic_and_nested_scheduling():
     handle.cancel()
     loop.run()
     assert times == pytest.approx([0.0027, 0.0054, 0.0081])
+
+
+def test_wheel_cancel_of_pushed_back_event():
+    """An event popped past an ``until`` boundary is re-inserted under its
+    old sequence number, so its handle still cancels it."""
+    loop = TimeWheelLoop(resolution=1e-3, wheel_slots=4)
+    fired = []
+    loop.schedule(0.0015, fired.append, "early")
+    late = loop.schedule(0.0095, fired.append, "late")
+    loop.run(until=0.005)           # pops "late", pushes it back
+    assert (loop.processed_events, loop.pending()) == (1, 1)
+    late.cancel()
+    late.cancel()
+    assert (loop.processed_events, loop.pending()) == (1, 0)
+    loop.run()
+    assert fired == ["early"]
+    assert (loop.processed_events, loop.pending()) == (1, 0)
+    assert loop.now == 0.005        # a cancelled entry never moves the clock

@@ -98,6 +98,112 @@ def test_cost_model_callable_and_per_byte():
     assert model.cost_of(Pong()) == pytest.approx(1.0)  # no size_bytes
 
 
+# ----------------------------------------------------------------------
+# Delivery plans: (lane, fixed cost, handler) cached per message type.
+# Each test sends one message first so the plan exists, then shows that
+# what a plan must NOT cache is still evaluated per message.
+# ----------------------------------------------------------------------
+
+def _completions(env, echo, msgs):
+    """Send ``msgs`` at t=0 over a 1 ms link; return the handler completion
+    times in arrival order."""
+    caller = Caller(env, "caller")
+    for msg in msgs:
+        caller.send(echo, msg)
+    env.run()
+    return [round(t, 6) for t, _ in echo.seen]
+
+
+def test_plan_caches_fixed_cost_lane_and_handler(env):
+    Network(env, ConstantLatency(0.001))
+    echo = Echo(env, "echo", cost_model=CostModel(costs={"Ping": 0.1}))
+    assert _completions(env, echo, [Ping(0), Ping(1), Ping(2)]) == [
+        0.101, 0.201, 0.301]
+    assert echo._plans[Ping] == ("cpu", 0.1, echo.on_ping)
+
+
+def test_callable_cost_is_evaluated_per_message(env):
+    Network(env, ConstantLatency(0.001))
+    echo = Echo(env, "echo", cost_model=CostModel(
+        costs={"Ping": lambda msg: 0.1 * msg.payload}))
+    # slots of 0.1, 0.3, 0.2 back to back: a cached first cost would
+    # give 0.101, 0.201, 0.301
+    assert _completions(env, echo, [Ping(1), Ping(3), Ping(2)]) == [
+        0.101, 0.401, 0.601]
+    assert echo._plans[Ping][1] is None
+
+
+def test_per_byte_cost_is_evaluated_per_message(env):
+    Network(env, ConstantLatency(0.001))
+    echo = Echo(env, "echo", cost_model=CostModel(default=0.1, per_byte=0.01))
+    # 0.1 + 0.01 * size: slots of 0.2, 0.5, 0.1
+    msgs = [Ping(0, size_bytes=10), Ping(1, size_bytes=40), Ping(2, size_bytes=0)]
+    assert _completions(env, echo, msgs) == [0.201, 0.701, 0.801]
+    assert echo._plans[Ping][1] is None
+
+
+def test_payload_dependent_lane_override_is_called_per_message(env):
+    Network(env, ConstantLatency(0.001))
+
+    class TwoLane(Echo):
+        def lane_of(self, msg):
+            return "replication" if msg.payload % 2 else "cpu"
+
+    echo = TwoLane(env, "echo", cost_model=CostModel(costs={"Ping": 0.1}))
+    # the first message would pin the type to "cpu" if the lane were cached
+    assert _completions(env, echo, [Ping(i) for i in range(4)]) == [
+        0.101, 0.101, 0.201, 0.201]
+    assert echo._plans[Ping][0] is None
+
+
+def test_lane_table_declares_lanes_by_type(env):
+    Network(env, ConstantLatency(0.001))
+
+    class Store(Echo):
+        LANES = {"Pong": "replication"}
+
+        def on_pong(self, msg, src):
+            self.seen.append((self.now, -msg.payload))
+
+    store = Store(env, "store", cost_model=CostModel(default=0.1))
+    caller = Caller(env, "caller")
+    for msg in (Ping(1), Pong(1), Ping(2), Pong(2)):
+        caller.send(store, msg)
+    env.run()
+    # the two types are served in parallel, each FIFO on its own lane
+    assert [(round(t, 6), p) for t, p in store.seen] == [
+        (0.101, 1), (0.101, -1), (0.201, 2), (0.201, -2)]
+    assert store.lane_of(Pong()) == "replication"
+    assert store.lane_of(Ping()) == "cpu"
+
+
+def test_missing_handler_raises_at_dispatch_not_at_plan_build(env):
+    Network(env, ConstantLatency(0.001))
+    caller = Caller(env, "caller", cost_model=CostModel(costs={"Ping": 0.5}))
+    echo = Echo(env, "echo")
+    echo.send(caller, Ping(1))      # Caller has no on_ping
+    env.run(until=0.3)              # arrived at 0.001: the plan is built ...
+    assert Ping in caller._plans
+    with pytest.raises(NotImplementedError, match="Caller 'caller'.*Ping"):
+        env.run()                   # ... and the slot completing at 0.501 raises
+
+
+def test_crash_and_recover_between_arrival_and_completion_drops(env):
+    """The epoch guard travels in the scheduled entry, not in the plan."""
+    Network(env, ConstantLatency(0.001))
+    echo = Echo(env, "echo", cost_model=CostModel(costs={"Ping": 1.0}))
+    caller = Caller(env, "caller")
+    caller.send(echo, Ping(1))
+    env.run(until=1.5)              # plan cached by a full delivery
+    caller.send(echo, Ping(2))      # arrives 1.501, completes 2.501
+    env.loop.schedule_at(2.0, echo.crash)
+    env.loop.schedule_at(2.1, echo.recover)
+    caller.send(echo, Ping(3))      # same epoch as Ping(2): dropped too
+    env.loop.schedule_at(2.2, caller.send, echo, Ping(4))
+    env.run()
+    assert [p for _, p in echo.seen] == [1, 4]
+
+
 def test_unknown_message_raises(env, pair):
     echo, caller = pair
     echo.send(caller, Ping(1))  # Caller has no on_ping
@@ -153,6 +259,30 @@ def test_periodic_with_cost_consumes_service_time(env):
     env.loop.run(until=0.36)
     # each firing runs 0.05s after its tick
     assert times == pytest.approx([0.15, 0.25, 0.35])
+
+
+def test_periodic_period_mutated_to_zero_raises_naming_task_and_process(env):
+    """The Fig. 7 straggler injector mutates ``batch_interval`` live; a zero
+    must fail loudly instead of re-arming at ``now`` forever."""
+    from repro.sim import SimulationError
+
+    proc = Process(env, "p7")
+    proc.batch_interval = 0.1
+    ticks = []
+
+    def flush():
+        ticks.append(proc.now)
+
+    task = proc.periodic(lambda: proc.batch_interval, flush)
+    env.loop.schedule_at(0.25, setattr, proc, "batch_interval", 0.0)
+    with pytest.raises(SimulationError,
+                       match=r"flush of p7 has non-positive period 0\.0"):
+        env.loop.run(until=1.0)
+    assert ticks == pytest.approx([0.1, 0.2, 0.3])
+    task.period = 0.5               # the handle's interval is assignable
+    assert task.period == 0.5
+    with pytest.raises(SimulationError, match="non-positive period -1"):
+        proc.periodic(-1, flush)
 
 
 def test_network_fifo_per_link(env):

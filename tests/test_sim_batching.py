@@ -135,6 +135,92 @@ def test_time_wheel_matches_heap(one_shots, periodics, boundaries,
     assert wheel_loop.pending() == heap_loop.pending() == 0
 
 
+def _run_cancel_program(loop, shots, cuts):
+    """Drive one cancellation program; return its log.
+
+    ``shots`` are ``(delay_units, mode, victim)`` one-shots made through
+    ``loop.schedule`` (the handle-on-demand door).  ``mode`` cancels the
+    shot's own handle ``"before"`` it can fire, ``"twice"``, or from
+    ``"inside"`` its own callback (already fired: a no-op); ``"other"``
+    cancels shot ``victim`` from inside the callback, whatever state that
+    one is in.  ``cuts`` are ``(until_units, victims)``: after each
+    ``run(until=...)`` segment the victims' handles are cancelled from
+    outside — fired ones (no-op), pending ones, and on the wheel the one
+    that was popped past the boundary and pushed back.
+
+    After every segment ``pending()`` and ``processed_events`` must equal
+    the model: an entry is fired, dead (cancelled while queued) or pending.
+    """
+    log, handles, fired, dead = [], [], set(), set()
+
+    def cancel(j):
+        if j < len(handles):
+            if j not in fired:
+                dead.add(j)
+            handles[j].cancel()
+
+    def fire(i, mode, victim):
+        assert i not in dead, "a cancelled entry fired"
+        fired.add(i)
+        log.append((loop.now, i))
+        if mode == "inside":
+            cancel(i)
+        elif mode == "other":
+            cancel(victim)
+
+    def check():
+        assert loop.processed_events == len(fired)
+        assert loop.pending() == len(handles) - len(fired) - len(dead)
+
+    for i, (delay_units, mode, victim) in enumerate(shots):
+        handles.append(loop.schedule(delay_units * _U, fire, i, mode, victim))
+        if mode in ("before", "twice"):
+            cancel(i)
+        if mode == "twice":
+            cancel(i)
+    check()
+    for units, victims in cuts:
+        loop.run(until=units * _U)
+        check()
+        for j in victims:
+            cancel(j)
+        check()
+        log.append(("segment", loop.now, loop.pending()))
+    loop.run()
+    check()
+    assert loop.pending() == 0
+    return log
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shots=st.lists(
+        st.tuples(st.integers(0, 60),
+                  st.sampled_from(["keep", "keep", "before", "twice",
+                                   "inside", "other"]),
+                  st.integers(0, 11)),
+        max_size=12),
+    cuts=st.lists(
+        st.tuples(st.integers(1, 70),
+                  st.lists(st.integers(0, 11), max_size=4)),
+        max_size=4).map(lambda cs: sorted(cs, key=lambda c: c[0])),
+    resolution_us=st.sampled_from([200, 1000, 5000]),
+    wheel_slots=st.sampled_from([2, 4, 64]),
+)
+def test_cancellation_is_exact_and_identical_on_both_backends(
+        shots, cuts, resolution_us, wheel_slots):
+    """Handles are made on demand and cancellation is a seq filed in the
+    loop's cancelled set: cancel before fire, after fire, twice, from
+    inside the callback and of a pushed-back wheel entry must all leave
+    ``pending()`` / ``processed_events`` exact, never fire a cancelled
+    entry, and behave identically on the heap and the wheel."""
+    heap_log = _run_cancel_program(EventLoop(), shots, cuts)
+    wheel_log = _run_cancel_program(
+        TimeWheelLoop(resolution=resolution_us * 1e-6,
+                      wheel_slots=wheel_slots), shots, cuts)
+    assert wheel_log == heap_log
+
+
 def test_wheel_cursor_rewinds_after_overflow_jump_push_back():
     """Regression: an event far beyond the wheel horizon makes the empty-ring
     fast path jump the cursor to the overflow head's slot; when that event is
