@@ -28,12 +28,17 @@ Checks, with zero dependencies beyond the stdlib:
    (currently ``receiver_pipeline``, the batched-dataplane apply depth)
    still exists on its dataclass and is documented code-formatted in
    both README.md and docs/ARCHITECTURE.md.
+7. every module under ``src/`` imports only the standard library,
+   ``repro`` itself, and packages declared in ``pyproject.toml``
+   ``dependencies`` — the README's "pure stdlib" claim and the CI image
+   (which installs nothing else) both depend on it.
 
 Exit code 0 when clean; prints every violation and exits 1 otherwise.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -217,10 +222,46 @@ def check_knobs_documented() -> list[str]:
     return errors
 
 
+def declared_dependencies() -> set[str]:
+    """Import names of ``[project] dependencies`` (distribution names,
+    lower-cased, ``-`` → ``_``; version specifiers dropped)."""
+    text = (REPO / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'^dependencies\s*=\s*\[(.*?)\]', text,
+                      re.MULTILINE | re.DOTALL)
+    if not match:
+        return set()
+    return {name.lower().replace("-", "_")
+            for name in re.findall(r'["\']\s*([A-Za-z0-9_.\-]+)',
+                                   match.group(1))}
+
+
+def check_src_imports() -> list[str]:
+    errors = []
+    allowed = sys.stdlib_module_names | {"repro"} | declared_dependencies()
+    for module in sorted((REPO / "src").rglob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top not in allowed:
+                    errors.append(
+                        f"{module.relative_to(REPO)}:{node.lineno}: imports "
+                        f"{top!r}, which is neither stdlib nor declared in "
+                        "pyproject.toml dependencies")
+    return errors
+
+
 def main() -> int:
     errors = (check_links() + check_example_headers()
               + check_protocol_modules() + check_protocols_documented()
-              + check_knobs_documented() + check_config_fields_documented())
+              + check_knobs_documented() + check_config_fields_documented()
+              + check_src_imports())
     for error in errors:
         print(f"check_docs: {error}", file=sys.stderr)
     if errors:
@@ -233,7 +274,7 @@ def main() -> int:
           f"{len(PROTOCOL_MODULES)} protocol modules ok; "
           f"{len(registered_protocols())} registered protocols documented; "
           f"{n_knobs} knob values + {len(CONFIG_FIELD_KNOBS)} config field "
-          "knob(s) documented")
+          "knob(s) documented; src/ imports stdlib + declared only")
     return 0
 
 

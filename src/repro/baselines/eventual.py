@@ -85,8 +85,9 @@ class EventualPartition(EunomiaPartition):
         now = self.now
         k, m = update.origin_dc, self.dc_id
         total_ms = (now - update.commit_time) * 1e3
-        self.metrics.point(f"vis_extra_ms:{k}->{m}", now, 0.0)
-        self.metrics.point(f"vis_total_ms:{k}->{m}", now, total_ms)
+        extra_label, total_label = self._vis_labels[k]
+        self.metrics.point(extra_label, now, 0.0)
+        self.metrics.point(total_label, now, total_ms)
         tracer = self.metrics.tracer
         if tracer is not None:
             tracer.stage_once(update, "visible", now, m)

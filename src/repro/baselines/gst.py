@@ -159,6 +159,10 @@ class GstPartition(Process):
         self._pending_seq = 0
         self.local_updates = 0
         self.remote_applies = 0
+        # visibility series names per origin DC, formatted once
+        self._vis_labels = [(f"vis_extra_ms:{k}->{dc_id}",
+                             f"vis_total_ms:{k}->{dc_id}")
+                            for k in range(n_dcs)]
 
     # ------------------------------------------------------------------
     # Wiring / lifecycle
@@ -272,8 +276,9 @@ class GstPartition(Process):
         k, m = update.origin_dc, self.dc_id
         extra_ms = max(0.0, (now - arrival) * 1e3)
         total_ms = (now - update.commit_time) * 1e3
-        self.metrics.point(f"vis_extra_ms:{k}->{m}", now, extra_ms)
-        self.metrics.point(f"vis_total_ms:{k}->{m}", now, total_ms)
+        extra_label, total_label = self._vis_labels[k]
+        self.metrics.point(extra_label, now, extra_ms)
+        self.metrics.point(total_label, now, total_ms)
         tracer = self.metrics.tracer
         if tracer is not None:
             tracer.stage_once(update, "visible", now, m)
@@ -305,14 +310,16 @@ class GstPartition(Process):
         slo = self.metrics.slo
         now = self.now
         m = self.dc_id
+        labels = self._vis_labels
         for update, arrival in items:
             put(update.key, Versioned(update.value, update.ts,
                                       update.origin_dc, update.vts))
             k = update.origin_dc
             extra_ms = max(0.0, (now - arrival) * 1e3)
             total_ms = (now - update.commit_time) * 1e3
-            point(f"vis_extra_ms:{k}->{m}", now, extra_ms)
-            point(f"vis_total_ms:{k}->{m}", now, total_ms)
+            extra_label, total_label = labels[k]
+            point(extra_label, now, extra_ms)
+            point(total_label, now, total_ms)
             if tracer is not None:
                 tracer.stage_once(update, "visible", now, m)
             if slo is not None:

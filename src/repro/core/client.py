@@ -56,6 +56,9 @@ class SessionClient(Process):
         self.metrics = metrics or NullMetrics()
         self.think_time = think_time
         self.op_mark = op_mark
+        # series names, formatted once instead of per completed op
+        self._dc_mark = f"{op_mark}:dc{dc_id}"
+        self._latency_labels: dict[str, tuple[str, str]] = {}
         self.op_cost = cal.cost("client_op")
         self.vclock = vc_zero(n_entries)
         self.ops_done = 0
@@ -171,14 +174,18 @@ class SessionClient(Process):
         now = self.now
         latency_ms = (now - self._issued_at) * 1e3
         self.ops_done += 1
-        self.metrics.record(f"latency_ms:{self._kind}", latency_ms)
-        self.metrics.point(f"latency_ms:{self._kind}:dc{self.dc_id}",
-                           now, latency_ms)
+        kind = self._kind
+        labels = self._latency_labels.get(kind)
+        if labels is None:
+            labels = self._latency_labels[kind] = (
+                f"latency_ms:{kind}", f"latency_ms:{kind}:dc{self.dc_id}")
+        self.metrics.record(labels[0], latency_ms)
+        self.metrics.point(labels[1], now, latency_ms)
         slo = self.metrics.slo
         if slo is not None:
-            slo.op(self._kind, self.dc_id, latency_ms)
+            slo.op(kind, self.dc_id, latency_ms)
         self.metrics.mark(self.op_mark, now)
-        self.metrics.mark(f"{self.op_mark}:dc{self.dc_id}", now)
+        self.metrics.mark(self._dc_mark, now)
         if self.think_time > 0.0:
             self.after(self.think_time,
                        lambda: self._enqueue(self._issue, self.op_cost))

@@ -99,6 +99,12 @@ class EunomiaPartition(Process):
         self._pending_run: dict[tuple, tuple[Update, ...]] = {}
         self.local_updates = 0
         self.remote_applies = 0
+        # visibility series names, formatted once: per origin DC, and (on
+        # first use) per origin partition
+        self._vis_labels = [(f"vis_extra_ms:{k}->{dc_id}",
+                             f"vis_total_ms:{k}->{dc_id}")
+                            for k in range(n_dcs)]
+        self._vis_part_labels: dict[tuple[int, int], str] = {}
 
     # ------------------------------------------------------------------
     # Wiring
@@ -254,13 +260,18 @@ class EunomiaPartition(Process):
         extra_ms = max(0.0, (now - data_arrival) * 1e3)
         total_ms = (now - update.commit_time) * 1e3
         k, m = update.origin_dc, self.dc_id
-        self.metrics.point(f"vis_extra_ms:{k}->{m}", now, extra_ms)
-        self.metrics.point(f"vis_total_ms:{k}->{m}", now, total_ms)
+        extra_label, total_label = self._vis_labels[k]
+        self.metrics.point(extra_label, now, extra_ms)
+        self.metrics.point(total_label, now, total_ms)
         # Per-origin-partition breakdown: the straggler experiment (Fig. 7)
         # distinguishes updates born on healthy partitions from the
         # straggler's own.
-        self.metrics.point(
-            f"vis_extra_ms:{k}->{m}:p{update.partition_index}", now, extra_ms)
+        origin = (k, update.partition_index)
+        part_label = self._vis_part_labels.get(origin)
+        if part_label is None:
+            part_label = self._vis_part_labels[origin] = (
+                f"{extra_label}:p{update.partition_index}")
+        self.metrics.point(part_label, now, extra_ms)
         tracer = self.metrics.tracer
         if tracer is not None:
             tracer.stage_once(update, "visible", now, m)

@@ -12,15 +12,26 @@ figures need:
 Recording is O(1) appends; all statistics are computed after the run by
 :mod:`repro.metrics.summary`.  Components receive the hub by injection so
 that unit tests can run protocols without one (see :class:`NullMetrics`).
+
+The store is columnar: every sample and mark series is one ``array('d')``
+and every point series two parallel ones (times, values) — 8 bytes per
+recorded number, where a list of boxed floats costs 32 per value and a
+list of ``(t, v)`` tuples 112 per point.  Values are therefore stored as C
+doubles (an ``int`` comes back as a ``float``); the query methods rebuild
+the ``list`` / ``list[tuple]`` shapes callers have always read.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from itertools import repeat
-from typing import Optional
 
 __all__ = ["MetricsHub", "NullMetrics"]
+
+
+def _column() -> array:
+    return array("d")
 
 
 class MetricsHub:
@@ -28,9 +39,11 @@ class MetricsHub:
 
     def __init__(self) -> None:
         self.counters: dict[str, int] = defaultdict(int)
-        self.samples: dict[str, list[float]] = defaultdict(list)
-        self.marks: dict[str, list[float]] = defaultdict(list)
-        self.points: dict[str, list[tuple[float, float]]] = defaultdict(list)
+        self.samples: dict[str, array] = defaultdict(_column)
+        self.marks: dict[str, array] = defaultdict(_column)
+        #: name -> (times, values), two columns of equal length
+        self.points: dict[str, tuple[array, array]] = defaultdict(
+            lambda: (_column(), _column()))
         # Observability hooks (repro.obs): components fetch these and test
         # for None, so a hub without instruments attached costs one
         # attribute read per call site.
@@ -71,7 +84,9 @@ class MetricsHub:
 
     def point(self, name: str, time: float, value: float) -> None:
         """Append a (time, value) pair to the series ``name``."""
-        self.points[name].append((time, value))
+        times, values = self.points[name]
+        times.append(time)
+        values.append(value)
 
     def observe(self, name: str, value: float) -> None:
         """Feed ``value`` into the streaming sketch ``name``.
@@ -92,9 +107,9 @@ class MetricsHub:
         return sk
 
     # -- lightweight queries (heavier math lives in summary.py) ---------
-    # Query methods return *copies*: the internal lists keep growing while
-    # the simulation runs, so handing them out live would let summary code
-    # mutate (or observe a moving view of) a run mid-flight.
+    # Query methods return *copies*: the internal columns keep growing
+    # while the simulation runs, so handing them out live would let summary
+    # code mutate (or observe a moving view of) a run mid-flight.
     def counter(self, name: str) -> int:
         return self.counters.get(name, 0)
 
@@ -105,7 +120,8 @@ class MetricsHub:
         return list(self.marks.get(name, ()))
 
     def point_series(self, name: str) -> list[tuple[float, float]]:
-        return list(self.points.get(name, ()))
+        columns = self.points.get(name)
+        return list(zip(*columns)) if columns else []
 
     def names(self) -> dict[str, list[str]]:
         """All recorded metric names, grouped by kind (debug aid)."""

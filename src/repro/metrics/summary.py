@@ -8,6 +8,13 @@ Mirrors the measurement methodology of §7:
 * visibility latencies are reported as CDFs (Figure 6) and high percentiles
   (Figure 1 uses the 90th);
 * timelines (Figures 4 and 7) bucket events or samples into fixed windows.
+
+Pure stdlib.  :func:`percentile` is the ``linear`` method (Hyndman & Fan
+type 7) with a two-sided lerp, operation for operation what the array
+library this module used to call computes — tests/test_metrics.py holds
+the two equal to the last bit, so published p50/p90/p99 did not move.
+:func:`mean` is the correctly rounded ``fsum / n``, which a pairwise
+double sum can miss by a few ulp.
 """
 
 from __future__ import annotations
@@ -15,8 +22,6 @@ from __future__ import annotations
 import math
 import warnings
 from typing import Optional, Sequence
-
-import numpy as np
 
 __all__ = [
     "EmptySeriesWarning",
@@ -45,13 +50,14 @@ STRICT_EMPTY = False
 
 
 def mean(values: Sequence[float]) -> float:
-    """Arithmetic mean; 0.0 for empty input."""
-    return float(np.mean(values)) if len(values) else 0.0
+    """Arithmetic mean, correctly rounded (``fsum / n``); 0.0 if empty."""
+    return math.fsum(values) / len(values) if len(values) else 0.0
 
 
 def percentile(values: Sequence[float], pct: float,
                strict: Optional[bool] = None) -> float:
-    """The ``pct``-th percentile (linear interpolation).
+    """The ``pct``-th percentile (linear interpolation between the two
+    nearest order statistics, ``pct`` in [0, 100]).
 
     Empty input emits :class:`EmptySeriesWarning` and returns 0.0, or
     raises ``ValueError`` when ``strict`` is true (default: the module
@@ -65,7 +71,20 @@ def percentile(values: Sequence[float], pct: float,
             "(dead or misnamed metric name?)",
             EmptySeriesWarning, stacklevel=2)
         return 0.0
-    return float(np.percentile(np.asarray(values, dtype=float), pct))
+    if not 0 <= pct <= 100:
+        raise ValueError(f"percentile must be in [0, 100], got {pct!r}")
+    data = sorted(values)
+    index = (len(data) - 1) * (pct / 100)
+    lo = math.floor(index)
+    if lo >= len(data) - 1:
+        return float(data[-1])
+    a, b = data[lo], data[lo + 1]
+    t = index - lo
+    # Each form is exact at its own end; the switch at t = 0.5 decides the
+    # last bit and is part of the method being reproduced.
+    if t < 0.5:
+        return float(a + (b - a) * t)
+    return float(b - (b - a) * (1 - t))
 
 
 def cdf(values: Sequence[float], resolution: Optional[float] = None
@@ -78,18 +97,17 @@ def cdf(values: Sequence[float], resolution: Optional[float] = None
     """
     if not len(values):
         return []
-    data = np.asarray(values, dtype=float)
     if resolution:
-        data = np.floor(data / resolution) * resolution
-    data.sort()
+        values = [math.floor(v / resolution) * resolution for v in values]
+    data = sorted(map(float, values))
     n = len(data)
     out: list[tuple[float, float]] = []
     previous = None
     for i, v in enumerate(data, 1):
-        if previous is not None and v == previous:
+        if v == previous:
             out[-1] = (v, i / n)
         else:
-            out.append((float(v), i / n))
+            out.append((v, i / n))
             previous = v
     return out
 

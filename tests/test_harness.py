@@ -87,3 +87,26 @@ class TestReport:
             assert hasattr(module, f"Fig{number}Params")
             params_cls = getattr(module, f"Fig{number}Params")
             assert hasattr(params_cls, "quick")
+
+    def test_package_exports_resolve_lazily(self):
+        import repro.harness as harness
+
+        assert harness.FIGURES is FIGURES
+        assert harness.FigureResult is FigureResult
+        for name in harness.__all__:
+            assert getattr(harness, name) is not None
+        with pytest.raises(AttributeError, match="no attribute 'fig9'"):
+            harness.fig9
+
+    def test_fig4_phase_means_pinned(self):
+        """Figure 4's three ``_phase_mean`` columns on a seeded rig
+        timeline, as printed when ``mean`` was numpy's (captured at
+        26a0e71): the stdlib ``fsum / n`` gives the same floats here."""
+        from repro.harness.figures import fig4
+
+        result = fig4.run(fig4.Fig4Params(
+            n_partitions=4, replica_counts=(2,), duration=12.0, crash1=3.0,
+            crash2=8.0, window=1.0))
+        assert result.rows == [
+            ["non-FT (baseline)", 1.0, 1.0, 1.0],
+            ["2-FT", 0.9905619185167769, 0.9947267658616867, 0.0]]

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.baselines import build_system
+from repro.geo.system import GeoSystemSpec
+from repro.harness.loadgen import build_eunomia_rig, build_sequencer_rig
 from repro.metrics import (
     MetricsHub,
     NullMetrics,
@@ -16,6 +19,7 @@ from repro.metrics import (
     windowed_points,
     windowed_rate,
 )
+from repro.workload.generator import WorkloadSpec
 
 
 class TestHub:
@@ -36,9 +40,40 @@ class TestHub:
     def test_names_listing(self, metrics):
         metrics.count("c")
         metrics.record("s", 1)
-        names = metrics.names()
-        assert names["counters"] == ["c"]
-        assert names["samples"] == ["s"]
+        metrics.mark("m2", 0.5)
+        metrics.mark("m1", 0.5)
+        metrics.point("p", 0.5, 1.0)
+        assert metrics.names() == {"counters": ["c"], "samples": ["s"],
+                                   "marks": ["m1", "m2"], "points": ["p"]}
+
+    def test_queries_return_legacy_shapes(self, metrics):
+        metrics.record("lat", 1)            # an int is stored as a double
+        metrics.mark("ops", 2)
+        metrics.point("vis", 3, 4)
+        for series in (metrics.sample_values("lat"),
+                       metrics.mark_times("ops")):
+            assert type(series) is list and type(series[0]) is float
+        (pair,) = metrics.point_series("vis")
+        assert type(pair) is tuple and pair == (3.0, 4.0)
+        assert all(type(x) is float for x in pair)
+        for missing in (metrics.sample_values("x"), metrics.mark_times("x"),
+                        metrics.point_series("x")):
+            assert missing == []
+        assert metrics.names()["points"] == ["vis"]   # queries add no series
+
+    def test_queries_are_snapshots(self, metrics):
+        """A result holds what was recorded when it was taken (that
+        mutating it leaves the hub alone is pinned in test_obs.py)."""
+        metrics.record("lat", 1.0)
+        metrics.mark("ops", 0.5)
+        metrics.point("vis", 0.5, 9.0)
+        earlier = (metrics.sample_values("lat"), metrics.mark_times("ops"),
+                   metrics.point_series("vis"))
+        metrics.record("lat", 2.0)
+        metrics.mark_many("ops", 1.5, 2)
+        metrics.point("vis", 1.5, 8.0)
+        assert earlier == ([1.0], [0.5], [(0.5, 9.0)])
+        assert metrics.point_series("vis") == [(0.5, 9.0), (1.5, 8.0)]
 
     def test_mark_many_with_count(self, metrics):
         metrics.mark("ops", 0.5)
@@ -48,7 +83,13 @@ class TestHub:
 
     def test_mark_many_with_explicit_times(self, metrics):
         metrics.mark_many("ops", 0.0, [0.1, 0.2])
-        assert metrics.mark_times("ops") == [0.1, 0.2]
+        metrics.mark_many("ops", 0.0, (t for t in (0.3,)))
+        assert metrics.mark_times("ops") == [0.1, 0.2, 0.3]
+
+    @pytest.mark.parametrize("nothing", [0, -3, [], (), iter(())])
+    def test_mark_many_of_nothing_creates_no_series(self, metrics, nothing):
+        metrics.mark_many("ops", 1.0, nothing)
+        assert metrics.names()["marks"] == []
 
     def test_mark_many_equivalent_to_mark_loop(self, metrics):
         bulk = MetricsHub()
@@ -63,16 +104,87 @@ class TestHub:
         hub.record("y", 1.0)
         hub.mark("z", 1.0)
         hub.mark_many("z", 1.0, 7)
+        hub.mark_many("z", 1.0, [1.0, 2.0])
         hub.point("w", 1.0, 2.0)
+        hub.observe("v", 1.0)
         assert hub.counter("x") == 0
         assert hub.sample_values("y") == []
         assert hub.mark_times("z") == []
+        assert hub.point_series("w") == []
+        assert not any(hub.names().values()) and not hub.sketches
+
+
+def _float_only(monkeypatch):
+    """Make every recording method reject a non-float time or value."""
+    for method in ("record", "mark", "mark_many", "point"):
+        def wrapper(self, name, time, *rest, _method=method,
+                    _original=getattr(MetricsHub, method)):
+            # mark_many's third argument is a count or an iterable
+            checked = (time,) if _method == "mark_many" else (time, *rest)
+            assert all(type(v) is float for v in checked), (_method, name)
+            return _original(self, name, time, *rest)
+        monkeypatch.setattr(MetricsHub, method, wrapper)
+
+
+class TestStoredAsDoubles:
+    """``array('d')`` turns a recorded ``int`` into a ``float``, which
+    would change ``0`` to ``0.0`` in anything that hashes or prints a
+    series (golden digests hash ``repr``).  No recorder in ``src/`` hands
+    the hub an int; these runs keep it that way."""
+
+    @pytest.mark.parametrize("protocol", ["eunomia", "eventual", "gentlerain",
+                                          "cure", "sseq", "aseq"])
+    def test_geo_protocols_record_only_floats(self, monkeypatch, protocol):
+        _float_only(monkeypatch)
+        spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=2, clients_per_dc=2,
+                             seed=5)
+        system = build_system(protocol, spec,
+                              WorkloadSpec(read_ratio=0.5, n_keys=32))
+        system.observe(sample_every=4)      # gauges record points too
+        system.run(0.5)
+        system.quiesce(0.5)
+        assert system.metrics.mark_times("ops")
+
+    @pytest.mark.parametrize("protocol, per_partition", [
+        ("eunomia", True), ("gentlerain", False), ("eventual", False)])
+    def test_series_names_of_a_geo_run(self, protocol, per_partition):
+        """Recorders format their series names once, at construction; the
+        names are the ones figures, goldens and ``perf/`` look up."""
+        spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=2, clients_per_dc=2,
+                             seed=5)
+        system = build_system(protocol, spec,
+                              WorkloadSpec(read_ratio=0.5, n_keys=32))
+        system.run(1.0)
+        system.quiesce(1.0)
+        pairs = [(k, m) for k in range(3) for m in range(3) if k != m]
+        points = {f"latency_ms:{kind}:dc{d}"
+                  for kind in ("read", "update") for d in range(3)}
+        points |= {f"vis_{what}_ms:{k}->{m}"
+                   for what in ("extra", "total") for k, m in pairs}
+        if per_partition:
+            points |= {f"vis_extra_ms:{k}->{m}:p{i}"
+                       for k, m in pairs for i in range(2)}
+        names = system.metrics.names()
+        assert names["points"] == sorted(points)
+        assert names["samples"] == ["latency_ms:read", "latency_ms:update"]
+        assert {"ops", "ops:dc0", "ops:dc1", "ops:dc2"} <= set(names["marks"])
+
+    def test_rigs_record_only_floats(self, monkeypatch):
+        _float_only(monkeypatch)
+        for rig in (build_eunomia_rig(4, seed=1), build_sequencer_rig(4, seed=1)):
+            rig.run(0.3)
+            assert rig.throughput() > 0.0
 
 
 class TestStats:
     def test_mean_and_empty(self):
         assert mean([1, 2, 3]) == 2.0
         assert mean([]) == 0.0
+
+    def test_mean_is_correctly_rounded(self):
+        # fsum / n: no accumulated rounding, whatever the order or scale
+        assert mean([0.1] * 10) == 0.1
+        assert mean([1e16, 1.0, -1e16]) == 1.0 / 3
 
     def test_percentile(self):
         values = list(range(1, 101))
@@ -85,6 +197,37 @@ class TestStats:
                            max_size=200))
     def test_percentile_bounds(self, values):
         assert min(values) <= percentile(values, 50) <= max(values)
+
+    def test_percentile_pinned_cases(self):
+        """Literal values of numpy's ``linear`` method; runs without numpy."""
+        assert percentile([7.5], 0) == percentile([7.5], 99.9) == 7.5  # n = 1
+        assert [percentile([1.0, 3.0], p) for p in (0, 50, 90, 100)] == [
+            1.0, 2.0, 2.8, 3.0]                                         # n = 2
+        assert [percentile([4.0] * 9, p) for p in (0, 50, 99, 100)] == [4.0] * 4
+        cut = [1.0, 2.0, 2.0, 2.0, 5.0]           # duplicates at the cut
+        assert [percentile(cut, p) for p in (25, 50, 75)] == [2.0, 2.0, 2.0]
+        series = [0.1 * i * i for i in range(11)]  # 0.0 .. 10.0, convex
+        assert [percentile(series, p) for p in (0, 50, 90, 99, 99.9, 100)] == [
+            0.0, 2.5, 8.1, 9.81, 9.981000000000003, 10.0]
+        assert percentile(series[::-1], 90) == 8.1  # input order is free
+        assert percentile([1, 2, 3, 4], 50) == 2.5  # ints welcome
+        assert type(percentile([1, 2, 3], 50)) is float
+
+    def test_percentile_lerp_branches(self):
+        """Below t = 0.5 the result is ``a + (b-a)*t``, from 0.5 on it is
+        ``b - (b-a)*(1-t)``; with a = 0.1, b = 0.7 the two differ in the
+        last bit at t = 0.45 and t = 0.55, so each branch is pinned."""
+        a, b = 0.1, 0.7
+        assert a + (b - a) * 0.45 != b - (b - a) * (1 - 0.45)
+        assert b - (b - a) * (1 - 0.55) != a + (b - a) * 0.55
+        assert percentile([a, b], 45) == a + (b - a) * 0.45
+        assert percentile([a, b], 55) == b - (b - a) * (1 - 0.55)
+        assert percentile([a, b], 50) == b - (b - a) * 0.5
+
+    def test_percentile_rejects_out_of_range(self):
+        for pct in (-1, 100.5):
+            with pytest.raises(ValueError, match="0, 100"):
+                percentile([1.0, 2.0], pct)
 
     def test_cdf_monotone_and_complete(self):
         points = cdf([3.0, 1.0, 2.0, 2.0])
@@ -142,3 +285,44 @@ class TestStats:
     def test_windowed_points_unknown_agg(self):
         with pytest.raises(ValueError):
             windowed_points([(0.5, 1.0)], 0, 1, 1, agg="bogus")
+
+
+# ----------------------------------------------------------------------
+# Parity with numpy, which the statistics used until PR 14 (skipped where
+# numpy is not installed; the pinned cases above run everywhere)
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def np():
+    return pytest.importorskip("numpy")
+
+
+_FINITE = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
+_PCT = st.one_of(st.sampled_from([0, 50, 90, 99, 99.9, 100]),
+                 st.floats(min_value=0, max_value=100, allow_nan=False))
+
+
+@given(values=st.lists(_FINITE, min_size=1, max_size=400), pct=_PCT)
+def test_percentile_equals_numpy_exactly(np, values, pct):
+    assert percentile(values, pct) == float(np.percentile(values, pct))
+
+
+@given(values=st.lists(st.floats(min_value=0, max_value=1e6,
+                                 allow_nan=False), min_size=1, max_size=400))
+def test_mean_within_rounding_of_numpy(np, values):
+    # numpy sums pairwise in doubles; fsum is exact, so they may differ in
+    # the last few bits and no more
+    assert mean(values) == pytest.approx(float(np.mean(values)), rel=1e-14,
+                                         abs=1e-300)
+
+
+@given(values=st.lists(st.floats(min_value=0, max_value=1e4,
+                                 allow_nan=False), min_size=1, max_size=200),
+       resolution=st.sampled_from([None, 1.0, 0.5]))
+def test_cdf_equals_numpy_formulation(np, values, resolution):
+    data = np.asarray(values, dtype=float)
+    if resolution:
+        data = np.floor(data / resolution) * resolution
+    uniq, counts = np.unique(data, return_counts=True)
+    expected = [(float(v), int(c) / len(values))
+                for v, c in zip(uniq, np.cumsum(counts))]
+    assert cdf(values, resolution=resolution) == expected
