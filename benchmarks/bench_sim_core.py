@@ -5,7 +5,7 @@ experiment can afford; these benchmarks keep regressions visible.
 """
 
 from repro.clocks import HybridLogicalClock, PhysicalClock
-from repro.sim import ConstantLatency, Environment, Network, Process, TimeWheelLoop
+from repro.sim import ConstantLatency, Environment, Network, Process
 
 
 def bench_event_loop_throughput(benchmark):
@@ -54,75 +54,6 @@ def bench_network_message_round(benchmark):
         return env.loop.processed_events
 
     benchmark(ping_pong)
-
-
-def bench_event_loop_throughput_batched(benchmark):
-    """The 50k-op workload when ops travel in 64-op blocks.
-
-    ``bench_event_loop_throughput`` pays one scheduled event per op — the
-    pre-batching shape, where per-event loop overhead bounds how much
-    simulated load CI can afford.  Here one ``schedule_periodic`` handle on
-    the time wheel consumes a 64-op block per firing (the ``OpBlock`` /
-    ``send_many`` shipping shape), so the loop schedules ~1/64th the events
-    for the same op count; the ratio between the two benches is the
-    amortization the batched APIs buy.
-    """
-    BLOCK = 64
-    TOTAL = 50_048                   # 782 block firings x 64 ops
-
-    def run_blocks():
-        loop = TimeWheelLoop()
-        count = [0]
-        block = list(range(BLOCK))
-
-        def tick():
-            total = count[0]
-            for _ in block:          # per-op work, same as the chained bench
-                total += 1
-            count[0] = total
-            if total >= TOTAL:
-                handle.cancel()
-
-        handle = loop.schedule_periodic(0.001, tick)
-        loop.run()
-        return count[0]
-
-    assert benchmark(run_blocks) == TOTAL
-
-
-def bench_network_message_round_batched(benchmark):
-    """The ~20k-message workload shipped as ``send_many`` batches.
-
-    Jitter-free latency collapses each 64-message batch into ONE
-    ``deliver_batch`` event whose zero-cost messages dispatch inline — the
-    paper-scale shipping path (`RunBuffer` propagation, Alg. 5 streams).
-    Compare against ``bench_network_message_round``: same message count,
-    two scheduled events per message there versus ~1/64 here.
-    """
-
-    class Pong:
-        size_bytes = 16
-
-    class Sink(Process):
-        received = 0
-
-        def on_pong(self, msg, src):
-            self.received += 1
-
-    BATCH, ROUNDS = 64, 312          # 19 968 messages ≈ the 20k round bench
-
-    def bulk_ship():
-        env = Environment(seed=1)
-        net = Network(env, ConstantLatency(0.0001))
-        a, b = Sink(env, "a"), Sink(env, "b")
-        batch = [Pong() for _ in range(BATCH)]
-        for i in range(ROUNDS):
-            env.loop.schedule(i * 0.001,
-                              lambda: net.send_many(a, b, batch))
-        env.run()
-        return b.received
-
-    assert benchmark(bulk_ship) == BATCH * ROUNDS
 
 
 def bench_hybrid_clock_updates(benchmark):

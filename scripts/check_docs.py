@@ -18,17 +18,12 @@ Checks, with zero dependencies beyond the stdlib:
    documented in both README.md and docs/ARCHITECTURE.md, so a newly
    registered plugin cannot ship undocumented (and a renamed one cannot
    leave stale docs behind);
-5. every recognized value of the ablation-knob name tuples — the
-   scheduler backends (``sim/env.py``), WAL codecs
-   (``durability/wal.py``), chaos fault classes (``harness/chaos.py``),
-   placement policies (``core/placement.py``), and tracing pipeline
-   stages (``obs/trace.py``) — is documented in both README.md and
-   docs/ARCHITECTURE.md, same rationale as the protocol registry.
-6. every behavioural config-field knob in ``CONFIG_FIELD_KNOBS``
-   (currently ``receiver_pipeline``, the batched-dataplane apply depth)
-   still exists on its dataclass and is documented code-formatted in
-   both README.md and docs/ARCHITECTURE.md.
-7. every module under ``src/`` imports only the standard library,
+5. every recognized value of the knob name tuples — chaos fault classes
+   (``harness/chaos.py``), placement policies (``core/placement.py``),
+   and tracing pipeline stages (``obs/trace.py``) — is documented in
+   both README.md and docs/ARCHITECTURE.md, same rationale as the
+   protocol registry;
+6. every module under ``src/`` imports only the standard library,
    ``repro`` itself, and packages declared in ``pyproject.toml``
    ``dependencies`` — the README's "pure stdlib" claim and the CI image
    (which installs nothing else) both depend on it.
@@ -160,8 +155,6 @@ def check_protocols_documented() -> list[str]:
 #: knob-name tuples whose every value must appear (code-formatted) in the
 #: docs: (source file, tuple variable name)
 KNOB_TUPLES = [
-    (REPO / "src" / "repro" / "sim" / "env.py", "SCHEDULER_BACKENDS"),
-    (REPO / "src" / "repro" / "durability" / "wal.py", "WAL_CODECS"),
     (REPO / "src" / "repro" / "harness" / "chaos.py", "FAULT_CLASSES"),
     (REPO / "src" / "repro" / "core" / "placement.py", "PLACEMENT_POLICIES"),
     (REPO / "src" / "repro" / "obs" / "trace.py", "STAGES"),
@@ -174,33 +167,6 @@ def knob_values(path: Path, var: str) -> list[str]:
     if not match:
         return []
     return re.findall(r'"(\w+)"', match.group(1))
-
-
-#: behavioural config-field knobs that must stay documented: every field
-#: listed here must exist on its dataclass and appear code-formatted in
-#: both README.md and docs/ARCHITECTURE.md (same rationale as the name
-#: tuples above; these are single typed fields rather than value tuples)
-CONFIG_FIELD_KNOBS = [
-    (REPO / "src" / "repro" / "core" / "config.py", "receiver_pipeline"),
-]
-
-
-def check_config_fields_documented() -> list[str]:
-    errors = []
-    for path, field in CONFIG_FIELD_KNOBS:
-        text = path.read_text(encoding="utf-8")
-        if not re.search(rf'^\s+{field}\s*:', text, re.MULTILINE):
-            errors.append(f"{path.relative_to(REPO)}: config field "
-                          f"{field!r} not found (renamed or removed?)")
-            continue
-        for doc in (REPO / "README.md", REPO / "docs" / "ARCHITECTURE.md"):
-            # accept `receiver_pipeline` or `EunomiaConfig(receiver_pipeline=…)`
-            if not re.search(rf'`[^`\n]*{field}[^`\n]*`',
-                             doc.read_text(encoding="utf-8")):
-                errors.append(
-                    f"{doc.relative_to(REPO)}: config knob {field!r} is "
-                    f"undocumented (expected `{field}` in code format)")
-    return errors
 
 
 def check_knobs_documented() -> list[str]:
@@ -260,8 +226,7 @@ def check_src_imports() -> list[str]:
 def main() -> int:
     errors = (check_links() + check_example_headers()
               + check_protocol_modules() + check_protocols_documented()
-              + check_knobs_documented() + check_config_fields_documented()
-              + check_src_imports())
+              + check_knobs_documented() + check_src_imports())
     for error in errors:
         print(f"check_docs: {error}", file=sys.stderr)
     if errors:
@@ -273,8 +238,8 @@ def main() -> int:
           f"{len(list((REPO / 'examples').glob('*.py')))} example headers ok; "
           f"{len(PROTOCOL_MODULES)} protocol modules ok; "
           f"{len(registered_protocols())} registered protocols documented; "
-          f"{n_knobs} knob values + {len(CONFIG_FIELD_KNOBS)} config field "
-          "knob(s) documented; src/ imports stdlib + declared only")
+          f"{n_knobs} knob values documented; "
+          "src/ imports stdlib + declared only")
     return 0
 
 

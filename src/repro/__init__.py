@@ -10,7 +10,7 @@ A from-scratch reproduction of Gunawardhana, Bravo & Rodrigues (USENIX ATC
   consistent store (:mod:`repro.baselines`);
 * the **substrates**: a deterministic discrete-event simulator with CPU and
   WAN modelling (:mod:`repro.sim`), hybrid/vector/physical clocks
-  (:mod:`repro.clocks`), red–black and AVL trees (:mod:`repro.datastruct`),
+  (:mod:`repro.clocks`), ordered op buffers (:mod:`repro.datastruct`),
   and a partitioned versioned KV store (:mod:`repro.kvstore`);
 * a **workload generator**, **metrics**, a **causal-consistency checker**,
   and a **benchmark harness** regenerating every figure of the paper

@@ -25,7 +25,7 @@ from typing import Optional
 
 from ..calibration import Calibration
 from ..clocks.physical import PhysicalClock
-from ..core.config import EunomiaConfig
+from ..core.config import RETRY_BACKOFF_CAP, SEQ_RETRY_TIMEOUT, EunomiaConfig
 from ..core.messages import ClientUpdate, ClientUpdateReply, RemoteData
 from ..core.partition import EunomiaPartition
 from ..core.protocols import (
@@ -100,9 +100,8 @@ class SeqPartition(EunomiaPartition):
         # sweep itself is a zero-cost local event (no messages, no RNG).
         if self._sweep_task is not None:
             self._sweep_task.stop()
-        timeout = self.config.seq_retry_timeout
-        self._sweep_task = self.periodic(timeout, self._sweep_retries,
-                                         phase=timeout)
+        self._sweep_task = self.periodic(SEQ_RETRY_TIMEOUT,
+                                         self._sweep_retries)
 
     def recover(self) -> None:
         super().recover()           # uplink.restart() is a no-op here
@@ -112,11 +111,10 @@ class SeqPartition(EunomiaPartition):
         if not self._retry:
             return
         now = self.now
-        base = self.config.seq_retry_timeout
-        cap = max(base, self.config.retry_backoff_cap)
         due = []
         for uid, (sent_at, attempt, idx) in self._retry.items():
-            if now - sent_at >= min(base * (1 << attempt), cap):
+            if now - sent_at >= min(SEQ_RETRY_TIMEOUT * (1 << attempt),
+                                    RETRY_BACKOFF_CAP):
                 due.append((uid, attempt, idx))
         for uid, attempt, idx in due:
             held = self._awaiting.get(uid)

@@ -10,7 +10,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["EunomiaConfig"]
+__all__ = ["EunomiaConfig", "RETRY_BACKOFF_BASE", "RETRY_BACKOFF_CAP",
+           "SEQ_RETRY_TIMEOUT", "TREE_FLUSH_INTERVAL"]
+
+#: Retry-with-backoff shape shared by the recovery idioms (uplink
+#: retransmission escalation, failed-fsync commit retries, sequencer
+#: request retries): each consecutive failure doubles the wait, capped.
+#: The cap is the *bounded timeout* — no retry loop ever waits longer,
+#: so recovery latency after the fault clears is bounded by it.
+RETRY_BACKOFF_BASE = 0.002
+RETRY_BACKOFF_CAP = 0.1
+
+#: Sequencer-request retry timeout: a partition (or load client) that
+#: has waited this long for a SeqReply re-issues the request — to the
+#: next sequencer-group member, round-robin, with the backoff above —
+#: closing the "sequencer crash strands every in-flight request" stall.
+SEQ_RETRY_TIMEOUT = 0.05
+
+#: Flush window of a §5 propagation-tree relay.
+TREE_FLUSH_INTERVAL = 0.001
 
 
 @dataclass
@@ -53,20 +71,6 @@ class EunomiaConfig:
     #: feedback loop no real implementation would ship.
     resend_timeout: float = 0.05
 
-    #: Retry-with-backoff shape shared by the recovery idioms (uplink
-    #: retransmission escalation, failed-fsync commit retries, sequencer
-    #: request retries): each consecutive failure doubles the wait, capped.
-    #: The cap is the *bounded timeout* — no retry loop ever waits longer,
-    #: so recovery latency after the fault clears is bounded by it.
-    retry_backoff_base: float = 0.002
-    retry_backoff_cap: float = 0.1
-
-    #: Sequencer-request retry timeout: a partition (or load client) that
-    #: has waited this long for a SeqReply re-issues the request — to the
-    #: next sequencer-group member, round-robin, with the backoff above —
-    #: closing the "sequencer crash strands every in-flight request" stall.
-    seq_retry_timeout: float = 0.05
-
     #: Ω failure-detector timing for replica leader election.
     replica_alive_interval: float = 0.5
     replica_suspect_timeout: float = 1.6
@@ -75,7 +79,6 @@ class EunomiaConfig:
     #: a flush window of batches/heartbeats into one message for Eunomia.
     use_propagation_tree: bool = False
     tree_fanout: int = 8
-    tree_flush_interval: float = 0.001
 
     #: Sharded stabilization: split the datacenter's partitions across K
     #: :class:`~repro.core.shard.EunomiaShard` workers plus a merging
@@ -108,34 +111,16 @@ class EunomiaConfig:
     #: length.
     checkpoint_interval: float = 0.25
 
-    #: WAL record codec (``durability="wal"``): ``"delta"`` frames each
-    #: record as a tag + varints (timestamp delta-encoded against the
-    #: previous record) + an 8-byte content digest, shrinking group-commit
-    #: fsync payloads to roughly a tenth of the ``"full"`` frames (op
-    #: metadata + fixed 16-byte framing).  Accounting-only: replay and
-    #: truncation are codec-agnostic.
-    wal_codec: str = "delta"
-
     #: How long a rejoining replica waits for a peer's StateTransferReply
     #: before giving up and re-entering the election on its local
     #: (checkpoint + WAL) state alone — the no-surviving-peer path.
     state_transfer_timeout: float = 0.5
 
-    #: Receiver apply-pipeline depth (Alg. 5 dataplane): ``1`` is the
-    #: stop-and-wait default — one in-flight ``ApplyRemote`` per origin,
-    #: the golden-pinned historical behaviour.  ``P > 1`` lets the receiver
-    #: release up to P consecutive dependency-satisfied head ops of one
-    #: origin bound for the *same* local partition as a single
-    #: ``ApplyRemoteRun`` frame, acknowledged with one batched
-    #: ``ApplyRemoteOkRun`` — in-order within the origin either way, so
-    #: causality (condition 1 of Alg. 5 line 12) is preserved.
-    receiver_pipeline: int = 1
-
     #: Unstable-op buffer strategy: ``"runs"`` (per-origin monotone runs,
     #: O(1) ingestion + k-way-merge FIND_STABLE — safe because Alg. 3's
-    #: PartitionTime dedup guarantees per-partition monotone inserts),
-    #: ``"rbtree"`` (the paper's §6 structure), or ``"avl"`` (ablation).
-    #: All three emit bit-identical stable serializations.
+    #: PartitionTime dedup guarantees per-partition monotone inserts) or
+    #: ``"rbtree"`` (the paper's §6 structure).  Both emit bit-identical
+    #: stable serializations.
     buffer_backend: str = "runs"
 
     def validate(self) -> None:
@@ -150,12 +135,6 @@ class EunomiaConfig:
                 raise ValueError(f"{name} must be positive")
         if self.replica_suspect_timeout <= self.replica_alive_interval:
             raise ValueError("suspect timeout must exceed the alive interval")
-        if self.retry_backoff_base <= 0:
-            raise ValueError("retry backoff base must be positive")
-        if self.retry_backoff_cap < self.retry_backoff_base:
-            raise ValueError("retry backoff cap must be >= the base")
-        if self.seq_retry_timeout <= 0:
-            raise ValueError("sequencer retry timeout must be positive")
         if self.use_propagation_tree and self.fault_tolerant:
             raise ValueError(
                 "the propagation tree coalesces the uplink, which is "
@@ -173,17 +152,8 @@ class EunomiaConfig:
             )
         if self.checkpoint_interval <= 0:
             raise ValueError("checkpoint interval must be positive")
-        from ..durability.wal import WAL_CODECS
-
-        if self.wal_codec not in WAL_CODECS:
-            raise ValueError(
-                f"unknown WAL codec {self.wal_codec!r} "
-                f"(expected one of {', '.join(WAL_CODECS)})"
-            )
         if self.state_transfer_timeout <= 0:
             raise ValueError("state transfer timeout must be positive")
-        if self.receiver_pipeline < 1:
-            raise ValueError("receiver pipeline depth must be at least 1")
         if self.shard_policy not in ("stride", "block"):
             raise ValueError(
                 f"unknown shard policy {self.shard_policy!r} "

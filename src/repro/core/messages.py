@@ -31,8 +31,6 @@ __all__ = [
     "RemoteData",
     "ApplyRemote",
     "ApplyRemoteOk",
-    "ApplyRemoteRun",
-    "ApplyRemoteOkRun",
     "ReplicaAlive",
 ]
 
@@ -318,40 +316,3 @@ class ApplyRemoteOk:
 
     uid: Tuple[int, int, int]
     size_bytes: int = 16
-
-
-@dataclass(slots=True)
-class ApplyRemoteRun:
-    """Receiver → local partition: apply this same-partition run in order.
-
-    The pipelined form of :class:`ApplyRemote` (``receiver_pipeline > 1``):
-    up to P consecutive dependency-satisfied head ops of one origin's
-    queue, all owned by the same local partition, released as one frame.
-    FIFO links plus in-order service application keep Alg. 5's condition
-    (1) intact — each member's whole origin prefix is applied (or ahead of
-    it in the same frame) by the time it executes.
-    """
-
-    updates: tuple[Update, ...]
-
-    @property
-    def size_bytes(self) -> int:
-        return sum(u.metadata_bytes for u in self.updates)
-
-
-@dataclass(slots=True)
-class ApplyRemoteOkRun:
-    """Partition → receiver: every listed member of a run applied.
-
-    The batched acknowledgement of one :class:`ApplyRemoteRun` — members
-    whose §5 payload was still in flight are excluded (they ack later with
-    an individual :class:`ApplyRemoteOk` once the data arrives), so the
-    receiver pops acknowledged *prefixes* rather than assuming the whole
-    run completed.
-    """
-
-    uids: tuple[Tuple[int, int, int], ...]
-
-    @property
-    def size_bytes(self) -> int:
-        return 16 * len(self.uids)

@@ -26,7 +26,7 @@ machinery distributed over each replica's K shards and a
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..metrics.collector import MetricsHub
 from ..sim.env import Environment
@@ -58,7 +58,6 @@ class EunomiaReplica(EunomiaService):
                  heartbeat_cost: float = 0.0,
                  metrics: Optional[MetricsHub] = None,
                  cost_model: Optional[CostModel] = None,
-                 tree_factory: Optional[Callable] = None,
                  stable_mark: Optional[str] = None):
         super().__init__(env, name, site, n_partitions, config,
                          propagate_op_cost=propagate_op_cost,
@@ -68,7 +67,7 @@ class EunomiaReplica(EunomiaService):
                          heartbeat_cost=heartbeat_cost,
                          ack_cost=ack_cost,
                          metrics=metrics, cost_model=cost_model,
-                         tree_factory=tree_factory, stable_mark=stable_mark)
+                         stable_mark=stable_mark)
         self.replica_id = replica_id
         self.peers: list["EunomiaReplica"] = []
         self.election = OmegaElection(

@@ -12,8 +12,8 @@ The unstable set lives behind the :func:`repro.datastruct.opbuffer.OpBuffer`
 strategy facade (``EunomiaConfig.buffer_backend``): per-origin monotone runs
 by default — Alg. 3's PartitionTime dedup guarantees the strictly increasing
 per-partition inserts the run buffer requires — with the paper's §6
-red–black tree (and the AVL ablation) retained as tree backends.  Extraction
-of the stable prefix is the backend's ``pop_stable``.
+red–black tree retained as the reference backend.  Extraction of the
+stable prefix is the backend's ``pop_stable``.
 
 Algorithm 3 ↔ this module:
 
@@ -49,13 +49,13 @@ is the propagation to other geo-locations").
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..datastruct.opbuffer import OpBuffer
 from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
 from ..sim.process import CostModel, Process
-from .config import EunomiaConfig
+from .config import RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP, EunomiaConfig
 from .messages import (
     AddOpBatch,
     BatchAck,
@@ -83,8 +83,7 @@ class StabilizerBase(Process):
                  heartbeat_cost: float = 0.0,
                  ack_cost: float = 0.0,
                  metrics: Optional[MetricsHub] = None,
-                 cost_model: Optional[CostModel] = None,
-                 tree_factory: Optional[Callable] = None):
+                 cost_model: Optional[CostModel] = None):
         self.insert_op_cost = insert_op_cost
         self.batch_cost = batch_cost
         self.ack_cost = ack_cost
@@ -106,10 +105,7 @@ class StabilizerBase(Process):
         #: partial geo-replication: the partition indices that bound the
         #: stable cut (None = all N; see :meth:`set_tracked`)
         self.tracked = None
-        # An explicit tree_factory (the §6 ablation convention) overrides
-        # the configured strategy; otherwise the config picks the backend.
-        self._tree_factory = tree_factory
-        self.buffer = OpBuffer(tree_factory, backend=config.buffer_backend)
+        self.buffer = OpBuffer(config.buffer_backend)
         self.stable_time = 0
         #: highest floor known shipped to remote receivers (≤ stable_time;
         #: the durable-truncation and state-transfer floor)
@@ -186,8 +182,7 @@ class StabilizerBase(Process):
     def _lose_state(self) -> None:
         """Amnesia crash: protocol state is gone; durable media survive."""
         self.partition_time = [0] * self.n_partitions
-        self.buffer = OpBuffer(self._tree_factory,
-                               backend=self.config.buffer_backend)
+        self.buffer = OpBuffer(self.config.buffer_backend)
         self.stable_time = 0
         self.shipped_stable = 0
         if self.wal is not None:
@@ -319,8 +314,8 @@ class StabilizerBase(Process):
             # releases the ack).  The uplink keeps retransmitting meanwhile
             # — at-least-once delivery makes that safe — and acknowledgement
             # resumes within one backoff cap of the disk healing.
-            delay = min(self.config.retry_backoff_base * (1 << attempt),
-                        self.config.retry_backoff_cap)
+            delay = min(RETRY_BACKOFF_BASE * (1 << attempt),
+                        RETRY_BACKOFF_CAP)
             self.after(delay, self._retry_commit, src, ack, attempt + 1)
             return
         self.send(src, ack)
@@ -418,15 +413,13 @@ class EunomiaService(StabilizerBase):
                  ack_cost: float = 0.0,
                  metrics: Optional[MetricsHub] = None,
                  cost_model: Optional[CostModel] = None,
-                 tree_factory: Optional[Callable] = None,
                  stable_mark: Optional[str] = None):
         super().__init__(env, name, site, n_partitions, config,
                          insert_op_cost=insert_op_cost,
                          batch_cost=batch_cost,
                          heartbeat_cost=heartbeat_cost,
                          ack_cost=ack_cost,
-                         metrics=metrics, cost_model=cost_model,
-                         tree_factory=tree_factory)
+                         metrics=metrics, cost_model=cost_model)
         self.propagate_op_cost = propagate_op_cost
         self.stab_round_cost = stab_round_cost
         self.destinations: list[Process] = []

@@ -33,6 +33,7 @@ from typing import Optional
 from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
 from ..sim.process import CostModel, Process
+from .config import TREE_FLUSH_INTERVAL
 from .messages import AddOpBatch, PartitionHeartbeat
 
 __all__ = ["CombinedBatch", "TreeRelay"]
@@ -58,7 +59,7 @@ class TreeRelay(Process):
     """An interior node of the §5 propagation tree."""
 
     def __init__(self, env: Environment, name: str, site: int,
-                 flush_interval: float = 0.001,
+                 flush_interval: float = TREE_FLUSH_INTERVAL,
                  forward_cost: float = 0.0,
                  flush_cost: float = 0.0,
                  metrics: Optional[MetricsHub] = None):

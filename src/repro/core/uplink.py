@@ -34,7 +34,7 @@ from ..clocks.physical import PhysicalClock
 from ..datastruct.opblock import OpBlock, OpRunBuilder
 from ..kvstore.types import Update
 from ..sim.process import Process
-from .config import EunomiaConfig
+from .config import RETRY_BACKOFF_CAP, EunomiaConfig
 from .messages import AddOpBatch, BatchAck, PartitionHeartbeat
 
 __all__ = ["EunomiaUplink"]
@@ -137,8 +137,7 @@ class EunomiaUplink:
         base = self.config.resend_timeout
         if not strikes:
             return base
-        return min(base * (1 << strikes),
-                   max(base, self.config.retry_backoff_cap))
+        return min(base * (1 << strikes), max(base, RETRY_BACKOFF_CAP))
 
     # ------------------------------------------------------------------
     # Producer side (called by the host partition)

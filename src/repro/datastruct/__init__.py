@@ -1,11 +1,9 @@
 """Ordered structures used by the Eunomia service: the red–black tree the
-paper's implementation is built on, the AVL alternative it was benchmarked
-against (§6), the run-aware :class:`RunBuffer` exploiting Algorithm 3's
+paper's implementation is built on (§6), the run-aware :class:`RunBuffer` exploiting Algorithm 3's
 per-origin monotonicity, the columnar :class:`OpBlock` batch record feeding
 bulk ingestion, and the :func:`OpBuffer` strategy facade composing them into
 the timestamp-ordered unstable-operation buffer."""
 
-from .avl import AVLTree
 from .opblock import OpBlock
 from .opbuffer import (
     BUFFER_BACKENDS,
@@ -18,7 +16,6 @@ from .runbuffer import RunBuffer
 
 __all__ = [
     "RedBlackTree",
-    "AVLTree",
     "OpBlock",
     "OpBuffer",
     "TreeOpBuffer",

@@ -7,15 +7,15 @@ scan.  Every backend realizes that design over the total order
 components break ties between concurrent updates from different partitions
 (the paper allows any order for equal timestamps) while keeping keys unique.
 
-Three interchangeable strategies (``EunomiaConfig.buffer_backend``):
+Two interchangeable strategies (``EunomiaConfig.buffer_backend``):
 
 * ``"runs"`` (default) — :class:`repro.datastruct.runbuffer.RunBuffer`:
   exploits Algorithm 3's per-origin monotonicity for O(1) appends and a
   k-way-merge FIND_STABLE.  Fastest; requires the monotone-ingestion
   contract the stabilizer already enforces via ``PartitionTime``.
 * ``"rbtree"`` — :class:`TreeOpBuffer` over the paper's red–black tree:
-  O(log n) everything, no ingestion-order assumptions.
-* ``"avl"`` — :class:`TreeOpBuffer` over the AVL tree (§6 ablation).
+  O(log n) everything, no ingestion-order assumptions; the reference
+  ``tests/test_runbuffer.py`` compares against.
 
 :func:`OpBuffer` is the strategy facade: a factory returning the chosen
 backend instance.  It is deliberately *not* a wrapper object — ``add()`` is
@@ -25,7 +25,7 @@ the backend directly.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from .rbtree import RedBlackTree
 from .runbuffer import RunBuffer
@@ -33,7 +33,7 @@ from .runbuffer import RunBuffer
 __all__ = ["OpBuffer", "TreeOpBuffer", "BUFFER_BACKENDS", "DEFAULT_BACKEND"]
 
 #: Recognized ``buffer_backend`` strategy names.
-BUFFER_BACKENDS = ("runs", "rbtree", "avl")
+BUFFER_BACKENDS = ("runs", "rbtree")
 
 #: The run-aware buffer is the default: Algorithm 3 guarantees the monotone
 #: ingestion it needs, and it wins every micro-benchmark (see
@@ -42,12 +42,12 @@ DEFAULT_BACKEND = "runs"
 
 
 class TreeOpBuffer:
-    """Timestamp-ordered buffer over a self-balancing tree (§6)."""
+    """Timestamp-ordered buffer over the red–black tree (§6)."""
 
     __slots__ = ("_tree", "total_added")
 
-    def __init__(self, tree_factory: Callable[[], Any] = RedBlackTree):
-        self._tree = tree_factory()
+    def __init__(self) -> None:
+        self._tree = RedBlackTree()
         self.total_added = 0
 
     def __len__(self) -> int:
@@ -106,25 +106,12 @@ class TreeOpBuffer:
         return self._tree.drop_leq(bound)
 
 
-def OpBuffer(tree_factory: Optional[Callable[[], Any]] = None,
-             backend: Optional[str] = None):
-    """Strategy facade: build the op buffer for ``backend``.
-
-    ``tree_factory`` forces a tree-backed buffer over that structure (the
-    historical calling convention, kept for the §6 tree ablations); otherwise
-    ``backend`` picks a strategy by name, defaulting to ``"runs"``.
-    """
-    if tree_factory is not None:
-        return TreeOpBuffer(tree_factory)
-    backend = backend or DEFAULT_BACKEND
+def OpBuffer(backend: str = DEFAULT_BACKEND):
+    """Strategy facade: build the op buffer for ``backend``."""
     if backend == "runs":
         return RunBuffer()
     if backend == "rbtree":
-        return TreeOpBuffer(RedBlackTree)
-    if backend == "avl":
-        from .avl import AVLTree
-
-        return TreeOpBuffer(AVLTree)
+        return TreeOpBuffer()
     raise ValueError(
         f"unknown buffer backend {backend!r} (expected one of "
         f"{', '.join(BUFFER_BACKENDS)})"

@@ -32,23 +32,17 @@ Record kinds:
 all PT records (the checkpoint's PartitionTime snapshot supersedes them);
 it runs at checkpoint time and is what bounds replay length.
 
-Record **codecs** size the on-disk frames (``codec=`` at construction):
+On-disk frames are sized by a **delta codec**: each record is a tag byte,
+varint-encoded fields with the timestamp delta-encoded against the previous
+staged record, and an 8-byte content digest standing in for the op payload
+(the value bytes live in the partition's own store; the log only needs
+enough to identify and order the op on replay).  Timestamps within one
+group commit are microseconds apart, so deltas fit in 1–3 varint bytes.
 
-* ``"delta"`` (default) — each record is a tag byte, varint-encoded fields
-  with the timestamp delta-encoded against the previous staged record, and
-  an 8-byte content digest standing in for the op payload (the value bytes
-  live in the partition's own store; the log only needs enough to identify
-  and order the op on replay).  Timestamps within one group commit are
-  microseconds apart, so deltas fit in 1–3 varint bytes and the fsync
-  payload shrinks by roughly an order of magnitude versus full frames.
-* ``"full"`` — the historical accounting: the op's ``metadata_bytes`` plus
-  fixed 16-byte framing per record (24 bytes per PT record).
-
-The codec changes *cost accounting only*: staged/durable records keep the
-full in-memory tuples either way, so replay, truncation, and the recovery
-path are codec-agnostic.  The delta chain resets to the durable tail on
-:meth:`lose_volatile` — exactly what a re-opened log file would delta
-against.
+The codec is *cost accounting only*: staged/durable records keep the full
+in-memory tuples, so replay, truncation, and the recovery path never see
+it.  The delta chain resets to the durable tail on :meth:`lose_volatile` —
+exactly what a re-opened log file would delta against.
 """
 
 from __future__ import annotations
@@ -57,22 +51,13 @@ from typing import Any, Optional
 
 from ..sim.disk import DiskModel
 
-__all__ = ["WriteAheadLog", "OP_RECORD", "PT_RECORD", "WAL_CODECS",
-           "DEFAULT_WAL_CODEC"]
+__all__ = ["WriteAheadLog", "OP_RECORD", "PT_RECORD"]
 
 #: Record tags (first tuple slot).
 OP_RECORD = 0
 PT_RECORD = 1
 
-#: Recognized record codecs.
-WAL_CODECS = ("delta", "full")
-DEFAULT_WAL_CODEC = "delta"
-
-#: Framing bytes per record beyond the op's own metadata footprint (full).
-_RECORD_OVERHEAD_BYTES = 16
-_PT_RECORD_BYTES = 24
-
-#: Delta codec: tag byte + truncated content digest per op record.
+#: Tag byte + truncated content digest per op record.
 _TAG_BYTES = 1
 _DIGEST_BYTES = 8
 
@@ -93,28 +78,21 @@ def _varint_len(value: int) -> int:
 class WriteAheadLog:
     """Durable record list + volatile staging buffer for one stabilizer."""
 
-    __slots__ = ("name", "disk", "codec", "records", "_staged",
+    __slots__ = ("name", "disk", "records", "_staged",
                  "_staged_bytes", "_scheduled_bytes", "_last_staged_ts",
                  "_last_durable_ts", "appends", "commits", "bytes_durable",
                  "records_truncated", "_fail_fsyncs", "fsync_failures",
                  "records_torn", "obs_hook")
 
-    def __init__(self, name: str, disk: Optional[DiskModel] = None,
-                 codec: str = DEFAULT_WAL_CODEC):
-        if codec not in WAL_CODECS:
-            raise ValueError(
-                f"unknown WAL codec {codec!r} "
-                f"(expected one of {', '.join(WAL_CODECS)})"
-            )
+    def __init__(self, name: str, disk: Optional[DiskModel] = None):
         self.name = name
         self.disk = disk or DiskModel()
-        self.codec = codec
         #: durable records, in acceptance order (survives amnesia crashes)
         self.records: list[tuple] = []
         self._staged: list[tuple] = []      # volatile: lost on amnesia crash
         self._staged_bytes = 0
         self._scheduled_bytes = 0           # staged bytes a flush already covers
-        self._last_staged_ts = 0            # delta-codec chain tail (volatile)
+        self._last_staged_ts = 0            # delta chain tail (volatile)
         self._last_durable_ts = 0           # chain tail as of the last commit
         self.appends = 0
         self.commits = 0
@@ -144,10 +122,7 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # Staging (volatile)
     # ------------------------------------------------------------------
-    def _op_record_bytes(self, ts: int, origin: int, seq: int,
-                         op: Any) -> int:
-        if self.codec == "full":
-            return getattr(op, "metadata_bytes", 0) + _RECORD_OVERHEAD_BYTES
+    def _op_record_bytes(self, ts: int, origin: int, seq: int) -> int:
         size = (_TAG_BYTES + _DIGEST_BYTES
                 + _varint_len(ts - self._last_staged_ts)
                 + _varint_len(origin) + _varint_len(seq))
@@ -157,7 +132,7 @@ class WriteAheadLog:
     def stage_op(self, ts: int, origin: int, seq: int, op: Any) -> None:
         """Stage one accepted operation record."""
         self._staged.append((OP_RECORD, ts, origin, seq, op))
-        self._staged_bytes += self._op_record_bytes(ts, origin, seq, op)
+        self._staged_bytes += self._op_record_bytes(ts, origin, seq)
         self.appends += 1
 
     def stage_ops(self, entries: list) -> None:
@@ -171,8 +146,8 @@ class WriteAheadLog:
             return
         record_bytes = self._op_record_bytes
         size = 0
-        for ts, origin, seq, op in entries:
-            size += record_bytes(ts, origin, seq, op)
+        for ts, origin, seq, _ in entries:
+            size += record_bytes(ts, origin, seq)
         self._staged.extend((OP_RECORD, ts, origin, seq, op)
                             for ts, origin, seq, op in entries)
         self._staged_bytes += size
@@ -181,12 +156,9 @@ class WriteAheadLog:
     def stage_partition_time(self, partition_index: int, ts: int) -> None:
         """Stage a heartbeat-driven PartitionTime advance."""
         self._staged.append((PT_RECORD, partition_index, ts, None, None))
-        if self.codec == "full":
-            self._staged_bytes += _PT_RECORD_BYTES
-        else:
-            self._staged_bytes += (_TAG_BYTES + _varint_len(partition_index)
-                                   + _varint_len(ts - self._last_staged_ts))
-            self._last_staged_ts = ts
+        self._staged_bytes += (_TAG_BYTES + _varint_len(partition_index)
+                               + _varint_len(ts - self._last_staged_ts))
+        self._last_staged_ts = ts
         self.appends += 1
 
     # ------------------------------------------------------------------

@@ -22,7 +22,7 @@ protocol, not plumbing.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..calibration import Calibration
 from ..clocks.ntp import NtpSynchronizer
@@ -44,9 +44,8 @@ __all__ = ["Datacenter", "EunomiaProtocol"]
 
 class EunomiaProtocol(ProtocolSpec):
     """EunomiaKV as a plugin: Alg. 2 partitions + stabilizer stack + Alg. 5
-    receiver.  Options: ``config`` (:class:`EunomiaConfig`, all four
-    stabilizer shapes, durability, buffer backends), ``tree_factory``
-    (pins every stabilizer's buffer structure — the §6 ablation hook)."""
+    receiver.  Option: ``config`` (:class:`EunomiaConfig`, all four
+    stabilizer shapes, durability, buffer backends)."""
 
     name = "eunomia"
 
@@ -54,13 +53,12 @@ class EunomiaProtocol(ProtocolSpec):
         return n_dcs
 
     def option_names(self) -> tuple:
-        return ("config", "tree_factory")
+        return ("config",)
 
     def prepare(self, spec, options: dict) -> dict:
         config = options.get("config") or EunomiaConfig()
         config.validate()
         options["config"] = config
-        options.setdefault("tree_factory", None)
         return options
 
     def build_site(self, site: SiteContext) -> SitePlan:
@@ -84,8 +82,7 @@ class EunomiaProtocol(ProtocolSpec):
                      for i in pmap.resident_partitions(site.dc_id)])
         stack = build_stabilizer_stack(
             site.env, site.dc_id, site.n_partitions, config, cal,
-            metrics=site.metrics, tree_factory=site.options["tree_factory"],
-            name_prefix=f"dc{site.dc_id}/",
+            metrics=site.metrics, name_prefix=f"dc{site.dc_id}/",
             indices=None if pmap is None else
             pmap.resident_partitions(site.dc_id),
         )
@@ -93,7 +90,6 @@ class EunomiaProtocol(ProtocolSpec):
             site.env, f"dc{site.dc_id}/receiver", site.dc_id, site.n_dcs,
             check_interval=config.receiver_check_interval,
             calibration=cal, metrics=site.metrics, placement=pmap,
-            pipeline=config.receiver_pipeline,
         )
         receiver.set_partitions(site.ring, partitions)
         relays = stack.wire_uplinks(resident)
@@ -122,7 +118,6 @@ class Datacenter:
                  calibration: Optional[Calibration] = None,
                  metrics: Optional[MetricsHub] = None,
                  ntp: Optional[NtpSynchronizer] = None,
-                 tree_factory: Optional[Callable] = None,
                  protocol: Optional[ProtocolSpec] = None,
                  options: Optional[dict] = None,
                  placement=None):
@@ -137,10 +132,9 @@ class Datacenter:
             if options is not None:
                 raise TypeError(
                     "options= requires protocol=; the legacy EunomiaKV "
-                    "signature takes config=/tree_factory= directly")
+                    "signature takes config= directly")
             protocol = _EUNOMIA
-            options = {"config": config or EunomiaConfig(),
-                       "tree_factory": tree_factory}
+            options = {"config": config or EunomiaConfig()}
         self.protocol = protocol
         self.site = SiteContext(
             env=env, dc_id=dc_id, n_dcs=n_dcs, n_partitions=n_partitions,

@@ -25,26 +25,17 @@ StableAnnounce and the crash — are filtered as a columnar prefix (one
 bisection over the frame's ``ts`` column) against the last enqueued
 position per origin.
 
-Two batching layers ride on top of the algorithm (the batched dataplane,
-see docs/ARCHITECTURE.md):
-
-* **grouped shipping** — a flush pass collects its release decisions and
-  ships consecutive same-partition ones through ``send_many``, which is
-  RNG- and FIFO-identical to per-op ``send`` (bit-for-bit, golden-pinned);
-* an **apply pipeline** (``EunomiaConfig.receiver_pipeline``): depth 1
-  (default) is the historical stop-and-wait, depth P releases up to P
-  consecutive dependency-satisfied same-partition head ops of one origin
-  as a single :class:`ApplyRemoteRun`, acknowledged by applied *prefix*.
-  Pipelining changes timing but not order — per-origin apply sequences
-  are op-for-op those of stop-and-wait
-  (``tests/test_batched_dataplane.py``).
+Releases are stop-and-wait per origin: one :class:`ApplyRemote` /
+:class:`ApplyRemoteOk` pair per update.  Consecutive heads of one origin
+that share a partition and have their dependencies met are rare (0.6–1.6 %
+of releases measured), so a deeper window buys nothing — see "What is
+batched, and what is not" in docs/ARCHITECTURE.md.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from itertools import islice
 from typing import Optional
 
 from ..calibration import Calibration
@@ -53,13 +44,7 @@ from ..kvstore.types import Update
 from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
 from ..sim.process import CostModel, Process
-from ..core.messages import (
-    ApplyRemote,
-    ApplyRemoteOk,
-    ApplyRemoteOkRun,
-    ApplyRemoteRun,
-    RemoteStableBatch,
-)
+from ..core.messages import ApplyRemote, ApplyRemoteOk, RemoteStableBatch
 
 __all__ = ["Receiver"]
 
@@ -71,21 +56,17 @@ class Receiver(Process):
                  check_interval: float,
                  calibration: Optional[Calibration] = None,
                  metrics: Optional[MetricsHub] = None,
-                 placement=None, pipeline: int = 1):
+                 placement=None):
         cal = calibration or Calibration()
         cost_model = CostModel(costs={
             "RemoteStableBatch":
                 lambda msg: cal.cost("receiver_enqueue_op") * len(msg.ops),
             "ApplyRemoteOk": cal.overhead("receiver_flush"),
-            "ApplyRemoteOkRun": cal.overhead("receiver_flush"),
         })
         super().__init__(env, name, site=dc_id, cost_model=cost_model)
         self.dc_id = dc_id
         self.n_dcs = n_dcs
         self.check_interval = check_interval
-        #: apply-pipeline depth (EunomiaConfig.receiver_pipeline): 1 is the
-        #: historical stop-and-wait; P > 1 releases same-partition runs.
-        self.pipeline = pipeline
         self.metrics = metrics or NullMetrics()
         #: partial geo-replication (None = full): origins whose resident
         #: set is disjoint from ours get no queue at all — the
@@ -102,9 +83,11 @@ class Receiver(Process):
         # Dedup uses the full (ts, partition, seq) order key: concurrent
         # updates from different partitions may legally share a timestamp.
         self._last_enqueued: list[tuple] = [(0, -1, -1)] * n_dcs
-        #: origin -> ordered run of in-flight updates (length 1 when
-        #: pipeline == 1); acknowledgements pop the run's prefix.
-        self._inflight: dict[int, deque[Update]] = {}
+        #: origin -> the one released, not yet acknowledged update
+        self._inflight: dict[int, Update] = {}
+        #: uids re-released by :meth:`recover`, whose first release may
+        #: still be acknowledged too (one entry per origin per recovery)
+        self._rereleased: set[tuple] = set()
         self.ring: Optional[ConsistentHashRing] = None
         self.partitions: list[Process] = []
         self.applied = 0
@@ -127,12 +110,16 @@ class Receiver(Process):
     def recover(self) -> None:
         """Resume after a crash-stop (queues and SiteTime intact).
 
-        The crash retired the CHECK_PENDING periodic and dropped any
-        in-flight ApplyRemote/ApplyRemoteOk exchange, so clear the
-        in-flight markers (re-sending an already-applied update is safe:
-        the partition's LWW put is idempotent and re-acks) and re-arm.
+        The crash retired the CHECK_PENDING periodic and may have dropped
+        an ApplyRemoteOk, so every in-flight head is released again: the
+        partition acknowledges an update it already installed without
+        executing it twice.  An outage shorter than the round trip lets the
+        first release's ack through as well, so the re-released uids are
+        remembered and their second ack is dropped
+        (:meth:`on_apply_remote_ok`).
         """
         super().recover()
+        self._rereleased.update(u.uid for u in self._inflight.values())
         self._inflight.clear()
         self.start()
         self._flush_all()
@@ -161,56 +148,25 @@ class Receiver(Process):
         if i < n:
             self._last_enqueued[k] = (ts_col[-1], origin_col[-1], seq_col[-1])
             queue.extend(block.payload[i:])
-        sends: list = []
-        self._try_flush(k, sends)
-        self._ship(sends)
+        self._try_flush(k)
 
     # ------------------------------------------------------------------
-    # FLUSH (Alg. 5 lines 5–20, per-origin pipelined)
+    # FLUSH (Alg. 5 lines 5–20, one release in flight per origin)
     # ------------------------------------------------------------------
     def _flush_all(self) -> None:
         # Skipping a non-resident head advances SiteTime, which can
         # unblock origins already visited this pass — loop until a pass
         # makes no skip progress.  Full replication never skips, so this
         # is exactly one pass (the historical behavior).
-        sends: list = []
         progress = True
         while progress:
             progress = False
             for k in self.queues:
-                if self._try_flush(k, sends):
+                if self._try_flush(k):
                     progress = True
-        self._ship(sends)
 
-    def _ship(self, sends: list) -> None:
-        """Dispatch collected (target, message) pairs.
-
-        Consecutive sends to the same partition go through ``send_many``,
-        whose contract is RNG- and FIFO-identical to the per-message loop
-        (one delay draw per message, in issue order; only messages that
-        would land at the *same* instant merge into one delivery event) —
-        the grouped receiver flush is therefore golden-safe by the same
-        argument as the §5 uplink batching.
-        """
-        i, n = 0, len(sends)
-        while i < n:
-            target, msg = sends[i]
-            j = i + 1
-            while j < n and sends[j][0] is target:
-                j += 1
-            if j - i == 1:
-                self.send(target, msg)
-            else:
-                self.send_many(target, [pair[1] for pair in sends[i:j]])
-            i = j
-
-    def _try_flush(self, k: int, sends: list) -> bool:
-        """Advance origin ``k``'s queue; True iff any head was skipped.
-
-        Release messages are appended to ``sends`` (shipped by the caller
-        in issue order) rather than sent inline, so one CHECK_PENDING pass
-        can group same-partition releases into a single network batch.
-        """
+    def _try_flush(self, k: int) -> bool:
+        """Advance origin ``k``'s queue; True iff any head was skipped."""
         if k in self._inflight:
             return False  # condition (1): strictly in-order within an origin
         queue = self.queues[k]
@@ -230,30 +186,12 @@ class Receiver(Process):
         update = queue[0]
         if not self._deps_satisfied(update, k):
             return skipped
-        target = self.partitions[self.ring.partition_for(update.key)]
-        run = [update]
-        if self.pipeline > 1:
-            # Pipelined release: later members' condition (1) holds because
-            # their whole origin prefix rides ahead of them in the same
-            # frame (the partition applies it in order before them);
-            # condition (2) is checked per member against current SiteTime.
-            for u in islice(queue, 1, self.pipeline):
-                if (not self._resident(u)
-                        or not self._deps_satisfied(u, k)
-                        or self.partitions[self.ring.partition_for(u.key)]
-                        is not target):
-                    break
-                run.append(u)
         tracer = self.metrics.tracer
         if tracer is not None:
-            now = self.now
-            for u in run:
-                tracer.stage_once(u, "recv_apply", now, self.dc_id)
-        self._inflight[k] = deque(run)
-        if len(run) == 1:
-            sends.append((target, ApplyRemote(update)))
-        else:
-            sends.append((target, ApplyRemoteRun(tuple(run))))
+            tracer.stage_once(update, "recv_apply", self.now, self.dc_id)
+        self._inflight[k] = update
+        self.send(self.partitions[self.ring.partition_for(update.key)],
+                  ApplyRemote(update))
         return skipped
 
     def _resident(self, update: Update) -> bool:
@@ -290,49 +228,21 @@ class Receiver(Process):
                 return False
         return True
 
-    def _ack_one(self, k: int, uid: tuple, run: deque) -> None:
-        update = run.popleft() if run else None
-        if update is None or update.uid != uid:
-            raise RuntimeError(
-                f"receiver {self.name}: unexpected apply ack {uid}"
-            )
-        self.queues[k].popleft()
-        self._advance_site_time(k, update)
-        self.applied += 1
-
     def on_apply_remote_ok(self, msg: ApplyRemoteOk, src: Process) -> None:
         k = msg.uid[0]
-        run = self._inflight.get(k)
-        if run is None:
+        update = self._inflight.get(k)
+        if update is None or update.uid != msg.uid:
+            if msg.uid in self._rereleased:
+                return  # second ack of an update re-released by recover()
             raise RuntimeError(
                 f"receiver {self.name}: unexpected apply ack {msg.uid}"
             )
-        self._ack_one(k, msg.uid, run)
-        if not run:
-            del self._inflight[k]
+        del self._inflight[k]
+        self.queues[k].popleft()
+        self._advance_site_time(k, update)
+        self.applied += 1
         # An apply may unblock heads of *other* origins (their vts[k] was
         # the missing dependency), so rescan everything.
-        self._flush_all()
-
-    def on_apply_remote_ok_run(self, msg: ApplyRemoteOkRun, src: Process) -> None:
-        """Batched acknowledgement of an :class:`ApplyRemoteRun` prefix.
-
-        Members whose §5 payload was still in flight are absent — they ack
-        individually later — so only the run's acknowledged *prefix* pops
-        here; in-order popping keeps the tie-aware SiteTime advance exact.
-        """
-        if not msg.uids:
-            return
-        k = msg.uids[0][0]
-        run = self._inflight.get(k)
-        if run is None:
-            raise RuntimeError(
-                f"receiver {self.name}: unexpected run ack {msg.uids[0]}"
-            )
-        for uid in msg.uids:
-            self._ack_one(k, uid, run)
-        if not run:
-            del self._inflight[k]
         self._flush_all()
 
     # ------------------------------------------------------------------

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from ..calibration import Calibration
 from ..clocks.ntp import NtpSynchronizer
@@ -57,10 +57,7 @@ class GeoSystemSpec:
     rtt: Optional[RttMatrix] = None          # default: the paper's topology
     calibration: Calibration = field(default_factory=Calibration)
     ntp_residual_us: float = 100.0
-    #: event-loop backend (:data:`repro.sim.env.SCHEDULER_BACKENDS`):
-    #: ``"heap"`` (reference) or ``"wheel"`` (slotted time-wheel) — both
-    #: fire in identical (time, seq) order, so runs are bit-reproducible
-    #: across backends.
+    #: selects nothing; kept for the frozen perf/ harness ("heap" | "wheel")
     scheduler: str = "heap"
     #: partial geo-replication: which partition indices each DC stores.
     #: ``None``/``"full"`` is full replication (bit-identical to the
@@ -233,7 +230,9 @@ def build_geo_system(protocol: Union[str, ProtocolSpec],
     options = proto.prepare(spec, dict(options))
     metrics = metrics or MetricsHub()
     pmap = spec.placement_map()
-    env = Environment(seed=spec.seed, scheduler=spec.scheduler)
+    if spec.scheduler not in ("heap", "wheel"):
+        raise ValueError(f"unknown scheduler {spec.scheduler!r}")
+    env = Environment(seed=spec.seed)
     topo = spec.topology()
     Network(env, topo)
     ntp = NtpSynchronizer(env, residual_us=spec.ntp_residual_us)
@@ -282,7 +281,6 @@ def build_eunomia_system(spec: GeoSystemSpec,
                          workload: WorkloadSpec,
                          config: Optional[EunomiaConfig] = None,
                          metrics: Optional[MetricsHub] = None,
-                         tree_factory: Optional[Callable] = None,
                          history=None) -> GeoSystem:
     """Construct a complete EunomiaKV deployment (not yet started).
 
@@ -290,10 +288,6 @@ def build_eunomia_system(spec: GeoSystemSpec,
         Call ``build_geo_system("eunomia", ...)`` — one deployment spine,
         protocol selected by name.  This wrapper forwards verbatim and will
         be removed.
-
-    ``tree_factory`` (when given) pins every stabilizer's buffer to that
-    tree structure — the §6 ablation hook; otherwise
-    ``config.buffer_backend`` selects the strategy (``"runs"`` by default).
     """
     warnings.warn(
         "build_eunomia_system is deprecated; use "
@@ -301,5 +295,4 @@ def build_eunomia_system(spec: GeoSystemSpec,
         DeprecationWarning, stacklevel=2,
     )
     return build_geo_system("eunomia", spec, workload, metrics=metrics,
-                            history=history, config=config,
-                            tree_factory=tree_factory)
+                            history=history, config=config)

@@ -87,25 +87,21 @@ def run_fingerprint(system) -> dict:
 def capture_golden(protocol: str, seed: int,
                    run_seconds: float = _RUN_SECONDS,
                    drain_seconds: float = _DRAIN_SECONDS,
-                   scheduler: str = "heap",
                    observe: bool = False,
                    **kwargs) -> dict:
     """Build ``protocol`` at ``seed`` on the golden frame and digest it.
 
-    ``scheduler`` picks the event-loop backend (``"heap"``/``"wheel"``);
-    backends fire in identical (time, seq) order, so the digest must not
-    depend on the choice — the cross-backend golden test asserts exactly
-    that.  ``observe=True`` attaches the full observability surface
+    ``observe=True`` attaches the full observability surface
     (tracing + SLO sketches + gauges, ``repro.obs``) before the run; the
     instruments draw no randomness and schedule only read-only periodics,
-    so the digest must not depend on this flag either — the
-    golden-preservation test asserts exactly that.
+    so the digest must not depend on this flag — the golden-preservation
+    test asserts exactly that.
     """
     from ..baselines import build_system
     from ..geo.system import GeoSystemSpec
     from ..workload.generator import WorkloadSpec
 
-    spec = GeoSystemSpec(seed=seed, scheduler=scheduler, **GOLDEN_SPEC)
+    spec = GeoSystemSpec(seed=seed, **GOLDEN_SPEC)
     workload = WorkloadSpec(**GOLDEN_WORKLOAD)
     system = build_system(protocol, spec, workload, **kwargs)
     if observe:

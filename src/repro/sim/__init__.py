@@ -15,7 +15,7 @@ discrete-event simulator with
 """
 
 from .disk import DiskModel
-from .env import DEFAULT_SCHEDULER, SCHEDULER_BACKENDS, Environment
+from .env import Environment
 from .failure import FailureSchedule, Straggler
 from .latency import (
     PAPER_RTT_MS,
@@ -25,13 +25,7 @@ from .latency import (
     RttMatrix,
     paper_topology,
 )
-from .loop import (
-    Event,
-    EventLoop,
-    PeriodicHandle,
-    SimulationError,
-    TimeWheelLoop,
-)
+from .loop import Event, EventLoop, PeriodicHandle, SimulationError
 from .network import Network
 from .process import CostModel, PeriodicTask, Process
 from .rng import RngRegistry
@@ -41,11 +35,8 @@ __all__ = [
     "Environment",
     "Event",
     "EventLoop",
-    "TimeWheelLoop",
     "PeriodicHandle",
     "SimulationError",
-    "SCHEDULER_BACKENDS",
-    "DEFAULT_SCHEDULER",
     "Network",
     "Process",
     "CostModel",

@@ -1,6 +1,7 @@
 """Simulation environment: the bundle every simulated component hangs off.
 
-An :class:`Environment` owns the event loop and the root RNG registry, and —
+An :class:`Environment` owns the event loop (always the heap
+:class:`~repro.sim.loop.EventLoop`) and the root RNG registry, and —
 once a :class:`repro.sim.network.Network` is attached — gives processes a way
 to reach each other.  Builders (``repro.geo.system``, baselines, the harness)
 create one Environment per experiment.
@@ -10,35 +11,17 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .loop import EventLoop, TimeWheelLoop
+from .loop import EventLoop
 from .rng import RngRegistry
 
-__all__ = ["Environment", "SCHEDULER_BACKENDS", "DEFAULT_SCHEDULER"]
-
-#: Recognized event-scheduler strategy names (the ablation knob).
-SCHEDULER_BACKENDS = ("heap", "wheel")
-
-#: The binary heap is the reference backend and the default; ``"wheel"``
-#: selects the slotted time-wheel (:class:`repro.sim.loop.TimeWheelLoop`),
-#: which fires the identical ``(time, seq)`` order with cheaper slot-local
-#: heaps — the backend the batched benchmarks run under.
-DEFAULT_SCHEDULER = "heap"
+__all__ = ["Environment"]
 
 
 class Environment:
     """Shared simulation state: event loop, RNG streams, network."""
 
-    def __init__(self, seed: int = 0, scheduler: str = DEFAULT_SCHEDULER):
-        if scheduler == "heap":
-            self.loop = EventLoop()
-        elif scheduler == "wheel":
-            self.loop = TimeWheelLoop()
-        else:
-            raise ValueError(
-                f"unknown scheduler backend {scheduler!r} (expected one of "
-                f"{', '.join(SCHEDULER_BACKENDS)})"
-            )
-        self.scheduler = scheduler
+    def __init__(self, seed: int = 0):
+        self.loop = EventLoop()
         self.rng = RngRegistry(seed)
         self.network = None  # attached by Network.__init__
         self._next_pid = 0

@@ -30,8 +30,7 @@ class the simulator knows:
 
 Every action appends ``(time, label)`` to :attr:`FailureSchedule.log` when
 it fires, so a schedule's observable timeline is comparable across runs
-(and across scheduler backends — the log is deterministic for a fixed seed
-and schedule).
+(the log is deterministic for a fixed seed and schedule).
 
 All injection state lives in tables the hot paths test for emptiness
 (``Network``) or neutral defaults (``DiskModel``), so an un-armed schedule

@@ -8,10 +8,11 @@ which events were scheduled.  Two runs with the same seed therefore produce
 bit-identical histories, which the test suite and the causal-consistency
 checker rely on.
 
-The queue holds one plain tuple ``(time, seq, fn, args)`` per scheduled
-callback and nothing else; :meth:`EventLoop.schedule_at` is the only way in.
-Handles (:class:`Event`, :class:`PeriodicHandle`) exist only for callers
-that may cancel, and cancellation is a sequence number filed in a set — see
+There is one scheduler: a binary heap holding one plain tuple
+``(time, seq, fn, args)`` per scheduled callback and nothing else;
+:meth:`EventLoop.schedule_at` is the only way in.  Handles
+(:class:`Event`, :class:`PeriodicHandle`) exist only for callers that may
+cancel, and cancellation is a sequence number filed in a set — see
 "Simulator hot path" in ``docs/ARCHITECTURE.md``.
 
 Time is a ``float`` measured in **seconds** since the start of the run.
@@ -22,11 +23,10 @@ that clock drift can be simulated.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Optional, Union
 
-__all__ = ["Event", "EventLoop", "PeriodicHandle", "SimulationError",
-           "TimeWheelLoop"]
+__all__ = ["Event", "EventLoop", "PeriodicHandle", "SimulationError"]
 
 _INF = float("inf")
 
@@ -181,16 +181,12 @@ class EventLoop:
         Derived, so firing an event maintains no counter: every entry ever
         scheduled is still queued, was discarded as cancelled, or fired.
         """
-        return self._seq - self._queued() - self._dead
+        return self._seq - len(self._heap) - self._dead
 
     def pending(self) -> int:
         """Number of not-yet-fired, not-cancelled events.  O(1), so monitors
         can poll it every tick."""
-        return self._queued() - len(self._cancelled)
-
-    def _queued(self) -> int:
-        """Entries in the queue, cancelled ones included."""
-        return len(self._heap)
+        return len(self._heap) - len(self._cancelled)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -295,169 +291,11 @@ class EventLoop:
 
 
 class TimeWheelLoop(EventLoop):
-    """Slotted time-wheel scheduler: same semantics, batch-friendly layout.
+    """Never instantiated; kept for the frozen perf/ harness, which patches
+    both names."""
 
-    Experiment schedules are dominated by short-horizon events (periodic
-    stabilizer/GST/gossip ticks, service-queue completions, intra-DC
-    deliveries), so instead of one global heap this backend hashes events
-    into fixed-width time slots: ``slot = floor(time / resolution)``, a ring
-    of ``wheel_slots`` buckets covering ``resolution * wheel_slots`` seconds
-    of horizon.  Each bucket is a *small* heap (a few events), so pushes and
-    pops touch O(log bucket) elements instead of O(log total).  Events
-    beyond the horizon overflow into an auxiliary heap and migrate into the
-    ring as the cursor sweeps forward.
-
-    Firing order is exactly the base loop's ``(time, seq)`` total order:
-    buckets partition the time axis, and within a bucket the heap compares
-    the same ``(time, seq, fn, args)`` entries as the base loop — the
-    property test in ``tests/test_sim_batching.py`` drives arbitrary
-    one-shot/periodic/cancelled mixes through both backends and asserts
-    identical histories.  The heap backend stays the reference
-    implementation and the default (``Environment(scheduler="heap")``).
-    """
-
-    def __init__(self, resolution: float = 1e-3,
-                 wheel_slots: int = 4096) -> None:
-        super().__init__()
-        if resolution <= 0.0:
-            raise SimulationError("wheel resolution must be positive")
-        if wheel_slots < 2:
-            raise SimulationError("wheel needs at least two slots")
-        self._res = resolution
-        self._n = wheel_slots
-        #: buckets and overflow hold the base loop's entries
-        self._buckets: list[list[tuple]] = [[] for _ in range(wheel_slots)]
-        self._overflow: list[tuple] = []     # events beyond the horizon
-        self._cursor = 0                     # absolute slot index being drained
-        self._wheel_count = 0                # entries (incl. cancelled) in ring
-
-    def _queued(self) -> int:
-        return self._wheel_count + len(self._overflow)
-
-    # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> int:
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time!r}, already at t={self._now!r}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        self._insert((time, seq, fn, args))
-        return seq
-
-    def _insert(self, entry: tuple) -> None:
-        idx = int(entry[0] / self._res)
-        if idx - self._cursor < self._n:
-            heappush(self._buckets[idx % self._n], entry)
-            self._wheel_count += 1
-        else:
-            heappush(self._overflow, entry)
-
-    def _migrate(self) -> None:
-        """Pull overflow events that now fall inside the ring's horizon."""
-        overflow = self._overflow
-        if not overflow:
-            return
-        res, n = self._res, self._n
-        horizon = self._cursor + n
-        while overflow and int(overflow[0][0] / res) < horizon:
-            entry = heappop(overflow)
-            heappush(self._buckets[int(entry[0] / res) % n], entry)
-            self._wheel_count += 1
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def _pop_next(self) -> Optional[tuple]:
-        """Next live entry in ``(time, seq)`` order, or None when drained.
-
-        Within a drain the cursor only moves forward, so the empty-slot
-        scan is amortized over simulated time; when the ring is empty it
-        jumps straight to the overflow head's slot instead of sweeping.
-
-        Invariant on return: whenever control goes back to user code the
-        cursor sits at or before ``now``'s slot, because anything scheduled
-        next only promises ``time >= now`` — a cursor left ahead (by the
-        overflow jump or by sweeping past cancelled events) would strand
-        such events in already-swept buckets, firing them a whole lap late.
-        Returning an entry restores it naturally (``now`` becomes the
-        entry's time, whose slot is exactly the cursor); the drained path
-        rewinds explicitly (the ring and overflow are both empty, so there
-        is nothing to re-bucket); :meth:`_push_back` handles the third exit.
-        """
-        buckets, n, cancelled = self._buckets, self._n, self._cancelled
-        while self._wheel_count or self._overflow:
-            if not self._wheel_count:
-                self._cursor = int(self._overflow[0][0] / self._res)
-                self._migrate()
-                continue
-            bucket = buckets[self._cursor % n]
-            while bucket:
-                entry = heappop(bucket)
-                self._wheel_count -= 1
-                if cancelled and entry[1] in cancelled:
-                    cancelled.remove(entry[1])
-                    self._dead += 1
-                    continue
-                return entry
-            self._cursor += 1
-            self._migrate()
-        self._cursor = int(self._now / self._res)
-        return None
-
-    def _push_back(self, entry: tuple) -> None:
-        """Undo a pop (the entry was past an ``until`` boundary).
-
-        :meth:`_pop_next` may have left the cursor beyond ``now``'s slot —
-        via the empty-ring overflow jump, or by sweeping empty/cancelled
-        buckets on its way to this entry.  Rewind it (see the invariant on
-        :meth:`_pop_next`), spilling any ring events back to overflow
-        since their buckets were hashed relative to the overshot cursor.
-        """
-        cursor_floor = int(self._now / self._res)
-        if self._cursor > cursor_floor:
-            if self._wheel_count:
-                overflow = self._overflow
-                for bucket in self._buckets:
-                    if bucket:
-                        overflow.extend(bucket)
-                        bucket.clear()
-                heapify(overflow)
-                self._wheel_count = 0
-            self._cursor = cursor_floor
-        self._insert(entry)
+        return EventLoop.schedule_at(self, time, fn, *args)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        if self._running:
-            raise SimulationError("event loop is not reentrant")
-        self._running = True
-        watched = self._watched
-        limit = _INF if until is None else until
-        budget = _INF if max_events is None else float(max_events)
-        fired = 0.0
-        try:
-            while fired < budget:
-                entry = self._pop_next()
-                if entry is None:
-                    break
-                time, seq, fn, args = entry
-                if time > limit:
-                    self._push_back(entry)
-                    break
-                if watched and seq in watched:
-                    watched.pop(seq)._seq = None
-                fired += 1.0
-                self._now = time
-                fn(*args)
-        finally:
-            self._running = False
-        if until is not None and self._now < until:
-            self._now = until
-            # Skip the empty-slot sweep up to ``until`` only when nothing is
-            # pending: with live events still queued (push-back, max_events)
-            # the cursor must stay behind their slots, and with an empty
-            # ring the overflow jump makes the sweep free anyway.
-            if not self._queued():
-                self._cursor = int(self._now / self._res)
+        EventLoop.run(self, until, max_events)

@@ -20,7 +20,10 @@ behind foreground client operations.  Declare lanes by message type in
 :attr:`Process.LANES`, or override :meth:`Process.lane_of` to choose them
 per message.
 
-The first delivery of each message type builds a **delivery plan**
+Every message is delivered on its own: one arrival event
+(:meth:`Process.deliver`) reserves the service slot, one completion event
+runs the handler.  The first delivery of each message type builds a
+**delivery plan**
 ``(lane, fixed cost, bound handler)`` (see :meth:`Process._plan`); every
 later delivery of that type costs one dict lookup instead of a cost-model
 call, a lane call and a handler search.
@@ -189,16 +192,6 @@ class Process:
         """Send ``msg`` to ``dst`` over the environment's network."""
         self.env.network.send(self, dst, msg)
 
-    def send_many(self, dst: "Process", msgs) -> None:
-        """Ship a batch of messages to ``dst`` as one network batch.
-
-        Order, FIFO, and per-message loss statistics match a loop of
-        :meth:`send` calls exactly (see
-        :meth:`repro.sim.network.Network.send_many`); same-delivery-time
-        runs collapse into a single scheduled event.
-        """
-        self.env.network.send_many(self, dst, msgs)
-
     def multicast(self, dsts, msg: Any) -> None:
         """Fan one message out to every destination, in iteration order."""
         self.env.network.multicast(self, dsts, msg)
@@ -217,7 +210,7 @@ class Process:
         A plan is ``(lane, cost, handler)``.  ``cost`` is None when the cost
         model has to see every message (a callable entry, or a per-byte
         rate), ``lane`` is None when a subclass overrides :meth:`lane_of`;
-        :meth:`_resolve` evaluates those per message.  A missing handler is
+        :meth:`deliver` evaluates those per message.  A missing handler is
         planned as :meth:`_unhandled`, which raises only when dispatched.
         Plans assume what they cache is fixed for the process's life: the
         cost table's plain numbers, :attr:`LANES` and the ``on_*`` methods.
@@ -233,16 +226,6 @@ class Process:
         plan = self._plans[kind] = (lane, cost, handler)
         return plan
 
-    def _resolve(self, msg: Any) -> tuple:
-        """``(lane, cost, handler)`` for one message, nothing left None."""
-        kind = type(msg)
-        lane, cost, handler = self._plans.get(kind) or self._plan(kind)
-        if cost is None:
-            cost = self.cost_model.cost_of(msg)
-        if lane is None:
-            lane = self.lane_of(msg)
-        return lane, cost, handler
-
     def _unhandled(self, msg: Any, src: "Process") -> None:
         raise NotImplementedError(
             f"{type(self).__name__} {self.name!r} has no handler for "
@@ -251,8 +234,8 @@ class Process:
     def deliver(self, msg: Any, src: "Process") -> None:
         """Called by the network at delivery time; feeds the service queue.
 
-        The hottest path in the simulator, so :meth:`_resolve` and
-        :meth:`_enqueue` are inlined: one plan lookup, the service-slot
+        The hottest path in the simulator, so the plan lookup and
+        :meth:`_enqueue` are inlined: one dict probe, the service-slot
         reservation, and one scheduled entry carrying ``(epoch, handler,
         msg, src)`` as plain args into :meth:`_run_delivery` — no closure,
         no per-message cost-model, lane or handler search.
@@ -285,54 +268,9 @@ class Process:
             handler(msg, src)
 
     def deliver_batch(self, msgs: tuple, src: "Process") -> None:
-        """One network batch arriving as a single event (``send_many``).
-
-        Equivalence contract: the observable behaviour must match ``msgs``
-        being delivered back to back at the same instant.  Free messages
-        (zero service cost, one shared lane) dispatch as one merged group —
-        a single event replaces the whole per-message ``_enqueue`` fan —
-        which is where batched delivery earns its throughput.  The group
-        run is scheduled one hop later (like ``_enqueue``'s zero-cost run),
-        not dispatched inline: per-message delivery always takes two hops,
-        so an inline dispatch would let the group overtake a same-time
-        single message whose run event is already queued.  Any message
-        with a nonzero cost falls back to the exact per-message
-        service-queue path, since merging *those* would move their
-        individual completion times.
-        """
-        if self.crashed:
-            return
-        loop = self._loop
-        now = loop._now
-        busy = self._lane_busy
-        resolved = [self._resolve(msg) for msg in msgs]
-        if not any(cost for _, cost, _ in resolved):
-            lanes = {lane for lane, _, _ in resolved}
-            if len(lanes) == 1 and not busy.get(lanes.pop(), 0.0) > now:
-                loop.schedule_at(now, self._run_group, self._epoch,
-                                 [handler for _, _, handler in resolved],
-                                 msgs, src)
-                return
-        run_delivery = self._run_delivery
-        epoch = self._epoch
-        for msg, (lane, cost, handler) in zip(msgs, resolved):
-            start = busy.get(lane, 0.0)
-            if start < now:
-                start = now
-            complete = start + cost
-            busy[lane] = complete
-            loop.schedule_at(complete, run_delivery, epoch, handler, msg, src)
-
-    def _run_group(self, epoch: int, handlers: list, msgs: tuple,
-                   src: "Process") -> None:
-        """Fire one merged free-message group (``deliver_batch``)."""
-        for handler, msg in zip(handlers, msgs):
-            # A handler may crash (or crash+recover) the process mid-batch;
-            # the per-message path's delivery guard drops the remainder, so
-            # the group run must too.
-            if self.crashed or self._epoch != epoch:
-                return
-            handler(msg, src)
+        """Loop over :meth:`deliver`; kept for the frozen perf/ harness."""
+        for msg in msgs:
+            self.deliver(msg, src)
 
     def _enqueue(self, fn: Callable[..., Any], cost: float, *args: Any,
                  lane: str = "cpu") -> None:

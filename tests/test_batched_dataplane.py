@@ -1,54 +1,19 @@
-"""Equivalence of the batched dataplane against its per-op semantics.
+"""The uplink frame cache is a pure memoization.
 
-PR 10 batches three hot lanes — the partition→Eunomia uplink (suffix-reuse
-frame cache), the receiver's grouped FLUSH shipping (``send_many`` over
-consecutive same-partition releases), and the pipelined apply window
-(``EunomiaConfig.receiver_pipeline``).  Each batching layer claims a
-precise equivalence with the per-op code it replaced, and each claim gets
-the strongest test it supports:
-
-* the **frame cache** is a pure memoization — disabling it (rebuilding
-  every retransmission suffix from the pending columns) must leave the
-  whole run *bit-identical*, including under the loss-induced ack stalls
-  that make the cache fire in the first place;
-* **grouped shipping** rides the ``send_many`` contract (one RNG draw per
-  message, issue order, FIFO) — reverting the receiver to per-op ``send``
-  must also be bit-identical;
-* the **apply pipeline** intentionally changes timing (runs release
-  together), so whole-system twins legitimately diverge in commit
-  timestamps; its claim is *op-for-op* at the receiver — same updates, to
-  the same partitions, in the same per-origin order as stop-and-wait —
-  proven on a scripted receiver harness with at-least-once re-shipped
-  streams, plus a system-level causal-checker invariant under real
-  loss/partition interleavings.
-
-Observability-attached variants guard the instruments' no-perturbation
-promise on every batched path.
+Disabling it (rebuilding every retransmission suffix from the pending
+columns) must leave the whole run *bit-identical*, including under the
+loss-induced ack stalls that make the cache fire in the first place — with
+and without the observability surface attached.
 """
 
 from __future__ import annotations
-
-import types
-from collections import defaultdict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import EunomiaConfig
-from repro.core.messages import (
-    ApplyRemoteOk,
-    ApplyRemoteOkRun,
-    RemoteStableBatch,
-)
-from repro.checker import CausalChecker, SessionHistory
-from repro.datastruct.opblock import OpBlock
-from repro.geo.receiver import Receiver
 from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.goldens import run_fingerprint
-from repro.kvstore.ring import ConsistentHashRing
-from repro.kvstore.types import Update
-from repro.sim import Environment, Network, Process
-from repro.sim.latency import JitteredLatency
 from repro.workload.generator import WorkloadSpec
 
 SPEC = dict(n_dcs=3, partitions_per_dc=2, clients_per_dc=1)
@@ -57,11 +22,10 @@ RUN_S = 1.2
 DRAIN_S = 2.0
 
 
-def _system(seed: int, config: EunomiaConfig | None = None, history=None):
+def _system(seed: int, config: EunomiaConfig):
     spec = GeoSystemSpec(seed=seed, **SPEC)
-    kwargs = {"config": config} if config is not None else {}
     return build_geo_system("eunomia", spec, WorkloadSpec(**WL),
-                            history=history, **kwargs)
+                            config=config)
 
 
 # ----------------------------------------------------------------------
@@ -76,50 +40,6 @@ _WINDOW = st.tuples(
 )
 
 _PLANS = st.lists(_WINDOW, min_size=0, max_size=3)
-
-
-def _arm_interdc_faults(system, plan) -> None:
-    """Perturb the lanes feeding the grouped receiver flush.
-
-    Faults respect each lane's delivery contract (the same rule the chaos
-    matrix follows): the propagator→receiver stream is fire-and-forget,
-    so it only takes *gray* (slow-not-dead) windows — a dropped
-    RemoteStableBatch is unrecoverable by design — while loss and cuts go
-    on the partition↔stabilizer lane, where the uplink's at-least-once
-    retransmission recovers them.  Both shapes stall and then burst the
-    stable streams, which is exactly what drives large grouped flushes.
-    """
-    sched = system.failures()
-    dcs = system.datacenters
-    net = system.env.network
-    for start, dur, kind, a_idx, off in plan:
-        a = dcs[a_idx]
-        b = dcs[(a_idx + off) % len(dcs)]
-        if kind == "gray":
-            lane = [(p, b.receiver) for p in a.propagators()]
-            sched.degrade_links_at(start, lane, 0.015)
-            sched.restore_links_at(start + dur, lane)
-            continue
-        replicas = sorted({r for p in a.partitions
-                           for r in p.uplink.replicas},
-                          key=lambda proc: proc.name)
-        if kind == "cut":
-            sched.partition_at(start, list(a.partitions), replicas)
-            sched.heal_at(start + dur, list(a.partitions), replicas)
-        else:
-            pairs = [(p, r) for p in a.partitions for r in p.uplink.replicas]
-            pairs += [(r, p) for p, r in pairs]
-
-            def begin(ps=pairs):
-                for s, d in ps:
-                    net.set_link_loss(s, d, 0.4)
-
-            def end(ps=pairs):
-                for s, d in ps:
-                    net.set_link_loss(s, d, 0.0)
-
-            sched.at(start, begin, "loss-on")
-            sched.at(start + dur, end, "loss-off")
 
 
 def _arm_uplink_faults(system, plan) -> None:
@@ -159,172 +79,6 @@ def _arm_uplink_faults(system, plan) -> None:
 
             sched.at(start, begin, "uplink-loss-on")
             sched.at(start + dur, end, "uplink-loss-off")
-
-
-# ----------------------------------------------------------------------
-# Pipelined apply window: op-for-op equivalence on a scripted receiver
-# ----------------------------------------------------------------------
-class _StubPartition(Process):
-    """Applies releases in arrival order and acks like the real partition."""
-
-    def __init__(self, env, name, index, log):
-        super().__init__(env, name)
-        self.index = index
-        self.log = log            # shared (partition_index, uid) apply log
-
-    def on_apply_remote(self, msg, src):
-        self.log.append((self.index, msg.update.uid))
-        self.send(src, ApplyRemoteOk(msg.update.uid))
-
-    def on_apply_remote_run(self, msg, src):
-        uids = tuple(u.uid for u in msg.updates)
-        for uid in uids:
-            self.log.append((self.index, uid))
-        self.send(src, ApplyRemoteOkRun(uids))
-
-
-@st.composite
-def _stream_plans(draw):
-    """An at-least-once stable-stream schedule for a 3-DC receiver.
-
-    Returns (per-origin update lists, per-origin frame schedule).  Ops are
-    generated in one global interleaving; each op's cross-DC dependency
-    (when drawn) names a timestamp some *earlier-generated* op of the
-    other origin carries, so a topological apply order always exists and
-    the run must fully drain.  Frames chunk each stream with drawn overlap
-    (re-shipped prefixes — the observable form of loss + at-least-once
-    retry on this lane) and staggered send times.
-    """
-    origins = (1, 2)
-    n_ops = draw(st.integers(min_value=12, max_value=48))
-    order = draw(st.lists(st.sampled_from(origins),
-                          min_size=n_ops, max_size=n_ops))
-    dep_flags = draw(st.lists(st.booleans(), min_size=n_ops, max_size=n_ops))
-    keys = draw(st.lists(st.integers(min_value=0, max_value=15),
-                         min_size=n_ops, max_size=n_ops))
-    parts = draw(st.lists(st.integers(min_value=0, max_value=1),
-                          min_size=n_ops, max_size=n_ops))
-    streams: dict[int, list[Update]] = {k: [] for k in origins}
-    last_ts = {k: 0 for k in origins}
-    seq = defaultdict(int)
-    for i, k in enumerate(order):
-        ts = last_ts[k] + 1 + (i % 3)
-        last_ts[k] = ts
-        other = origins[1 - origins.index(k)]
-        vts = [0, 0, 0]
-        vts[k] = ts
-        if dep_flags[i] and last_ts[other]:
-            vts[other] = last_ts[other]
-        key = (parts[i], keys[i])
-        s = seq[(k, parts[i])]
-        seq[(k, parts[i])] = s + 1
-        streams[k].append(Update(
-            key=key, value=f"v{k}.{parts[i]}.{s}", origin_dc=k,
-            partition_index=parts[i], seq=s, ts=ts, vts=tuple(vts)))
-
-    schedule: dict[int, list[tuple[float, int, int]]] = {}
-    for k in origins:
-        n = len(streams[k])
-        frames, pos, t = [], 0, 0.0
-        while pos < n:
-            size = draw(st.integers(min_value=1, max_value=6))
-            overlap = draw(st.integers(min_value=0, max_value=3))
-            t += draw(st.floats(min_value=0.0005, max_value=0.01))
-            frames.append((t, max(0, pos - overlap), min(n, pos + size)))
-            pos += size
-        schedule[k] = frames
-    return streams, schedule
-
-
-def _run_receiver(streams, schedule, pipeline: int):
-    """Drive a real Receiver off scripted streams; return its outcome."""
-    env = Environment(seed=5)
-    net = Network(env, JitteredLatency(base_s=0.001, jitter_s=0.0004))
-    log: list[tuple[int, tuple]] = []
-    partitions = [_StubPartition(env, f"p{i}", i, log) for i in range(2)]
-    origins = {k: Process(env, f"origin{k}") for k in schedule}
-    receiver = Receiver(env, "r0", dc_id=0, n_dcs=3, check_interval=0.005,
-                        pipeline=pipeline)
-    receiver.set_partitions(ConsistentHashRing(2), partitions)
-    receiver.start()
-    for k, frames in schedule.items():
-        for when, lo, hi in frames:
-            chunk = tuple(streams[k][lo:hi])
-            msg = RemoteStableBatch(origin_dc=k, ops=chunk,
-                                    block=OpBlock.from_updates(chunk))
-            env.loop.schedule_at(
-                when, net.send, origins[k], receiver, msg)
-    env.run(until=2.0)
-    per_origin: dict[int, list] = defaultdict(list)
-    for pidx, uid in log:
-        per_origin[uid[0]].append((pidx, uid))
-    return {
-        "per_origin": dict(per_origin),
-        "applied": receiver.applied,
-        "site_time": list(receiver.site_time),
-        "duplicates": receiver.duplicates_dropped,
-        "backlog": receiver.backlog(),
-    }
-
-
-@settings(max_examples=30, deadline=None)
-@given(plan=_stream_plans(), pipeline=st.integers(min_value=2, max_value=6))
-def test_receiver_pipeline_is_op_for_op_equivalent(plan, pipeline):
-    """Pipelined FLUSH releases the same updates, to the same partitions,
-    in the same per-origin order as stop-and-wait — and fully drains
-    re-shipped at-least-once streams with identical dedup counts."""
-    streams, schedule = plan
-    base = _run_receiver(streams, schedule, pipeline=1)
-    piped = _run_receiver(streams, schedule, pipeline=pipeline)
-    assert piped["per_origin"] == base["per_origin"]
-    assert piped["applied"] == base["applied"]
-    assert piped["site_time"] == base["site_time"]
-    assert piped["duplicates"] == base["duplicates"]
-    assert base["backlog"] == 0 and piped["backlog"] == 0
-    # and the per-origin order is exactly the stream (queue) order
-    for k, stream in streams.items():
-        assert [uid for _, uid in base["per_origin"].get(k, [])] \
-            == [u.uid for u in stream]
-
-
-@settings(max_examples=8, deadline=None)
-@given(plan=_PLANS,
-       pipeline=st.integers(min_value=2, max_value=6),
-       seed=st.integers(min_value=0, max_value=2**10))
-def test_pipelined_system_keeps_causal_guarantees(plan, pipeline, seed):
-    """Whole-system oracle for the pipeline under *real* loss/cut/gray
-    interleavings: every client session stays causal, every read returns
-    a causally-consistent value, and the DCs converge after heal."""
-    history = SessionHistory()
-    # Fault-tolerant service: BatchAck (and with it the uplink's
-    # retransmission) is Alg. 4 machinery, and the loss/cut windows land
-    # on exactly that lane — the plain Alg. 3 service would lose them.
-    config = EunomiaConfig(fault_tolerant=True, n_replicas=2,
-                           receiver_pipeline=pipeline)
-    system = _system(seed, config, history=history)
-    _arm_interdc_faults(system, plan)
-    system.run(RUN_S)
-    system.quiesce(DRAIN_S)
-    checker = CausalChecker(history)
-    assert checker.check() == []
-    assert checker.check_write_read_pairs() == []
-    assert system.converged()
-
-
-def test_pipelined_system_causal_with_observability():
-    """The causal oracle holds with the full obs surface attached."""
-    history = SessionHistory()
-    config = EunomiaConfig(fault_tolerant=True, n_replicas=2,
-                           receiver_pipeline=4)
-    system = _system(5, config, history=history)
-    _arm_interdc_faults(system, [(0.3, 0.3, "cut", 0, 1),
-                                 (0.5, 0.25, "loss", 2, 2)])
-    system.observe(sample_every=16)
-    system.run(RUN_S)
-    system.quiesce(DRAIN_S)
-    checker = CausalChecker(history)
-    assert checker.check() == []
-    assert system.converged()
 
 
 # ----------------------------------------------------------------------
@@ -402,46 +156,3 @@ def test_uplink_frame_cache_pure_with_observability():
     cached, _, _ = _run_uplink(7, plan, cache=True, observe=True)
     rebuilt, _, _ = _run_uplink(7, plan, cache=False, observe=True)
     assert cached == rebuilt
-
-
-# ----------------------------------------------------------------------
-# Grouped FLUSH shipping: bit-identical to per-op sends
-# ----------------------------------------------------------------------
-def _per_op_ship(self, sends):
-    for target, msg in sends:
-        self.send(target, msg)
-
-
-def _run_grouped(seed: int, plan, grouped: bool, pipeline: int = 1,
-                 observe: bool = False):
-    config = EunomiaConfig(fault_tolerant=True, n_replicas=2,
-                           receiver_pipeline=pipeline)
-    system = _system(seed, config)
-    if not grouped:
-        for dc in system.datacenters:
-            dc.receiver._ship = types.MethodType(_per_op_ship, dc.receiver)
-    _arm_interdc_faults(system, plan)
-    if observe:
-        system.observe(sample_every=16)
-    system.run(RUN_S)
-    system.quiesce(DRAIN_S)
-    return run_fingerprint(system)
-
-
-@settings(max_examples=6, deadline=None)
-@given(plan=_PLANS,
-       pipeline=st.sampled_from([1, 3]),
-       seed=st.integers(min_value=0, max_value=2**10))
-def test_grouped_flush_shipping_bit_identical(plan, pipeline, seed):
-    """``send_many`` grouping of consecutive same-partition releases is
-    RNG- and FIFO-identical to the per-op ``send`` loop it replaced —
-    the whole-run fingerprint (stores + ordered visibility series) must
-    not move a bit, faults included."""
-    assert (_run_grouped(seed, plan, grouped=True, pipeline=pipeline)
-            == _run_grouped(seed, plan, grouped=False, pipeline=pipeline))
-
-
-def test_grouped_flush_shipping_bit_identical_with_observability():
-    plan = [(0.3, 0.25, "gray", 0, 2)]
-    assert (_run_grouped(3, plan, grouped=True, pipeline=3, observe=True)
-            == _run_grouped(3, plan, grouped=False, pipeline=3, observe=True))

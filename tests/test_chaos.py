@@ -207,12 +207,12 @@ def test_region_outage_rejects_replicated_region():
 
 
 @pytest.mark.parametrize("protocol", ["eventual", "gentlerain"])
-def test_failure_log_is_scheduler_invariant(protocol):
-    """The same fault schedule produces the identical (time, label) log
-    under the heap and the time-wheel scheduler backends."""
-    def run(scheduler):
+def test_failure_log_repeats_for_a_seed(protocol):
+    """The same fault schedule and seed produce the identical (time, label)
+    log, one entry per action."""
+    def run():
         spec = GeoSystemSpec(n_dcs=2, partitions_per_dc=2, clients_per_dc=2,
-                             seed=17, scheduler=scheduler)
+                             seed=17)
         system = build_system(protocol, spec, WL)
         victim = system.datacenters[0].partitions[1]
         other = system.datacenters[1].partitions[0]
@@ -227,10 +227,9 @@ def test_failure_log_is_scheduler_invariant(protocol):
         system.run(1.5)
         return list(fs.log)
 
-    heap_log = run("heap")
-    wheel_log = run("wheel")
-    assert heap_log == wheel_log
-    assert len(heap_log) == 7
+    log = run()
+    assert log == run()
+    assert len(log) == 7
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.loop import EventLoop, SimulationError, TimeWheelLoop
+from repro.sim.loop import EventLoop, SimulationError
 
 
 def test_events_fire_in_time_order():
@@ -292,7 +292,7 @@ def test_event_cancelling_itself_from_its_callback_is_a_noop():
     assert (loop.processed_events, loop.pending()) == (2, 0)
 
 
-LOOPS = [EventLoop, lambda: TimeWheelLoop(resolution=1e-3, wheel_slots=4)]
+LOOPS = [EventLoop]
 
 
 @pytest.mark.parametrize("make_loop", LOOPS)
@@ -330,105 +330,3 @@ def test_period_turning_zero_raises_at_rearm_instead_of_spinning(make_loop):
     assert loop.pending() == 0      # the chain is dead, not re-armed
     loop.run(until=1.0)             # and the loop is usable again
     assert loop.now == 1.0
-
-
-# ----------------------------------------------------------------------
-# TimeWheelLoop
-# ----------------------------------------------------------------------
-
-def test_wheel_rejects_bad_parameters():
-    with pytest.raises(SimulationError):
-        TimeWheelLoop(resolution=0.0)
-    with pytest.raises(SimulationError):
-        TimeWheelLoop(resolution=-1e-3)
-    with pytest.raises(SimulationError):
-        TimeWheelLoop(wheel_slots=1)
-
-
-def test_wheel_fires_in_time_then_seq_order():
-    loop = TimeWheelLoop(resolution=1e-3, wheel_slots=8)
-    fired = []
-    loop.schedule(0.003, fired.append, "c")
-    loop.schedule(0.001, fired.append, "a")
-    loop.schedule(0.001, fired.append, "a2")   # same slot, same time: seq order
-    loop.schedule(0.002, fired.append, "b")
-    loop.run()
-    assert fired == ["a", "a2", "b", "c"]
-    assert loop.now == 0.003
-
-
-def test_wheel_overflow_beyond_horizon_fires_at_exact_time():
-    # horizon = 4 slots * 1ms = 4ms; 50ms lands deep in the overflow heap
-    loop = TimeWheelLoop(resolution=1e-3, wheel_slots=4)
-    seen = []
-    loop.schedule(0.050, lambda: seen.append(loop.now))
-    loop.schedule(0.001, lambda: seen.append(loop.now))
-    loop.run()
-    assert seen == [0.001, 0.050]
-    assert loop.processed_events == 2
-
-
-def test_wheel_cursor_jumps_over_empty_stretch():
-    # A single far-future event: the ring is empty, so _pop_next must jump
-    # the cursor straight to the overflow head instead of sweeping slots.
-    loop = TimeWheelLoop(resolution=1e-3, wheel_slots=4)
-    seen = []
-    loop.schedule(123.456, lambda: seen.append(loop.now))
-    loop.run()
-    assert seen == [123.456]
-
-
-def test_wheel_until_boundary_pushes_event_back():
-    loop = TimeWheelLoop(resolution=1e-3, wheel_slots=4)
-    fired = []
-    loop.schedule(0.0015, fired.append, "early")
-    loop.schedule(0.0095, fired.append, "late")
-    loop.run(until=0.005)
-    assert fired == ["early"]
-    assert loop.now == 0.005
-    assert loop.pending() == 1
-    loop.run()
-    assert fired == ["early", "late"]
-    assert loop.pending() == 0
-
-
-def test_wheel_cancelled_events_skipped_in_ring_and_overflow():
-    loop = TimeWheelLoop(resolution=1e-3, wheel_slots=4)
-    fired = []
-    ring_drop = loop.schedule(0.002, fired.append, "ring")
-    overflow_drop = loop.schedule(0.040, fired.append, "overflow")
-    loop.schedule(0.003, fired.append, "keep")
-    ring_drop.cancel()
-    overflow_drop.cancel()
-    assert loop.pending() == 1
-    loop.run()
-    assert fired == ["keep"]
-    assert loop.pending() == 0
-
-
-def test_wheel_supports_periodic_and_nested_scheduling():
-    loop = TimeWheelLoop(resolution=1e-3, wheel_slots=4)
-    times = []
-    handle = loop.schedule_periodic(0.0027, lambda: times.append(loop.now))
-    loop.run(until=0.009)
-    handle.cancel()
-    loop.run()
-    assert times == pytest.approx([0.0027, 0.0054, 0.0081])
-
-
-def test_wheel_cancel_of_pushed_back_event():
-    """An event popped past an ``until`` boundary is re-inserted under its
-    old sequence number, so its handle still cancels it."""
-    loop = TimeWheelLoop(resolution=1e-3, wheel_slots=4)
-    fired = []
-    loop.schedule(0.0015, fired.append, "early")
-    late = loop.schedule(0.0095, fired.append, "late")
-    loop.run(until=0.005)           # pops "late", pushes it back
-    assert (loop.processed_events, loop.pending()) == (1, 1)
-    late.cancel()
-    late.cancel()
-    assert (loop.processed_events, loop.pending()) == (1, 0)
-    loop.run()
-    assert fired == ["early"]
-    assert (loop.processed_events, loop.pending()) == (1, 0)
-    assert loop.now == 0.005        # a cancelled entry never moves the clock

@@ -5,7 +5,6 @@ import pytest
 from repro.baselines import build_system
 from repro.checker import CausalChecker, SessionHistory
 from repro.core import EunomiaConfig
-from repro.datastruct import AVLTree
 from repro.geo.system import GeoSystemSpec, build_eunomia_system
 from repro.metrics import percentile
 from repro.workload import WorkloadSpec
@@ -88,12 +87,12 @@ def test_geo_survives_eunomia_leader_crash():
     assert survivor.ops_stabilized > 0
 
 
-def test_avl_backed_eunomia_behaves_identically():
-    """§6 ablation: the tree choice affects speed, not behaviour."""
-    rb = run_eunomia()
-    avl = run_eunomia(tree_factory=AVLTree)
-    assert avl.converged()
-    assert avl.snapshots() == rb.snapshots()
+def test_rbtree_backed_eunomia_behaves_identically():
+    """§6 ablation: the buffer choice affects speed, not behaviour."""
+    runs = run_eunomia()
+    rbtree = run_eunomia(config=EunomiaConfig(buffer_backend="rbtree"))
+    assert rbtree.converged()
+    assert rbtree.snapshots() == runs.snapshots()
 
 
 def test_without_data_metadata_separation():

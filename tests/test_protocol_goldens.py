@@ -64,25 +64,6 @@ def test_spine_reproduces_pre_refactor_golden(golden):
             f"{golden_id(golden)}: {field} drifted across the refactor")
 
 
-@pytest.mark.parametrize("protocol,seed", [("eunomia", 1234),
-                                           ("gentlerain", 77)])
-def test_time_wheel_reproduces_goldens(protocol, seed):
-    """The slotted time-wheel is a drop-in scheduler backend.
-
-    Both backends fire events in identical (time, seq) order, so a whole
-    protocol run under ``scheduler="wheel"`` must reproduce the heap-backed
-    golden digest bit-for-bit — one Eunomia and one GST-style capture pin
-    the claim end to end (the exhaustive ordering property lives in
-    ``tests/test_sim_batching.py``).
-    """
-    golden = next(g for g in GOLDENS
-                  if g["protocol"] == protocol and g["seed"] == seed)
-    fresh = capture_golden(protocol, seed, scheduler="wheel")
-    for field in STRICT_FIELDS:
-        assert fresh[field] == golden[field], (
-            f"{golden_id(golden)}: {field} drifted under the time wheel")
-
-
 def test_cure_pending_backends_equivalent():
     """The run-aware pending set is a pure data-structure swap.
 

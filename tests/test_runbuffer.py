@@ -204,7 +204,6 @@ class TestBackendEndToEnd:
         reference = self._rig_sequence("rbtree")
         assert reference, "rbtree rig emitted nothing"
         assert self._rig_sequence("runs") == reference
-        assert self._rig_sequence("avl") == reference
 
     def test_sharded_rig_with_runs_backend_matches(self):
         assert (self._rig_sequence("runs", n_shards=4)
