@@ -75,7 +75,7 @@ def bench_data_metadata_separation(benchmark):
                 WorkloadSpec(read_ratio=0.9, n_keys=500, value_bytes=1000),
                 config=config)
             system.run(3.0)
-            eunomia = system.datacenters[0].eunomia_replicas[0]
+            eunomia = system.datacenters[0].heads[0]
             stable = eunomia.ops_stabilized
             thpt = system.total_throughput()
             out[separated] = (thpt, stable)

@@ -36,7 +36,7 @@ def bench_fig4_failure_timeline(benchmark):
 
 
 def bench_fig4_failure_timeline_sharded(benchmark):
-    """The same failure schedule against K=2 ShardedReplicaGroups."""
+    """The same failure schedule with every replica group K=2-sharded."""
     _assert_failover_shape(run_figure(benchmark, fig4,
                                       fig4.Fig4Params.quick_sharded()))
 

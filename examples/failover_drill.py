@@ -13,10 +13,10 @@ writing.  The drill shows the paper's §3.3 story end to end:
 * after quiescence, every datacenter converges to identical data and the
   recorded history passes the causal-consistency checker.
 
-Act 2 repeats the drill for the *sharded* composition (Alg. 4 × K): each
-datacenter runs a K=4-sharded stabilizer replicated across 3
-ShardedReplicaGroups, and dc1's whole leader group (coordinator + 4
-shards) is killed mid-run.  The drill then *asserts* that no stable op
+Act 2 repeats the drill with every replica sharded (Alg. 4 × K): the same
+three replica groups per datacenter, each now a coordinator heading K=4
+shards, and dc1's whole leader group (coordinator + 4 shards) is killed
+mid-run through the same crash unit.  The drill then *asserts* that no stable op
 was lost or duplicated at any remote site: every remote receiver must
 have applied exactly one copy of every update committed elsewhere — a
 duplicate apply would push the count over, a lost op would leave it
@@ -55,7 +55,7 @@ def act1_unsharded() -> None:
                               config=config, history=history)
     system.start()
 
-    replicas = system.datacenters[0].eunomia_replicas
+    replicas = system.datacenters[0].replica_groups
     print(f"dc1 Eunomia group: {[r.name for r in replicas]}")
     system.env.loop.schedule_at(4.0, replicas[0].crash)
     system.env.loop.schedule_at(10.0, replicas[1].crash)
@@ -166,7 +166,7 @@ def act3_amnesia_rejoin() -> None:
             group = rig.groups[0]
             rig.env.loop.schedule_at(
                 0.6, lambda: group.crash(lose_state=True))
-            rig.env.loop.schedule_at(1.4, group.rejoin)
+            rig.env.loop.schedule_at(1.4, group.recover)
         rig.run(2.4)
         for driver in rig.drivers:
             driver.stop()

@@ -26,7 +26,12 @@ Checks, with zero dependencies beyond the stdlib:
 6. every module under ``src/`` imports only the standard library,
    ``repro`` itself, and packages declared in ``pyproject.toml``
    ``dependencies`` — the README's "pure stdlib" claim and the CI image
-   (which installs nothing else) both depend on it.
+   (which installs nothing else) both depend on it;
+7. every CamelCase name inside a code span of README.md and docs/*.md is
+   defined somewhere under ``src/``, ``perf/`` or ``scripts/`` (a class,
+   a function or an assignment), is a builtin, or is listed in
+   :data:`PROSE_NAMES` — so deleting or renaming a documented class
+   fails CI until the prose follows.
 
 Exit code 0 when clean; prints every violation and exits 1 otherwise.
 """
@@ -34,6 +39,7 @@ Exit code 0 when clean; prints every violation and exits 1 otherwise.
 from __future__ import annotations
 
 import ast
+import builtins
 import re
 import sys
 from pathlib import Path
@@ -223,10 +229,57 @@ def check_src_imports() -> list[str]:
     return errors
 
 
+#: CamelCase names the docs may put in code format without a definition:
+#: the paper's protocol variables, and names of deleted classes where the
+#: text says they are gone
+PROSE_NAMES = {"PartitionTime", "StableTime", "ShardStableTime",
+               "ApplyRemoteRun", "ApplyRemoteOkRun"}
+
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+#: a CamelCase identifier that is not an attribute of something else
+CAMEL_RE = re.compile(r"(?<![\w.])[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+(?!\w)")
+
+
+def defined_names() -> set[str]:
+    """Every class, function and assignment-target name in the code."""
+    names: set[str] = set()
+    for root in ("src", "perf", "scripts"):
+        for module in sorted((REPO / root).rglob("*.py")):
+            for node in ast.walk(ast.parse(
+                    module.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                                     ast.AsyncFunctionDef)):
+                    names.add(node.name)
+                elif isinstance(node, ast.Assign):
+                    names.update(target.id for target in node.targets
+                                 if isinstance(target, ast.Name))
+                elif (isinstance(node, ast.AnnAssign)
+                      and isinstance(node.target, ast.Name)):
+                    names.add(node.target.id)
+    return names
+
+
+def documented_names(doc: Path) -> set[str]:
+    """CamelCase identifiers inside the code spans of one markdown file."""
+    text = doc.read_text(encoding="utf-8")
+    return {name for span in CODE_SPAN_RE.findall(text)
+            for name in CAMEL_RE.findall(span)}
+
+
+def check_documented_names() -> list[str]:
+    known = defined_names() | set(dir(builtins)) | PROSE_NAMES
+    return [f"{doc.relative_to(REPO)}: `{name}` is not defined under "
+            "src/, perf/ or scripts/ (renamed or deleted?)"
+            for doc in [REPO / "README.md",
+                        *sorted((REPO / "docs").glob("*.md"))]
+            for name in sorted(documented_names(doc) - known)]
+
+
 def main() -> int:
     errors = (check_links() + check_example_headers()
               + check_protocol_modules() + check_protocols_documented()
-              + check_knobs_documented() + check_src_imports())
+              + check_knobs_documented() + check_src_imports()
+              + check_documented_names())
     for error in errors:
         print(f"check_docs: {error}", file=sys.stderr)
     if errors:
@@ -239,7 +292,8 @@ def main() -> int:
           f"{len(PROTOCOL_MODULES)} protocol modules ok; "
           f"{len(registered_protocols())} registered protocols documented; "
           f"{n_knobs} knob values documented; "
-          "src/ imports stdlib + declared only")
+          "src/ imports stdlib + declared only; "
+          "code-span CamelCase names all defined")
     return 0
 
 

@@ -35,7 +35,7 @@ from .core.protocols import (
     get_protocol,
     register_protocol,
 )
-from .geo import GeoSystem, GeoSystemSpec, build_eunomia_system, build_geo_system
+from .geo import GeoSystem, GeoSystemSpec, build_geo_system
 from .workload import WorkloadSpec
 
 __version__ = "1.0.0"
@@ -52,7 +52,6 @@ def __getattr__(name: str):
 __all__ = [
     "build_system",
     "build_geo_system",
-    "build_eunomia_system",
     "ProtocolSpec",
     "get_protocol",
     "register_protocol",

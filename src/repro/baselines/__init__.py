@@ -20,22 +20,13 @@ dispatches to any of them (plus EunomiaKV) by name.
 from typing import Optional
 
 from ..core.protocols import available_protocols
-from ..geo.system import (
-    GeoSystem,
-    GeoSystemSpec,
-    build_eunomia_system,
-    build_geo_system,
-)
+from ..geo.system import GeoSystem, GeoSystemSpec, build_geo_system
 from ..metrics.collector import MetricsHub
 from ..workload.generator import WorkloadSpec
-from .cure import CurePartition, CureProtocol, build_cure_system
-from .eventual import EventualPartition, EventualProtocol, build_eventual_system
-from .gentlerain import (
-    GentleRainPartition,
-    GentleRainProtocol,
-    build_gentlerain_system,
-)
-from .gst import GstPartition, GstProtocol, GstTimings, build_gst_system
+from .cure import CurePartition, CureProtocol
+from .eventual import EventualPartition, EventualProtocol
+from .gentlerain import GentleRainPartition, GentleRainProtocol
+from .gst import GstPartition, GstProtocol, GstTimings
 from .messages import (
     ChainForward,
     GstBroadcast,
@@ -44,7 +35,7 @@ from .messages import (
     SeqReply,
     SeqRequest,
 )
-from .seqstore import SeqPartition, SequencerProtocol, build_seq_system
+from .seqstore import SeqPartition, SequencerProtocol
 from .sequencer import ChainSequencerNode, Sequencer, build_chain
 
 __all__ = [
@@ -53,20 +44,15 @@ __all__ = [
     "build_chain",
     "SeqPartition",
     "SequencerProtocol",
-    "build_seq_system",
     "GstTimings",
     "GstPartition",
     "GstProtocol",
-    "build_gst_system",
     "GentleRainPartition",
     "GentleRainProtocol",
-    "build_gentlerain_system",
     "CurePartition",
     "CureProtocol",
-    "build_cure_system",
     "EventualPartition",
     "EventualProtocol",
-    "build_eventual_system",
     "build_system",
     "PROTOCOLS",
     "SeqRequest",

@@ -23,7 +23,6 @@ why per-origin runs still work.
 
 from __future__ import annotations
 
-import warnings
 
 from collections import deque
 from typing import Optional
@@ -32,12 +31,10 @@ from ..calibration import Calibration
 from ..clocks.physical import PhysicalClock
 from ..core.messages import ClientUpdate
 from ..core.protocols import register_protocol
-from ..geo.system import GeoSystem, GeoSystemSpec, build_geo_system
 from ..kvstore.types import Update
 from ..metrics.collector import MetricsHub
 from ..sim.env import Environment
 from ..sim.process import CostModel
-from ..workload.generator import WorkloadSpec
 from .gst import (
     GstPartition,
     GstProtocol,
@@ -46,7 +43,7 @@ from .gst import (
     check_pending_backend,
 )
 
-__all__ = ["CurePartition", "CureProtocol", "build_cure_system"]
+__all__ = ["CurePartition", "CureProtocol"]
 
 PENDING_BACKENDS = ("runs", "scan")
 
@@ -218,24 +215,3 @@ class CureProtocol(GstProtocol):
 
 
 register_protocol(CureProtocol())
-
-
-def build_cure_system(spec: GeoSystemSpec, workload: WorkloadSpec,
-                      timings: Optional[GstTimings] = None,
-                      metrics: Optional[MetricsHub] = None,
-                      history=None,
-                      pending_backend: str = "runs") -> GeoSystem:
-    """Assemble a Cure deployment on the shared frame.
-
-    .. deprecated::
-        Call ``build_geo_system("cure", ...)``; this wrapper forwards
-        verbatim and will be removed.
-    """
-    warnings.warn(
-        "build_cure_system is deprecated; use "
-        "build_geo_system('cure', ...)",
-        DeprecationWarning, stacklevel=2,
-    )
-    return build_geo_system("cure", spec, workload, metrics=metrics,
-                            history=history, timings=timings,
-                            pending_backend=pending_backend)

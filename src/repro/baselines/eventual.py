@@ -8,7 +8,6 @@ this baseline, exactly as the paper normalizes its Figures 1 and 5.
 
 from __future__ import annotations
 
-import warnings
 
 from typing import Optional
 
@@ -23,13 +22,11 @@ from ..core.protocols import (
     SitePlan,
     register_protocol,
 )
-from ..geo.system import GeoSystem, GeoSystemSpec, build_geo_system
 from ..kvstore.types import Update, Versioned
 from ..metrics.collector import MetricsHub
 from ..sim.process import CostModel, Process
-from ..workload.generator import WorkloadSpec
 
-__all__ = ["EventualPartition", "EventualProtocol", "build_eventual_system"]
+__all__ = ["EventualPartition", "EventualProtocol"]
 
 
 class EventualPartition(EunomiaPartition):
@@ -125,22 +122,3 @@ class EventualProtocol(ProtocolSpec):
 
 
 register_protocol(EventualProtocol())
-
-
-def build_eventual_system(spec: GeoSystemSpec, workload: WorkloadSpec,
-                          config: Optional[EunomiaConfig] = None,
-                          metrics: Optional[MetricsHub] = None,
-                          history=None) -> GeoSystem:
-    """Assemble the eventually consistent deployment.
-
-    .. deprecated::
-        Call ``build_geo_system("eventual", ...)``; this wrapper forwards
-        verbatim and will be removed.
-    """
-    warnings.warn(
-        "build_eventual_system is deprecated; use "
-        "build_geo_system('eventual', ...)",
-        DeprecationWarning, stacklevel=2,
-    )
-    return build_geo_system("eventual", spec, workload, metrics=metrics,
-                            history=history, config=config)

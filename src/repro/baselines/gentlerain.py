@@ -28,7 +28,6 @@ classic global binary heap as an ablation.
 
 from __future__ import annotations
 
-import warnings
 
 import heapq
 from typing import Optional
@@ -38,16 +37,13 @@ from ..clocks.physical import PhysicalClock
 from ..core.messages import ClientUpdate
 from ..core.protocols import register_protocol
 from ..datastruct.runbuffer import RunBuffer
-from ..geo.system import GeoSystem, GeoSystemSpec, build_geo_system
 from ..kvstore.types import Update
 from ..metrics.collector import MetricsHub
 from ..sim.env import Environment
 from ..sim.process import CostModel
-from ..workload.generator import WorkloadSpec
 from .gst import GstPartition, GstProtocol, GstTimings, check_pending_backend
 
-__all__ = ["GentleRainPartition", "GentleRainProtocol",
-           "build_gentlerain_system"]
+__all__ = ["GentleRainPartition", "GentleRainProtocol"]
 
 PENDING_BACKENDS = ("runs", "heap")
 
@@ -146,24 +142,3 @@ class GentleRainProtocol(GstProtocol):
 
 
 register_protocol(GentleRainProtocol())
-
-
-def build_gentlerain_system(spec: GeoSystemSpec, workload: WorkloadSpec,
-                            timings: Optional[GstTimings] = None,
-                            metrics: Optional[MetricsHub] = None,
-                            history=None,
-                            pending_backend: str = "runs") -> GeoSystem:
-    """Assemble a GentleRain deployment on the shared frame.
-
-    .. deprecated::
-        Call ``build_geo_system("gentlerain", ...)``; this wrapper forwards
-        verbatim and will be removed.
-    """
-    warnings.warn(
-        "build_gentlerain_system is deprecated; use "
-        "build_geo_system('gentlerain', ...)",
-        DeprecationWarning, stacklevel=2,
-    )
-    return build_geo_system("gentlerain", spec, workload, metrics=metrics,
-                            history=history, timings=timings,
-                            pending_backend=pending_backend)

@@ -18,7 +18,6 @@ in the paper, participates only in throughput measurements.
 
 from __future__ import annotations
 
-import warnings
 
 from dataclasses import replace
 from typing import Optional
@@ -35,15 +34,13 @@ from ..core.protocols import (
     register_protocol,
 )
 from ..geo.receiver import Receiver
-from ..geo.system import GeoSystem, GeoSystemSpec, build_geo_system
 from ..kvstore.types import Update, Versioned
 from ..metrics.collector import MetricsHub
 from ..sim.process import CostModel, Process
-from ..workload.generator import WorkloadSpec
 from .messages import SeqReply, SeqRequest
 from .sequencer import Sequencer, build_chain
 
-__all__ = ["SeqPartition", "SequencerProtocol", "build_seq_system"]
+__all__ = ["SeqPartition", "SequencerProtocol"]
 
 
 class SeqPartition(EunomiaPartition):
@@ -243,28 +240,3 @@ class SequencerProtocol(ProtocolSpec):
 
 register_protocol(SequencerProtocol(synchronous=True))
 register_protocol(SequencerProtocol(synchronous=False))
-
-
-def build_seq_system(spec: GeoSystemSpec, workload: WorkloadSpec,
-                     synchronous: bool = True,
-                     config: Optional[EunomiaConfig] = None,
-                     metrics: Optional[MetricsHub] = None,
-                     history=None, chain_length: int = 1) -> GeoSystem:
-    """Assemble an S-Seq (``synchronous=True``) or A-Seq deployment.
-
-    ``chain_length > 1`` replicates each DC's sequencer as a chain — the
-    paper's §7.1 fault-tolerant sequencer, now a first-class end-to-end
-    deployment instead of a rig-only configuration.
-
-    .. deprecated::
-        Call ``build_geo_system("sseq", ...)`` / ``build_geo_system("aseq",
-        ...)``; this wrapper forwards verbatim and will be removed.
-    """
-    warnings.warn(
-        "build_seq_system is deprecated; use "
-        "build_geo_system('sseq'/'aseq', ...)",
-        DeprecationWarning, stacklevel=2,
-    )
-    return build_geo_system("sseq" if synchronous else "aseq", spec,
-                            workload, metrics=metrics, history=history,
-                            config=config, chain_length=chain_length)

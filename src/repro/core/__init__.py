@@ -1,8 +1,10 @@
 """Eunomia: the paper's primary contribution.
 
-* :class:`EunomiaService` — Algorithm 3, the unobtrusive site-wide orderer.
-* :class:`EunomiaReplica` — Algorithm 4, its fault-tolerant form (prefix
-  property + Ω leader election).
+* :class:`EunomiaService` — Algorithm 3, the unobtrusive site-wide orderer
+  (:class:`EunomiaShard` × K behind a :class:`ShardCoordinator` when sharded).
+* :class:`ReplicaRole` / :class:`ReplicaGroup` — Algorithm 4, its
+  fault-tolerant form (prefix property + Ω leader election), one role and
+  one crash unit whichever of the two heads a replica.
 * :class:`EunomiaPartition` — Algorithm 2 partitions with hybrid-clock
   timestamping, batching, heartbeats, and §5's data/metadata separation.
 * :class:`SessionClient` — Algorithm 1 client sessions (vector form of §4).
@@ -42,26 +44,19 @@ from .protocols import (
     register_protocol,
 )
 from .tree import CombinedBatch, TreeRelay
-from .replica import EunomiaReplica
+from .replica import ReplicaGroup, ReplicaRole
 from .service import EunomiaService, StabilizerBase
-from .shard import (
-    EunomiaShard,
-    ReplicatedShardCoordinator,
-    ShardCoordinator,
-    ShardMap,
-    ShardedReplicaGroup,
-)
+from .shard import EunomiaShard, ShardCoordinator, ShardMap
 from .uplink import EunomiaUplink
 
 __all__ = [
     "EunomiaConfig",
     "EunomiaService",
-    "EunomiaReplica",
+    "ReplicaRole",
+    "ReplicaGroup",
     "StabilizerBase",
     "EunomiaShard",
     "ShardCoordinator",
-    "ReplicatedShardCoordinator",
-    "ShardedReplicaGroup",
     "ShardMap",
     "StabilizerStack",
     "build_stabilizer_stack",

@@ -1,31 +1,33 @@
-"""Assembly of one datacenter's stabilizer complex (all four shapes).
+"""Assembly of one datacenter's stabilizer complex.
 
-The Eunomia service of a site can be deployed four ways, the cross product
-of two axes (:class:`~repro.core.config.EunomiaConfig`):
+The Eunomia service of a site is R replicas, and every replica has the same
+anatomy — a :class:`~repro.core.replica.ReplicaGroup` of one *head* that
+ships stable runs plus the shards behind it — whatever the two axes of
+:class:`~repro.core.config.EunomiaConfig` say:
 
 ====================  =====================================================
-``n_shards=1``        the paper's single sequential stabilizer —
-                      :class:`EunomiaService` (Alg. 3), or R
-                      :class:`EunomiaReplica` (Alg. 4) when fault-tolerant
-``n_shards=K``        K :class:`EunomiaShard` workers behind a merging
-                      :class:`ShardCoordinator`; fault-tolerant, the whole
-                      pipeline × R replicas, each a
-                      :class:`ShardedReplicaGroup` whose
-                      :class:`ReplicatedShardCoordinator` runs the Ω
-                      election (Alg. 4 × K)
+``n_shards``          how a replica runs Algorithm 3: ``1`` — the head is an
+                      :class:`EunomiaService` stabilizing every partition
+                      itself (the paper's single sequential stabilizer);
+                      ``K`` — K :class:`EunomiaShard` workers behind a
+                      merging :class:`ShardCoordinator` head
+``n_replicas``        how many replicas (Algorithm 4, needs
+                      ``fault_tolerant=True``): the heads run the Ω
+                      election among themselves and only the leader ships;
+                      unreplicated is R=1 with no peers
 ====================  =====================================================
 
 :func:`build_stabilizer_stack` is the single place that wiring lives;
 :class:`repro.geo.datacenter.Datacenter` and the §7.1 load rigs
-(:mod:`repro.harness.loadgen`) both build from it, so the fault-tolerant
-sharded composition behaves identically under storage traffic and under
-partition emulators.  The returned :class:`StabilizerStack` answers the
-three questions any deployment has: which processes to start, which
-processes ship stable runs to remote receivers (``propagators``), and which
-processes a given partition's uplink must stream to (``uplink_targets`` —
-one target for the plain shapes, the owning shard of *every* replica for
-the replicated ones, so the uplink's per-replica ack/retransmission
-machinery applies per (partition → shard) stream).
+(:mod:`repro.harness.loadgen`) both build from it, so every composition
+behaves identically under storage traffic and under partition emulators.
+The returned :class:`StabilizerStack` answers the three questions any
+deployment has: which processes to start, which processes ship stable runs
+to remote receivers (``propagators``), and which processes a given
+partition's uplink must stream to (``uplink_targets`` — every replica's head
+when K=1, else the owning shard of every replica, so the uplink's
+per-replica ack/retransmission machinery applies per (partition → shard)
+stream).
 """
 
 from __future__ import annotations
@@ -40,15 +42,9 @@ from ..sim.disk import DiskModel
 from ..sim.env import Environment
 from ..sim.process import Process
 from .config import EunomiaConfig
-from .replica import EunomiaReplica
+from .replica import ReplicaGroup
 from .service import EunomiaService
-from .shard import (
-    EunomiaShard,
-    ReplicatedShardCoordinator,
-    ShardCoordinator,
-    ShardMap,
-    ShardedReplicaGroup,
-)
+from .shard import EunomiaShard, ShardCoordinator, ShardMap
 
 __all__ = ["StabilizerStack", "build_stabilizer_stack"]
 
@@ -63,51 +59,49 @@ class StabilizerStack:
     cal: Calibration
     metrics: MetricsHub
     name_prefix: str = ""
-    #: K=1 shapes: the plain service or the R Algorithm 4 replicas
-    replicas: list[EunomiaService] = field(default_factory=list)
-    #: K>1 shapes: every shard worker (all replicas, flattened)
-    shards: list[EunomiaShard] = field(default_factory=list)
-    #: K>1 shapes: one coordinator per replica (one total when unreplicated)
-    coordinators: list[ShardCoordinator] = field(default_factory=list)
-    #: K>1 × fault-tolerant: the R replica groups
-    groups: list[ShardedReplicaGroup] = field(default_factory=list)
+    #: the R replicas, in election order (one when unreplicated)
+    groups: list[ReplicaGroup] = field(default_factory=list)
+    #: partition → shard routing (None when K=1)
     shard_map: Optional[ShardMap] = None
     #: durability="wal": the restorer shared by every durable member
     recovery: Optional["RecoveryManager"] = None
 
+    @property
+    def heads(self) -> list:
+        """One head per replica: the processes that ship stable runs."""
+        return [group.head for group in self.groups]
+
+    @property
+    def shards(self) -> list[EunomiaShard]:
+        """Every shard worker, all replicas flattened ([] when K=1)."""
+        return [shard for group in self.groups for shard in group.shards]
+
     def processes(self) -> list[Process]:
         """Every stabilizer process, in start order (shards before heads)."""
-        return [*self.shards, *self.coordinators, *self.replicas]
+        return [*self.shards, *self.heads]
 
     def propagators(self) -> list[Process]:
         """Processes that ship stable runs (all get remote destinations —
         any replica can be elected and must know where to propagate)."""
-        return [*self.coordinators, *self.replicas]
+        return self.heads
 
     def uplink_targets(self, partition_index: int) -> list[Process]:
         """The processes partition ``partition_index`` must stream to."""
         if self.shard_map is None:
-            return list(self.replicas)
+            return self.heads
         shard_id = self.shard_map.shard_of(partition_index)
-        if self.groups:
-            return [group.shards[shard_id] for group in self.groups]
-        return [self.shards[shard_id]]
+        return [group.shards[shard_id] for group in self.groups]
 
-    def crash_units(self) -> list:
-        """Replica-failure targets in election order: the sharded replica
-        groups or the Alg. 4 replicas ([] for non-fault-tolerant shapes)."""
-        if self.groups:
-            return list(self.groups)
-        if self.config.fault_tolerant:
-            return list(self.replicas)
-        return []
+    def crash_units(self) -> list[ReplicaGroup]:
+        """Replica-failure targets in election order ([] when not
+        fault-tolerant: no failover covers the only replica)."""
+        return list(self.groups) if self.config.fault_tolerant else []
 
     def leader(self):
         """The process currently shipping stable runs for this site."""
-        heads = self.coordinators or self.replicas
+        heads = self.heads
         for head in heads:
-            if not head.crashed and getattr(head, "is_leader",
-                                            lambda: True)():
+            if not head.crashed and head.is_leader():
                 return head
         return heads[0]
 
@@ -130,7 +124,8 @@ class StabilizerStack:
         from .tree import TreeRelay
 
         relays = []
-        upstream = self.shards or self.replicas
+        shards = self.shards
+        upstream = shards or self.heads
         fanout = self.config.tree_fanout
         for g in range(0, len(hosts), fanout):
             window = hosts[g:g + fanout]
@@ -143,7 +138,7 @@ class StabilizerStack:
             relay.set_upstream(upstream)
             if self.shard_map is not None:
                 relay.set_routing({
-                    host.index: self.shards[self.shard_map.shard_of(host.index)]
+                    host.index: shards[self.shard_map.shard_of(host.index)]
                     for host in window})
             for host in window:
                 host.set_eunomia([relay])
@@ -168,41 +163,45 @@ def build_stabilizer_stack(env: Environment, site: int, n_partitions: int,
     the stabilizer, so only they may bound StableTime — a non-resident
     index never streams ops and would pin the floor at zero forever).
     ``None`` keeps the historical all-partitions cut.
+
+    Process identity lives in construction order and names — pids follow
+    the former (each head before its shards), WAL and checkpoint names
+    derive from the latter — so neither may change.
     """
     metrics = metrics or NullMetrics()
     stack = StabilizerStack(config=config, env=env, site=site, cal=cal,
                             metrics=metrics, name_prefix=name_prefix)
-
     if config.n_shards > 1:
         stack.shard_map = ShardMap(n_partitions, config.n_shards,
-                                   config.shard_policy, indices=indices)
-        n_groups = config.n_replicas if config.fault_tolerant else 1
-        for rid in range(n_groups):
-            tag = f"{name_prefix}eunomia{rid}-" if config.fault_tolerant \
-                else f"{name_prefix}eunomia-"
-            if config.fault_tolerant:
-                coordinator: ShardCoordinator = ReplicatedShardCoordinator(
-                    env, f"{tag}coord", site, config.n_shards, config,
-                    replica_id=rid,
-                    forward_op_cost=cal.cost("eunomia_coord_op"),
-                    merge_round_cost=cal.overhead("eunomia_coord_round"),
-                    batch_cost=cal.overhead("eunomia_batch"),
-                    metrics=metrics, stable_mark=stable_mark,
-                )
-                leader_gate = coordinator.is_leader
-            else:
-                coordinator = ShardCoordinator(
-                    env, f"{tag}coord", site, config.n_shards, config,
-                    forward_op_cost=cal.cost("eunomia_coord_op"),
-                    merge_round_cost=cal.overhead("eunomia_coord_round"),
-                    batch_cost=cal.overhead("eunomia_batch"),
-                    metrics=metrics, stable_mark=stable_mark,
-                )
-                leader_gate = None
-            group_shards = []
-            for sid in range(config.n_shards):
-                shard = EunomiaShard(
-                    env, f"{tag}shard{sid}", site, n_partitions, config,
+                                   indices=indices)
+
+    for rid in range(config.n_replicas):
+        tag = f"{name_prefix}eunomia{rid if config.fault_tolerant else ''}"
+        if stack.shard_map is None:
+            head = EunomiaService(
+                env, tag, site, n_partitions, config, replica_id=rid,
+                propagate_op_cost=cal.cost("eunomia_propagate_op"),
+                stab_round_cost=cal.overhead("eunomia_stab_round"),
+                insert_op_cost=cal.cost("eunomia_insert_op"),
+                batch_cost=cal.overhead("eunomia_batch"),
+                heartbeat_cost=cal.overhead("eunomia_heartbeat"),
+                ack_cost=cal.overhead("eunomia_ack"),
+                metrics=metrics, stable_mark=stable_mark,
+            )
+            head.set_tracked(indices)
+            shards = []
+        else:
+            head = ShardCoordinator(
+                env, f"{tag}-coord", site, config.n_shards, config,
+                replica_id=rid,
+                forward_op_cost=cal.cost("eunomia_coord_op"),
+                merge_round_cost=cal.overhead("eunomia_coord_round"),
+                batch_cost=cal.overhead("eunomia_batch"),
+                metrics=metrics, stable_mark=stable_mark,
+            )
+            shards = [
+                EunomiaShard(
+                    env, f"{tag}-shard{sid}", site, n_partitions, config,
                     shard_id=sid, owned=stack.shard_map.owned_by(sid),
                     serialize_op_cost=cal.cost("eunomia_shard_serialize_op"),
                     stab_round_cost=cal.overhead("eunomia_stab_round"),
@@ -210,63 +209,32 @@ def build_stabilizer_stack(env: Environment, site: int, n_partitions: int,
                     batch_cost=cal.overhead("eunomia_batch"),
                     heartbeat_cost=cal.overhead("eunomia_heartbeat"),
                     ack_cost=cal.overhead("eunomia_ack"),
-                    metrics=metrics, leader_gate=leader_gate,
+                    metrics=metrics,
                 )
-                shard.set_coordinator(coordinator)
-                group_shards.append(shard)
-            stack.shards.extend(group_shards)
-            stack.coordinators.append(coordinator)
-            if config.fault_tolerant:
-                coordinator.set_shards(group_shards)
-                stack.groups.append(ShardedReplicaGroup(
-                    rid, coordinator, group_shards))
-        for coordinator in stack.coordinators:
-            if isinstance(coordinator, ReplicatedShardCoordinator):
-                coordinator.set_peers(stack.coordinators)
-    elif config.fault_tolerant:
-        for rid in range(config.n_replicas):
-            stack.replicas.append(EunomiaReplica(
-                env, f"{name_prefix}eunomia{rid}", site, n_partitions,
-                config, replica_id=rid,
-                ack_cost=cal.overhead("eunomia_ack"),
-                propagate_op_cost=cal.cost("eunomia_propagate_op"),
-                stab_round_cost=cal.overhead("eunomia_stab_round"),
-                insert_op_cost=cal.cost("eunomia_insert_op"),
-                batch_cost=cal.overhead("eunomia_batch"),
-                heartbeat_cost=cal.overhead("eunomia_heartbeat"),
-                metrics=metrics, stable_mark=stable_mark,
-            ))
-        for replica in stack.replicas:
-            replica.set_peers(stack.replicas)
-            replica.set_tracked(indices)
-    else:
-        stack.replicas.append(EunomiaService(
-            env, f"{name_prefix}eunomia", site, n_partitions, config,
-            propagate_op_cost=cal.cost("eunomia_propagate_op"),
-            stab_round_cost=cal.overhead("eunomia_stab_round"),
-            insert_op_cost=cal.cost("eunomia_insert_op"),
-            batch_cost=cal.overhead("eunomia_batch"),
-            heartbeat_cost=cal.overhead("eunomia_heartbeat"),
-            metrics=metrics, stable_mark=stable_mark,
-        ))
-        stack.replicas[0].set_tracked(indices)
+                for sid in range(config.n_shards)
+            ]
+            for shard in shards:
+                shard.set_coordinator(head)
+            head.set_shards(shards)
+        stack.groups.append(ReplicaGroup(head, shards))
+    for head in stack.heads:
+        head.set_peers(stack.heads)
 
     if config.durability == "wal":
-        # Durable stacks for all four shapes: every stabilizer that holds
-        # protocol state (shards, Alg. 4 replicas, the plain service) gets
-        # its own WAL + checkpoint store; coordinators hold none (they are
-        # rebuilt from their shards — floors are shipped-capped, so every
-        # queued-but-unshipped op survives in some shard's log).
+        # Every stabilizer that holds protocol state (shards, or the K=1
+        # heads) gets its own WAL + checkpoint store; coordinators hold
+        # none (they are rebuilt from their shards — floors are
+        # shipped-capped, so every queued-but-unshipped op survives in some
+        # shard's log).
         disk = DiskModel.from_calibration(cal)
         stack.recovery = RecoveryManager(disk)
-        for proc in (*stack.shards, *stack.replicas):
-            proc.attach_durability(
-                WriteAheadLog(f"{proc.name}.wal", disk),
-                CheckpointStore(f"{proc.name}.ckpt"),
-                stack.recovery,
-                append_op_cost=cal.cost("wal_append_op"),
-                checkpoint_cost=cal.overhead("checkpoint_write"),
-            )
         for group in stack.groups:
-            group.recovery = stack.recovery
+            for proc in group.stabilizers():
+                proc.attach_durability(
+                    WriteAheadLog(f"{proc.name}.wal", disk),
+                    CheckpointStore(f"{proc.name}.ckpt"),
+                    stack.recovery,
+                    append_op_cost=cal.cost("wal_append_op"),
+                    checkpoint_cost=cal.overhead("checkpoint_write"),
+                )
     return stack

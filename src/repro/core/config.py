@@ -86,15 +86,10 @@ class EunomiaConfig:
     #: single sequential stabilizer (plain :class:`EunomiaService`).
     #: Composes with ``fault_tolerant=True``: the whole K-shard pipeline is
     #: then replicated ``n_replicas`` times (Alg. 4 × K shards) — each
-    #: replica runs its own shards behind a
-    #: :class:`~repro.core.shard.ReplicatedShardCoordinator`, partitions
+    #: replica runs its own shards behind its own coordinator, partitions
     #: stream to every replica's owning shard, and only the Ω-elected
     #: leader merges and ships stable runs.
     n_shards: int = 1
-
-    #: Partition → shard assignment: ``"stride"`` (round-robin, p % K) or
-    #: ``"block"`` (contiguous ranges).  See :class:`~repro.core.shard.ShardMap`.
-    shard_policy: str = "stride"
 
     #: Durability of stabilizer state: ``"none"`` (crash-stop with perfect
     #: memory — a recovered replica restarts with its protocol state intact)
@@ -154,11 +149,6 @@ class EunomiaConfig:
             raise ValueError("checkpoint interval must be positive")
         if self.state_transfer_timeout <= 0:
             raise ValueError("state transfer timeout must be positive")
-        if self.shard_policy not in ("stride", "block"):
-            raise ValueError(
-                f"unknown shard policy {self.shard_policy!r} "
-                "(expected 'stride' or 'block')"
-            )
         from ..datastruct.opbuffer import BUFFER_BACKENDS
 
         if self.buffer_backend not in BUFFER_BACKENDS:

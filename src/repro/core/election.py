@@ -14,11 +14,12 @@ At start-up all peers are optimistically trusted (as if a heartbeat had just
 been seen), so replica 0 is everyone's initial leader and there is no
 duplicate propagation during boot.
 
-Two hosts embed this helper: :class:`repro.core.replica.EunomiaReplica`
-(the paper's K=1 replica group) and
-:class:`repro.core.shard.ReplicatedShardCoordinator` (the merge head of a
-K-sharded replica group) — in both, ``is_leader()`` gates serialization
-and ``on_change`` timestamps failovers for the figures.
+One host embeds this helper: the :class:`repro.core.replica.ReplicaRole`
+of whichever process heads a replica — ``is_leader()`` gates serialization
+and ``on_change`` timestamps failovers for the figures.  An election that
+is never started (the unreplicated deployment) costs nothing and answers
+``is_leader()`` with True: a host without peers is the lowest-id
+unsuspected replica.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ module never imports upward into :mod:`repro.geo` or
 Registered protocols (the paper's full evaluation matrix):
 
 ==============  ========================================================
-``eunomia``     EunomiaKV — all four stabilizer shapes of
+``eunomia``     EunomiaKV — any shards × replicas stack of
                 :func:`repro.core.assembly.build_stabilizer_stack`
 ``eventual``    eventually consistent yardstick (zero causal metadata)
 ``gentlerain``  scalar global stable time (Du et al., SoCC'14)

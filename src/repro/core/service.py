@@ -26,19 +26,22 @@ Algorithm 3 ↔ this module:
   :meth:`StabilizerBase._stabilize` driving the buffer's ``pop_stable``
   and the subclass's :meth:`_emit`.
 
-Three deployments share the machinery in :class:`StabilizerBase`:
+Two stabilizers share the machinery in :class:`StabilizerBase`:
 
 * :class:`EunomiaService` — the paper's single sequential stabilizer per
   datacenter (the K=1 case), which serializes *all* partitions and ships
   the stable run to remote sites itself;
-* :class:`repro.core.replica.EunomiaReplica` — the Algorithm 4 form: R of
-  these, acks to partitions, leader-only ``_emit``;
 * :class:`repro.core.shard.EunomiaShard` — one of K workers that each run
   Algorithm 3 over a partition *subset* and hand their (already ordered)
   stable sub-runs to a :class:`repro.core.shard.ShardCoordinator` for a
-  K-way merge before remote propagation; with ``fault_tolerant=True`` the
-  whole K-shard pipeline is replicated (Alg. 4 × K, see
-  :mod:`repro.core.shard`).
+  K-way merge before remote propagation.
+
+Fault tolerance (Algorithm 4) is not a third stabilizer: with
+``fault_tolerant=True`` either pipeline is replicated R times, every
+stabilizer acknowledges batches (:meth:`StabilizerBase._post_batch`) and
+prunes at gossiped floors (:meth:`StabilizerBase.on_stable_announce`), and
+the process heading each replica — the service itself, or the shards'
+coordinator — plays the :class:`repro.core.replica.ReplicaRole`.
 
 CPU accounting: batch ingestion is charged through the cost model installed
 by the builder; stabilization charges a fixed round cost plus a per-op,
@@ -60,9 +63,9 @@ from .messages import (
     AddOpBatch,
     BatchAck,
     PartitionHeartbeat,
-    RemoteStableBatch,
     StableAnnounce,
 )
+from .replica import ReplicaRole
 
 __all__ = ["StabilizerBase", "EunomiaService"]
 
@@ -72,8 +75,9 @@ class StabilizerBase(Process):
 
     Subclasses decide what a computed stable run *means* by overriding
     :meth:`_emit` (ship it to remote datacenters, hand it to a shard
-    coordinator, …) and which partitions bound stability via
-    :meth:`_stable_floor`.
+    coordinator) and say whether their replica leads via
+    :meth:`_should_stabilize`; which partitions bound stability is
+    :meth:`set_tracked`.
     """
 
     def __init__(self, env: Environment, name: str, site: int,
@@ -276,8 +280,8 @@ class StabilizerBase(Process):
     def _post_batch(self, msg: AddOpBatch, src: Process) -> None:
         """NEW_BATCH acknowledgement (Alg. 4 line 5), fault-tolerant only.
 
-        Both replicated shapes share this: every Alg. 4 replica — an
-        :class:`EunomiaReplica` or a replica's
+        Every stabilizer of a replicated deployment — an
+        :class:`EunomiaService` or a replica's
         :class:`~repro.core.shard.EunomiaShard` — acks with the highest
         contiguous timestamp it now holds for the partition, so the
         uplink's per-replica retransmission window can advance.
@@ -329,20 +333,24 @@ class StabilizerBase(Process):
                       cost + self.ack_cost, lane="disk")
 
     def on_stable_announce(self, msg: StableAnnounce, src: Process) -> None:
-        """Follower pruning (Alg. 4 lines 13–15), shared by both shapes.
+        """Follower pruning (Alg. 4 lines 13–15).
 
         Everything at or below the announced floor was shipped remotely by
         the leader (for shards the floor arrives pre-capped per shard via
         the coordinator's gossip), so it is dropped without ever being
         serialized.
         """
-        if msg.stable_ts > self.stable_time:
-            self.stable_time = msg.stable_ts
-        if msg.stable_ts > self.shipped_stable:
+        self._prune(msg.stable_ts)
+
+    def _prune(self, floor: int) -> None:
+        """Raise StableTime and the shipped floor to ``floor``; drop below."""
+        if floor > self.stable_time:
+            self.stable_time = floor
+        if floor > self.shipped_stable:
             # Announced floors are shipped-capped by construction (the
             # leader announces after _propagate; shard gossip is capped at
             # the released StableTime), so they double as durable floors.
-            self.shipped_stable = msg.stable_ts
+            self.shipped_stable = floor
         self.buffer.drop_stable(self.stable_time)
 
     def on_partition_heartbeat(self, msg: PartitionHeartbeat, src: Process) -> None:
@@ -359,16 +367,15 @@ class StabilizerBase(Process):
     # Stabilization (Alg. 3 lines 7–11)
     # ------------------------------------------------------------------
     def _should_stabilize(self) -> bool:
-        """Hook: the fault-tolerant replica gates this on leadership."""
-        return True
+        """Only the leading replica runs PROCESS_STABLE (Alg. 4 line 8)."""
+        raise NotImplementedError
 
     def set_tracked(self, indices) -> None:
-        """Restrict the stable cut to ``indices`` (partial placement).
+        """Restrict the stable cut to ``indices`` (a shard's partition
+        subset; a site's resident partitions under partial placement).
 
-        A non-resident partition never streams ops, so leaving it in the
-        min would pin StableTime at zero forever; ``None`` restores the
-        historical all-partitions cut (bit-identical to before the knob
-        existed).
+        A partition that never streams ops here would, left in the min,
+        pin StableTime at zero forever; ``None`` is the all-partitions cut.
         """
         self.tracked = None if indices is None else sorted(indices)
 
@@ -395,16 +402,18 @@ class StabilizerBase(Process):
         raise NotImplementedError
 
 
-class EunomiaService(StabilizerBase):
-    """Single-replica Eunomia (the non-fault-tolerant Algorithm 3).
+class EunomiaService(ReplicaRole, StabilizerBase):
+    """The paper's stabilizer: Algorithm 3 over every partition of the site,
+    shipping its stable runs to remote receivers itself.
 
-    This is the K=1 special case of the sharded machinery: one stabilizer
-    covering every partition, propagating its stable runs to remote
-    receivers itself.
+    It heads its replica (:class:`~repro.core.replica.ReplicaRole`), so R of
+    them under ``fault_tolerant=True`` are the paper's Algorithm 4 as
+    written; alone, it is the R=1 case with no peers to gossip to.
     """
 
     def __init__(self, env: Environment, name: str, site: int,
                  n_partitions: int, config: EunomiaConfig,
+                 replica_id: int = 0,
                  propagate_op_cost: float = 0.0,
                  stab_round_cost: float = 0.0,
                  insert_op_cost: float = 0.0,
@@ -420,44 +429,38 @@ class EunomiaService(StabilizerBase):
                          heartbeat_cost=heartbeat_cost,
                          ack_cost=ack_cost,
                          metrics=metrics, cost_model=cost_model)
+        self._init_role(replica_id, stable_mark)
         self.propagate_op_cost = propagate_op_cost
         self.stab_round_cost = stab_round_cost
-        self.destinations: list[Process] = []
-        #: metric name for per-op stabilization marks (throughput figures)
-        self.stable_mark = stable_mark or f"eunomia_stable:dc{site}"
 
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def add_destination(self, dest: Process) -> None:
-        """Register a remote receiver (or measurement sink)."""
-        self.destinations.append(dest)
+    def start(self) -> None:
+        super().start()
+        self._join_election()
+
+    def _should_stabilize(self) -> bool:
+        return self.is_leader()
 
     # ------------------------------------------------------------------
     # Stable-run consumption
     # ------------------------------------------------------------------
     def _emit(self, stable_ts: int, ops: list) -> None:
         if not ops:
-            self._post_stabilize(stable_ts, ops)
             return
         cost = (self.stab_round_cost
                 + self.propagate_op_cost * len(ops) * max(1, len(self.destinations)))
         self._enqueue(lambda: self._propagate(stable_ts, ops), cost)
 
     def _propagate(self, stable_ts: int, ops: list) -> None:
-        """PROCESS(StableOps): ship the ordered stable run to every site."""
+        """PROCESS(StableOps): ship the stable run, then tell followers what
+        is now shipped so they prune (Alg. 4 line 12)."""
         if stable_ts > self.shipped_stable:
             self.shipped_stable = stable_ts
-        self.ops_stabilized += len(ops)
-        self.metrics.mark_many(self.stable_mark, self.now, len(ops))
-        tracer = self.metrics.tracer
-        if tracer is not None:
-            now, site = self.now, self.site
-            for op in ops:
-                tracer.stage_once(op, "propagate", now, site)
-        batch = RemoteStableBatch(self.site, tuple(ops))
-        self.multicast(self.destinations, batch)
-        self._post_stabilize(stable_ts, ops)
+        self._ship(ops)
+        if self.peers:
+            self.multicast(self.peers, StableAnnounce(stable_ts))
 
-    def _post_stabilize(self, stable_ts: int, ops: list) -> None:
-        """Hook: the fault-tolerant leader announces StableTime here."""
+    def _transfer_floors(self) -> tuple:
+        return (self.shipped_stable,)
+
+    def _adopt_floors(self, floors) -> None:
+        self._prune(floors[0])

@@ -44,9 +44,11 @@ Fault tolerance (Algorithm 4 × K shards)
 
 With ``EunomiaConfig(fault_tolerant=True, n_replicas=R, n_shards=K)`` the
 whole K-shard pipeline above is *replicated*: each of the R replicas runs
-its own K shards plus one :class:`ReplicatedShardCoordinator`
-(assembled as a :class:`ShardedReplicaGroup`).  Algorithm 4 maps onto the
-sharded pipeline line by line:
+its own K shards behind its own :class:`ShardCoordinator` (one
+:class:`~repro.core.replica.ReplicaGroup`).  The coordinator heads the
+replica, i.e. plays the :class:`~repro.core.replica.ReplicaRole` exactly as
+the K=1 service does, and Algorithm 4 maps onto the sharded pipeline line
+by line:
 
 * NEW_BATCH acks (Alg. 4 line 5) move into the shards — partitions
   retransmit unacked suffixes to the owning shard *of every replica*
@@ -77,43 +79,31 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable, Optional
+from typing import Optional
 
 from ..kvstore.types import Update
 from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
 from ..sim.process import CostModel, Process
 from .config import EunomiaConfig
-from .election import OmegaElection
-from .messages import (
-    RemoteStableBatch,
-    ReplicaAlive,
-    ShardStableBatch,
-    ShardStableVector,
-    StableAnnounce,
-    StateTransferReply,
-    StateTransferRequest,
-)
+from .messages import ShardStableBatch, ShardStableVector, StableAnnounce
+from .replica import ReplicaRole
 from .service import StabilizerBase
 
-__all__ = ["ShardMap", "EunomiaShard", "ShardCoordinator",
-           "ReplicatedShardCoordinator", "ShardedReplicaGroup"]
+__all__ = ["ShardMap", "EunomiaShard", "ShardCoordinator"]
+
 
 class ShardMap:
     """Partition → shard assignment for one datacenter.
 
-    Policies (``EunomiaConfig.shard_policy``):
-
-    * ``"stride"`` — round-robin, partition ``p`` goes to shard ``p % K``;
-    * ``"block"`` — contiguous ranges, partition ``p`` to ``p * K // N``.
-
-    Both keep shard loads within one partition of each other; ``stride``
-    additionally decorrelates a shard's subset from any locality in
-    partition numbering (e.g. one hot rack of consecutive indices).
+    Round-robin: the ``j``-th resident partition goes to shard ``j % K``
+    (``p % K`` under full replication).  Shard loads stay within one
+    partition of each other, and a shard's subset is decorrelated from any
+    locality in partition numbering (e.g. one hot rack of consecutive
+    indices).
     """
 
     def __init__(self, n_partitions: int, n_shards: int,
-                 policy: str = "stride",
                  indices: Optional[list] = None):
         if n_shards < 1:
             raise ValueError("need at least one Eunomia shard")
@@ -129,17 +119,9 @@ class ShardMap:
                 f"{n_shards} shards: some shards would track no partition "
                 f"and pin StableTime at zero forever"
             )
-        if policy == "stride":
-            assign = {p: j % n_shards for j, p in enumerate(universe)}
-        elif policy == "block":
-            assign = {p: j * n_shards // len(universe)
-                      for j, p in enumerate(universe)}
-        else:
-            raise ValueError(f"unknown shard policy {policy!r}")
         self.n_partitions = n_partitions
         self.n_shards = n_shards
-        self.policy = policy
-        self._assign = assign
+        self._assign = {p: j % n_shards for j, p in enumerate(universe)}
 
     def shard_of(self, partition_index: int) -> int:
         return self._assign[partition_index]
@@ -152,13 +134,16 @@ class ShardMap:
 class EunomiaShard(StabilizerBase):
     """One of K stabilizer workers: Algorithm 3 over a partition subset.
 
+    ``owned`` is its stable cut (:attr:`StabilizerBase.tracked`): only the
+    partitions routed to this shard bound its ShardStableTime.
+
     In a replicated deployment (Alg. 4 × K) the shard additionally plays
     its replica's part of the Algorithm 4 machinery for the partitions it
     owns: it acknowledges every batch with its highest contiguous
     per-partition timestamp (line 5), runs FIND_STABLE only while its
-    replica's coordinator leads (``leader_gate``), and — on follower
-    replicas — prunes its buffer at the floors the leader gossips
-    (lines 13–15, via :meth:`on_stable_announce`).
+    replica's coordinator leads, and — on follower replicas — prunes its
+    buffer at the floors the leader gossips (lines 13–15, via
+    :meth:`on_stable_announce`).
     """
 
     def __init__(self, env: Environment, name: str, site: int,
@@ -171,8 +156,7 @@ class EunomiaShard(StabilizerBase):
                  heartbeat_cost: float = 0.0,
                  ack_cost: float = 0.0,
                  metrics: Optional[MetricsHub] = None,
-                 cost_model: Optional[CostModel] = None,
-                 leader_gate: Optional[Callable[[], bool]] = None):
+                 cost_model: Optional[CostModel] = None):
         super().__init__(env, name, site, n_partitions, config,
                          insert_op_cost=insert_op_cost,
                          batch_cost=batch_cost,
@@ -182,22 +166,15 @@ class EunomiaShard(StabilizerBase):
         if not owned:
             raise ValueError(f"shard {shard_id} owns no partitions")
         self.shard_id = shard_id
-        self.owned = sorted(owned)
+        self.set_tracked(owned)
         self.serialize_op_cost = serialize_op_cost
         self.stab_round_cost = stab_round_cost
-        #: replicated deployments: does this shard's replica lead the group?
-        self.leader_gate = leader_gate
         self.coordinator: Optional[Process] = None
         #: highest ShardStableTime already shipped to the coordinator
         self.announced = 0
 
     def set_coordinator(self, coordinator: Process) -> None:
         self.coordinator = coordinator
-
-    def _stable_floor(self) -> int:
-        """ShardStableTime: only this shard's partitions bound stability."""
-        times = self.partition_time
-        return min(times[p] for p in self.owned)
 
     def _durable_floor(self) -> int:
         """WAL-truncation floor: the shard's shipped floor per the gossiped
@@ -218,15 +195,11 @@ class EunomiaShard(StabilizerBase):
         super()._adopt_recovery_state(partition_time, buffer, floor)
         self.announced = floor
 
-    # ------------------------------------------------------------------
-    # Algorithm 4 behaviour (replicated deployments only; NEW_BATCH acks
-    # and follower pruning are inherited from StabilizerBase._post_batch /
-    # on_stable_announce, shared with EunomiaReplica)
-    # ------------------------------------------------------------------
     def _should_stabilize(self) -> bool:
         # Followers hold their buffers and wait for prune gossip; only the
         # leading replica's shards serialize (Alg. 4 leader-only PROCESS).
-        return self.leader_gate is None or self.leader_gate()
+        coordinator = self.coordinator
+        return coordinator is not None and coordinator.is_leader()
 
     def _emit(self, stable_ts: int, ops: list) -> None:
         """Serialize the stable sub-run and hand it to the coordinator.
@@ -235,8 +208,6 @@ class EunomiaShard(StabilizerBase):
         coordinator's global min cannot move (and other shards' queued ops
         cannot be released) unless every shard keeps reporting progress.
         """
-        if self.coordinator is None:
-            return
         if not ops and stable_ts <= self.announced:
             return
         self.announced = stable_ts
@@ -246,7 +217,7 @@ class EunomiaShard(StabilizerBase):
         self._enqueue(lambda: self.send(self.coordinator, batch), cost)
 
 
-class ShardCoordinator(Process):
+class ShardCoordinator(ReplicaRole, Process):
     """Merges shard stable runs into the datacenter-wide stable stream.
 
     Receives :class:`ShardStableBatch` from each shard (FIFO links keep each
@@ -255,10 +226,19 @@ class ShardCoordinator(Process):
     everything at or below ``StableTime = min(shard_stable)`` with a K-way
     streaming merge, then propagates the merged run exactly like the K=1
     service would.
+
+    It heads its replica (:class:`~repro.core.replica.ReplicaRole`).  In a
+    replicated deployment the leader, after shipping, gossips a
+    :class:`~repro.core.messages.ShardStableVector` so follower
+    coordinators fan per-shard prune floors out to their local shards
+    (Alg. 4 lines 12–15, per shard).  Followers receive nothing from their
+    own shards — those serialize only while their coordinator leads — so a
+    follower's only stabilization work is ``drop_stable``.
     """
 
     def __init__(self, env: Environment, name: str, site: int,
                  n_shards: int, config: EunomiaConfig,
+                 replica_id: int = 0,
                  forward_op_cost: float = 0.0,
                  merge_round_cost: float = 0.0,
                  batch_cost: float = 0.0,
@@ -271,25 +251,23 @@ class ShardCoordinator(Process):
         self.forward_op_cost = forward_op_cost
         self.merge_round_cost = merge_round_cost
         self.metrics = metrics or NullMetrics()
+        self._init_role(replica_id, stable_mark)
+        self.local_shards: list[EunomiaShard] = []
         self.shard_stable = [0] * n_shards
         self._queues: list[deque] = [deque() for _ in range(n_shards)]
-        self.destinations: list[Process] = []
         self.stable_time = 0
         #: per-shard floors of the last run actually shipped (≤ stable_time)
         self.shipped_floors = [0] * n_shards
-        self.ops_stabilized = 0
         self.merge_rounds = 0
-        self.stable_mark = stable_mark or f"eunomia_stable:dc{site}"
 
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def add_destination(self, dest: Process) -> None:
-        """Register a remote receiver (or measurement sink)."""
-        self.destinations.append(dest)
+    def set_shards(self, shards: list[EunomiaShard]) -> None:
+        """Register this replica's own K shards (prune fan-out targets)."""
+        self.local_shards = list(shards)
 
     def start(self) -> None:
-        """Event-driven: draining piggybacks on shard announcements."""
+        """Event-driven: draining piggybacks on shard announcements, so the
+        Ω election is the only timer."""
+        self._join_election()
 
     # ------------------------------------------------------------------
     # Ingestion + merge
@@ -356,144 +334,42 @@ class ShardCoordinator(Process):
         self.stable_time = 0
         self.shipped_floors = [0] * self.n_shards
 
-    def _propagate(self, ops: list, floors=None) -> None:
-        """Ship one merged stable run to every remote site."""
+    def _propagate(self, ops: list, floors) -> None:
+        """Ship one merged stable run, then tell follower replicas what is
+        now shipped so their shards prune (Alg. 4 line 12, vectorized)."""
         self.merge_rounds += 1
-        if floors is not None:
-            shipped = self.shipped_floors
-            for k, floor in enumerate(floors):
-                if floor > shipped[k]:
-                    shipped[k] = floor
-        self.ops_stabilized += len(ops)
-        self.metrics.mark_many(self.stable_mark, self.now, len(ops))
-        tracer = self.metrics.tracer
-        if tracer is not None:
-            now, site = self.now, self.site
-            for op in ops:
-                tracer.stage_once(op, "propagate", now, site)
-        batch = RemoteStableBatch(self.site, tuple(ops))
-        self.multicast(self.destinations, batch)
-        self._post_propagate(ops, floors)
+        self._note_shipped(floors)
+        self._ship(ops)
+        if self.peers:
+            self.multicast(self.peers, ShardStableVector(floors))
 
-    def _post_propagate(self, ops: list, floors) -> None:
-        """Hook: the replicated coordinator gossips prune floors here."""
-
-
-class ReplicatedShardCoordinator(ShardCoordinator):
-    """One replica's merge head in a fault-tolerant sharded deployment.
-
-    R of these (one per :class:`ShardedReplicaGroup`) run the Ω election of
-    :mod:`repro.core.election` among themselves; each fronts its replica's
-    own K shards.  The leader merges its shards' stable sub-runs and ships
-    them exactly like the unreplicated :class:`ShardCoordinator`, then
-    gossips a :class:`~repro.core.messages.ShardStableVector` so follower
-    coordinators fan per-shard prune floors out to their local shards
-    (Alg. 4 lines 12–15, per shard).  Followers receive nothing from their
-    own shards — the shards' ``leader_gate`` keeps them from serializing —
-    so a follower's only stabilization work is ``drop_stable``.
-
-    Leadership uniqueness is *not* required for safety (the paper's §3.3
-    argument): during an election flap two coordinators may both ship and
-    both gossip, remote receivers deduplicate the overlap per origin, and
-    prune gossip only ever names ops that some leader actually shipped.
-    """
-
-    def __init__(self, env: Environment, name: str, site: int,
-                 n_shards: int, config: EunomiaConfig,
-                 replica_id: int,
-                 forward_op_cost: float = 0.0,
-                 merge_round_cost: float = 0.0,
-                 batch_cost: float = 0.0,
-                 metrics: Optional[MetricsHub] = None,
-                 stable_mark: Optional[str] = None):
-        super().__init__(env, name, site, n_shards, config,
-                         forward_op_cost=forward_op_cost,
-                         merge_round_cost=merge_round_cost,
-                         batch_cost=batch_cost,
-                         metrics=metrics, stable_mark=stable_mark)
-        self.replica_id = replica_id
-        self.peers: list["ReplicatedShardCoordinator"] = []
-        self.local_shards: list[EunomiaShard] = []
-        self.election = OmegaElection(
-            self, replica_id,
-            alive_interval=config.replica_alive_interval,
-            suspect_timeout=config.replica_suspect_timeout,
-            on_change=self._leadership_changed,
-        )
-        self.leadership_log: list[tuple[float, int]] = []
-        #: True between an amnesia-crash restore and state-transfer
-        #: completion: the group neither leads nor broadcasts until then
-        self._rejoining = False
-
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def set_peers(self, peers: list["ReplicatedShardCoordinator"]) -> None:
-        """Register the other replicas' coordinators."""
-        self.peers = [p for p in peers if p is not self]
-        self.election.set_peers({p.replica_id: p for p in self.peers})
-
-    def set_shards(self, shards: list[EunomiaShard]) -> None:
-        """Register this replica's own K shards (prune fan-out targets)."""
-        self.local_shards = list(shards)
-
-    def start(self) -> None:
-        super().start()
-        if not self._rejoining:
-            self.election.start()
-
-    # ------------------------------------------------------------------
-    # Crash recovery: peer state transfer (durability="wal")
-    # ------------------------------------------------------------------
-    def begin_rejoin(self) -> None:
-        """Enter rejoin mode *before* :meth:`start`: the coordinator will
-        neither claim leadership nor broadcast ReplicaAlive until the state
-        transfer completes (or times out with no surviving peer)."""
-        self._rejoining = True
-
-    def request_state_transfer(self) -> None:
-        """Ask surviving peers for their current shipped floors."""
-        request = StateTransferRequest(self.replica_id)
-        self.multicast(self.peers, request)
-        self.after(self.config.state_transfer_timeout,
-                   self._state_transfer_timeout)
-
-    def on_state_transfer_request(self, msg: StateTransferRequest,
-                                  src: Process) -> None:
-        if self._rejoining:
-            return  # both down: neither side has floors worth adopting
-        self.send(src, StateTransferReply(self.replica_id,
-                                          tuple(self.shipped_floors)))
-
-    def on_state_transfer_reply(self, msg: StateTransferReply,
-                                src: Process) -> None:
-        if not self._rejoining:
-            return
-        # Adopt the survivors' shipped floors: everything at or below them
-        # was delivered remotely while this group was down, so the restored
-        # shards prune there instead of re-shipping the whole outage window.
-        self._apply_floors(msg.stable_times)
-        self._complete_rejoin()
-
-    def _state_transfer_timeout(self) -> None:
-        # No surviving peer answered: the local (checkpoint + WAL) floors
-        # are the best available; remote dedup absorbs the re-ships.
-        if self._rejoining:
-            self._complete_rejoin()
-
-    def _complete_rejoin(self) -> None:
-        self._rejoining = False
-        self.state_lost = False
-        # Refresh the failure detector (stale pre-crash sightings would
-        # otherwise linger) and resume ReplicaAlive broadcasts.
-        self.election.set_peers({p.replica_id: p for p in self.peers})
-        self.election.start()
-
-    def _apply_floors(self, floors) -> None:
+    def _note_shipped(self, floors) -> None:
         shipped = self.shipped_floors
         for k, floor in enumerate(floors):
             if floor > shipped[k]:
                 shipped[k] = floor
+
+    # ------------------------------------------------------------------
+    # Follower side: prune to the floors a peer shipped
+    # ------------------------------------------------------------------
+    def on_shard_stable_vector(self, msg: ShardStableVector,
+                               src: Process) -> None:
+        # Applying gossip is safe regardless of who believes they lead —
+        # every floor names only remotely shipped ops (see the cap in
+        # _prune_floors).  A deposed leader may still hold popped-but-
+        # unreleased ops in its merge queues; everything at or below the
+        # gossiped floors has now been shipped by the current leader, so
+        # _adopt_floors drops it here too (it would otherwise be
+        # re-released — harmless but wasteful — if this replica leads
+        # again).  Tracking the floors also gives followers the durable
+        # truncation/state-transfer baseline (shipped_floors).
+        self._adopt_floors(msg.stable_times)
+
+    def _transfer_floors(self) -> tuple:
+        return tuple(self.shipped_floors)
+
+    def _adopt_floors(self, floors) -> None:
+        self._note_shipped(floors)
         released = min(floors)
         if released > self.stable_time:
             self.stable_time = released
@@ -502,178 +378,3 @@ class ReplicatedShardCoordinator(ShardCoordinator):
                 queue.popleft()
         for shard in self.local_shards:
             self.send(shard, StableAnnounce(floors[shard.shard_id]))
-
-    # ------------------------------------------------------------------
-    # Algorithm 4 behaviour
-    # ------------------------------------------------------------------
-    def _post_propagate(self, ops: list, floors) -> None:
-        # Alg. 4 line 12, vectorized: tell follower replicas what is now
-        # shipped so their shards prune.
-        if not ops:
-            return
-        vector = ShardStableVector(floors)
-        self.multicast(self.peers, vector)
-
-    def on_shard_stable_vector(self, msg: ShardStableVector,
-                               src: Process) -> None:
-        # Follower side: fan the per-shard floors out to the local shards.
-        # Applying gossip is safe regardless of who believes they lead —
-        # every floor names only remotely shipped ops (see the cap in
-        # _prune_floors).  A deposed leader may still hold popped-but-
-        # unreleased ops in its merge queues; everything at or below the
-        # gossiped floors has now been shipped by the current leader, so
-        # _apply_floors drops it here too (it would otherwise be
-        # re-released — harmless but wasteful — if this replica leads
-        # again).  Tracking the floors also gives followers the durable
-        # truncation/state-transfer baseline (shipped_floors).
-        self._apply_floors(msg.stable_times)
-
-    def on_replica_alive(self, msg: ReplicaAlive, src: Process) -> None:
-        self.election.on_alive(msg)
-
-    def _leadership_changed(self, leader_id: int) -> None:
-        self.leadership_log.append((self.now, leader_id))
-
-    def is_leader(self) -> bool:
-        """Whether this coordinator currently believes it leads the group."""
-        return not self._rejoining and self.election.is_leader()
-
-
-class ShardedReplicaGroup:
-    """One replica of the fault-tolerant sharded stabilizer: K shards + a
-    coordinator, presented as a unit (crash/recover target, introspection).
-
-    This is the ``EunomiaReplica`` analogue of the sharded world: drills
-    and figures crash *groups*, not individual shard processes — a replica
-    failure takes its whole pipeline down at once.
-    """
-
-    def __init__(self, replica_id: int,
-                 coordinator: ReplicatedShardCoordinator,
-                 shards: list[EunomiaShard]):
-        self.replica_id = replica_id
-        self.coordinator = coordinator
-        self.shards = list(shards)
-        #: durable-state restorer (set by the assembly when durability="wal")
-        self.recovery = None
-
-    @property
-    def name(self) -> str:
-        return self.coordinator.name
-
-    @property
-    def crashed(self) -> bool:
-        return self.coordinator.crashed
-
-    @property
-    def ops_stabilized(self) -> int:
-        return self.coordinator.ops_stabilized
-
-    @property
-    def stable_mark(self) -> str:
-        return self.coordinator.stable_mark
-
-    @property
-    def leadership_log(self) -> list[tuple[float, int]]:
-        return self.coordinator.leadership_log
-
-    def processes(self) -> list[Process]:
-        """All member processes, shards first (start order)."""
-        return [*self.shards, self.coordinator]
-
-    def start(self) -> None:
-        for proc in self.processes():
-            proc.start()
-
-    def crash(self, lose_state: bool = False) -> None:
-        """Crash-stop the whole replica: every shard and the coordinator.
-
-        ``lose_state=True`` is an amnesia crash: the members' protocol
-        state (unstable buffers, PartitionTime, merge queues, floors) is
-        wiped too; only durable media (WALs, checkpoints) survive, so
-        :meth:`recover` then needs ``durability="wal"``.
-        """
-        for proc in self.processes():
-            proc.crash(lose_state=lose_state)
-
-    def recover(self) -> None:
-        """Restart every member after a crash.
-
-        ``Process.recover`` alone would leave a zombie — the crash's epoch
-        bump permanently kills the epoch-guarded stabilization ticks and
-        election broadcasts armed at start-up — so each member is started
-        again.  After a crash-stop, protocol state survives: the uplinks'
-        Alg. 4 retransmission backfills everything missed while down, and
-        anything the rejoining replica re-ships from its stale
-        ``StableTime`` is deduplicated by remote receivers.
-
-        After an *amnesia* crash (``crash(lose_state=True)``) the members
-        are rebuilt from their WALs and checkpoints first, and the
-        coordinator runs a peer state-transfer round — adopting the
-        survivors' shipped floors — before re-entering the Ω election
-        (see :mod:`repro.durability`).
-        """
-        if self.coordinator.state_lost:
-            self._rejoin_with_state_loss()
-            return
-        for proc in self.processes():
-            proc.recover()
-            proc.start()
-
-    def _rejoin_with_state_loss(self) -> None:
-        if self.recovery is None:
-            raise RuntimeError(
-                f"{self.name}: state was lost in the crash and no durable "
-                "state is attached — rejoin requires "
-                "EunomiaConfig(durability='wal')"
-            )
-        for shard in self.shards:
-            shard.recover()
-            self.recovery.restore(shard)
-            shard.start()
-        coordinator = self.coordinator
-        coordinator.recover()
-        coordinator.begin_rejoin()     # no leadership/broadcast until caught up
-        coordinator.start()
-        coordinator.request_state_transfer()
-
-    def rejoin(self) -> None:
-        """Alias of :meth:`recover` — naming symmetry with
-        :meth:`repro.core.replica.EunomiaReplica.rejoin`, so drills and
-        figures can treat both crash-unit kinds uniformly."""
-        self.recover()
-
-    # ------------------------------------------------------------------
-    # Partial-group failures: one shard, not the whole pipeline
-    # ------------------------------------------------------------------
-    def crash_shard(self, shard_id: int, lose_state: bool = False) -> None:
-        """Crash a single member shard; the coordinator stays up.
-
-        No failover follows — the Ω election watches coordinators — so the
-        site's stable output stalls at the dead shard's last announced
-        floor (``min(ShardStableTime)`` stops moving) until the shard
-        rejoins and the uplinks' retransmission backfills it.
-        """
-        self.shards[shard_id].crash(lose_state=lose_state)
-
-    def recover_shard(self, shard_id: int) -> None:
-        """Rejoin one crashed shard (durable restore after an amnesia
-        crash).  The live local coordinator's shipped floors raise the
-        recovery floor past the shard's own checkpoint, so the restored
-        buffer skips ops that are provably delivered."""
-        shard = self.shards[shard_id]
-        shard.recover()
-        if shard.state_lost:
-            if self.recovery is None:
-                raise RuntimeError(
-                    f"{shard.name}: state was lost in the crash and no "
-                    "durable state is attached — rejoin requires "
-                    "EunomiaConfig(durability='wal')"
-                )
-            self.recovery.restore(
-                shard,
-                extra_floor=self.coordinator.shipped_floors[shard_id])
-        shard.start()
-
-    def is_leader(self) -> bool:
-        return self.coordinator.is_leader()

@@ -22,14 +22,14 @@ crash.  This package provides it, simulated but cost-accounted:
   running floor — popped-but-unshipped ops must survive in the log.
 * :mod:`repro.durability.recovery` — the rejoin path: replay
   checkpoint + log suffix to rebuild PartitionTime and the unstable buffer,
-  then (for replicated shapes) a peer state-transfer round that adopts the
+  then (with peers) a peer state-transfer round that adopts the
   surviving group's shipped floors before the rejoiner re-enters the Ω
   election, so it resumes from a correct ``StableTime``/``ShardStableVector``
   instead of a stale one.
 
 Enable with ``EunomiaConfig(durability="wal", checkpoint_interval=...)``;
-:func:`repro.core.assembly.build_stabilizer_stack` wires the stores into all
-four stabilizer shapes.  See ``docs/ARCHITECTURE.md`` ("Durability & crash
+:func:`repro.core.assembly.build_stabilizer_stack` wires the stores into
+every stabilizer of the stack.  See ``docs/ARCHITECTURE.md`` ("Durability & crash
 recovery") for the end-to-end argument.
 """
 

@@ -21,9 +21,8 @@ serve — retransmitted uplink traffic queues behind the replay.
 
 The *group*-level rejoin — peer state transfer to adopt the surviving
 replicas' shipped floors, then re-entering the Ω election — is driven by
-the crash units themselves (:meth:`repro.core.shard.ShardedReplicaGroup.recover`,
-:meth:`repro.core.replica.EunomiaReplica.rejoin`), which call
-:meth:`restore` per member and then run the
+the crash unit itself (:meth:`repro.core.replica.ReplicaGroup.recover`),
+which calls :meth:`restore` per member and then runs the
 ``StateTransferRequest``/``StateTransferReply`` handshake of
 :mod:`repro.core.messages`.  The manager records a
 :class:`RestoreReport` per restore for drills and tests.

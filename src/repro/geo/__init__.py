@@ -6,7 +6,6 @@ from .receiver import Receiver
 from .system import (
     GeoSystem,
     GeoSystemSpec,
-    build_eunomia_system,
     build_geo_system,
 )
 
@@ -16,6 +15,5 @@ __all__ = [
     "EunomiaProtocol",
     "GeoSystem",
     "GeoSystemSpec",
-    "build_eunomia_system",
     "build_geo_system",
 ]

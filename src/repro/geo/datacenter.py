@@ -11,11 +11,10 @@ and every partition learns its remote siblings for the §5 direct data
 shipping), start order, and store introspection.
 
 For EunomiaKV the plugin (:class:`EunomiaProtocol`, registered here) is a
-datacenter of N partitions (Alg. 2), an Eunomia stabilizer complex — any
-of the four shapes :func:`repro.core.assembly.build_stabilizer_stack`
-produces (plain service, Alg. 4 replica group, K-shard pipeline, or the
-fault-tolerant K-shard × R-replica composition) — and a receiver
-(Alg. 5).  The baseline protocols plug into the *same* spine from
+datacenter of N partitions (Alg. 2), an Eunomia stabilizer complex — R
+replicas of a K-shard pipeline, any R and K, as
+:func:`repro.core.assembly.build_stabilizer_stack` builds it — and a
+receiver (Alg. 5).  The baseline protocols plug into the *same* spine from
 :mod:`repro.baselines`, which is what makes every measured difference
 protocol, not plumbing.
 """
@@ -44,8 +43,8 @@ __all__ = ["Datacenter", "EunomiaProtocol"]
 
 class EunomiaProtocol(ProtocolSpec):
     """EunomiaKV as a plugin: Alg. 2 partitions + stabilizer stack + Alg. 5
-    receiver.  Option: ``config`` (:class:`EunomiaConfig`, all four
-    stabilizer shapes, durability, buffer backends)."""
+    receiver.  Option: ``config`` (:class:`EunomiaConfig`: shards ×
+    replicas, durability, buffer backends)."""
 
     name = "eunomia"
 
@@ -155,15 +154,10 @@ class Datacenter:
         stack = self.plan.stack
         self.stack = stack
         self.config = options.get("config") if options else None
-        self.eunomia_replicas = stack.replicas if stack else []
-        self.shards = stack.shards if stack else []
-        self.coordinators = stack.coordinators if stack else []
-        #: the single coordinator of an unreplicated sharded deployment
-        #: (None otherwise; kept for ablation/test introspection)
-        self.coordinator = (self.coordinators[0]
-                            if len(self.coordinators) == 1 else None)
+        #: the stabilizer replicas (head + shards each), in election order
         self.replica_groups = stack.groups if stack else []
-        self.shard_map = stack.shard_map if stack else None
+        #: their heads — the processes that can ship this site's stable runs
+        self.heads = stack.heads if stack else []
 
     # ------------------------------------------------------------------
     # Cross-datacenter wiring
@@ -222,8 +216,7 @@ class Datacenter:
     # ------------------------------------------------------------------
     def leader(self):
         """The process shipping this site's ordered stream (protocol-defined:
-        the plain service, the leading replica, the leading replica's shard
-        coordinator, or the sequencer)."""
+        the leading replica's head, or the sequencer)."""
         return self.protocol.leader(self.plan)
 
     def resident_partitions(self) -> list:

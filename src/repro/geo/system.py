@@ -13,10 +13,8 @@ so every measured difference is protocol, not plumbing:
     system.run(duration=10.0)
     print(system.total_throughput())
 
-:func:`build_eunomia_system` is the EunomiaKV-flavored wrapper the
-examples use; the baseline wrappers live in :mod:`repro.baselines`.  All
-return the same :class:`GeoSystem` facade, so every experiment script
-treats protocols uniformly — including failure injection:
+Every protocol comes back as the same :class:`GeoSystem` facade, so every
+experiment script treats protocols uniformly — including failure injection:
 ``system.failures()`` hands out the system's
 :class:`~repro.sim.failure.FailureSchedule`, armed at start, for any
 protocol.
@@ -24,14 +22,12 @@ protocol.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from ..calibration import Calibration
 from ..clocks.ntp import NtpSynchronizer
 from ..core.client import SessionClient
-from ..core.config import EunomiaConfig
 from ..core.placement import PlacementMap
 from ..core.protocols import ProtocolSpec, get_protocol
 from ..kvstore.ring import ConsistentHashRing
@@ -42,8 +38,7 @@ from ..sim.network import Network
 from ..workload.generator import WorkloadSpec
 from .datacenter import Datacenter
 
-__all__ = ["GeoSystemSpec", "GeoSystem", "build_geo_system",
-           "build_eunomia_system"]
+__all__ = ["GeoSystemSpec", "GeoSystem", "build_geo_system"]
 
 
 @dataclass
@@ -275,24 +270,3 @@ def build_geo_system(protocol: Union[str, ProtocolSpec],
             ))
     return GeoSystem(env, spec, metrics, datacenters, clients,
                      protocol=proto.name, ntp=ntp, placement=pmap)
-
-
-def build_eunomia_system(spec: GeoSystemSpec,
-                         workload: WorkloadSpec,
-                         config: Optional[EunomiaConfig] = None,
-                         metrics: Optional[MetricsHub] = None,
-                         history=None) -> GeoSystem:
-    """Construct a complete EunomiaKV deployment (not yet started).
-
-    .. deprecated::
-        Call ``build_geo_system("eunomia", ...)`` — one deployment spine,
-        protocol selected by name.  This wrapper forwards verbatim and will
-        be removed.
-    """
-    warnings.warn(
-        "build_eunomia_system is deprecated; use "
-        "build_geo_system('eunomia', ...)",
-        DeprecationWarning, stacklevel=2,
-    )
-    return build_geo_system("eunomia", spec, workload, metrics=metrics,
-                            history=history, config=config)

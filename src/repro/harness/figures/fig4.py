@@ -9,8 +9,8 @@ detector suspects the old leader, then back to ~95–100%) and dies at t₂;
 phenomena (failover gap ≈ the suspicion timeout, full recovery) are
 interval-free.
 
-With ``n_shards > 1`` the same schedule crashes whole
-:class:`~repro.core.shard.ShardedReplicaGroup` pipelines (Alg. 4 × K):
+The schedule crashes :class:`~repro.core.replica.ReplicaGroup` units, so
+with ``n_shards > 1`` it takes whole K-shard pipelines down (Alg. 4 × K):
 the expected shape is identical, which is the point — replicating the
 sharded stabilizer buys the paper's failover story at K-shard throughput.
 
@@ -90,7 +90,7 @@ def _phase_mean(timeline, start: float, end: float) -> float:
 def run(params: Optional[Fig4Params] = None) -> FigureResult:
     p = params or Fig4Params()
     if p.rejoin_at is not None and p.durability != "wal":
-        # Fail fast: scheduling rejoin() after an amnesia crash without a
+        # Fail fast: scheduling recover() after an amnesia crash without a
         # WAL would raise mid-simulation, 12 seconds in.
         raise ValueError(
             "the amnesia->rejoin timeline (rejoin_at) requires "
@@ -121,19 +121,17 @@ def run(params: Optional[Fig4Params] = None) -> FigureResult:
                                 calibration=cal, seed=p.seed)
         # Crash the initial leader at t1 and its successor at t2.  Replica
         # ids are elected lowest-first, so the leadership order is 0, 1, 2.
-        # ``rig.groups`` holds the crash units — Alg. 4 replicas when
-        # K=1, whole ShardedReplicaGroups (K shards + coordinator) when
-        # the stabilizer is sharded.
+        # ``rig.groups`` holds the crash units — one ReplicaGroup per
+        # replica (its head plus, when sharded, its K shards).
         groups = rig.groups
         if p.rejoin_at is not None:
             # Amnesia timeline: the leader loses its state at t1 and
             # rejoins at t2 through the WAL/checkpoint/state-transfer path
-            # (a ShardedReplicaGroup or an Alg. 4 replica — both expose
-            # crash(lose_state=True) and rejoin()).
+            # (ReplicaGroup.recover).
             target = groups[0]
             rig.env.loop.schedule_at(
                 p.crash1, lambda t=target: t.crash(lose_state=True))
-            rig.env.loop.schedule_at(p.rejoin_at, target.rejoin)
+            rig.env.loop.schedule_at(p.rejoin_at, target.recover)
             t2 = p.rejoin_at
         else:
             rig.env.loop.schedule_at(p.crash1, groups[0].crash)

@@ -210,9 +210,9 @@ class ServiceRig:
     service_processes: list
     sink: RemoteSink
     throughput_mark: str
-    #: replica-failure targets, in election order (Alg. 4 replicas or
-    #: :class:`~repro.core.shard.ShardedReplicaGroup`s); empty when the
-    #: service has no replicas to crash
+    #: replica-failure targets, in election order
+    #: (:class:`~repro.core.replica.ReplicaGroup`); empty when the service
+    #: has no replicas to crash
     groups: list = field(default_factory=list)
     _run_window: tuple[float, float] = field(default=(0.0, 0.0))
 
@@ -264,8 +264,8 @@ def build_eunomia_rig(n_partitions: int,
                       calibration: Optional[Calibration] = None,
                       seed: int = 0,
                       metrics: Optional[MetricsHub] = None) -> ServiceRig:
-    """Eunomia under emulator load, in any of the four stabilizer shapes
-    (plain, Alg. 4 replicated, K-sharded, or fault-tolerant K × R)."""
+    """Eunomia under emulator load: R replicas of a K-shard pipeline, any
+    R and K the config names."""
     config = config or EunomiaConfig()
     config.validate()
     cal = calibration or Calibration()

@@ -93,13 +93,16 @@ class GaugeScraper:
                     point(f"gauge:wal_unflushed_bytes:dc{m}", env.now,
                           float(wal_bytes))
                 # per-shard merge lag: worst spread across coordinators
+                # (the heads of a sharded stack; a K=1 head merges nothing)
                 merge_lag_us: Optional[float] = None
-                for coord in getattr(dc, "coordinators", ()) or ():
-                    stables = [s for s in coord.shard_stable if s > 0]
-                    if len(stables) > 1:
-                        spread = float(max(stables) - min(stables))
-                        if merge_lag_us is None or spread > merge_lag_us:
-                            merge_lag_us = spread
+                if stack.shard_map is not None:
+                    for coord in stack.heads:
+                        stables = [s for s in coord.shard_stable if s > 0]
+                        if len(stables) > 1:
+                            spread = float(max(stables) - min(stables))
+                            if (merge_lag_us is None
+                                    or spread > merge_lag_us):
+                                merge_lag_us = spread
                 if merge_lag_us is not None:
                     point(f"gauge:shard_merge_lag_ms:dc{m}", env.now,
                           merge_lag_us / 1e3)

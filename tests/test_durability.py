@@ -164,7 +164,7 @@ class TestDurabilityConfig:
                    for s in stack.shards)
         # Coordinators hold no durable state (rebuilt from their shards).
         assert all(getattr(c, "wal", None) is None
-                   for c in stack.coordinators)
+                   for c in stack.heads)
         assert all(g.recovery is stack.recovery for g in stack.groups)
 
     def test_amnesia_recover_without_durability_raises(self):
@@ -361,7 +361,7 @@ def run_amnesia_rejoin(ts_by_partition, n_shards, n_replicas, batch_size=3):
     for p, chunk, prev in chunks[half:]:
         feed(p, chunk, prev)
     env.run(until=0.3)
-    unit.rejoin()
+    unit.recover()
     # At-least-once delivery: replay every chunk (what the uplink's
     # retransmission machinery does for a live rejoiner); survivors
     # deduplicate via PartitionTime, the rejoiner backfills its gaps.
@@ -403,7 +403,7 @@ class TestAmnesiaRejoinEquivalence:
         assert uids == run_reference(tls)
         group = stack.groups[0]
         assert group.is_leader()               # lowest id reclaimed Ω
-        assert not group.coordinator._rejoining
+        assert not group.head._rejoining
         # Restores actually happened, from durable state.
         reports = stack.recovery.reports
         assert [r.name for r in reports] == [s.name for s in group.shards]
@@ -430,7 +430,7 @@ class TestRigAmnesiaRejoin:
             unit = rig.groups[0]
             rig.env.loop.schedule_at(
                 crash_at, lambda: unit.crash(lose_state=True))
-            rig.env.loop.schedule_at(rejoin_at, unit.rejoin)
+            rig.env.loop.schedule_at(rejoin_at, unit.recover)
         rig.run(run_for)
         for driver in rig.drivers:
             driver.stop()
@@ -451,13 +451,14 @@ class TestRigAmnesiaRejoin:
         assert rig.groups[0].is_leader()
         assert dedup_uids(rig.sink.collected) == reference
 
-    def test_crash_during_transfer_window_rejoins_on_retry(self):
+    def test_crash_during_transfer_window_rejoins_on_retry(self, n_shards=1):
         """A crash that interrupts the state-transfer window must not
         strand the replica: the epoch bump killed the pending transfer
-        timeout, so the next rejoin() has to re-drive the handshake (a
+        timeout, so the next recover() has to re-drive the handshake (a
         stuck ``_rejoining`` would silently keep the replica out of the
         election forever)."""
         config = EunomiaConfig(n_replicas=3, fault_tolerant=True,
+                               n_shards=n_shards,
                                durability="wal", checkpoint_interval=0.1,
                                replica_alive_interval=0.05,
                                replica_suspect_timeout=0.16,
@@ -470,14 +471,18 @@ class TestRigAmnesiaRejoin:
         # to answer it — then crash the rejoiner inside that window.
         loop.schedule_at(0.40, rig.groups[1].crash)
         loop.schedule_at(0.40, rig.groups[2].crash)
-        loop.schedule_at(0.45, unit.rejoin)
+        loop.schedule_at(0.45, unit.recover)
         loop.schedule_at(0.50, unit.crash)          # plain crash-stop
-        loop.schedule_at(0.80, unit.rejoin)
-        loop.schedule_at(0.85, rig.groups[1].rejoin)
-        loop.schedule_at(0.85, rig.groups[2].rejoin)
+        loop.schedule_at(0.80, unit.recover)
+        loop.schedule_at(0.85, rig.groups[1].recover)
+        loop.schedule_at(0.85, rig.groups[2].recover)
         rig.run(2.0)
-        assert not unit._rejoining
+        assert not unit.head._rejoining
         assert unit.is_leader()
+
+    def test_crash_during_transfer_window_rejoins_on_retry_sharded(self):
+        """The same schedule against K=2 groups: one rejoin path."""
+        self.test_crash_during_transfer_window_rejoins_on_retry(n_shards=2)
 
     def test_k1_replica_amnesia_rejoin_end_to_end(self):
         config = EunomiaConfig(n_replicas=3, fault_tolerant=True,
@@ -552,7 +557,7 @@ class TestPartialGroupFailure:
         reports = rig.groups[0].recovery.reports
         assert [r.name for r in reports] == [shard.name]
         # The live coordinator's shipped floor raised the recovery floor.
-        assert reports[0].floor >= rig.groups[0].coordinator.shipped_floors[1] \
+        assert reports[0].floor >= rig.groups[0].head.shipped_floors[1] \
             or reports[0].floor > 0
         assert dedup_uids(rig.sink.collected) == reference
 

@@ -5,7 +5,7 @@ import pytest
 from repro.baselines import build_system
 from repro.checker import CausalChecker, SessionHistory
 from repro.core import EunomiaConfig
-from repro.geo.system import GeoSystemSpec, build_eunomia_system
+from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.metrics import percentile
 from repro.workload import WorkloadSpec
 
@@ -14,7 +14,7 @@ WL = WorkloadSpec(read_ratio=0.8, n_keys=64)
 
 
 def run_eunomia(duration=3.0, drain=3.0, spec=SPEC, workload=WL, **kwargs):
-    system = build_eunomia_system(spec, workload, **kwargs)
+    system = build_geo_system("eunomia", spec, workload, **kwargs)
     system.run(duration)
     system.quiesce(drain)
     return system
@@ -74,15 +74,15 @@ def test_geo_survives_eunomia_leader_crash():
     config = EunomiaConfig(fault_tolerant=True, n_replicas=2,
                            replica_alive_interval=0.2,
                            replica_suspect_timeout=0.65)
-    system = build_eunomia_system(SPEC, WL, config=config)
+    system = build_geo_system("eunomia", SPEC, WL, config=config)
     system.start()
     # crash dc0's leader replica mid-run; the follower must take over
-    leader = system.datacenters[0].eunomia_replicas[0]
+    leader = system.datacenters[0].heads[0]
     system.env.loop.schedule(1.0, leader.crash)
     system.run(4.0)
     system.quiesce(4.0)
     assert system.converged()
-    survivor = system.datacenters[0].eunomia_replicas[1]
+    survivor = system.datacenters[0].heads[1]
     assert survivor.is_leader()
     assert survivor.ops_stabilized > 0
 

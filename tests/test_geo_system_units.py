@@ -5,7 +5,7 @@ import pytest
 from repro.calibration import Calibration
 from repro.core import EunomiaConfig
 from repro.geo.datacenter import Datacenter
-from repro.geo.system import GeoSystem, GeoSystemSpec, build_eunomia_system
+from repro.geo.system import GeoSystem, GeoSystemSpec, build_geo_system
 from repro.kvstore.ring import ConsistentHashRing
 from repro.metrics import MetricsHub
 from repro.sim import ConstantLatency, Environment, Network
@@ -43,14 +43,14 @@ class TestDatacenterAssembly:
         _, dcs = dc_pair
         dc = dcs[0]
         assert len(dc.partitions) == 2
-        assert len(dc.eunomia_replicas) == 1
+        assert len(dc.heads) == 1
         assert dc.receiver.dc_id == 0
         assert dc.relays == []
 
     def test_connect_wires_destinations_and_siblings(self, dc_pair):
         _, (a, b) = dc_pair
         a.connect(b)
-        assert b.receiver in a.eunomia_replicas[0].destinations
+        assert b.receiver in a.heads[0].destinations
         assert a.partitions[0].siblings[1] is b.partitions[0]
 
     def test_connect_to_self_rejected(self, dc_pair):
@@ -63,8 +63,8 @@ class TestDatacenterAssembly:
         Network(env, ConstantLatency(0.0001))
         config = EunomiaConfig(fault_tolerant=True, n_replicas=3)
         dc = Datacenter(env, 0, 2, 2, ConsistentHashRing(2), config)
-        assert len(dc.eunomia_replicas) == 3
-        assert dc.eunomia_replicas[0].peers == dc.eunomia_replicas[1:]
+        assert len(dc.heads) == 3
+        assert dc.heads[0].peers == dc.heads[1:]
 
     def test_leader_helper_skips_crashed(self):
         env = Environment(seed=3)
@@ -73,10 +73,10 @@ class TestDatacenterAssembly:
         dc = Datacenter(env, 0, 2, 2, ConsistentHashRing(2), config)
         dc.start()
         env.run(until=0.1)
-        assert dc.leader() is dc.eunomia_replicas[0]
-        dc.eunomia_replicas[0].crash()
+        assert dc.leader() is dc.heads[0]
+        dc.heads[0].crash()
         env.run(until=3.0)  # past suspicion timeout
-        assert dc.leader() is dc.eunomia_replicas[1]
+        assert dc.leader() is dc.heads[1]
 
     def test_fingerprint_empty_datacenters_agree(self, dc_pair):
         _, (a, b) = dc_pair
@@ -89,8 +89,8 @@ class TestGeoSystemFacade:
     def system(self):
         spec = GeoSystemSpec(n_dcs=2, partitions_per_dc=2, clients_per_dc=2,
                              seed=8)
-        return build_eunomia_system(spec, WorkloadSpec(read_ratio=0.8,
-                                                       n_keys=32))
+        return build_geo_system("eunomia", spec,
+                                WorkloadSpec(read_ratio=0.8, n_keys=32))
 
     def test_start_idempotent(self, system):
         system.start()

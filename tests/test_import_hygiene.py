@@ -64,11 +64,16 @@ assert sorted(FIGURES) == [1, 2, 3, 4, 5, 6, 7]
     assert out.strip() == "['repro.harness.goldens', 'repro.harness.loadgen']"
 
 
-def test_docs_lint_rejects_an_undeclared_import(tmp_path, monkeypatch):
+def _load_check_docs():
     spec = importlib.util.spec_from_file_location(
         "check_docs", REPO / "scripts" / "check_docs.py")
     check_docs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(check_docs)
+    return check_docs
+
+
+def test_docs_lint_rejects_an_undeclared_import(tmp_path, monkeypatch):
+    check_docs = _load_check_docs()
     assert check_docs.check_src_imports() == []     # this repo is clean
 
     package = tmp_path / "src" / "repro"
@@ -85,6 +90,32 @@ def test_docs_lint_rejects_an_undeclared_import(tmp_path, monkeypatch):
     assert len(errors) == 2
     assert "bad.py:2: imports 'numpy'" in errors[0]
     assert "bad.py:3: imports 'scipy'" in errors[1]
+
+
+def test_docs_lint_rejects_a_documented_name_nothing_defines(
+        tmp_path, monkeypatch):
+    check_docs = _load_check_docs()
+    assert check_docs.check_documented_names() == []    # this repo is clean
+
+    (tmp_path / "src" / "repro").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "a.py").write_text(
+        "class KeptClass:\n    def method(self): ...\n"
+        "def MakeThing(): ...\nSomeAlias = KeptClass\n")
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "tool.py").write_text("ToolTable: dict = {}\n")
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "README.md").write_text(
+        "`KeptClass`, `KeptClass.method()`, `MakeThing`, `SomeAlias`, "
+        "`ToolTable`, `ValueError`, `PartitionTime` and `plain_name` are "
+        "fine; so is DeletedClass outside a code span.\n"
+        "`DeletedClass(n=2)` is not.\n")
+    (tmp_path / "docs" / "GUIDE.md").write_text(
+        "`pkg.NotChecked` (an attribute) but `RenamedThing`.\n")
+    monkeypatch.setattr(check_docs, "REPO", tmp_path)
+    errors = check_docs.check_documented_names()
+    assert len(errors) == 2
+    assert errors[0].startswith("README.md: `DeletedClass`")
+    assert errors[1].startswith("docs/GUIDE.md: `RenamedThing`")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import build_system
+from repro.core import EunomiaConfig
 from repro.geo.system import GeoSystemSpec
 from repro.harness.goldens import capture_golden
 from repro.metrics.collector import MetricsHub
@@ -239,6 +240,25 @@ def test_gst_family_reports_pending_depth_gauge():
     for dc in range(2):
         points = system.metrics.point_series(f"gauge:pending_depth:dc{dc}")
         assert points and all(v >= 0.0 for _, v in points)
+
+
+@pytest.mark.parametrize("n_shards, points_per_dc", [(1, 0), (2, 10)])
+def test_shard_merge_lag_gauge_only_where_shards_merge(n_shards,
+                                                       points_per_dc):
+    """A sharded site reports its coordinator's per-shard stable-time
+    spread on every scrape; a K=1 site has nothing to merge and emits no
+    such series."""
+    spec = GeoSystemSpec(n_dcs=2, partitions_per_dc=4, clients_per_dc=4,
+                         seed=2)
+    system = build_system("eunomia", spec, WorkloadSpec(read_ratio=0.3),
+                          config=EunomiaConfig(n_shards=n_shards))
+    system.observe()
+    system.run(0.5)
+    for dc in range(2):
+        points = system.metrics.point_series(
+            f"gauge:shard_merge_lag_ms:dc{dc}")
+        assert len(points) == points_per_dc
+        assert all(v >= 0.0 for _, v in points)
 
 
 def test_slo_report_renders_all_tables(observed_run):

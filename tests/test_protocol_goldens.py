@@ -11,9 +11,8 @@ and operation counts.
 
 The goldens pin two fixed seeds; the hypothesis property extends the
 guarantee across arbitrary seeds by asserting that every assembly route
-into the spine (the legacy ``build_*_system`` wrappers, the
-``build_system`` dispatcher, and ``build_geo_system`` itself) produces
-identical runs — there is only one deployment path left to disagree
+into the spine (the ``build_system`` dispatcher and ``build_geo_system``
+itself) produces identical runs — there is only one deployment path left to disagree
 with itself.
 """
 
@@ -23,12 +22,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines import (
-    build_cure_system,
-    build_gentlerain_system,
-    build_seq_system,
-    build_system,
-)
+from repro.baselines import build_system
 from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.goldens import (
     GOLDEN_SPEC,
@@ -81,8 +75,8 @@ def test_cure_pending_backends_equivalent():
 def test_cure_rejects_unknown_pending_backend():
     spec = GeoSystemSpec(seed=1, **GOLDEN_SPEC)
     with pytest.raises(ValueError):
-        build_cure_system(spec, WorkloadSpec(**GOLDEN_WORKLOAD),
-                          pending_backend="heap")
+        build_geo_system("cure", spec, WorkloadSpec(**GOLDEN_WORKLOAD),
+                         pending_backend="heap")
 
 
 def test_unknown_options_rejected_up_front():
@@ -98,30 +92,17 @@ def test_unknown_options_rejected_up_front():
         build_system("gentlerain", spec, wl, chain_length=3)
 
 
-_ROUTES = {
-    "sseq": (lambda spec, wl: build_seq_system(spec, wl, synchronous=True),
-             lambda spec, wl: build_system("sseq", spec, wl),
-             lambda spec, wl: build_geo_system("sseq", spec, wl)),
-    "gentlerain": (build_gentlerain_system,
-                   lambda spec, wl: build_system("gentlerain", spec, wl),
-                   lambda spec, wl: build_geo_system("gentlerain", spec, wl)),
-    "cure": (build_cure_system,
-             lambda spec, wl: build_system("cure", spec, wl),
-             lambda spec, wl: build_geo_system("cure", spec, wl)),
-}
-
-
 @settings(max_examples=4, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**16),
-       protocol=st.sampled_from(sorted(_ROUTES)))
+       protocol=st.sampled_from(("cure", "gentlerain", "sseq")))
 def test_assembly_routes_agree(seed, protocol):
     """Sequencer/GentleRain/Cure runs are identical no matter which
     assembly entry point built them — the refactor left one spine."""
     spec = GeoSystemSpec(seed=seed, **GOLDEN_SPEC)
     digests = []
-    for route in _ROUTES[protocol]:
-        system = route(spec, WorkloadSpec(**GOLDEN_WORKLOAD))
+    for route in (build_system, build_geo_system):
+        system = route(protocol, spec, WorkloadSpec(**GOLDEN_WORKLOAD))
         system.run(0.8)
         system.quiesce(1.0)
         digests.append(run_fingerprint(system))
-    assert digests[0] == digests[1] == digests[2]
+    assert digests[0] == digests[1]

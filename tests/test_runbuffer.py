@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core import EunomiaConfig
 from repro.datastruct import OpBuffer, RunBuffer, TreeOpBuffer
-from repro.geo.system import GeoSystemSpec, build_eunomia_system
+from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.loadgen import build_eunomia_rig
 from repro.workload import WorkloadSpec
 
@@ -216,11 +216,11 @@ class TestBackendEndToEnd:
         snapshots = {}
         for backend in ("runs", "rbtree"):
             config = EunomiaConfig(buffer_backend=backend)
-            system = build_eunomia_system(spec, wl, config=config)
+            system = build_geo_system("eunomia", spec, wl, config=config)
             system.run(2.0)
             system.quiesce(2.0)
             assert system.converged()
-            stabilizer = system.datacenters[0].eunomia_replicas[0]
+            stabilizer = system.datacenters[0].heads[0]
             expected = RunBuffer if backend == "runs" else TreeOpBuffer
             assert isinstance(stabilizer.buffer, expected)
             snapshots[backend] = system.snapshots()

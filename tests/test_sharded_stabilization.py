@@ -19,14 +19,13 @@ from repro.core import (
     EunomiaConfig,
     EunomiaService,
     EunomiaShard,
-    ReplicatedShardCoordinator,
     ShardCoordinator,
     ShardMap,
     TreeRelay,
     build_stabilizer_stack,
 )
 from repro.core.messages import AddOpBatch, PartitionHeartbeat, ShardStableBatch
-from repro.geo.system import GeoSystemSpec, build_eunomia_system
+from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.loadgen import build_eunomia_rig
 from repro.kvstore.types import Update
 from repro.sim import ConstantLatency, Environment, Network, Process
@@ -59,6 +58,9 @@ class ShardSink(Process):
     def __init__(self, env):
         super().__init__(env, "shard-sink", site=0)
         self.batches = []
+
+    def is_leader(self):
+        return True
 
     def on_shard_stable_batch(self, msg, src):
         self.batches.append(msg)
@@ -104,23 +106,17 @@ class AckFeeder(Process):
 # ----------------------------------------------------------------------
 class TestShardAssignment:
     def test_stride_policy_round_robins(self):
-        m = ShardMap(8, 4, "stride")
+        m = ShardMap(8, 4)
         assert [m.shard_of(p) for p in range(8)] == [0, 1, 2, 3, 0, 1, 2, 3]
         assert m.owned_by(1) == [1, 5]
-
-    def test_block_policy_is_contiguous(self):
-        m = ShardMap(8, 3, "block")
-        owned = [m.owned_by(s) for s in range(3)]
-        assert owned == [[0, 1, 2], [3, 4, 5], [6, 7]]
 
     def test_every_shard_owns_something(self):
         for n_parts in (2, 3, 8, 13):
             for k in range(1, n_parts + 1):
-                for policy in ("stride", "block"):
-                    m = ShardMap(n_parts, k, policy)
-                    assert all(m.owned_by(s) for s in range(k))
-                    assert sorted(sum((m.owned_by(s) for s in range(k)), [])) \
-                        == list(range(n_parts))
+                m = ShardMap(n_parts, k)
+                assert all(m.owned_by(s) for s in range(k))
+                assert sorted(sum((m.owned_by(s) for s in range(k)), [])) \
+                    == list(range(n_parts))
 
     def test_more_shards_than_partitions_rejected(self):
         with pytest.raises(ValueError, match="some shards would track no"):
@@ -140,13 +136,10 @@ class TestShardAssignment:
             EunomiaConfig(n_shards=2, fault_tolerant=True, n_replicas=2,
                           use_propagation_tree=True).validate()
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="unknown shard policy"):
-            EunomiaConfig(n_shards=2, shard_policy="hash").validate()
-
     def test_oversharded_deployment_rejected_at_build(self):
         with pytest.raises(ValueError, match="some shards would track no"):
-            build_eunomia_system(
+            build_geo_system(
+                "eunomia",
                 GeoSystemSpec(n_dcs=2, partitions_per_dc=2, clients_per_dc=1),
                 WorkloadSpec(), config=EunomiaConfig(n_shards=4))
 
@@ -168,7 +161,7 @@ def run_stabilization(ts_by_partition, n_shards, batch_size=3):
         service.start()
         targets = {p: service for p in range(n_parts)}
     else:
-        shard_map = ShardMap(n_parts, n_shards, config.shard_policy)
+        shard_map = ShardMap(n_parts, n_shards)
         coordinator = ShardCoordinator(env, "coord", 0, n_shards, config)
         coordinator.add_destination(sink)
         targets = {}
@@ -177,7 +170,7 @@ def run_stabilization(ts_by_partition, n_shards, batch_size=3):
                                  shard_id=sid, owned=shard_map.owned_by(sid))
             shard.set_coordinator(coordinator)
             shard.start()
-            for p in shard.owned:
+            for p in shard.tracked:
                 targets[p] = shard
         coordinator.start()
 
@@ -286,12 +279,6 @@ class TestMergeDeterminism:
         reference = run_stabilization(timelines, n_shards=1)
         assert run_stabilization(timelines, n_shards=n_shards) == reference
 
-    def test_block_policy_also_matches(self):
-        tls = [[10, 30, 50], [20, 40], [15, 35, 55], [25, 45]]
-        reference = run_stabilization(tls, n_shards=1)
-        env_out = run_stabilization(tls, n_shards=2)
-        assert env_out == reference
-
     def test_laggard_shard_holds_back_global_stable_time(self):
         """An op above min(ShardStableTime) must wait at the coordinator."""
         env = Environment(seed=7)
@@ -380,7 +367,7 @@ class TestReplicatedSharding:
         assert stack.groups[0].crashed
         survivors = [g for g in stack.groups if not g.crashed]
         assert [g.is_leader() for g in survivors] == [True, False]
-        assert stack.leader() is stack.groups[1].coordinator
+        assert stack.leader() is stack.groups[1].head
 
     def test_follower_shards_never_serialize(self):
         tls = [[10, 30], [20, 40]]
@@ -420,7 +407,7 @@ class TestReplicatedSharding:
         rig = collect(config, True)
         assert rig.groups[0].is_leader()       # lowest id reclaimed Ω
         assert not rig.groups[1].is_leader()
-        assert rig.groups[0].coordinator.merge_rounds > 0
+        assert rig.groups[0].head.merge_rounds > 0
         seen, deduped = set(), []
         for uid in rig.sink.collected:         # Alg. 5 dedup, first copy wins
             if uid not in seen:
@@ -435,16 +422,16 @@ class TestReplicatedSharding:
         env = Environment(seed=13)
         Network(env, ConstantLatency(0.0001))
         config = EunomiaConfig(n_shards=2, n_replicas=2, fault_tolerant=True)
-        leader = ReplicatedShardCoordinator(env, "lead", 0, 2, config,
-                                            replica_id=0)
-        follower = ReplicatedShardCoordinator(env, "follow", 0, 2, config,
-                                              replica_id=1)
+        leader = ShardCoordinator(env, "lead", 0, 2, config, replica_id=0)
+        follower = ShardCoordinator(env, "follow", 0, 2, config,
+                                    replica_id=1)
         leader.set_peers([leader, follower])
         follower.set_peers([leader, follower])
         fshards = [EunomiaShard(env, f"f-shard{s}", 0, 2, config,
-                                shard_id=s, owned=[s],
-                                leader_gate=follower.is_leader)
+                                shard_id=s, owned=[s])
                    for s in range(2)]
+        for shard in fshards:
+            shard.set_coordinator(follower)
         follower.set_shards(fshards)
         sink = Sink(env)
         leader.add_destination(sink)
@@ -571,7 +558,8 @@ class TestShardedEndToEnd:
     def test_sharded_geo_system_converges_and_is_causal(self):
         config = EunomiaConfig(n_shards=2)
         history = SessionHistory()
-        system = build_eunomia_system(
+        system = build_geo_system(
+            "eunomia",
             GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=3,
                           seed=5),
             WorkloadSpec(read_ratio=0.8, n_keys=60),
@@ -581,15 +569,17 @@ class TestShardedEndToEnd:
         assert system.converged()
         assert CausalChecker(history).check() == []
         dc = system.datacenters[0]
-        assert len(dc.shards) == 2
-        assert dc.coordinator is not None
-        assert dc.coordinator.ops_stabilized > 0
-        assert dc.leader() is dc.coordinator
+        assert len(dc.stack.shards) == 2
+        (coordinator,) = dc.heads
+        assert isinstance(coordinator, ShardCoordinator)
+        assert coordinator.ops_stabilized > 0
+        assert dc.leader() is coordinator
 
     def test_sharded_geo_with_propagation_tree_converges(self):
         config = EunomiaConfig(n_shards=2, use_propagation_tree=True,
                                tree_fanout=2)
-        system = build_eunomia_system(
+        system = build_geo_system(
+            "eunomia",
             GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=3,
                           seed=6),
             WorkloadSpec(read_ratio=0.8, n_keys=60), config=config)
@@ -602,7 +592,8 @@ class TestShardedEndToEnd:
         """Acceptance shape: n_shards=4 × n_replicas=3 runs end-to-end."""
         config = EunomiaConfig(n_shards=4, n_replicas=3, fault_tolerant=True)
         history = SessionHistory()
-        system = build_eunomia_system(
+        system = build_geo_system(
+            "eunomia",
             GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=3,
                           seed=15),
             WorkloadSpec(read_ratio=0.8, n_keys=60),
@@ -613,8 +604,8 @@ class TestShardedEndToEnd:
         assert CausalChecker(history).check() == []
         dc = system.datacenters[0]
         assert len(dc.replica_groups) == 3
-        assert len(dc.shards) == 12 and len(dc.coordinators) == 3
-        assert dc.leader() is dc.replica_groups[0].coordinator
+        assert len(dc.stack.shards) == 12 and len(dc.heads) == 3
+        assert dc.leader() is dc.replica_groups[0].head
         assert dc.replica_groups[0].ops_stabilized > 0
         # Followers never serialized, but their shards were pruned.
         for group in dc.replica_groups[1:]:
@@ -628,7 +619,8 @@ class TestShardedEndToEnd:
                                replica_alive_interval=0.25,
                                replica_suspect_timeout=0.8)
         history = SessionHistory()
-        system = build_eunomia_system(
+        system = build_geo_system(
+            "eunomia",
             GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=3,
                           seed=16),
             WorkloadSpec(read_ratio=0.8, n_keys=60),
@@ -640,7 +632,7 @@ class TestShardedEndToEnd:
         assert dc0.replica_groups[0].crashed
         assert system.converged()
         assert CausalChecker(history).check() == []
-        assert dc0.leader() is dc0.replica_groups[1].coordinator
+        assert dc0.leader() is dc0.replica_groups[1].head
         assert dc0.replica_groups[1].ops_stabilized > 0
         # Exact accounting at every remote receiver: each op committed in
         # a remote DC applied exactly once (a duplicate apply would push
@@ -674,7 +666,7 @@ class TestShardedEndToEnd:
             rig.sink.record = True
             if inject:
                 net = rig.env.network
-                coordinators = [g.coordinator for g in rig.groups]
+                coordinators = [g.head for g in rig.groups]
                 for a in coordinators:
                     for b in coordinators:
                         if a is not b:
@@ -702,10 +694,11 @@ class TestShardedEndToEnd:
         assert deduped == reference
 
     def test_single_shard_config_uses_plain_service(self):
-        system = build_eunomia_system(
+        system = build_geo_system(
+            "eunomia",
             GeoSystemSpec(n_dcs=2, partitions_per_dc=2, clients_per_dc=1,
                           seed=3),
             WorkloadSpec(), config=EunomiaConfig(n_shards=1))
         dc = system.datacenters[0]
-        assert dc.shards == [] and dc.coordinator is None
-        assert isinstance(dc.eunomia_replicas[0], EunomiaService)
+        assert dc.stack.shards == [] and dc.stack.shard_map is None
+        assert isinstance(dc.heads[0], EunomiaService)
