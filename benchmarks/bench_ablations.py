@@ -16,12 +16,10 @@ Knobs the paper motivates but does not sweep in a numbered figure:
   across K workers with a merging coordinator, swept under the overload
   methodology of §7.1 (emulated partitions driving the service straight to
   saturation, a remote sink charging the propagation cost);
-* **unstable-op buffer backend** — beyond the paper: the run-aware buffer
-  (O(1) monotone ingestion + k-way-merge FIND_STABLE) against the §6 trees,
-  swept over backend × batch size × partition count, plus the wall-clock
-  effect on a fig-4-style overload rig (the simulated *protocol* numbers
-  are backend-invariant by construction — the backend buys builder time,
-  i.e. more simulated traffic per CPU second).
+* **unstable-op buffer** — beyond the paper: the run-aware buffer every
+  stabilizer holds (O(1) monotone ingestion + k-way-merge FIND_STABLE)
+  against the §6 tree buffer it replaced, swept over buffer × batch size ×
+  partition count.
 """
 
 import time
@@ -125,13 +123,14 @@ def bench_propagation_tree_fanin(benchmark):
     assert all(ratio > 3.0 for ratio in ratios)
 
 
-def bench_opbuffer_backend_sweep(benchmark):
-    """Buffer backends across batch size and partition count.
+def bench_opbuffer_sweep(benchmark):
+    """RunBuffer vs the §6 tree buffer across batch size and partition
+    count.
 
     The ingestion pattern is Algorithm 3's: randomly interleaved batches,
     monotone timestamps per partition, periodic FIND_STABLE drains.  The
-    acceptance bar of the ``buffer_backend="runs"`` change is asserted
-    here too: ≥3× over the red–black tree at batch ≥ 8.
+    bar the run buffer was adopted on is asserted here too: ≥3× over the
+    red–black tree at batch ≥ 8.
     """
     from bench_trees import monotone_batches, opbuffer_ingestion
 
@@ -179,95 +178,6 @@ def _timed(fn, *args):
     start = time.perf_counter()
     fn(*args)
     return time.perf_counter() - start
-
-
-def bench_opbuffer_backend_overload_rig(benchmark):
-    """Fig-4-style overload run: builder wall-clock by buffer backend.
-
-    48 emulated partitions drive a single stabilizer far past saturation
-    (the fig-2/fig-4 overload regime).  The simulated protocol throughput
-    is backend-invariant (asserted); what the run-aware buffer buys is
-    wall-clock — the same simulation completes measurably faster, which is
-    what bounds how much simulated traffic every experiment can afford.
-    """
-    cal = Calibration(emulated_partition_gen_us=25.0)
-
-    def run_backend(backend):
-        config = EunomiaConfig(buffer_backend=backend)
-        rig = build_eunomia_rig(48, config=config, calibration=cal, seed=11)
-        start = time.perf_counter()
-        rig.run(1.0)
-        return time.perf_counter() - start, rig.throughput()
-
-    def compare():
-        out = {}
-        for backend in ("runs", "rbtree"):
-            out[backend] = min(
-                (run_backend(backend) for _ in range(2)),
-                key=lambda pair: pair[0])
-        return out
-
-    out = benchmark.pedantic(compare, rounds=1, iterations=1)
-    wall_gain = out["rbtree"][0] / out["runs"][0]
-    print()
-    print(format_table(
-        ["backend", "wall_s", "stab_ops_s"],
-        [[b, round(w, 3), round(t, 0)] for b, (w, t) in out.items()]))
-    print(f"end-to-end builder wall-clock gain: {wall_gain:.2f}x")
-    # protocol results are a strategy invariant...
-    assert out["runs"][1] == pytest.approx(out["rbtree"][1])
-    # ...and the wall-clock effect is reported above but only gated as a
-    # non-regression: the buffer is one slice of the whole sim loop
-    # (~1.15x here), well inside wall-clock noise on a busy runner.
-    assert wall_gain > 0.9
-
-
-def bench_cure_pending_backend_sweep(benchmark):
-    """Cure's deferred-update set: per-origin runs vs the classic rescan.
-
-    A cross-protocol payoff of the single-spine refactor: the run-aware
-    buffering axis, born in Eunomia's stabilizer, now reaches Cure's
-    vector-gated pending set (``pending_backend="runs"`` vs ``"scan"``).
-    The simulated protocol results must be backend-invariant (the gate is
-    a vector comparison either way; installs land through LWW puts) —
-    asserted on store fingerprints — while the run-aware variant bounds
-    each release round by the covered prefixes instead of rescanning the
-    whole set.  Wall-clock is reported informationally: at this scale the
-    pending set is a small slice of the sim loop, so the win is bounded.
-    """
-    spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=6,
-                         seed=29)
-    wl = WorkloadSpec(read_ratio=0.75, n_keys=500)
-
-    def run_backend(backend):
-        from repro.geo.system import build_geo_system
-
-        config_start = time.perf_counter()
-        system = build_geo_system("cure", spec, wl,
-                                  pending_backend=backend)
-        system.run(3.0)
-        wall = time.perf_counter() - config_start
-        system.quiesce(2.0)
-        prints = tuple(dc.fingerprint() for dc in system.datacenters)
-        pending = sum(p.pending_count()
-                      for dc in system.datacenters for p in dc.partitions)
-        return wall, system.total_throughput(), prints, pending
-
-    def sweep():
-        return {backend: run_backend(backend)
-                for backend in ("runs", "scan")}
-
-    out = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print()
-    print(format_table(
-        ["pending_backend", "wall_s", "ops_s", "drained"],
-        [[b, round(w, 3), round(t, 0), pend == 0]
-         for b, (w, t, _, pend) in out.items()]))
-    # protocol results are a strategy invariant: identical stores...
-    assert out["runs"][2] == out["scan"][2]
-    assert out["runs"][1] == pytest.approx(out["scan"][1])
-    # ...and both backends fully drain their pending sets after quiesce
-    assert out["runs"][3] == 0 and out["scan"][3] == 0
 
 
 def bench_durability_overhead_sweep(benchmark):

@@ -1,14 +1,14 @@
-"""§6 ablation — unstable-op buffer backends under Eunomia's access mix.
+"""§6 ablation — the unstable-op buffers under Eunomia's access mix.
 
 Two layers of benchmarks:
 
 * ``bench_opbuffer_ingestion`` — the stabilization hot path end to end at
   the buffer level: per-partition monotone batches interleaved at random
   (exactly what Algorithm 3 feeds the buffer), periodic FIND_STABLE drains.
-  Swept over backend × batch size; the run-aware backend's O(1) appends
-  must beat the red–black tree's O(log n) inserts by ≥3× at batch ≥ 8 —
-  the acceptance bar of the ``buffer_backend="runs"`` change, gated by
-  ``scripts/bench_gate.py`` against the committed baseline.
+  Swept over buffer × batch size; the run buffer's O(1) appends must beat
+  the red–black tree's O(log n) inserts by ≥3× at batch ≥ 8 — the bar it
+  replaced the tree on, gated by ``scripts/bench_gate.py`` against the
+  committed baseline.
 * the red–black tree micro-benches (insert-heavy mix, random inserts,
   prefix extraction), kept as the tree-level ground truth of the paper's
   §6 structure.
@@ -18,9 +18,12 @@ import random
 
 import pytest
 
-from repro.datastruct import OpBuffer, RedBlackTree
+from repro.datastruct import RedBlackTree, RunBuffer, TreeOpBuffer
 
 N_OPS = 20_000
+
+#: the §6 pair, by the names the committed baseline rows carry
+BUFFERS = {"runs": RunBuffer, "rbtree": TreeOpBuffer}
 
 
 # ----------------------------------------------------------------------
@@ -47,7 +50,7 @@ def monotone_batches(n_partitions, batch, n_ops, seed=17):
 
 def opbuffer_ingestion(backend, batches, stab_every):
     """Ingest every batch; drain the stable prefix every ``stab_every``."""
-    buf = OpBuffer(backend=backend)
+    buf = BUFFERS[backend]()
     add = buf.add
     floor = 0
     for i, ops in enumerate(batches):
@@ -62,7 +65,7 @@ def opbuffer_ingestion(backend, batches, stab_every):
 
 @pytest.mark.parametrize("batch", [1, 8, 64],
                          ids=["b1", "b8", "b64"])
-@pytest.mark.parametrize("backend", ["runs", "rbtree"])
+@pytest.mark.parametrize("backend", list(BUFFERS))
 def bench_opbuffer_ingestion(benchmark, backend, batch):
     batches = monotone_batches(n_partitions=16, batch=batch, n_ops=N_OPS)
     stab_every = max(1, 400 // batch)   # ~one drain per 400 ops, every size

@@ -15,6 +15,13 @@ amnesia crash (wal only)}; faults need a crash unit, so fault-tolerant shapes
 only.  Each line carries the sha of ``sink.collected`` in arrival order, the
 loop/network counters and per-replica ``ops_stabilized``.  Geo cases: seven
 3x4x4 shapes (seed 5, 50:50) by ``run_fingerprint`` plus the same counters.
+
+PR 19 put GentleRain and Cure on one deferred-update set; the GST family
+pins them the same way — default options only, so the file still runs on
+both commits: {gentlerain, cure} x placement {full, stride:2, island} x
+seeds {5, 6} on the 3x4x4 frame (50:50), by ``run_fingerprint`` (strict
+ordered ``stable_sha`` included), the counters, and the partitions' total
+``remote_applies`` and left-over deferred updates.
 """
 
 from __future__ import annotations
@@ -98,12 +105,34 @@ GEO_SHAPES = (
 def geo_case(options: dict) -> dict:
     spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=4,
                          seed=5)
-    system = build_geo_system("eunomia", spec, WorkloadSpec(read_ratio=0.5),
-                              config=EunomiaConfig(**options))
+    return run_digest(build_geo_system(
+        "eunomia", spec, WorkloadSpec(read_ratio=0.5),
+        config=EunomiaConfig(**options)))
+
+
+def run_digest(system) -> dict:
     system.run(1.5)
     system.quiesce(2.0)
     digest = run_fingerprint(system)
     digest["counters"] = counters(system.env)
+    return digest
+
+
+GST_PLACEMENTS = (
+    ("full", None),
+    ("stride2", "stride:2"),
+    ("island", "dc0=0,1;dc1=0,1;dc2=2,3"),
+)
+
+
+def gst_case(protocol: str, placement, seed: int) -> dict:
+    spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=4,
+                         seed=seed, placement=placement)
+    system = build_geo_system(protocol, spec, WorkloadSpec(read_ratio=0.5))
+    digest = run_digest(system)
+    parts = [p for dc in system.datacenters for p in dc.resident_partitions()]
+    digest["remote_applies"] = sum(p.remote_applies for p in parts)
+    digest["deferred_left"] = sum(p.pending_count() for p in parts)
     return digest
 
 
@@ -112,6 +141,11 @@ def main() -> None:
         print(label, json.dumps(rig_case(*args), sort_keys=True))
     for label, options in GEO_SHAPES:
         print("geo", label, json.dumps(geo_case(options), sort_keys=True))
+    for protocol in ("gentlerain", "cure"):
+        for label, placement in GST_PLACEMENTS:
+            for seed in (5, 6):
+                print("gst", protocol, label, f"seed{seed}", json.dumps(
+                    gst_case(protocol, placement, seed), sort_keys=True))
 
 
 if __name__ == "__main__":

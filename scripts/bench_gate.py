@@ -15,8 +15,8 @@ machine-speed factor so heterogeneous CI runners do not trip the gate;
 omit it when comparing runs from the same machine.  Only benchmarks
 matching ``--gate`` (default: the sim-core hot paths and the op-buffer
 ingestion path) can fail the run at the tight threshold; ``--gate-wide``
-benchmarks (default: the end-to-end op-buffer overload rig, whose
-wall-clock medians were measured at ~±10% run-to-run before gating it)
+benchmarks (default: the end-to-end geo and full-grid figure runs, whose
+wall-clock variance was measured before gating them)
 fail only past the looser ``--wide-threshold``; everything else (e.g.
 the raw tree micro-benches) is compared and reported as informational.
 
@@ -95,8 +95,8 @@ def compare(baseline: dict[str, float], fresh: dict[str, float],
     empty string matches all) can *fail* the gate at ``threshold``;
     ``wide_pattern`` names benchmarks gated at the looser
     ``wide_threshold`` — end-to-end wall-clock suites whose run-to-run
-    variance (measured ~±10%, >20% peak-to-peak for the overload rig on
-    one otherwise-idle machine) would trip the tight gate on noise alone.
+    variance (measured >20% peak-to-peak on one otherwise-idle machine)
+    would trip the tight gate on noise alone.
     Everything else is compared and reported as informational.  The speed
     factor is still computed over every shared benchmark — more samples,
     steadier estimate.
@@ -226,8 +226,7 @@ def main(argv: list[str] | None = None) -> int:
                              "on plus the op-buffer ingestion path the "
                              "stabilizers ride on; pass '' to gate all)")
     parser.add_argument("--gate-wide",
-                        default="bench_opbuffer_backend_overload_rig"
-                                "|bench_geo_small_e2e"
+                        default="bench_geo_small_e2e"
                                 "|bench_geo_update_heavy_e2e"
                                 "|bench_fig1_motivation_tradeoff_full"
                                 "|bench_fig5_geo_throughput_full"
@@ -235,8 +234,8 @@ def main(argv: list[str] | None = None) -> int:
                                 "|bench_placement_sweep"
                                 "|bench_obs_overhead",
                         help="regex: benchmarks gated at the wide "
-                             "threshold — the end-to-end suites (overload "
-                             "rig: ~±10%% run-to-run; small geo e2e run: "
+                             "threshold — the end-to-end suites (small geo "
+                             "e2e run: "
                              "±1.7%% stdev / 4.8%% peak-to-peak; placement "
                              "sweep grid: ±5.4%% stdev / 14%% peak-to-peak "
                              "on an idle machine, but CI runners are far "

@@ -27,21 +27,12 @@ from repro.harness.goldens import GOLDEN_SEEDS, capture_golden  # noqa: E402
 PROTOCOLS = ("eventual", "gentlerain", "cure", "sseq", "aseq", "eunomia")
 OUT = REPO / "tests" / "golden" / "baseline_goldens.json"
 
-#: per-protocol capture pins, mirrored by test_protocol_goldens.py: Cure
-#: goldens are captured with the classic scan backend (what the original
-#: pre-refactor capture ran), because the strict ordered digest
-#: (stable_sha) is sensitive to intra-round install order and the "runs"
-#: default may legally reorder within a round.  The "runs" default is
-#: pinned transitively by test_cure_pending_backends_equivalent.
-CAPTURE_KWARGS = {"cure": {"pending_backend": "scan"}}
-
 
 def main() -> int:
     goldens = []
     for protocol in PROTOCOLS:
         for seed in GOLDEN_SEEDS:
-            golden = capture_golden(protocol, seed,
-                                    **CAPTURE_KWARGS.get(protocol, {}))
+            golden = capture_golden(protocol, seed)
             goldens.append(golden)
             print(f"{protocol:>10} seed={seed}: dc fingerprints "
                   f"{golden['fingerprints']} ops={golden['ops']} "

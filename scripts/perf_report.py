@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""The kept benchmark trajectory as one table per workload.
+
+Every PR since PR 12 commits a ``benchmarks/BENCH_pr<N>.json``: what
+``perf/run.py`` measured on the parent and on the change.  Each file is
+1–2 k lines and nothing read two of them together; this prints, per
+``BENCHMARK.json`` workload, one row per PR with the change's six
+end-to-end metrics, ``events_per_op`` and the ``sim_digest`` — so "when did
+this number move, and did the simulation move with it" is one glance:
+
+    python scripts/perf_report.py
+
+Host metrics (``ops_per_host_s``, ``peak_rss_mb``, ``setup_s``) are the
+medians each PR recorded on the machine it ran on; compare them across
+rows only as far as perf/README.md says calibrated host seconds carry.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+
+from repro.harness.report import format_table  # noqa: E402
+
+
+def trajectory() -> list[tuple[int, dict]]:
+    """``(PR number, parsed file)`` for every kept entry, oldest first."""
+    entries = []
+    for path in (REPO / "benchmarks").glob("BENCH_pr*.json"):
+        number = int(re.fullmatch(r"BENCH_pr(\d+)", path.stem).group(1))
+        entries.append((number, json.loads(path.read_text())))
+    return sorted(entries, key=lambda entry: entry[0])
+
+
+def metric(run: dict, name: str) -> float:
+    """The change's value: host metrics carry parent/change medians, sim
+    metrics are one number (they repeat exactly for a seed)."""
+    if name in run["host"]:
+        return run["host"][name]["change"]
+    return run["sim"][name]
+
+
+def events_per_op(run: dict) -> float:
+    """perf/run.py's ``sim.loop.events_per_op``, from the counters every
+    entry records (the rig has no clients: its ops are the stabilized ones)."""
+    counters = run["counters"]
+    ops = counters["client_ops_done"] or counters["ops_stabilized"]
+    return counters["processed_events"] / ops
+
+
+def main() -> int:
+    declaration = json.loads((REPO / "BENCHMARK.json").read_text())
+    metrics = [m["name"] for m in declaration["end_to_end"]]
+    entries = trajectory()
+    if not entries:
+        print("perf_report: no benchmarks/BENCH_pr*.json found",
+              file=sys.stderr)
+        return 1
+    for workload in (w["name"] for w in declaration["workloads"]):
+        rows = [[f"PR {number}",
+                 *(metric(entry["workloads"][workload], m) for m in metrics),
+                 events_per_op(entry["workloads"][workload]),
+                 entry["workloads"][workload]["sim_digest"]]
+                for number, entry in entries
+                if workload in entry["workloads"]]
+        print(f"== {workload} ==")
+        print(format_table(["pr", *metrics, "events_per_op", "sim_digest"],
+                           rows))
+        print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,8 +4,8 @@ same substrate as EunomiaKV:
 * :mod:`sequencer` — traditional per-DC sequencers, plain and
   chain-replicated (§7.1's competitor);
 * :mod:`seqstore` — S-Seq and A-Seq geo-replicated stores (§2, Figure 1);
-* :mod:`gentlerain` / :mod:`cure` — global-stabilization stores over the
-  shared :mod:`gst` machinery (Figures 1, 5, 6);
+* :mod:`gst` — the global-stabilization stores, GentleRain and Cure, as
+  two flavors of one machinery (Figures 1, 5, 6);
 * :mod:`eventual` — the zero-overhead eventually consistent yardstick.
 
 Each module registers a :class:`~repro.core.protocols.ProtocolSpec`
@@ -23,10 +23,14 @@ from ..core.protocols import available_protocols
 from ..geo.system import GeoSystem, GeoSystemSpec, build_geo_system
 from ..metrics.collector import MetricsHub
 from ..workload.generator import WorkloadSpec
-from .cure import CurePartition, CureProtocol
 from .eventual import EventualPartition, EventualProtocol
-from .gentlerain import GentleRainPartition, GentleRainProtocol
-from .gst import GstPartition, GstProtocol, GstTimings
+from .gst import (
+    CurePartition,
+    GentleRainPartition,
+    GstPartition,
+    GstProtocol,
+    GstTimings,
+)
 from .messages import (
     ChainForward,
     GstBroadcast,
@@ -48,9 +52,7 @@ __all__ = [
     "GstPartition",
     "GstProtocol",
     "GentleRainPartition",
-    "GentleRainProtocol",
     "CurePartition",
-    "CureProtocol",
     "EventualPartition",
     "EventualProtocol",
     "build_system",

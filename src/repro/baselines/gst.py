@@ -1,4 +1,4 @@
-"""Global-stabilization machinery shared by GentleRain and Cure.
+"""Global-stabilization stores: GentleRain and Cure over one machinery.
 
 Both baselines avoid sequencers by running a periodic, datacenter-wide
 computation: each partition tracks a version vector ``VV[d]`` — the largest
@@ -8,24 +8,36 @@ reports a local stable summary to a per-DC aggregator, which broadcasts the
 minimum back.  A remote update becomes *visible* only once the global
 summary covers it:
 
-* **GentleRain** compresses everything into one scalar GST: an update with
-  timestamp ``ts`` is visible when ``GST >= ts``.  Cheap, but the minimum
-  spans *all* datacenters, so an update from a nearby DC waits for heartbeat
-  round-trips from the farthest one (false dependencies — the 40 ms floor in
-  Figure 6 left).
-* **Cure** keeps a vector GSV (entry per DC): visibility only waits for the
-  entries the update actually depends on — better latency, heavier metadata
-  (the throughput gap between the two in Figure 5).
+* **GentleRain** (Du et al., SoCC'14) compresses everything into one scalar
+  GST: an update with timestamp ``ts`` is visible when ``GST >= ts``.
+  Cheapest metadata of the causal systems, but the minimum spans *all*
+  datacenters, so an update from a nearby DC waits for heartbeat
+  round-trips from the farthest one (false dependencies — the 40 ms floor
+  in Figure 6 left).
+* **Cure** (Akkoorath et al., ICDCS'16) keeps a vector GSV (entry per DC):
+  visibility only waits for the entries the update actually depends on —
+  better latency on near pairs, heavier metadata (the throughput gap
+  between the two in Figure 5), and nothing gained on far pairs, where
+  GentleRain comes out *ahead* (Figure 6 right).
 
 The protocol cost is charged in two places, matching the paper's analysis:
 a per-operation metadata-handling surcharge (Cure ≈ 2× GentleRain), and a
 per-round stabilization cost at every partition — which is why shrinking the
 "clock computation interval" hurts throughput (Figure 1).
 
-:class:`GstPartition` implements the whole machinery generically over the
-summary width; the concrete flavors are thin subclasses in
-:mod:`repro.baselines.gentlerain` and :mod:`repro.baselines.cure`, each
-deployed over the shared spine by a :class:`GstProtocol` plugin
+One modelling note: GentleRain tags updates with pure physical clocks and
+*delays* an update whose dependency timestamp is at or above the local
+clock.  With NTP-disciplined clocks the wait is sub-millisecond; we use the
+hybrid-clock bump instead of an artificial sleep, which has the same
+ordering effect and differs only by that negligible wait (§3.2 of the
+Eunomia paper discusses exactly this trade).
+
+:class:`GstPartition` is the whole machinery — replication, the deferred
+set (:class:`_DeferredRuns`), aggregation and re-election, installs, the
+cost table; :class:`GentleRainPartition` and :class:`CurePartition` add
+only what differs between a scalar and a vector cut (the stamp, the
+release gate with its per-origin bound, and the summary contribution).
+Each is deployed over the shared spine by a :class:`GstProtocol` plugin
 (:mod:`repro.core.protocols`) — the only protocol-specific deployment
 pieces are the partitions themselves and the per-DC aggregator wiring.
 """
@@ -33,9 +45,11 @@ pieces are the partitions themselves and the per-DC aggregator wiring.
 from __future__ import annotations
 
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional
 
+from ..calibration import Calibration
 from ..clocks.hlc import HybridLogicalClock
 from ..clocks.physical import PhysicalClock
 from ..clocks.vector import vc_merge, vc_zero
@@ -46,7 +60,12 @@ from ..core.messages import (
     ClientUpdateReply,
     RemoteData,
 )
-from ..core.protocols import ProtocolSpec, SiteContext, SitePlan
+from ..core.protocols import (
+    ProtocolSpec,
+    SiteContext,
+    SitePlan,
+    register_protocol,
+)
 from ..kvstore.storage import VersionedStore
 from ..kvstore.types import Update, Versioned
 from ..metrics.collector import MetricsHub, NullMetrics
@@ -54,8 +73,8 @@ from ..sim.env import Environment
 from ..sim.process import CostModel, Process
 from .messages import GstBroadcast, GstHeartbeat, GstReport
 
-__all__ = ["GstTimings", "GstPartition", "GstProtocol",
-           "check_pending_backend", "UNTRACKED"]
+__all__ = ["GstTimings", "GstPartition", "GentleRainPartition",
+           "CurePartition", "GstProtocol", "UNTRACKED"]
 
 #: Summary entry for an origin DC a partition does not track (partial
 #: placement: no sibling there).  Acts as +inf under the aggregator's
@@ -65,16 +84,6 @@ __all__ = ["GstTimings", "GstPartition", "GstProtocol",
 #: here and at ``d`` exists, so no dependency on ``d`` can be resident
 #: here either (it could never be read at this DC).
 UNTRACKED = 1 << 62
-
-
-def check_pending_backend(pending_backend: str, allowed: Sequence) -> None:
-    """Validate a flavor's deferred-update backend choice (one message,
-    shared by the plugins' ``prepare`` and the partitions themselves)."""
-    if pending_backend not in allowed:
-        raise ValueError(
-            f"unknown pending backend {pending_backend!r} "
-            f"(expected one of {', '.join(allowed)})"
-        )
 
 
 @dataclass
@@ -94,37 +103,133 @@ class GstTimings:
     aggregator_timeout: Optional[float] = None
 
 
+class _DeferredRuns:
+    """The deferred-update set: one FIFO run per origin datacenter.
+
+    A release gate that is a *vector* comparison (Cure: ``vts[d] <= GSV[d]``
+    for every remote ``d``) admits no total order — two deferred updates
+    can each be blocked by a different entry, so no single priority admits
+    pop-until-blocked.  Per-origin runs work for it, and for the scalar
+    gate as the special case, on two facts:
+
+    1. Updates from origin ``k`` arrive over one FIFO link (the same-index
+       sibling partition) with a strictly increasing own entry ``ts``
+       (hybrid-clock Property 2), so appending keeps each run sorted by it
+       — O(1) ingestion, and :meth:`add` *checks* the contract instead of
+       silently corrupting the order.
+    2. Every gate includes the origin's own entry, so an update with
+       ``ts`` above the origin's bound is unreleasable *regardless of its
+       other entries*.  Scanning only each run's prefix under the bound
+       can therefore never miss a releasable update; the suffix is
+       untouched.
+
+    Within that covered prefix an update may still be blocked by *another*
+    entry (never under the scalar gate, whose bound is the whole gate);
+    blocked items are put back at the head in their original relative
+    order, which preserves fact 1's sortedness.  A round costs O(covered
+    prefixes), not O(whole set), and installs stay deterministic: origins
+    in dict insertion order — the order each origin first deferred, itself
+    deterministic under the simulator — FIFO within an origin.
+    """
+
+    __slots__ = ("_runs", "_tail", "_size")
+
+    def __init__(self) -> None:
+        #: origin dc -> deque[(update, arrival)], own-entry ascending
+        self._runs: dict[int, deque] = {}
+        #: origin dc -> largest own entry ever deferred (survives drains)
+        self._tail: dict[int, int] = {}
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def add(self, update: Update, arrival: float) -> None:
+        """Append to the origin's run.  O(1); raises ``ValueError`` when
+        the origin's own entry does not grow (a FIFO/Property 2 violation
+        upstream, which would break fact 1 for every later release)."""
+        origin, ts = update.origin_dc, update.ts
+        last = self._tail.get(origin)
+        if last is not None and last >= ts:
+            raise ValueError(
+                f"non-monotone insert for origin {origin}: ts={ts} does not "
+                f"exceed the run tail ts={last} — FIFO/Property 2 violated "
+                f"upstream")
+        self._tail[origin] = ts
+        run = self._runs.get(origin)
+        if run is None:
+            run = self._runs[origin] = deque()
+        run.append((update, arrival))
+        self._size += 1
+
+    def pop_releasable(self, bound: Callable[[int], int],
+                       releasable: Callable[[Update], bool]) -> list:
+        """Remove and return every releasable ``(update, arrival)``, in
+        per-origin FIFO order.  ``bound(origin)`` caps the origin's own
+        entry; blocked items of the covered prefix stay queued."""
+        released = []
+        for origin, run in self._runs.items():
+            limit = bound(origin)
+            blocked = []
+            while run and run[0][0].ts <= limit:
+                item = run.popleft()
+                if releasable(item[0]):
+                    released.append(item)
+                else:
+                    blocked.append(item)
+            if blocked:
+                run.extendleft(reversed(blocked))
+        self._size -= len(released)
+        return released
+
+
 class GstPartition(Process):
     """A partition of a global-stabilization store (GentleRain/Cure core).
 
-    Subclasses define ``flavor``, the summary width (1 or M), timestamping,
-    and the release predicate.
+    Subclasses define ``flavor``, the summary width (1 or M), timestamping
+    (:meth:`_stamp`), the release gate (:meth:`_releasable` with its
+    per-origin bound :meth:`_covered_bound`) and :meth:`_local_summary`.
     """
 
-    #: overridden by subclasses
+    #: overridden by subclasses; also the calibration-key prefix
     flavor = "gst"
 
     #: Same background-replication lane as every other store here: remote
     #: installs must not queue behind foreground client operations.
     LANES = {"RemoteData": "replication"}
 
+    @staticmethod
+    def summary_width_static(n_dcs: int) -> int:
+        """Entries in the flavor's summary (and in client session vectors)."""
+        raise NotImplementedError
+
     def __init__(self, env: Environment, name: str, dc_id: int, index: int,
                  n_dcs: int, clock: PhysicalClock, timings: GstTimings,
-                 summary_width: int,
-                 cost_model: CostModel,
+                 calibration: Optional[Calibration] = None,
                  metrics: Optional[MetricsHub] = None):
-        super().__init__(env, name, site=dc_id, cost_model=cost_model)
+        cal = calibration or Calibration()
+        flavor = self.flavor
+        super().__init__(env, name, site=dc_id, cost_model=CostModel(costs={
+            "ClientRead": (cal.cost("partition_read")
+                           + cal.cost(f"{flavor}_read_extra")),
+            "ClientUpdate": (cal.cost("partition_update")
+                             + cal.cost(f"{flavor}_update_extra")),
+            "RemoteData": cal.cost("partition_apply_remote"),
+            "GstHeartbeat": cal.overhead("gst_heartbeat"),
+            "GstReport": cal.overhead("gst_heartbeat"),
+            "GstBroadcast": cal.overhead(f"{flavor}_gst_round"),
+        }))
         self.dc_id = dc_id
         self.index = index
         self.n_dcs = n_dcs
         self.timings = timings
-        self.summary_width = summary_width
+        self.summary_width = self.summary_width_static(n_dcs)
         self.metrics = metrics or NullMetrics()
         self.clock = clock
         self.hlc = HybridLogicalClock(clock)
         self.visible = VersionedStore()
         self.vv = [0] * n_dcs                  # VV[d]: max ts seen from dc d
-        self.summary = (0,) * summary_width    # GST (w=1) or GSV (w=M)
+        self.summary = (0,) * self.summary_width  # GST (w=1) / GSV (w=M)
         self.siblings: dict[int, Process] = {}
         self.aggregator: Optional[Process] = None
         #: every partition knows the DC roster now (re-election needs it);
@@ -148,12 +253,8 @@ class GstPartition(Process):
         self._tenure_start = 0.0                    # when we last took office
         self._aggregate_task = None
         self.aggregator_failovers = 0
-        # Flavor-specific deferred-update container: GentleRain swaps in a
-        # RunBuffer ("runs" backend) or keeps this heap-ordered list; Cure
-        # scans a plain list (vector gates are not totally ordered).  All
-        # choices support len() for pending_count().
-        self._pending = []
-        self._pending_seq = 0
+        self._pending = _DeferredRuns()
+        self._seq = 0                               # local update counter
         self.local_updates = 0
         self.remote_applies = 0
         # visibility series names per origin DC, formatted once
@@ -241,6 +342,14 @@ class GstPartition(Process):
         """Flavor-specific timestamping; must keep Property-1-style order."""
         raise NotImplementedError
 
+    def _new_update(self, msg: ClientUpdate, ts: int, vts: tuple) -> Update:
+        self._seq += 1
+        return Update(
+            key=msg.key, value=msg.value, origin_dc=self.dc_id,
+            partition_index=self.index, seq=self._seq, ts=ts, vts=vts,
+            commit_time=self.now, value_bytes=msg.value_bytes,
+        )
+
     # ------------------------------------------------------------------
     # Replication in
     # ------------------------------------------------------------------
@@ -250,56 +359,39 @@ class GstPartition(Process):
         if update.ts > self.vv[k]:
             self.vv[k] = update.ts
         if self._releasable(update):
-            self._install(update, arrival=self.now)
+            self._install(((update, self.now),))
         else:
             self._defer(update, arrival=self.now)
 
     def _releasable(self, update: Update) -> bool:
+        """The flavor's visibility gate against the current summary."""
+        raise NotImplementedError
+
+    def _covered_bound(self, origin: int) -> int:
+        """Largest own entry (``ts``) of an update from ``origin`` that
+        :meth:`_releasable` can pass — the gate's term for the origin."""
         raise NotImplementedError
 
     def _defer(self, update: Update, arrival: float) -> None:
         """Queue an update whose visibility the summary does not yet cover."""
-        raise NotImplementedError
+        self._pending.add(update, arrival)
 
     def _release_ready(self) -> None:
-        """Install every deferred update the new summary covers."""
-        raise NotImplementedError
+        """Install every deferred update the new summary covers.  Installs
+        are summary-gated, never store-gated, so draining after the pop is
+        order-identical to interleaved per-update installs."""
+        self._install(self._pending.pop_releasable(self._covered_bound,
+                                                   self._releasable))
 
-    def _install(self, update: Update, arrival: float) -> None:
-        self.visible.put(update.key, Versioned(update.value, update.ts,
-                                               update.origin_dc, update.vts))
-        self.remote_applies += 1
-        now = self.now
-        k, m = update.origin_dc, self.dc_id
-        extra_ms = max(0.0, (now - arrival) * 1e3)
-        total_ms = (now - update.commit_time) * 1e3
-        extra_label, total_label = self._vis_labels[k]
-        self.metrics.point(extra_label, now, extra_ms)
-        self.metrics.point(total_label, now, total_ms)
-        tracer = self.metrics.tracer
-        if tracer is not None:
-            tracer.stage_once(update, "visible", now, m)
-        slo = self.metrics.slo
-        if slo is not None:
-            slo.visibility(k, m, total_ms, extra_ms)
+    def _install(self, items) -> None:
+        """Make ``(update, arrival)`` pairs visible, in order.
 
-    def _install_many(self, items) -> None:
-        """Batched deferred-set drain: install ``(update, arrival)`` pairs.
-
-        Call-for-call identical to looping :meth:`_install` — same LWW
-        puts, same metric points, same order — with the per-item handle
-        resolution (store put, metrics point, tracer, SLO sink) hoisted
-        out of the loop.  A summary broadcast can release hundreds of
-        deferred updates at once, so this loop is the GST/Cure analogue
-        of Eunomia's batched apply path.
+        One body for the arrival path (a single pair) and the deferred-set
+        drain: a summary broadcast can release hundreds of updates at
+        once, so the per-item handle resolution (store put, metrics point,
+        tracer, SLO sink) is hoisted out of the loop.
         """
         if not items:
-            return
-        if type(self)._install is not GstPartition._install:
-            # Subclass hook (recording/ablation overrides): keep the
-            # per-op call so the override observes every install.
-            for update, arrival in items:
-                self._install(update, arrival)
             return
         put = self.visible.put
         point = self.metrics.point
@@ -433,53 +525,102 @@ class GstPartition(Process):
         return len(self._pending)
 
 
+class GentleRainPartition(GstPartition):
+    """GST flavor: scalar timestamps, visibility gate ``ts <= GST``."""
+
+    flavor = "gentlerain"
+
+    @staticmethod
+    def summary_width_static(n_dcs: int) -> int:
+        return 1
+
+    def _stamp(self, msg: ClientUpdate) -> Update:
+        ts = self.hlc.update(msg.client_vts[0])
+        return self._new_update(msg, ts, (ts,))
+
+    def _releasable(self, update: Update) -> bool:
+        return update.ts <= self.summary[0]
+
+    def _covered_bound(self, origin: int) -> int:
+        return self.summary[0]      # the whole gate: nothing under it blocks
+
+    def _local_summary(self) -> tuple:
+        # Partial placement: the scalar minimum spans only the tracked
+        # origins (DCs that also store this partition, plus ourselves) —
+        # an origin with no sibling here sends no heartbeats, and letting
+        # its frozen VV entry into the min would pin the GST at zero.
+        if self.tracked is None:
+            return (min(self.vv),)
+        return (min(self.vv[d] for d in self.tracked),)
+
+
+class CurePartition(GstPartition):
+    """GSV flavor: vector timestamps, per-entry visibility gate."""
+
+    flavor = "cure"
+
+    @staticmethod
+    def summary_width_static(n_dcs: int) -> int:
+        return n_dcs
+
+    def _stamp(self, msg: ClientUpdate) -> Update:
+        m = self.dc_id
+        ts = self.hlc.update(msg.client_vts[m])
+        return self._new_update(
+            msg, ts, msg.client_vts[:m] + (ts,) + msg.client_vts[m + 1:])
+
+    def _releasable(self, update: Update) -> bool:
+        gsv = self.summary
+        for d in range(self.n_dcs):
+            if d == self.dc_id:
+                continue  # local dependencies are locally visible already
+            if update.vts[d] > gsv[d]:
+                return False
+        return True
+
+    def _covered_bound(self, origin: int) -> int:
+        return self.summary[origin]     # other entries may still block
+
+    def _local_summary(self) -> tuple:
+        # Partial placement: entries for origins this partition does not
+        # track report the UNTRACKED sentinel (+inf under the aggregator's
+        # min), so the DC-wide GSV entry for origin d is bounded only by
+        # the partitions that actually receive d's stream — and is the
+        # sentinel itself when none does, releasing dependencies on d
+        # unconditionally (nothing from d can be resident here then).
+        if self.tracked is None:
+            return tuple(self.vv)
+        return tuple(self.vv[d] if d in self.tracked else UNTRACKED
+                     for d in range(self.n_dcs))
+
+
 class GstProtocol(ProtocolSpec):
-    """Deployment plugin shared by the global-stabilization flavors.
+    """Deployment plugin of a global-stabilization flavor.
 
     The only protocol-specific pieces of a GST datacenter are the
-    partitions (flavor subclass of :class:`GstPartition`) and the per-DC
-    aggregator wiring; there is no separate stabilizer process and no
-    remote receiver — updates travel sibling→sibling and visibility is
-    gated locally by the summary.  Everything else (frame, clocks,
-    clients, failure injection) comes from the spine.
+    partitions (``partition_cls``, a flavor subclass of
+    :class:`GstPartition`) and the per-DC aggregator wiring; there is no
+    separate stabilizer process and no remote receiver — updates travel
+    sibling→sibling and visibility is gated locally by the summary.
+    Everything else (frame, clocks, clients, failure injection) comes from
+    the spine.  Option: ``timings`` (:class:`GstTimings`).
     """
 
-    #: flavor subclass; overridden by instances/subclasses
-    partition_cls: type = GstPartition
-    #: flavors with a deferred-update backend ablation set this to the
-    #: allowed backend names, first entry the default; None = no such axis
-    pending_backends: Optional[tuple] = None
-
-    def __init__(self, partition_cls: Optional[type] = None):
-        if partition_cls is not None:
-            self.partition_cls = partition_cls
-        self.name = self.partition_cls.flavor
+    def __init__(self, partition_cls: type):
+        self.partition_cls = partition_cls
+        self.name = partition_cls.flavor
 
     def client_entries(self, n_dcs: int) -> int:
         return self.partition_cls.summary_width_static(n_dcs)
 
     def option_names(self) -> tuple:
-        if self.pending_backends:
-            return ("timings", "pending_backend")
         return ("timings",)
 
     def prepare(self, spec, options: dict) -> dict:
         options["timings"] = options.get("timings") or GstTimings()
-        if self.pending_backends:
-            check_pending_backend(
-                options.setdefault("pending_backend",
-                                   self.pending_backends[0]),
-                self.pending_backends)
         return options
 
-    def partition_kwargs(self, options: dict) -> dict:
-        """Extra per-partition constructor kwargs (flavor tunables)."""
-        if self.pending_backends:
-            return {"pending_backend": options["pending_backend"]}
-        return {}
-
     def build_site(self, site: SiteContext) -> SitePlan:
-        extra = self.partition_kwargs(site.options)
         # All N constructed in index order for clock-stream parity even
         # under partial placement; only residents join the roster below.
         partitions = [
@@ -487,7 +628,7 @@ class GstProtocol(ProtocolSpec):
                                site.n_dcs, site.clock(),
                                site.options["timings"],
                                calibration=site.calibration,
-                               metrics=site.metrics, **extra)
+                               metrics=site.metrics)
             for i in range(site.n_partitions)
         ]
         pmap = site.partial_placement()
@@ -506,3 +647,7 @@ class GstProtocol(ProtocolSpec):
                 # this partition — the placement-aware stable cut.
                 partition.tracked = pmap.residents(partition.index)
         return SitePlan(partitions=partitions)
+
+
+register_protocol(GstProtocol(GentleRainPartition))
+register_protocol(GstProtocol(CurePartition))

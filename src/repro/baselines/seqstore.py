@@ -24,7 +24,12 @@ from typing import Optional
 
 from ..calibration import Calibration
 from ..clocks.physical import PhysicalClock
-from ..core.config import RETRY_BACKOFF_CAP, SEQ_RETRY_TIMEOUT, EunomiaConfig
+from ..core.config import (
+    RECEIVER_CHECK_INTERVAL,
+    RETRY_BACKOFF_CAP,
+    SEQ_RETRY_TIMEOUT,
+    EunomiaConfig,
+)
 from ..core.messages import ClientUpdate, ClientUpdateReply, RemoteData
 from ..core.partition import EunomiaPartition
 from ..core.protocols import (
@@ -220,7 +225,7 @@ class SequencerProtocol(ProtocolSpec):
                                 repair=True)
         receiver = Receiver(site.env, f"dc{site.dc_id}/receiver", site.dc_id,
                             site.n_dcs,
-                            check_interval=config.receiver_check_interval,
+                            check_interval=RECEIVER_CHECK_INTERVAL,
                             calibration=site.calibration,
                             metrics=site.metrics,
                             placement=site.partial_placement())

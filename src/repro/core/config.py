@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["EunomiaConfig", "RETRY_BACKOFF_BASE", "RETRY_BACKOFF_CAP",
-           "SEQ_RETRY_TIMEOUT", "TREE_FLUSH_INTERVAL"]
+__all__ = ["EunomiaConfig", "RECEIVER_CHECK_INTERVAL", "RETRY_BACKOFF_BASE",
+           "RETRY_BACKOFF_CAP", "SEQ_RETRY_TIMEOUT", "TREE_FLUSH_INTERVAL"]
 
 #: Retry-with-backoff shape shared by the recovery idioms (uplink
 #: retransmission escalation, failed-fsync commit retries, sequencer
@@ -30,6 +30,9 @@ SEQ_RETRY_TIMEOUT = 0.05
 #: Flush window of a §5 propagation-tree relay.
 TREE_FLUSH_INTERVAL = 0.001
 
+#: ρ — period of the receiver's CHECK_PENDING (Alg. 5 line 3).
+RECEIVER_CHECK_INTERVAL = 0.001
+
 
 @dataclass
 class EunomiaConfig:
@@ -45,9 +48,6 @@ class EunomiaConfig:
 
     #: θ — period of Eunomia's PROCESS_STABLE (Alg. 3 line 7).
     stabilization_interval: float = 0.005
-
-    #: ρ — period of the receiver's CHECK_PENDING (Alg. 5 line 3).
-    receiver_check_interval: float = 0.001
 
     #: Ship update payloads partition→sibling-partition, metadata-only
     #: through Eunomia (§5 "Separation of Data and Metadata").
@@ -111,13 +111,6 @@ class EunomiaConfig:
     #: (checkpoint + WAL) state alone — the no-surviving-peer path.
     state_transfer_timeout: float = 0.5
 
-    #: Unstable-op buffer strategy: ``"runs"`` (per-origin monotone runs,
-    #: O(1) ingestion + k-way-merge FIND_STABLE — safe because Alg. 3's
-    #: PartitionTime dedup guarantees per-partition monotone inserts) or
-    #: ``"rbtree"`` (the paper's §6 structure).  Both emit bit-identical
-    #: stable serializations.
-    buffer_backend: str = "runs"
-
     def validate(self) -> None:
         """Sanity-check interval relationships; raises ValueError."""
         if self.n_replicas < 1:
@@ -125,7 +118,7 @@ class EunomiaConfig:
         if self.n_replicas > 1 and not self.fault_tolerant:
             raise ValueError("multiple replicas require fault_tolerant=True")
         for name in ("batch_interval", "heartbeat_interval",
-                     "stabilization_interval", "receiver_check_interval"):
+                     "stabilization_interval"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.replica_suspect_timeout <= self.replica_alive_interval:
@@ -149,10 +142,3 @@ class EunomiaConfig:
             raise ValueError("checkpoint interval must be positive")
         if self.state_transfer_timeout <= 0:
             raise ValueError("state transfer timeout must be positive")
-        from ..datastruct.opbuffer import BUFFER_BACKENDS
-
-        if self.buffer_backend not in BUFFER_BACKENDS:
-            raise ValueError(
-                f"unknown buffer backend {self.buffer_backend!r} "
-                f"(expected one of {', '.join(BUFFER_BACKENDS)})"
-            )

@@ -17,7 +17,7 @@ while the shared spine — :class:`repro.geo.datacenter.Datacenter`,
 :func:`repro.core.assembly.build_stabilizer_stack` — owns everything
 protocols have in common: the WAN topology, NTP-disciplined clocks, the
 consistent-hash ring, closed-loop clients, uplink/relay wiring, metrics,
-and failure injection.  Every cross-protocol axis (``buffer_backend``,
+and failure injection.  Every cross-protocol axis (placement,
 :class:`~repro.sim.failure.FailureSchedule`, workload specs, crash
 schedules) therefore applies to every protocol by construction.
 
@@ -75,8 +75,8 @@ class SiteContext:
     Created by :class:`repro.geo.datacenter.Datacenter`; plugins consume
     it in :meth:`ProtocolSpec.build_site`.  ``options`` is the normalized
     per-system option dict returned by :meth:`ProtocolSpec.prepare` —
-    protocol tunables (``config``, ``timings``, ``pending_backend``,
-    ``chain_length``, …) travel through it uniformly.
+    protocol tunables (``config``, ``timings``, ``chain_length``) travel
+    through it uniformly.
     """
 
     env: Environment
@@ -199,8 +199,8 @@ PROTOCOL_ORDER = ("eventual", "eunomia", "gentlerain", "cure", "sseq", "aseq")
 _LAZY_MODULES = {
     "eunomia": "repro.geo.datacenter",
     "eventual": "repro.baselines.eventual",
-    "gentlerain": "repro.baselines.gentlerain",
-    "cure": "repro.baselines.cure",
+    "gentlerain": "repro.baselines.gst",
+    "cure": "repro.baselines.gst",
     "sseq": "repro.baselines.seqstore",
     "aseq": "repro.baselines.seqstore",
 }

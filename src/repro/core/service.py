@@ -8,12 +8,12 @@ guarantee no partition will ever produce a smaller timestamp, so everything
 at or below ``StableTime`` can be serialized — in timestamp order, which by
 Property 1 is consistent with causality — and shipped to remote datacenters.
 
-The unstable set lives behind the :func:`repro.datastruct.opbuffer.OpBuffer`
-strategy facade (``EunomiaConfig.buffer_backend``): per-origin monotone runs
-by default — Alg. 3's PartitionTime dedup guarantees the strictly increasing
-per-partition inserts the run buffer requires — with the paper's §6
-red–black tree retained as the reference backend.  Extraction of the
-stable prefix is the backend's ``pop_stable``.
+The unstable set is a :class:`repro.datastruct.runbuffer.RunBuffer` —
+per-origin monotone runs; Alg. 3's PartitionTime dedup guarantees the
+strictly increasing per-partition inserts it requires.  Extraction of the
+stable prefix is its ``pop_stable``.  (The paper's §6 red–black tree
+survives as :class:`repro.datastruct.rbtree.TreeOpBuffer`, the reference
+the run buffer is tested and benchmarked against.)
 
 Algorithm 3 ↔ this module:
 
@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..datastruct.opbuffer import OpBuffer
+from ..datastruct.runbuffer import RunBuffer
 from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
 from ..sim.process import CostModel, Process
@@ -109,7 +109,7 @@ class StabilizerBase(Process):
         #: partial geo-replication: the partition indices that bound the
         #: stable cut (None = all N; see :meth:`set_tracked`)
         self.tracked = None
-        self.buffer = OpBuffer(config.buffer_backend)
+        self.buffer = RunBuffer()
         self.stable_time = 0
         #: highest floor known shipped to remote receivers (≤ stable_time;
         #: the durable-truncation and state-transfer floor)
@@ -186,7 +186,7 @@ class StabilizerBase(Process):
     def _lose_state(self) -> None:
         """Amnesia crash: protocol state is gone; durable media survive."""
         self.partition_time = [0] * self.n_partitions
-        self.buffer = OpBuffer(self.config.buffer_backend)
+        self.buffer = RunBuffer()
         self.stable_time = 0
         self.shipped_stable = 0
         if self.wal is not None:

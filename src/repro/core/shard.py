@@ -10,7 +10,7 @@ Xiang & Vaidya's global stabilization for partial replication):
 
 * :class:`EunomiaShard` — one of K workers, each running Algorithm 3
   unchanged over a *subset* of the datacenter's partitions with its own
-  ``OpBuffer``.  Every θ it computes its ``ShardStableTime`` (the min of
+  ``RunBuffer``.  Every θ it computes its ``ShardStableTime`` (the min of
   PartitionTime over its subset), serializes the stable sub-run, and ships
   it to the coordinator.
 * :class:`ShardCoordinator` — tracks per-shard ``ShardStableTime``, computes
@@ -293,7 +293,7 @@ class ShardCoordinator(ReplicaRole, Process):
         if not runs:
             return
         # Each run is already order_key()-ordered — the same (ts, origin,
-        # seq) key the OpBuffer sorts by — and runs never interleave with
+        # seq) key the RunBuffer sorts by — and runs never interleave with
         # future arrivals (a shard never re-announces below its
         # ShardStableTime), so a K-way streaming merge re-serializes the
         # global order.

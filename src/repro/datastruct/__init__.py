@@ -1,25 +1,17 @@
-"""Ordered structures used by the Eunomia service: the red–black tree the
-paper's implementation is built on (§6), the run-aware :class:`RunBuffer` exploiting Algorithm 3's
-per-origin monotonicity, the columnar :class:`OpBlock` batch record feeding
-bulk ingestion, and the :func:`OpBuffer` strategy facade composing them into
-the timestamp-ordered unstable-operation buffer."""
+"""Ordered structures of the Eunomia service: the run-aware
+:class:`RunBuffer` every stabilizer holds (it exploits Algorithm 3's
+per-origin monotonicity), the columnar :class:`OpBlock` batch record feeding
+its bulk ingestion, and the red–black tree the paper's implementation is
+built on (§6) with the :class:`TreeOpBuffer` over it — kept as the reference
+the run buffer is tested and benchmarked against."""
 
 from .opblock import OpBlock
-from .opbuffer import (
-    BUFFER_BACKENDS,
-    DEFAULT_BACKEND,
-    OpBuffer,
-    TreeOpBuffer,
-)
-from .rbtree import RedBlackTree
+from .rbtree import RedBlackTree, TreeOpBuffer
 from .runbuffer import RunBuffer
 
 __all__ = [
     "RedBlackTree",
     "OpBlock",
-    "OpBuffer",
     "TreeOpBuffer",
     "RunBuffer",
-    "BUFFER_BACKENDS",
-    "DEFAULT_BACKEND",
 ]

@@ -11,13 +11,20 @@ run-aware buffer that is the default here.
 This is a textbook CLRS implementation with a per-tree NIL sentinel, mapping
 totally-ordered keys to values.  ``validate()`` checks the red–black
 invariants and is exercised by property-based tests.
+
+:class:`TreeOpBuffer` is the paper's §6 unstable-op buffer over that tree:
+O(log n) everything, no ingestion-order assumptions.  Nothing in the
+simulator runs it any more — the stabilizers hold a
+:class:`~repro.datastruct.runbuffer.RunBuffer` — it is the *reference*:
+``tests/test_runbuffer.py`` proves the run buffer emits its serialization
+op for op, and the §6 micro-benchmarks measure the two side by side.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterator, Optional, Tuple
 
-__all__ = ["RedBlackTree"]
+__all__ = ["RedBlackTree", "TreeOpBuffer"]
 
 RED = True
 BLACK = False
@@ -356,3 +363,64 @@ class RedBlackTree:
 
         walk(self._root, None, None)
         assert self._size == sum(1 for _ in self.items()), "size out of sync"
+
+
+class TreeOpBuffer:
+    """Timestamp-ordered buffer over the red–black tree (§6), keyed by the
+    total order ``(timestamp, origin partition id, per-partition sequence)``
+    — the last two components break ties between concurrent updates from
+    different partitions while keeping keys unique.  Same interface as
+    :class:`~repro.datastruct.runbuffer.RunBuffer`."""
+
+    __slots__ = ("_tree", "total_added")
+
+    def __init__(self) -> None:
+        self._tree = RedBlackTree()
+        self.total_added = 0
+
+    def __len__(self) -> int:
+        return len(self._tree)
+
+    def __bool__(self) -> bool:
+        return bool(self._tree)
+
+    def add(self, ts: int, origin: int, seq: int, op: Any) -> None:
+        """Buffer ``op`` under its (unique) ordering key."""
+        self._tree.insert((ts, origin, seq), op)
+        self.total_added += 1
+
+    def extend_run(self, entries: list) -> int:
+        """Bulk-append interface parity with :class:`RunBuffer`: trees gain
+        nothing from batching — every key still pays its O(log n) insert."""
+        insert = self._tree.insert
+        for ts, origin, seq, op in entries:
+            insert((ts, origin, seq), op)
+        self.total_added += len(entries)
+        return len(entries)
+
+    def contains(self, ts: int, origin: int, seq: int) -> bool:
+        return (ts, origin, seq) in self._tree
+
+    def pop_stable(self, stable_ts: int) -> list:
+        """Extract every op with ``ts <= stable_ts`` in total order.
+
+        This is FIND_STABLE + removal (Alg. 3 lines 9–11): because the key's
+        first component is the timestamp, ``pop_leq((stable_ts, inf, inf))``
+        returns exactly the stable prefix, already serialized consistently
+        with causality (Property 1) with deterministic tie-breaks.
+        """
+        bound = (stable_ts, float("inf"), float("inf"))
+        return [op for _, op in self._tree.pop_leq(bound)]
+
+    def min_ts(self) -> Optional[int]:
+        """Timestamp of the oldest buffered op, or None when empty."""
+        if not self._tree:
+            return None
+        (ts, _, _), _ = self._tree.min_item()
+        return ts
+
+    def drop_stable(self, stable_ts: int) -> int:
+        """Discard the stable prefix without returning it (follower
+        replicas, Alg. 4 lines 13–15) — counting, not collecting."""
+        bound = (stable_ts, float("inf"), float("inf"))
+        return self._tree.drop_leq(bound)

@@ -24,7 +24,7 @@ coarse stable-time metadata).
 * ``pop_stable()`` is a ``heapq.merge``-style k-way merge of each run's
   stable prefix under the same ``(ts, origin, seq)`` total order the
   red–black tree produces, so the emitted stable serialization is
-  op-for-op identical to the tree backend's (the property test in
+  op-for-op identical to :class:`TreeOpBuffer`'s (the property test in
   ``tests/test_runbuffer.py`` proves this);
 * ``drop_stable()`` prunes the stable prefix in place without materializing
   it — the follower-replica fast path (Alg. 4 lines 13–15).
@@ -159,7 +159,7 @@ class RunBuffer:
         is split off (whole-run fast path when the entire run is stable),
         then the prefixes — already sorted, mutually non-interleaving only
         in origin — are k-way merged under ``(ts, origin, seq)``, the exact
-        key and tie-break of the tree backends.
+        key and tie-break of the §6 tree buffer.
         """
         prefixes = self._split_stable(stable_ts)
         if not prefixes:

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..datastruct.opbuffer import OpBuffer
+from ..datastruct.runbuffer import RunBuffer
 from ..sim.disk import DiskModel
 
 __all__ = ["RecoveryManager", "RestoreReport"]
@@ -82,7 +82,7 @@ class RecoveryManager:
             floor = extra_floor
             partition_time = [0] * proc.n_partitions
         entries = wal.replay(partition_time, floor)
-        buffer = OpBuffer(proc.config.buffer_backend)
+        buffer = RunBuffer()
         for ts, origin, seq, op in entries:
             buffer.add(ts, origin, seq, op)
         proc._adopt_recovery_state(partition_time, buffer, floor)

@@ -300,16 +300,21 @@ def _durable_members(dc):
 
 
 def _region_processes(system, dc):
-    """Every process a whole-region outage takes down: resident
+    """Every crash unit a whole-region outage takes down: resident
     partitions (non-resident ones never started), the receiver, the
-    stabilizer stack, protocol extras (sequencer chains), and the DC's
-    own clients."""
+    stabilizer replicas — as :class:`~repro.core.replica.ReplicaGroup`
+    units, whose ``recover`` is the one rejoin path that re-arms the θ
+    tick, the election and the checkpoint tick — the protocol extras
+    outside the stack (sequencer chains; Eunomia's extras *are* the stack
+    members), and the DC's own clients."""
     procs = list(dc.resident_partitions())
     if dc.receiver is not None:
         procs.append(dc.receiver)
+    in_stack = []
     if dc.stack is not None:
-        procs.extend(dc.stack.processes())
-    procs.extend(dc.extras)
+        procs.extend(dc.stack.groups)
+        in_stack = dc.stack.processes()
+    procs.extend(p for p in dc.extras if p not in in_stack)
     procs.extend(c for c in system.clients if c.dc_id == dc.dc_id)
     return procs
 

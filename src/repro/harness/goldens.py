@@ -20,11 +20,10 @@ and ``tests/test_protocol_goldens.py`` asserts the post-refactor spine
 reproduces them bit-for-bit.
 
 ``vis_sorted_sha`` is an order-*independent* variant of the visibility
-digest: structures that legally reorder installs within one stabilization
-round (e.g. Cure's run-aware pending set versus the classic scan) emit the
-same point multiset in a different order, so equivalence across pending
-backends is asserted against the sorted digest while same-backend
-equivalence uses the strict ordered one.
+digest: a structure that legally reorders installs within one stabilization
+round emits the same point multiset in a different order, which moves the
+strict ordered ``stable_sha`` but not the sorted one — so a drift in only
+the former names an ordering change, not a timing change.
 """
 
 from __future__ import annotations

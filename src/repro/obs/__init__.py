@@ -24,13 +24,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .trace import STAGES, STAGE_DESCRIPTIONS, Span, Tracer
-from .sketch import LogBinHistogram, P2Quantile, SloRecorder
+from .sketch import LogBinHistogram, SloRecorder
 from .gauges import GaugeScraper
 from .export import chrome_trace, write_chrome_trace, render_slo_report
 
 __all__ = [
     "STAGES", "STAGE_DESCRIPTIONS", "Span", "Tracer",
-    "LogBinHistogram", "P2Quantile", "SloRecorder",
+    "LogBinHistogram", "SloRecorder",
     "GaugeScraper", "chrome_trace", "write_chrome_trace",
     "render_slo_report", "Observability", "attach_observability",
 ]

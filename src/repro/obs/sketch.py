@@ -2,15 +2,10 @@
 
 ``MetricsHub.record`` keeps every sample, which is exactly right for the
 figure scripts' few-thousand-op runs but prices p999 out of the ROADMAP's
-million-client loads.  The two estimators here hold O(log range) and O(1)
-state respectively:
-
-* :class:`LogBinHistogram` — a DDSketch-style fixed-log-bin histogram with
-  a *relative* error guarantee: ``quantile(q)`` is within ``rel_err`` of
-  the exact rank value, for any distribution, at any q.  Mergeable.
-* :class:`P2Quantile` — the classic Jain & Chlamtac P² estimator: five
-  markers tracking a single quantile with no bins at all.  No hard error
-  bound; use it when even a bin dict is too much.
+million-client loads.  :class:`LogBinHistogram` holds O(log range) state: a
+DDSketch-style fixed-log-bin histogram with a *relative* error guarantee —
+``quantile(q)`` is within ``rel_err`` of the exact rank value, for any
+distribution, at any q.  Mergeable.
 
 :class:`SloRecorder` bundles per-(op-kind, DC) operation-latency and
 per-(origin, dest) visibility-latency histograms behind the same
@@ -22,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional, Tuple
 
-__all__ = ["LogBinHistogram", "P2Quantile", "SloRecorder"]
+__all__ = ["LogBinHistogram", "SloRecorder"]
 
 
 class LogBinHistogram:
@@ -110,80 +105,6 @@ class LogBinHistogram:
 
     def __len__(self) -> int:
         return self.n
-
-
-class P2Quantile:
-    """P² single-quantile estimator (Jain & Chlamtac, CACM 1985).
-
-    Five markers, O(1) memory and update.  ``value`` is the current
-    estimate; exact until five observations have arrived.
-    """
-
-    __slots__ = ("p", "n", "_q", "_pos", "_desired", "_incr")
-
-    def __init__(self, p: float):
-        if not 0.0 < p < 1.0:
-            raise ValueError("p must be in (0, 1)")
-        self.p = p
-        self.n = 0
-        self._q = []                     # marker heights
-        self._pos = [1, 2, 3, 4, 5]      # marker positions
-        self._desired = [1.0, 1.0 + 2 * p, 1.0 + 4 * p, 3.0 + 2 * p, 5.0]
-        self._incr = [0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0]
-
-    def add(self, value: float) -> None:
-        self.n += 1
-        if self.n <= 5:
-            self._q.append(value)
-            if self.n == 5:
-                self._q.sort()
-            return
-        q, pos = self._q, self._pos
-        # find cell k containing the new observation, clamping extremes
-        if value < q[0]:
-            q[0] = value
-            k = 0
-        elif value >= q[4]:
-            q[4] = value
-            k = 3
-        else:
-            k = 0
-            while k < 3 and value >= q[k + 1]:
-                k += 1
-        for i in range(k + 1, 5):
-            pos[i] += 1
-        for i in range(5):
-            self._desired[i] += self._incr[i]
-        # adjust the three middle markers toward their desired positions
-        for i in (1, 2, 3):
-            d = self._desired[i] - pos[i]
-            if (d >= 1 and pos[i + 1] - pos[i] > 1) or \
-               (d <= -1 and pos[i - 1] - pos[i] < -1):
-                d = 1 if d >= 1 else -1
-                # parabolic prediction, falling back to linear
-                qp = self._parabolic(i, d)
-                if q[i - 1] < qp < q[i + 1]:
-                    q[i] = qp
-                else:
-                    q[i] = q[i] + d * (q[i + d] - q[i]) / (pos[i + d] - pos[i])
-                pos[i] += d
-
-    def _parabolic(self, i: int, d: int) -> float:
-        q, n = self._q, self._pos
-        return q[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    @property
-    def value(self) -> float:
-        if self.n == 0:
-            return 0.0
-        if self.n < 5:
-            s = sorted(self._q)
-            rank = max(1, math.ceil(self.p * self.n))
-            return s[rank - 1]
-        return self._q[2]
 
 
 class SloRecorder:

@@ -17,12 +17,15 @@ import pytest
 
 from repro.baselines import build_system
 from repro.checker import CausalChecker, SessionHistory
-from repro.geo.system import GeoSystemSpec
+from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.loadgen import build_eunomia_rig
 from repro.sim.failure import FailureSchedule
 from repro.harness.chaos import (
+    CHAOS_PLACEMENTS,
     ChaosSchedule,
     FaultEvent,
+    _options_for,
+    apply_schedule,
     run_case,
     run_exactly_once_drill,
     sample_schedule,
@@ -194,6 +197,37 @@ def test_region_outage_island_converges_after_heal():
     assert result.ok, result.failures
     assert any(line.startswith("crash dc2/") for line in result.fired)
     assert any(line.startswith("recover dc2/") for line in result.fired)
+
+
+def test_region_outage_rearms_island_stabilizers():
+    """The outage recovers stabilizer *replica groups* (the one rejoin
+    path), not their member processes one by one: a stabilizer brought
+    back by a bare ``Process.recover`` has no θ tick, no Ω broadcasts and
+    no checkpoint tick, so the island's StableTime froze at the crash and
+    nothing it committed afterwards was ever stabilized — unnoticed,
+    because nobody consumes an island's outbound stream."""
+    spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=2,
+                         seed=7, placement=CHAOS_PLACEMENTS["island"],
+                         client_retry=0.25)
+    system = build_geo_system("eunomia", spec,
+                              WorkloadSpec(read_ratio=0.75, n_keys=48),
+                              **_options_for("eunomia", "island"))
+    apply_schedule(system, ChaosSchedule(
+        protocol="eunomia", seed=7, placement="island",
+        events=[FaultEvent("region_outage", 0.6, 1.0, {"dc": 2})]))
+    island = system.datacenters[2]
+
+    def stabilized():
+        return sum(head.ops_stabilized for head in island.heads)
+
+    system.run(1.1)                     # healed at 1.0
+    floor, before = island.stable_time_us(), stabilized()
+    system.run(1.1)
+    assert not any(proc.crashed for proc in island.extras)
+    assert island.stable_time_us() > floor, (
+        "island StableTime frozen after the outage healed")
+    assert stabilized() > before, (
+        "island stabilized nothing after the outage healed")
 
 
 def test_region_outage_rejects_replicated_region():

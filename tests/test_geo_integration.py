@@ -88,9 +88,17 @@ def test_geo_survives_eunomia_leader_crash():
 
 
 def test_rbtree_backed_eunomia_behaves_identically():
-    """§6 ablation: the buffer choice affects speed, not behaviour."""
+    """§6 reference: the paper's tree buffer, swapped into every stabilizer
+    before the run, changes nothing a client can see."""
+    from repro.datastruct import TreeOpBuffer
+
     runs = run_eunomia()
-    rbtree = run_eunomia(config=EunomiaConfig(buffer_backend="rbtree"))
+    rbtree = build_geo_system("eunomia", SPEC, WL)
+    for dc in rbtree.datacenters:
+        for head in dc.heads:
+            head.buffer = TreeOpBuffer()
+    rbtree.run(3.0)
+    rbtree.quiesce(3.0)
     assert rbtree.converged()
     assert rbtree.snapshots() == runs.snapshots()
 

@@ -1,10 +1,13 @@
 """Unit-level tests for the GentleRain/Cure stabilization machinery."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.baselines.cure import CurePartition
-from repro.baselines.gentlerain import GentleRainPartition
-from repro.baselines.gst import GstTimings
+from repro.baselines.gst import (
+    CurePartition,
+    GentleRainPartition,
+    GstTimings,
+)
 from repro.baselines.messages import GstBroadcast, GstHeartbeat
 from repro.clocks import PhysicalClock
 from repro.core.messages import ClientUpdate, RemoteData
@@ -43,14 +46,13 @@ class TestGentleRainUnit:
         assert partition.pending_count() == 0
 
     def test_release_in_timestamp_order(self, env, net, metrics):
-        # The heap ablation tolerates arbitrary arrival order, so it can be
-        # probed with a synthetic out-of-order stream.
-        partition = make_partition(env, GentleRainPartition, metrics=metrics,
-                                   pending_backend="heap")
+        # Arrival order across origins is arbitrary (only each origin's own
+        # stream is FIFO): the later-arriving, older update goes first.
+        partition = make_partition(env, GentleRainPartition, metrics=metrics)
         sender = Sender(env, "s")
-        for ts in (30, 10, 20):
+        for dc, ts in ((1, 30), (2, 10), (2, 20)):
             sender.send(partition, RemoteData(
-                remote(1, ts, (ts,), seq=ts, key=f"k{ts}")))
+                remote(dc, ts, (ts,), seq=ts, key=f"k{ts}")))
         env.run(until=0.01)
         sender.send(partition, GstBroadcast((15,)))
         env.run(until=0.02)
@@ -59,7 +61,7 @@ class TestGentleRainUnit:
         assert partition.pending_count() == 2
 
     def test_runs_pending_releases_partial_prefix(self, env, net, metrics):
-        """Default run-aware pending set under realistic FIFO streams."""
+        """The per-origin runs under realistic FIFO streams."""
         partition = make_partition(env, GentleRainPartition, metrics=metrics)
         sender = Sender(env, "s")
         for dc, ts in ((1, 10), (2, 25), (1, 30), (2, 35)):   # FIFO per origin
@@ -75,18 +77,13 @@ class TestGentleRainUnit:
         assert partition.pending_count() == 2
 
     def test_runs_pending_rejects_non_fifo_stream(self, env, net, metrics):
-        """The default backend's contract: a FIFO violation fails loudly."""
+        """The deferred set's contract: a FIFO violation fails loudly."""
         partition = make_partition(env, GentleRainPartition, metrics=metrics)
         sender = Sender(env, "s")
         sender.send(partition, RemoteData(remote(1, 30, (30,), seq=3)))
         sender.send(partition, RemoteData(remote(1, 10, (10,), seq=1)))
         with pytest.raises(ValueError, match="non-monotone insert"):
             env.run(until=0.01)
-
-    def test_unknown_pending_backend_rejected(self, env, net, metrics):
-        with pytest.raises(ValueError, match="unknown pending backend"):
-            make_partition(env, GentleRainPartition, metrics=metrics,
-                           pending_backend="btree")
 
     def test_heartbeat_advances_vv(self, env, net, metrics):
         partition = make_partition(env, GentleRainPartition, metrics=metrics)
@@ -188,3 +185,81 @@ class TestAggregation:
         aggregator._aggregate()
         env.run(until=0.01)
         assert follower.summary == (0,)
+
+
+# ----------------------------------------------------------------------
+# The shared deferred set, under both gates, against a whole-set rescan
+# ----------------------------------------------------------------------
+def _recording(cls):
+    class Recording(cls):
+        def _install(self, items):
+            self.installed.extend(update.uid for update, _ in items)
+            super()._install(items)
+    return Recording
+
+
+#: arrival: (origin dc, own-entry increment, the other remote entry);
+#: advance: per-entry summary increments (GentleRain reads the first)
+_steps = st.lists(st.one_of(
+    st.tuples(st.just("arrive"), st.sampled_from((1, 2)),
+              st.integers(1, 5), st.integers(0, 40)),
+    st.tuples(st.just("advance"), st.integers(0, 12), st.integers(0, 12)),
+), max_size=80)
+
+
+@pytest.mark.parametrize("cls", [GentleRainPartition, CurePartition],
+                         ids=["gentlerain", "cure"])
+@settings(max_examples=80, deadline=None)
+@given(steps=_steps)
+def test_deferred_set_matches_whole_set_rescan(cls, steps):
+    """Per-origin runs + covered-prefix scan ≡ rescanning the whole set:
+    every round releases the same updates in the same per-origin order and
+    leaves nothing releasable behind — for the scalar and the vector gate.
+    """
+    env = Environment(seed=1)
+    Network(env, ConstantLatency(0.0001))
+    part = make_partition(env, _recording(cls))
+    part.installed = []
+    scalar = part.summary_width == 1
+    clock = {1: 0, 2: 0}
+    summary = [0, 0, 0]                # GSV; GentleRain's GST is entry 1
+    waiting = []                       # the reference: one flat list
+
+    def rescan():
+        ready = [u for u in waiting if part._releasable(u)]
+        waiting[:] = [u for u in waiting if not part._releasable(u)]
+        return ready
+
+    for kind, a, b, *rest in steps:
+        if kind == "arrive":
+            origin, other = a, 3 - a
+            clock[origin] += b
+            vts = [0, 0, 0]
+            vts[origin], vts[other] = clock[origin], rest[0]
+            update = remote(origin, clock[origin],
+                            (clock[origin],) if scalar else tuple(vts),
+                            seq=clock[origin])
+            waiting.append(update)
+            part.on_remote_data(RemoteData(update), None)
+        else:
+            summary = [s + inc for s, inc in zip(summary, (0, a, b))]
+            part.summary = (summary[1],) if scalar else tuple(summary)
+            part._release_ready()
+        expected = rescan()
+        assert sorted(part.installed) == sorted(u.uid for u in expected)
+        for origin in (1, 2):           # FIFO within an origin
+            assert ([uid for uid in part.installed if uid[0] == origin]
+                    == [u.uid for u in expected if u.origin_dc == origin])
+        assert part.pending_count() == len(waiting)
+        part.installed.clear()
+
+    # the O(1) append checks its contract: an origin's own entry must grow
+    far = max(clock.values()) + 1000
+    blocked = remote(1, far, (far,) if scalar else (0, far, 0), seq=far)
+    part._defer(blocked, 0.0)
+    depth = part.pending_count()
+    for ts in (far, far - 1):
+        stale = remote(1, ts, (ts,) if scalar else (0, ts, 0), seq=ts)
+        with pytest.raises(ValueError, match="non-monotone insert"):
+            part._defer(stale, 0.0)
+    assert part.pending_count() == depth

@@ -31,7 +31,6 @@ from repro.metrics.summary import EmptySeriesWarning, cdf, percentile
 from repro.obs import (
     STAGES,
     LogBinHistogram,
-    P2Quantile,
     Tracer,
     chrome_trace,
     render_slo_report,
@@ -111,8 +110,7 @@ def test_observability_preserves_goldens(protocol):
     """Tracing + sketches + gauges on → bit-identical golden digest."""
     golden = next(g for g in GOLDENS
                   if g["protocol"] == protocol and g["seed"] == 1234)
-    kwargs = {"pending_backend": "scan"} if protocol == "cure" else {}
-    observed = capture_golden(protocol, 1234, observe=True, **kwargs)
+    observed = capture_golden(protocol, 1234, observe=True)
     for field in STRICT_FIELDS:
         assert observed[field] == golden[field], (
             f"{protocol}: observability changed golden field {field!r}")
@@ -153,17 +151,6 @@ def test_logbin_merge_and_zero_bucket():
     assert a.quantile(100.0) == pytest.approx(20.0, rel=0.05)
     with pytest.raises(ValueError):
         a.merge(LogBinHistogram(rel_err=0.05))
-
-
-def test_p2_tracks_median_of_uniform_ramp():
-    est = P2Quantile(0.5)
-    for i in range(1, 1001):
-        est.add(float(i))
-    assert est.value == pytest.approx(500.0, rel=0.05)
-    small = P2Quantile(0.9)
-    for v in (3.0, 1.0, 2.0):
-        small.add(v)
-    assert small.value == 3.0               # exact below 5 observations
 
 
 def test_metrics_hub_sketch_registry():

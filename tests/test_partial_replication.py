@@ -34,9 +34,12 @@ from repro.core import EunomiaConfig, build_stabilizer_stack
 from repro.core.messages import AddOpBatch, PartitionHeartbeat, RemoteData
 from repro.core.placement import PLACEMENT_POLICIES, PlacementMap
 from repro.core.protocols import available_protocols
-from repro.baselines.gentlerain import GentleRainPartition
-from repro.baselines.cure import CurePartition
-from repro.baselines.gst import GstTimings, UNTRACKED
+from repro.baselines.gst import (
+    UNTRACKED,
+    CurePartition,
+    GentleRainPartition,
+    GstTimings,
+)
 from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.goldens import (
     GOLDEN_SPEC,
@@ -118,13 +121,10 @@ def test_every_registered_protocol_has_a_golden():
 @pytest.mark.parametrize(
     "golden", GOLDENS, ids=lambda g: f"{g['protocol']}-seed{g['seed']}")
 def test_explicit_full_placement_reproduces_goldens(golden):
-    kwargs = {}
-    if golden["protocol"] == "cure":
-        kwargs["pending_backend"] = "scan"    # the backend the capture ran
     spec = GeoSystemSpec(seed=golden["seed"], placement="full",
                          **GOLDEN_SPEC)
     system = build_geo_system(golden["protocol"], spec,
-                              WorkloadSpec(**GOLDEN_WORKLOAD), **kwargs)
+                              WorkloadSpec(**GOLDEN_WORKLOAD))
     system.run(2.0)
     system.quiesce(2.5)
     fresh = run_fingerprint(system)
@@ -236,9 +236,9 @@ class _RecordingGR(GentleRainPartition):
         super().__init__(*args, **kwargs)
         self.installed = []
 
-    def _install(self, update, arrival):
-        self.installed.append(update.uid)
-        super()._install(update, arrival)
+    def _install(self, items):
+        self.installed.extend(update.uid for update, _ in items)
+        super()._install(items)
 
 
 def drive_gst_partition(tracked, origin1_present):

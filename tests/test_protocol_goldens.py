@@ -46,37 +46,10 @@ def golden_id(golden):
 
 @pytest.mark.parametrize("golden", GOLDENS, ids=golden_id)
 def test_spine_reproduces_pre_refactor_golden(golden):
-    kwargs = {}
-    if golden["protocol"] == "cure":
-        # The golden predates the run-aware pending set; pin its backend
-        # to the classic scan the capture ran with.  The "runs" default is
-        # pinned transitively by test_cure_pending_backends_equivalent.
-        kwargs["pending_backend"] = "scan"
-    fresh = capture_golden(golden["protocol"], golden["seed"], **kwargs)
+    fresh = capture_golden(golden["protocol"], golden["seed"])
     for field in STRICT_FIELDS:
         assert fresh[field] == golden[field], (
             f"{golden_id(golden)}: {field} drifted across the refactor")
-
-
-def test_cure_pending_backends_equivalent():
-    """The run-aware pending set is a pure data-structure swap.
-
-    Installs within one release round may reorder (LWW makes the store
-    invariant), so the comparison uses the order-independent visibility
-    digest alongside stores and op counts.
-    """
-    runs = capture_golden("cure", GOLDENS[0]["seed"], pending_backend="runs")
-    scan = capture_golden("cure", GOLDENS[0]["seed"], pending_backend="scan")
-    for field in ("fingerprints", "snapshot_sha", "vis_sorted_sha", "ops",
-                  "converged"):
-        assert runs[field] == scan[field], f"{field} differs across backends"
-
-
-def test_cure_rejects_unknown_pending_backend():
-    spec = GeoSystemSpec(seed=1, **GOLDEN_SPEC)
-    with pytest.raises(ValueError):
-        build_geo_system("cure", spec, WorkloadSpec(**GOLDEN_WORKLOAD),
-                         pending_backend="heap")
 
 
 def test_unknown_options_rejected_up_front():
@@ -86,10 +59,11 @@ def test_unknown_options_rejected_up_front():
     wl = WorkloadSpec(**GOLDEN_WORKLOAD)
     with pytest.raises(TypeError, match="timngs"):
         build_system("eunomia", spec, wl, timngs=123)
-    with pytest.raises(TypeError, match="pending_backend"):
-        build_system("eventual", spec, wl, pending_backend="runs")
-    with pytest.raises(TypeError, match="chain_length"):
-        build_system("gentlerain", spec, wl, chain_length=3)
+    with pytest.raises(TypeError, match="timings"):
+        build_system("eventual", spec, wl, timings=None)
+    for flavor in ("gentlerain", "cure"):
+        with pytest.raises(TypeError, match="chain_length"):
+            build_system(flavor, spec, wl, chain_length=3)
 
 
 @settings(max_examples=4, deadline=None)

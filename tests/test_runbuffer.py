@@ -1,12 +1,12 @@
 """RunBuffer correctness: equivalence with the tree-backed buffer.
 
-The load-bearing property behind ``buffer_backend="runs"``: under the
-ingestion contract Algorithm 3 enforces (per-origin monotone timestamps —
+The load-bearing property behind running every stabilizer on
+:class:`RunBuffer`: under the ingestion contract Algorithm 3 enforces (per-origin monotone timestamps —
 FIFO links + Property 2, policed by ``PartitionTime``), the run buffer must
 produce *op-for-op identical* stable serializations and identical ``min_ts``
 to the paper's red–black tree buffer, for any interleaving of batches,
 at-least-once redeliveries, heartbeats, and stabilization points.  The test
-drives both backends through a miniature Algorithm 3 ingestion loop —
+drives both buffers through a miniature Algorithm 3 ingestion loop —
 duplicate suppression included — and compares every observable after every
 round.
 
@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import EunomiaConfig
-from repro.datastruct import OpBuffer, RunBuffer, TreeOpBuffer
+from repro.core.service import StabilizerBase
+from repro.datastruct import RunBuffer, TreeOpBuffer
 from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.loadgen import build_eunomia_rig
 from repro.workload import WorkloadSpec
@@ -122,8 +123,8 @@ class TestRunBufferEquivalence:
     @given(script=events)
     @settings(max_examples=120, deadline=None)
     def test_identical_serialization_and_min_ts_vs_rbtree(self, script):
-        runs_out, runs_min = run_script(script, OpBuffer(backend="runs"))
-        tree_out, tree_min = run_script(script, OpBuffer(backend="rbtree"))
+        runs_out, runs_min = run_script(script, RunBuffer())
+        tree_out, tree_min = run_script(script, TreeOpBuffer())
         assert runs_out == tree_out     # bit-identical stable serialization
         assert runs_min == tree_min     # same stability floor at every step
 
@@ -131,8 +132,8 @@ class TestRunBufferEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_drop_stable_equals_pop_stable_count(self, script, drop_at):
         """The follower fast path prunes exactly the materialized prefix."""
-        popper = MiniStabilizer(OpBuffer(backend="runs"), 4)
-        dropper = MiniStabilizer(OpBuffer(backend="runs"), 4)
+        popper = MiniStabilizer(RunBuffer(), 4)
+        dropper = MiniStabilizer(RunBuffer(), 4)
         clock = [0] * 4
         seq = [0] * 4
         for event in script:
@@ -186,13 +187,24 @@ class TestMonotonicityContract:
 
 
 # ----------------------------------------------------------------------
-# End-to-end: the backend is an implementation strategy, not a semantics
+# End-to-end: the real stabilizers, with the §6 reference swapped in
 # ----------------------------------------------------------------------
+def _use_tree_buffers(processes):
+    """Replace every (not yet started) stabilizer's RunBuffer by the
+    reference :class:`TreeOpBuffer`."""
+    for proc in processes:
+        if isinstance(proc, StabilizerBase):
+            assert len(proc.buffer) == 0
+            proc.buffer = TreeOpBuffer()
+
+
 class TestBackendEndToEnd:
     @staticmethod
     def _rig_sequence(backend, n_shards=1):
-        config = EunomiaConfig(buffer_backend=backend, n_shards=n_shards)
-        rig = build_eunomia_rig(8, config=config, seed=33)
+        rig = build_eunomia_rig(8, config=EunomiaConfig(n_shards=n_shards),
+                                seed=33)
+        if backend == "rbtree":
+            _use_tree_buffers(rig.service_processes)
         rig.sink.record = True
         rig.run(0.4)
         for driver in rig.drivers:
@@ -215,8 +227,10 @@ class TestBackendEndToEnd:
         wl = WorkloadSpec(read_ratio=0.8, n_keys=40)
         snapshots = {}
         for backend in ("runs", "rbtree"):
-            config = EunomiaConfig(buffer_backend=backend)
-            system = build_geo_system("eunomia", spec, wl, config=config)
+            system = build_geo_system("eunomia", spec, wl)
+            if backend == "rbtree":
+                for dc in system.datacenters:
+                    _use_tree_buffers(dc.extras)
             system.run(2.0)
             system.quiesce(2.0)
             assert system.converged()
@@ -225,7 +239,3 @@ class TestBackendEndToEnd:
             assert isinstance(stabilizer.buffer, expected)
             snapshots[backend] = system.snapshots()
         assert snapshots["runs"] == snapshots["rbtree"]
-
-    def test_config_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown buffer backend"):
-            EunomiaConfig(buffer_backend="splay").validate()

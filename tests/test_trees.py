@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datastruct import OpBuffer, RedBlackTree
+from repro.datastruct import RedBlackTree, RunBuffer, TreeOpBuffer
 
 keys = st.lists(st.integers(min_value=-1000, max_value=1000), max_size=200)
 
@@ -121,22 +121,22 @@ def test_rbtree_max_item():
         RedBlackTree().max_item()
 
 
-BACKENDS = ["runs", "rbtree"]
+BUFFERS = {"runs": RunBuffer, "rbtree": TreeOpBuffer}
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", list(BUFFERS))
 class TestOpBuffer:
-    """Facade contract shared by every backend strategy."""
+    """Contract shared by the run buffer and its §6 tree reference."""
 
     def test_orders_by_timestamp_then_origin_then_seq(self, backend):
-        buf = OpBuffer(backend=backend)
+        buf = BUFFERS[backend]()
         buf.add(10, 2, 1, "b")
         buf.add(10, 1, 1, "a")   # same ts, lower partition first
         buf.add(5, 9, 1, "first")
         assert buf.pop_stable(10) == ["first", "a", "b"]
 
     def test_pop_stable_keeps_unstable_suffix(self, backend):
-        buf = OpBuffer(backend=backend)
+        buf = BUFFERS[backend]()
         for ts in (1, 2, 3, 4):
             buf.add(ts, 0, ts, ts)
         assert buf.pop_stable(2) == [1, 2]
@@ -144,17 +144,17 @@ class TestOpBuffer:
         assert buf.min_ts() == 3
 
     def test_min_ts_empty(self, backend):
-        assert OpBuffer(backend=backend).min_ts() is None
+        assert BUFFERS[backend]().min_ts() is None
 
     def test_contains_and_counts(self, backend):
-        buf = OpBuffer(backend=backend)
+        buf = BUFFERS[backend]()
         buf.add(1, 0, 1, "x")
         assert buf.contains(1, 0, 1)
         assert not buf.contains(1, 0, 2)
         assert buf.total_added == 1
 
     def test_drop_stable_returns_count(self, backend):
-        buf = OpBuffer(backend=backend)
+        buf = BUFFERS[backend]()
         for ts in range(1, 6):
             buf.add(ts, 0, ts, ts)
         assert buf.drop_stable(3) == 3  # ts 1, 2, 3
@@ -167,7 +167,7 @@ class TestOpBuffer:
            stable=st.integers(0, 100))
     @settings(max_examples=50, deadline=None)
     def test_pop_stable_is_sorted_prefix(self, backend, ops, stable):
-        buf = OpBuffer(backend=backend)
+        buf = BUFFERS[backend]()
         if backend == "runs":
             # The run buffer's contract is monotone per-origin ingestion
             # (what the stabilizer's PartitionTime dedup guarantees): keep
@@ -185,16 +185,6 @@ class TestOpBuffer:
         assert out == sorted(out)
         assert all(op[0] <= stable for op in out)
         assert len(out) + len(buf) == len(ops)
-
-
-def test_facade_dispatches_backends():
-    from repro.datastruct import RunBuffer, TreeOpBuffer
-
-    assert isinstance(OpBuffer(), RunBuffer)             # default strategy
-    assert isinstance(OpBuffer(backend="runs"), RunBuffer)
-    assert isinstance(OpBuffer(backend="rbtree"), TreeOpBuffer)
-    with pytest.raises(ValueError, match="unknown buffer backend"):
-        OpBuffer(backend="avl")
 
 
 @pytest.mark.parametrize("tree_cls", [RedBlackTree])
