@@ -80,6 +80,13 @@ class StabilizerBase(Process):
     :meth:`set_tracked`.
     """
 
+    #: A heartbeat is a ``max()`` into PartitionTime.  Running it at the
+    #: start of its own (0.2 µs) service slot instead of the end commutes
+    #: with everything else a stabilizer does: nothing else of the ``cpu``
+    #: lane can run inside that slot, and the θ tick and the disk lane only
+    #: ever read PartitionTime as a lower bound that may rise at any time.
+    EAGER = frozenset({"PartitionHeartbeat"})
+
     def __init__(self, env: Environment, name: str, site: int,
                  n_partitions: int, config: EunomiaConfig,
                  insert_op_cost: float = 0.0,

@@ -21,12 +21,14 @@ behind foreground client operations.  Declare lanes by message type in
 per message.
 
 Every message is delivered on its own: one arrival event
-(:meth:`Process.deliver`) reserves the service slot, one completion event
-runs the handler.  The first delivery of each message type builds a
-**delivery plan**
-``(lane, fixed cost, bound handler)`` (see :meth:`Process._plan`); every
-later delivery of that type costs one dict lookup instead of a cost-model
-call, a lane call and a handler search.
+(:meth:`Process.deliver`) reserves the service slot and one completion
+event runs the handler — or, when the message may be **fused** and finds
+its lane strictly idle, the arrival event runs the handler itself and no
+completion is queued (see :meth:`Process.deliver` for the condition and
+why it is safe).  The first delivery of each message type builds a
+**delivery plan** ``(lane, fixed cost, bound handler, fusable)`` (see
+:meth:`Process._plan`); every later delivery of that type costs one dict
+lookup instead of a cost-model call, a lane call and a handler search.
 
 Crash-stop failures are supported: :meth:`Process.crash` drops everything in
 flight for the process and makes future deliveries no-ops until
@@ -114,6 +116,13 @@ class Process:
     #: message class name -> lane, for the types served off ``"cpu"``
     #: (read by the default :meth:`lane_of`; subclasses replace the table)
     LANES: dict[str, str] = {}
+    #: message class names whose handler may run at *arrival* on an idle
+    #: lane although the type has a service cost.  Declaring a type here
+    #: promises that moving its handler from the end of its own service
+    #: slot to the start changes nothing the process does in between (the
+    #: slot is still reserved; see :meth:`deliver`).  Zero-cost types need
+    #: no entry: their slot is empty, so both ends are the same instant.
+    EAGER: frozenset = frozenset()
 
     def __init__(self, env: Environment, name: str, site: int = 0,
                  cost_model: Optional[CostModel] = None):
@@ -127,7 +136,7 @@ class Process:
         self.state_lost = False   # set by an amnesia crash, cleared on restore
         self._epoch = 0           # bumped on crash; stale callbacks are dropped
         self._lane_busy: dict[str, float] = {}   # lane -> end of last slot
-        #: message type -> ``(lane, cost, handler)``, see :meth:`_plan`
+        #: message type -> ``(lane, cost, handler, fusable)``, see :meth:`_plan`
         self._plans: dict[type, tuple] = {}
         if env.network is not None:
             env.network.register(self)
@@ -207,13 +216,16 @@ class Process:
     def _plan(self, kind: type) -> tuple:
         """Build and cache the delivery plan of message type ``kind``.
 
-        A plan is ``(lane, cost, handler)``.  ``cost`` is None when the cost
-        model has to see every message (a callable entry, or a per-byte
-        rate), ``lane`` is None when a subclass overrides :meth:`lane_of`;
-        :meth:`deliver` evaluates those per message.  A missing handler is
-        planned as :meth:`_unhandled`, which raises only when dispatched.
-        Plans assume what they cache is fixed for the process's life: the
-        cost table's plain numbers, :attr:`LANES` and the ``on_*`` methods.
+        A plan is ``(lane, cost, handler, fusable)``.  ``cost`` is None when
+        the cost model has to see every message (a callable entry, or a
+        per-byte rate), ``lane`` is None when a subclass overrides
+        :meth:`lane_of`; :meth:`deliver` evaluates those per message.  A
+        missing handler is planned as :meth:`_unhandled`, which raises only
+        when dispatched.  ``fusable`` says the handler may run in the
+        arrival event when the lane is idle: the fixed cost is 0.0, or the
+        class lists the type in :attr:`EAGER`.  Plans assume what they cache
+        is fixed for the process's life: the cost table's plain numbers,
+        :attr:`LANES`, :attr:`EAGER` and the ``on_*`` methods.
         """
         name = kind.__name__
         model = self.cost_model
@@ -223,7 +235,8 @@ class Process:
         lane = (self.LANES.get(name, "cpu")
                 if type(self).lane_of is Process.lane_of else None)
         handler = getattr(self, "on_" + _snake(name), self._unhandled)
-        plan = self._plans[kind] = (lane, cost, handler)
+        fusable = cost is not None and (cost == 0.0 or name in self.EAGER)
+        plan = self._plans[kind] = (lane, cost, handler, fusable)
         return plan
 
     def _unhandled(self, msg: Any, src: "Process") -> None:
@@ -239,13 +252,29 @@ class Process:
         reservation, and one scheduled entry carrying ``(epoch, handler,
         msg, src)`` as plain args into :meth:`_run_delivery` — no closure,
         no per-message cost-model, lane or handler search.
+
+        **Fused delivery.**  A fusable message (see :meth:`_plan`) that
+        finds its lane *strictly* idle — the last reserved slot ended before
+        ``now`` — reserves ``[now, now + cost)`` as always and is handled
+        right here; no completion entry is queued.  Safe because every
+        queued entry of a lane completes at or before ``_lane_busy[lane]``
+        (both :meth:`deliver` and :meth:`_enqueue` raise it to the
+        completion they schedule), so ``busy < now`` means nothing of this
+        lane is still queued and nothing — in particular no earlier message
+        of the same FIFO link — can be overtaken.  ``busy == now`` is *not*
+        idle: a completion of this lane may still be queued at this very
+        instant with a later sequence number than the running arrival, so
+        that case, a busy lane and every non-fusable type take the
+        two-event path unchanged.  A zero-cost handler runs at the instant
+        it always did; an :attr:`EAGER` one runs ``cost`` earlier, which is
+        what its class vouched for.
         """
         if self.crashed:
             return
         try:
-            lane, cost, handler = self._plans[type(msg)]
+            lane, cost, handler, fusable = self._plans[type(msg)]
         except KeyError:
-            lane, cost, handler = self._plan(type(msg))
+            lane, cost, handler, fusable = self._plan(type(msg))
         if cost is None:
             cost = self.cost_model.cost_of(msg)
         if lane is None:
@@ -255,6 +284,10 @@ class Process:
         start = busy.get(lane, 0.0)
         now = loop._now
         if start < now:
+            if fusable:
+                busy[lane] = now + cost
+                handler(msg, src)
+                return
             start = now
         complete = start + cost
         busy[lane] = complete

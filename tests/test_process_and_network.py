@@ -3,6 +3,8 @@
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import ConstantLatency, Environment, Network, RttMatrix
 from repro.sim.process import CostModel, Process
@@ -99,7 +101,8 @@ def test_cost_model_callable_and_per_byte():
 
 
 # ----------------------------------------------------------------------
-# Delivery plans: (lane, fixed cost, handler) cached per message type.
+# Delivery plans: (lane, fixed cost, handler, fusable) cached per message
+# type.
 # Each test sends one message first so the plan exists, then shows that
 # what a plan must NOT cache is still evaluated per message.
 # ----------------------------------------------------------------------
@@ -119,7 +122,10 @@ def test_plan_caches_fixed_cost_lane_and_handler(env):
     echo = Echo(env, "echo", cost_model=CostModel(costs={"Ping": 0.1}))
     assert _completions(env, echo, [Ping(0), Ping(1), Ping(2)]) == [
         0.101, 0.201, 0.301]
-    assert echo._plans[Ping] == ("cpu", 0.1, echo.on_ping)
+    assert echo._plans[Ping] == ("cpu", 0.1, echo.on_ping, False)
+    # the reply costs the caller nothing, so it may be handled on arrival
+    caller = env.network.processes()[-1]
+    assert caller._plans[Pong] == ("cpu", 0.0, caller.on_pong, True)
 
 
 def test_callable_cost_is_evaluated_per_message(env):
@@ -202,6 +208,178 @@ def test_crash_and_recover_between_arrival_and_completion_drops(env):
     env.loop.schedule_at(2.2, caller.send, echo, Ping(4))
     env.run()
     assert [p for _, p in echo.seen] == [1, 4]
+
+
+# ----------------------------------------------------------------------
+# Fused delivery: a fusable message on a strictly idle lane is handled in
+# its arrival event.  The reference below is the two-event path every
+# message took before; the property holds the fused path to it.
+# ----------------------------------------------------------------------
+
+@dataclass
+class Free:          # fixed cost 0.0: fusable, same instant either way
+    n: int
+    lane: str
+
+
+@dataclass
+class Beat:          # EAGER with a cost: fusable, handled ``cost`` earlier
+    n: int
+    lane: str
+
+
+@dataclass
+class Work:          # fixed cost, not declared: never fused
+    n: int
+    lane: str
+
+
+@dataclass
+class Sized:         # callable cost: never fused
+    n: int
+    lane: str
+    size: int = 1
+
+
+class Fusing(Process):
+    EAGER = frozenset({"Beat"})
+    COSTS = {"Free": 0.0, "Beat": 1.0, "Work": 1.5,
+             "Sized": lambda msg: 0.5 * msg.size}
+
+    def __init__(self, env, name):
+        super().__init__(env, name, cost_model=CostModel(costs=self.COSTS))
+        self.handled = []      # (lane, n, time)
+
+    def lane_of(self, msg):
+        return msg.lane
+
+    def _handle(self, msg, src):
+        self.handled.append((msg.lane, msg.n, self.now))
+
+    on_free = on_beat = on_work = on_sized = _handle
+
+
+class TwoEvent(Fusing):
+    """The pre-fusion delivery: every message queues a completion."""
+
+    def _plan(self, kind):
+        lane, cost, handler, _ = super()._plan(kind)
+        plan = self._plans[kind] = (lane, cost, handler, False)
+        return plan
+
+
+def _drive(cls, arrivals):
+    """Deliver ``arrivals`` = [(time, msg)] straight into one ``cls``
+    process; return it, the events fired and per arrival the lane's
+    ``_lane_busy`` before and after."""
+    env = Environment(seed=1)
+    proc = cls(env, "p")
+    slots = []
+
+    def arrive(msg):
+        before = proc._lane_busy.get(msg.lane, 0.0)
+        proc.deliver(msg, None)
+        slots.append((before, proc._lane_busy[msg.lane]))
+
+    for when, msg in arrivals:
+        env.loop.schedule_at(when, arrive, msg)
+    env.run()
+    return proc, env.loop.processed_events, slots
+
+
+# Times and costs are multiples of 0.5, so ``busy == now`` ties are exact.
+_ARRIVALS = st.lists(
+    st.tuples(st.integers(1, 24).map(lambda k: 0.5 * k),
+              st.sampled_from([Free, Beat, Work, Sized]),
+              st.sampled_from(["cpu", "replication"]),
+              st.integers(0, 3)),
+    min_size=1, max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ARRIVALS)
+def test_fused_delivery_matches_the_two_event_path(drawn):
+    drawn = sorted(drawn, key=lambda a: a[0])      # stable: ties keep order
+    arrivals = [(when, kind(n, lane, size) if kind is Sized else kind(n, lane))
+                for n, (when, kind, lane, size) in enumerate(drawn)]
+    fused, fused_events, fused_slots = _drive(Fusing, arrivals)
+    ref, ref_events, ref_slots = _drive(TwoEvent, arrivals)
+    # every arrival reserves the same slot on the same lane
+    assert fused_slots == ref_slots
+    expected = {}
+    for lane, n, at in ref.handled:
+        when, msg = arrivals[n]
+        before = ref_slots[n][0]
+        if isinstance(msg, Beat) and before < when:
+            at -= Fusing.COSTS["Beat"]             # exactly ``cost`` earlier
+            assert at == when
+        expected[n] = at
+    assert {n: at for _, n, at in fused.handled} == expected
+    for lane in ("cpu", "replication"):
+        order = [n for ln, n, _ in fused.handled if ln == lane]
+        assert order == [n for ln, n, _ in ref.handled if ln == lane]
+        # FIFO per lane, same-instant arrivals included
+        assert order == [n for n, (_, msg) in enumerate(arrivals)
+                         if msg.lane == lane]
+    # one event saved per fusable message that found its lane idle
+    saved = sum(1 for (when, msg), (before, _) in zip(arrivals, ref_slots)
+                if isinstance(msg, (Free, Beat)) and before < when)
+    assert ref_events - fused_events == saved
+
+
+def test_same_instant_arrivals_second_one_queues():
+    """``busy == now`` is not idle: the second arrival of an instant takes
+    the two-event path, so it cannot be handled before a completion of its
+    lane that is queued at the same instant."""
+    arrivals = [(1.0, Work(0, "cpu")),      # completes at 2.5
+                (2.5, Free(1, "cpu")),      # arrives with busy == now
+                (2.5, Free(2, "cpu")),
+                (4.0, Free(3, "cpu")),      # strictly idle: fused
+                (4.0, Free(4, "cpu"))]      # busy == now again: queued
+    proc, events, _ = _drive(Fusing, arrivals)
+    assert proc.handled == [("cpu", n, at) for n, at in
+                            enumerate([2.5, 2.5, 2.5, 4.0, 4.0])]
+    assert events == 5 + 4                  # only message 3 saved its event
+
+
+def test_eager_handler_runs_at_arrival_and_still_occupies_its_slot():
+    proc, events, slots = _drive(Fusing, [(1.0, Beat(0, "cpu")),
+                                          (1.5, Free(1, "cpu"))])
+    assert proc.handled == [("cpu", 0, 1.0), ("cpu", 1, 2.0)]
+    assert slots == [(0.0, 2.0), (2.0, 2.0)]
+    assert events == 2 + 1
+
+
+def test_fused_delivery_to_a_crashed_process_is_a_noop():
+    env = Environment(seed=1)
+    proc = Fusing(env, "p")
+    proc.crash()
+    env.loop.schedule_at(1.0, proc.deliver, Free(0, "cpu"), None)
+    env.run()
+    assert proc.handled == [] and proc._lane_busy == {}
+
+
+def test_crash_drops_a_fusable_message_that_had_to_queue():
+    env = Environment(seed=1)
+    proc = Fusing(env, "p")
+    for when, msg in [(1.0, Work(0, "cpu")), (1.5, Free(1, "cpu")),
+                      (1.5, Beat(2, "cpu"))]:
+        env.loop.schedule_at(when, proc.deliver, msg, None)
+    env.loop.schedule_at(2.0, proc.crash)   # all three complete at >= 2.5
+    env.loop.schedule_at(2.1, proc.recover)
+    env.loop.schedule_at(3.0, proc.deliver, Free(3, "cpu"), None)
+    env.run()
+    assert proc.handled == [("cpu", 3, 3.0)]
+
+
+def test_missing_handler_of_a_zero_cost_message_raises_at_arrival(env):
+    Network(env, ConstantLatency(0.001))
+    caller = Caller(env, "caller")          # no cost model: Ping costs 0.0
+    echo = Echo(env, "echo")
+    echo.send(caller, Ping(1))
+    env.run(until=0.0005)
+    with pytest.raises(NotImplementedError, match="Caller 'caller'.*Ping"):
+        env.run(until=0.001)
 
 
 def test_unknown_message_raises(env, pair):
