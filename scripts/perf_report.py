@@ -10,6 +10,11 @@ this number move, and did the simulation move with it" is one glance:
 
     python scripts/perf_report.py
 
+The last column names which of ``events_per_op`` / ``sim_digest`` differs
+from the previous PR's row (``-`` when neither): both repeat exactly for a
+seed, so a difference is a change to the simulation — or, for the event
+count alone, to its bookkeeping — and not noise.
+
 Host metrics (``ops_per_host_s``, ``peak_rss_mb``, ``setup_s``) are the
 medians each PR recorded on the machine it ran on; compare them across
 rows only as far as perf/README.md says calibrated host seconds carry.
@@ -26,6 +31,10 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro.harness.report import format_table  # noqa: E402
+
+
+#: the two columns that repeat exactly for a seed, and so are diffed
+EXACT = ("events_per_op", "sim_digest")
 
 
 def trajectory() -> list[tuple[int, dict]]:
@@ -62,14 +71,19 @@ def main() -> int:
               file=sys.stderr)
         return 1
     for workload in (w["name"] for w in declaration["workloads"]):
-        rows = [[f"PR {number}",
-                 *(metric(entry["workloads"][workload], m) for m in metrics),
-                 events_per_op(entry["workloads"][workload]),
-                 entry["workloads"][workload]["sim_digest"]]
-                for number, entry in entries
-                if workload in entry["workloads"]]
+        rows, previous = [], None
+        for number, entry in entries:
+            run = entry["workloads"].get(workload)
+            if run is None:
+                continue
+            exact = (events_per_op(run), run["sim_digest"])
+            moved = [name for name, now, before
+                     in zip(EXACT, exact, previous or exact) if now != before]
+            rows.append([f"PR {number}", *(metric(run, m) for m in metrics),
+                         *exact, " + ".join(moved) or "-"])
+            previous = exact
         print(f"== {workload} ==")
-        print(format_table(["pr", *metrics, "events_per_op", "sim_digest"],
+        print(format_table(["pr", *metrics, *EXACT, "moved vs previous"],
                            rows))
         print()
     return 0

@@ -122,6 +122,13 @@ class StabilizerBase(Process):
         #: the durable-truncation and state-transfer floor)
         self.shipped_stable = 0
         self.ops_stabilized = 0
+        #: ops of a frame's duplicate prefix (``ts <= PartitionTime``) and
+        #: whole frames refused on a ``prev_ts`` gap.  Both are what
+        #: at-least-once retransmission legitimately produces under fault
+        #: tolerance; without it a non-zero count is lost data — what a
+        #: heartbeat that overtook its own frame would cause.
+        self.duplicate_ops_dropped = 0
+        self.gap_frames_dropped = 0
         # Durability (attach_durability wires these when durability="wal").
         self.wal = None
         self.checkpoints = None
@@ -257,10 +264,12 @@ class StabilizerBase(Process):
             # this one would advance PartitionTime past ops we never saw and
             # break the prefix property — drop it whole; the ack below tells
             # the sender where to retransmit from.
+            self.gap_frames_dropped += 1
             self._post_batch(msg, src)
             return
         block = msg.block
         lo = block.first_above(pt)
+        self.duplicate_ops_dropped += lo
         if lo == len(block):
             self._post_batch(msg, src)
             return

@@ -8,7 +8,10 @@ Every Eunomia-aware partition (and the §7.1 partition emulators) owns an
   precisely why Eunomia can batch while sequencers cannot;
 * **heartbeats** (Alg. 2 lines 10–12): when the partition has been idle for
   Δ and its physical clock has caught up with the hybrid clock, a heartbeat
-  advances ``PartitionTime`` at the service;
+  advances ``PartitionTime`` at the service.  It is charged no CPU and
+  leaves from the tick itself; the one thing it waits for is a frame of
+  this uplink still queued in the host's service lane, which it must not
+  overtake (see :meth:`EunomiaUplink._maybe_heartbeat`);
 * **fault-tolerant delivery** (Alg. 4 lines 1–6, prefix property): with
   ``fault_tolerant=True`` the uplink tracks, per replica, the highest
   acknowledged timestamp (``Ack_n[f]``, line 5) and retransmits the
@@ -75,6 +78,9 @@ class EunomiaUplink:
         #: serialized-frame cache: (first_ts, last_ts, prev_ts, resend) ->
         #: AddOpBatch — cleared whenever the acked prefix is pruned
         self._frames: dict[tuple, AddOpBatch] = {}
+        #: when the last frame queued in the host's service lane reaches
+        #: the wire; a heartbeat may leave from the tick only after it
+        self._frame_due = 0.0
         self._tick_task = None
         self.ops_shipped = 0
         self.retransmissions = 0
@@ -252,7 +258,8 @@ class EunomiaUplink:
             now, site = self.host.now, self.host.site
             for op in batch.ops:
                 tracer.stage_once(op, "uplink_ship", now, site)
-        self.host._enqueue(self.host.send, cost, replica, batch)
+        self._frame_due = self.host._enqueue(self.host.send, cost, replica,
+                                             batch)
 
     def _prune(self) -> None:
         """Drop the prefix acknowledged by *every* replica."""
@@ -279,13 +286,19 @@ class EunomiaUplink:
             return
         ts_col = self._pending.ts
         host = self.host
-        # Both branches route through the host's service queue: batch
-        # transmissions are queued there too, and a heartbeat sent directly
-        # would overtake a still-queued batch on the wire, making the
-        # service's PartitionTime jump past the batch's timestamps
-        # (Property 2 break from the service's perspective — its dedup
-        # would then discard the batch).  Queue order preserves send order,
-        # and FIFO links preserve it on the wire.
+        # A heartbeat costs no CPU, so it leaves from the tick — unless a
+        # frame of this uplink is still queued in the host's service lane
+        # (``now`` not yet past its due time; at ``now == due`` its send may
+        # be an event still to fire at this instant).  Sent directly it
+        # would overtake that frame on the wire, the service's
+        # PartitionTime would jump past the frame's timestamps and its
+        # dedup would discard the ops (Property 2 break from the service's
+        # perspective).  Then, and only then, it rides the service queue
+        # behind the frame: queue order preserves send order, and FIFO
+        # links preserve it on the wire.  (A later tick's heartbeat may pass
+        # such a queued *heartbeat*; the service's max() ignores the stale
+        # one.)
+        from_tick = host.now > self._frame_due
         if self.config.fault_tolerant:
             last_ts = ts_col[-1] if ts_col else 0
             ack = self._ack
@@ -295,14 +308,20 @@ class EunomiaUplink:
                 return
             beat = PartitionHeartbeat(self.partition_index, clock_now)
             self.heartbeats_sent += len(targets)
-            host._enqueue(host.multicast, 0.0, targets, beat)
+            if from_tick:
+                host.multicast(targets, beat)
+            else:
+                host._enqueue(host.multicast, 0.0, targets, beat)
         elif ts_col:
             return
         else:
             beat = PartitionHeartbeat(self.partition_index, clock_now)
             self.heartbeats_sent += 1
-            host._enqueue(host.env.network.send, 0.0, host, self.replicas[0],
-                          beat)
+            if from_tick:
+                host.env.network.send(host, self.replicas[0], beat)
+            else:
+                host._enqueue(host.env.network.send, 0.0, host,
+                              self.replicas[0], beat)
         self.hlc.observe(clock_now)
 
     # ------------------------------------------------------------------

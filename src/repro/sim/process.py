@@ -306,13 +306,17 @@ class Process:
             self.deliver(msg, src)
 
     def _enqueue(self, fn: Callable[..., Any], cost: float, *args: Any,
-                 lane: str = "cpu") -> None:
-        """Reserve a ``cost``-second slot on ``lane``, then run ``fn(*args)``."""
+                 lane: str = "cpu") -> float:
+        """Reserve a ``cost``-second slot on ``lane``, then run ``fn(*args)``.
+
+        Returns the slot's completion time — when ``fn`` will run.
+        """
         loop = self._loop
         start = max(loop._now, self._lane_busy.get(lane, 0.0))
         complete = start + cost
         self._lane_busy[lane] = complete
         loop.schedule_at(complete, self._run_guarded, self._epoch, fn, args)
+        return complete
 
     # ------------------------------------------------------------------
     # Failure injection

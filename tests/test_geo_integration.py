@@ -5,6 +5,7 @@ import pytest
 from repro.baselines import build_system
 from repro.checker import CausalChecker, SessionHistory
 from repro.core import EunomiaConfig
+from repro.core.service import StabilizerBase
 from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.metrics import percentile
 from repro.workload import WorkloadSpec
@@ -20,6 +21,17 @@ def run_eunomia(duration=3.0, drain=3.0, spec=SPEC, workload=WL, **kwargs):
     return system
 
 
+def ops_refused(system):
+    """(duplicate ops, gap frames) the stabilizers dropped at ingestion.
+    Without fault tolerance nothing is ever retransmitted, so anything but
+    zero is an op the partition shipped and the service threw away."""
+    stabilizers = [p for p in system.env.network.processes()
+                   if isinstance(p, StabilizerBase)]
+    assert stabilizers
+    return (sum(p.duplicate_ops_dropped for p in stabilizers),
+            sum(p.gap_frames_dropped for p in stabilizers))
+
+
 def test_convergence_and_causality():
     history = SessionHistory()
     system = run_eunomia(history=history)
@@ -27,6 +39,7 @@ def test_convergence_and_causality():
     checker = CausalChecker(history)
     assert checker.check() == []
     assert checker.check_write_read_pairs() == []
+    assert ops_refused(system) == (0, 0)
 
 
 def test_visibility_within_paper_band():
@@ -109,6 +122,7 @@ def test_without_data_metadata_separation():
     system = run_eunomia(config=config, history=history)
     assert system.converged()
     assert CausalChecker(history).check() == []
+    assert ops_refused(system) == (0, 0)
 
 
 def test_two_datacenter_topology():

@@ -1,10 +1,15 @@
 """Tests for the partition → Eunomia uplink (batching, acks, heartbeats)."""
 
+import bisect
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.clocks import HybridLogicalClock, PhysicalClock
 from repro.core import EunomiaConfig
 from repro.core.messages import AddOpBatch, BatchAck, PartitionHeartbeat
+from repro.core.service import StabilizerBase
 from repro.core.uplink import EunomiaUplink
 from repro.kvstore.types import Update
 from repro.sim import ConstantLatency, Environment, Network, Process
@@ -13,13 +18,13 @@ from repro.sim import ConstantLatency, Environment, Network, Process
 class Host(Process):
     """Minimal uplink host (partition stand-in)."""
 
-    def __init__(self, env, config, **kw):
+    def __init__(self, env, config, batch_cost=0.0, **kw):
         super().__init__(env, "host", **kw)
         self.batch_interval = config.batch_interval
         self.clock = PhysicalClock(env)
         self.hlc = HybridLogicalClock(self.clock)
         self.uplink = EunomiaUplink(self, 0, config, self.hlc, self.clock,
-                                    op_cost=0.0, batch_cost=0.0)
+                                    op_cost=0.0, batch_cost=batch_cost)
 
     def on_batch_ack(self, msg, src):
         self.uplink.on_ack(msg, src)
@@ -196,3 +201,118 @@ def test_straggler_interval_respected(env):
     assert replica.batches == []  # nothing shipped before the long tick
     env.run(until=0.11)
     assert len(replica.batches) == 1
+
+
+# ----------------------------------------------------------------------
+# Never overtake your own frame.  A heartbeat costs no CPU and leaves from
+# the tick, a frame waits in the host's ``cpu`` lane behind whatever the
+# partition is serving; a heartbeat that reached the stabilizer first
+# would lift PartitionTime past the frame's ops and the dedup would throw
+# them away.  The property keeps the lane randomly occupied and checks
+# the stabilizer's side of Alg. 2's contract: a heartbeat with timestamp
+# h promises that every op up to h has already arrived.
+# ----------------------------------------------------------------------
+
+class BusyHost(Host):
+    """Notes when its uplink's last queued frame reaches the wire, and
+    which heartbeats went through the service queue."""
+
+    def __init__(self, env, config):
+        super().__init__(env, config, batch_cost=_UNIT)
+        self.frame_due = 0.0
+        self.queued_beats = {}     # id -> beat (kept alive, so ids stay unique)
+
+    def _enqueue(self, fn, cost, *args, lane="cpu"):
+        done = super()._enqueue(fn, cost, *args, lane=lane)
+        if args and isinstance(args[-1], AddOpBatch):
+            self.frame_due = self._lane_busy[lane]
+        elif args and isinstance(args[-1], PartitionHeartbeat):
+            self.queued_beats[id(args[-1])] = args[-1]
+        return done
+
+
+class WatchedNetwork(Network):
+    """Asserts that a heartbeat sent straight from the tick (one that never
+    went through the host's queue) leaves only after the last queued frame
+    of its uplink did."""
+
+    def send(self, src, dst, msg):
+        if (isinstance(msg, PartitionHeartbeat)
+                and id(msg) not in src.queued_beats):
+            assert src.now > src.frame_due, (
+                f"heartbeat {msg.ts} left the tick at {src.now} with a "
+                f"frame queued until {src.frame_due}")
+        super().send(src, dst, msg)
+
+
+class Ingest(StabilizerBase):
+    """Algorithm 3 ingestion only (never stabilizes, so every accepted op
+    stays in the buffer); logs what a heartbeat found on arrival."""
+
+    def __init__(self, env, name, config):
+        super().__init__(env, name, 0, 1, config, insert_op_cost=1e-6,
+                         batch_cost=2e-6, heartbeat_cost=0.2e-6)
+        self.beats = []        # (heartbeat ts, ops ingested before it)
+
+    def _should_stabilize(self):
+        return False
+
+    def on_partition_heartbeat(self, msg, src):
+        self.beats.append((msg.ts, len(self.buffer)))
+        super().on_partition_heartbeat(msg, src)
+
+
+#: Every time in the property is a multiple of this (exact in binary), the
+#: tick period and the frame cost included, so ``now == due`` ties between
+#: a tick and a queued frame occur instead of being measure-zero.
+_UNIT = 1.0 / 4096                                   # ~0.24 ms
+_SCHEDULE = st.lists(
+    st.tuples(st.integers(0, 160),                   # when, units (~39 ms)
+              st.sampled_from(["work", "op", "served_op"]),
+              st.integers(1, 24)),                   # service time, units
+    min_size=1, max_size=40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(schedule=_SCHEDULE, fault_tolerant=st.booleans())
+# a tick at exactly the queued frame's due time: not yet past it, so queue
+@example(schedule=[(19, "work", 24), (28, "op", 1)], fault_tolerant=False)
+def test_heartbeat_never_overtakes_a_queued_frame(schedule, fault_tolerant):
+    env = Environment(seed=7)
+    WatchedNetwork(env, ConstantLatency(0.0001))
+    config = EunomiaConfig(batch_interval=4 * _UNIT,
+                           fault_tolerant=fault_tolerant,
+                           n_replicas=2 if fault_tolerant else 1)
+    host = BusyHost(env, config)
+    sinks = [Ingest(env, f"r{i}", config) for i in range(config.n_replicas)]
+    host.uplink.set_replicas(sinks)
+    host.uplink.start()
+    recorded = []
+
+    def record():
+        op = make_op(host)
+        recorded.append(op)
+        host.uplink.record(op)
+
+    for when, kind, service in schedule:
+        if kind == "op":          # committed at this very instant
+            env.loop.schedule_at(when * _UNIT, record)
+        else:                     # foreground work, an update at its end
+            env.loop.schedule_at(
+                when * _UNIT, host._enqueue,
+                record if kind == "served_op" else int, service * _UNIT)
+    env.run(until=0.5)            # far past the last slot and any resend
+
+    recorded_ts = [op.ts for op in recorded]
+    assert recorded_ts == sorted(recorded_ts)
+    assert host.uplink.heartbeats_sent > len(host.queued_beats)
+    for sink in sinks:
+        # every recorded op ingested exactly once, in order
+        assert sink.buffer.pop_stable(2 ** 62) == recorded
+        assert sink.partition_time[0] >= (recorded_ts or [0])[-1]
+        for beat_ts, ingested in sink.beats:
+            assert ingested >= bisect.bisect_right(recorded_ts, beat_ts), (
+                f"heartbeat {beat_ts} arrived before an op it covers")
+        if not fault_tolerant:    # nothing is ever retransmitted
+            assert sink.duplicate_ops_dropped == 0
+            assert sink.gap_frames_dropped == 0
