@@ -30,6 +30,17 @@ counts stay tractable.  All *ratios* — the content of the paper's claims —
 are scale invariant; EXPERIMENTS.md reports both the scaled measurements and
 the paper-scale equivalents.
 
+What is **not** scale invariant is a *queue wait behind a scaled cost*
+inside a latency reported in real milliseconds.  Remote-update visibility is
+built from the protocol intervals (Δ, θ, ρ) and network delays, none of
+which ``scale`` touches, so anything on that path that waits for a client
+operation to finish waits ten times longer than it would at paper scale and
+the error lands, unscaled, in a number compared against Fig. 6.  Hence the
+rule (docs/ARCHITECTURE.md, "Lanes"): *no scaled per-op service time on the
+visibility path* — remote applies, uplink frames, heartbeats and acks are
+served on background lanes of the partition, never in its ``cpu`` lane
+behind ``partition_read`` / ``partition_update``.
+
 Costs come in two kinds, and the distinction matters:
 
 * **per-op costs** (:meth:`Calibration.cost`) are charged once per operation

@@ -10,8 +10,18 @@ Every Eunomia-aware partition (and the §7.1 partition emulators) owns an
   Δ and its physical clock has caught up with the hybrid clock, a heartbeat
   advances ``PartitionTime`` at the service.  It is charged no CPU and
   leaves from the tick itself; the one thing it waits for is a frame of
-  this uplink still queued in the host's service lane, which it must not
+  this uplink still queued in its service lane, which it must not
   overtake (see :meth:`EunomiaUplink._maybe_heartbeat`);
+* **its own service lane**: frames and queued heartbeats wait in *one* FIFO
+  lane of the host — the background lane the host class names in
+  ``UPLINK_LANE`` (storage partitions: ``"uplink"``, where they also serve
+  ``BatchAck``), ``"cpu"`` for a host that names none.  On a storage
+  partition the lane is empty unless the uplink itself filled it, so a
+  frame is on the wire ``batch_cost + op_cost·n`` after its tick and an ack
+  is handled when it arrives: nothing Eunomia does waits behind a client
+  operation, whose service time is scaled by ``Calibration.scale`` while
+  Δ, θ and ρ are not.  The §7.1 partition emulator is by definition one
+  client thread that generates *and* ships, so it stays on ``"cpu"``;
 * **fault-tolerant delivery** (Alg. 4 lines 1–6, prefix property): with
   ``fault_tolerant=True`` the uplink tracks, per replica, the highest
   acknowledged timestamp (``Ack_n[f]``, line 5) and retransmits the
@@ -78,8 +88,11 @@ class EunomiaUplink:
         #: serialized-frame cache: (first_ts, last_ts, prev_ts, resend) ->
         #: AddOpBatch — cleared whenever the acked prefix is pruned
         self._frames: dict[tuple, AddOpBatch] = {}
-        #: when the last frame queued in the host's service lane reaches
-        #: the wire; a heartbeat may leave from the tick only after it
+        #: the host's service lane that frames and queued heartbeats wait
+        #: in: the one its class declares as ``UPLINK_LANE``, else ``"cpu"``
+        self._lane = getattr(host, "UPLINK_LANE", "cpu")
+        #: when the last frame queued in that lane reaches the wire; a
+        #: heartbeat may leave from the tick only after it
         self._frame_due = 0.0
         self._tick_task = None
         self.ops_shipped = 0
@@ -126,6 +139,8 @@ class EunomiaUplink:
         if self._tick_task is None:
             return
         self._tick_task.stop()
+        # the crash dropped the queued frame and emptied the lane
+        self._frame_due = 0.0
         now = self.host.now
         for pid, due in self._retx_due.items():
             self._retx_strikes[pid] = 0
@@ -259,7 +274,7 @@ class EunomiaUplink:
             for op in batch.ops:
                 tracer.stage_once(op, "uplink_ship", now, site)
         self._frame_due = self.host._enqueue(self.host.send, cost, replica,
-                                             batch)
+                                             batch, lane=self._lane)
 
     def _prune(self) -> None:
         """Drop the prefix acknowledged by *every* replica."""
@@ -287,13 +302,13 @@ class EunomiaUplink:
         ts_col = self._pending.ts
         host = self.host
         # A heartbeat costs no CPU, so it leaves from the tick — unless a
-        # frame of this uplink is still queued in the host's service lane
-        # (``now`` not yet past its due time; at ``now == due`` its send may
-        # be an event still to fire at this instant).  Sent directly it
+        # frame of this uplink is still queued in its service lane (``now``
+        # not yet past its due time; at ``now == due`` its send may be an
+        # event still to fire at this instant).  Sent directly it
         # would overtake that frame on the wire, the service's
         # PartitionTime would jump past the frame's timestamps and its
         # dedup would discard the ops (Property 2 break from the service's
-        # perspective).  Then, and only then, it rides the service queue
+        # perspective).  Then, and only then, it rides the same lane
         # behind the frame: queue order preserves send order, and FIFO
         # links preserve it on the wire.  (A later tick's heartbeat may pass
         # such a queued *heartbeat*; the service's max() ignores the stale
@@ -311,7 +326,8 @@ class EunomiaUplink:
             if from_tick:
                 host.multicast(targets, beat)
             else:
-                host._enqueue(host.multicast, 0.0, targets, beat)
+                host._enqueue(host.multicast, 0.0, targets, beat,
+                              lane=self._lane)
         elif ts_col:
             return
         else:
@@ -321,7 +337,7 @@ class EunomiaUplink:
                 host.env.network.send(host, self.replicas[0], beat)
             else:
                 host._enqueue(host.env.network.send, 0.0, host,
-                              self.replicas[0], beat)
+                              self.replicas[0], beat, lane=self._lane)
         self.hlc.observe(clock_now)
 
     # ------------------------------------------------------------------

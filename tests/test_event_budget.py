@@ -15,6 +15,7 @@ import pytest
 
 import repro.baselines  # noqa: F401  (registers every protocol)
 from repro import GeoSystemSpec, WorkloadSpec, build_geo_system
+from repro.core import EunomiaConfig
 from repro.core.protocols import available_protocols
 
 
@@ -27,23 +28,49 @@ def _run(protocol, clients_per_dc):
     return system, system.env.loop.processed_events
 
 
+def _heartbeats_sent(system):
+    return sum(proc.uplink.heartbeats_sent
+               for proc in system.env.network.processes()
+               if hasattr(proc, "uplink"))
+
+
 def test_idle_heartbeat_costs_at_most_two_events_and_change():
     """No clients: every partition heartbeats every tick.  The remainder
     over 2.0 is the stabilization, receiver and election ticks."""
     system, events = _run("eunomia", clients_per_dc=0)
-    beats = sum(proc.uplink.heartbeats_sent
-                for proc in system.env.network.processes()
-                if hasattr(proc, "uplink"))
+    beats = _heartbeats_sent(system)
     assert beats == 5934
     # 4.62 with a sender slot and a completion event per heartbeat,
     # 3.68 with the completion fused only, 2.68 with both gone
     assert events / beats <= 2.8
 
 
+def test_fault_tolerant_heartbeats_are_not_withheld_under_load():
+    """A floor, not a ceiling: Alg. 2 asks for a heartbeat per tick per
+    replica unless that replica still owes an ack.  On the update-heavy
+    fault-tolerant benchmark shape an ack is back one LAN round trip and
+    an fsync after its frame, well inside a tick, so 0.83 of ``ticks × R``
+    are sent (measured − 5 % below).  With frames and acks queued behind
+    4 ms client updates in the ``cpu`` lane it read 0.42: most heartbeats
+    were withheld, and StableTime trailed the foreground backlog."""
+    config = EunomiaConfig(fault_tolerant=True, n_replicas=2, n_shards=2,
+                           durability="wal")
+    spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=6,
+                         seed=5)
+    system = build_geo_system("eunomia", spec,
+                              WorkloadSpec(read_ratio=0.1, n_keys=500),
+                              config=config)
+    system.run(1.0)
+    assert sum(client.ops_done for client in system.clients) > 2000
+    ticks = 3 * 4 * round(1.0 / config.batch_interval)
+    assert _heartbeats_sent(system) / (ticks * config.n_replicas) >= 0.78
+
+
 #: ``processed_events / client ops`` of a seeded 1 sim-s run, measured and
 #: rounded up by about 3 %.  (With a completion event per zero-cost reply
-#: each was a whole event per op higher; Eunomia read 19.7.)
-_CEILINGS = {"eventual": 4.9, "eunomia": 15.4, "gentlerain": 9.3,
+#: each was a whole event per op higher; Eunomia read 19.7, and 14.9 while
+#: its heartbeats still queued behind frames waiting in the ``cpu`` lane.)
+_CEILINGS = {"eventual": 4.9, "eunomia": 14.8, "gentlerain": 9.3,
              "cure": 9.6, "sseq": 9.4, "aseq": 9.4}
 
 

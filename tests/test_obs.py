@@ -276,48 +276,47 @@ def test_chrome_trace_export_shape(observed_run):
 # What the exporters and statistics print for ``observed_run``.  First
 # captured at 26a0e71, when the hub kept lists of boxed floats and the
 # statistics were numpy's (before the columnar store / stdlib statistics of
-# PR 14); re-captured once in PR 20, whose from-the-tick heartbeat moves
-# every seeded Eunomia run (counts and the series length did not move), with
-# each percentile below checked equal to ``np.percentile`` at capture time.
+# PR 14); re-captured once in PR 20 (the heartbeat leaves from the tick) and
+# once in PR 21 (frames, queued heartbeats and ``BatchAck`` on the background
+# ``uplink`` lane) — each moves every seeded Eunomia run, neither moved the
+# counts or the series length — with each percentile below checked equal to
+# ``np.percentile`` at capture time.
 _SLO_REPORT_AT_PARENT = """\
 operation latency (ms) per DC x op kind
    dc kind        count        p50        p99      p99.9
     0 read          670      1.804      5.529      5.990
-    0 update        206      4.650      8.414      8.414
+    0 update        206      4.650      8.403      8.403
     1 read          685      1.804      5.529      6.111
-    1 update        197      4.650      8.400      8.400
+    1 update        197      4.651      8.400      8.400
     2 read          655      1.804      5.529      5.990
     2 update        215      4.650      8.415      8.935
 
 remote visibility latency (ms) per origin->dest
       path    count        p50        p99      p99.9   extra p99
-  dc0->dc1       206     46.997     54.059     55.151      13.600
-  dc0->dc2       206     46.997     54.059     55.151      14.155
-  dc1->dc0       197     46.997     51.940     52.929      11.589
-  dc1->dc2       197     87.365     92.768     92.768      12.062
-  dc2->dc0       215     46.997     51.940     52.780      11.134
-  dc2->dc1       215     87.365     92.768     92.768      11.134
+  dc0->dc1       206     46.066     47.946     48.710       7.768
+  dc0->dc2       206     46.066     47.946     48.684       7.768
+  dc1->dc0       197     45.154     47.946     48.717       7.768
+  dc1->dc2       197     85.635     89.130     89.130       8.248
+  dc2->dc0       215     45.154     47.946     48.562       7.768
+  dc2->dc1       215     85.635     89.093     89.093       8.085
 
 stabilization lag (ms), now - StableTime per DC
    dc    count        p50        p99      p99.9
-    0       60      0.808      7.632      7.757
-    1       60      1.009      8.852      9.911
-    2       60      1.415      8.583     10.112
+    0       60      0.806      6.039      6.379
+    1       60      1.009      6.278      6.586
+    2       60      1.415      6.890      6.945
 
 sampled spans: 155 (1-in-4, 0 dropped)
 """
 _CHROME_TRACE_SHA_AT_PARENT = (
-    "e5786d268cd1a3d6ad6ad3274e56db15ad7a3e7352fe80d7b07e81e7ffa6ca8e")
+    "128b68d03f9d2662cee5c5c8fae17f22169e9bef94c5bbe10f372b675d9d46f9")
 _VIS_0_1_PERCENTILES_AT_PARENT = {
-    0: 42.61649409307133, 50: 47.12232593079792, 90: 49.592370614073786,
-    99: 54.38181250065982, 99.9: 55.09765937043924, 100: 55.15492444877268}
+    0: 42.70625660609318, 50: 45.64505154590662, 90: 47.64588735856108,
+    99: 48.30891026990961, 99.9: 48.65862112049171, 100: 48.709697243111584}
 _VIS_0_1_CDF_AT_PARENT = [
-    (42.0, 0.019417475728155338), (43.0, 0.09223300970873786),
-    (44.0, 0.19902912621359223), (45.0, 0.3058252427184466),
-    (46.0, 0.47572815533980584), (47.0, 0.7135922330097088),
-    (48.0, 0.8398058252427184), (49.0, 0.9077669902912622),
-    (50.0, 0.9514563106796117), (51.0, 0.9660194174757282),
-    (52.0, 0.9854368932038835), (54.0, 0.9951456310679612), (55.0, 1.0)]
+    (42.0, 0.014563106796116505), (43.0, 0.17475728155339806),
+    (44.0, 0.3737864077669903), (45.0, 0.5679611650485437),
+    (46.0, 0.7912621359223301), (47.0, 0.9611650485436893), (48.0, 1.0)]
 
 
 def test_exports_byte_identical_to_list_backed_hub(observed_run):

@@ -205,12 +205,14 @@ def test_straggler_interval_respected(env):
 
 # ----------------------------------------------------------------------
 # Never overtake your own frame.  A heartbeat costs no CPU and leaves from
-# the tick, a frame waits in the host's ``cpu`` lane behind whatever the
-# partition is serving; a heartbeat that reached the stabilizer first
-# would lift PartitionTime past the frame's ops and the dedup would throw
-# them away.  The property keeps the lane randomly occupied and checks
-# the stabilizer's side of Alg. 2's contract: a heartbeat with timestamp
-# h promises that every op up to h has already arrived.
+# the tick, a frame waits in a service lane of the host — ``cpu``, behind
+# whatever the host is serving, unless the host class declares a background
+# ``UPLINK_LANE`` the way storage partitions do; a heartbeat that reached
+# the stabilizer first would lift PartitionTime past the frame's ops and
+# the dedup would throw them away.  The property keeps ``cpu`` randomly
+# occupied and checks the stabilizer's side of Alg. 2's contract: a
+# heartbeat with timestamp h promises that every op up to h has already
+# arrived.
 # ----------------------------------------------------------------------
 
 class BusyHost(Host):
@@ -220,15 +222,38 @@ class BusyHost(Host):
     def __init__(self, env, config):
         super().__init__(env, config, batch_cost=_UNIT)
         self.frame_due = 0.0
+        self.frame_slots = []      # (queued at, service cost, on the wire at)
         self.queued_beats = {}     # id -> beat (kept alive, so ids stay unique)
 
     def _enqueue(self, fn, cost, *args, lane="cpu"):
         done = super()._enqueue(fn, cost, *args, lane=lane)
         if args and isinstance(args[-1], AddOpBatch):
             self.frame_due = self._lane_busy[lane]
+            self.frame_slots.append((self.now, cost, done))
         elif args and isinstance(args[-1], PartitionHeartbeat):
             self.queued_beats[id(args[-1])] = args[-1]
         return done
+
+
+class LaneHost(BusyHost):
+    """Declares the background lane the way ``EunomiaPartition`` does."""
+
+    LANES = {"BatchAck": "uplink"}
+    UPLINK_LANE = "uplink"
+
+
+class SplitLanesHost(BusyHost):
+    """The mutant: frames wait in ``cpu``, queued heartbeats in ``uplink``,
+    so a queued heartbeat no longer waits for the frame it was queued
+    behind.  Routed by message type here, so it is the same mutant
+    whichever lane the uplink asked for."""
+
+    def _enqueue(self, fn, cost, *args, lane="cpu"):
+        if args and isinstance(args[-1], AddOpBatch):
+            lane = "cpu"
+        elif args and isinstance(args[-1], PartitionHeartbeat):
+            lane = "uplink"
+        return super()._enqueue(fn, cost, *args, lane=lane)
 
 
 class WatchedNetwork(Network):
@@ -247,7 +272,8 @@ class WatchedNetwork(Network):
 
 class Ingest(StabilizerBase):
     """Algorithm 3 ingestion only (never stabilizes, so every accepted op
-    stays in the buffer); logs what a heartbeat found on arrival."""
+    stays in the buffer); logs what a heartbeat found on arrival.  Acks
+    every frame when fault-tolerant, as any stabilizer does."""
 
     def __init__(self, env, name, config):
         super().__init__(env, name, 0, 1, config, insert_op_cost=1e-6,
@@ -271,19 +297,19 @@ _SCHEDULE = st.lists(
               st.sampled_from(["work", "op", "served_op"]),
               st.integers(1, 24)),                   # service time, units
     min_size=1, max_size=40)
+#: a tick at exactly the queued frame's due time: not yet past it, so queue
+_TIE = [(19, "work", 24), (28, "op", 1)]
 
 
-@settings(max_examples=100, deadline=None)
-@given(schedule=_SCHEDULE, fault_tolerant=st.booleans())
-# a tick at exactly the queued frame's due time: not yet past it, so queue
-@example(schedule=[(19, "work", 24), (28, "op", 1)], fault_tolerant=False)
-def test_heartbeat_never_overtakes_a_queued_frame(schedule, fault_tolerant):
+def _drive(host_cls, schedule, fault_tolerant):
+    """Run ``schedule`` against a ``host_cls`` uplink; returns the host, the
+    stabilizers it feeds and the ops recorded, in commit order."""
     env = Environment(seed=7)
     WatchedNetwork(env, ConstantLatency(0.0001))
     config = EunomiaConfig(batch_interval=4 * _UNIT,
                            fault_tolerant=fault_tolerant,
                            n_replicas=2 if fault_tolerant else 1)
-    host = BusyHost(env, config)
+    host = host_cls(env, config)
     sinks = [Ingest(env, f"r{i}", config) for i in range(config.n_replicas)]
     host.uplink.set_replicas(sinks)
     host.uplink.start()
@@ -302,7 +328,10 @@ def test_heartbeat_never_overtakes_a_queued_frame(schedule, fault_tolerant):
                 when * _UNIT, host._enqueue,
                 record if kind == "served_op" else int, service * _UNIT)
     env.run(until=0.5)            # far past the last slot and any resend
+    return host, sinks, recorded
 
+
+def _assert_in_order_exactly_once(host, sinks, recorded, fault_tolerant):
     recorded_ts = [op.ts for op in recorded]
     assert recorded_ts == sorted(recorded_ts)
     assert host.uplink.heartbeats_sent > len(host.queued_beats)
@@ -316,3 +345,62 @@ def test_heartbeat_never_overtakes_a_queued_frame(schedule, fault_tolerant):
         if not fault_tolerant:    # nothing is ever retransmitted
             assert sink.duplicate_ops_dropped == 0
             assert sink.gap_frames_dropped == 0
+
+
+@pytest.mark.parametrize("host_cls", [BusyHost, LaneHost])
+@settings(max_examples=100, deadline=None)
+@given(schedule=_SCHEDULE, fault_tolerant=st.booleans())
+@example(schedule=_TIE, fault_tolerant=False)
+def test_heartbeat_never_overtakes_a_queued_frame(host_cls, schedule,
+                                                  fault_tolerant):
+    host, sinks, recorded = _drive(host_cls, schedule, fault_tolerant)
+    _assert_in_order_exactly_once(host, sinks, recorded, fault_tolerant)
+
+
+def test_frames_on_cpu_with_heartbeats_on_uplink_is_caught():
+    """The property has teeth: split the two over two lanes and the queued
+    heartbeat of ``_TIE`` passes the frame it was queued behind."""
+    host, sinks, recorded = _drive(SplitLanesHost, _TIE, False)
+    assert sinks[0].duplicate_ops_dropped == 1      # the op is lost
+    with pytest.raises(AssertionError):
+        _assert_in_order_exactly_once(host, sinks, recorded, False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(schedule=_SCHEDULE, fault_tolerant=st.booleans())
+def test_frames_leave_within_their_ticks_uplink_costs(schedule,
+                                                      fault_tolerant):
+    """On a declared ``uplink`` lane a frame waits for the frames queued
+    before it at its own tick and for nothing else — whatever ``cpu``
+    holds, and with every ``BatchAck`` served on the same lane."""
+    host, _, recorded = _drive(LaneHost, schedule, fault_tolerant)
+    assert bool(host.frame_slots) == bool(recorded)
+    tick, spent = None, 0.0
+    for queued_at, cost, on_wire_at in host.frame_slots:
+        if queued_at != tick:
+            tick, spent = queued_at, 0.0
+        spent += cost
+        assert on_wire_at == queued_at + spent      # multiples of _UNIT
+
+
+def test_restart_forgets_the_frame_the_crash_dropped(env):
+    """The crash dropped the queued frame and ``recover()`` emptied the
+    lanes: the first heartbeats after a restart have nothing to wait
+    behind, so none of them goes through the queue."""
+    Network(env, ConstantLatency(0.0001))
+    host = BusyHost(env, EunomiaConfig())
+    replica = FakeReplica(env, "r0")
+    host.uplink.set_replicas([replica])
+    host.uplink.start()
+    host._enqueue(int, 0.05)              # foreground work holds ``cpu``
+    host.uplink.record(make_op(host))
+    env.run(until=0.0015)                 # the 1 ms tick queued the frame
+    assert host.frame_due > 0.05
+    host.crash()
+    env.run(until=0.003)
+    host.recover()
+    host.uplink.restart()
+    env.run(until=0.02)
+    assert replica.batches == []          # that frame died with the crash
+    assert len(replica.heartbeats) >= 10  # one per tick since, on time
+    assert host.queued_beats == {}
