@@ -10,10 +10,12 @@ this number move, and did the simulation move with it" is one glance:
 
     python scripts/perf_report.py
 
-The last column names which of ``events_per_op`` / ``sim_digest`` differs
-from the previous PR's row (``-`` when neither): both repeat exactly for a
-seed, so a difference is a change to the simulation — or, for the event
-count alone, to its bookkeeping — and not noise.
+The last column names which of ``events_per_op`` / ``sim_digest`` /
+``vis_p50_ms`` differs from the previous PR's row (``-`` when none): all
+three repeat exactly for a seed, so a difference is a change to the
+simulation — or, for the event count alone, to its bookkeeping — and not
+noise.  ``vis_p50_ms`` is there because the digest says *that* the
+simulation moved and the headline latency says whether it mattered.
 
 Host metrics (``ops_per_host_s``, ``peak_rss_mb``, ``setup_s``) are the
 medians each PR recorded on the machine it ran on; compare them across
@@ -33,8 +35,8 @@ sys.path.insert(0, str(REPO / "src"))
 from repro.harness.report import format_table  # noqa: E402
 
 
-#: the two columns that repeat exactly for a seed, and so are diffed
-EXACT = ("events_per_op", "sim_digest")
+#: the columns that repeat exactly for a seed, and so are diffed
+EXACT = ("vis_p50_ms", "events_per_op", "sim_digest")
 
 
 def trajectory() -> list[tuple[int, dict]]:
@@ -76,15 +78,17 @@ def main() -> int:
             run = entry["workloads"].get(workload)
             if run is None:
                 continue
-            exact = (events_per_op(run), run["sim_digest"])
-            moved = [name for name, now, before
-                     in zip(EXACT, exact, previous or exact) if now != before]
-            rows.append([f"PR {number}", *(metric(run, m) for m in metrics),
-                         *exact, " + ".join(moved) or "-"])
-            previous = exact
+            row = {name: metric(run, name) for name in metrics}
+            row.update(events_per_op=events_per_op(run),
+                       sim_digest=run["sim_digest"])
+            moved = [name for name in EXACT
+                     if previous and row[name] != previous[name]]
+            rows.append([f"PR {number}", *row.values(),
+                         " + ".join(moved) or "-"])
+            previous = row
         print(f"== {workload} ==")
-        print(format_table(["pr", *metrics, *EXACT, "moved vs previous"],
-                           rows))
+        print(format_table(["pr", *metrics, "events_per_op", "sim_digest",
+                            "moved vs previous"], rows))
         print()
     return 0
 

@@ -46,6 +46,7 @@ from ..clocks.hlc import HybridLogicalClock
 from ..clocks.physical import PhysicalClock
 from ..datastruct.opblock import OpBlock, OpRunBuilder
 from ..kvstore.types import Update
+from ..sim.loop import SimulationError
 from ..sim.process import Process
 from .config import RETRY_BACKOFF_CAP, EunomiaConfig
 from .messages import AddOpBatch, BatchAck, PartitionHeartbeat
@@ -94,7 +95,8 @@ class EunomiaUplink:
         #: when the last frame queued in that lane reaches the wire; a
         #: heartbeat may leave from the tick only after it
         self._frame_due = 0.0
-        self._tick_task = None
+        #: the live tick chain (0: never armed); a tick of any other is stale
+        self._chain = 0
         self.ops_shipped = 0
         self.retransmissions = 0
         self.frames_reused = 0
@@ -112,15 +114,10 @@ class EunomiaUplink:
             self._retx_strikes.setdefault(replica.pid, 0)
 
     def start(self) -> None:
-        """Arm the periodic batch/heartbeat tick.
-
-        The interval is a callable re-reading ``host.batch_interval`` before
-        every re-arm, so the Figure 7 straggler injector's runtime mutation
-        takes effect on the next tick — the behaviour the old hand-rolled
-        reschedule chain provided.
-        """
-        self._tick_task = self.host.periodic(
-            lambda: self.host.batch_interval, self._flush)
+        """Arm the batch/heartbeat tick: :meth:`_tick` every
+        ``host.batch_interval``, the first one a full interval from now."""
+        self._chain += 1
+        self._arm(self._chain, self.host._epoch)
 
     def restart(self) -> None:
         """Re-arm after the host recovers from a crash.
@@ -136,9 +133,8 @@ class EunomiaUplink:
         host was down is re-fed within one batch tick instead of one
         (escalated) stall timeout.
         """
-        if self._tick_task is None:
+        if not self._chain:
             return
-        self._tick_task.stop()
         # the crash dropped the queued frame and emptied the lane
         self._frame_due = 0.0
         now = self.host.now
@@ -146,7 +142,7 @@ class EunomiaUplink:
             self._retx_strikes[pid] = 0
             if due != float("inf"):
                 self._retx_due[pid] = now
-        self.start()
+        self.start()    # a new chain: the old one, if still queued, is retired
 
     def _stall_timeout(self, pid: int) -> float:
         """Current retransmission timeout for a replica: the configured
@@ -195,22 +191,55 @@ class EunomiaUplink:
     # ------------------------------------------------------------------
     # Periodic shipping
     # ------------------------------------------------------------------
-    def _flush(self) -> None:
-        if not self.replicas:
+    def _arm(self, chain: int, epoch: int) -> None:
+        """Queue the next tick of ``chain``, one ``host.batch_interval`` from
+        now — re-read every time, so the Figure 7 straggler injector's
+        runtime mutation takes effect at the next re-arm."""
+        host = self.host
+        step = host.batch_interval
+        if not step > 0:
+            # re-arming at ``now`` would spin ``run(until=...)`` forever
+            raise SimulationError(
+                f"periodic task EunomiaUplink._tick of {host.name} has "
+                f"non-positive period {step!r}")
+        loop = host._loop
+        loop.schedule_at(loop._now + step, self._tick, chain, epoch)
+
+    def _tick(self, chain: int, epoch: int) -> None:
+        """Ship what is pending, heartbeat if idle, re-arm.
+
+        Fires once per Δ per partition — more often than anything else in a
+        deployment — so it is :meth:`repro.sim.process.Process.periodic`
+        written out flat, contract unchanged: a crashed or re-epoched host
+        retires the chain, as does a later :meth:`start` (never two
+        ticks); the re-arm comes *after* the body (so what the body
+        schedules is sequenced ahead of the next tick), even when it
+        raises.
+        """
+        host = self.host
+        if chain != self._chain or host.crashed or host._epoch != epoch:
             return
+        try:
+            if self.replicas:
+                if self._pending.ts:
+                    self._ship()
+                self._maybe_heartbeat()
+        finally:
+            self._arm(chain, epoch)
+
+    def _ship(self) -> None:
+        """Alg. 2 lines 8–9 for a non-empty pending run."""
         if self.config.fault_tolerant:
             for replica in self.replicas:
                 self._ship_suffix(replica)
             self._prune()
         else:
             pending = self._pending
-            if pending.ts:
-                block = pending.cut(0)
-                pending.drop_prefix(len(pending))
-                self._transmit(self.replicas[0], block, n_new=len(block),
-                               prev_ts=self._nonft_last_sent)
-                self._nonft_last_sent = block.ts[-1]
-        self._maybe_heartbeat()
+            block = pending.cut(0)
+            pending.drop_prefix(len(pending))
+            self._transmit(self.replicas[0], block, n_new=len(block),
+                           prev_ts=self._nonft_last_sent)
+            self._nonft_last_sent = block.ts[-1]
 
     def _ship_suffix(self, replica: Process) -> None:
         """Ship new ops; retransmit the unacked window only on ack stall."""

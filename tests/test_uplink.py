@@ -204,6 +204,69 @@ def test_straggler_interval_respected(env):
 
 
 # ----------------------------------------------------------------------
+# The tick is ``Process.periodic`` written out flat; its contract, case by
+# case.  (Re-arming *after* the body is what the goldens hold.)
+# ----------------------------------------------------------------------
+
+def _idle_host(env, **config):
+    """A started non-FT uplink with nothing to ship: one heartbeat a tick."""
+    Network(env, ConstantLatency(0.0001))
+    host = Host(env, EunomiaConfig(**config))
+    replica = FakeReplica(env, "r0")
+    host.uplink.set_replicas([replica])
+    host.uplink.start()
+    return host, replica
+
+
+def test_tick_interval_mutated_at_runtime_is_read_at_the_next_rearm(env):
+    host, replica = _idle_host(env)
+    env.run(until=0.0035)                   # ticks at 1, 2, 3 ms
+    host.batch_interval = 0.01              # the tick at 4 ms is armed already
+    env.run(until=0.0249)
+    assert host.uplink.heartbeats_sent == 3 + 1 + 2     # 4, then 14 and 24 ms
+
+
+def test_tick_interval_not_positive_raises_naming_task_and_host(env):
+    from repro.sim import SimulationError
+
+    host, _ = _idle_host(env)
+    env.loop.schedule_at(0.0025, setattr, host, "batch_interval", 0.0)
+    with pytest.raises(SimulationError,
+                       match=r"_tick of host has non-positive period 0\.0"):
+        env.run(until=0.01)
+    assert host.uplink.heartbeats_sent == 3             # it fired, then raised
+    host.batch_interval = -1
+    with pytest.raises(SimulationError, match="non-positive period -1"):
+        host.uplink.start()
+
+
+def test_restart_retires_the_old_chain_even_without_a_crash(env):
+    host, _ = _idle_host(env)
+    env.run(until=0.0025)
+    host.uplink.restart()                   # old chain still queued for 3 ms
+    env.run(until=0.0109)
+    assert host.uplink.heartbeats_sent == 2 + 8         # 3.5 … 10.5 ms, once
+
+
+def test_crash_retires_the_chain_and_restart_is_a_noop_if_never_started(env):
+    host, replica = _idle_host(env)
+    env.run(until=0.0025)
+    host.crash()
+    env.run(until=0.01)
+    assert host.uplink.heartbeats_sent == 2
+    assert env.loop.pending() == 0          # the tick at 3 ms did not re-arm
+    host.recover()
+    env.run(until=0.02)
+    assert host.uplink.heartbeats_sent == 2             # nobody restarted it
+    host.uplink.restart()
+    env.run(until=0.0225)
+    assert host.uplink.heartbeats_sent == 4
+    idle = Host(env, EunomiaConfig())       # never started (an S-Seq host)
+    idle.uplink.restart()
+    assert env.loop.pending() == 1          # still only ``host``'s tick
+
+
+# ----------------------------------------------------------------------
 # Never overtake your own frame.  A heartbeat costs no CPU and leaves from
 # the tick, a frame waits in a service lane of the host — ``cpu``, behind
 # whatever the host is serving, unless the host class declares a background
