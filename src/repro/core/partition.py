@@ -50,21 +50,21 @@ __all__ = ["EunomiaPartition"]
 class EunomiaPartition(Process):
     """Partition p_n^m: local storage + Eunomia uplink + remote execution."""
 
+    #: the lane the uplink's frames and queued heartbeats wait in (read
+    #: once by :class:`~repro.core.uplink.EunomiaUplink`; a host class that
+    #: says nothing ships from ``cpu``, as the §7.1 emulators must)
+    UPLINK_LANE = "uplink"
     #: Only client operations are served on the foreground ``cpu`` lane.
     #: Remote replication work (``ApplyRemote`` / ``RemoteData``) and the
-    #: uplink's acknowledgements (``BatchAck``) each run on a background
-    #: lane of their own.  Real stores apply replicated updates and ship
+    #: uplink's acknowledgements (``BatchAck``, beside its frames) run on
+    #: background lanes.  Real stores apply replicated updates and ship
     #: metadata on separate scheduler threads; queueing them behind
     #: foreground client operations would inflate visibility latency far
     #: beyond anything the paper measures — client service times are
     #: scaled by ``Calibration.scale``, the protocol intervals the
     #: visibility path is made of are not (see calibration.py, "scale").
     LANES = {"ApplyRemote": "replication", "RemoteData": "replication",
-             "BatchAck": "uplink"}
-    #: the lane the uplink's frames and queued heartbeats wait in (read
-    #: once by :class:`~repro.core.uplink.EunomiaUplink`; a host class that
-    #: says nothing ships from ``cpu``, as the §7.1 emulators must)
-    UPLINK_LANE = "uplink"
+             "BatchAck": UPLINK_LANE}
 
     def __init__(self, env: Environment, name: str, dc_id: int, index: int,
                  n_dcs: int, clock: PhysicalClock, config: EunomiaConfig,

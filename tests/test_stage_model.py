@@ -35,7 +35,7 @@ from repro.metrics import percentile
 
 #: origin-side stages in pipeline order; a wait runs from the previous stage
 #: the op visited, first visit each (replicas reach a stage at different times)
-_ORIGIN_SIDE = ("commit", "uplink_ship", "ingest", "wal_fsync", "merge",
+_ORIGIN_SIDE = ("commit", "uplink_ship", "wal_fsync", "ingest", "merge",
                 "propagate")
 
 

@@ -291,7 +291,7 @@ class BusyHost(Host):
     def _enqueue(self, fn, cost, *args, lane="cpu"):
         done = super()._enqueue(fn, cost, *args, lane=lane)
         if args and isinstance(args[-1], AddOpBatch):
-            self.frame_due = self._lane_busy[lane]
+            self.frame_due = done
             self.frame_slots.append((self.now, cost, done))
         elif args and isinstance(args[-1], PartitionHeartbeat):
             self.queued_beats[id(args[-1])] = args[-1]
@@ -301,8 +301,8 @@ class BusyHost(Host):
 class LaneHost(BusyHost):
     """Declares the background lane the way ``EunomiaPartition`` does."""
 
-    LANES = {"BatchAck": "uplink"}
     UPLINK_LANE = "uplink"
+    LANES = {"BatchAck": UPLINK_LANE}
 
 
 class SplitLanesHost(BusyHost):
