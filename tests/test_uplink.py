@@ -410,10 +410,11 @@ def _assert_in_order_exactly_once(host, sinks, recorded, fault_tolerant):
             assert sink.gap_frames_dropped == 0
 
 
-@pytest.mark.parametrize("host_cls", [BusyHost, LaneHost])
-@settings(max_examples=100, deadline=None)
-@given(schedule=_SCHEDULE, fault_tolerant=st.booleans())
-@example(schedule=_TIE, fault_tolerant=False)
+@settings(max_examples=200, deadline=None)
+@given(host_cls=st.sampled_from([BusyHost, LaneHost]), schedule=_SCHEDULE,
+       fault_tolerant=st.booleans())
+@example(host_cls=BusyHost, schedule=_TIE, fault_tolerant=False)
+@example(host_cls=LaneHost, schedule=_TIE, fault_tolerant=False)
 def test_heartbeat_never_overtakes_a_queued_frame(host_cls, schedule,
                                                   fault_tolerant):
     host, sinks, recorded = _drive(host_cls, schedule, fault_tolerant)
