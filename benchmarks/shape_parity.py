@@ -22,6 +22,16 @@ both commits: {gentlerain, cure} x placement {full, stride:2, island} x
 seeds {5, 6} on the 3x4x4 frame (50:50), by ``run_fingerprint`` (strict
 ordered ``stable_sha`` included), the counters, and the partitions' total
 ``remote_applies`` and left-over deferred updates.
+
+PR 22 put every storage partition on one base class; the ``store`` family
+pins the other four partition classes and every placement the same way:
+{eunomia, eventual, sseq, sseq ``chain_length=3``, aseq} x the three
+placements x seeds {5, 6}, by ``run_fingerprint``, the counters and the
+partitions' total ``remote_applies``.
+
+The committed ``benchmarks/shape_parity.txt`` is this script's output; the
+``perf-smoke`` CI job regenerates and ``diff``s it, so a change that moves
+a digest re-blesses that one file and its diff states what moved.
 """
 
 from __future__ import annotations
@@ -118,22 +128,39 @@ def run_digest(system) -> dict:
     return digest
 
 
-GST_PLACEMENTS = (
+PLACEMENTS = (
     ("full", None),
     ("stride2", "stride:2"),
     ("island", "dc0=0,1;dc1=0,1;dc2=2,3"),
 )
 
 
-def gst_case(protocol: str, placement, seed: int) -> dict:
+def placed_case(protocol: str, placement, seed: int, **options):
+    """One 3x4x4 run under a placement: the digest (with the partitions'
+    total ``remote_applies``) and the resident partitions it summed over."""
     spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=4,
                          seed=seed, placement=placement)
-    system = build_geo_system(protocol, spec, WorkloadSpec(read_ratio=0.5))
+    system = build_geo_system(protocol, spec, WorkloadSpec(read_ratio=0.5),
+                              **options)
     digest = run_digest(system)
     parts = [p for dc in system.datacenters for p in dc.resident_partitions()]
     digest["remote_applies"] = sum(p.remote_applies for p in parts)
+    return digest, parts
+
+
+def gst_case(protocol: str, placement, seed: int) -> dict:
+    digest, parts = placed_case(protocol, placement, seed)
     digest["deferred_left"] = sum(p.pending_count() for p in parts)
     return digest
+
+
+STORE_PROTOCOLS = (
+    ("eunomia", "eunomia", dict()),
+    ("eventual", "eventual", dict()),
+    ("sseq", "sseq", dict()),
+    ("sseq-chain3", "sseq", dict(chain_length=3)),
+    ("aseq", "aseq", dict()),
+)
 
 
 def main() -> None:
@@ -142,10 +169,16 @@ def main() -> None:
     for label, options in GEO_SHAPES:
         print("geo", label, json.dumps(geo_case(options), sort_keys=True))
     for protocol in ("gentlerain", "cure"):
-        for label, placement in GST_PLACEMENTS:
+        for label, placement in PLACEMENTS:
             for seed in (5, 6):
                 print("gst", protocol, label, f"seed{seed}", json.dumps(
                     gst_case(protocol, placement, seed), sort_keys=True))
+    for label, protocol, options in STORE_PROTOCOLS:
+        for plabel, placement in PLACEMENTS:
+            for seed in (5, 6):
+                print("store", label, plabel, f"seed{seed}", json.dumps(
+                    placed_case(protocol, placement, seed, **options)[0],
+                    sort_keys=True))
 
 
 if __name__ == "__main__":
