@@ -32,9 +32,9 @@ hybrid-clock bump instead of an artificial sleep, which has the same
 ordering effect and differs only by that negligible wait (§3.2 of the
 Eunomia paper discusses exactly this trade).
 
-:class:`GstPartition` is the whole machinery — replication, the deferred
-set (:class:`_DeferredRuns`), aggregation and re-election, installs, the
-cost table; :class:`GentleRainPartition` and :class:`CurePartition` add
+:class:`GstPartition` is the whole machinery over the shared
+:class:`~repro.core.partition.StoragePartition` — the deferred set
+(:class:`_DeferredRuns`), aggregation and re-election, the cost table; :class:`GentleRainPartition` and :class:`CurePartition` add
 only what differs between a scalar and a vector cut (the stamp, the
 release gate with its per-origin bound, and the summary contribution).
 Each is deployed over the shared spine by a :class:`GstProtocol` plugin
@@ -50,27 +50,20 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..calibration import Calibration
-from ..clocks.hlc import HybridLogicalClock
 from ..clocks.physical import PhysicalClock
 from ..clocks.vector import vc_merge, vc_zero
-from ..core.messages import (
-    ClientRead,
-    ClientReadReply,
-    ClientUpdate,
-    ClientUpdateReply,
-    RemoteData,
-)
+from ..core.messages import ClientUpdate, ClientUpdateReply, RemoteData
+from ..core.partition import StoragePartition
 from ..core.protocols import (
     ProtocolSpec,
     SiteContext,
     SitePlan,
     register_protocol,
 )
-from ..kvstore.storage import VersionedStore
-from ..kvstore.types import Update, Versioned
-from ..metrics.collector import MetricsHub, NullMetrics
+from ..kvstore.types import Update
+from ..metrics.collector import MetricsHub
 from ..sim.env import Environment
-from ..sim.process import CostModel, Process
+from ..sim.process import Process
 from .messages import GstBroadcast, GstHeartbeat, GstReport
 
 __all__ = ["GstTimings", "GstPartition", "GentleRainPartition",
@@ -183,7 +176,7 @@ class _DeferredRuns:
         return released
 
 
-class GstPartition(Process):
+class GstPartition(StoragePartition):
     """A partition of a global-stabilization store (GentleRain/Cure core).
 
     Subclasses define ``flavor``, the summary width (1 or M), timestamping
@@ -193,10 +186,6 @@ class GstPartition(Process):
 
     #: overridden by subclasses; also the calibration-key prefix
     flavor = "gst"
-
-    #: Same background-replication lane as every other store here: remote
-    #: installs must not queue behind foreground client operations.
-    LANES = {"RemoteData": "replication"}
 
     @staticmethod
     def summary_width_static(n_dcs: int) -> int:
@@ -209,7 +198,7 @@ class GstPartition(Process):
                  metrics: Optional[MetricsHub] = None):
         cal = calibration or Calibration()
         flavor = self.flavor
-        super().__init__(env, name, site=dc_id, cost_model=CostModel(costs={
+        super().__init__(env, name, dc_id, index, n_dcs, clock, {
             "ClientRead": (cal.cost("partition_read")
                            + cal.cost(f"{flavor}_read_extra")),
             "ClientUpdate": (cal.cost("partition_update")
@@ -218,19 +207,12 @@ class GstPartition(Process):
             "GstHeartbeat": cal.overhead("gst_heartbeat"),
             "GstReport": cal.overhead("gst_heartbeat"),
             "GstBroadcast": cal.overhead(f"{flavor}_gst_round"),
-        }))
-        self.dc_id = dc_id
-        self.index = index
-        self.n_dcs = n_dcs
+        }, metrics=metrics)
         self.timings = timings
         self.summary_width = self.summary_width_static(n_dcs)
-        self.metrics = metrics or NullMetrics()
-        self.clock = clock
-        self.hlc = HybridLogicalClock(clock)
-        self.visible = VersionedStore()
+        self.zero_vts = vc_zero(self.summary_width)
         self.vv = [0] * n_dcs                  # VV[d]: max ts seen from dc d
         self.summary = (0,) * self.summary_width  # GST (w=1) / GSV (w=M)
-        self.siblings: dict[int, Process] = {}
         self.aggregator: Optional[Process] = None
         #: every partition knows the DC roster now (re-election needs it);
         #: empty for bare partitions wired by hand in unit tests.  Under a
@@ -254,21 +236,10 @@ class GstPartition(Process):
         self._aggregate_task = None
         self.aggregator_failovers = 0
         self._pending = _DeferredRuns()
-        self._seq = 0                               # local update counter
-        self.local_updates = 0
-        self.remote_applies = 0
-        # visibility series names per origin DC, formatted once
-        self._vis_labels = [(f"vis_extra_ms:{k}->{dc_id}",
-                             f"vis_total_ms:{k}->{dc_id}")
-                            for k in range(n_dcs)]
 
     # ------------------------------------------------------------------
-    # Wiring / lifecycle
+    # Lifecycle
     # ------------------------------------------------------------------
-    def set_sibling(self, dc_id: int, partition: Process) -> None:
-        if dc_id != self.dc_id:
-            self.siblings[dc_id] = partition
-
     @property
     def is_aggregator(self) -> bool:
         return self.aggregator_view == self.roster_pos
@@ -310,45 +281,18 @@ class GstPartition(Process):
         self.start()
 
     # ------------------------------------------------------------------
-    # Client operations
+    # Client updates
     # ------------------------------------------------------------------
-    def on_client_read(self, msg: ClientRead, src: Process) -> None:
-        version = self.visible.get(msg.key)
-        if version is None:
-            reply = ClientReadReply(msg.key, None,
-                                    vc_zero(self.summary_width),
-                                    msg.request_id)
-        else:
-            reply = ClientReadReply(msg.key, version.value, version.vts,
-                                    msg.request_id)
-        self.send(src, reply)
-
     def on_client_update(self, msg: ClientUpdate, src: Process) -> None:
         update = self._stamp(msg)
-        self.visible.put(update.key, Versioned(update.value, update.ts,
-                                               self.dc_id, update.vts))
-        self.local_updates += 1
-        tracer = self.metrics.tracer
-        if tracer is not None:
-            issued = msg.issued_at if msg.issued_at > 0.0 else None
-            span = tracer.commit(update, self.now, issued_at=issued)
-            if span is not None and self.siblings:
-                tracer.stage(update, "replicate", self.now, self.dc_id)
-        data = RemoteData(update)
-        self.multicast(self.siblings.values(), data)
+        self._commit_local(update)
+        self._replicate(update)
         self.send(src, ClientUpdateReply(update.vts, msg.request_id))
 
     def _stamp(self, msg: ClientUpdate) -> Update:
-        """Flavor-specific timestamping; must keep Property-1-style order."""
+        """Flavor-specific timestamping (through :meth:`_new_update`); must
+        keep Property-1-style order."""
         raise NotImplementedError
-
-    def _new_update(self, msg: ClientUpdate, ts: int, vts: tuple) -> Update:
-        self._seq += 1
-        return Update(
-            key=msg.key, value=msg.value, origin_dc=self.dc_id,
-            partition_index=self.index, seq=self._seq, ts=ts, vts=vts,
-            commit_time=self.now, value_bytes=msg.value_bytes,
-        )
 
     # ------------------------------------------------------------------
     # Replication in
@@ -382,38 +326,6 @@ class GstPartition(Process):
         order-identical to interleaved per-update installs."""
         self._install(self._pending.pop_releasable(self._covered_bound,
                                                    self._releasable))
-
-    def _install(self, items) -> None:
-        """Make ``(update, arrival)`` pairs visible, in order.
-
-        One body for the arrival path (a single pair) and the deferred-set
-        drain: a summary broadcast can release hundreds of updates at
-        once, so the per-item handle resolution (store put, metrics point,
-        tracer, SLO sink) is hoisted out of the loop.
-        """
-        if not items:
-            return
-        put = self.visible.put
-        point = self.metrics.point
-        tracer = self.metrics.tracer
-        slo = self.metrics.slo
-        now = self.now
-        m = self.dc_id
-        labels = self._vis_labels
-        for update, arrival in items:
-            put(update.key, Versioned(update.value, update.ts,
-                                      update.origin_dc, update.vts))
-            k = update.origin_dc
-            extra_ms = max(0.0, (now - arrival) * 1e3)
-            total_ms = (now - update.commit_time) * 1e3
-            extra_label, total_label = labels[k]
-            point(extra_label, now, extra_ms)
-            point(total_label, now, total_ms)
-            if tracer is not None:
-                tracer.stage_once(update, "visible", now, m)
-            if slo is not None:
-                slo.visibility(k, m, total_ms, extra_ms)
-        self.remote_applies += len(items)
 
     # ------------------------------------------------------------------
     # Stabilization rounds
@@ -518,9 +430,6 @@ class GstPartition(Process):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def datastore(self) -> VersionedStore:
-        return self.visible
-
     def pending_count(self) -> int:
         return len(self._pending)
 

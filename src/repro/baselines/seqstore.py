@@ -28,10 +28,9 @@ from ..core.config import (
     RECEIVER_CHECK_INTERVAL,
     RETRY_BACKOFF_CAP,
     SEQ_RETRY_TIMEOUT,
-    EunomiaConfig,
 )
-from ..core.messages import ClientUpdate, ClientUpdateReply, RemoteData
-from ..core.partition import EunomiaPartition
+from ..core.messages import ClientUpdate, ClientUpdateReply
+from ..core.partition import ReceiverFedPartition
 from ..core.protocols import (
     ProtocolSpec,
     SiteContext,
@@ -39,40 +38,35 @@ from ..core.protocols import (
     register_protocol,
 )
 from ..geo.receiver import Receiver
-from ..kvstore.types import Update, Versioned
+from ..kvstore.types import Update
 from ..metrics.collector import MetricsHub
-from ..sim.process import CostModel, Process
+from ..sim.process import Process
 from .messages import SeqReply, SeqRequest
 from .sequencer import Sequencer, build_chain
 
 __all__ = ["SeqPartition", "SequencerProtocol"]
 
 
-class SeqPartition(EunomiaPartition):
+class SeqPartition(ReceiverFedPartition):
     """A partition whose updates are ordered by the local sequencer.
 
-    Inherits reads, remote-data pairing, and remote execution from
-    :class:`EunomiaPartition`; overrides the update path and never starts an
-    Eunomia uplink.
+    Reads, remote-data pairing and remote execution are the receiver-fed
+    partition's, exactly as for EunomiaKV; only the update path differs.
     """
 
     def __init__(self, env, name: str, dc_id: int, index: int, n_dcs: int,
-                 clock: PhysicalClock, config: EunomiaConfig,
-                 synchronous: bool = True,
+                 clock: PhysicalClock, synchronous: bool = True,
                  calibration: Optional[Calibration] = None,
                  metrics: Optional[MetricsHub] = None):
         cal = calibration or Calibration()
-        cost_model = CostModel(costs={
+        super().__init__(env, name, dc_id, index, n_dcs, clock, {
             "ClientRead": cal.cost("partition_read"),
             "ClientUpdate": (cal.cost("partition_update")
                              + cal.cost("sseq_update_extra")),
             "SeqReply": cal.cost("sseq_reply"),
             "ApplyRemote": cal.cost("partition_apply_remote"),
             "RemoteData": cal.cost("partition_remote_data"),
-        })
-        super().__init__(env, name, dc_id, index, n_dcs, clock, config,
-                         calibration=cal, metrics=metrics,
-                         cost_model=cost_model)
+        }, metrics=metrics)
         self.synchronous = synchronous
         self.sequencer: Optional[Process] = None
         self.sequencer_group: list[Process] = []
@@ -92,10 +86,9 @@ class SeqPartition(EunomiaPartition):
         self.sequencer_group = list(nodes)
 
     def start(self) -> None:
-        # No Eunomia uplink: ordering happens at the sequencer.  The sweeper
-        # is the partition-side half of sequencer fault tolerance: a request
-        # outstanding past the timeout is re-sent (with capped exponential
-        # backoff) round-robin through the sequencer group, so a crashed
+        # The sweeper is the partition-side half of sequencer fault
+        # tolerance: a request outstanding past the timeout is re-sent
+        # (with capped exponential backoff) round-robin through the sequencer group, so a crashed
         # sequencer — or a crashed chain link that swallowed the traversal —
         # stalls the client only until the timeout, not forever.  Healthy
         # runs never fire it: replies return well under the timeout, and the
@@ -106,7 +99,7 @@ class SeqPartition(EunomiaPartition):
                                          self._sweep_retries)
 
     def recover(self) -> None:
-        super().recover()           # uplink.restart() is a no-op here
+        super().recover()
         self.start()                # re-arm the retry sweeper
 
     def _sweep_retries(self) -> None:
@@ -134,28 +127,16 @@ class SeqPartition(EunomiaPartition):
     # Update path
     # ------------------------------------------------------------------
     def on_client_update(self, msg: ClientUpdate, src: Process) -> None:
-        self._seq += 1
-        update = Update(
-            key=msg.key, value=msg.value, origin_dc=self.dc_id,
-            partition_index=self.index, seq=self._seq,
-            ts=0, vts=msg.client_vts,            # stamped by the sequencer
-            commit_time=self.now, value_bytes=msg.value_bytes,
-        )
+        # ts 0: the final stamp is the sequencer's
+        update = self._new_update(msg, 0, msg.client_vts)
         self._awaiting[update.uid] = (update, src, msg.request_id)
         self._retry[update.uid] = (self.now, 0, 0)
-        tracer = self.metrics.tracer
-        if tracer is not None:
-            issued = msg.issued_at if msg.issued_at > 0.0 else None
-            span = tracer.commit(update, self.now, issued_at=issued)
-            if span is not None and self.siblings:
-                tracer.stage(update, "replicate", self.now, self.dc_id)
         self.send(self.sequencer, SeqRequest(replace(update, value=None)))
         # Ship the payload immediately (as EunomiaKV does): remote partitions
         # pair it with the sequencer-ordered metadata by uid, so the final
         # stamp need not be known yet.  This is what gives sequencer-based
         # designs their near-optimal visibility.
-        data = RemoteData(update)
-        self.multicast(self.siblings.values(), data)
+        self._replicate(update)
         if not self.synchronous:
             # A-Seq: answer immediately; the store is written (with a
             # provisional version) when the assignment arrives, so the
@@ -169,9 +150,7 @@ class SeqPartition(EunomiaPartition):
             return
         update, client, request_id = held
         stamped = replace(update, ts=msg.vts[self.dc_id], vts=msg.vts)
-        self.store.put(stamped.key, Versioned(stamped.value, stamped.ts,
-                                              self.dc_id, stamped.vts))
-        self.local_updates += 1
+        self._commit_local(stamped)
         tracer = self.metrics.tracer
         if tracer is not None:
             tracer.stage_once(stamped, "seq_order", self.now, self.dc_id)
@@ -197,18 +176,14 @@ class SequencerProtocol(ProtocolSpec):
         return n_dcs
 
     def option_names(self) -> tuple:
-        return ("config", "chain_length")
+        return ("chain_length",)
 
     def prepare(self, spec, options: dict) -> dict:
-        config = options.get("config") or EunomiaConfig()
-        options["config"] = config
-        chain_length = options.setdefault("chain_length", 1)
-        if chain_length < 1:
+        if options.setdefault("chain_length", 1) < 1:
             raise ValueError("chain needs at least one node")
         return options
 
     def build_site(self, site: SiteContext) -> SitePlan:
-        config = site.options["config"]
         chain_length = site.options["chain_length"]
         if chain_length == 1:
             nodes = [Sequencer(site.env, f"dc{site.dc_id}/sequencer",
@@ -231,7 +206,7 @@ class SequencerProtocol(ProtocolSpec):
                             placement=site.partial_placement())
         partitions = [
             SeqPartition(site.env, site.pname(i), site.dc_id, i, site.n_dcs,
-                         site.clock(), config, synchronous=self.synchronous,
+                         site.clock(), synchronous=self.synchronous,
                          calibration=site.calibration, metrics=site.metrics)
             for i in range(site.n_partitions)
         ]

@@ -1,6 +1,18 @@
-"""An Eunomia-aware storage partition (Algorithm 2, extended per §4 and §5).
+"""Storage partitions: the one every protocol deploys, and EunomiaKV's.
 
-One instance models one logical Riak partition.  Responsibilities:
+The paper compares protocols "implemented using the codebase of EunomiaKV"
+so that every measured difference is protocol, not plumbing.  At this layer
+the shared codebase is :class:`StoragePartition`: clocks, the versioned
+store, sibling wiring, reads, the construction of a local update (with its
+trace span) and — written once, in :meth:`StoragePartition._install` — what
+it means for a remote update to become visible and how §7.2.2 accounts for
+it.  A protocol's partition adds its cost table, its timestamp and what it
+does between commit and install; :class:`ReceiverFedPartition` is the part
+EunomiaKV and the sequencer stores share (Alg. 5 releases paired with §5
+payloads).
+
+:class:`EunomiaPartition` (Algorithm 2, extended per §4 and §5) models one
+logical Riak partition.  Responsibilities:
 
 * serve client reads/updates, timestamping updates with the hybrid clock —
   local vector entry ``max(Clock_n, MaxTs_n+1, VClock_c[m]+1)``, remote
@@ -13,10 +25,6 @@ One instance models one logical Riak partition.  Responsibilities:
 * execute remote updates handed over by the local receiver (Alg. 5 line 14),
   pairing metadata with the out-of-band payload, installing the version
   under convergent LWW, and recording visibility metrics.
-
-Visibility accounting follows §7.2.2 exactly: the *extra* delay of a remote
-update is measured from the moment its payload arrived at this datacenter to
-the moment it executes here; network transit is factored out.
 """
 
 from __future__ import annotations
@@ -43,79 +51,49 @@ from .messages import (
     ClientUpdateReply,
     RemoteData,
 )
+from .uplink import EunomiaUplink
 
-__all__ = ["EunomiaPartition"]
+__all__ = ["StoragePartition", "ReceiverFedPartition", "EunomiaPartition"]
 
 
-class EunomiaPartition(Process):
-    """Partition p_n^m: local storage + Eunomia uplink + remote execution."""
+class StoragePartition(Process):
+    """Partition p_n^m of any protocol: storage, reads, local commit and
+    remote visibility.  Subclasses pass their cost table and implement
+    ``on_client_update`` and whatever feeds :meth:`_install`."""
 
-    #: the lane the uplink's frames and queued heartbeats wait in (read
-    #: once by :class:`~repro.core.uplink.EunomiaUplink`; a host class that
-    #: says nothing ships from ``cpu``, as the §7.1 emulators must)
-    UPLINK_LANE = "uplink"
     #: Only client operations are served on the foreground ``cpu`` lane.
-    #: Remote replication work (``ApplyRemote`` / ``RemoteData``) and the
-    #: uplink's acknowledgements (``BatchAck``, beside its frames) run on
-    #: background lanes.  Real stores apply replicated updates and ship
-    #: metadata on separate scheduler threads; queueing them behind
-    #: foreground client operations would inflate visibility latency far
-    #: beyond anything the paper measures — client service times are
-    #: scaled by ``Calibration.scale``, the protocol intervals the
-    #: visibility path is made of are not (see calibration.py, "scale").
-    LANES = {"ApplyRemote": "replication", "RemoteData": "replication",
-             "BatchAck": UPLINK_LANE}
+    #: Remote replication work runs on a background lane: real stores
+    #: apply replicated updates on separate scheduler threads; queueing
+    #: them behind foreground client operations would inflate visibility
+    #: latency far beyond anything the paper measures — client service
+    #: times are scaled by ``Calibration.scale``, the protocol intervals
+    #: the visibility path is made of are not (see calibration.py,
+    #: "scale").
+    LANES = {"RemoteData": "replication"}
 
     def __init__(self, env: Environment, name: str, dc_id: int, index: int,
-                 n_dcs: int, clock: PhysicalClock, config: EunomiaConfig,
-                 calibration: Optional[Calibration] = None,
-                 metrics: Optional[MetricsHub] = None,
-                 cost_model: Optional[CostModel] = None):
-        cal = calibration or Calibration()
-        if cost_model is None:
-            cost_model = CostModel(costs={
-                "ClientRead": cal.cost("partition_read"),
-                "ClientUpdate": (cal.cost("partition_update")
-                                 + cal.cost("eunomia_update_extra")),
-                "ApplyRemote": cal.cost("partition_apply_remote"),
-                "RemoteData": cal.cost("partition_remote_data"),
-            })
-        super().__init__(env, name, site=dc_id, cost_model=cost_model)
+                 n_dcs: int, clock: PhysicalClock, costs: dict,
+                 metrics: Optional[MetricsHub] = None):
+        super().__init__(env, name, site=dc_id,
+                         cost_model=CostModel(costs=costs))
         self.dc_id = dc_id
         self.index = index
         self.n_dcs = n_dcs
-        self.config = config
         self.metrics = metrics or NullMetrics()
         self.clock = clock
         self.hlc = HybridLogicalClock(clock)
         self.store = VersionedStore()
-        #: mutable so the straggler injector (Fig. 7) can inflate it live
-        self.batch_interval = config.batch_interval
-        self.uplink = EunomiaUplinkFactory.build(self, cal)
         self.siblings: dict[int, Process] = {}   # remote dc -> sibling part.
-        #: vector returned for never-written keys (protocol metadata width)
+        #: vector returned for never-written keys (protocol metadata width;
+        #: a protocol with another width replaces it)
         self.zero_vts = vc_zero(n_dcs)
         self._seq = 0
-        self._pending_data: dict[tuple, tuple[Update, float]] = {}
-        self._pending_apply: dict[tuple, tuple[Update, Process]] = {}
-        #: per origin DC, the order key of the last remote update installed
-        #: (releases arrive in that order, one at a time per origin)
-        self._last_installed: list[tuple] = [(0, -1, -1)] * n_dcs
         self.local_updates = 0
         self.remote_applies = 0
-        # visibility series names, formatted once: per origin DC, and (on
-        # first use) per origin partition
+        # visibility series names per origin DC, formatted once
         self._vis_labels = [(f"vis_extra_ms:{k}->{dc_id}",
                              f"vis_total_ms:{k}->{dc_id}")
                             for k in range(n_dcs)]
-        self._vis_part_labels: dict[tuple[int, int], str] = {}
-
-    # ------------------------------------------------------------------
-    # Wiring
-    # ------------------------------------------------------------------
-    def set_eunomia(self, replicas: list[Process]) -> None:
-        """Point the uplink at the local Eunomia service/replica set."""
-        self.uplink.set_replicas(replicas)
 
     def set_sibling(self, dc_id: int, partition: Process) -> None:
         """Register the same-index partition of a remote datacenter."""
@@ -123,23 +101,14 @@ class EunomiaPartition(Process):
             self.siblings[dc_id] = partition
 
     def start(self) -> None:
-        self.uplink.start()
+        """Arm the protocol's periodic work (none at this level)."""
 
-    def recover(self) -> None:
-        """Restart after a crash-stop *and re-arm the uplink tick*.
-
-        The crash epoch retired the uplink's periodic flush; without this
-        override a recovered partition would accept client updates but
-        never ship them, freezing its entry of PartitionTime — and with it
-        the whole DC's StableTime — forever (the uplink single-point
-        stall).  ``restart`` also resets retransmission backoff so
-        outstanding windows are re-offered to the replicas immediately.
-        """
-        super().recover()
-        self.uplink.restart()
+    def datastore(self) -> VersionedStore:
+        """The store used for convergence checks (client-visible data)."""
+        return self.store
 
     # ------------------------------------------------------------------
-    # Client operations (Algorithm 2, vector form of §4)
+    # Client operations
     # ------------------------------------------------------------------
     def on_client_read(self, msg: ClientRead, src: Process) -> None:
         version = self.store.get(msg.key)
@@ -151,20 +120,14 @@ class EunomiaPartition(Process):
                                     msg.request_id)
         self.send(src, reply)
 
-    def on_client_update(self, msg: ClientUpdate, src: Process) -> None:
-        m = self.dc_id
-        client_vts = msg.client_vts
-        # Local entry: max(Clock_n, MaxTs_n+1, VClock_c[m]+1) — Alg. 2 l.5.
-        ts = self.hlc.update(client_vts[m])
-        vts = client_vts[:m] + (ts,) + client_vts[m + 1:]
+    def _new_update(self, msg: ClientUpdate, ts: int, vts: tuple) -> Update:
+        """The next local update, stamped ``(ts, vts)``, its span opened."""
         self._seq += 1
         update = Update(
-            key=msg.key, value=msg.value, origin_dc=m,
+            key=msg.key, value=msg.value, origin_dc=self.dc_id,
             partition_index=self.index, seq=self._seq, ts=ts, vts=vts,
             commit_time=self.now, value_bytes=msg.value_bytes,
         )
-        self.store.put(msg.key, Versioned(msg.value, ts, m, vts))
-        self.local_updates += 1
         tracer = self.metrics.tracer
         if tracer is not None:
             # issued_at == 0.0 means "not threaded" (senders other than
@@ -172,19 +135,79 @@ class EunomiaPartition(Process):
             issued = msg.issued_at if msg.issued_at > 0.0 else None
             span = tracer.commit(update, self.now, issued_at=issued)
             if span is not None and self.siblings:
-                tracer.stage(update, "replicate", self.now, m)
-        if self.config.separate_data_metadata:
-            # §5: Eunomia orders identifiers; payloads go partition→sibling.
-            self.uplink.record(update.with_value(None))
-            data = RemoteData(update)
-            self.multicast(self.siblings.values(), data)
-        else:
-            self.uplink.record(update)
-        self.send(src, ClientUpdateReply(vts, msg.request_id))
+                tracer.stage(update, "replicate", self.now, self.dc_id)
+        return update
+
+    def _commit_local(self, update: Update) -> None:
+        """Install a local update under its final stamp."""
+        self.store.put(update.key, Versioned(update.value, update.ts,
+                                             self.dc_id, update.vts))
+        self.local_updates += 1
+
+    def _replicate(self, update: Update) -> None:
+        """Ship the payload to every sibling partition."""
+        self.multicast(self.siblings.values(), RemoteData(update))
 
     # ------------------------------------------------------------------
-    # Remote update execution (Alg. 5 line 14 + §5 data pairing)
+    # Remote visibility
     # ------------------------------------------------------------------
+    def _install(self, items) -> None:
+        """Make ``(update, arrival)`` pairs visible, in order.
+
+        The single definition of remote visibility.  Accounting follows
+        §7.2.2 exactly: the *extra* delay of a remote update is measured
+        from the moment its payload arrived at this datacenter
+        (``arrival``) to the moment it is installed; network transit is
+        factored out.  One body for a single pair and for a deferred-set
+        drain: a summary broadcast can release hundreds of updates at
+        once, so the per-item handle resolution (store put, metrics point,
+        tracer, SLO sink) is hoisted out of the loop.
+        """
+        if not items:
+            return
+        put = self.store.put
+        point = self.metrics.point
+        tracer = self.metrics.tracer
+        slo = self.metrics.slo
+        now = self.now
+        m = self.dc_id
+        labels = self._vis_labels
+        for update, arrival in items:
+            put(update.key, Versioned(update.value, update.ts,
+                                      update.origin_dc, update.vts))
+            k = update.origin_dc
+            extra_ms = max(0.0, (now - arrival) * 1e3)
+            total_ms = (now - update.commit_time) * 1e3
+            extra_label, total_label = labels[k]
+            point(extra_label, now, extra_ms)
+            point(total_label, now, total_ms)
+            if tracer is not None:
+                tracer.stage_once(update, "visible", now, m)
+            if slo is not None:
+                slo.visibility(k, m, total_ms, extra_ms)
+        self.remote_applies += len(items)
+
+
+class ReceiverFedPartition(StoragePartition):
+    """A partition whose remote updates are released by the local receiver
+    (Alg. 5 line 14): ordering metadata arrives as ``ApplyRemote``, the
+    payload out of band as ``RemoteData`` (§5), and the pair installs."""
+
+    LANES = {"ApplyRemote": "replication", "RemoteData": "replication"}
+
+    def __init__(self, env: Environment, name: str, dc_id: int, index: int,
+                 n_dcs: int, clock: PhysicalClock, costs: dict,
+                 metrics: Optional[MetricsHub] = None):
+        super().__init__(env, name, dc_id, index, n_dcs, clock, costs,
+                         metrics=metrics)
+        self._pending_data: dict[tuple, tuple[Update, float]] = {}
+        self._pending_apply: dict[tuple, tuple[Update, Process]] = {}
+        #: per origin DC, the order key of the last remote update installed
+        #: (releases arrive in that order, one at a time per origin)
+        self._last_installed: list[tuple] = [(0, -1, -1)] * n_dcs
+        #: per-origin-partition series names, formatted on first use
+        self._vis_part_labels: dict[tuple[int, int], str] = {}
+
     def on_remote_data(self, msg: RemoteData, src: Process) -> None:
         update = msg.update
         waiting = self._pending_apply.pop(update.uid, None)
@@ -222,17 +245,9 @@ class EunomiaPartition(Process):
 
     def _execute_remote(self, update: Update, data_arrival: float,
                         receiver: Process) -> None:
-        self.store.put(update.key, Versioned(update.value, update.ts,
-                                             update.origin_dc, update.vts))
-        self._last_installed[update.origin_dc] = update.order_key()
-        self.remote_applies += 1
-        now = self.now
-        extra_ms = max(0.0, (now - data_arrival) * 1e3)
-        total_ms = (now - update.commit_time) * 1e3
-        k, m = update.origin_dc, self.dc_id
-        extra_label, total_label = self._vis_labels[k]
-        self.metrics.point(extra_label, now, extra_ms)
-        self.metrics.point(total_label, now, total_ms)
+        self._install(((update, data_arrival),))
+        k = update.origin_dc
+        self._last_installed[k] = update.order_key()
         # Per-origin-partition breakdown: the straggler experiment (Fig. 7)
         # distinguishes updates born on healthy partitions from the
         # straggler's own.
@@ -240,43 +255,86 @@ class EunomiaPartition(Process):
         part_label = self._vis_part_labels.get(origin)
         if part_label is None:
             part_label = self._vis_part_labels[origin] = (
-                f"{extra_label}:p{update.partition_index}")
-        self.metrics.point(part_label, now, extra_ms)
-        tracer = self.metrics.tracer
-        if tracer is not None:
-            tracer.stage_once(update, "visible", now, m)
-        slo = self.metrics.slo
-        if slo is not None:
-            slo.visibility(k, m, total_ms, extra_ms)
+                f"{self._vis_labels[k][0]}:p{update.partition_index}")
+        now = self.now
+        self.metrics.point(part_label, now,
+                           max(0.0, (now - data_arrival) * 1e3))
         self.send(receiver, ApplyRemoteOk(update.uid))
 
-    # ------------------------------------------------------------------
-    # Uplink plumbing
-    # ------------------------------------------------------------------
-    def on_batch_ack(self, msg: BatchAck, src: Process) -> None:
-        self.uplink.on_ack(msg, src)
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def datastore(self) -> VersionedStore:
-        """The store used for convergence checks (client-visible data)."""
-        return self.store
+class EunomiaPartition(ReceiverFedPartition):
+    """Partition p_n^m: local storage + Eunomia uplink + remote execution."""
 
+    #: the lane the uplink's frames and queued heartbeats wait in (read
+    #: once by :class:`~repro.core.uplink.EunomiaUplink`; a host class that
+    #: says nothing ships from ``cpu``, as the §7.1 emulators must)
+    UPLINK_LANE = "uplink"
+    #: The uplink's acknowledgements (``BatchAck``, beside its frames) run
+    #: on their own background lane, like remote replication work.
+    LANES = {**ReceiverFedPartition.LANES, "BatchAck": UPLINK_LANE}
 
-class EunomiaUplinkFactory:
-    """Builds the uplink with calibrated costs (split for test override)."""
-
-    @staticmethod
-    def build(partition: EunomiaPartition, cal: Calibration):
-        from .uplink import EunomiaUplink
-
-        return EunomiaUplink(
-            host=partition,
-            partition_index=partition.index,
-            config=partition.config,
-            hlc=partition.hlc,
-            clock=partition.clock,
-            op_cost=cal.cost("uplink_op"),
+    def __init__(self, env: Environment, name: str, dc_id: int, index: int,
+                 n_dcs: int, clock: PhysicalClock, config: EunomiaConfig,
+                 calibration: Optional[Calibration] = None,
+                 metrics: Optional[MetricsHub] = None):
+        cal = calibration or Calibration()
+        super().__init__(env, name, dc_id, index, n_dcs, clock, {
+            "ClientRead": cal.cost("partition_read"),
+            "ClientUpdate": (cal.cost("partition_update")
+                             + cal.cost("eunomia_update_extra")),
+            "ApplyRemote": cal.cost("partition_apply_remote"),
+            "RemoteData": cal.cost("partition_remote_data"),
+        }, metrics=metrics)
+        self.config = config
+        #: mutable so the straggler injector (Fig. 7) can inflate it live
+        self.batch_interval = config.batch_interval
+        self.uplink = EunomiaUplink(
+            host=self, partition_index=index, config=config, hlc=self.hlc,
+            clock=clock, op_cost=cal.cost("uplink_op"),
             batch_cost=cal.overhead("uplink_batch"),
         )
+
+    # ------------------------------------------------------------------
+    # Wiring
+    # ------------------------------------------------------------------
+    def set_eunomia(self, replicas: list[Process]) -> None:
+        """Point the uplink at the local Eunomia service/replica set."""
+        self.uplink.set_replicas(replicas)
+
+    def start(self) -> None:
+        self.uplink.start()
+
+    def recover(self) -> None:
+        """Restart after a crash-stop *and re-arm the uplink tick*.
+
+        The crash epoch retired the uplink's periodic flush; without this
+        override a recovered partition would accept client updates but
+        never ship them, freezing its entry of PartitionTime — and with it
+        the whole DC's StableTime — forever (the uplink single-point
+        stall).  ``restart`` also resets retransmission backoff so
+        outstanding windows are re-offered to the replicas immediately.
+        """
+        super().recover()
+        self.uplink.restart()
+
+    # ------------------------------------------------------------------
+    # Client updates (Algorithm 2, vector form of §4)
+    # ------------------------------------------------------------------
+    def on_client_update(self, msg: ClientUpdate, src: Process) -> None:
+        m = self.dc_id
+        client_vts = msg.client_vts
+        # Local entry: max(Clock_n, MaxTs_n+1, VClock_c[m]+1) — Alg. 2 l.5.
+        ts = self.hlc.update(client_vts[m])
+        vts = client_vts[:m] + (ts,) + client_vts[m + 1:]
+        update = self._new_update(msg, ts, vts)
+        self._commit_local(update)
+        if self.config.separate_data_metadata:
+            # §5: Eunomia orders identifiers; payloads go partition→sibling.
+            self.uplink.record(update.with_value(None))
+            self._replicate(update)
+        else:
+            self.uplink.record(update)
+        self.send(src, ClientUpdateReply(vts, msg.request_id))
+
+    def on_batch_ack(self, msg: BatchAck, src: Process) -> None:
+        self.uplink.on_ack(msg, src)

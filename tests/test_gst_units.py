@@ -38,11 +38,11 @@ class TestGentleRainUnit:
         sender = Sender(env, "s")
         sender.send(partition, RemoteData(remote(1, 100, (100,))))
         env.run(until=0.01)
-        assert partition.visible.get("rk") is None      # gated
+        assert partition.store.get("rk") is None      # gated
         assert partition.pending_count() == 1
         sender.send(partition, GstBroadcast((100,)))
         env.run(until=0.02)
-        assert partition.visible.get("rk").value == "rv"
+        assert partition.store.get("rk").value == "rv"
         assert partition.pending_count() == 0
 
     def test_release_in_timestamp_order(self, env, net, metrics):
@@ -56,8 +56,8 @@ class TestGentleRainUnit:
         env.run(until=0.01)
         sender.send(partition, GstBroadcast((15,)))
         env.run(until=0.02)
-        assert partition.visible.get("k10") is not None
-        assert partition.visible.get("k20") is None
+        assert partition.store.get("k10") is not None
+        assert partition.store.get("k20") is None
         assert partition.pending_count() == 2
 
     def test_runs_pending_releases_partial_prefix(self, env, net, metrics):
@@ -71,9 +71,9 @@ class TestGentleRainUnit:
         assert partition.pending_count() == 4
         sender.send(partition, GstBroadcast((25,)))
         env.run(until=0.02)
-        assert partition.visible.get("k10") is not None
-        assert partition.visible.get("k25") is not None
-        assert partition.visible.get("k30") is None
+        assert partition.store.get("k10") is not None
+        assert partition.store.get("k25") is not None
+        assert partition.store.get("k30") is None
         assert partition.pending_count() == 2
 
     def test_runs_pending_rejects_non_fifo_stream(self, env, net, metrics):
@@ -121,10 +121,10 @@ class TestCureUnit:
         env.run(until=0.01)
         sender.send(partition, GstBroadcast((0, 100, 0)))
         env.run(until=0.02)
-        assert partition.visible.get("rk") is None      # dc2 entry missing
+        assert partition.store.get("rk") is None      # dc2 entry missing
         sender.send(partition, GstBroadcast((0, 100, 80)))
         env.run(until=0.03)
-        assert partition.visible.get("rk").value == "rv"
+        assert partition.store.get("rk").value == "rv"
 
     def test_local_entry_not_required(self, env, net, metrics):
         partition = make_partition(env, CurePartition, metrics=metrics)
@@ -134,7 +134,7 @@ class TestCureUnit:
         env.run(until=0.01)
         sender.send(partition, GstBroadcast((0, 10, 0)))
         env.run(until=0.02)
-        assert partition.visible.get("rk") is not None
+        assert partition.store.get("rk") is not None
 
     def test_update_stamp_vector(self, env, net, metrics):
         partition = make_partition(env, CurePartition, metrics=metrics)

@@ -5,7 +5,6 @@ import pytest
 from repro.baselines.messages import SeqReply, SeqRequest
 from repro.baselines.seqstore import SeqPartition
 from repro.clocks import PhysicalClock
-from repro.core import EunomiaConfig
 from repro.core.messages import (
     AddOpBatch,
     ApplyRemote,
@@ -90,7 +89,7 @@ def seq_rig(env):
 
     def build(synchronous):
         partition = SeqPartition(env, "p0", 0, 0, 3, PhysicalClock(env),
-                                 EunomiaConfig(), synchronous=synchronous,
+                                 synchronous=synchronous,
                                  metrics=MetricsHub())
         partition.set_sequencer(sequencer)
         return partition
