@@ -40,10 +40,9 @@ from .messages import (
     SeqRequest,
 )
 from .seqstore import SeqPartition, SequencerProtocol
-from .sequencer import ChainSequencerNode, Sequencer, build_chain
+from .sequencer import ChainSequencerNode, build_chain
 
 __all__ = [
-    "Sequencer",
     "ChainSequencerNode",
     "build_chain",
     "SeqPartition",

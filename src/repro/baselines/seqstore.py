@@ -42,7 +42,7 @@ from ..kvstore.types import Update
 from ..metrics.collector import MetricsHub
 from ..sim.process import Process
 from .messages import SeqReply, SeqRequest
-from .sequencer import Sequencer, build_chain
+from .sequencer import build_chain
 
 __all__ = ["SeqPartition", "SequencerProtocol"]
 
@@ -185,19 +185,13 @@ class SequencerProtocol(ProtocolSpec):
 
     def build_site(self, site: SiteContext) -> SitePlan:
         chain_length = site.options["chain_length"]
-        if chain_length == 1:
-            nodes = [Sequencer(site.env, f"dc{site.dc_id}/sequencer",
-                               site.dc_id, calibration=site.calibration,
-                               metrics=site.metrics)]
-        else:
-            # Geo deployments get the self-repairing chain: heartbeats,
-            # dynamic head/tail, standby failover.  (Direct construction via
-            # build_chain defaults to the static §7.1 chain.)
-            nodes = build_chain(site.env, site.dc_id, chain_length,
-                                calibration=site.calibration,
-                                metrics=site.metrics,
-                                name_prefix=f"dc{site.dc_id}/chain",
-                                repair=True)
+        # Geo deployments get the self-repairing chain: heartbeats, dynamic
+        # head/tail, standby failover.  (Direct construction via
+        # build_chain defaults to the static §7.1 chain.)
+        nodes = build_chain(site.env, site.dc_id, chain_length,
+                            calibration=site.calibration,
+                            metrics=site.metrics,
+                            name_prefix=f"dc{site.dc_id}/chain", repair=True)
         receiver = Receiver(site.env, f"dc{site.dc_id}/receiver", site.dc_id,
                             site.n_dcs,
                             check_interval=RECEIVER_CHECK_INTERVAL,

@@ -1,19 +1,22 @@
 """Per-datacenter sequencers — the baseline Eunomia replaces.
 
-:class:`Sequencer` mimics the traditional design (SwiftCloud,
-ChainReaction): every client update synchronously requests a monotonically
-increasing number *in the client's critical path*.  The sequencer is also
-the natural serialization point, so it ships the ordered metadata stream to
-remote receivers directly (the receiver code is shared with EunomiaKV —
-vector entries are sequence numbers instead of hybrid timestamps, the
-dependency algebra is identical).
+A sequencer mimics the traditional design (SwiftCloud, ChainReaction):
+every client update synchronously requests a monotonically increasing
+number *in the client's critical path*.  The sequencer is also the natural
+serialization point, so it ships the ordered metadata stream to remote
+receivers directly (the receiver code is shared with EunomiaKV — vector
+entries are sequence numbers instead of hybrid timestamps, the dependency
+algebra is identical).
 
-:class:`ChainSequencerNode` is the fault-tolerant variant (§7.1): replicas
-form a chain (van Renesse & Schneider); requests enter at the head, which
-assigns the number, traverse every node, and the tail replies.  Unlike
-Eunomia's coordination-free replicas, every chain node processes every
-request, and the head additionally forwards — which is why the paper
-measures a ~33% throughput penalty for a 3-node chain versus Eunomia's ~9%.
+:class:`ChainSequencerNode` is one node of it.  Alone (``build_chain(...,
+1)``) it is the plain, non-fault-tolerant sequencer: one counter, one
+service queue, head and tail at once.  Longer chains are the
+fault-tolerant variant (§7.1): replicas form a chain (van Renesse &
+Schneider); requests enter at the head, which assigns the number, traverse
+every node, and the tail replies.  Unlike Eunomia's coordination-free
+replicas, every chain node processes every request, and the head
+additionally forwards — which is why the paper measures a ~33% throughput
+penalty for a 3-node chain versus Eunomia's ~9%.
 """
 
 from __future__ import annotations
@@ -28,62 +31,7 @@ from ..sim.env import Environment
 from ..sim.process import CostModel, Process
 from .messages import ChainAlive, ChainForward, SeqRequest, SeqReply
 
-__all__ = ["Sequencer", "ChainSequencerNode", "build_chain"]
-
-
-class Sequencer(Process):
-    """Non-fault-tolerant sequencer: one counter, one service queue.
-
-    Requests are deduplicated by update uid: partitions retry requests that
-    time out (a crashed sequencer drops everything in flight), and a retry
-    racing a slow reply must not burn a second number for the same update —
-    the duplicate is answered with the original assignment and a re-ship
-    (remote receivers dedup, so re-shipping is exactly-once downstream).
-    """
-
-    def __init__(self, env: Environment, name: str, site: int,
-                 calibration: Optional[Calibration] = None,
-                 metrics: Optional[MetricsHub] = None,
-                 assign_mark: Optional[str] = None):
-        cal = calibration or Calibration()
-        cost_model = CostModel(costs={
-            "SeqRequest": cal.cost("sequencer_request"),
-        })
-        super().__init__(env, name, site=site, cost_model=cost_model)
-        self.metrics = metrics or NullMetrics()
-        self.counter = 0
-        self.destinations: list[Process] = []
-        self.assign_mark = assign_mark or f"seq_assigned:dc{site}"
-        self._assigned: dict[tuple, object] = {}   # uid -> stamped update
-        self.duplicate_requests = 0
-
-    def add_destination(self, dest: Process) -> None:
-        self.destinations.append(dest)
-
-    def on_seq_request(self, msg: SeqRequest, src: Process) -> None:
-        prior = self._assigned.get(msg.update.uid)
-        if prior is not None:
-            self.duplicate_requests += 1
-            self._ship(prior)
-            self.send(src, SeqReply(prior.uid, prior.vts))
-            return
-        update = self._assign(msg.update)
-        self._assigned[update.uid] = update
-        self._ship(update)
-        self.send(src, SeqReply(update.uid, update.vts))
-
-    def _assign(self, update):
-        """Stamp the update with the next number in this DC's sequence."""
-        self.counter += 1
-        m = self.site
-        vts = update.vts[:m] + (self.counter,) + update.vts[m + 1:]
-        self.metrics.mark(self.assign_mark, self.now)
-        return replace(update, ts=self.counter, vts=vts)
-
-    def _ship(self, update) -> None:
-        """Propagate the ordered metadata stream to remote receivers."""
-        batch = RemoteStableBatch(self.site, (update,))
-        self.multicast(self.destinations, batch)
+__all__ = ["ChainSequencerNode", "build_chain"]
 
 
 class ChainSequencerNode(Process):
@@ -92,6 +40,13 @@ class ChainSequencerNode(Process):
     Roles by position: the *head* assigns numbers, every node logs the
     assignment (so any prefix survives a suffix crash), the *tail* ships to
     remote receivers and answers the requesting partition.
+
+    Requests are deduplicated by update uid at the head: partitions retry
+    requests that time out (a crashed sequencer drops everything in flight),
+    and a retry racing a slow reply must not burn a second number for the
+    same update — the duplicate re-traverses with the original assignment
+    and is re-shipped (remote receivers dedup, so re-shipping is
+    exactly-once downstream).
 
     With ``repair=True`` the roles become *dynamic*: nodes exchange
     membership heartbeats, and the surviving nodes re-form the chain around
@@ -109,12 +64,14 @@ class ChainSequencerNode(Process):
                  chain_length: int,
                  calibration: Optional[Calibration] = None,
                  metrics: Optional[MetricsHub] = None,
-                 assign_mark: Optional[str] = None,
                  repair: bool = False,
                  alive_interval: float = 0.05,
                  suspect_timeout: float = 0.16):
         cal = calibration or Calibration()
-        if position == 0:
+        if chain_length == 1:
+            # head and tail at once: it neither forwards nor is forwarded to
+            per_request = cal.cost("sequencer_request")
+        elif position == 0:
             per_request = cal.cost("chain_head")
         elif position == chain_length - 1:
             per_request = cal.cost("chain_tail")
@@ -132,9 +89,10 @@ class ChainSequencerNode(Process):
         self.log: list[tuple] = []          # replicated assignment log
         self.successor: Optional[Process] = None
         self.destinations: list[Process] = []
-        self.assign_mark = assign_mark or f"seq_assigned:dc{site}"
-        # --- chain repair (inactive, zero-cost, unless repair=True) ---
-        self.repair = repair
+        self.assign_mark = f"seq_assigned:dc{site}"
+        # --- chain repair (inactive, zero-cost, unless repair=True; a
+        # lone node has no chain to re-form) ---
+        self.repair = repair and chain_length > 1
         self.alive_interval = alive_interval
         self.suspect_timeout = suspect_timeout
         self.peers: list["ChainSequencerNode"] = []    # roster, by position
@@ -261,8 +219,7 @@ class ChainSequencerNode(Process):
         m = self.site
         vts = update.vts[:m] + (self.counter,) + update.vts[m + 1:]
         stamped = replace(update, ts=self.counter, vts=vts)
-        if self.repair:
-            self._assigned[update.uid] = stamped
+        self._assigned[update.uid] = stamped
         self._record_and_pass(stamped, requester=requester)
 
     def _record_and_pass(self, update, requester: Process) -> None:

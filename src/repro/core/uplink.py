@@ -125,7 +125,7 @@ class EunomiaUplink:
         The host's crash epoch retired the old tick chain, so a recovered
         partition that never calls this ships nothing ever again — the
         uplink single-point stall.  No-op for hosts that never armed the
-        tick (S-Seq partitions ship through the sequencer instead).
+        tick (a partition its DC does not store is built but never run).
 
         Retransmission state is reset to *probe promptly*: any replica with
         an outstanding window is due for retransmission immediately and the

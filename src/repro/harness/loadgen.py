@@ -39,7 +39,7 @@ from ..sim.network import Network
 from ..sim.process import Process
 from .. import baselines
 from ..baselines.messages import SeqReply, SeqRequest
-from ..baselines.sequencer import Sequencer, build_chain
+from ..baselines.sequencer import build_chain
 
 __all__ = [
     "RemoteSink",
@@ -297,31 +297,20 @@ def build_sequencer_rig(n_clients: int, chain_length: int = 1,
                         calibration: Optional[Calibration] = None,
                         seed: int = 0,
                         metrics: Optional[MetricsHub] = None) -> ServiceRig:
-    """A sequencer (chain-replicated if ``chain_length > 1``) under load."""
+    """A sequencer (a chain of ``chain_length`` nodes) under load."""
     cal = calibration or Calibration()
     metrics = metrics or MetricsHub()
     env = Environment(seed=seed)
     Network(env, ConstantLatency(INTRA_DC_LATENCY))
 
     sink = RemoteSink(env)
-    if chain_length == 1:
-        head: Process = Sequencer(env, "sequencer", 0, calibration=cal,
-                                  metrics=metrics,
-                                  assign_mark="seq_assigned:dc0")
-        head.add_destination(sink)
-        service_processes: list[Process] = []
-    else:
-        nodes = build_chain(env, 0, chain_length, calibration=cal,
-                            metrics=metrics)
-        for node in nodes:
-            node.assign_mark = "seq_assigned:dc0"
-        nodes[-1].add_destination(sink)
-        head = nodes[0]
-        service_processes = []
+    nodes = build_chain(env, 0, chain_length, calibration=cal,
+                        metrics=metrics)
+    nodes[-1].add_destination(sink)
 
     drivers = [
-        SequencerLoadClient(env, f"client{i}", i, head, calibration=cal)
+        SequencerLoadClient(env, f"client{i}", i, nodes[0], calibration=cal)
         for i in range(n_clients)
     ]
-    return ServiceRig(env, metrics, drivers, service_processes, sink,
+    return ServiceRig(env, metrics, drivers, [], sink,
                       throughput_mark="seq_assigned:dc0")

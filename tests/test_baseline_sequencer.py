@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines.messages import SeqReply, SeqRequest
-from repro.baselines.sequencer import ChainSequencerNode, Sequencer, build_chain
+from repro.baselines.sequencer import build_chain
 from repro.calibration import Calibration
 from repro.core.messages import RemoteStableBatch
 from repro.kvstore.types import Update
@@ -34,7 +34,7 @@ def make_update(seq, vts=(0, 0)):
 
 
 def test_sequencer_assigns_consecutive_numbers(env, net):
-    seq = Sequencer(env, "seq", 0)
+    (seq,) = build_chain(env, 0, 1)
     requester = Requester(env)
     for i in range(1, 4):
         requester.send(seq, SeqRequest(make_update(i)))
@@ -44,7 +44,7 @@ def test_sequencer_assigns_consecutive_numbers(env, net):
 
 
 def test_sequencer_merges_client_vector(env, net):
-    seq = Sequencer(env, "seq", 0)
+    (seq,) = build_chain(env, 0, 1)
     requester = Requester(env)
     requester.send(seq, SeqRequest(make_update(1, vts=(0, 42))))
     env.run()
@@ -52,7 +52,7 @@ def test_sequencer_merges_client_vector(env, net):
 
 
 def test_sequencer_ships_ordered_stream(env, net):
-    seq = Sequencer(env, "seq", 0)
+    (seq,) = build_chain(env, 0, 1)
     dest = Dest(env)
     seq.add_destination(dest)
     requester = Requester(env)
@@ -65,7 +65,7 @@ def test_sequencer_ships_ordered_stream(env, net):
 def test_sequencer_service_cost_bounds_throughput(env):
     Network(env, ConstantLatency(0.0001))
     cal = Calibration(scale=1.0)  # real-scale: 20.8µs per request
-    seq = Sequencer(env, "seq", 0, calibration=cal)
+    (seq,) = build_chain(env, 0, 1, calibration=cal)
     requester = Requester(env)
     for i in range(1, 1002):
         requester.send(seq, SeqRequest(make_update(i)))
