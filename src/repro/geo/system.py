@@ -123,7 +123,12 @@ class GeoSystem:
         :meth:`start` — so crash/recover timelines apply uniformly to any
         protocol's processes (partitions, stabilizers, sequencers):
 
-            system.failures().crash_at(1.0, system.datacenters[0].partitions[1])
+            leader = system.datacenters[0].leader()
+            system.failures().crash_at(1.0, leader).recover_at(1.6, leader)
+
+        (Crashing a storage *partition* of a receiver-fed protocol —
+        ``eunomia``, ``sseq`` — currently stalls its datacenter's receiver
+        for good; see ``tests/test_protocol_failures.py``.)
         """
         if self._failures is None:
             from ..sim.failure import FailureSchedule

@@ -3,7 +3,6 @@
 One :class:`MetricsHub` per experiment gathers everything the paper's
 figures need:
 
-* **counters** — monotone counts (ops issued, messages, drops);
 * **samples** — unordered value distributions (operation latencies);
 * **marks** — event-time streams (one timestamp per completed op), from
   which windowed throughput timelines are derived (Figures 4 and 7);
@@ -38,7 +37,6 @@ class MetricsHub:
     """Append-only measurement store for a single experiment run."""
 
     def __init__(self) -> None:
-        self.counters: dict[str, int] = defaultdict(int)
         self.samples: dict[str, array] = defaultdict(_column)
         self.marks: dict[str, array] = defaultdict(_column)
         #: name -> (times, values), two columns of equal length
@@ -49,13 +47,8 @@ class MetricsHub:
         # attribute read per call site.
         self.tracer = None     # repro.obs.trace.Tracer when attached
         self.slo = None        # repro.obs.sketch.SloRecorder when attached
-        self.sketches: dict[str, object] = {}
 
     # -- recording ------------------------------------------------------
-    def count(self, name: str, n: int = 1) -> None:
-        """Increment counter ``name`` by ``n``."""
-        self.counters[name] += n
-
     def record(self, name: str, value: float) -> None:
         """Append ``value`` to the sample distribution ``name``."""
         self.samples[name].append(value)
@@ -88,31 +81,10 @@ class MetricsHub:
         times.append(time)
         values.append(value)
 
-    def observe(self, name: str, value: float) -> None:
-        """Feed ``value`` into the streaming sketch ``name``.
-
-        Unlike :meth:`record`, this keeps O(log range) state per series
-        (a :class:`repro.obs.sketch.LogBinHistogram`), so million-op runs
-        can report p50/p99/p999 without holding per-op lists.
-        """
-        self.sketch(name).add(value)
-
-    def sketch(self, name: str, rel_err: float = 0.01):
-        """Get or create the streaming quantile sketch ``name``."""
-        sk = self.sketches.get(name)
-        if sk is None:
-            # local import: obs depends on metrics, not the reverse
-            from ..obs.sketch import LogBinHistogram
-            sk = self.sketches[name] = LogBinHistogram(rel_err)
-        return sk
-
     # -- lightweight queries (heavier math lives in summary.py) ---------
     # Query methods return *copies*: the internal columns keep growing
     # while the simulation runs, so handing them out live would let summary
     # code mutate (or observe a moving view of) a run mid-flight.
-    def counter(self, name: str) -> int:
-        return self.counters.get(name, 0)
-
     def sample_values(self, name: str) -> list[float]:
         return list(self.samples.get(name, ()))
 
@@ -123,21 +95,9 @@ class MetricsHub:
         columns = self.points.get(name)
         return list(zip(*columns)) if columns else []
 
-    def names(self) -> dict[str, list[str]]:
-        """All recorded metric names, grouped by kind (debug aid)."""
-        return {
-            "counters": sorted(self.counters),
-            "samples": sorted(self.samples),
-            "marks": sorted(self.marks),
-            "points": sorted(self.points),
-        }
-
 
 class NullMetrics(MetricsHub):
     """A hub that discards everything (for tests that don't measure)."""
-
-    def count(self, name: str, n: int = 1) -> None:  # noqa: D102
-        pass
 
     def record(self, name: str, value: float) -> None:  # noqa: D102
         pass
@@ -149,7 +109,4 @@ class NullMetrics(MetricsHub):
         pass
 
     def point(self, name: str, time: float, value: float) -> None:  # noqa: D102
-        pass
-
-    def observe(self, name: str, value: float) -> None:  # noqa: D102
         pass

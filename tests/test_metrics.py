@@ -23,12 +23,6 @@ from repro.workload.generator import WorkloadSpec
 
 
 class TestHub:
-    def test_counters(self, metrics):
-        metrics.count("x")
-        metrics.count("x", 4)
-        assert metrics.counter("x") == 5
-        assert metrics.counter("missing") == 0
-
     def test_samples_marks_points(self, metrics):
         metrics.record("lat", 1.0)
         metrics.mark("ops", 0.5)
@@ -36,15 +30,6 @@ class TestHub:
         assert metrics.sample_values("lat") == [1.0]
         assert metrics.mark_times("ops") == [0.5]
         assert metrics.point_series("vis") == [(0.5, 9.0)]
-
-    def test_names_listing(self, metrics):
-        metrics.count("c")
-        metrics.record("s", 1)
-        metrics.mark("m2", 0.5)
-        metrics.mark("m1", 0.5)
-        metrics.point("p", 0.5, 1.0)
-        assert metrics.names() == {"counters": ["c"], "samples": ["s"],
-                                   "marks": ["m1", "m2"], "points": ["p"]}
 
     def test_queries_return_legacy_shapes(self, metrics):
         metrics.record("lat", 1)            # an int is stored as a double
@@ -59,7 +44,7 @@ class TestHub:
         for missing in (metrics.sample_values("x"), metrics.mark_times("x"),
                         metrics.point_series("x")):
             assert missing == []
-        assert metrics.names()["points"] == ["vis"]   # queries add no series
+        assert list(metrics.points) == ["vis"]   # queries add no series
 
     def test_queries_are_snapshots(self, metrics):
         """A result holds what was recorded when it was taken (that
@@ -89,7 +74,7 @@ class TestHub:
     @pytest.mark.parametrize("nothing", [0, -3, [], (), iter(())])
     def test_mark_many_of_nothing_creates_no_series(self, metrics, nothing):
         metrics.mark_many("ops", 1.0, nothing)
-        assert metrics.names()["marks"] == []
+        assert not metrics.marks
 
     def test_mark_many_equivalent_to_mark_loop(self, metrics):
         bulk = MetricsHub()
@@ -100,18 +85,15 @@ class TestHub:
 
     def test_null_hub_discards(self):
         hub = NullMetrics()
-        hub.count("x")
         hub.record("y", 1.0)
         hub.mark("z", 1.0)
         hub.mark_many("z", 1.0, 7)
         hub.mark_many("z", 1.0, [1.0, 2.0])
         hub.point("w", 1.0, 2.0)
-        hub.observe("v", 1.0)
-        assert hub.counter("x") == 0
         assert hub.sample_values("y") == []
         assert hub.mark_times("z") == []
         assert hub.point_series("w") == []
-        assert not any(hub.names().values()) and not hub.sketches
+        assert not (hub.samples or hub.marks or hub.points)
 
 
 def _float_only(monkeypatch):
@@ -164,10 +146,10 @@ class TestStoredAsDoubles:
         if per_partition:
             points |= {f"vis_extra_ms:{k}->{m}:p{i}"
                        for k, m in pairs for i in range(2)}
-        names = system.metrics.names()
-        assert names["points"] == sorted(points)
-        assert names["samples"] == ["latency_ms:read", "latency_ms:update"]
-        assert {"ops", "ops:dc0", "ops:dc1", "ops:dc2"} <= set(names["marks"])
+        hub = system.metrics
+        assert sorted(hub.points) == sorted(points)
+        assert sorted(hub.samples) == ["latency_ms:read", "latency_ms:update"]
+        assert {"ops", "ops:dc0", "ops:dc1", "ops:dc2"} <= set(hub.marks)
 
     def test_rigs_record_only_floats(self, monkeypatch):
         _float_only(monkeypatch)

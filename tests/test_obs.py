@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines import build_system
 from repro.core import EunomiaConfig
+from repro.core.partition import StoragePartition
 from repro.geo.system import GeoSystemSpec
 from repro.harness.goldens import capture_golden
 from repro.metrics.collector import MetricsHub
@@ -153,15 +154,6 @@ def test_logbin_merge_and_zero_bucket():
         a.merge(LogBinHistogram(rel_err=0.05))
 
 
-def test_metrics_hub_sketch_registry():
-    hub = MetricsHub()
-    sk = hub.sketch("op_ms")
-    sk.add(4.0)
-    assert hub.sketch("op_ms") is sk        # same name -> same sketch
-    hub.observe("op_ms", 6.0)
-    assert sk.n == 2
-
-
 # ----------------------------------------------------------------------
 # Metrics fixes (satellites a + f)
 # ----------------------------------------------------------------------
@@ -246,6 +238,53 @@ def test_shard_merge_lag_gauge_only_where_shards_merge(n_shards,
             f"gauge:shard_merge_lag_ms:dc{dc}")
         assert len(points) == points_per_dc
         assert all(v >= 0.0 for _, v in points)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_visibility_accounting_is_the_same_under_every_protocol(protocol):
+    """What ``StoragePartition`` owns, held with every op traced: a remote
+    install is one ``vis_extra_ms`` and one ``vis_total_ms`` point (section
+    7.2.2: ``0 <= extra <= total``), one SLO sketch entry and one
+    ``visible`` span event; a local commit opens one span, ``issue`` no
+    later than ``commit``."""
+    spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=2, clients_per_dc=2,
+                         seed=5)
+    system = build_system(protocol, spec,
+                          WorkloadSpec(read_ratio=0.5, n_keys=32))
+    obs = system.observe(sample_every=1)
+    system.run(1.0)
+    system.quiesce(1.5)
+    partitions = [p for dc in system.datacenters for p in dc.partitions]
+    assert all(isinstance(p, StoragePartition) for p in partitions)
+    # only EunomiaKV's partitions carry an uplink (none is built unstarted)
+    assert all(hasattr(p, "uplink") == (protocol == "eunomia")
+               for p in partitions)
+    installs = sum(p.remote_applies for p in partitions)
+    assert installs > 0
+    recorded = 0
+    for k, m in ((k, m) for k in range(3) for m in range(3) if k != m):
+        extra = system.metrics.point_series(f"vis_extra_ms:{k}->{m}")
+        total = system.metrics.point_series(f"vis_total_ms:{k}->{m}")
+        assert [t for t, _ in extra] == [t for t, _ in total]
+        assert all(0.0 <= e <= v for (_, e), (_, v) in zip(extra, total))
+        if protocol == "eventual":      # installs on arrival
+            assert all(e == 0.0 for _, e in extra)
+        assert obs.slo.vis_total[k, m].n == len(total)
+        assert obs.slo.vis_extra[k, m].n == len(extra)
+        recorded += len(total)
+    assert recorded == installs
+    spans = list(obs.tracer.iter_spans())
+    assert obs.tracer.dropped == 0
+    assert len(spans) == sum(p.local_updates for p in partitions)
+    stages = [[stage for stage, _, _ in span.events] for span in spans]
+    assert sum(names.count("visible") for names in stages) == installs
+    for span, names in zip(spans, stages):
+        assert names.count("commit") == 1 and names.count("issue") <= 1
+        when = {stage: t for stage, t, _ in span.events}
+        assert when.get("issue", 0.0) <= when["commit"]
+    # a client's very first op is issued at t = 0.0, which reads as "not
+    # threaded"; only those spans open at commit
+    assert sum("issue" not in names for names in stages) <= len(system.clients)
 
 
 def test_slo_report_renders_all_tables(observed_run):

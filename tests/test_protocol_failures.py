@@ -16,6 +16,13 @@ keep their promises:
   past the freeze point, and every recorded session still satisfies the
   causal session guarantees.
 
+One liveness case runs over five protocols: a 200 ms crash-stop of one
+storage partition must not stop the *other* partitions of its datacenter
+from installing remote updates.  It holds for the all-to-all stores and is
+a strict ``xfail`` for the two receiver-fed ones (``eunomia``, ``sseq``),
+where the receiver's in-flight ``ApplyRemote`` dies with the partition and
+nothing re-releases it — ROADMAP item 2(b) owns the fix.
+
 The chain-replicated sequencer test exercises the other new cross-
 protocol axis: ``chain_length`` builds the §7.1 fault-tolerant sequencer
 as a full end-to-end deployment on the same spine.
@@ -116,6 +123,44 @@ def test_gentlerain_gst_stall_is_bounded_by_report_timeout():
     assert samples["pinned"] == samples["early"]        # frozen inside window
     assert samples["thawed"] > samples["pinned"]        # bounded stall
     assert sibling.summary > samples["thawed"]          # advancing after rejoin
+
+
+_RECEIVER_STALL = pytest.mark.xfail(strict=True, reason=(
+    "the ApplyRemote in flight to the crashed partition is dropped and never "
+    "re-released, so both origins stay in Receiver._inflight and the whole "
+    "DC stops applying remote updates (ROADMAP item 2(b))"))
+
+
+@pytest.mark.parametrize("protocol", [
+    pytest.param("eunomia", marks=_RECEIVER_STALL),
+    pytest.param("sseq", marks=_RECEIVER_STALL),
+    "gentlerain", "cure", "eventual"])
+def test_partition_crash_leaves_its_datacenter_live(protocol):
+    """A partition down for 200 ms loses what was shipped to it meanwhile
+    (by design, in every protocol), so this asserts liveness, not
+    convergence: the datacenter's healthy partitions keep installing remote
+    updates after the recovery, and the receiver's in-flight set drains."""
+    spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=4,
+                         seed=1)
+    system = build_system(protocol, spec, WorkloadSpec(read_ratio=0.5))
+    dc = system.datacenters[0]
+    victim = dc.partitions[1]
+    healthy = [p for p in dc.partitions if p is not victim]
+    applied = {}
+    schedule = system.failures()
+    schedule.crash_at(1.0, victim)
+    schedule.recover_at(1.2, victim)
+    schedule.at(1.5, lambda: applied.update(
+        (p.name, p.remote_applies) for p in healthy),
+        "count remote applies after the recovery")
+    system.run(2.5)
+    system.quiesce(1.5)
+    assert not victim.crashed
+    for partition in healthy:
+        assert partition.remote_applies > applied[partition.name], (
+            f"{partition.name} installed nothing after the recovery")
+    if dc.receiver is not None:
+        assert not dc.receiver._inflight
 
 
 def test_failure_actions_added_mid_run_still_fire():

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import build_system
+from repro.core import EunomiaConfig
 from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.goldens import (
     GOLDEN_SPEC,
@@ -64,6 +65,10 @@ def test_unknown_options_rejected_up_front():
     for flavor in ("gentlerain", "cure"):
         with pytest.raises(TypeError, match="chain_length"):
             build_system(flavor, spec, wl, chain_length=3)
+    # an EunomiaConfig selects nothing in a store that has no uplink
+    for protocol in ("eventual", "sseq", "aseq"):
+        with pytest.raises(TypeError, match="config"):
+            build_system(protocol, spec, wl, config=EunomiaConfig())
 
 
 @settings(max_examples=4, deadline=None)
