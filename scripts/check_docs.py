@@ -22,7 +22,10 @@ Checks, with zero dependencies beyond the stdlib:
    (``harness/chaos.py``), placement policies (``core/placement.py``),
    and tracing pipeline stages (``obs/trace.py``) — is documented in
    both README.md and docs/ARCHITECTURE.md, same rationale as the
-   protocol registry;
+   protocol registry; and the README protocol matrix names, as
+   ``option=`` code spans in each protocol's row, exactly the options
+   its plugin's ``option_names()`` returns (an option a plugin drops or
+   gains cannot leave the matrix behind);
 6. every module under ``src/`` imports only the standard library,
    ``repro`` itself, and packages declared in ``pyproject.toml``
    ``dependencies`` — the README's "pure stdlib" claim and the CI image
@@ -118,7 +121,9 @@ PROTOCOL_MODULES = [
 ]
 
 #: the registry's lazy table is the source of truth for protocol names
-REGISTRY_RE = re.compile(r'^\s*"(\w+)":\s*"repro\.[\w.]+",\s*$', re.MULTILINE)
+#: (and for the module each plugin lives in)
+REGISTRY_RE = re.compile(r'^\s*"(\w+)":\s*"(repro\.[\w.]+)",\s*$',
+                         re.MULTILINE)
 
 
 def check_protocol_modules() -> list[str]:
@@ -132,10 +137,15 @@ def check_protocol_modules() -> list[str]:
     return errors
 
 
-def registered_protocols() -> list[str]:
+def registered_plugins() -> list[tuple[str, str]]:
+    """``(protocol name, plugin module)`` per registry entry."""
     text = (REPO / "src" / "repro" / "core" / "protocols.py").read_text(
         encoding="utf-8")
     return REGISTRY_RE.findall(text)
+
+
+def registered_protocols() -> list[str]:
+    return [name for name, _ in registered_plugins()]
 
 
 def check_protocols_documented() -> list[str]:
@@ -191,6 +201,36 @@ def check_knobs_documented() -> list[str]:
                         f"{doc.relative_to(REPO)}: {var} value "
                         f"{value!r} is undocumented (expected `\"{value}\"` "
                         "in code format)")
+    return errors
+
+
+#: a plugin's ``option_names`` body: one ``return (...)`` of string literals
+OPTION_NAMES_RE = re.compile(
+    r"def option_names\(self\)[^\n]*\n\s+return \(([^)]*)\)")
+
+
+def check_plugin_options_documented() -> list[str]:
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    errors = []
+    for protocol, module in registered_plugins():
+        source = (REPO / "src" / Path(*module.split("."))).with_suffix(".py")
+        options = {name
+                   for body in OPTION_NAMES_RE.findall(
+                       source.read_text(encoding="utf-8"))
+                   for name in re.findall(r'"(\w+)"', body)}
+        rows = [line for line in readme.splitlines()
+                if line.startswith("|")
+                and f"`{protocol}`" in line.split("|")[1]]
+        if len(rows) != 1:
+            errors.append(f"README.md: expected one protocol-matrix row for "
+                          f"`{protocol}`, found {len(rows)}")
+            continue
+        documented = set(re.findall(r"`(\w+)=`", rows[0]))
+        if documented != options:
+            errors.append(
+                f"README.md: protocol-matrix row of `{protocol}` names "
+                f"options {sorted(documented)}, its plugin takes "
+                f"{sorted(options)}")
     return errors
 
 
@@ -278,7 +318,8 @@ def check_documented_names() -> list[str]:
 def main() -> int:
     errors = (check_links() + check_example_headers()
               + check_protocol_modules() + check_protocols_documented()
-              + check_knobs_documented() + check_src_imports()
+              + check_knobs_documented() + check_plugin_options_documented()
+              + check_src_imports()
               + check_documented_names())
     for error in errors:
         print(f"check_docs: {error}", file=sys.stderr)
@@ -291,7 +332,7 @@ def main() -> int:
           f"{len(list((REPO / 'examples').glob('*.py')))} example headers ok; "
           f"{len(PROTOCOL_MODULES)} protocol modules ok; "
           f"{len(registered_protocols())} registered protocols documented; "
-          f"{n_knobs} knob values documented; "
+          f"{n_knobs} knob values and every plugin option documented; "
           "src/ imports stdlib + declared only; "
           "code-span CamelCase names all defined")
     return 0

@@ -100,9 +100,6 @@ class StoragePartition(Process):
         if dc_id != self.dc_id:
             self.siblings[dc_id] = partition
 
-    def start(self) -> None:
-        """Arm the protocol's periodic work (none at this level)."""
-
     def datastore(self) -> VersionedStore:
         """The store used for convergence checks (client-visible data)."""
         return self.store

@@ -21,9 +21,9 @@ two bisections:
   :meth:`repro.datastruct.runbuffer.RunBuffer.extend_run`.
 
 The same block serves bulk WAL staging
-(:meth:`repro.durability.wal.WriteAheadLog.stage_ops`) and any other
-consumer of per-origin monotone runs (the GentleRain/Cure deferred-update
-sets are ``RunBuffer``-backed and go through the same ``extend_run`` door).
+(:meth:`repro.durability.wal.WriteAheadLog.stage_ops`).  (The GentleRain /
+Cure deferred-update set is not a consumer: it keeps its own per-origin
+deques, see :mod:`repro.baselines.gst`.)
 
 State-identical by construction: blocks never reorder, drop, or mutate ops —
 they only precompute the columns the per-op loop would have read anyway.

@@ -105,10 +105,10 @@ _EUNOMIA = register_protocol(EunomiaProtocol())
 class Datacenter:
     """One site of a geo-replicated deployment, any registered protocol.
 
-    The legacy signature — ``Datacenter(env, dc_id, n_dcs, n_partitions,
-    ring, config)`` — still builds an EunomiaKV site; passing
-    ``protocol=`` (a :class:`ProtocolSpec`) with a prepared ``options``
-    dict builds any other plugin over the identical frame.
+    ``Datacenter(env, dc_id, n_dcs, n_partitions, ring, config)`` builds
+    an EunomiaKV site (``config=`` is that protocol's one option); passing
+    ``protocol=`` (a :class:`ProtocolSpec`) with its prepared ``options``
+    dict builds any plugin over the identical frame.
     """
 
     def __init__(self, env: Environment, dc_id: int, n_dcs: int,
@@ -130,8 +130,8 @@ class Datacenter:
         if protocol is None:
             if options is not None:
                 raise TypeError(
-                    "options= requires protocol=; the legacy EunomiaKV "
-                    "signature takes config= directly")
+                    "options= requires protocol=; without one the site is "
+                    "EunomiaKV and takes config= directly")
             protocol = _EUNOMIA
             options = {"config": config or EunomiaConfig()}
         self.protocol = protocol
