@@ -23,7 +23,18 @@ summary covers it:
 The protocol cost is charged in two places, matching the paper's analysis:
 a per-operation metadata-handling surcharge (Cure ≈ 2× GentleRain), and a
 per-round stabilization cost at every partition — which is why shrinking the
-"clock computation interval" hurts throughput (Figure 1).
+"clock computation interval" hurts throughput (Figure 1).  Both land on the
+partition's foreground ``cpu`` lane, but only the first is *served* there.
+The stabilization plane itself — sibling heartbeats, reports, the summary
+broadcast — is a background exchange on its own ``stabilization`` lane, so
+visibility is heartbeat period + stabilization period + one-way delays and
+never a function of foreground load (``tests/test_stage_model.py`` holds it
+to that closed form); the round's cost is a ``cpu`` slot reserved when the
+broadcast is handled, with no completion event: client operations queue
+behind the round exactly as if it had been served there, the round does not
+queue behind them.  (It once did: client service times are ×10-scaled and
+the intervals are not, which put Cure's median extra visibility at 22 ms
+where the intervals give 9.7 — docs/ARCHITECTURE.md, "Lanes".)
 
 One modelling note: GentleRain tags updates with pure physical clocks and
 *delays* an update whose dependency timestamp is at or above the local
@@ -187,6 +198,13 @@ class GstPartition(StoragePartition):
     #: overridden by subclasses; also the calibration-key prefix
     flavor = "gst"
 
+    #: The stabilization plane (sibling heartbeats, reports, the summary
+    #: broadcast) is a background exchange: like remote replication it
+    #: never waits behind foreground client operations.
+    LANES = {**StoragePartition.LANES,
+             "GstHeartbeat": "stabilization", "GstReport": "stabilization",
+             "GstBroadcast": "stabilization"}
+
     @staticmethod
     def summary_width_static(n_dcs: int) -> int:
         """Entries in the flavor's summary (and in client session vectors)."""
@@ -206,8 +224,11 @@ class GstPartition(StoragePartition):
             "RemoteData": cal.cost("partition_apply_remote"),
             "GstHeartbeat": cal.overhead("gst_heartbeat"),
             "GstReport": cal.overhead("gst_heartbeat"),
-            "GstBroadcast": cal.overhead(f"{flavor}_gst_round"),
+            # handled on arrival; the round's cost is a ``cpu`` slot that
+            # :meth:`on_gst_broadcast` reserves (module docstring)
+            "GstBroadcast": 0.0,
         }, metrics=metrics)
+        self._round_cost = cal.overhead(f"{flavor}_gst_round")
         self.timings = timings
         self.summary_width = self.summary_width_static(n_dcs)
         self.zero_vts = vc_zero(self.summary_width)
@@ -407,7 +428,12 @@ class GstPartition(StoragePartition):
         self.multicast(self.local_partitions, broadcast)
 
     def on_gst_broadcast(self, msg: GstBroadcast, src: Process) -> None:
-        self._last_broadcast_seen = self.now
+        now = self.now
+        # The round's work occupies the foreground server from now on:
+        # client operations queue behind it, it queues behind nothing.
+        busy = self._lane_busy
+        busy["cpu"] = max(now, busy.get("cpu", 0.0)) + self._round_cost
+        self._last_broadcast_seen = now
         if msg.sender != self.aggregator_view and self.local_partitions:
             # Someone else is aggregating.  Ω-style min-index tie-break: a
             # partition that is itself aggregating stands down only for a

@@ -37,9 +37,14 @@ which ``scale`` touches, so anything on that path that waits for a client
 operation to finish waits ten times longer than it would at paper scale and
 the error lands, unscaled, in a number compared against Fig. 6.  Hence the
 rule (docs/ARCHITECTURE.md, "Lanes"): *no scaled per-op service time on the
-visibility path* — remote applies, uplink frames, heartbeats and acks are
-served on background lanes of the partition, never in its ``cpu`` lane
-behind ``partition_read`` / ``partition_update``.
+visibility path* — remote applies, uplink frames, heartbeats and acks, and
+the GentleRain / Cure stabilization plane (sibling heartbeats, reports, the
+summary broadcast) are served on background lanes of the partition, never in
+its ``cpu`` lane behind ``partition_read`` / ``partition_update``.  The rule
+is about waiting, not about charging: the per-round ``*_gst_round`` overhead
+is still CPU the partition's foreground server loses (Figure 1), so the
+broadcast's handler *reserves* that much of ``cpu`` — client operations queue
+behind the round, the round queues behind nothing.
 
 Costs come in two kinds, and the distinction matters:
 

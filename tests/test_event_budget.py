@@ -15,6 +15,8 @@ import pytest
 
 import repro.baselines  # noqa: F401  (registers every protocol)
 from repro import GeoSystemSpec, WorkloadSpec, build_geo_system
+from repro.baselines.gst import GstPartition
+from repro.baselines.messages import GstBroadcast
 from repro.core import EunomiaConfig
 from repro.core.protocols import available_protocols
 
@@ -66,12 +68,36 @@ def test_fault_tolerant_heartbeats_are_not_withheld_under_load():
     assert _heartbeats_sent(system) / (ticks * config.n_replicas) >= 0.78
 
 
+def test_a_summary_broadcast_on_an_idle_lane_costs_one_event(monkeypatch):
+    """A ``GstBroadcast`` costs nothing to *deliver* — its round is a
+    ``cpu`` slot reserved by the handler — so on the background
+    ``stabilization`` lane, idle but for 3 µs heartbeats and reports, it is
+    handled in its arrival event.  Served from ``cpu`` with the round as its
+    service cost it was two events, every time (ratio 2.0)."""
+    events = {"deliver": 0, "_run_delivery": 0}
+
+    def count(name):
+        inner = getattr(GstPartition, name)
+
+        def counted(self, *args):       # (msg, src) / (epoch, handler, msg, src)
+            events[name] += type(args[-2]) is GstBroadcast
+            inner(self, *args)
+        monkeypatch.setattr(GstPartition, name, counted)
+
+    count("deliver")
+    count("_run_delivery")
+    _run("cure", clients_per_dc=4)
+    assert events["deliver"] > 1000
+    assert sum(events.values()) / events["deliver"] <= 1.1
+
+
 #: ``processed_events / client ops`` of a seeded 1 sim-s run, measured and
 #: rounded up by about 3 %.  (With a completion event per zero-cost reply
 #: each was a whole event per op higher; Eunomia read 19.7, and 14.9 while
-#: its heartbeats still queued behind frames waiting in the ``cpu`` lane.)
-_CEILINGS = {"eventual": 4.9, "eunomia": 14.8, "gentlerain": 9.3,
-             "cure": 9.6, "sseq": 9.4, "aseq": 9.4}
+#: its heartbeats still queued behind frames waiting in the ``cpu`` lane;
+#: GentleRain / Cure 9.03 / 9.33 with a completion event per broadcast.)
+_CEILINGS = {"eventual": 4.9, "eunomia": 14.8, "gentlerain": 8.7,
+             "cure": 9.0, "sseq": 9.4, "aseq": 9.4}
 
 
 def test_every_protocol_has_a_ceiling():

@@ -23,6 +23,31 @@ The closed form (ARCHITECTURE.md, "Stage waits"), with Δ the uplink tick,
   is ingested, and the round is on average θ/2 away:
 
       θ/2 + (Δ + lead) − (Δ/2 + LAN)        [+ LAN from shard to coordinator]
+
+GentleRain and Cure have no stabilizer; their whole visibility path is the
+stabilization plane, and the third defect of the kind sat there: sibling
+heartbeats, reports and the summary broadcast waited in ``cpu`` behind
+client operations (PR 23; Cure read 22 ms where this form says 9.7).  With H
+the heartbeat interval, G the stabilization interval and ``W(d, m)`` the mean
+one-way delay from datacenter d to m, an update of origin k is visible at m
+this long after its payload arrived (commit → ``visible`` less ``W(k, m)``):
+
+* the gate waits for a sibling timestamp at or above the update's from
+  *every* partition of the origin, so for their next heartbeat — all
+  partitions beat on one H grid, the commit falls uniformly inside a
+  period: H/2.  (An update of that sibling would serve as well; at this
+  test's ~40 updates/s per partition one rarely comes first.)
+* GentleRain's scalar takes the minimum over every origin, so the beat that
+  counts is the farthest origin's f: it lands ``W(f, m) − W(k, m)`` after
+  the payload — the ≈ 40 ms floor of Fig. 6 left.  Cure's vector waits for
+  the update's own origin only (f = k; its third-party dependencies were
+  visible at k when it committed and are covered here by then).
+* the beat lands ``W(f, m)`` after a grid point and waits for the next
+  report tick (period G, phase G/2): ``(G/2 − W(f, m)) mod G``.
+* report → aggregator is a LAN hop inside the G/2 to the aggregate tick,
+  and the broadcast is one more LAN hop, handled on arrival:
+
+      H/2 + (W(f, m) − W(k, m)) + (G/2 − W(f, m)) mod G + G/2 + LAN
 """
 
 import statistics
@@ -30,6 +55,7 @@ import statistics
 import pytest
 
 from repro import GeoSystemSpec, WorkloadSpec, build_geo_system
+from repro.baselines.gst import GstTimings
 from repro.core import EunomiaConfig
 from repro.metrics import percentile
 
@@ -97,3 +123,38 @@ def test_stage_waits_match_their_closed_form(read_ratio, clients, config,
                                                                rel=0.25)
     assert statistics.mean(waits[released_at]) == pytest.approx(expected,
                                                                 rel=0.15)
+
+
+@pytest.mark.parametrize("protocol", ["cure", "gentlerain"])
+def test_gst_visibility_matches_its_closed_form(protocol):
+    spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=8,
+                         seed=21)
+    timings = GstTimings()
+    system = build_geo_system(protocol, spec,
+                              WorkloadSpec(read_ratio=0.9, n_keys=500),
+                              timings=timings)
+    tracer = system.observe(sample_every=1, gauges=False).tracer
+    system.run(1.5)
+
+    topology = spec.topology()
+    one_way = [[topology.one_way_s(d, m) * (1 + topology.jitter_frac / 2) * 1e3
+                for m in range(spec.n_dcs)] for d in range(spec.n_dcs)]
+    extra = {}
+    for span in tracer.iter_spans():
+        (committed, k), = span.stage_times("commit")
+        for visible, m in span.stage_times("visible"):
+            extra.setdefault((k, m), []).append(
+                (visible - committed) * 1e3 - one_way[k][m])
+    assert len(extra) == spec.n_dcs * (spec.n_dcs - 1)
+
+    beat = timings.heartbeat_interval * 1e3      # H
+    round_ = timings.gst_interval * 1e3          # G
+    for (k, m), waits in sorted(extra.items()):
+        assert len(waits) > 150
+        farthest = (one_way[k][m] if protocol == "cure" else
+                    max(one_way[d][m] for d in range(spec.n_dcs)))
+        expected = (beat / 2 + (farthest - one_way[k][m])
+                    + (round_ / 2 - farthest) % round_ + round_ / 2
+                    + one_way[m][m])
+        assert percentile(waits, 50) == pytest.approx(expected, rel=0.25)
+        assert statistics.mean(waits) == pytest.approx(expected, rel=0.15)
