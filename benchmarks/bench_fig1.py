@@ -24,6 +24,9 @@ def _assert_fig1_shapes(result):
 
     cure_slow = result.row_value("cure@100ms", "penalty_pct")
     assert cure_slow < -5.0                 # paper: −11.6% even at 100 ms
+    # the round's cost is charged to the foreground server although the
+    # stabilization plane runs beside it; moving it off cpu must trip this
+    assert result.row_value("cure@1ms", "penalty_pct") < -30.0
 
     gr_vis_fast = result.row_value("gentlerain@1ms", "vis_p90_ms")
     gr_vis_slow = result.row_value("gentlerain@100ms", "vis_p90_ms")

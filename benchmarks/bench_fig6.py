@@ -3,8 +3,9 @@
 Regenerates the visibility distributions on the near (dc1→dc2) and far
 (dc2→dc3) pairs.  Paper shapes asserted: EunomiaKV ~95% within ~15 ms extra
 on both pairs; GentleRain floored at ~40 ms on the near pair by its false
-dependency on the farthest datacenter; on the far pair GentleRain beats
-Cure (the vector buys nothing there) while EunomiaKV still leads.
+dependency on the farthest datacenter, Cure under 20 ms there; on the far
+pair GentleRain beats Cure (the vector buys nothing there) while EunomiaKV
+still leads.
 """
 
 from conftest import run_figure
@@ -27,7 +28,11 @@ def bench_fig6_visibility_cdfs(benchmark):
     assert row("eunomia", "dc1->dc2", "pct_within_15ms") > 85.0
 
     # GentleRain's near-pair floor: the farthest-DC false dependency
-    assert row("gentlerain", "dc1->dc2", "min_ms") > 30.0
+    # (80 − 40 ms of one-way delay, plus the report and aggregate phases)
+    assert 40.0 < row("gentlerain", "dc1->dc2", "min_ms") < 46.0
+    # Cure waits for heartbeat + stabilization periods only, whatever the
+    # foreground load (28 ms while its rounds queued behind client ops)
+    assert row("cure", "dc1->dc2", "p95_ms") < 20.0
     assert row("cure", "dc1->dc2", "p90_ms") < row("gentlerain", "dc1->dc2",
                                                    "p90_ms")
 

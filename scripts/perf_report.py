@@ -11,11 +11,11 @@ this number move, and did the simulation move with it" is one glance:
     python scripts/perf_report.py
 
 The last column names which of ``events_per_op`` / ``sim_digest`` /
-``vis_p50_ms`` differs from the previous PR's row (``-`` when none): all
-three repeat exactly for a seed, so a difference is a change to the
-simulation — or, for the event count alone, to its bookkeeping — and not
-noise.  ``vis_p50_ms`` is there because the digest says *that* the
-simulation moved and the headline latency says whether it mattered.
+``vis_p50_ms`` / ``vis_p99_ms`` differs from the previous PR's row (``-``
+when none): all four repeat exactly for a seed, so a difference is a change
+to the simulation — or, for the event count alone, to its bookkeeping — and
+not noise.  The two latencies are there because the digest says *that* the
+simulation moved and the headline median and tail say whether it mattered.
 
 Host metrics (``ops_per_host_s``, ``peak_rss_mb``, ``setup_s``) are the
 medians each PR recorded on the machine it ran on; compare them across
@@ -36,7 +36,7 @@ from repro.harness.report import format_table  # noqa: E402
 
 
 #: the columns that repeat exactly for a seed, and so are diffed
-EXACT = ("vis_p50_ms", "events_per_op", "sim_digest")
+EXACT = ("vis_p50_ms", "vis_p99_ms", "events_per_op", "sim_digest")
 
 
 def trajectory() -> list[tuple[int, dict]]:
