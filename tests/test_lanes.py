@@ -10,8 +10,6 @@ its closed form — the Alg. 2 heartbeat (PR 20), frames and ``BatchAck``
 instead, so a fourth names itself when the handler is written.
 """
 
-import inspect
-
 import pytest
 
 import repro.baselines.messages as baseline_messages
@@ -24,9 +22,9 @@ from repro.core.protocols import available_protocols
 _CLIENT_PATH = {"ClientRead", "ClientUpdate"}
 _CLIENT_PATH_OF = {"sseq": {"SeqReply"}, "aseq": {"SeqReply"}}
 
-_MESSAGE_TYPES = [kind for module in (core_messages, baseline_messages)
-                  for name, kind in sorted(vars(module).items())
-                  if inspect.isclass(kind) and kind.__module__ == module.__name__]
+_MESSAGE_TYPES = [getattr(module, name)
+                  for module in (core_messages, baseline_messages)
+                  for name in module.__all__]
 
 
 @pytest.mark.parametrize("protocol", sorted(available_protocols()))
@@ -35,12 +33,12 @@ def test_only_the_client_path_rides_the_cpu_lane(protocol):
                          seed=1)
     system = build_geo_system(protocol, spec, WorkloadSpec())
     partition = system.datacenters[0].partitions[0]
-    handled = [kind for kind in _MESSAGE_TYPES
-               if partition._plan(kind)[2] != partition._unhandled]
-    assert {kind.__name__ for kind in handled} >= _CLIENT_PATH
-    on_cpu = {kind.__name__ for kind in handled
-              if partition._plan(kind)[0] == "cpu"}
+    plans = {kind.__name__: partition._plan(kind) for kind in _MESSAGE_TYPES}
+    lanes = {name: lane for name, (lane, _, handler, _) in plans.items()
+             if handler != partition._unhandled}
+    assert lanes.keys() >= _CLIENT_PATH
     allowed = _CLIENT_PATH | _CLIENT_PATH_OF.get(protocol, set())
-    stray = sorted(on_cpu - allowed)
+    stray = sorted(name for name, lane in lanes.items()
+                   if lane == "cpu" and name not in allowed)
     assert not stray, (f"{type(partition).__name__} serves {stray} in the "
                        f"cpu lane, behind scaled client operations")
