@@ -4,9 +4,11 @@
 Builds a geo deployment, attaches the full observability surface
 (repro.obs: sampled causal tracing, streaming SLO sketches, stage-lag
 gauges), runs it, and prints the SLO table: operation latency p50/p99/p999
-per DC × op kind, remote visibility latency per DC pair, and
-stabilization lag per DC.  Optionally writes the sampled spans + gauges
-as a Chrome-trace-event JSON (load it in Perfetto / chrome://tracing):
+per DC × op kind, remote visibility latency per DC pair, stabilization
+lag per DC, and the receiver's backlog beside its in-flight releases (mean
+in-flight ÷ tracked origins = how busy Alg. 5's release chains are).
+Optionally writes the sampled spans + gauges as a Chrome-trace-event JSON
+(load it in Perfetto / chrome://tracing):
 
     PYTHONPATH=src python scripts/slo_report.py --protocol eunomia
     PYTHONPATH=src python scripts/slo_report.py --protocol gentlerain \

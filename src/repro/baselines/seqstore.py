@@ -64,8 +64,10 @@ class SeqPartition(ReceiverFedPartition):
             "ClientUpdate": (cal.cost("partition_update")
                              + cal.cost("sseq_update_extra")),
             "SeqReply": cal.cost("sseq_reply"),
-            "ApplyRemote": cal.cost("partition_apply_remote"),
-            "RemoteData": cal.cost("partition_remote_data"),
+            # the write rides the payload's message; a release publishes
+            # (StoragePartition._install)
+            "RemoteData": cal.cost("partition_apply_remote"),
+            "ApplyRemote": cal.cost("partition_remote_data"),
         }, metrics=metrics)
         self.synchronous = synchronous
         self.sequencer: Optional[Process] = None

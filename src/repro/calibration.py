@@ -114,7 +114,12 @@ class Calibration:
     # -- partition-side (Riak-like storage nodes) ------------------------
     partition_read_us: float = 150.0
     partition_update_us: float = 400.0
+    #: write one remote version — charged on the message that carries the
+    #: payload (``RemoteData``), under every protocol, before the §7.2.2
+    #: arrival stamp (core/partition.py, ``StoragePartition._install``)
     partition_apply_remote_us: float = 100.0
+    #: touch a buffered record: what a receiver's release (``ApplyRemote``)
+    #: costs — pair, publish, ack — the one per-op cost inside Alg. 5's cycle
     partition_remote_data_us: float = 20.0
     eunomia_update_extra_us: float = 35.0   # vector stamp + uplink + data ship
     uplink_op_us: float = 1.0               # serialize one op into a batch

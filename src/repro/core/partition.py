@@ -159,6 +159,18 @@ class StoragePartition(Process):
         drain: a summary broadcast can release hundreds of updates at
         once, so the per-item handle resolution (store put, metrics point,
         tracer, SLO sink) is hoisted out of the loop.
+
+        What this costs, for all six protocols: **the storage write of a
+        remote version is charged on the message that carries its payload**
+        (``partition_apply_remote`` on ``RemoteData``; on ``ApplyRemote``
+        only when Eunomia runs unseparated and the value rides the
+        metadata), so ``arrival`` — stamped by that message's handler, when
+        its slot completes — is the instant the version is written, and
+        "extra" means extra over an eventually consistent store under every
+        protocol.  Whatever later makes the version visible (a receiver's
+        release, a summary broadcast) costs its own bookkeeping and never a
+        second write: no ×``scale`` service time sits between ``arrival``
+        and here (``tests/test_lanes.py`` reads the cost tables).
         """
         if not items:
             return
@@ -188,7 +200,12 @@ class StoragePartition(Process):
 class ReceiverFedPartition(StoragePartition):
     """A partition whose remote updates are released by the local receiver
     (Alg. 5 line 14): ordering metadata arrives as ``ApplyRemote``, the
-    payload out of band as ``RemoteData`` (§5), and the pair installs."""
+    payload out of band as ``RemoteData`` (§5), and the pair installs.
+
+    The payload is written when it lands — milliseconds before its metadata
+    can be stable — so a release costs the pairing, the publish and the ack
+    (``partition_remote_data``), and Algorithm 5's stop-and-wait cycle is
+    ``2·LAN + publish + receiver_flush`` with no scaled write inside it."""
 
     LANES = {"ApplyRemote": "replication", "RemoteData": "replication"}
 
@@ -209,8 +226,9 @@ class ReceiverFedPartition(StoragePartition):
         update = msg.update
         waiting = self._pending_apply.pop(update.uid, None)
         if waiting is not None:
-            # Metadata got here first: execute now; extra delay is zero
-            # because execution is immediate upon data arrival.
+            # Metadata got here first: execute now, the write just done;
+            # extra delay is zero because execution is immediate upon data
+            # arrival.
             meta, receiver = waiting
             self._execute_remote(meta.with_value(update.value),
                                  data_arrival=self.now, receiver=receiver)
@@ -275,12 +293,18 @@ class EunomiaPartition(ReceiverFedPartition):
                  calibration: Optional[Calibration] = None,
                  metrics: Optional[MetricsHub] = None):
         cal = calibration or Calibration()
+        # The write rides the message that carries the payload
+        # (StoragePartition._install): RemoteData — or, unseparated, when
+        # none is sent, the ApplyRemote that holds the value.
+        written_on, touched_on = (("RemoteData", "ApplyRemote")
+                                  if config.separate_data_metadata
+                                  else ("ApplyRemote", "RemoteData"))
         super().__init__(env, name, dc_id, index, n_dcs, clock, {
             "ClientRead": cal.cost("partition_read"),
             "ClientUpdate": (cal.cost("partition_update")
                              + cal.cost("eunomia_update_extra")),
-            "ApplyRemote": cal.cost("partition_apply_remote"),
-            "RemoteData": cal.cost("partition_remote_data"),
+            written_on: cal.cost("partition_apply_remote"),
+            touched_on: cal.cost("partition_remote_data"),
         }, metrics=metrics)
         self.config = config
         #: mutable so the straggler injector (Fig. 7) can inflate it live

@@ -25,7 +25,7 @@ from typing import Optional
 
 from .trace import STAGES, STAGE_DESCRIPTIONS, Span, Tracer
 from .sketch import LogBinHistogram, SloRecorder
-from .gauges import GaugeScraper
+from .gauges import SCRAPE_INTERVAL, GaugeScraper
 from .export import chrome_trace, write_chrome_trace, render_slo_report
 
 __all__ = [
@@ -56,7 +56,7 @@ class Observability:
 
 
 def attach_observability(system, sample_every: int = 16,
-                         gauge_interval: float = 0.05,
+                         gauge_interval: float = SCRAPE_INTERVAL,
                          trace: bool = True, slo: bool = True,
                          gauges: bool = True,
                          rel_err: float = 0.01) -> Observability:

@@ -16,7 +16,8 @@ windows, and MTTR measurements into the Chrome Trace Event format (the
 
 ``render_slo_report`` prints the per-DC × op-kind p50/p99/p999 table from
 a :class:`~repro.obs.sketch.SloRecorder`, plus visibility latency per
-DC pair and stabilization-lag percentiles from the gauge series.
+DC pair, stabilization-lag percentiles and the receiver's backlog and
+in-flight releases from the gauge series.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import json
 import re
 from typing import Optional
 
-from ..metrics.summary import percentile
+from ..metrics.summary import mean, percentile
 
 __all__ = ["chrome_trace", "write_chrome_trace", "render_slo_report"]
 
@@ -134,6 +135,17 @@ def write_chrome_trace(path, tracer=None, metrics=None, fault_log=None,
 _QUANTILES = (50.0, 99.0, 99.9)
 
 
+def _gauge_by_dc(metrics, gauge: str) -> list:
+    """``(dc, values)`` of every non-empty ``gauge:<gauge>:dc<m>`` series."""
+    prefix = f"gauge:{gauge}:dc"
+    rows = []
+    for name in sorted(n for n in metrics.points if n.startswith(prefix)):
+        values = [v for _, v in metrics.point_series(name)]
+        if values:
+            rows.append((int(name[len(prefix):]), values))
+    return rows
+
+
 def _sketch_row(sketch) -> str:
     cells = "  ".join(f"{sketch.quantile(q):>9.3f}" for q in _QUANTILES)
     return f"{sketch.n:>8d}  {cells}"
@@ -171,19 +183,29 @@ def render_slo_report(metrics, slo=None, tracer=None) -> str:
                          f"{extra_p99:>9.3f}")
         lines.append("")
 
-    stab_names = sorted(n for n in metrics.points
-                        if n.startswith("gauge:stab_lag_ms:dc"))
-    if stab_names:
+    stab_lag = _gauge_by_dc(metrics, "stab_lag_ms")
+    if stab_lag:
         lines.append("stabilization lag (ms), now - StableTime per DC")
         lines.append(f"  {'dc':>3s} {header}")
-        for name in stab_names:
-            dc = int(name.rsplit("dc", 1)[1])
-            values = [v for _, v in metrics.point_series(name)]
-            if not values:
-                continue
+        for dc, values in stab_lag:
             cells = "  ".join(f"{percentile(values, q):>9.3f}"
                               for q in _QUANTILES)
             lines.append(f"  {dc:>3d} {len(values):>8d}  {cells}")
+        lines.append("")
+
+    inflight = dict(_gauge_by_dc(metrics, "receiver_inflight"))
+    if inflight:
+        # mean in-flight / tracked origins = utilisation of the Alg. 5
+        # stop-and-wait chains; the backlog is what queues behind them
+        lines.append("receiver (Alg. 5) per DC: ops queued, origins with "
+                     "a release in flight (mean, max)")
+        lines.append(f"  {'dc':>3s} {'count':>8s}  {'backlog':>9s}  "
+                     f"{'max':>9s}  {'in-flight':>9s}  {'max':>9s}")
+        for dc, backlog in _gauge_by_dc(metrics, "receiver_backlog"):
+            out = inflight[dc]
+            lines.append(f"  {dc:>3d} {len(backlog):>8d}  "
+                         f"{mean(backlog):>9.3f}  {max(backlog):>9.0f}  "
+                         f"{mean(out):>9.3f}  {max(out):>9.0f}")
         lines.append("")
 
     if tracer is not None and len(tracer):

@@ -8,7 +8,10 @@ never mutates — the live pipeline state of every datacenter:
   stabilization pipeline trails real time — the paper's core deferral);
 * RunBuffer depth (Eunomia stabilizers) / pending-set depth (GST-family
   partitions): ops committed but not yet released as stable;
-* receiver backlog: remote ops parked on causal dependencies;
+* receiver backlog: remote ops queued behind their origin's in-flight
+  head (Alg. 5 releases one per origin at a time), and receiver in-flight:
+  how many origins have a release out — its time-average over the tracked
+  origins is the utilisation of the release chains;
 * WAL unflushed bytes: staged records awaiting the next group commit;
 * per-shard merge lag: spread between the fastest and slowest shard's
   stable time inside one coordinator's K-way merge;
@@ -30,13 +33,21 @@ from __future__ import annotations
 
 from typing import Optional
 
-__all__ = ["GaugeScraper"]
+__all__ = ["GaugeScraper", "SCRAPE_INTERVAL"]
+
+#: Default scrape period.  Deliberately not a multiple of the protocol
+#: intervals (Δ = 1 ms, θ = 5 ms, the 10 ms heartbeat): a 50 ms scrape lands
+#: on the same phase of every stabilization round — just before the round's
+#: batch reaches the receivers — and reads release chains that are 45 % busy
+#: as 3 % busy.  49.7 ms walks the phase 0.3 ms per scrape, so the mean of a
+#: series is a time average.
+SCRAPE_INTERVAL = 0.0497
 
 
 class GaugeScraper:
     """Scrape per-DC pipeline gauges into ``MetricsHub`` point series."""
 
-    def __init__(self, system, interval: float = 0.05):
+    def __init__(self, system, interval: float = SCRAPE_INTERVAL):
         self.system = system
         self.interval = interval
         self.metrics = system.metrics
@@ -68,11 +79,14 @@ class GaugeScraper:
             if st is not None and st > 0:
                 point(f"gauge:stab_lag_ms:dc{m}", env.now,
                       max(0.0, now_us - st) / 1e3)
-            # --- receiver backlog (remote ops parked on dependencies) ---
+            # --- receiver: ops queued behind the in-flight heads, and how
+            # many origins' stop-and-wait chains are mid-cycle -------------
             receiver = getattr(dc, "receiver", None)
             if receiver is not None:
                 point(f"gauge:receiver_backlog:dc{m}", env.now,
                       float(receiver.backlog()))
+                point(f"gauge:receiver_inflight:dc{m}", env.now,
+                      float(len(receiver._inflight)))
             # --- Eunomia stack: RunBuffer depth + WAL + uplink ----------
             stack = getattr(dc, "stack", None)
             if stack is not None:

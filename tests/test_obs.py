@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import build_system
+from repro.baselines.gst import GstTimings
 from repro.core import EunomiaConfig
 from repro.core.partition import StoragePartition
 from repro.geo.system import GeoSystemSpec
@@ -36,6 +37,7 @@ from repro.obs import (
     chrome_trace,
     render_slo_report,
 )
+from repro.obs.gauges import SCRAPE_INTERVAL
 from repro.workload.generator import WorkloadSpec
 
 GOLDENS = json.loads(
@@ -199,13 +201,27 @@ def observed_run():
 def test_gauge_scraper_records_nonnegative_series(observed_run):
     system, obs = observed_run
     for dc in range(3):
-        for name in ("stab_lag_ms", "receiver_backlog", "runbuffer_depth",
-                     "uplink_pending"):
+        for name in ("stab_lag_ms", "receiver_backlog", "receiver_inflight",
+                     "runbuffer_depth", "uplink_pending"):
             points = system.metrics.point_series(f"gauge:{name}:dc{dc}")
             assert points, f"gauge:{name}:dc{dc} never scraped"
             assert all(v >= 0.0 for _, v in points)
+        # one release in flight per tracked origin at most (Alg. 5)
+        assert max(v for _, v in system.metrics.point_series(
+            f"gauge:receiver_inflight:dc{dc}")) <= 2
     lag = [v for _, v in system.metrics.point_series("gauge:stab_lag_ms:dc0")]
     assert max(lag) > 0.0                   # lag is real, not a dead zero
+
+
+def test_default_scrape_is_no_multiple_of_a_protocol_interval():
+    """At 50 ms = 10 θ every scrape saw the same phase of the stabilization
+    round and the receiver's in-flight gauge read 3 % where the release
+    chains were 45 % busy; the default walks the phase instead."""
+    config = EunomiaConfig()
+    for interval in (config.batch_interval, config.stabilization_interval,
+                     GstTimings().heartbeat_interval):
+        periods = SCRAPE_INTERVAL / interval
+        assert abs(periods - round(periods)) > 0.02
 
 
 def test_gst_family_reports_pending_depth_gauge():
@@ -315,47 +331,56 @@ def test_chrome_trace_export_shape(observed_run):
 # What the exporters and statistics print for ``observed_run``.  First
 # captured at 26a0e71, when the hub kept lists of boxed floats and the
 # statistics were numpy's (before the columnar store / stdlib statistics of
-# PR 14); re-captured once in PR 20 (the heartbeat leaves from the tick) and
+# PR 14); re-captured once in PR 20 (the heartbeat leaves from the tick),
 # once in PR 21 (frames, queued heartbeats and ``BatchAck`` on the background
-# ``uplink`` lane) — each moves every seeded Eunomia run, neither moved the
-# counts or the series length — with each percentile below checked equal to
-# ``np.percentile`` at capture time.
+# ``uplink`` lane) and once in PR 24 (the remote write is charged when the
+# payload lands, so a release publishes in 0.35 ms; the scrape walks the
+# phase of the stabilization round instead of sitting on one, and the report
+# gained the receiver table) — each moves every seeded Eunomia run, none
+# moved the counts or the series length — with each percentile below checked
+# equal to ``np.percentile`` at capture time.
 _SLO_REPORT_AT_PARENT = """\
 operation latency (ms) per DC x op kind
    dc kind        count        p50        p99      p99.9
     0 read          670      1.804      5.529      5.990
-    0 update        206      4.650      8.403      8.403
+    0 update        206      4.651      8.404      8.404
     1 read          685      1.804      5.529      6.111
-    1 update        197      4.651      8.400      8.400
+    1 update        197      4.651      8.402      8.402
     2 read          655      1.804      5.529      5.990
-    2 update        215      4.650      8.415      8.935
+    2 update        215      4.651      8.415      8.935
 
 remote visibility latency (ms) per origin->dest
       path    count        p50        p99      p99.9   extra p99
-  dc0->dc1       206     46.066     47.946     48.710       7.768
-  dc0->dc2       206     46.066     47.946     48.684       7.768
-  dc1->dc0       197     45.154     47.946     48.717       7.768
-  dc1->dc2       197     85.635     89.130     89.130       8.248
-  dc2->dc0       215     45.154     47.946     48.562       7.768
-  dc2->dc1       215     85.635     89.093     89.093       8.085
+  dc0->dc1       206     44.260     47.695     47.695       5.990
+  dc0->dc2       206     45.154     46.997     46.997       5.871
+  dc1->dc0       197     44.260     47.946     47.946       6.234
+  dc1->dc2       197     83.940     87.365     88.417       6.619
+  dc2->dc0       215     44.260     46.997     46.997       5.871
+  dc2->dc1       215     85.635     87.365     87.365       6.234
 
 stabilization lag (ms), now - StableTime per DC
    dc    count        p50        p99      p99.9
-    0       60      0.806      6.039      6.379
-    1       60      1.009      6.278      6.586
-    2       60      1.415      6.890      6.945
+    0       60      3.539      5.734      5.811
+    1       60      3.665      5.963      6.014
+    2       60      4.065      6.495      6.743
+
+receiver (Alg. 5) per DC: ops queued, origins with a release in flight (mean, max)
+   dc    count    backlog        max  in-flight        max
+    0       60      0.083          1      0.083          1
+    1       60      0.083          1      0.083          1
+    2       60      0.067          2      0.067          2
 
 sampled spans: 155 (1-in-4, 0 dropped)
 """
 _CHROME_TRACE_SHA_AT_PARENT = (
-    "128b68d03f9d2662cee5c5c8fae17f22169e9bef94c5bbe10f372b675d9d46f9")
+    "5702f6b0b0ed3b443a494a899b2bc1f141e223e1258ad621c98236923bdb938c")
 _VIS_0_1_PERCENTILES_AT_PARENT = {
-    0: 42.70625660609318, 50: 45.64505154590662, 90: 47.64588735856108,
-    99: 48.30891026990961, 99.9: 48.65862112049171, 100: 48.709697243111584}
+    0: 41.89377910314973, 50: 44.681009258399904, 90: 46.685601379238804,
+    99: 47.599225522871365, 99.9: 47.688578641271626, 100: 47.6954958635909}
 _VIS_0_1_CDF_AT_PARENT = [
-    (42.0, 0.014563106796116505), (43.0, 0.17475728155339806),
-    (44.0, 0.3737864077669903), (45.0, 0.5679611650485437),
-    (46.0, 0.7912621359223301), (47.0, 0.9611650485436893), (48.0, 1.0)]
+    (41.0, 0.014563106796116505), (42.0, 0.16019417475728157),
+    (43.0, 0.3786407766990291), (44.0, 0.5679611650485437),
+    (45.0, 0.7912621359223301), (46.0, 0.9466019417475728), (47.0, 1.0)]
 
 
 def test_exports_byte_identical_to_list_backed_hub(observed_run):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.calibration import Calibration
 from repro.clocks import PhysicalClock
 from repro.core import EunomiaConfig, EunomiaPartition
 from repro.core.messages import (
@@ -218,3 +219,50 @@ class TestRemoteExecution:
         env.run()
         assert partition.remote_applies == 1
         assert partition.datastore() is partition.store
+
+
+class TestWhereTheRemoteWriteIsCharged:
+    """The storage write rides the message that carries the payload
+    (``StoragePartition._install``); a release costs the publish."""
+
+    LAN = 0.0001
+    WRITE = Calibration().cost("partition_apply_remote")      # 1.0 ms
+    PUBLISH = Calibration().cost("partition_remote_data")     # 0.2 ms
+
+    @pytest.mark.parametrize("separate, release_cost", [
+        # the payload was written when it landed, long before
+        pytest.param(True, PUBLISH, id="separated"),
+        # ApplyRemote carries the value, so the write too (as at PR 23)
+        pytest.param(False, WRITE, id="unseparated"),
+    ])
+    def test_release_to_install(self, env, metrics, separate, release_cost):
+        Network(env, ConstantLatency(self.LAN))
+        config = EunomiaConfig(separate_data_metadata=separate)
+        partition = EunomiaPartition(env, "p0", 0, 0, 3, PhysicalClock(env),
+                                     config, metrics=metrics)
+        receiver = FakeReceiver(env)
+        if separate:
+            receiver.send(partition,
+                          RemoteData(remote_update(metadata_only=False)))
+            env.run()
+        released = env.now
+        receiver.send(partition,
+                      ApplyRemote(remote_update(metadata_only=separate)))
+        env.run()
+        (installed, _), = metrics.point_series("vis_extra_ms:1->0")
+        assert installed - released == pytest.approx(self.LAN + release_cost)
+        assert partition.store.get("rk").value == "rv"
+
+    def test_metadata_first_installs_when_the_payload_is_written(self, rig):
+        env, partition, _ = rig
+        receiver = FakeReceiver(env)
+        receiver.send(partition, ApplyRemote(remote_update()))
+        env.run()
+        sent = env.now
+        receiver.send(partition, RemoteData(remote_update(metadata_only=False)))
+        env.run()
+        (installed, extra_ms), = partition.metrics.point_series(
+            "vis_extra_ms:1->0")
+        assert installed - sent == pytest.approx(self.LAN + self.WRITE)
+        assert extra_ms == 0.0
+        assert receiver.oks == [remote_update().uid]

@@ -24,6 +24,31 @@ The closed form (ARCHITECTURE.md, "Stage waits"), with Δ the uplink tick,
 
       θ/2 + (Δ + lead) − (Δ/2 + LAN)        [+ LAN from shard to coordinator]
 
+  The waits sit on the Δ grid, so the *median* is one of its atoms and may
+  hop a whole Δ from one digest to the next (``merge`` 3.98 ↔ 3.00 ms seen)
+  while the mean — what the form predicts — holds.
+
+The receiver side of the same path (PR 24, the fourth defect: the ×10-scaled
+storage write sat on ``ApplyRemote``, inside Algorithm 5's stop-and-wait
+cycle, so ``visible`` read 1.15 ms and the release chains ran 87 % busy):
+
+* ``visible`` — release → install is one LAN hop and the publish
+  (``partition_remote_data``; the payload was written when it landed,
+  milliseconds earlier): ``LAN + publish`` = 0.35 ms.
+* ``recv_apply`` less the one-way WAN — a stable run reaches the receiver
+  as one frame per θ and is enqueued in one service slot; an origin's
+  updates are then released one at a time, each after the previous one's
+  ack, so the i-th of a frame waits i cycles of
+  ``2·LAN + publish + receiver_flush``.  With n̄ updates per origin per θ
+  (Poisson: an update finds n̄/2 of its frame ahead of it, and its frame
+  holds n̄ + 1) the mean is
+
+      enqueue·(n̄ + 1) + cycle · n̄/2
+
+  as long as a frame's chain drains well before the next frame lands
+  (``cycle · n̄ < θ/2``: 9 % and 32 % of θ here; at the parent's 1.4 ms
+  cycle the update-heavy chain was at 90 % and the wait was queueing).
+
 GentleRain and Cure have no stabilizer; their whole visibility path is the
 stabilization plane, and the third defect of the kind sat there: sibling
 heartbeats, reports and the summary broadcast waited in ``cpu`` behind
@@ -56,6 +81,7 @@ import pytest
 
 from repro import GeoSystemSpec, WorkloadSpec, build_geo_system
 from repro.baselines.gst import GstTimings
+from repro.calibration import Calibration
 from repro.core import EunomiaConfig
 from repro.metrics import percentile
 
@@ -89,21 +115,38 @@ def _clock_lead_ms(system):
     return statistics.mean(leads) / 1e3
 
 
-@pytest.mark.parametrize("read_ratio, clients, config, released_at", [
-    pytest.param(0.9, 8, EunomiaConfig(), "propagate", id="plain"),
-    pytest.param(0.1, 6, EunomiaConfig(fault_tolerant=True, n_replicas=2,
-                                       n_shards=2, durability="wal"),
-                 "merge", id="K2xR2+wal"),
+def _mean_one_way_ms(spec):
+    """Mean one-way delay between every ordered pair of datacenters."""
+    topology = spec.topology()
+    return [[topology.one_way_s(d, m) * (1 + topology.jitter_frac / 2) * 1e3
+             for m in range(spec.n_dcs)] for d in range(spec.n_dcs)]
+
+
+_RUN_SECONDS = 1.5
+
+
+@pytest.fixture(scope="module", params=[
+    pytest.param((0.9, 8, EunomiaConfig(), "propagate"), id="plain"),
+    pytest.param((0.1, 6, EunomiaConfig(fault_tolerant=True, n_replicas=2,
+                                        n_shards=2, durability="wal"),
+                  "merge"), id="K2xR2+wal"),
 ])
-def test_stage_waits_match_their_closed_form(read_ratio, clients, config,
-                                             released_at):
+def eunomia_run(request):
+    """One traced run per deployment: (spec, config, system, tracer, the
+    stage a stabilization round releases an op at)."""
+    read_ratio, clients, config, released_at = request.param
     spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=clients,
                          seed=21)
     system = build_geo_system("eunomia", spec,
                               WorkloadSpec(read_ratio=read_ratio, n_keys=500),
                               config=config)
     tracer = system.observe(sample_every=1, gauges=False).tracer
-    system.run(1.5)
+    system.run(_RUN_SECONDS)
+    return spec, config, system, tracer, released_at
+
+
+def test_stage_waits_match_their_closed_form(eunomia_run):
+    spec, config, system, tracer, released_at = eunomia_run
     waits = _stage_waits(tracer)
     assert len(waits[released_at]) > 500
 
@@ -125,6 +168,40 @@ def test_stage_waits_match_their_closed_form(read_ratio, clients, config,
                                                                 rel=0.15)
 
 
+def test_receiver_side_waits_match_their_closed_form(eunomia_run):
+    spec, config, system, tracer, _ = eunomia_run
+    one_way = _mean_one_way_ms(spec)
+    release_to_install, queued = [], []
+    for span in tracer.iter_spans():
+        shipped = span.stage_times("propagate")
+        if not shipped:
+            continue        # committed too late to be stable by the end
+        left, k = min(shipped)
+        released = {m: when for when, m in span.stage_times("recv_apply")}
+        queued += [(when - left) * 1e3 - one_way[k][m]
+                   for m, when in released.items()]
+        release_to_install += [(when - released[m]) * 1e3
+                               for when, m in span.stage_times("visible")]
+    assert len(release_to_install) > 1000
+
+    cal = Calibration()
+    lan = one_way[0][0]
+    publish = cal.cost("partition_remote_data") * 1e3
+    assert percentile(release_to_install, 50) == pytest.approx(lan + publish,
+                                                               rel=0.25)
+
+    rounds = _RUN_SECONDS / config.stabilization_interval
+    per_round = statistics.mean(                            # n̄
+        sum(partition.local_updates for partition in dc.partitions)
+        for dc in system.datacenters) / rounds
+    cycle = 2 * lan + publish + cal.overhead("receiver_flush") * 1e3
+    # the form's precondition: a frame's chain drains before the next lands
+    assert cycle * per_round < config.stabilization_interval * 1e3 / 2
+    expected = (cal.cost("receiver_enqueue_op") * 1e3 * (per_round + 1)
+                + cycle * per_round / 2)
+    assert statistics.mean(queued) == pytest.approx(expected, rel=0.25)
+
+
 @pytest.mark.parametrize("protocol", ["cure", "gentlerain"])
 def test_gst_visibility_matches_its_closed_form(protocol):
     spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=8,
@@ -136,9 +213,7 @@ def test_gst_visibility_matches_its_closed_form(protocol):
     tracer = system.observe(sample_every=1, gauges=False).tracer
     system.run(1.5)
 
-    topology = spec.topology()
-    one_way = [[topology.one_way_s(d, m) * (1 + topology.jitter_frac / 2) * 1e3
-                for m in range(spec.n_dcs)] for d in range(spec.n_dcs)]
+    one_way = _mean_one_way_ms(spec)
     extra = {}
     for span in tracer.iter_spans():
         (committed, k), = span.stage_times("commit")
