@@ -23,8 +23,11 @@ def bench_fig6_visibility_cdfs(benchmark):
                 return r[col]
         raise KeyError((system, pair))
 
-    # EunomiaKV: the paper's headline visibility band
-    assert row("eunomia", "dc1->dc2", "p95_ms") < 25.0
+    # EunomiaKV: the paper's headline visibility band.  The floor is a
+    # release that finds its payload written and its chain idle — one LAN
+    # hop and the publish, not a scaled storage write
+    assert row("eunomia", "dc1->dc2", "p95_ms") < 9.0
+    assert row("eunomia", "dc1->dc2", "min_ms") < 1.0
     assert row("eunomia", "dc1->dc2", "pct_within_15ms") > 85.0
 
     # GentleRain's near-pair floor: the farthest-DC false dependency

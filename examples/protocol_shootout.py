@@ -72,8 +72,12 @@ def main() -> None:
         "GentleRain's GST must be floored by the farthest DC (80 - 40 ms)"
     assert percentile(vis_by["cure"], 95) < 20.0, \
         "Cure's visibility is heartbeat + stabilization periods, not load"
-    assert percentile(vis_by["sseq"], 90) < 10.0, \
-        "sequencer shipping must stay near-optimal in visibility"
+    for sequenced in ("sseq", "aseq"):
+        assert percentile(vis_by[sequenced], 90) < 1.0, \
+            "sequencer shipping must stay near-optimal in visibility"
+    assert percentile(vis_by["eunomia"], 90) < percentile(vis_by["cure"],
+                                                          90), \
+        "Eunomia's deferred stabilization must beat Cure's on visibility"
     assert percentile(vis_by["cure"], 90) < percentile(vis_by["gentlerain"],
                                                        90), \
         "Cure's vector must beat the scalar GST on the near pair"
