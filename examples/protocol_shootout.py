@@ -46,7 +46,9 @@ def main() -> None:
         if protocol == "eventual":
             baseline = thpt
         extras = system.visibility_extra_ms(0, 1)
-        update_lat = system.metrics.sample_values("latency_ms:update")
+        update_lat = [v for dc in range(spec.n_dcs)
+                      for _, v in system.metrics.point_series(
+                          f"latency_ms:update:dc{dc}")]
         system.quiesce(3.0)
         thpt_by[protocol] = thpt
         vis_by[protocol] = extras

@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
 """Per-DC × op-type SLO report for any ProtocolSpec protocol.
 
-Builds a geo deployment, attaches the full observability surface
-(repro.obs: sampled causal tracing, streaming SLO sketches, stage-lag
-gauges), runs it, and prints the SLO table: operation latency p50/p99/p999
-per DC × op kind, remote visibility latency per DC pair, stabilization
-lag per DC, and the receiver's backlog beside its in-flight releases (mean
-in-flight ÷ tracked origins = how busy Alg. 5's release chains are).
+Builds a geo deployment, attaches the observability surface (repro.obs:
+sampled causal tracing, stage-lag gauges), runs it, and prints the SLO
+table, every cell an exact percentile of the run's ``MetricsHub`` series:
+operation latency p50/p99/p999 per DC × op kind, remote visibility latency
+per DC pair, stabilization lag per DC, and the receiver's backlog beside
+its in-flight releases (mean in-flight ÷ tracked origins = how busy
+Alg. 5's release chains are).
 Optionally writes the sampled spans + gauges as a Chrome-trace-event JSON
 (load it in Perfetto / chrome://tracing):
 
@@ -16,8 +17,8 @@ Optionally writes the sampled spans + gauges as a Chrome-trace-event JSON
     PYTHONPATH=src python scripts/slo_report.py --protocol eunomia --check
 
 ``--check`` self-asserts the report shape (used by the CI examples-smoke
-step): every DC × op-kind row must be present with a positive count and
-monotone p50 <= p99 <= p999.
+step): every DC × op-kind series ``latency_ms:{kind}:dc{m}`` must be
+present with a positive count and monotone p50 <= p99 <= p999.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.baselines import build_system                       # noqa: E402
 from repro.geo.system import GeoSystemSpec                     # noqa: E402
+from repro.metrics import percentile                           # noqa: E402
 from repro.obs import render_slo_report, write_chrome_trace    # noqa: E402
 from repro.workload.generator import WorkloadSpec              # noqa: E402
 
@@ -80,22 +82,22 @@ def main(argv=None) -> int:
               f"written to {args.export}")
 
     if args.check:
-        slo = obs.slo
+        ops = 0
         for dc in range(args.dcs):
             for kind in ("read", "update"):
-                sketch = slo.op_latency.get((kind, dc))
-                assert sketch is not None and sketch.n > 0, \
-                    f"missing SLO row for ({kind}, dc{dc})"
-                p50, p99, p999 = (sketch.quantile(q)
+                latency = [v for _, v in system.metrics.point_series(
+                    f"latency_ms:{kind}:dc{dc}")]
+                assert latency, f"missing SLO row for ({kind}, dc{dc})"
+                p50, p99, p999 = (percentile(latency, q)
                                   for q in (50.0, 99.0, 99.9))
                 assert 0.0 < p50 <= p99 <= p999, \
                     f"non-monotone quantiles for ({kind}, dc{dc}): " \
                     f"{p50}/{p99}/{p999}"
+                ops += len(latency)
         assert len(obs.tracer) > 0, "no spans sampled"
         assert "operation latency" in report
         print("--check: SLO table well-formed "
-              f"({len(obs.tracer)} spans, "
-              f"{sum(s.n for s in slo.op_latency.values())} ops sketched)")
+              f"({len(obs.tracer)} spans, {ops} ops)")
     return 0
 
 

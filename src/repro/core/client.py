@@ -58,7 +58,7 @@ class SessionClient(Process):
         self.op_mark = op_mark
         # series names, formatted once instead of per completed op
         self._dc_mark = f"{op_mark}:dc{dc_id}"
-        self._latency_labels: dict[str, tuple[str, str]] = {}
+        self._latency_labels: dict[str, str] = {}
         self.op_cost = cal.cost("client_op")
         self.vclock = vc_zero(n_entries)
         self.ops_done = 0
@@ -175,15 +175,11 @@ class SessionClient(Process):
         latency_ms = (now - self._issued_at) * 1e3
         self.ops_done += 1
         kind = self._kind
-        labels = self._latency_labels.get(kind)
-        if labels is None:
-            labels = self._latency_labels[kind] = (
-                f"latency_ms:{kind}", f"latency_ms:{kind}:dc{self.dc_id}")
-        self.metrics.record(labels[0], latency_ms)
-        self.metrics.point(labels[1], now, latency_ms)
-        slo = self.metrics.slo
-        if slo is not None:
-            slo.op(kind, self.dc_id, latency_ms)
+        label = self._latency_labels.get(kind)
+        if label is None:
+            label = self._latency_labels[kind] = (
+                f"latency_ms:{kind}:dc{self.dc_id}")
+        self.metrics.point(label, now, latency_ms)
         self.metrics.mark(self.op_mark, now)
         self.metrics.mark(self._dc_mark, now)
         if self.think_time > 0.0:

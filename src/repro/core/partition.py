@@ -158,7 +158,7 @@ class StoragePartition(Process):
         factored out.  One body for a single pair and for a deferred-set
         drain: a summary broadcast can release hundreds of updates at
         once, so the per-item handle resolution (store put, metrics point,
-        tracer, SLO sink) is hoisted out of the loop.
+        tracer) is hoisted out of the loop.
 
         What this costs, for all six protocols: **the storage write of a
         remote version is charged on the message that carries its payload**
@@ -177,7 +177,6 @@ class StoragePartition(Process):
         put = self.store.put
         point = self.metrics.point
         tracer = self.metrics.tracer
-        slo = self.metrics.slo
         now = self.now
         m = self.dc_id
         labels = self._vis_labels
@@ -192,8 +191,6 @@ class StoragePartition(Process):
             point(total_label, now, total_ms)
             if tracer is not None:
                 tracer.stage_once(update, "visible", now, m)
-            if slo is not None:
-                slo.visibility(k, m, total_ms, extra_ms)
         self.remote_applies += len(items)
 
 

@@ -92,7 +92,7 @@ class GeoSystem:
         self.protocol = protocol
         #: normalized placement map (None = full replication)
         self.placement = placement
-        #: observability handle, set by :meth:`observe` (None = detached)
+        #: observability handle, set by :meth:`observe` (None = unobserved)
         self.obs = None
         #: the NTP synchronizer disciplining every site clock (None for
         #: hand-assembled systems) — the chaos DSL's ntp_outage target
@@ -139,7 +139,7 @@ class GeoSystem:
         return self._failures
 
     def observe(self, **kwargs):
-        """Attach causal tracing + SLO sketches + gauges (see repro.obs).
+        """Attach causal tracing + stage-lag gauges (see repro.obs).
 
         Convenience for ``attach_observability(self, **kwargs)``; call
         before :meth:`run`.  The handle is also kept on ``self.obs``.

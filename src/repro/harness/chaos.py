@@ -403,8 +403,6 @@ def _mttr_samples(system, schedule: ChaosSchedule) -> list:
     for event in schedule.events:
         i = bisect.bisect_right(marks, event.stop)
         mttr_s = marks[i] - event.stop if i < len(marks) else None
-        if mttr_s is not None:
-            system.metrics.record(f"mttr_s:{event.cls}", mttr_s)
         samples.append({"fault": event.cls, "start": event.start,
                         "stop": event.stop, "mttr_s": mttr_s})
     return samples

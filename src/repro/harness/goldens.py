@@ -91,7 +91,7 @@ def capture_golden(protocol: str, seed: int,
     """Build ``protocol`` at ``seed`` on the golden frame and digest it.
 
     ``observe=True`` attaches the full observability surface
-    (tracing + SLO sketches + gauges, ``repro.obs``) before the run; the
+    (tracing + gauges, ``repro.obs``) before the run; the
     instruments draw no randomness and schedule only read-only periodics,
     so the digest must not depend on this flag — the golden-preservation
     test asserts exactly that.

@@ -229,16 +229,10 @@ class ServiceRig:
         open at service ingestion; WAL group commits are hooked the same
         way the geo spine does it.  Returns the tracer.
         """
-        from ..obs import Tracer  # local import keeps obs optional here
+        from ..obs import attach_tracer  # local import keeps obs optional here
 
-        tracer = Tracer(sample_every=sample_every)
-        self.metrics.tracer = tracer
-        for proc in self.service_processes:
-            wal = getattr(proc, "wal", None)
-            if wal is not None:
-                site = getattr(proc, "site", 0)
-                wal.obs_hook = tracer.wal_hook(self.env, site)
-        return tracer
+        return attach_tracer(self.metrics, self.env, self.service_processes,
+                             sample_every)
 
     def run(self, duration: float) -> None:
         self.start()

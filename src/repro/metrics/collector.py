@@ -1,23 +1,24 @@
 """Measurement collection.
 
 One :class:`MetricsHub` per experiment gathers everything the paper's
-figures need:
+figures, the goldens, ``perf/`` and the SLO report read — each measured
+value is stored once, here:
 
-* **samples** — unordered value distributions (operation latencies);
 * **marks** — event-time streams (one timestamp per completed op), from
   which windowed throughput timelines are derived (Figures 4 and 7);
-* **points** — (time, value) series, e.g. visibility latency over time.
+* **points** — (time, value) series: operation latency per op kind and
+  serving DC, visibility latency per DC pair, gauge readings.
 
 Recording is O(1) appends; all statistics are computed after the run by
 :mod:`repro.metrics.summary`.  Components receive the hub by injection so
 that unit tests can run protocols without one (see :class:`NullMetrics`).
 
-The store is columnar: every sample and mark series is one ``array('d')``
-and every point series two parallel ones (times, values) — 8 bytes per
-recorded number, where a list of boxed floats costs 32 per value and a
-list of ``(t, v)`` tuples 112 per point.  Values are therefore stored as C
-doubles (an ``int`` comes back as a ``float``); the query methods rebuild
-the ``list`` / ``list[tuple]`` shapes callers have always read.
+The store is columnar: every mark series is one ``array('d')`` and every
+point series two parallel ones (times, values) — 8 bytes per recorded
+number, where a list of boxed floats costs 32 per value and a list of
+``(t, v)`` tuples 112 per point.  Values are therefore stored as C doubles
+(an ``int`` comes back as a ``float``); the query methods rebuild the
+``list`` / ``list[tuple]`` shapes callers have always read.
 """
 
 from __future__ import annotations
@@ -37,22 +38,16 @@ class MetricsHub:
     """Append-only measurement store for a single experiment run."""
 
     def __init__(self) -> None:
-        self.samples: dict[str, array] = defaultdict(_column)
         self.marks: dict[str, array] = defaultdict(_column)
         #: name -> (times, values), two columns of equal length
         self.points: dict[str, tuple[array, array]] = defaultdict(
             lambda: (_column(), _column()))
-        # Observability hooks (repro.obs): components fetch these and test
-        # for None, so a hub without instruments attached costs one
-        # attribute read per call site.
+        # Observability hook (repro.obs): components fetch it and test for
+        # None, so a hub without a tracer attached costs one attribute read
+        # per call site.
         self.tracer = None     # repro.obs.trace.Tracer when attached
-        self.slo = None        # repro.obs.sketch.SloRecorder when attached
 
     # -- recording ------------------------------------------------------
-    def record(self, name: str, value: float) -> None:
-        """Append ``value`` to the sample distribution ``name``."""
-        self.samples[name].append(value)
-
     def mark(self, name: str, time: float) -> None:
         """Register that event ``name`` occurred at ``time``."""
         self.marks[name].append(time)
@@ -85,9 +80,6 @@ class MetricsHub:
     # Query methods return *copies*: the internal columns keep growing
     # while the simulation runs, so handing them out live would let summary
     # code mutate (or observe a moving view of) a run mid-flight.
-    def sample_values(self, name: str) -> list[float]:
-        return list(self.samples.get(name, ()))
-
     def mark_times(self, name: str) -> list[float]:
         return list(self.marks.get(name, ()))
 
@@ -98,9 +90,6 @@ class MetricsHub:
 
 class NullMetrics(MetricsHub):
     """A hub that discards everything (for tests that don't measure)."""
-
-    def record(self, name: str, value: float) -> None:  # noqa: D102
-        pass
 
     def mark(self, name: str, time: float) -> None:  # noqa: D102
         pass

@@ -1,4 +1,4 @@
-"""Observability: causal tracing, SLO sketches, and stage-lag gauges.
+"""Observability: causal tracing and stage-lag gauges.
 
 One call wires the whole surface onto a built :class:`~repro.geo.system.
 GeoSystem` (any protocol on the ProtocolSpec spine)::
@@ -10,8 +10,9 @@ GeoSystem` (any protocol on the ProtocolSpec spine)::
     write_chrome_trace("trace.json", tracer=obs.tracer,
                        metrics=system.metrics)
 
-Everything hangs off the already-injected :class:`MetricsHub` — components
-read ``metrics.tracer`` / ``metrics.slo`` (``None`` when detached), so an
+Every measured value lives in the already-injected :class:`MetricsHub`'s
+exact series; the SLO report computes its percentiles from them.  Components
+read ``metrics.tracer`` (``None`` when no tracer is attached), so an
 unobserved run pays one attribute fetch per call site and goldens stay
 bit-for-bit identical whether observability is attached or not (the
 tracer draws no randomness and schedules nothing; the gauge scraper only
@@ -24,13 +25,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .trace import STAGES, STAGE_DESCRIPTIONS, Span, Tracer
-from .sketch import LogBinHistogram, SloRecorder
-from .gauges import SCRAPE_INTERVAL, GaugeScraper
+from .gauges import GaugeScraper
 from .export import chrome_trace, write_chrome_trace, render_slo_report
 
 __all__ = [
-    "STAGES", "STAGE_DESCRIPTIONS", "Span", "Tracer",
-    "LogBinHistogram", "SloRecorder",
+    "STAGES", "STAGE_DESCRIPTIONS", "Span", "Tracer", "attach_tracer",
     "GaugeScraper", "chrome_trace", "write_chrome_trace",
     "render_slo_report", "Observability", "attach_observability",
 ]
@@ -38,51 +37,36 @@ __all__ = [
 
 @dataclass
 class Observability:
-    """Handles to the attached instruments (any may be ``None``)."""
+    """Handles to the attached instruments (``gauges`` may be ``None``)."""
 
-    tracer: Optional[Tracer] = None
-    slo: Optional[SloRecorder] = None
+    tracer: Tracer
     gauges: Optional[GaugeScraper] = None
 
-    def detach(self, metrics=None) -> None:
-        """Stop the gauge scraper and unhook the hub attributes."""
-        if self.gauges is not None:
-            self.gauges.detach()
-        if metrics is not None:
-            if metrics.tracer is self.tracer:
-                metrics.tracer = None
-            if metrics.slo is self.slo:
-                metrics.slo = None
+
+def attach_tracer(metrics, env, processes,
+                  sample_every: int = 16) -> Tracer:
+    """Hang a sampled :class:`Tracer` on ``metrics`` and hook the group
+    commit of every WAL among ``processes``, so durable deployments get the
+    ``wal_stage``/``wal_fsync`` stages.  Returns the tracer."""
+    tracer = Tracer(sample_every=sample_every)
+    metrics.tracer = tracer
+    for proc in processes:
+        wal = getattr(proc, "wal", None)
+        if wal is not None:
+            wal.obs_hook = tracer.wal_hook(env, proc.site)
+    return tracer
 
 
 def attach_observability(system, sample_every: int = 16,
-                         gauge_interval: float = SCRAPE_INTERVAL,
-                         trace: bool = True, slo: bool = True,
-                         gauges: bool = True,
-                         rel_err: float = 0.01) -> Observability:
-    """Attach tracer + SLO sketches + gauge scraper to a built system.
-
-    Call after ``build_geo_system`` and before ``run``.  Each instrument
-    can be switched off independently; WAL fsync hooks are wired for every
-    stabilizer process that owns a WAL so durable deployments get the
-    ``wal_stage``/``wal_fsync`` stages.
+                         gauges: bool = True) -> Observability:
+    """Attach the tracer and (unless ``gauges=False``) the gauge scraper
+    to a built system.  Call after ``build_geo_system`` and before ``run``.
     """
-    obs = Observability()
-    metrics = system.metrics
-    if trace:
-        obs.tracer = Tracer(sample_every=sample_every)
-        metrics.tracer = obs.tracer
-        for dc in system.datacenters:
-            stack = getattr(dc, "stack", None)
-            if stack is None:
-                continue
-            for proc in stack.processes():
-                wal = getattr(proc, "wal", None)
-                if wal is not None:
-                    wal.obs_hook = obs.tracer.wal_hook(system.env, proc.site)
-    if slo:
-        obs.slo = SloRecorder(rel_err=rel_err)
-        metrics.slo = obs.slo
+    processes = [proc for dc in system.datacenters
+                 if getattr(dc, "stack", None) is not None
+                 for proc in dc.stack.processes()]
+    obs = Observability(tracer=attach_tracer(
+        system.metrics, system.env, processes, sample_every))
     if gauges:
-        obs.gauges = GaugeScraper(system, interval=gauge_interval).attach()
+        obs.gauges = GaugeScraper(system).attach()
     return obs

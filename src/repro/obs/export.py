@@ -14,10 +14,12 @@ windows, and MTTR measurements into the Chrome Trace Event format (the
   op, so a chaos run's damage windows sit on the same timeline as the
   spans they disrupt.
 
-``render_slo_report`` prints the per-DC × op-kind p50/p99/p999 table from
-a :class:`~repro.obs.sketch.SloRecorder`, plus visibility latency per
-DC pair, stabilization-lag percentiles and the receiver's backlog and
-in-flight releases from the gauge series.
+``render_slo_report`` prints the per-DC × op-kind p50/p99/p999 table,
+visibility latency per DC pair, stabilization-lag percentiles and the
+receiver's backlog and in-flight releases — every cell an exact statistic
+of the hub series its row names (``latency_ms:{kind}:dc{m}``,
+``vis_total_ms`` / ``vis_extra_ms:{k}->{m}``, ``gauge:*:dc{m}``), the same
+numbers the figures and ``perf/`` compute from them.
 """
 
 from __future__ import annotations
@@ -135,65 +137,69 @@ def write_chrome_trace(path, tracer=None, metrics=None, fault_log=None,
 _QUANTILES = (50.0, 99.0, 99.9)
 
 
-def _gauge_by_dc(metrics, gauge: str) -> list:
-    """``(dc, values)`` of every non-empty ``gauge:<gauge>:dc<m>`` series."""
-    prefix = f"gauge:{gauge}:dc"
+def _series(metrics, pattern: str) -> list:
+    """``(key, values)`` of every non-empty point series whose name matches
+    ``pattern`` in full, ordered by key: the pattern's groups, digit groups
+    as ints (so dc10 sorts after dc2)."""
     rows = []
-    for name in sorted(n for n in metrics.points if n.startswith(prefix)):
+    for name in metrics.points:
+        match = re.fullmatch(pattern, name)
+        if match is None:
+            continue
         values = [v for _, v in metrics.point_series(name)]
         if values:
-            rows.append((int(name[len(prefix):]), values))
-    return rows
+            key = tuple(int(g) if g.isdigit() else g for g in match.groups())
+            rows.append((key, values))
+    return sorted(rows, key=lambda row: row[0])
 
 
-def _sketch_row(sketch) -> str:
-    cells = "  ".join(f"{sketch.quantile(q):>9.3f}" for q in _QUANTILES)
-    return f"{sketch.n:>8d}  {cells}"
+def _cells(values) -> str:
+    """Count, then p50 / p99 / p99.9, as the report prints them."""
+    cells = "  ".join(f"{percentile(values, q):>9.3f}" for q in _QUANTILES)
+    return f"{len(values):>8d}  {cells}"
 
 
-def render_slo_report(metrics, slo=None, tracer=None) -> str:
+def render_slo_report(metrics, tracer=None) -> str:
     """Render the per-DC × op-kind SLO table as a plain-text report.
 
-    ``slo`` defaults to ``metrics.slo`` so callers holding only the hub
-    get the full table.  Sections with no data are omitted.
+    Every table reads the hub's point series; sections with no data are
+    omitted.  ``tracer`` adds the sampled-span summary line.
     """
-    if slo is None:
-        slo = getattr(metrics, "slo", None)
     lines = []
     header = f"{'count':>8s}  " + "  ".join(
         f"{'p' + str(q).rstrip('0').rstrip('.'):>9s}" for q in _QUANTILES)
 
-    if slo is not None and slo.op_latency:
+    ops = _series(metrics, r"latency_ms:(\w+):dc(\d+)")
+    if ops:
         lines.append("operation latency (ms) per DC x op kind")
         lines.append(f"  {'dc':>3s} {'kind':<8s} {header}")
-        for (kind, dc) in sorted(slo.op_latency, key=lambda k: (k[1], k[0])):
-            lines.append(f"  {dc:>3d} {kind:<8s} "
-                         f"{_sketch_row(slo.op_latency[(kind, dc)])}")
+        for (kind, dc), values in sorted(ops, key=lambda r: r[0][::-1]):
+            lines.append(f"  {dc:>3d} {kind:<8s} {_cells(values)}")
         lines.append("")
 
-    if slo is not None and slo.vis_total:
+    vis = _series(metrics, r"vis_total_ms:(\d+)->(\d+)")
+    if vis:
         lines.append("remote visibility latency (ms) per origin->dest")
         lines.append(f"  {'path':>8s} {header}   "
                      f"{'extra p99':>9s}")
-        for (k, m) in sorted(slo.vis_total):
-            extra = slo.vis_extra.get((k, m))
-            extra_p99 = extra.quantile(99.0) if extra is not None else 0.0
-            lines.append(f"  dc{k}->dc{m:<2d} "
-                         f"{_sketch_row(slo.vis_total[(k, m)])}   "
+        for (k, m), values in vis:
+            extra = [v for _, v in metrics.point_series(
+                f"vis_extra_ms:{k}->{m}")]
+            extra_p99 = percentile(extra, 99.0) if extra else 0.0
+            lines.append(f"  dc{k}->dc{m:<2d} {_cells(values)}   "
                          f"{extra_p99:>9.3f}")
         lines.append("")
 
-    stab_lag = _gauge_by_dc(metrics, "stab_lag_ms")
+    stab_lag = _series(metrics, r"gauge:stab_lag_ms:dc(\d+)")
     if stab_lag:
         lines.append("stabilization lag (ms), now - StableTime per DC")
         lines.append(f"  {'dc':>3s} {header}")
-        for dc, values in stab_lag:
-            cells = "  ".join(f"{percentile(values, q):>9.3f}"
-                              for q in _QUANTILES)
-            lines.append(f"  {dc:>3d} {len(values):>8d}  {cells}")
+        for (dc,), values in stab_lag:
+            lines.append(f"  {dc:>3d} {_cells(values)}")
         lines.append("")
 
-    inflight = dict(_gauge_by_dc(metrics, "receiver_inflight"))
+    inflight = {dc: values for (dc,), values
+                in _series(metrics, r"gauge:receiver_inflight:dc(\d+)")}
     if inflight:
         # mean in-flight / tracked origins = utilisation of the Alg. 5
         # stop-and-wait chains; the backlog is what queues behind them
@@ -201,7 +207,8 @@ def render_slo_report(metrics, slo=None, tracer=None) -> str:
                      "a release in flight (mean, max)")
         lines.append(f"  {'dc':>3s} {'count':>8s}  {'backlog':>9s}  "
                      f"{'max':>9s}  {'in-flight':>9s}  {'max':>9s}")
-        for dc, backlog in _gauge_by_dc(metrics, "receiver_backlog"):
+        for (dc,), backlog in _series(metrics,
+                                      r"gauge:receiver_backlog:dc(\d+)"):
             out = inflight[dc]
             lines.append(f"  {dc:>3d} {len(backlog):>8d}  "
                          f"{mean(backlog):>9.3f}  {max(backlog):>9.0f}  "
@@ -213,5 +220,5 @@ def render_slo_report(metrics, slo=None, tracer=None) -> str:
                      f"(1-in-{tracer.sample_every}, {tracer.dropped} dropped)")
 
     if not lines:
-        lines.append("no SLO data recorded (was observability attached?)")
+        lines.append("no SLO data recorded")
     return "\n".join(lines).rstrip() + "\n"

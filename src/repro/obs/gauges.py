@@ -1,8 +1,8 @@
 """Periodic stage-lag gauges: sampled depths and lags as point series.
 
-:class:`GaugeScraper` rides the event loop's ``schedule_periodic`` (heap
-or time-wheel backend alike) and, every ``interval`` sim-seconds, reads —
-never mutates — the live pipeline state of every datacenter:
+:class:`GaugeScraper` rides the event loop's ``schedule_periodic`` and,
+every :data:`SCRAPE_INTERVAL` sim-seconds, reads — never mutates — the live
+pipeline state of every datacenter:
 
 * stabilization lag: ``now − StableTime`` per DC (how far the deferred
   stabilization pipeline trails real time — the paper's core deferral);
@@ -47,24 +47,15 @@ SCRAPE_INTERVAL = 0.0497
 class GaugeScraper:
     """Scrape per-DC pipeline gauges into ``MetricsHub`` point series."""
 
-    def __init__(self, system, interval: float = SCRAPE_INTERVAL):
+    def __init__(self, system):
         self.system = system
-        self.interval = interval
         self.metrics = system.metrics
-        self._handle = None
         self.scrapes = 0
 
     # ------------------------------------------------------------------
     def attach(self) -> "GaugeScraper":
-        if self._handle is None:
-            self._handle = self.system.env.loop.schedule_periodic(
-                self.interval, self._scrape)
+        self.system.env.loop.schedule_periodic(SCRAPE_INTERVAL, self._scrape)
         return self
-
-    def detach(self) -> None:
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
 
     # ------------------------------------------------------------------
     def _scrape(self) -> None:

@@ -68,6 +68,11 @@ STAGE_DESCRIPTIONS = {
 #: canonical position per stage (export sorts ties by pipeline order)
 _STAGE_ORDER = {name: i for i, name in enumerate(STAGES)}
 
+#: Bounds a tracer's memory on unbounded runs: once this many spans are
+#: open, no *new* span opens (existing ones keep collecting stages) and
+#: ``Tracer.dropped`` counts the ops that would have been sampled.
+MAX_SPANS = 100_000
+
 
 @dataclass(slots=True)
 class Span:
@@ -91,24 +96,15 @@ class Span:
         return sorted(self.events,
                       key=lambda e: (e[1], _STAGE_ORDER.get(e[0], 99)))
 
-    def to_dict(self) -> dict:
-        return {"uid": list(self.uid), "key": repr(self.key),
-                "events": [[s, t, site] for s, t, site in self.events]}
-
 
 class Tracer:
-    """Deterministically sampled span collector (1-in-``sample_every``).
+    """Deterministically sampled span collector (1-in-``sample_every``),
+    holding at most :data:`MAX_SPANS` spans."""
 
-    ``max_spans`` bounds memory on unbounded runs: once the cap is hit, no
-    *new* spans open (existing ones keep collecting stages) and ``dropped``
-    counts the ops that would have been sampled.
-    """
-
-    def __init__(self, sample_every: int = 16, max_spans: int = 100_000):
+    def __init__(self, sample_every: int = 16):
         if sample_every < 1:
             raise ValueError("sample_every must be >= 1")
         self.sample_every = sample_every
-        self.max_spans = max_spans
         self.spans: dict = {}
         self.dropped = 0
         #: WAL name -> spans staged since that WAL's last successful commit
@@ -140,7 +136,7 @@ class Tracer:
             return None
         span = self.spans.get(uid)
         if span is None:
-            if len(self.spans) >= self.max_spans:
+            if len(self.spans) >= MAX_SPANS:
                 self.dropped += 1
                 return None
             span = Span(uid=uid, key=update.key)
@@ -171,7 +167,7 @@ class Tracer:
         if span is None:
             if not self.sampled(uid):
                 return
-            if len(self.spans) >= self.max_spans:
+            if len(self.spans) >= MAX_SPANS:
                 self.dropped += 1
                 return
             span = Span(uid=uid, key=getattr(update, "key", None))
@@ -235,6 +231,3 @@ class Tracer:
     def iter_spans(self) -> Iterable[Span]:
         """Spans in deterministic (uid) order."""
         return (self.spans[uid] for uid in sorted(self.spans))
-
-    def to_dicts(self) -> list:
-        return [span.to_dict() for span in self.iter_spans()]

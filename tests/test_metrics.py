@@ -23,41 +23,33 @@ from repro.workload.generator import WorkloadSpec
 
 
 class TestHub:
-    def test_samples_marks_points(self, metrics):
-        metrics.record("lat", 1.0)
+    def test_marks_and_points(self, metrics):
         metrics.mark("ops", 0.5)
         metrics.point("vis", 0.5, 9.0)
-        assert metrics.sample_values("lat") == [1.0]
         assert metrics.mark_times("ops") == [0.5]
         assert metrics.point_series("vis") == [(0.5, 9.0)]
 
     def test_queries_return_legacy_shapes(self, metrics):
-        metrics.record("lat", 1)            # an int is stored as a double
-        metrics.mark("ops", 2)
+        metrics.mark("ops", 2)              # an int is stored as a double
         metrics.point("vis", 3, 4)
-        for series in (metrics.sample_values("lat"),
-                       metrics.mark_times("ops")):
-            assert type(series) is list and type(series[0]) is float
+        series = metrics.mark_times("ops")
+        assert type(series) is list and type(series[0]) is float
         (pair,) = metrics.point_series("vis")
         assert type(pair) is tuple and pair == (3.0, 4.0)
         assert all(type(x) is float for x in pair)
-        for missing in (metrics.sample_values("x"), metrics.mark_times("x"),
-                        metrics.point_series("x")):
+        for missing in (metrics.mark_times("x"), metrics.point_series("x")):
             assert missing == []
         assert list(metrics.points) == ["vis"]   # queries add no series
 
     def test_queries_are_snapshots(self, metrics):
         """A result holds what was recorded when it was taken (that
         mutating it leaves the hub alone is pinned in test_obs.py)."""
-        metrics.record("lat", 1.0)
         metrics.mark("ops", 0.5)
         metrics.point("vis", 0.5, 9.0)
-        earlier = (metrics.sample_values("lat"), metrics.mark_times("ops"),
-                   metrics.point_series("vis"))
-        metrics.record("lat", 2.0)
+        earlier = (metrics.mark_times("ops"), metrics.point_series("vis"))
         metrics.mark_many("ops", 1.5, 2)
         metrics.point("vis", 1.5, 8.0)
-        assert earlier == ([1.0], [0.5], [(0.5, 9.0)])
+        assert earlier == ([0.5], [(0.5, 9.0)])
         assert metrics.point_series("vis") == [(0.5, 9.0), (1.5, 8.0)]
 
     def test_mark_many_with_count(self, metrics):
@@ -85,20 +77,18 @@ class TestHub:
 
     def test_null_hub_discards(self):
         hub = NullMetrics()
-        hub.record("y", 1.0)
         hub.mark("z", 1.0)
         hub.mark_many("z", 1.0, 7)
         hub.mark_many("z", 1.0, [1.0, 2.0])
         hub.point("w", 1.0, 2.0)
-        assert hub.sample_values("y") == []
         assert hub.mark_times("z") == []
         assert hub.point_series("w") == []
-        assert not (hub.samples or hub.marks or hub.points)
+        assert not (hub.marks or hub.points)
 
 
 def _float_only(monkeypatch):
     """Make every recording method reject a non-float time or value."""
-    for method in ("record", "mark", "mark_many", "point"):
+    for method in ("mark", "mark_many", "point"):
         def wrapper(self, name, time, *rest, _method=method,
                     _original=getattr(MetricsHub, method)):
             # mark_many's third argument is a count or an iterable
@@ -148,7 +138,6 @@ class TestStoredAsDoubles:
                        for k, m in pairs for i in range(2)}
         hub = system.metrics
         assert sorted(hub.points) == sorted(points)
-        assert sorted(hub.samples) == ["latency_ms:read", "latency_ms:update"]
         assert {"ops", "ops:dc0", "ops:dc1", "ops:dc2"} <= set(hub.marks)
 
     def test_rigs_record_only_floats(self, monkeypatch):

@@ -1,26 +1,25 @@
-"""Observability layer (repro.obs): invariance, accuracy, and wiring.
+"""Observability layer (repro.obs): invariance, exactness, and wiring.
 
 Two properties carry the whole design and get the heaviest coverage
 here:
 
 * **Golden invariance** — attaching the full surface (sampled tracing +
-  SLO sketches + gauge scraper) must not move a single bit of any
-  protocol's golden digest.  The instruments draw no randomness, send no
-  messages, and schedule only read-only periodics, so ``observe=True``
-  runs must reproduce ``tests/golden/baseline_goldens.json`` exactly.
-* **Sketch accuracy** — the log-bin histogram promises every quantile
-  within its relative-error bound of the exact nearest-rank value; a
-  hypothesis property checks it against arbitrary value sets.
+  gauge scraper) must not move a single bit of any protocol's golden
+  digest.  The instruments draw no randomness, send no messages, and
+  schedule only read-only periodics, so ``observe=True`` runs must
+  reproduce ``tests/golden/baseline_goldens.json`` exactly.
+* **One number per statistic** — the SLO report prints the exact
+  percentile of the ``MetricsHub`` series each row names, the number the
+  figures and ``perf/`` compute from the same series.
 """
 
 import hashlib
 import json
-import math
+import re
 import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.baselines import build_system
 from repro.baselines.gst import GstTimings
@@ -32,7 +31,6 @@ from repro.metrics.collector import MetricsHub
 from repro.metrics.summary import EmptySeriesWarning, cdf, percentile
 from repro.obs import (
     STAGES,
-    LogBinHistogram,
     Tracer,
     chrome_trace,
     render_slo_report,
@@ -110,50 +108,13 @@ def test_tracer_wal_group_commit_fanout():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_observability_preserves_goldens(protocol):
-    """Tracing + sketches + gauges on → bit-identical golden digest."""
+    """Tracing + gauges on → bit-identical golden digest."""
     golden = next(g for g in GOLDENS
                   if g["protocol"] == protocol and g["seed"] == 1234)
     observed = capture_golden(protocol, 1234, observe=True)
     for field in STRICT_FIELDS:
         assert observed[field] == golden[field], (
             f"{protocol}: observability changed golden field {field!r}")
-
-
-# ----------------------------------------------------------------------
-# Sketches
-# ----------------------------------------------------------------------
-def _nearest_rank(values, pct):
-    ordered = sorted(values)
-    return ordered[max(1, math.ceil(pct / 100.0 * len(ordered))) - 1]
-
-
-@given(values=st.lists(st.floats(min_value=1e-3, max_value=1e5,
-                                 allow_nan=False, allow_infinity=False),
-                       min_size=1, max_size=300),
-       q=st.sampled_from([50.0, 90.0, 99.0, 99.9]))
-@settings(max_examples=60, deadline=None)
-def test_logbin_quantile_within_relative_error(values, q):
-    rel_err = 0.01
-    hist = LogBinHistogram(rel_err=rel_err)
-    for v in values:
-        hist.add(v)
-    exact = _nearest_rank(values, q)
-    approx = hist.quantile(q)
-    assert abs(approx - exact) <= 2 * rel_err * exact + 1e-9
-
-
-def test_logbin_merge_and_zero_bucket():
-    a, b = LogBinHistogram(), LogBinHistogram()
-    for v in (0.0, 0.0, 5.0):
-        a.add(v)
-    for v in (10.0, 20.0):
-        b.add(v)
-    a.merge(b)
-    assert a.n == 5 and a.min == 0.0 and a.max == 20.0
-    assert a.quantile(10.0) == 0.0          # zero bucket dominates low tail
-    assert a.quantile(100.0) == pytest.approx(20.0, rel=0.05)
-    with pytest.raises(ValueError):
-        a.merge(LogBinHistogram(rel_err=0.05))
 
 
 # ----------------------------------------------------------------------
@@ -171,16 +132,14 @@ def test_percentile_empty_warns_and_strict_raises():
 
 def test_metrics_hub_queries_return_copies():
     hub = MetricsHub()
-    hub.record("lat", 1.0)
     hub.mark("ops", 0.5)
     hub.point("gauge", 0.5, 2.0)
-    for got, again in [(hub.sample_values("lat"), hub.sample_values("lat")),
-                       (hub.mark_times("ops"), hub.mark_times("ops")),
+    for got, again in [(hub.mark_times("ops"), hub.mark_times("ops")),
                        (hub.point_series("gauge"), hub.point_series("gauge"))]:
         assert got == again
         got.clear()
         assert again != [] and got == []    # mutation did not reach the hub
-    assert hub.sample_values("lat") == [1.0]
+    assert hub.point_series("gauge") == [(0.5, 2.0)]
 
 
 # ----------------------------------------------------------------------
@@ -260,9 +219,8 @@ def test_shard_merge_lag_gauge_only_where_shards_merge(n_shards,
 def test_visibility_accounting_is_the_same_under_every_protocol(protocol):
     """What ``StoragePartition`` owns, held with every op traced: a remote
     install is one ``vis_extra_ms`` and one ``vis_total_ms`` point (section
-    7.2.2: ``0 <= extra <= total``), one SLO sketch entry and one
-    ``visible`` span event; a local commit opens one span, ``issue`` no
-    later than ``commit``."""
+    7.2.2: ``0 <= extra <= total``) and one ``visible`` span event; a local
+    commit opens one span, ``issue`` no later than ``commit``."""
     spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=2, clients_per_dc=2,
                          seed=5)
     system = build_system(protocol, spec,
@@ -285,8 +243,6 @@ def test_visibility_accounting_is_the_same_under_every_protocol(protocol):
         assert all(0.0 <= e <= v for (_, e), (_, v) in zip(extra, total))
         if protocol == "eventual":      # installs on arrival
             assert all(e == 0.0 for _, e in extra)
-        assert obs.slo.vis_total[k, m].n == len(total)
-        assert obs.slo.vis_extra[k, m].n == len(extra)
         recorded += len(total)
     assert recorded == installs
     spans = list(obs.tracer.iter_spans())
@@ -311,6 +267,37 @@ def test_slo_report_renders_all_tables(observed_run):
     assert "stabilization lag" in report
     assert "dc0->dc1" in report and "sampled spans" in report
     assert "no SLO data recorded" in render_slo_report(MetricsHub())
+
+
+def test_slo_report_prints_the_exact_percentiles_of_the_hub_series(
+        observed_run):
+    """Each count and percentile of the operation and visibility rows is
+    the one ``percentile()`` gives over the hub series the row names,
+    rounded as printed — the number Fig. 6 and ``perf/`` compute from the
+    same series, not an estimate of it."""
+    system, obs = observed_run
+    hub = system.metrics
+
+    def printed(name, pcts=(50.0, 99.0, 99.9)):
+        values = [v for _, v in hub.point_series(name)]
+        return [str(len(values))] + [f"{percentile(values, q):.3f}"
+                                     for q in pcts]
+
+    op_rows = vis_rows = 0
+    for line in render_slo_report(hub, tracer=obs.tracer).splitlines():
+        cells = line.split()
+        pair = re.fullmatch(r"dc(\d+)->dc(\d+)", cells[0]) if cells else None
+        if len(cells) == 6 and cells[1] in ("read", "update"):
+            dc, kind = cells[:2]
+            assert cells[2:] == printed(f"latency_ms:{kind}:dc{dc}"), line
+            op_rows += 1
+        elif pair is not None:
+            k, m = pair.groups()
+            extra_p99 = printed(f"vis_extra_ms:{k}->{m}", (99.0,))[1]
+            assert cells[1:] == printed(f"vis_total_ms:{k}->{m}") + [
+                extra_p99], line
+            vis_rows += 1
+    assert (op_rows, vis_rows) == (6, 6)
 
 
 def test_chrome_trace_export_shape(observed_run):
@@ -338,25 +325,29 @@ def test_chrome_trace_export_shape(observed_run):
 # phase of the stabilization round instead of sitting on one, and the report
 # gained the receiver table) — each moves every seeded Eunomia run, none
 # moved the counts or the series length — with each percentile below checked
-# equal to ``np.percentile`` at capture time.
+# equal to ``np.percentile`` at capture time.  Re-captured once more when the
+# operation and visibility rows stopped printing log-bin sketch estimates and
+# began printing the exact percentiles of the hub series (dc0->dc1 p50
+# 44.260 -> 44.681); the counts, the other tables and the trace digest did not
+# move.
 _SLO_REPORT_AT_PARENT = """\
 operation latency (ms) per DC x op kind
    dc kind        count        p50        p99      p99.9
-    0 read          670      1.804      5.529      5.990
-    0 update        206      4.651      8.404      8.404
-    1 read          685      1.804      5.529      6.111
-    1 update        197      4.651      8.402      8.402
-    2 read          655      1.804      5.529      5.990
-    2 update        215      4.651      8.415      8.935
+    0 read          670      1.805      5.552      6.009
+    0 update        206      4.654      8.401      8.404
+    1 read          685      1.805      5.555      6.056
+    1 update        197      4.655      8.400      8.401
+    2 read          655      1.804      5.552      5.712
+    2 update        215      4.654      8.402      8.874
 
 remote visibility latency (ms) per origin->dest
       path    count        p50        p99      p99.9   extra p99
-  dc0->dc1       206     44.260     47.695     47.695       5.990
-  dc0->dc2       206     45.154     46.997     46.997       5.871
-  dc1->dc0       197     44.260     47.946     47.946       6.234
-  dc1->dc2       197     83.940     87.365     88.417       6.619
-  dc2->dc0       215     44.260     46.997     46.997       5.871
-  dc2->dc1       215     85.635     87.365     87.365       6.234
+  dc0->dc1       206     44.681     47.599     47.689       6.037
+  dc0->dc2       206     44.736     47.204     47.277       5.895
+  dc1->dc0       197     44.360     47.230     47.897       6.014
+  dc1->dc2       197     84.664     88.051     88.361       6.616
+  dc2->dc0       215     44.417     47.343     47.452       5.875
+  dc2->dc1       215     84.859     87.646     88.034       6.274
 
 stabilization lag (ms), now - StableTime per DC
    dc    count        p50        p99      p99.9
