@@ -27,8 +27,8 @@ The anchors, from the paper's evaluation:
 ``scale`` multiplies **per-operation** service times (default ×10),
 shrinking simulated throughput by the same factor so that pure-Python event
 counts stay tractable.  All *ratios* — the content of the paper's claims —
-are scale invariant; EXPERIMENTS.md reports both the scaled measurements and
-the paper-scale equivalents.
+are scale invariant; README.md ("Results") and ``benchmarks/BENCH_pr*.json``
+report the scaled measurements.
 
 What is **not** scale invariant is a *queue wait behind a scaled cost*
 inside a latency reported in real milliseconds.  Remote-update visibility is
@@ -37,10 +37,11 @@ which ``scale`` touches, so anything on that path that waits for a client
 operation to finish waits ten times longer than it would at paper scale and
 the error lands, unscaled, in a number compared against Fig. 6.  Hence the
 rule (docs/ARCHITECTURE.md, "Lanes"): *no scaled per-op service time on the
-visibility path* — remote applies, uplink frames, heartbeats and acks, and
+visibility path* — payload writes, uplink frames, heartbeats and acks, and
 the GentleRain / Cure stabilization plane (sibling heartbeats, reports, the
 summary broadcast) are served on background lanes of the partition, never in
-its ``cpu`` lane behind ``partition_read`` / ``partition_update``.  The rule
+its ``cpu`` lane behind ``partition_read`` / ``partition_update``, and an
+Alg. 5 release on a lane of its own, never behind a payload write.  The rule
 is about waiting, not about charging: the per-round ``*_gst_round`` overhead
 is still CPU the partition's foreground server loses (Figure 1), so the
 broadcast's handler *reserves* that much of ``cpu`` — client operations queue

@@ -202,9 +202,11 @@ class ReceiverFedPartition(StoragePartition):
     The payload is written when it lands — milliseconds before its metadata
     can be stable — so a release costs the pairing, the publish and the ack
     (``partition_remote_data``), and Algorithm 5's stop-and-wait cycle is
-    ``2·LAN + publish + receiver_flush`` with no scaled write inside it."""
+    ``2·LAN + publish + receiver_flush`` with no scaled write inside it.
+    Releases ride a ``release`` lane of their own, so the cycle does not
+    wait behind the payload writes of unrelated updates either."""
 
-    LANES = {"ApplyRemote": "replication", "RemoteData": "replication"}
+    LANES = {"ApplyRemote": "release", "RemoteData": "replication"}
 
     def __init__(self, env: Environment, name: str, dc_id: int, index: int,
                  n_dcs: int, clock: PhysicalClock, costs: dict,

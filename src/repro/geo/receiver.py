@@ -27,15 +27,17 @@ position per origin.
 
 Releases are stop-and-wait per origin: one :class:`ApplyRemote` /
 :class:`ApplyRemoteOk` pair per update, so an origin's chain moves one
-update per cycle = ``2·LAN + publish + receiver_flush`` (0.5 ms).  The
-publish is the partition's ``partition_remote_data`` cost: the payload was
-written when it landed (§5, ahead of its metadata), a release only pairs,
-publishes and acknowledges.  With n̄ updates per origin per θ an update
-queues ≈ ``cycle · n̄/2`` here; ``len(_inflight)`` over the tracked origins
-is the chain utilisation (``gauge:receiver_inflight``).  Consecutive heads
-of one origin that share a partition and have their dependencies met are
-rare (0.6–1.6 % of releases measured), so a deeper window buys nothing —
-see "What is batched, and what is not" in docs/ARCHITECTURE.md.
+update per cycle = ``2·LAN + publish + receiver_flush`` (0.5 ms, exactly:
+the partition serves releases on a lane of their own).  The publish is the
+partition's ``partition_remote_data`` cost: the payload was written when it
+landed (§5, ahead of its metadata), a release only pairs, publishes and
+acknowledges.  An update in a frame of N queues ≈ ``cycle · (N − 1)/2``
+here; ``len(_inflight)`` over the tracked origins is the chain utilisation
+(``gauge:receiver_inflight``, 0.33 on ``geo_update_heavy_ft``).
+Consecutive heads of one origin that share a partition and have their
+dependencies met are rare (0.6–1.6 % of releases measured), so a deeper
+window buys nothing — see "What is batched, and what is not" in
+docs/ARCHITECTURE.md.
 """
 
 from __future__ import annotations

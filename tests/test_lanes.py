@@ -16,7 +16,9 @@ stamp and inside Algorithm 5's one-in-flight-per-origin cycle — where
 GentleRain, Cure and eventual charge it on ``RemoteData``, before the stamp.
 The second lint reads the costs: the write rides the message that carries
 the payload, under every protocol, and nothing handled after it costs as
-much (``StoragePartition._install`` states the rule).
+much (``StoragePartition._install`` states the rule).  The third holds a
+receiver-fed partition's ``ApplyRemote`` alone in its lane, so a release
+never waits behind an unrelated payload write.
 """
 
 import pytest
@@ -87,3 +89,22 @@ def test_the_remote_write_rides_the_message_that_carries_the_payload(
     assert not late, (f"{type(partition).__name__} ({protocol}) charges "
                       f"{late} a storage write or more after the §7.2.2 "
                       f"arrival stamp")
+
+
+@pytest.mark.parametrize("protocol, options", [
+    pytest.param("eunomia", {}, id="eunomia"),
+    pytest.param("sseq", {}, id="sseq"),
+    pytest.param("aseq", {}, id="aseq"),
+    pytest.param("eunomia",
+                 {"config": EunomiaConfig(separate_data_metadata=False)},
+                 id="eunomia-unseparated"),
+])
+def test_a_release_waits_only_for_its_own_publish(protocol, options):
+    partition, plans = _handled_plans(protocol, **options)
+    lanes = {name: lane for name, (lane, _, _, _) in plans.items()}
+    shared = sorted(name for name, lane in lanes.items()
+                    if lane == lanes["ApplyRemote"] and name != "ApplyRemote")
+    assert not shared, (f"{type(partition).__name__} ({protocol}) queues "
+                        f"Alg. 5 releases in the {lanes['ApplyRemote']!r} "
+                        f"lane behind {shared}, inside the stop-and-wait "
+                        f"cycle")

@@ -253,6 +253,21 @@ class TestWhereTheRemoteWriteIsCharged:
         assert installed - released == pytest.approx(self.LAN + release_cost)
         assert partition.store.get("rk").value == "rv"
 
+    def test_a_release_does_not_wait_behind_an_unrelated_payload(self, rig):
+        env, partition, _ = rig
+        receiver = FakeReceiver(env)
+        receiver.send(partition, RemoteData(remote_update(metadata_only=False)))
+        env.run()
+        released = env.now
+        # u2's payload lands with u1's release: its write is not u1's wait
+        receiver.send(partition, RemoteData(remote_update(
+            key="other", seq=2, metadata_only=False)))
+        receiver.send(partition, ApplyRemote(remote_update()))
+        env.run()
+        (installed, _), = partition.metrics.point_series("vis_extra_ms:1->0")
+        assert installed - released == pytest.approx(self.LAN + self.PUBLISH)
+        assert partition.store.get("rk").value == "rv"
+
     def test_metadata_first_installs_when_the_payload_is_written(self, rig):
         env, partition, _ = rig
         receiver = FakeReceiver(env)

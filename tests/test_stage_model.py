@@ -125,6 +125,22 @@ def _mean_one_way_ms(spec):
 _RUN_SECONDS = 1.5
 
 
+def _record_frame_sizes(system):
+    """Shadow every receiver's frame handler to log each frame's op count
+    (delivery plans bind the handler on first delivery, so before the run)."""
+    sizes = []
+    for dc in system.datacenters:
+        receiver = dc.receiver
+        handle = receiver.on_remote_stable_batch
+
+        def logged(msg, src, handle=handle):
+            sizes.append(len(msg.ops))
+            handle(msg, src)
+
+        receiver.on_remote_stable_batch = logged
+    return sizes
+
+
 @pytest.fixture(scope="module", params=[
     pytest.param((0.9, 8, EunomiaConfig(), "propagate"), id="plain"),
     pytest.param((0.1, 6, EunomiaConfig(fault_tolerant=True, n_replicas=2,
@@ -133,7 +149,8 @@ _RUN_SECONDS = 1.5
 ])
 def eunomia_run(request):
     """One traced run per deployment: (spec, config, system, tracer, the
-    stage a stabilization round releases an op at)."""
+    stage a stabilization round releases an op at, the op count of every
+    frame a receiver took in)."""
     read_ratio, clients, config, released_at = request.param
     spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=clients,
                          seed=21)
@@ -141,12 +158,13 @@ def eunomia_run(request):
                               WorkloadSpec(read_ratio=read_ratio, n_keys=500),
                               config=config)
     tracer = system.observe(sample_every=1, gauges=False).tracer
+    frame_sizes = _record_frame_sizes(system)
     system.run(_RUN_SECONDS)
-    return spec, config, system, tracer, released_at
+    return spec, config, system, tracer, released_at, frame_sizes
 
 
 def test_stage_waits_match_their_closed_form(eunomia_run):
-    spec, config, system, tracer, released_at = eunomia_run
+    spec, config, system, tracer, released_at, _ = eunomia_run
     waits = _stage_waits(tracer)
     assert len(waits[released_at]) > 500
 
@@ -169,7 +187,7 @@ def test_stage_waits_match_their_closed_form(eunomia_run):
 
 
 def test_receiver_side_waits_match_their_closed_form(eunomia_run):
-    spec, config, system, tracer, _ = eunomia_run
+    spec, config, system, tracer, _, frame_sizes = eunomia_run
     one_way = _mean_one_way_ms(spec)
     release_to_install, queued = [], []
     for span in tracer.iter_spans():
@@ -190,16 +208,16 @@ def test_receiver_side_waits_match_their_closed_form(eunomia_run):
     assert percentile(release_to_install, 50) == pytest.approx(lan + publish,
                                                                rel=0.25)
 
-    rounds = _RUN_SECONDS / config.stabilization_interval
-    per_round = statistics.mean(                            # n̄
-        sum(partition.local_updates for partition in dc.partitions)
-        for dc in system.datacenters) / rounds
+    # moments of the frame size N; an update sits in a frame of size N with
+    # probability ∝ N, and finds (N − 1)/2 of it ahead on average
+    n1 = statistics.mean(frame_sizes)                       # E[N]
+    n2 = statistics.mean(n * n for n in frame_sizes)        # E[N²]
     cycle = 2 * lan + publish + cal.overhead("receiver_flush") * 1e3
     # the form's precondition: a frame's chain drains before the next lands
-    assert cycle * per_round < config.stabilization_interval * 1e3 / 2
-    expected = (cal.cost("receiver_enqueue_op") * 1e3 * (per_round + 1)
-                + cycle * per_round / 2)
-    assert statistics.mean(queued) == pytest.approx(expected, rel=0.25)
+    assert cycle * n1 < config.stabilization_interval * 1e3 / 2
+    expected = (cal.cost("receiver_enqueue_op") * 1e3 * n2 / n1
+                + cycle * (n2 - n1) / (2 * n1))
+    assert statistics.mean(queued) == pytest.approx(expected, rel=0.15)
 
 
 @pytest.mark.parametrize("protocol", ["cure", "gentlerain"])
