@@ -34,7 +34,11 @@ Checks, with zero dependencies beyond the stdlib:
    defined somewhere under ``src/``, ``perf/`` or ``scripts/`` (a class,
    a function or an assignment), is a builtin, or is listed in
    :data:`PROSE_NAMES` — so deleting or renaming a documented class
-   fails CI until the prose follows.
+   fails CI until the prose follows;
+8. every ``*.md`` file named in README.md, docs/*.md or a docstring under
+   ``src/`` exists in the repo, and every section quoted beside
+   ARCHITECTURE.md (``(docs/ARCHITECTURE.md, "Lanes")``) is one of its
+   headings.
 
 Exit code 0 when clean; prints every violation and exits 1 otherwise.
 """
@@ -315,12 +319,64 @@ def check_documented_names() -> list[str]:
             for name in sorted(documented_names(doc) - known)]
 
 
+MD_NAME_RE = re.compile(r"(?<![\w./-])((?:\.\./|[\w-]+/)*[\w-]+\.md)\b")
+#: a section quoted beside ARCHITECTURE.md, after it (``ARCHITECTURE.md,
+#: "Lanes"``, ``ARCHITECTURE.md`` ("Lanes")) or before it (``"Lanes" in
+#: docs/ARCHITECTURE.md``)
+SECTION_AFTER_RE = re.compile(r'ARCHITECTURE\.md`*\)?,?\s*\(?"([^"]+)"')
+SECTION_BEFORE_RE = re.compile(r'"([^"]+)"\s+in\s+`*(?:docs/)?ARCHITECTURE\.md')
+
+
+def src_docstrings() -> list[tuple[Path, str]]:
+    """``(module, docstring)`` for every docstring under ``src/``."""
+    found = []
+    for module in sorted((REPO / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+                doc = ast.get_docstring(node)
+                if doc:
+                    found.append((module, doc))
+    return found
+
+
+def check_md_references() -> list[str]:
+    """Every ``*.md`` named in the docs or a ``src/`` docstring exists, and
+    every section quoted beside ARCHITECTURE.md is one of its headings.
+    ROADMAP.md and CHANGES.md are history and are not read."""
+    basenames = {path.name for path in REPO.rglob("*.md")
+                 if ".git" not in path.parts}
+    headings = HEADING_RE.findall(
+        (REPO / "docs" / "ARCHITECTURE.md").read_text(encoding="utf-8"))
+    sections = {h.strip() for h in headings} | {
+        re.sub(r"\s*\(.*\)$", "", h.strip()) for h in headings}
+    sources = [(doc, doc.read_text(encoding="utf-8")) for doc in DOC_FILES]
+    errors = []
+    for path, text in sources + src_docstrings():
+        rel = path.relative_to(REPO)
+        text = re.sub(r"\s+", " ", text)
+        for name in MD_NAME_RE.findall(text):
+            if "/" in name:
+                found = ((REPO / name).is_file()
+                         or (path.parent / name).is_file())
+            else:
+                found = name in basenames
+            if not found:
+                errors.append(f"{rel}: names {name}, which is not in the repo")
+        for quoted in (SECTION_AFTER_RE.findall(text)
+                       + SECTION_BEFORE_RE.findall(text)):
+            if quoted not in sections:
+                errors.append(f"{rel}: quotes section {quoted!r} of "
+                              "docs/ARCHITECTURE.md, which has no such heading")
+    return errors
+
+
 def main() -> int:
     errors = (check_links() + check_example_headers()
               + check_protocol_modules() + check_protocols_documented()
               + check_knobs_documented() + check_plugin_options_documented()
               + check_src_imports()
-              + check_documented_names())
+              + check_documented_names() + check_md_references())
     for error in errors:
         print(f"check_docs: {error}", file=sys.stderr)
     if errors:
@@ -334,7 +390,8 @@ def main() -> int:
           f"{len(registered_protocols())} registered protocols documented; "
           f"{n_knobs} knob values and every plugin option documented; "
           "src/ imports stdlib + declared only; "
-          "code-span CamelCase names all defined")
+          "code-span CamelCase names all defined; "
+          "*.md references and ARCHITECTURE sections resolve")
     return 0
 
 

@@ -39,15 +39,17 @@ cycle, so ``visible`` read 1.15 ms and the release chains ran 87 % busy):
   as one frame per θ and is enqueued in one service slot; an origin's
   updates are then released one at a time, each after the previous one's
   ack, so the i-th of a frame waits i cycles of
-  ``2·LAN + publish + receiver_flush``.  With n̄ updates per origin per θ
-  (Poisson: an update finds n̄/2 of its frame ahead of it, and its frame
-  holds n̄ + 1) the mean is
+  ``2·LAN + publish + receiver_flush``.  An update sits in a frame of N ops
+  with probability ∝ N and finds (N − 1)/2 of it ahead, so with the moments
+  of N logged in the same run the mean is
 
-      enqueue·(n̄ + 1) + cycle · n̄/2
+      enqueue·E[N²]/E[N] + cycle·E[N(N−1)]/(2·E[N])
 
   as long as a frame's chain drains well before the next frame lands
-  (``cycle · n̄ < θ/2``: 9 % and 32 % of θ here; at the parent's 1.4 ms
-  cycle the update-heavy chain was at 90 % and the wait was queueing).
+  (``cycle · E[N] < θ/2``: 14 % and 30 % of θ here).  A Poisson frame size
+  overstates this by ~35 %, enough to hide releases that queued behind
+  unrelated payload writes in a shared lane (0.93 ms measured against 0.64
+  on K2×R2+WAL; 0.66 with the ``release`` lane of their own).
 
 GentleRain and Cure have no stabilizer; their whole visibility path is the
 stabilization plane, and the third defect of the kind sat there: sibling
