@@ -229,13 +229,17 @@ class TestWhereTheRemoteWriteIsCharged:
     WRITE = Calibration().cost("partition_apply_remote")      # 1.0 ms
     PUBLISH = Calibration().cost("partition_remote_data")     # 0.2 ms
 
-    @pytest.mark.parametrize("separate, release_cost", [
+    @pytest.mark.parametrize("separate, unrelated, release_cost", [
         # the payload was written when it landed, long before
-        pytest.param(True, PUBLISH, id="separated"),
+        pytest.param(True, False, PUBLISH, id="separated"),
         # ApplyRemote carries the value, so the write too (as at PR 23)
-        pytest.param(False, WRITE, id="unseparated"),
+        pytest.param(False, False, WRITE, id="unseparated"),
+        # another update's payload lands with the release: its write is
+        # not the release's wait (releases have a lane of their own)
+        pytest.param(True, True, PUBLISH, id="separated-unrelated-payload"),
     ])
-    def test_release_to_install(self, env, metrics, separate, release_cost):
+    def test_release_to_install(self, env, metrics, separate, unrelated,
+                                release_cost):
         Network(env, ConstantLatency(self.LAN))
         config = EunomiaConfig(separate_data_metadata=separate)
         partition = EunomiaPartition(env, "p0", 0, 0, 3, PhysicalClock(env),
@@ -246,26 +250,14 @@ class TestWhereTheRemoteWriteIsCharged:
                           RemoteData(remote_update(metadata_only=False)))
             env.run()
         released = env.now
+        if unrelated:
+            receiver.send(partition, RemoteData(remote_update(
+                key="other", seq=2, metadata_only=False)))
         receiver.send(partition,
                       ApplyRemote(remote_update(metadata_only=separate)))
         env.run()
         (installed, _), = metrics.point_series("vis_extra_ms:1->0")
         assert installed - released == pytest.approx(self.LAN + release_cost)
-        assert partition.store.get("rk").value == "rv"
-
-    def test_a_release_does_not_wait_behind_an_unrelated_payload(self, rig):
-        env, partition, _ = rig
-        receiver = FakeReceiver(env)
-        receiver.send(partition, RemoteData(remote_update(metadata_only=False)))
-        env.run()
-        released = env.now
-        # u2's payload lands with u1's release: its write is not u1's wait
-        receiver.send(partition, RemoteData(remote_update(
-            key="other", seq=2, metadata_only=False)))
-        receiver.send(partition, ApplyRemote(remote_update()))
-        env.run()
-        (installed, _), = partition.metrics.point_series("vis_extra_ms:1->0")
-        assert installed - released == pytest.approx(self.LAN + self.PUBLISH)
         assert partition.store.get("rk").value == "rv"
 
     def test_metadata_first_installs_when_the_payload_is_written(self, rig):
