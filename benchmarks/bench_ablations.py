@@ -160,11 +160,11 @@ def bench_opbuffer_sweep(benchmark):
     print(format_table(
         ["n_parts", "batch", "runs_ms", "rbtree_ms", "speedup"],
         rows))
-    # The tentpole acceptance bar — >=3x at batch >= 8 — is asserted at the
-    # gated configuration (16 partitions, matching bench_opbuffer_ingestion);
+    # The acceptance bar — >=3x at batch >= 8 — is asserted at the
+    # configuration of bench_opbuffer_ingestion (16 partitions);
     # other partition counts get a looser floor: the k-way-merge fan-in
-    # grows with partition count, and their margins (~3.1x at 64 parts on
-    # the baseline machine) are too thin to hard-fail on noise.
+    # grows with partition count, and their margins (~3.1x at 64 parts)
+    # are too thin to hard-fail on noise.
     for n_parts, batch, _, _, speedup in rows:
         if batch < 8:
             continue

@@ -51,10 +51,7 @@ def bench_fig7_straggler_full(benchmark):
     intervals (10/100/1000 ms) with the 10 s per-phase timeline (30
     simulated seconds per interval, sequencer comparison included).
     Promoted to CI by the batched dataplane under the full-Figure-1
-    recipe: shapes asserted in-bench, wall clock wide-gated so the full
-    timeline cannot silently fall back out of CI.  Variance measured
-    before gating: ~20% peak-to-peak median across back-to-back runs on
-    the baseline machine — inside the 50% wide threshold."""
+    recipe: shapes asserted in-bench, wall clock printed."""
     params = fig7.Fig7Params()
     result = run_figure(benchmark, fig7, params)
     _assert_fig7_shapes(result, params)

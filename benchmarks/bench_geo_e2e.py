@@ -1,18 +1,11 @@
-"""End-to-end geo-deployment smoke benchmark (wide-gated).
+"""End-to-end geo-deployment smoke benchmark.
 
-The ROADMAP's "next candidate" after the overload rig: one small but
-complete EunomiaKV deployment — 3 DCs × 4 partitions × 8 clients over the
-paper's WAN topology, NTP discipline, receivers, the lot — measured for
-builder wall-clock.  This is the cost every figure experiment pays per
-cell, so a collapse here multiplies across the whole harness.
-
-Variance-first methodology (same as the overload rig, see ROADMAP): the
-run-to-run spread was measured *before* gating — 7 back-to-back runs on
-the baseline machine gave ±1.7% relative stdev, 4.8% peak-to-peak
-(simulated throughput bit-identical across runs, as it must be).  Shared
-CI runners are far noisier than an idle machine, so it gates at the wide
-50% threshold (``scripts/bench_gate.py --gate-wide``), which catches
-collapses without tripping on runner noise.
+One small but complete EunomiaKV deployment — 3 DCs × 4 partitions × 8
+clients over the paper's WAN topology, NTP discipline, receivers, the lot —
+measured for builder wall-clock.  This is the cost every figure experiment
+pays per cell.  The wall clock is printed; what is asserted is the
+simulated throughput, which is deterministic for the seed.  Host cost per
+workload is measured by ``perf/run.py`` (see perf/README.md).
 """
 
 import time
@@ -59,9 +52,7 @@ def bench_geo_update_heavy_e2e(benchmark):
     90:10 write:read against a fault-tolerant R=2 EunomiaKV site: the run
     is dominated by the batched dataplane (uplink frames, service ingest,
     receiver flushes), so regressions in any per-op path show up here
-    first.  Variance measured before gating: ~2% peak-to-peak median
-    across back-to-back best-of-two runs on the baseline machine
-    (wide-gated alongside the small run, same rig).
+    first.
     """
 
     def run():

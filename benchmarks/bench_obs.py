@@ -1,4 +1,4 @@
-"""Observability overhead benchmark (wide-gated).
+"""Observability overhead benchmark.
 
 The tentpole claim of the repro.obs layer is that it is cheap enough to
 leave attached: disabled, components pay one ``metrics.tracer`` attribute
@@ -8,15 +8,10 @@ ops plus the read-only gauge scraper.  This bench runs the same small
 deployment as ``bench_geo_e2e`` twice — bare and with the full surface
 attached — and reports the relative overhead.
 
-Variance-first methodology (see ROADMAP / bench_geo_e2e): the paired
-design measures both arms inside one process back-to-back with a
-best-of-two over the *pair*, so machine-level noise hits both arms
-together and mostly cancels in the ratio.  Seven back-to-back baseline
-runs put the ratio's spread at a few percent, far below the 50% wide
-gate (``scripts/bench_gate.py --gate-wide``) on total wall.  The ISSUE's
-≤5% sampled-overhead budget is asserted in-bench with slack for shared
-runners (the in-bench ratio bound is the real check; the wall gate only
-catches collapses).
+The paired design measures both arms inside one process back-to-back with
+a best-of-two over the *pair*, so machine-level noise hits both arms
+together and mostly cancels in the ratio.  The ≤5% sampled-overhead budget
+is asserted in-bench on that ratio, with slack for shared runners.
 """
 
 import time

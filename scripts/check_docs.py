@@ -36,9 +36,10 @@ Checks, with zero dependencies beyond the stdlib:
    :data:`PROSE_NAMES` — so deleting or renaming a documented class
    fails CI until the prose follows;
 8. every ``*.md`` file named in README.md, docs/*.md or a docstring under
-   ``src/`` exists in the repo, and every section quoted beside
-   ARCHITECTURE.md (``(docs/ARCHITECTURE.md, "Lanes")``) is one of its
-   headings.
+   ``src/`` exists in the repo, so does every ``benchmarks/*.json`` named
+   there (a glob such as ``benchmarks/BENCH_pr*.json`` must match a file),
+   and every section quoted beside ARCHITECTURE.md
+   (``(docs/ARCHITECTURE.md, "Lanes")``) is one of its headings.
 
 Exit code 0 when clean; prints every violation and exits 1 otherwise.
 """
@@ -320,6 +321,8 @@ def check_documented_names() -> list[str]:
 
 
 MD_NAME_RE = re.compile(r"(?<![\w./-])((?:\.\./|[\w-]+/)*[\w-]+\.md)\b")
+#: a committed benchmark artifact, possibly a glob (``BENCH_pr*.json``)
+BENCH_JSON_RE = re.compile(r"(?<![\w./-])benchmarks/([\w*<>-]+\.json)\b")
 #: a section quoted beside ARCHITECTURE.md, after it (``ARCHITECTURE.md,
 #: "Lanes"``, ``ARCHITECTURE.md`` ("Lanes")) or before it (``"Lanes" in
 #: docs/ARCHITECTURE.md``)
@@ -341,9 +344,10 @@ def src_docstrings() -> list[tuple[Path, str]]:
 
 
 def check_md_references() -> list[str]:
-    """Every ``*.md`` named in the docs or a ``src/`` docstring exists, and
-    every section quoted beside ARCHITECTURE.md is one of its headings.
-    ROADMAP.md and CHANGES.md are history and are not read."""
+    """Every ``*.md`` and ``benchmarks/*.json`` named in the docs or a
+    ``src/`` docstring exists, and every section quoted beside
+    ARCHITECTURE.md is one of its headings.  ROADMAP.md and CHANGES.md are
+    history and are not read."""
     basenames = {path.name for path in REPO.rglob("*.md")
                  if ".git" not in path.parts}
     headings = HEADING_RE.findall(
@@ -363,6 +367,11 @@ def check_md_references() -> list[str]:
                 found = name in basenames
             if not found:
                 errors.append(f"{rel}: names {name}, which is not in the repo")
+        for name in BENCH_JSON_RE.findall(text):
+            pattern = re.sub(r"<\w+>", "*", name)   # BENCH_pr<N>.json
+            if not any((REPO / "benchmarks").glob(pattern)):
+                errors.append(f"{rel}: names benchmarks/{name}, which "
+                              "matches no file in the repo")
         for quoted in (SECTION_AFTER_RE.findall(text)
                        + SECTION_BEFORE_RE.findall(text)):
             if quoted not in sections:
@@ -391,7 +400,8 @@ def main() -> int:
           f"{n_knobs} knob values and every plugin option documented; "
           "src/ imports stdlib + declared only; "
           "code-span CamelCase names all defined; "
-          "*.md references and ARCHITECTURE sections resolve")
+          "*.md / benchmarks/*.json references and ARCHITECTURE sections "
+          "resolve")
     return 0
 
 

@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """The kept benchmark trajectory as one table per workload.
 
-Every PR since PR 12 commits a ``benchmarks/BENCH_pr<N>.json``: what
-``perf/run.py`` measured on the parent and on the change.  Each file is
-1–2 k lines and nothing read two of them together; this prints, per
-``BENCHMARK.json`` workload, one row per PR with the change's six
-end-to-end metrics, ``events_per_op`` and the ``sim_digest`` — so "when did
-this number move, and did the simulation move with it" is one glance:
+``benchmarks/TRAJECTORY.json`` holds one row per PR since PR 12: what
+``perf/run.py`` measured on the change, per ``BENCHMARK.json`` workload.
+This prints one table per workload with one row per PR: the six end-to-end
+metrics, ``events_per_op`` and the ``sim_digest``.  So "when did this number
+move, and did the simulation move with it" is one glance:
 
     python scripts/perf_report.py
 
@@ -25,7 +24,6 @@ rows only as far as perf/README.md says calibrated host seconds carry.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -39,56 +37,23 @@ from repro.harness.report import format_table  # noqa: E402
 EXACT = ("vis_p50_ms", "vis_p99_ms", "events_per_op", "sim_digest")
 
 
-def trajectory() -> list[tuple[int, dict]]:
-    """``(PR number, parsed file)`` for every kept entry, oldest first."""
-    entries = []
-    for path in (REPO / "benchmarks").glob("BENCH_pr*.json"):
-        number = int(re.fullmatch(r"BENCH_pr(\d+)", path.stem).group(1))
-        entries.append((number, json.loads(path.read_text())))
-    return sorted(entries, key=lambda entry: entry[0])
-
-
-def metric(run: dict, name: str) -> float:
-    """The change's value: host metrics carry parent/change medians, sim
-    metrics are one number (they repeat exactly for a seed)."""
-    if name in run["host"]:
-        return run["host"][name]["change"]
-    return run["sim"][name]
-
-
-def events_per_op(run: dict) -> float:
-    """perf/run.py's ``sim.loop.events_per_op``, from the counters every
-    entry records (the rig has no clients: its ops are the stabilized ones)."""
-    counters = run["counters"]
-    ops = counters["client_ops_done"] or counters["ops_stabilized"]
-    return counters["processed_events"] / ops
-
-
 def main() -> int:
     declaration = json.loads((REPO / "BENCHMARK.json").read_text())
     metrics = [m["name"] for m in declaration["end_to_end"]]
-    entries = trajectory()
-    if not entries:
-        print("perf_report: no benchmarks/BENCH_pr*.json found",
-              file=sys.stderr)
-        return 1
+    columns = [*metrics, "events_per_op", "sim_digest"]
+    trajectory = json.loads(
+        (REPO / "benchmarks" / "TRAJECTORY.json").read_text())
     for workload in (w["name"] for w in declaration["workloads"]):
         rows, previous = [], None
-        for number, entry in entries:
-            run = entry["workloads"].get(workload)
-            if run is None:
-                continue
-            row = {name: metric(run, name) for name in metrics}
-            row.update(events_per_op=events_per_op(run),
-                       sim_digest=run["sim_digest"])
+        for entry in trajectory["rows"]:
+            row = entry["workloads"][workload]
             moved = [name for name in EXACT
                      if previous and row[name] != previous[name]]
-            rows.append([f"PR {number}", *row.values(),
+            rows.append([f"PR {entry['pr']}", *(row[c] for c in columns),
                          " + ".join(moved) or "-"])
             previous = row
         print(f"== {workload} ==")
-        print(format_table(["pr", *metrics, "events_per_op", "sim_digest",
-                            "moved vs previous"], rows))
+        print(format_table(["pr", *columns, "moved vs previous"], rows))
         print()
     return 0
 

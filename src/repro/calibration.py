@@ -27,7 +27,7 @@ The anchors, from the paper's evaluation:
 ``scale`` multiplies **per-operation** service times (default ×10),
 shrinking simulated throughput by the same factor so that pure-Python event
 counts stay tractable.  All *ratios* — the content of the paper's claims —
-are scale invariant; README.md ("Results") and ``benchmarks/BENCH_pr*.json``
+are scale invariant; README.md ("Results") and ``benchmarks/TRAJECTORY.json``
 report the scaled measurements.
 
 What is **not** scale invariant is a *queue wait behind a scaled cost*

@@ -1,9 +1,7 @@
 """Clock models: physical clocks with drift, NTP discipline, hybrid logical
-clocks (the timestamp source of Algorithm 2), vector clocks (§4), and Lamport
-clocks (testing oracle)."""
+clocks (the timestamp source of Algorithm 2) and vector clocks (§4)."""
 
 from .hlc import HybridLogicalClock
-from .lamport import LamportClock
 from .ntp import NtpSynchronizer
 from .physical import PhysicalClock
 from .vector import (
@@ -19,7 +17,6 @@ from .vector import (
 __all__ = [
     "PhysicalClock",
     "HybridLogicalClock",
-    "LamportClock",
     "NtpSynchronizer",
     "VectorClock",
     "vc_zero",

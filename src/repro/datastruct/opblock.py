@@ -103,10 +103,6 @@ class OpBlock:
         """
         return bisect_right(self.ts, floor, lo)
 
-    def total_bytes(self, start: int = 0) -> int:
-        """Sum of the ``size`` column from ``start`` on."""
-        return sum(self.size[start:])
-
     # ------------------------------------------------------------------
     # Consumers
     # ------------------------------------------------------------------

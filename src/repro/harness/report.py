@@ -4,7 +4,7 @@ Every ``figN.run(...)`` returns a :class:`FigureResult`: the table the paper
 prints (rows/columns), optional named series (CDFs, timelines), and notes on
 parameters and expected shapes.  ``render_text()`` produces the fixed-width
 report the benchmarks emit; README.md ("Results") and
-``benchmarks/BENCH_pr*.json`` record the numbers.
+``benchmarks/TRAJECTORY.json`` record the numbers.
 """
 
 from __future__ import annotations

@@ -355,17 +355,5 @@ class Process:
         self._epoch += 1
         self._lane_busy.clear()
 
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def busy_until(self) -> float:
-        """End time of the latest reserved service window on any lane."""
-        return max(self._lane_busy.values(), default=0.0)
-
-    def utilization_horizon(self, lane: str = "cpu") -> float:
-        """Seconds of already-committed future work on ``lane``."""
-        return max(0.0, self._lane_busy.get(lane, 0.0) - self.now)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name} site={self.site}>"

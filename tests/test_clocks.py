@@ -1,4 +1,4 @@
-"""Tests for physical, hybrid, Lamport, and NTP clock models."""
+"""Tests for physical, hybrid, and NTP clock models."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.clocks import (
     HybridLogicalClock,
-    LamportClock,
     NtpSynchronizer,
     PhysicalClock,
 )
@@ -117,12 +116,3 @@ class TestHybridClock:
             assert ts > dep      # Property 1 ingredient
             assert ts > last     # Property 2
             last = ts
-
-
-class TestLamport:
-    def test_tick_and_update(self):
-        clock = LamportClock()
-        assert clock.tick() == 1
-        assert clock.update(10) == 11
-        assert clock.update(3) == 12  # max rule
-        assert clock.value == 12

@@ -119,5 +119,30 @@ def test_docs_lint_rejects_a_documented_name_nothing_defines(
     assert errors[1].startswith("docs/GUIDE.md: `RenamedThing`")
 
 
+def test_docs_lint_resolves_benchmark_artifact_names(tmp_path, monkeypatch):
+    check_docs = _load_check_docs()
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "TRAJECTORY.json").write_text("{}")
+    (tmp_path / "benchmarks" / "BENCH_pr27.json").write_text("{}")
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "ARCHITECTURE.md").write_text("# Lanes\n")
+    (tmp_path / "src" / "repro").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "a.py").write_text(
+        '"""Numbers in ``benchmarks/RESULTS.json``."""\n')
+    readme = tmp_path / "README.md"
+    readme.write_text(
+        "`benchmarks/TRAJECTORY.json`, `benchmarks/BENCH_pr*.json` and "
+        "benchmarks/BENCH_pr<N>.json resolve;\n"
+        "`benchmarks/BENCH_pr9*.json` does not.\n")
+    monkeypatch.setattr(check_docs, "REPO", tmp_path)
+    monkeypatch.setattr(check_docs, "DOC_FILES",
+                        [readme, tmp_path / "docs" / "ARCHITECTURE.md"])
+    errors = check_docs.check_md_references()
+    assert len(errors) == 2
+    assert errors[0].startswith("README.md: names benchmarks/BENCH_pr9*.json")
+    assert errors[1].startswith(
+        "src/repro/a.py: names benchmarks/RESULTS.json")
+
+
 if __name__ == "__main__":
     exec(SMOKE)
