@@ -4,8 +4,11 @@ Event-loop and message throughput bound how much simulated traffic every
 experiment can afford; these benchmarks keep regressions visible.
 """
 
+import pytest
+
 from repro.clocks import HybridLogicalClock, PhysicalClock
 from repro.sim import ConstantLatency, Environment, Network, Process
+from repro.sim.latency import paper_topology
 
 
 def bench_event_loop_throughput(benchmark):
@@ -27,15 +30,20 @@ def bench_event_loop_throughput(benchmark):
     assert benchmark(run_chain) == 50_000
 
 
-def bench_network_message_round(benchmark):
-    """Ping-pong message delivery through the FIFO network (20k rounds)."""
+@pytest.mark.parametrize("model", ["constant", "rtt_matrix"])
+def bench_network_message_round(benchmark, model):
+    """Ping-pong message delivery through the FIFO network (20k rounds).
+
+    ``rtt_matrix`` is the paper topology every geo deployment uses: the
+    peers sit in two sites, and every hop draws one jitter value.
+    """
 
     class Pong:
         size_bytes = 16
 
     class Peer(Process):
-        def __init__(self, env, name, rounds):
-            super().__init__(env, name)
+        def __init__(self, env, name, rounds, site):
+            super().__init__(env, name, site=site)
             self.rounds = rounds
             self.other = None
 
@@ -46,8 +54,9 @@ def bench_network_message_round(benchmark):
 
     def ping_pong():
         env = Environment(seed=1)
-        Network(env, ConstantLatency(0.0001))
-        a, b = Peer(env, "a", 10_000), Peer(env, "b", 10_000)
+        Network(env, ConstantLatency(0.0001) if model == "constant"
+                else paper_topology())
+        a, b = Peer(env, "a", 10_000, 0), Peer(env, "b", 10_000, 1)
         a.other, b.other = b, a
         a.send(b, Pong())
         env.run()
@@ -73,12 +82,12 @@ def bench_hybrid_clock_updates(benchmark):
 def bench_failure_tables_unarmed_overhead(benchmark):
     """Idle fault machinery must not tax the hot send path.
 
-    The chaos work threads loss/disconnect/extra-delay tables and a crash
+    The chaos work threads loss/disconnect/extra-delay state and a crash
     epoch through every delivery; this bench runs the ping-pong workload
-    with the tables *populated but neutralized* (loss 0.0, reconnected,
-    extra delay 0.0, an armed-but-empty FailureSchedule) and asserts
-    in-bench that it stays within noise of the untouched network — the
-    "zero overhead unarmed" contract, enforced without a baseline entry.
+    with the link's fault fields *written but neutralized* (loss 0.0,
+    reconnected, extra delay 0.0, an armed-but-empty FailureSchedule) and
+    asserts in-bench that it stays within noise of the untouched network —
+    the "zero overhead unarmed" contract, enforced without a baseline entry.
     """
     import time
 

@@ -37,7 +37,7 @@ def vc_zero(n: int) -> Vec:
 
 def vc_merge(a: Sequence[int], b: Sequence[int]) -> Vec:
     """Entry-wise maximum (the read-side MAX of §4)."""
-    return tuple(x if x >= y else y for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def vc_leq(a: Sequence[int], b: Sequence[int]) -> bool:

@@ -11,7 +11,7 @@ Every Eunomia-aware partition (and the §7.1 partition emulators) owns an
   advances ``PartitionTime`` at the service.  It is charged no CPU and
   leaves from the tick itself; the one thing it waits for is a frame of
   this uplink still queued in its service lane, which it must not
-  overtake (see :meth:`EunomiaUplink._maybe_heartbeat`);
+  overtake (see :meth:`EunomiaUplink._tick`);
 * **its own service lane**: frames and queued heartbeats wait in *one* FIFO
   lane of the host — the background lane the host class names in
   ``UPLINK_LANE`` (storage partitions: ``"uplink"``, where they also serve
@@ -215,15 +215,58 @@ class EunomiaUplink:
         ticks); the re-arm comes *after* the body (so what the body
         schedules is sequenced ahead of the next tick), even when it
         raises.
+
+        The heartbeat is Alg. 2 lines 10–12, applied per replica: one goes
+        to each replica with no outstanding ops once the physical clock has
+        moved Δ past the last issued timestamp, and the hybrid clock
+        observes its timestamp, so any later update is tagged strictly
+        greater (Property 2).  It costs no CPU, so it leaves from the tick
+        — unless a frame of this uplink is still queued in its service lane
+        (``now`` not yet past its due time; at ``now == due`` its send may
+        be an event still to fire at this instant).  Sent directly it would
+        overtake that frame on the wire, the service's PartitionTime would
+        jump past the frame's timestamps and its dedup would discard the
+        ops.  Then, and only then, it rides the same lane behind the frame:
+        queue order preserves send order, and FIFO links preserve it on the
+        wire.  (A later tick's heartbeat may pass such a queued
+        *heartbeat*; the service's max() ignores the stale one.)
         """
         host = self.host
         if chain != self._chain or host.crashed or host._epoch != epoch:
             return
         try:
-            if self.replicas:
-                if self._pending.ts:
-                    self._ship()
-                self._maybe_heartbeat()
+            replicas = self.replicas
+            if not replicas:
+                return
+            ts_col = self._pending.ts
+            if ts_col:
+                self._ship()
+            clock_now = self.clock.read_us()
+            hlc = self.hlc
+            if clock_now < hlc.last + self._heartbeat_us:
+                return
+            if self.config.fault_tolerant:
+                last_ts = ts_col[-1] if ts_col else 0
+                ack = self._ack
+                targets = [replica for replica in replicas
+                           if ack[replica.pid] >= last_ts]  # nothing outstanding
+                if not targets:
+                    return
+                beat = PartitionHeartbeat(self.partition_index, clock_now)
+                self.heartbeats_sent += len(targets)
+                send, to = host.env.network.multicast, targets
+            elif ts_col:
+                return
+            else:
+                beat = PartitionHeartbeat(self.partition_index, clock_now)
+                self.heartbeats_sent += 1
+                send, to = host.env.network.send, replicas[0]
+            if host._loop._now > self._frame_due:
+                send(host, to, beat)
+            else:
+                host._enqueue(send, 0.0, host, to, beat, lane=self._lane)
+            if clock_now > hlc.last:
+                hlc.last = clock_now
         finally:
             self._arm(chain, epoch)
 
@@ -316,58 +359,6 @@ class EunomiaUplink:
             # Cached frames are immutable snapshots, so pruning never
             # invalidates one — this just bounds the cache to live windows.
             self._frames.clear()
-
-    def _maybe_heartbeat(self) -> None:
-        """Alg. 2 lines 10–12, applied per replica.
-
-        A heartbeat is sent to replicas with no outstanding ops when the
-        physical clock has moved Δ past the last issued timestamp.  The
-        hybrid clock observes the heartbeat timestamp so that any later
-        update is tagged strictly greater (keeps Property 2 intact).
-        """
-        clock_now = self.clock.read_us()
-        if clock_now < self.hlc.last + self._heartbeat_us:
-            return
-        ts_col = self._pending.ts
-        host = self.host
-        # A heartbeat costs no CPU, so it leaves from the tick — unless a
-        # frame of this uplink is still queued in its service lane (``now``
-        # not yet past its due time; at ``now == due`` its send may be an
-        # event still to fire at this instant).  Sent directly it
-        # would overtake that frame on the wire, the service's
-        # PartitionTime would jump past the frame's timestamps and its
-        # dedup would discard the ops (Property 2 break from the service's
-        # perspective).  Then, and only then, it rides the same lane
-        # behind the frame: queue order preserves send order, and FIFO
-        # links preserve it on the wire.  (A later tick's heartbeat may pass
-        # such a queued *heartbeat*; the service's max() ignores the stale
-        # one.)
-        from_tick = host.now > self._frame_due
-        if self.config.fault_tolerant:
-            last_ts = ts_col[-1] if ts_col else 0
-            ack = self._ack
-            targets = [replica for replica in self.replicas
-                       if ack[replica.pid] >= last_ts]  # nothing outstanding
-            if not targets:
-                return
-            beat = PartitionHeartbeat(self.partition_index, clock_now)
-            self.heartbeats_sent += len(targets)
-            if from_tick:
-                host.multicast(targets, beat)
-            else:
-                host._enqueue(host.multicast, 0.0, targets, beat,
-                              lane=self._lane)
-        elif ts_col:
-            return
-        else:
-            beat = PartitionHeartbeat(self.partition_index, clock_now)
-            self.heartbeats_sent += 1
-            if from_tick:
-                host.env.network.send(host, self.replicas[0], beat)
-            else:
-                host._enqueue(host.env.network.send, 0.0, host,
-                              self.replicas[0], beat, lane=self._lane)
-        self.hlc.observe(clock_now)
 
     # ------------------------------------------------------------------
     # Introspection (tests)

@@ -42,10 +42,32 @@ class ConsistentHashRing:
         points.sort()
         self._ring_hashes = [h for h, _ in points]
         self._ring_owners = [owner for _, owner in points]
+        #: key -> owner, for ``int`` and ``str`` keys only (see
+        #: :meth:`partition_for`); bounded by the key space
+        self._memo: dict[Any, int] = {}
 
     def partition_for(self, key: Any) -> int:
-        """Index of the partition responsible for ``key``."""
-        h = _hash32(str(key))
+        """Index of the partition responsible for ``key``.
+
+        Every client op asks, so the answer is memoized per key.  The
+        owner is a function of ``str(key)``, and only keys of exact type
+        ``int`` or ``str`` enter the memo: within either type equal keys
+        have equal strings, and an ``int`` never equals a ``str``.  A bool,
+        float or any other key is hashed every time, since ``True == 1 ==
+        1.0`` would share one entry although their strings differ.
+        """
+        kind = type(key)
+        if kind is int or kind is str:
+            try:
+                return self._memo[key]
+            except KeyError:
+                owner = self._memo[key] = self._owner(str(key))
+                return owner
+        return self._owner(str(key))
+
+    def _owner(self, text: str) -> int:
+        """The partition whose ring point follows the hash of ``text``."""
+        h = _hash32(text)
         idx = bisect.bisect_right(self._ring_hashes, h)
         if idx == len(self._ring_hashes):
             idx = 0  # wrap around the ring

@@ -32,11 +32,29 @@ PAPER_RTT_MS: tuple[tuple[float, float, float], ...] = (
 )
 
 
+#: ``(base, jitter, relative)``, see :meth:`LatencyModel.link_rule`
+LinkRule = tuple[float, Optional[float], bool]
+
+
 class LatencyModel:
     """Interface: one-way delay for a (src, dst) process pair."""
 
     def delay(self, src, dst, rng: random.Random) -> float:
         raise NotImplementedError
+
+    def link_rule(self, src, dst) -> Optional[LinkRule]:
+        """:meth:`delay` for one pair, as ``(base, jitter, relative)``.
+
+        ``jitter`` None: the delay is ``base`` and nothing is drawn.
+        Otherwise one ``u = rng.random()`` is drawn and the delay is
+        ``base + u * jitter``, or ``base * (1.0 + u * jitter)`` when
+        ``relative`` — the arithmetic :meth:`delay` does, in its order, so
+        a network that evaluates the rule per message gets bit-identical
+        delays.  None (this default) means only :meth:`delay` can answer.
+        The network asks once per link, so a rule may not change with
+        time.
+        """
+        return None
 
 
 class ConstantLatency(LatencyModel):
@@ -48,6 +66,9 @@ class ConstantLatency(LatencyModel):
     def delay(self, src, dst, rng: random.Random) -> float:
         return self.delay_s
 
+    def link_rule(self, src, dst) -> LinkRule:
+        return self.delay_s, None, False
+
 
 class JitteredLatency(LatencyModel):
     """Base delay plus uniform jitter in ``[0, jitter_s]``."""
@@ -58,6 +79,9 @@ class JitteredLatency(LatencyModel):
 
     def delay(self, src, dst, rng: random.Random) -> float:
         return self.base_s + rng.random() * self.jitter_s
+
+    def link_rule(self, src, dst) -> LinkRule:
+        return self.base_s, self.jitter_s, False
 
 
 class RttMatrix(LatencyModel):
@@ -97,6 +121,10 @@ class RttMatrix(LatencyModel):
         if self.jitter_frac:
             base *= 1.0 + rng.random() * self.jitter_frac
         return base
+
+    def link_rule(self, src, dst) -> LinkRule:
+        return (self._one_way[src.site][dst.site],
+                self.jitter_frac or None, True)
 
 
 def paper_topology(n_sites: int = 3, intra_us: float = 150.0,

@@ -250,9 +250,12 @@ class EventLoop:
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the heap drains, ``until`` is reached, or ``max_events`` fire.
 
-        When ``until`` is given the loop's clock is advanced to exactly
-        ``until`` even if the last event fired earlier, so back-to-back
-        ``run(until=...)`` calls behave like contiguous wall-clock windows.
+        When ``until`` is given and nothing at or before it is left queued,
+        the loop's clock is advanced to exactly ``until`` even if the last
+        event fired earlier, so back-to-back ``run(until=...)`` calls behave
+        like contiguous wall-clock windows.  When ``max_events`` ran out
+        first, the clock stays at the last event fired: the entries still
+        queued before ``until`` fire next, and time never moves backwards.
         """
         if self._running:
             raise SimulationError("event loop is not reentrant")
@@ -286,7 +289,8 @@ class EventLoop:
                 fn(*args)
         finally:
             self._running = False
-        if until is not None and self._now < until:
+        if (until is not None and self._now < until
+                and (not heap or heap[0][0] > until)):
             self._now = until
 
 

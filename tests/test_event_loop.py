@@ -110,6 +110,24 @@ def test_max_events_bound():
     assert fired == [0, 1, 2, 3]
 
 
+def test_event_budget_running_out_before_until_never_moves_time_back():
+    """``run(until=T, max_events=N)`` whose budget runs out first stays at
+    the last event fired: jumping to T would leave entries before T queued,
+    and the next run would fire them with ``now`` going backwards."""
+    loop = EventLoop()
+    seen = []
+    for t in (1.0, 2.0, 3.0):
+        loop.schedule_at(t, lambda: seen.append(loop.now))
+    loop.run(until=10.0, max_events=1)
+    assert loop.now == 1.0
+    loop.run(until=10.0, max_events=5)
+    assert seen == [1.0, 2.0, 3.0]
+    assert loop.now == 10.0           # drained: the window is closed
+    loop.schedule_at(12.0, seen.append, 12.0)
+    loop.run(until=11.0, max_events=1)
+    assert loop.now == 11.0           # the head lies beyond ``until``
+
+
 def test_pending_excludes_cancelled():
     loop = EventLoop()
     loop.schedule(1.0, lambda: None)

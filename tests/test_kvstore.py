@@ -1,5 +1,9 @@
 """Tests for the KV substrate: ring, versioned storage, value types."""
 
+import bisect
+import itertools
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,6 +49,33 @@ class TestRing:
     def test_rejects_zero_partitions(self):
         with pytest.raises(ValueError):
             ConsistentHashRing(0)
+
+    @given(keys=st.lists(st.one_of(st.integers(), st.text(max_size=8)),
+                         max_size=40))
+    @settings(max_examples=50, deadline=None)
+    def test_memo_equals_the_uncached_hash(self, keys):
+        """Asked twice, every key gets what the CRC of its string says."""
+        ring = ConsistentHashRing(8)
+        for key in keys + keys:
+            assert ring.partition_for(key) == _uncached_owner(ring, key)
+
+    def test_equal_keys_with_different_strings_never_share_an_entry(self):
+        """``True == 1 == 1.0``, but the owner is a function of ``str()``:
+        whichever of them is asked first, each gets its own answer."""
+        keys = (True, 1, 1.0, "1")
+        owners = {_uncached_owner(ConsistentHashRing(16), key) for key in keys}
+        assert len(owners) == 3           # "True", "1" and "1.0" differ
+        for order in itertools.permutations(keys):
+            ring = ConsistentHashRing(16)
+            for key in order + order:
+                assert ring.partition_for(key) == _uncached_owner(ring, key)
+
+
+def _uncached_owner(ring, key):
+    """The ring lookup written out: CRC32 of ``str(key)``, next point."""
+    h = zlib.crc32(str(key).encode()) & 0xFFFFFFFF
+    index = bisect.bisect_right(ring._ring_hashes, h)
+    return ring._ring_owners[index % len(ring._ring_owners)]
 
 
 class TestVersionedDominance:

@@ -5,6 +5,7 @@ import bisect
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mutants import MUTANTS
 
 from repro.clocks import HybridLogicalClock, PhysicalClock
 from repro.core import EunomiaConfig
@@ -468,3 +469,20 @@ def test_restart_forgets_the_frame_the_crash_dropped(env):
     assert replica.batches == []          # that frame died with the crash
     assert len(replica.heartbeats) >= 10  # one per tick since, on time
     assert host.queued_beats == {}
+
+
+@pytest.mark.parametrize("mutant", [None, *MUTANTS])
+def test_the_overtake_property_kills_each_seeded_fault(mutant):
+    """The property above has teeth against the flattened tick: it fails
+    with the from-tick decision forced true or with its ``>`` against the
+    queued frame's due time read as ``>=``, and passes unmutated."""
+    if mutant is None:
+        test_heartbeat_never_overtakes_a_queued_frame()
+        return
+    assert MUTANTS[mutant].killed_by.endswith(
+        test_heartbeat_never_overtakes_a_queued_frame.__name__)
+    with MUTANTS[mutant].applied():
+        with pytest.raises((AssertionError, ExceptionGroup)) as failure:
+            test_heartbeat_never_overtakes_a_queued_frame()
+    if isinstance(failure.value, ExceptionGroup):
+        assert failure.value.subgroup(AssertionError) is not None
