@@ -11,7 +11,8 @@ silently stop applying when the code it mutates is rewritten.
     with MUTANTS["heartbeat_always_from_tick"].applied():
         ...   # the test that should now fail
 
-Each entry names the test expected to kill it.
+Each mutant's comment names the property it breaks; the test that must
+fail under it applies it.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ class Mutant:
     method: str
     fragment: str
     replacement: str
-    #: the test that must fail while the mutant is applied
-    killed_by: str
 
     def build(self):
         """The mutated function, compiled where the original lives."""
@@ -65,20 +64,15 @@ class Mutant:
         assert vars(self.owner)[self.method] is original
 
 
-_OVERTAKE = ("tests/test_uplink.py::"
-             "test_heartbeat_never_overtakes_a_queued_frame")
-
 MUTANTS = {m.name: m for m in (
     # The heartbeat leaves from the tick even with a frame still queued in
     # the uplink's lane: it overtakes the frame (the hazard of the
     # never-overtake rule, Alg. 2 l.10–12 against Property 2).
     Mutant("heartbeat_always_from_tick", EunomiaUplink, "_tick",
-           "if host._loop._now > self._frame_due:", "if True:",
-           _OVERTAKE),
+           "if host._loop._now > self._frame_due:", "if True:"),
     # ``now == due`` read as past the frame: at that instant the frame's
     # send may still be queued behind the running tick.
     Mutant("heartbeat_from_tick_at_frame_due", EunomiaUplink, "_tick",
            "host._loop._now > self._frame_due",
-           "host._loop._now >= self._frame_due",
-           _OVERTAKE),
+           "host._loop._now >= self._frame_due"),
 )}

@@ -479,10 +479,6 @@ def test_the_overtake_property_kills_each_seeded_fault(mutant):
     if mutant is None:
         test_heartbeat_never_overtakes_a_queued_frame()
         return
-    assert MUTANTS[mutant].killed_by.endswith(
-        test_heartbeat_never_overtakes_a_queued_frame.__name__)
     with MUTANTS[mutant].applied():
-        with pytest.raises((AssertionError, ExceptionGroup)) as failure:
+        with pytest.raises(AssertionError):
             test_heartbeat_never_overtakes_a_queued_frame()
-    if isinstance(failure.value, ExceptionGroup):
-        assert failure.value.subgroup(AssertionError) is not None
