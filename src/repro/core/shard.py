@@ -15,8 +15,10 @@ Xiang & Vaidya's global stabilization for partial replication):
   it to the coordinator.
 * :class:`ShardCoordinator` — tracks per-shard ``ShardStableTime``, computes
   the datacenter-wide ``StableTime = min(shards)``, and merges the shards'
-  already-ordered runs with a K-way streaming merge (``heapq.merge``)
-  before remote propagation.
+  already-ordered runs before remote propagation: one stable ``list.sort``
+  of their shard-order concatenation, keyed in C on ``(ts,
+  partition_index, seq)``, which CPython's run detection turns into a
+  merge of the sorted runs.
 
 Correctness (Properties 1–2 preserved):
 
@@ -77,11 +79,10 @@ unreplicated K-shard pipelines, including under a forced leader crash.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from operator import attrgetter
 from typing import Optional
 
-from ..kvstore.types import Update
 from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
 from ..sim.process import CostModel, Process
@@ -91,6 +92,9 @@ from .replica import ReplicaRole
 from .service import StabilizerBase
 
 __all__ = ["ShardMap", "EunomiaShard", "ShardCoordinator"]
+
+#: ``Update.order_key``'s ``(ts, partition_index, seq)``, evaluated in C
+_ORDER_KEY = attrgetter("ts", "partition_index", "seq")
 
 
 class ShardMap:
@@ -223,9 +227,9 @@ class ShardCoordinator(ReplicaRole, Process):
     Receives :class:`ShardStableBatch` from each shard (FIFO links keep each
     shard's runs in announcement order), maintains ``shard_stable[k]`` and
     per-shard queues of not-yet-released ops, and on every receipt drains
-    everything at or below ``StableTime = min(shard_stable)`` with a K-way
-    streaming merge, then propagates the merged run exactly like the K=1
-    service would.
+    everything at or below ``StableTime = min(shard_stable)``, merges it
+    into ``(ts, origin, seq)`` order, then propagates the merged run
+    exactly like the K=1 service would.
 
     It heads its replica (:class:`~repro.core.replica.ReplicaRole`).  In a
     replicated deployment the leader, after shipping, gossips a
@@ -283,24 +287,19 @@ class ShardCoordinator(ReplicaRole, Process):
         stable = min(self.shard_stable)
         if stable > self.stable_time:
             self.stable_time = stable
-        runs = []
+        ops = []
         for queue in self._queues:
-            run = []
             while queue and queue[0].ts <= self.stable_time:
-                run.append(queue.popleft())
-            if run:
-                runs.append(run)
-        if not runs:
+                ops.append(queue.popleft())
+        if not ops:
             return
-        # Each run is already order_key()-ordered — the same (ts, origin,
-        # seq) key the RunBuffer sorts by — and runs never interleave with
-        # future arrivals (a shard never re-announces below its
-        # ShardStableTime), so a K-way streaming merge re-serializes the
-        # global order.
-        if len(runs) > 1:
-            ops = list(heapq.merge(*runs, key=Update.order_key))
-        else:
-            ops = runs[0]
+        # Each shard's run is already order_key()-ordered — the same (ts,
+        # origin, seq) key the RunBuffer sorts by — and runs never
+        # interleave with future arrivals (a shard never re-announces below
+        # its ShardStableTime), so sorting the shard-order concatenation
+        # re-serializes the global order.  The sort is stable: on equal
+        # keys the earlier shard comes first, as in a K-way heapq.merge.
+        ops.sort(key=_ORDER_KEY)
         tracer = self.metrics.tracer
         if tracer is not None:
             now, site = self.now, self.site

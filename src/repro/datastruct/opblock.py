@@ -7,11 +7,11 @@ Property 2 and FIFO links.  Handling it op by op — attribute access, a
 the Python interpreter the bottleneck long before the modelled costs do.
 
 :class:`OpBlock` is the batch's columnar view: parallel tuples of the fields
-the ingestion paths actually branch on (``origin``, ``ts``, ``seq``, ``key``,
-``size``) extracted in one pass, with the op payloads kept alongside for the
-consumers that eventually serialize them.  Because ``ts`` is a plain sorted
-tuple, the per-op control flow of Algorithm 3's NEW_OP loop collapses into
-two bisections:
+the ingestion paths actually read (``origin``, ``ts``, ``seq``) extracted in
+one pass, with the op payloads kept alongside for the consumers that
+eventually serialize them.  Because ``ts`` is a plain sorted tuple, the
+per-op control flow of Algorithm 3's NEW_OP loop collapses into two
+bisections:
 
 * :meth:`first_above` (PartitionTime dedup) finds where the new suffix
   starts — everything before it is an at-least-once duplicate;
@@ -27,12 +27,14 @@ deques, see :mod:`repro.baselines.gst`.)
 
 State-identical by construction: blocks never reorder, drop, or mutate ops —
 they only precompute the columns the per-op loop would have read anyway.
+Every column is a ``tuple``: the uplink's frame cache ships one block to all
+R replicas, so a block must never change under a receiver.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional
 
 __all__ = ["OpBlock", "OpRunBuilder"]
 
@@ -40,35 +42,26 @@ __all__ = ["OpBlock", "OpRunBuilder"]
 class OpBlock:
     """Parallel columns over one origin partition's timestamp-ascending ops."""
 
-    __slots__ = ("origin", "ts", "seq", "key", "size", "payload", "_wire")
+    __slots__ = ("origin", "ts", "seq", "payload", "_wire")
 
-    def __init__(self, origin: Sequence[int], ts: Sequence[int],
-                 seq: Sequence[int], key: Sequence, size: Sequence[int],
-                 payload: Sequence[Any]):
-        n = len(ts)
-        if not (len(origin) == len(seq) == len(key) == len(size)
-                == len(payload) == n):
+    def __init__(self, origin: tuple, ts: tuple, seq: tuple, payload: tuple,
+                 wire: Optional[int] = None):
+        """Adopt the given column tuples as they are (no copy)."""
+        if not len(origin) == len(ts) == len(seq) == len(payload):
             raise ValueError("OpBlock columns must have equal length")
-        self.origin = tuple(origin)
-        self.ts = tuple(ts)
-        self.seq = tuple(seq)
-        self.key = tuple(key)
-        self.size = tuple(size)
-        self.payload = tuple(payload)
-        self._wire: Optional[int] = None
+        self.origin = origin
+        self.ts = ts
+        self.seq = seq
+        self.payload = payload
+        self._wire = wire
 
     @classmethod
     def from_updates(cls, ops: Iterable[Any]) -> "OpBlock":
         """Columnarize update objects (one attribute pass per column)."""
         ops = tuple(ops)
-        return cls(
-            origin=[op.partition_index for op in ops],
-            ts=[op.ts for op in ops],
-            seq=[op.seq for op in ops],
-            key=[op.key for op in ops],
-            size=[getattr(op, "size_bytes", 0) for op in ops],
-            payload=ops,
-        )
+        return cls(tuple([op.partition_index for op in ops]),
+                   tuple([op.ts for op in ops]),
+                   tuple([op.seq for op in ops]), ops)
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -114,29 +107,30 @@ class OpBlock:
         a tuple allocation per ``add()``/``stage_op()`` call; feed the
         result to ``extend_run`` / ``stage_ops``.
         """
-        return list(zip(self.ts[start:], self.origin[start:],
-                        self.seq[start:], self.payload[start:]))
+        if start:
+            return list(zip(self.ts[start:], self.origin[start:],
+                            self.seq[start:], self.payload[start:]))
+        return list(zip(self.ts, self.origin, self.seq, self.payload))
 
 
 class OpRunBuilder:
     """Append-mode columnar accumulator for one partition's pending run.
 
     The uplink's pending state in structure-of-arrays form: appends push
-    onto parallel lists, windows come out as :class:`OpBlock` snapshots cut
-    with C-level column slices (``cut``), and the acknowledged prefix is
+    onto parallel lists, windows come out as :class:`OpBlock` snapshots
+    built straight from the lists (``cut``), and the acknowledged prefix is
     dropped wholesale (``drop_prefix``).  ``wire`` holds each op's §5 wire
     footprint, computed exactly once at ``append`` time — historically the
     per-op ``size_bytes``/``metadata_bytes`` sum was recomputed on every
     frame send to every replica.
     """
 
-    __slots__ = ("origin", "ts", "seq", "key", "wire", "payload")
+    __slots__ = ("origin", "ts", "seq", "wire", "payload")
 
     def __init__(self, origin: int):
         self.origin = origin
         self.ts: list[int] = []
         self.seq: list[int] = []
-        self.key: list = []
         self.wire: list[int] = []
         self.payload: list[Any] = []
 
@@ -153,7 +147,6 @@ class OpRunBuilder:
     def append(self, op: Any) -> None:
         self.ts.append(op.ts)
         self.seq.append(op.seq)
-        self.key.append(op.key)
         self.wire.append(op.size_bytes if op.value is not None
                          else op.metadata_bytes)
         self.payload.append(op)
@@ -164,25 +157,24 @@ class OpRunBuilder:
         The block's wire total is pre-seeded from the ``wire`` column, so
         frames built here never re-touch the op objects.
         """
-        if end is None:
-            end = len(self.ts)
-        block = OpBlock(
-            origin=(self.origin,) * (end - start),
-            ts=self.ts[start:end],
-            seq=self.seq[start:end],
-            key=self.key[start:end],
-            size=self.wire[start:end],
-            payload=self.payload[start:end],
-        )
-        block._wire = sum(block.size)
-        return block
+        ts, seq, wire, payload = self.ts, self.seq, self.wire, self.payload
+        if start or (end is not None and end != len(ts)):   # a window
+            ts, seq = ts[start:end], seq[start:end]
+            wire, payload = wire[start:end], payload[start:end]
+        return OpBlock((self.origin,) * len(ts), tuple(ts), tuple(seq),
+                       tuple(payload), sum(wire))
 
     def drop_prefix(self, n: int) -> None:
         """Discard the first ``n`` entries (the fully acknowledged prefix)."""
         if n <= 0:
             return
+        if n >= len(self.ts):               # the whole run: clear in place
+            self.ts.clear()
+            self.seq.clear()
+            self.wire.clear()
+            self.payload.clear()
+            return
         del self.ts[:n]
         del self.seq[:n]
-        del self.key[:n]
         del self.wire[:n]
         del self.payload[:n]

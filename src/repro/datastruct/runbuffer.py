@@ -1,4 +1,4 @@
-"""Run-aware unstable-op buffer: O(1) monotone ingestion, k-way-merge drain.
+"""Run-aware unstable-op buffer: O(1) monotone ingestion, one-sort drain.
 
 The paper's implementation (§6) keeps the unstable set in a balanced tree so
 that FIND_STABLE is an ordered prefix scan — paying a pointer-chasing
@@ -21,32 +21,35 @@ coarse stable-time metadata).
   *checks* the monotonicity contract instead of silently corrupting order);
 * ``min_ts()`` is a min over the run heads — O(#active origins), taken once
   per stabilization round rather than maintained on every insert;
-* ``pop_stable()`` is a ``heapq.merge``-style k-way merge of each run's
-  stable prefix under the same ``(ts, origin, seq)`` total order the
+* ``pop_stable()`` concatenates each run's stable prefix and sorts the
+  result once under the same ``(ts, origin, seq)`` total order the
   red–black tree produces, so the emitted stable serialization is
-  op-for-op identical to :class:`TreeOpBuffer`'s (the property test in
-  ``tests/test_runbuffer.py`` proves this);
+  op-for-op identical to :class:`TreeOpBuffer`'s (the property tests in
+  ``tests/test_runbuffer.py`` prove this, and that it equals a k-way
+  ``heapq.merge`` of the prefixes);
 * ``drop_stable()`` prunes the stable prefix in place without materializing
   it — the follower-replica fast path (Alg. 4 lines 13–15).
 
 Entries are plain tuples whose first three fields *are* the ordering key, so
-the merge runs entirely on CPython's C tuple comparison — no key callable.
-Keys are unique (origins partition the runs; within a run ``(ts, seq)`` is
-strictly increasing), hence comparisons never reach the non-orderable ``op``
-payload in the fourth slot.
+the sort runs entirely on CPython's C tuple comparison — no key callable —
+and its run detection merges the already-sorted prefixes in C, several
+times faster than a Python-level ``heapq.merge`` generator at the §7.1
+rig's 75 origins.  Keys are unique (origins partition the runs; within a
+run ``(ts, seq)`` is strictly increasing), hence comparisons never reach the
+non-orderable ``op`` payload in the fourth slot, and the sorted order is
+the merge order.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import merge as _heapq_merge
 from typing import Any, Optional
 
 __all__ = ["RunBuffer"]
 
 
 class RunBuffer:
-    """Per-origin monotone runs with k-way-merge prefix extraction."""
+    """Per-origin monotone runs with sorted prefix extraction."""
 
     __slots__ = ("_runs", "_tail", "_size", "total_added")
 
@@ -156,17 +159,26 @@ class RunBuffer:
         """Extract every op with ``ts <= stable_ts`` in total order.
 
         FIND_STABLE + removal (Alg. 3 lines 9–11): each run's stable prefix
-        is split off (whole-run fast path when the entire run is stable),
-        then the prefixes — already sorted, mutually non-interleaving only
-        in origin — are k-way merged under ``(ts, origin, seq)``, the exact
-        key and tie-break of the §6 tree buffer.
+        is moved onto one list (whole-run fast path when the entire run is
+        stable), which is then sorted under ``(ts, origin, seq)``, the exact
+        key and tie-break of the §6 tree buffer.  The keys are unique, so
+        the sort yields exactly the k-way merge of the prefixes.
         """
-        prefixes = self._split_stable(stable_ts)
-        if not prefixes:
-            return []
-        if len(prefixes) == 1:
-            return [entry[3] for entry in prefixes[0]]
-        return [entry[3] for entry in _heapq_merge(*prefixes)]
+        entries = []
+        extend = entries.extend
+        for run in self._runs.values():
+            if not run or run[0][0] > stable_ts:
+                continue
+            if run[-1][0] <= stable_ts:     # whole run stable: bulk move
+                extend(run)
+                run.clear()
+            else:
+                popleft = run.popleft
+                while run[0][0] <= stable_ts:
+                    entries.append(popleft())
+        self._size -= len(entries)
+        entries.sort()
+        return [entry[3] for entry in entries]
 
     def drop_stable(self, stable_ts: int) -> int:
         """Discard the stable prefix without building op lists.
@@ -189,27 +201,3 @@ class RunBuffer:
                 dropped += 1
         self._size -= dropped
         return dropped
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _split_stable(self, stable_ts: int) -> list[list]:
-        """Detach each run's ``ts <= stable_ts`` prefix, preserving order."""
-        prefixes = []
-        taken = 0
-        for run in self._runs.values():
-            if not run or run[0][0] > stable_ts:
-                continue
-            if run[-1][0] <= stable_ts:     # whole run stable: bulk move
-                prefix = list(run)
-                run.clear()
-            else:
-                prefix = []
-                append = prefix.append
-                popleft = run.popleft
-                while run[0][0] <= stable_ts:
-                    append(popleft())
-            taken += len(prefix)
-            prefixes.append(prefix)
-        self._size -= taken
-        return prefixes

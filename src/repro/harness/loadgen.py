@@ -81,8 +81,7 @@ class PartitionEmulator(Process):
 
     def __init__(self, env: Environment, name: str, index: int,
                  config: EunomiaConfig,
-                 calibration: Optional[Calibration] = None,
-                 metrics: Optional[MetricsHub] = None):
+                 calibration: Optional[Calibration] = None):
         super().__init__(env, name, site=0)
         cal = calibration or Calibration()
         self.index = index
@@ -123,12 +122,11 @@ class PartitionEmulator(Process):
         if self._stopped:
             return
         ts = self.hlc.tick()
-        self._seq += 1
-        self.uplink.record(Update(
-            key=self._seq & 1023, value=None, origin_dc=0,
-            partition_index=self.index, seq=self._seq, ts=ts, vts=(ts,),
-            commit_time=self.now,
-        ))
+        self._seq = seq = self._seq + 1
+        # Update(key, value, origin_dc, partition_index, seq, ts, vts,
+        #        commit_time), built positionally on this hot path
+        self.uplink.record(Update(seq & 1023, None, 0, self.index, seq, ts,
+                                  (ts,), self.now))
         self.generated += 1
         self._enqueue(self._generate, self.gen_cost)
 
@@ -275,8 +273,7 @@ def build_eunomia_rig(n_partitions: int,
         propagator.add_destination(sink)
 
     drivers = [
-        PartitionEmulator(env, f"part{i}", i, config, calibration=cal,
-                          metrics=metrics)
+        PartitionEmulator(env, f"part{i}", i, config, calibration=cal)
         for i in range(n_partitions)
     ]
     service_processes: list[Process] = stack.processes()

@@ -4,6 +4,11 @@ Disabling it (rebuilding every retransmission suffix from the pending
 columns) must leave the whole run *bit-identical*, including under the
 loss-induced ack stalls that make the cache fire in the first place — with
 and without the observability surface attached.
+
+The cache is only safe because a frame never changes once cut, so the
+frame column contract is pinned first: a window cut from the pending
+columns equals the block built from the same ops, column for column, and
+every column is an immutable tuple.
 """
 
 from __future__ import annotations
@@ -12,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import EunomiaConfig
+from repro.datastruct.opblock import OpBlock, OpRunBuilder
 from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.goldens import run_fingerprint
+from repro.kvstore.types import Update
 from repro.workload.generator import WorkloadSpec
 
 SPEC = dict(n_dcs=3, partitions_per_dc=2, clients_per_dc=1)
@@ -26,6 +33,61 @@ def _system(seed: int, config: EunomiaConfig):
     spec = GeoSystemSpec(seed=seed, **SPEC)
     return build_geo_system("eunomia", spec, WorkloadSpec(**WL),
                             config=config)
+
+
+# ----------------------------------------------------------------------
+# Frame column contract: OpRunBuilder.cut == OpBlock.from_updates
+# ----------------------------------------------------------------------
+COLUMNS = ("origin", "ts", "seq", "payload")
+
+#: per op: (ts increment, metadata-only?, value bytes, vector width)
+_OPS = st.lists(st.tuples(st.integers(1, 5), st.booleans(),
+                          st.integers(0, 300), st.integers(1, 3)),
+                min_size=1, max_size=12)
+
+
+def _updates(partition, specs, ts=0, seq=0):
+    ops = []
+    for inc, metadata_only, value_bytes, width in specs:
+        ts += inc
+        seq += 1
+        ops.append(Update(key=seq, value=None if metadata_only else "v",
+                          origin_dc=0, partition_index=partition, seq=seq,
+                          ts=ts, vts=(ts,) * width, value_bytes=value_bytes))
+    return ops
+
+
+def _assert_same_frame(block, ops):
+    reference = OpBlock.from_updates(ops)
+    for name in COLUMNS:
+        column = getattr(block, name)
+        assert type(column) is tuple, name      # shared by R replicas
+        assert column == getattr(reference, name), name
+    per_op = sum(op.size_bytes if op.value is not None else op.metadata_bytes
+                 for op in ops)
+    assert block.wire_bytes() == reference.wire_bytes() == per_op
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs=_OPS, more=_OPS, window=st.tuples(st.integers(0, 12),
+                                              st.integers(0, 12)))
+def test_cut_equals_from_updates_column_for_column(specs, more, window):
+    builder = OpRunBuilder(3)
+    ops = _updates(3, specs)
+    for op in ops:
+        builder.append(op)
+    _assert_same_frame(builder.cut(0), ops)
+    start, end = sorted(min(i, len(ops) - 1) for i in window)
+    _assert_same_frame(builder.cut(start, end + 1), ops[start:end + 1])
+    # a whole-run drop leaves a builder that keeps cutting correct frames
+    builder.drop_prefix(len(builder))
+    assert len(builder) == 0
+    later = _updates(3, more, ts=ops[-1].ts, seq=ops[-1].seq)
+    for op in later:
+        builder.append(op)
+    _assert_same_frame(builder.cut(0), later)
+    builder.drop_prefix(1)
+    _assert_same_frame(builder.cut(0), later[1:])
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,12 @@ round.
 A second group pins the safety story: a same-origin out-of-order insert
 (impossible through the protocol, a FIFO/Property-2 violation if it ever
 happens) must raise instead of silently corrupting the sorted-run invariant.
+
+A third pins ``pop_stable``'s one sort against the k-way ``heapq.merge`` of
+the per-origin prefixes it replaced.
 """
+
+import heapq
 
 import pytest
 from hypothesis import given, settings
@@ -152,6 +157,50 @@ class TestRunBufferEquivalence:
         assert dropped == len(popped)
         assert len(dropper.buffer) == len(popper.buffer)
         assert dropper.buffer.min_ts() == popper.buffer.min_ts()
+
+
+def _merge_reference(runs, stable_ts):
+    """The k-way ``heapq.merge`` drain ``pop_stable`` replaced: split each
+    run's ``ts <= stable_ts`` prefix off, merge the prefixes."""
+    prefixes, rest = [], []
+    for run in runs:
+        cut = sum(1 for entry in run if entry[0] <= stable_ts)
+        prefixes.append(run[:cut])
+        rest.append(run[cut:])
+    return [entry[3] for entry in heapq.merge(*prefixes)], rest
+
+
+#: 1–80 origins (ids drawn sparse and out of order), 0–6 entries each;
+#: timestamps strictly increase per origin and collide freely across them
+origin_runs = st.dictionaries(
+    st.integers(0, 500),
+    st.lists(st.integers(1, 4), max_size=6),
+    min_size=1, max_size=80,
+)
+
+
+class TestSortEqualsMerge:
+    @given(runs=origin_runs, stable_ts=st.integers(0, 26))
+    @settings(max_examples=150, deadline=None)
+    def test_pop_stable_equals_heapq_merge(self, runs, stable_ts):
+        """Sorting the concatenated prefixes is the k-way merge, op for op:
+        the ``(ts, origin, seq)`` keys are unique, so the sorted order is
+        the only order either can produce."""
+        buf = RunBuffer()
+        entries = []
+        for origin, increments in runs.items():
+            run, ts = [], 0
+            for seq, inc in enumerate(increments, 1):
+                ts += inc
+                run.append((ts, origin, seq, f"{origin}:{seq}"))
+            buf.extend_run(run)
+            entries.append(run)
+        expected, rest = _merge_reference(entries, stable_ts)
+        assert buf.pop_stable(stable_ts) == expected
+        assert len(buf) == sum(map(len, rest))
+        # the remainder is intact: draining it is the merge of the suffixes
+        assert buf.pop_stable(10**9) == _merge_reference(rest, 10**9)[0]
+        assert len(buf) == 0
 
 
 class TestMonotonicityContract:

@@ -9,6 +9,8 @@ delivered stream must stay identical even when the leader replica group
 crashes mid-run and a follower takes over.
 """
 
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -333,6 +335,65 @@ class TestMergeDeterminism:
         # partitions 1 and 3 are silent but unowned — stability unaffected
         assert shard.announced == 10
         assert [op.ts for b in shard_sink.batches for op in b.ops] == [10]
+
+
+# ----------------------------------------------------------------------
+# The coordinator's sort is the K-way heapq.merge, ties included
+# ----------------------------------------------------------------------
+def tagged_op(tag, ts, partition, seq):
+    """An op whose ``key`` names it, so equal order keys stay tellable."""
+    return Update(key=tag, value=None, origin_dc=0, partition_index=partition,
+                  seq=seq, ts=ts, vts=(ts,))
+
+
+def drain_through_coordinator(runs):
+    """Announce one stable run per shard, in shard order, and return the
+    ops the coordinator ships; only the last announcement lifts
+    min(ShardStableTime), so every run is merged in one drain."""
+    env = Environment(seed=5)
+    Network(env, ConstantLatency(0.0001))
+    coordinator = ShardCoordinator(env, "coord", 0, len(runs),
+                                   EunomiaConfig(n_shards=len(runs)))
+    sink = Sink(env)
+    coordinator.add_destination(sink)
+    feeder = Process(env, "feeder")
+    top = 1 + max((op.ts for run in runs for op in run), default=0)
+    for shard_id, run in enumerate(runs):
+        feeder.send(coordinator, ShardStableBatch(shard_id, top, tuple(run)))
+    env.run(until=0.01)
+    assert len(sink.batches) <= 1
+    return sink.ops
+
+
+#: 2–4 shards, each an order_key-sorted run over a tiny key space, so equal
+#: (ts, partition, seq) keys across shards are common
+shard_key_runs = st.lists(
+    st.lists(st.tuples(st.integers(1, 4), st.integers(0, 2),
+                       st.integers(0, 2)), max_size=8).map(sorted),
+    min_size=2, max_size=4,
+)
+
+
+class TestCoordinatorMergeOrder:
+    @settings(max_examples=80, deadline=None)
+    @given(keys=shard_key_runs)
+    def test_drain_equals_heapq_merge(self, keys):
+        runs = [[tagged_op(f"s{k}#{i}", *key) for i, key in enumerate(run)]
+                for k, run in enumerate(keys)]
+        expected = heapq.merge(*runs, key=Update.order_key)
+        assert ([op.key for op in drain_through_coordinator(runs)]
+                == [op.key for op in expected])
+
+    def test_equal_keys_across_shards_release_earlier_shard_first(self):
+        runs = [
+            [tagged_op("a0", 3, 1, 1), tagged_op("a1", 5, 0, 1)],
+            [tagged_op("b0", 5, 0, 1), tagged_op("b1", 7, 0, 2)],
+            [tagged_op("c0", 5, 0, 1)],
+        ]
+        shipped = [op.key for op in drain_through_coordinator(runs)]
+        assert shipped == ["a0", "a1", "b0", "c0", "b1"]
+        assert shipped == [op.key for op in
+                           heapq.merge(*runs, key=Update.order_key)]
 
 
 # ----------------------------------------------------------------------
