@@ -34,7 +34,7 @@ R replicas, so a block must never change under a receiver.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Sequence
 
 __all__ = ["OpBlock", "OpRunBuilder"]
 
@@ -44,24 +44,24 @@ class OpBlock:
 
     __slots__ = ("origin", "ts", "seq", "payload", "_wire")
 
-    def __init__(self, origin: tuple, ts: tuple, seq: tuple, payload: tuple,
+    def __init__(self, origin: Sequence[int], ts: Sequence[int],
+                 seq: Sequence[int], payload: Sequence[Any],
                  wire: Optional[int] = None):
-        """Adopt the given column tuples as they are (no copy)."""
+        """Freeze each column into a tuple (a tuple passes through as is)."""
         if not len(origin) == len(ts) == len(seq) == len(payload):
             raise ValueError("OpBlock columns must have equal length")
-        self.origin = origin
-        self.ts = ts
-        self.seq = seq
-        self.payload = payload
+        self.origin = tuple(origin)
+        self.ts = tuple(ts)
+        self.seq = tuple(seq)
+        self.payload = tuple(payload)
         self._wire = wire
 
     @classmethod
     def from_updates(cls, ops: Iterable[Any]) -> "OpBlock":
         """Columnarize update objects (one attribute pass per column)."""
         ops = tuple(ops)
-        return cls(tuple([op.partition_index for op in ops]),
-                   tuple([op.ts for op in ops]),
-                   tuple([op.seq for op in ops]), ops)
+        return cls([op.partition_index for op in ops], [op.ts for op in ops],
+                   [op.seq for op in ops], ops)
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -107,10 +107,8 @@ class OpBlock:
         a tuple allocation per ``add()``/``stage_op()`` call; feed the
         result to ``extend_run`` / ``stage_ops``.
         """
-        if start:
-            return list(zip(self.ts[start:], self.origin[start:],
-                            self.seq[start:], self.payload[start:]))
-        return list(zip(self.ts, self.origin, self.seq, self.payload))
+        return list(zip(self.ts[start:], self.origin[start:],
+                        self.seq[start:], self.payload[start:]))
 
 
 class OpRunBuilder:
@@ -161,18 +159,11 @@ class OpRunBuilder:
         if start or (end is not None and end != len(ts)):   # a window
             ts, seq = ts[start:end], seq[start:end]
             wire, payload = wire[start:end], payload[start:end]
-        return OpBlock((self.origin,) * len(ts), tuple(ts), tuple(seq),
-                       tuple(payload), sum(wire))
+        return OpBlock((self.origin,) * len(ts), ts, seq, payload, sum(wire))
 
     def drop_prefix(self, n: int) -> None:
         """Discard the first ``n`` entries (the fully acknowledged prefix)."""
         if n <= 0:
-            return
-        if n >= len(self.ts):               # the whole run: clear in place
-            self.ts.clear()
-            self.seq.clear()
-            self.wire.clear()
-            self.payload.clear()
             return
         del self.ts[:n]
         del self.seq[:n]
