@@ -10,12 +10,12 @@ Knobs the paper motivates but does not sweep in a numbered figure:
 * **separation of data and metadata** — §5: shipping values through Eunomia
   couples its load to value size; with separation its traffic is
   metadata-only;
-* **propagation tree** — §5: interior relays coalesce the partition fan-in,
-  cutting the message rate into the service;
 * **shard count K** — beyond the paper: the sequential stabilizer split
   across K workers with a merging coordinator, swept under the overload
   methodology of §7.1 (emulated partitions driving the service straight to
-  saturation, a remote sink charging the propagation cost);
+  saturation, a remote sink charging the propagation cost).  It also
+  answers §5's all-to-one uplink fan-in: each worker receives the frames
+  and heartbeats of 1/K of the partitions;
 * **unstable-op buffer** — beyond the paper: the run-aware buffer every
   stabilizer holds (O(1) monotone ingestion + k-way-merge FIND_STABLE)
   against the §6 tree buffer it replaced, swept over buffer × batch size ×
@@ -27,7 +27,7 @@ import time
 import pytest
 
 from repro.calibration import Calibration
-from repro.core import EunomiaConfig, TreeRelay
+from repro.core import EunomiaConfig
 from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.loadgen import build_eunomia_rig
 from repro.harness.report import format_table
@@ -102,25 +102,6 @@ def bench_metadata_bytes_independent_of_value_size(benchmark):
 
     small, large = benchmark(wire_sizes)
     assert small == large
-
-
-def bench_propagation_tree_fanin(benchmark):
-    """§5 tree: ~8x fewer messages into Eunomia at fanout 8."""
-
-    def run_tree():
-        config = EunomiaConfig(use_propagation_tree=True, tree_fanout=8)
-        rig = build_eunomia_rig(24, config=config, seed=9)
-        rig.run(1.5)
-        relays = [p for p in rig.service_processes
-                  if isinstance(p, TreeRelay)]
-        ratios = [r.compression_ratio() for r in relays]
-        return rig.throughput(), ratios
-
-    thpt, ratios = benchmark.pedantic(run_tree, rounds=1, iterations=1)
-    print(f"\ntree rig: {thpt:.0f} ops/s, relay compression ratios "
-          f"{[round(r, 1) for r in ratios]}")
-    assert thpt > 0
-    assert all(ratio > 3.0 for ratio in ratios)
 
 
 def bench_opbuffer_sweep(benchmark):

@@ -31,7 +31,14 @@ from ..sim.env import Environment
 from ..sim.process import CostModel, Process
 from .messages import ChainAlive, ChainForward, SeqRequest, SeqReply
 
-__all__ = ["ChainSequencerNode", "build_chain"]
+__all__ = ["CHAIN_ALIVE_INTERVAL", "CHAIN_SUSPECT_TIMEOUT",
+           "ChainSequencerNode", "build_chain"]
+
+#: Membership timing of a repairable chain: every node heartbeats its peers
+#: each ``CHAIN_ALIVE_INTERVAL`` seconds and suspects a peer after
+#: ``CHAIN_SUSPECT_TIMEOUT`` seconds of silence.
+CHAIN_ALIVE_INTERVAL = 0.05
+CHAIN_SUSPECT_TIMEOUT = 0.16
 
 
 class ChainSequencerNode(Process):
@@ -49,14 +56,14 @@ class ChainSequencerNode(Process):
     exactly-once downstream).
 
     With ``repair=True`` the roles become *dynamic*: nodes exchange
-    membership heartbeats, and the surviving nodes re-form the chain around
+    membership heartbeats (:data:`CHAIN_ALIVE_INTERVAL`), and the surviving nodes re-form the chain around
     any crashed link — the lowest live position assigns, each node forwards
     to the next live position, the highest live position ships and replies.
     Counter safety rests on two invariants: every node folds each traversing
     assignment into its own counter (so any externally visible number has
     been observed by every survivor that could become head), and a
     rejoining node stays silent — holding, not serving, requests — for one
-    suspect timeout while peer heartbeats (which carry counters) catch it
+    suspect timeout (:data:`CHAIN_SUSPECT_TIMEOUT`) while peer heartbeats (which carry counters) catch it
     up, so a recovered ex-head can never hand out a duplicate number.
     """
 
@@ -64,9 +71,7 @@ class ChainSequencerNode(Process):
                  chain_length: int,
                  calibration: Optional[Calibration] = None,
                  metrics: Optional[MetricsHub] = None,
-                 repair: bool = False,
-                 alive_interval: float = 0.05,
-                 suspect_timeout: float = 0.16):
+                 repair: bool = False):
         cal = calibration or Calibration()
         if chain_length == 1:
             # head and tail at once: it neither forwards nor is forwarded to
@@ -93,8 +98,6 @@ class ChainSequencerNode(Process):
         # --- chain repair (inactive, zero-cost, unless repair=True; a
         # lone node has no chain to re-form) ---
         self.repair = repair and chain_length > 1
-        self.alive_interval = alive_interval
-        self.suspect_timeout = suspect_timeout
         self.peers: list["ChainSequencerNode"] = []    # roster, by position
         self._peer_seen: dict[int, float] = {}
         self._assigned: dict[tuple, object] = {}       # head dedup
@@ -132,7 +135,7 @@ class ChainSequencerNode(Process):
         for node in self.peers:
             if node.position != self.position:
                 self._peer_seen[node.position] = now
-        self.periodic(self.alive_interval, self._gossip_alive, phase=0.0)
+        self.periodic(CHAIN_ALIVE_INTERVAL, self._gossip_alive, phase=0.0)
 
     def recover(self) -> None:
         """Rejoin the chain after a crash: silent catch-up, then serve.
@@ -148,9 +151,9 @@ class ChainSequencerNode(Process):
         if not self.repair:
             return
         now = self.now
-        self._rejoin_until = now + self.suspect_timeout
+        self._rejoin_until = now + CHAIN_SUSPECT_TIMEOUT
         self.start()
-        self.after(self.suspect_timeout, self._end_rejoin)
+        self.after(CHAIN_SUSPECT_TIMEOUT, self._end_rejoin)
 
     def _gossip_alive(self) -> None:
         if self.now < self._rejoin_until:
@@ -168,7 +171,7 @@ class ChainSequencerNode(Process):
         now = self.now
         alive = [self.position]
         for pos, seen in self._peer_seen.items():
-            if now - seen <= self.suspect_timeout:
+            if now - seen <= CHAIN_SUSPECT_TIMEOUT:
                 alive.append(pos)
         return sorted(alive)
 
@@ -249,9 +252,7 @@ def build_chain(env: Environment, site: int, length: int,
                 calibration: Optional[Calibration] = None,
                 metrics: Optional[MetricsHub] = None,
                 name_prefix: str = "chain",
-                repair: bool = False,
-                alive_interval: float = 0.05,
-                suspect_timeout: float = 0.16) -> list[ChainSequencerNode]:
+                repair: bool = False) -> list[ChainSequencerNode]:
     """Create and link a sequencer chain; returns [head, ..., tail].
 
     ``repair=True`` builds a self-repairing chain: nodes heartbeat each
@@ -264,8 +265,7 @@ def build_chain(env: Environment, site: int, length: int,
     nodes = [
         ChainSequencerNode(env, f"{name_prefix}{i}", site, i, length,
                            calibration=calibration, metrics=metrics,
-                           repair=repair, alive_interval=alive_interval,
-                           suspect_timeout=suspect_timeout)
+                           repair=repair)
         for i in range(length)
     ]
     for node, successor in zip(nodes, nodes[1:]):

@@ -126,10 +126,6 @@ class Calibration:
     uplink_op_us: float = 1.0               # serialize one op into a batch
     uplink_batch_us: float = 2.0            # per batch per replica
 
-    # -- §5 propagation-tree relays ---------------------------------------
-    relay_forward_us: float = 0.5         # buffer one incoming message
-    relay_flush_us: float = 1.0           # emit one combined window
-
     # -- receivers (Alg. 5) ----------------------------------------------
     receiver_enqueue_op_us: float = 1.0
     receiver_flush_us: float = 5.0

@@ -43,7 +43,6 @@ from .protocols import (
     get_protocol,
     register_protocol,
 )
-from .tree import CombinedBatch, TreeRelay
 from .replica import ReplicaGroup, ReplicaRole
 from .service import EunomiaService, StabilizerBase
 from .shard import EunomiaShard, ShardCoordinator, ShardMap
@@ -64,8 +63,6 @@ __all__ = [
     "EunomiaUplink",
     "SessionClient",
     "OmegaElection",
-    "TreeRelay",
-    "CombinedBatch",
     "ProtocolSpec",
     "SiteContext",
     "SitePlan",

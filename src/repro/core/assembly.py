@@ -27,7 +27,9 @@ to remote receivers (``propagators``), and which processes a given
 partition's uplink must stream to (``uplink_targets`` — every replica's head
 when K=1, else the owning shard of every replica, so the uplink's
 per-replica ack/retransmission machinery applies per (partition → shard)
-stream).
+stream; :meth:`StabilizerStack.wire_uplinks` points each host there).
+Sharding is also the only way to spread the partitions' uplink fan-in
+over more than one stabilizer process.
 """
 
 from __future__ import annotations
@@ -54,11 +56,6 @@ class StabilizerStack:
     """The stabilizer processes of one site, in deployment-agnostic form."""
 
     config: EunomiaConfig
-    env: Environment
-    site: int
-    cal: Calibration
-    metrics: MetricsHub
-    name_prefix: str = ""
     #: the R replicas, in election order (one when unreplicated)
     groups: list[ReplicaGroup] = field(default_factory=list)
     #: partition → shard routing (None when K=1)
@@ -105,45 +102,14 @@ class StabilizerStack:
                 return head
         return heads[0]
 
-    def wire_uplinks(self, hosts: list) -> list:
-        """Point every host's uplink at this stabilizer complex.
+    def wire_uplinks(self, hosts: list) -> None:
+        """Point every host's uplink at its :meth:`uplink_targets`.
 
         ``hosts`` are partitions or partition emulators (anything with an
-        ``index`` and ``set_eunomia``).  Without the §5 propagation tree
-        each host streams straight to its :meth:`uplink_targets`; with it,
-        ``tree_fanout``-sized windows of hosts share a
-        :class:`~repro.core.tree.TreeRelay` (routed per owning shard when
-        sharded).  Returns the relays ([] when no tree), which the caller
-        must ``start()`` — trees never combine with fault tolerance, so a
-        relay always has exactly one upstream pipeline.
+        ``index`` and ``set_eunomia``).
         """
-        if not self.config.use_propagation_tree:
-            for host in hosts:
-                host.set_eunomia(self.uplink_targets(host.index))
-            return []
-        from .tree import TreeRelay
-
-        relays = []
-        shards = self.shards
-        upstream = shards or self.heads
-        fanout = self.config.tree_fanout
-        for g in range(0, len(hosts), fanout):
-            window = hosts[g:g + fanout]
-            relay = TreeRelay(
-                self.env, f"{self.name_prefix}relay{len(relays)}", self.site,
-                forward_cost=self.cal.overhead("relay_forward"),
-                flush_cost=self.cal.overhead("relay_flush"),
-                metrics=self.metrics,
-            )
-            relay.set_upstream(upstream)
-            if self.shard_map is not None:
-                relay.set_routing({
-                    host.index: shards[self.shard_map.shard_of(host.index)]
-                    for host in window})
-            for host in window:
-                host.set_eunomia([relay])
-            relays.append(relay)
-        return relays
+        for host in hosts:
+            host.set_eunomia(self.uplink_targets(host.index))
 
 
 def build_stabilizer_stack(env: Environment, site: int, n_partitions: int,
@@ -169,8 +135,7 @@ def build_stabilizer_stack(env: Environment, site: int, n_partitions: int,
     derive from the latter — so neither may change.
     """
     metrics = metrics or NullMetrics()
-    stack = StabilizerStack(config=config, env=env, site=site, cal=cal,
-                            metrics=metrics, name_prefix=name_prefix)
+    stack = StabilizerStack(config=config)
     if config.n_shards > 1:
         stack.shard_map = ShardMap(n_partitions, config.n_shards,
                                    indices=indices)

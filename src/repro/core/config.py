@@ -8,10 +8,10 @@ heartbeats fire when a partition has been idle for Δ = one batching interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["EunomiaConfig", "RECEIVER_CHECK_INTERVAL", "RETRY_BACKOFF_BASE",
-           "RETRY_BACKOFF_CAP", "SEQ_RETRY_TIMEOUT", "TREE_FLUSH_INTERVAL"]
+__all__ = ["EunomiaConfig", "MAX_BATCH_OPS", "RECEIVER_CHECK_INTERVAL",
+           "RETRY_BACKOFF_BASE", "RETRY_BACKOFF_CAP", "SEQ_RETRY_TIMEOUT"]
 
 #: Retry-with-backoff shape shared by the recovery idioms (uplink
 #: retransmission escalation, failed-fsync commit retries, sequencer
@@ -21,14 +21,17 @@ __all__ = ["EunomiaConfig", "RECEIVER_CHECK_INTERVAL", "RETRY_BACKOFF_BASE",
 RETRY_BACKOFF_BASE = 0.002
 RETRY_BACKOFF_CAP = 0.1
 
+#: Upper bound on ops per AddOpBatch: bounds the cost of resending to a
+#: slow or dead replica (at-least-once delivery stays correct; a lagging
+#: replica simply catches up over more batches).
+MAX_BATCH_OPS = 1000
+
 #: Sequencer-request retry timeout: a partition (or load client) that
-#: has waited this long for a SeqReply re-issues the request — to the
-#: next sequencer-group member, round-robin, with the backoff above —
+#: has waited this long for a SeqReply re-issues the request — a
+#: partition to the next sequencer-group member, round-robin, with the
+#: backoff above; the §7.1 load client to the head again —
 #: closing the "sequencer crash strands every in-flight request" stall.
 SEQ_RETRY_TIMEOUT = 0.05
-
-#: Flush window of a §5 propagation-tree relay.
-TREE_FLUSH_INTERVAL = 0.001
 
 #: ρ — period of the receiver's CHECK_PENDING (Alg. 5 line 3).
 RECEIVER_CHECK_INTERVAL = 0.001
@@ -59,11 +62,6 @@ class EunomiaConfig:
     n_replicas: int = 1
     fault_tolerant: bool = False
 
-    #: Upper bound on ops per AddOpBatch: bounds the cost of resending to a
-    #: slow or dead replica (at-least-once delivery stays correct; a lagging
-    #: replica simply catches up over more batches).
-    max_batch_ops: int = 1000
-
     #: Retransmission timeout for the fault-tolerant uplink: the unacked
     #: suffix is resent only when acknowledgements from a replica stall for
     #: this long.  Without it, a saturated (slow-acking) leader would
@@ -74,11 +72,6 @@ class EunomiaConfig:
     #: Ω failure-detector timing for replica leader election.
     replica_alive_interval: float = 0.5
     replica_suspect_timeout: float = 1.6
-
-    #: §5 propagation tree: partitions send to interior relays that coalesce
-    #: a flush window of batches/heartbeats into one message for Eunomia.
-    use_propagation_tree: bool = False
-    tree_fanout: int = 8
 
     #: Sharded stabilization: split the datacenter's partitions across K
     #: :class:`~repro.core.shard.EunomiaShard` workers plus a merging
@@ -123,14 +116,6 @@ class EunomiaConfig:
                 raise ValueError(f"{name} must be positive")
         if self.replica_suspect_timeout <= self.replica_alive_interval:
             raise ValueError("suspect timeout must exceed the alive interval")
-        if self.use_propagation_tree and self.fault_tolerant:
-            raise ValueError(
-                "the propagation tree coalesces the uplink, which is "
-                "incompatible with per-replica acknowledgement tracking; "
-                "use one or the other"
-            )
-        if self.tree_fanout < 1:
-            raise ValueError("tree fanout must be at least 1")
         if self.n_shards < 1:
             raise ValueError("need at least one Eunomia shard")
         if self.durability not in ("none", "wal"):

@@ -16,7 +16,7 @@ while the shared spine — :class:`repro.geo.datacenter.Datacenter`,
 :func:`repro.geo.system.build_geo_system`, and
 :func:`repro.core.assembly.build_stabilizer_stack` — owns everything
 protocols have in common: the WAN topology, NTP-disciplined clocks, the
-consistent-hash ring, closed-loop clients, uplink/relay wiring, metrics,
+consistent-hash ring, closed-loop clients, uplink wiring, metrics,
 and failure injection.  Every cross-protocol axis (placement,
 :class:`~repro.sim.failure.FailureSchedule`, workload specs, crash
 schedules) therefore applies to every protocol by construction.
@@ -130,8 +130,8 @@ class SiteContext:
 class SitePlan:
     """What a plugin built for one datacenter, in deployment-agnostic form.
 
-    The spine starts processes in the order ``partitions → relays →
-    extras → receiver`` and, on :meth:`Datacenter.connect`, points every
+    The spine starts processes in the order ``partitions → extras →
+    receiver`` and, on :meth:`Datacenter.connect`, points every
     propagator at the remote site's receiver (when both exist) and links
     same-index partitions as siblings.
     """
@@ -146,8 +146,6 @@ class SitePlan:
     #: processes that ship ordered stable/metadata streams to remote
     #: receivers (gain every remote receiver as a destination on connect)
     propagators: list = field(default_factory=list)
-    #: §5 propagation-tree relays (started between partitions and extras)
-    relays: list = field(default_factory=list)
     #: protocol-private stack handle for introspection (Eunomia's
     #: :class:`~repro.core.assembly.StabilizerStack`)
     stack: Any = None

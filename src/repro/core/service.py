@@ -105,7 +105,6 @@ class StabilizerBase(Process):
             # full insert cost for them would invent an overload collapse.
             cost_model = CostModel(costs={
                 "AddOpBatch": self._batch_cost_of,
-                "CombinedBatch": self._combined_cost_of,
                 "PartitionHeartbeat": heartbeat_cost,
             })
         super().__init__(env, name, site=site, cost_model=cost_model)
@@ -223,28 +222,9 @@ class StabilizerBase(Process):
                 + (self.insert_op_cost + self._wal_op_cost)
                 * (len(block) - lo))
 
-    def _combined_cost_of(self, msg) -> float:
-        """One message overhead for a whole relay window (§5 tree win)."""
-        inner = sum(self._batch_cost_of(batch) - self.batch_cost
-                    for batch in msg.batches)
-        return self.batch_cost + inner
-
     # ------------------------------------------------------------------
     # Ingestion (Alg. 3 lines 1–6)
     # ------------------------------------------------------------------
-    def on_combined_batch(self, msg, src: Process) -> None:
-        """Unpack a propagation-tree window (§5).
-
-        Batches are processed before heartbeats: a heartbeat coalesced in
-        the same window never carries a timestamp below the batches' ops
-        (Alg. 2's heartbeat condition), so this order keeps PartitionTime
-        moving through every op.
-        """
-        for batch in msg.batches:
-            self.on_add_op_batch(batch, src)
-        for heartbeat in msg.heartbeats:
-            self.on_partition_heartbeat(heartbeat, src)
-
     def on_add_op_batch(self, msg: AddOpBatch, src: Process) -> None:
         """Batched NEW_OP ingestion (Alg. 3 lines 1–4), columnar form.
 

@@ -2,11 +2,14 @@
 
 The paper's stabilizer is a single sequential process per datacenter, and
 §7.1 names its limit outright: "the bottleneck of our Eunomia implementation
-is the propagation to other geo-locations".  The §5 propagation tree only
-relieves the fan-*in*; the ordering and serialization work itself still runs
-on one core.  This module scales that step out, in the spirit of
-decentralized stabilization schemes (Okapi's structured hybrid stable time;
-Xiang & Vaidya's global stabilization for partial replication):
+is the propagation to other geo-locations".  This module scales that step
+out, and with it the all-to-one uplink fan-*in* §5 worries about: each
+shard receives the frames and heartbeats of only its own partitions, so a
+stabilizer's inbound message rate falls by K — the job §5's propagation
+tree would do, and unlike the tree it composes with Algorithm 4 (below).
+It follows decentralized stabilization schemes (Okapi's structured hybrid
+stable time; Xiang & Vaidya's global stabilization for partial
+replication):
 
 * :class:`EunomiaShard` — one of K workers, each running Algorithm 3
   unchanged over a *subset* of the datacenter's partitions with its own

@@ -48,7 +48,7 @@ from ..datastruct.opblock import OpBlock, OpRunBuilder
 from ..kvstore.types import Update
 from ..sim.loop import SimulationError
 from ..sim.process import Process
-from .config import RETRY_BACKOFF_CAP, EunomiaConfig
+from .config import MAX_BATCH_OPS, RETRY_BACKOFF_CAP, EunomiaConfig
 from .messages import AddOpBatch, BatchAck, PartitionHeartbeat
 
 __all__ = ["EunomiaUplink"]
@@ -296,7 +296,7 @@ class EunomiaUplink:
         start = bisect.bisect_right(ts_col, start_from)
         if start >= len(ts_col):
             return
-        end = min(len(ts_col), start + self.config.max_batch_ops)
+        end = min(len(ts_col), start + MAX_BATCH_OPS)
         last_ts = ts_col[end - 1]
         # New ops in the window counted by bisection (ts ascending): the
         # suffix above this replica's high-water ``sent`` mark.

@@ -91,11 +91,10 @@ class EunomiaProtocol(ProtocolSpec):
             calibration=cal, metrics=site.metrics, placement=pmap,
         )
         receiver.set_partitions(site.ring, partitions)
-        relays = stack.wire_uplinks(resident)
+        stack.wire_uplinks(resident)
         return SitePlan(
             partitions=partitions, extras=stack.processes(),
-            receiver=receiver, propagators=stack.propagators(),
-            relays=relays, stack=stack,
+            receiver=receiver, propagators=stack.propagators(), stack=stack,
         )
 
 
@@ -148,7 +147,6 @@ class Datacenter:
         self.partitions = self.plan.partitions
         self.extras = self.plan.extras
         self.receiver = self.plan.receiver
-        self.relays = self.plan.relays
 
         # -- Eunomia introspection sugar (empty for other protocols) -------
         stack = self.plan.stack
@@ -202,8 +200,6 @@ class Datacenter:
             start = getattr(partition, "start", None)
             if start is not None:
                 start()
-        for relay in self.relays:
-            relay.start()
         for proc in self.extras:
             start = getattr(proc, "start", None)
             if start is not None:

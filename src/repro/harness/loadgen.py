@@ -28,7 +28,7 @@ from ..calibration import Calibration
 from ..clocks.hlc import HybridLogicalClock
 from ..clocks.physical import PhysicalClock
 from ..core.assembly import build_stabilizer_stack
-from ..core.config import EunomiaConfig
+from ..core.config import SEQ_RETRY_TIMEOUT, EunomiaConfig
 from ..core.messages import BatchAck
 from ..core.uplink import EunomiaUplink
 from ..kvstore.types import Update
@@ -138,27 +138,21 @@ class SequencerLoadClient(Process):
     """Closed-loop driver of a (possibly chain-replicated) sequencer.
 
     Fault-tolerant like the real partitions: an in-flight request that
-    outlives ``retry_timeout`` is re-sent — round-robin through ``group``
-    when one is supplied (the chain standbys) — with capped exponential
-    backoff, and a late original reply racing the retry's is deduplicated
-    by uid so one request never completes twice.
+    outlives ``SEQ_RETRY_TIMEOUT`` is re-sent to the head with capped
+    exponential backoff, and a late original reply racing the retry's is
+    deduplicated by uid so one request never completes twice.
     """
 
     def __init__(self, env: Environment, name: str, index: int,
                  head: Process,
-                 calibration: Optional[Calibration] = None,
-                 group: Optional[list] = None,
-                 retry_timeout: float = 0.05):
+                 calibration: Optional[Calibration] = None):
         super().__init__(env, name, site=0)
         cal = calibration or Calibration()
         self.index = index
         self.head = head
-        self.group: list[Process] = list(group) if group else [head]
-        self.retry_timeout = retry_timeout
         self.gen_cost = cal.cost("emulated_partition_gen")
         self._seq = 0
         self._outstanding = None        # uid of the in-flight request
-        self._target_idx = 0
         self.completed = 0
         self.retries = 0
         self.duplicate_replies = 0
@@ -174,19 +168,16 @@ class SequencerLoadClient(Process):
             commit_time=self.now,
         )
         self._outstanding = update.uid
-        self._target_idx = 0
-        self.send(self.group[0], SeqRequest(update))
-        self.after(self.retry_timeout, self._maybe_retry, update, 0)
+        self.send(self.head, SeqRequest(update))
+        self.after(SEQ_RETRY_TIMEOUT, self._maybe_retry, update, 0)
 
     def _maybe_retry(self, update, attempt: int) -> None:
         if self._outstanding != update.uid:
             return                      # answered meanwhile — timer is moot
         self.retries += 1
-        self._target_idx = (self._target_idx + 1) % len(self.group)
-        self.send(self.group[self._target_idx],
-                  SeqRequest(replace(update, value=None)))
-        delay = min(self.retry_timeout * (1 << (attempt + 1)),
-                    max(self.retry_timeout, 0.5))
+        self.send(self.head, SeqRequest(replace(update, value=None)))
+        delay = min(SEQ_RETRY_TIMEOUT * (1 << (attempt + 1)),
+                    max(SEQ_RETRY_TIMEOUT, 0.5))
         self.after(delay, self._maybe_retry, update, attempt + 1)
 
     def on_seq_reply(self, msg: SeqReply, src: Process) -> None:
@@ -276,10 +267,9 @@ def build_eunomia_rig(n_partitions: int,
         PartitionEmulator(env, f"part{i}", i, config, calibration=cal)
         for i in range(n_partitions)
     ]
-    service_processes: list[Process] = stack.processes()
-    service_processes.extend(stack.wire_uplinks(drivers))
+    stack.wire_uplinks(drivers)
 
-    return ServiceRig(env, metrics, drivers, service_processes, sink,
+    return ServiceRig(env, metrics, drivers, stack.processes(), sink,
                       throughput_mark="eunomia_stable:dc0",
                       groups=stack.crash_units())
 

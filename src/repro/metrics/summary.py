@@ -44,27 +44,22 @@ class EmptySeriesWarning(UserWarning):
     """
 
 
-#: Module-wide strictness: when True, :func:`percentile` raises on empty
-#: input instead of warning.  Figure scripts can flip this to fail fast.
-STRICT_EMPTY = False
-
-
 def mean(values: Sequence[float]) -> float:
     """Arithmetic mean, correctly rounded (``fsum / n``); 0.0 if empty."""
     return math.fsum(values) / len(values) if len(values) else 0.0
 
 
 def percentile(values: Sequence[float], pct: float,
-               strict: Optional[bool] = None) -> float:
+               strict: bool = False) -> float:
     """The ``pct``-th percentile (linear interpolation between the two
     nearest order statistics, ``pct`` in [0, 100]).
 
     Empty input emits :class:`EmptySeriesWarning` and returns 0.0, or
-    raises ``ValueError`` when ``strict`` is true (default: the module
-    flag ``STRICT_EMPTY``) — a silent 0.0 masks dead/misnamed series.
+    raises ``ValueError`` when ``strict`` is true — a silent 0.0 masks
+    dead/misnamed series.
     """
     if not len(values):
-        if strict if strict is not None else STRICT_EMPTY:
+        if strict:
             raise ValueError(f"percentile(p{pct:g}) over an empty series")
         warnings.warn(
             f"percentile(p{pct:g}) over an empty series; returning 0.0 "

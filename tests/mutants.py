@@ -23,6 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.core.service import StabilizerBase
 from repro.core.uplink import EunomiaUplink
 
 __all__ = ["MUTANTS", "Mutant"]
@@ -75,4 +76,12 @@ MUTANTS = {m.name: m for m in (
     Mutant("heartbeat_from_tick_at_frame_due", EunomiaUplink, "_tick",
            "host._loop._now > self._frame_due",
            "host._loop._now >= self._frame_due"),
+    # A retransmitted frame's already-ingested prefix is buffered again:
+    # exactly-once ingestion under at-least-once delivery (Alg. 4).
+    Mutant("dedup_skipped_on_retransmit", StabilizerBase, "on_add_op_batch",
+           "lo = block.first_above(pt)", "lo = 0"),
+    # A frame that follows a lost one is accepted: PartitionTime moves past
+    # ops the stabilizer never saw (the prefix property, Alg. 4).
+    Mutant("gap_frame_accepted", StabilizerBase, "on_add_op_batch",
+           "if msg.prev_ts > pt:", "if False:"),
 )}

@@ -1,6 +1,8 @@
 """Tests for the Eunomia service (Algorithm 3) and the partition uplink."""
 
 import pytest
+import test_replica_ft
+from mutants import MUTANTS
 
 from repro.core import EunomiaConfig, EunomiaService
 from repro.core.messages import AddOpBatch, PartitionHeartbeat
@@ -30,6 +32,10 @@ class Sink(Process):
 
 @pytest.fixture
 def service_env():
+    return _service_env()
+
+
+def _service_env():
     env = Environment(seed=5)
     Network(env, ConstantLatency(0.0001))
     config = EunomiaConfig(stabilization_interval=0.01)
@@ -99,6 +105,23 @@ def test_duplicate_ops_are_filtered(service_env):
     assert service.buffer.total_added == 4  # 2 + the two 99s
 
 
+def test_frame_after_a_lost_frame_is_refused(service_env):
+    """A frame whose ``prev_ts`` is above PartitionTime follows a lost one:
+    it is dropped whole, so PartitionTime never passes an op the service
+    did not see (the prefix property)."""
+    env, service, sink = service_env
+    feeder = Feeder(env)
+    feeder.send(service, AddOpBatch(0, (make_op(10, 0, 1),)))
+    # the frame holding seq 2 (ts 20) was lost
+    feeder.send(service, AddOpBatch(0, (make_op(30, 0, 3),), prev_ts=20))
+    feeder.send(service, AddOpBatch(1, (make_op(99, 1),)))
+    feeder.send(service, AddOpBatch(2, (make_op(99, 2),)))
+    env.run(until=0.1)
+    assert service.gap_frames_dropped == 1
+    assert service.partition_time[0] == 10
+    assert [op.ts for op in sink.ops] == [10]
+
+
 def test_heartbeat_never_regresses_partition_time(service_env):
     env, service, _ = service_env
     feeder = Feeder(env)
@@ -146,3 +169,27 @@ def test_multiple_destinations_each_get_the_stream():
     env.run(until=0.05)
     assert [op.ts for op in sinks[0].ops] == [5]
     assert [op.ts for op in sinks[1].ops] == [5]
+
+
+# ----------------------------------------------------------------------
+# The ingest guards have teeth: each seeded fault of ``on_add_op_batch``
+# fails the test named beside it — an assertion, or the run buffer's
+# FIFO guard (``ValueError``) when a duplicate reaches it.
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("mutant, must_fail", [
+    ("dedup_skipped_on_retransmit",
+     lambda: test_duplicate_ops_are_filtered(_service_env())),
+    ("gap_frame_accepted",
+     lambda: test_frame_after_a_lost_frame_is_refused(_service_env())),
+    ("gap_frame_accepted",
+     lambda: test_replica_ft.test_end_to_end_ft_pipeline_with_loss(
+         Environment(seed=1234))),
+], ids=["dedup_skipped_on_retransmit-test_duplicate_ops_are_filtered",
+        "gap_frame_accepted-test_frame_after_a_lost_frame_is_refused",
+        "gap_frame_accepted-test_end_to_end_ft_pipeline_with_loss"])
+def test_the_ingest_guards_kill_each_seeded_fault(mutant, must_fail):
+    must_fail()
+    with MUTANTS[mutant].applied():
+        with pytest.raises((AssertionError, ValueError)):
+            must_fail()

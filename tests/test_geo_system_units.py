@@ -45,7 +45,6 @@ class TestDatacenterAssembly:
         assert len(dc.partitions) == 2
         assert len(dc.heads) == 1
         assert dc.receiver.dc_id == 0
-        assert dc.relays == []
 
     def test_connect_wires_destinations_and_siblings(self, dc_pair):
         _, (a, b) = dc_pair

@@ -23,7 +23,6 @@ from repro.core import (
     EunomiaShard,
     ShardCoordinator,
     ShardMap,
-    TreeRelay,
     build_stabilizer_stack,
 )
 from repro.core.messages import AddOpBatch, PartitionHeartbeat, ShardStableBatch
@@ -132,11 +131,6 @@ class TestShardAssignment:
         """The Alg. 4 × K composition validates (PR 1's rejection lifted)."""
         EunomiaConfig(n_shards=4, fault_tolerant=True,
                       n_replicas=3).validate()
-
-    def test_sharding_with_ft_still_rejects_propagation_tree(self):
-        with pytest.raises(ValueError, match="propagation tree"):
-            EunomiaConfig(n_shards=2, fault_tolerant=True, n_replicas=2,
-                          use_propagation_tree=True).validate()
 
     def test_oversharded_deployment_rejected_at_build(self):
         with pytest.raises(ValueError, match="some shards would track no"):
@@ -516,86 +510,13 @@ class TestReplicatedSharding:
 
 
 # ----------------------------------------------------------------------
-# TreeRelay → shard routing
-# ----------------------------------------------------------------------
-class Upstream(Process):
-    def __init__(self, env, name):
-        super().__init__(env, name, site=0)
-        self.combined = []
-
-    def on_combined_batch(self, msg, src):
-        self.combined.append(msg)
-
-
-class TestRelayShardRouting:
-    @pytest.fixture
-    def routed_relay(self, env, net):
-        relay = TreeRelay(env, "relay", 0, flush_interval=0.002)
-        shard_a, shard_b = Upstream(env, "shardA"), Upstream(env, "shardB")
-        relay.set_upstream([shard_a, shard_b])
-        relay.set_routing({0: shard_a, 1: shard_a, 2: shard_b})
-        relay.start()
-        feeder = Process(env, "feeder")
-        return env, relay, shard_a, shard_b, feeder
-
-    def test_traffic_routed_to_owning_shard(self, routed_relay):
-        env, relay, shard_a, shard_b, feeder = routed_relay
-        feeder.send(relay, AddOpBatch(0, (make_op(1, 0),)))
-        feeder.send(relay, AddOpBatch(2, (make_op(2, 2),)))
-        feeder.send(relay, AddOpBatch(1, (make_op(3, 1),)))
-        feeder.send(relay, PartitionHeartbeat(2, 99))
-        env.run(until=0.01)
-        assert len(shard_a.combined) == 1 and len(shard_b.combined) == 1
-        a = shard_a.combined[0]
-        assert [b.partition_index for b in a.batches] == [0, 1]
-        assert a.heartbeats == ()
-        b = shard_b.combined[0]
-        assert [bt.partition_index for bt in b.batches] == [2]
-        assert [hb.partition_index for hb in b.heartbeats] == [2]
-
-    def test_per_partition_order_preserved_within_shard_window(
-            self, routed_relay):
-        env, relay, shard_a, _, feeder = routed_relay
-        feeder.send(relay, AddOpBatch(0, (make_op(1, 0),)))
-        feeder.send(relay, AddOpBatch(0, (make_op(2, 0),)))
-        feeder.send(relay, AddOpBatch(1, (make_op(5, 1),)))
-        env.run(until=0.01)
-        batches = shard_a.combined[0].batches
-        assert [b.ops[0].ts for b in batches] == [1, 2, 5]
-
-    def test_shard_without_traffic_gets_no_window(self, routed_relay):
-        env, relay, shard_a, shard_b, feeder = routed_relay
-        feeder.send(relay, AddOpBatch(0, (make_op(1, 0),)))
-        env.run(until=0.01)
-        assert len(shard_a.combined) == 1
-        assert shard_b.combined == []
-
-    def test_unrouted_partition_fails_loudly(self, routed_relay):
-        env, relay, _, _, feeder = routed_relay
-        feeder.send(relay, AddOpBatch(7, (make_op(1, 7),)))
-        with pytest.raises(KeyError):
-            env.run(until=0.01)
-
-    def test_broadcast_preserved_without_routing(self, env, net):
-        relay = TreeRelay(env, "relay", 0, flush_interval=0.002)
-        up = [Upstream(env, "u0"), Upstream(env, "u1")]
-        relay.set_upstream(up)
-        relay.start()
-        feeder = Process(env, "feeder")
-        feeder.send(relay, AddOpBatch(0, (make_op(1, 0),)))
-        env.run(until=0.01)
-        assert len(up[0].combined) == len(up[1].combined) == 1
-
-
-# ----------------------------------------------------------------------
 # End-to-end: rigs and geo deployments
 # ----------------------------------------------------------------------
 class TestShardedEndToEnd:
     @staticmethod
-    def _drained_rig_sequence(n_shards, use_tree=False):
-        config = EunomiaConfig(n_shards=n_shards,
-                               use_propagation_tree=use_tree, tree_fanout=4)
-        rig = build_eunomia_rig(8, config=config, seed=21)
+    def _drained_rig_sequence(n_shards):
+        rig = build_eunomia_rig(8, config=EunomiaConfig(n_shards=n_shards),
+                                seed=21)
         rig.sink.record = True
         rig.run(0.4)
         for driver in rig.drivers:
@@ -610,11 +531,6 @@ class TestShardedEndToEnd:
         for k in (2, 4):
             assert self._drained_rig_sequence(k) == reference, \
                 f"K={k} diverged from K=1"
-
-    def test_rig_sequence_identical_with_relay_routing(self):
-        """Determinism also holds with the §5 tree routing to shards."""
-        reference = self._drained_rig_sequence(1)
-        assert self._drained_rig_sequence(4, use_tree=True) == reference
 
     def test_sharded_geo_system_converges_and_is_causal(self):
         config = EunomiaConfig(n_shards=2)
@@ -635,19 +551,6 @@ class TestShardedEndToEnd:
         assert isinstance(coordinator, ShardCoordinator)
         assert coordinator.ops_stabilized > 0
         assert dc.leader() is coordinator
-
-    def test_sharded_geo_with_propagation_tree_converges(self):
-        config = EunomiaConfig(n_shards=2, use_propagation_tree=True,
-                               tree_fanout=2)
-        system = build_geo_system(
-            "eunomia",
-            GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=3,
-                          seed=6),
-            WorkloadSpec(read_ratio=0.8, n_keys=60), config=config)
-        system.run(3.0)
-        system.quiesce(3.0)
-        assert system.converged()
-        assert len(system.datacenters[0].relays) == 2
 
     def test_ft_sharded_geo_system_converges_and_is_causal(self):
         """Acceptance shape: n_shards=4 × n_replicas=3 runs end-to-end."""

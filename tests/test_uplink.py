@@ -11,6 +11,7 @@ from repro.clocks import HybridLogicalClock, PhysicalClock
 from repro.core import EunomiaConfig
 from repro.core.messages import AddOpBatch, BatchAck, PartitionHeartbeat
 from repro.core.service import StabilizerBase
+from repro.core import uplink as uplink_module
 from repro.core.uplink import EunomiaUplink
 from repro.kvstore.types import Update
 from repro.sim import ConstantLatency, Environment, Network, Process
@@ -119,10 +120,10 @@ def test_lost_batches_recovered_by_retransmission(env):
     assert host.uplink.pending_count() == 0   # and acked
 
 
-def test_batch_respects_max_batch_ops(env):
+def test_batch_respects_max_batch_ops(env, monkeypatch):
+    monkeypatch.setattr(uplink_module, "MAX_BATCH_OPS", 3)
     Network(env, ConstantLatency(0.0001))
-    config = EunomiaConfig(fault_tolerant=True, n_replicas=1,
-                           max_batch_ops=3)
+    config = EunomiaConfig(fault_tolerant=True, n_replicas=1)
     host = Host(env, config)
     replica = FakeReplica(env, "r0", ack=False)
     host.uplink.set_replicas([replica])
@@ -471,7 +472,8 @@ def test_restart_forgets_the_frame_the_crash_dropped(env):
     assert host.queued_beats == {}
 
 
-@pytest.mark.parametrize("mutant", [None, *MUTANTS])
+@pytest.mark.parametrize("mutant", [None, "heartbeat_always_from_tick",
+                                    "heartbeat_from_tick_at_frame_due"])
 def test_the_overtake_property_kills_each_seeded_fault(mutant):
     """The property above has teeth against the flattened tick: it fails
     with the from-tick decision forced true or with its ``>`` against the
