@@ -1,4 +1,4 @@
-"""Ablations of DESIGN.md's called-out design choices (§5, §6) plus the
+"""Ablations of the paper's called-out design choices (§5, §6) plus the
 sharded-stabilizer axis this repo adds on top of the paper.
 
 Knobs the paper motivates but does not sweep in a numbered figure:
@@ -17,7 +17,8 @@ Knobs the paper motivates but does not sweep in a numbered figure:
   answers §5's all-to-one uplink fan-in: each worker receives the frames
   and heartbeats of 1/K of the partitions;
 * **unstable-op buffer** — beyond the paper: the run-aware buffer every
-  stabilizer holds (O(1) monotone ingestion + k-way-merge FIND_STABLE)
+  stabilizer holds (O(1) monotone ingestion + a FIND_STABLE drain that
+  sorts every run's stable prefix with one ``list.sort``)
   against the §6 tree buffer it replaced, swept over buffer × batch size ×
   partition count.
 """
@@ -143,9 +144,10 @@ def bench_opbuffer_sweep(benchmark):
         rows))
     # The acceptance bar — >=3x at batch >= 8 — is asserted at the
     # configuration of bench_opbuffer_ingestion (16 partitions);
-    # other partition counts get a looser floor: the k-way-merge fan-in
-    # grows with partition count, and their margins (~3.1x at 64 parts)
-    # are too thin to hard-fail on noise.
+    # other partition counts get a looser floor: the drain sorts one
+    # stable prefix per partition, so its work grows with partition count,
+    # and their margins (~3.1x at 64 parts) are too thin to hard-fail on
+    # noise.
     for n_parts, batch, _, _, speedup in rows:
         if batch < 8:
             continue

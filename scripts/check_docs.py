@@ -36,10 +36,15 @@ Checks, with zero dependencies beyond the stdlib:
    :data:`PROSE_NAMES` — so deleting or renaming a documented class
    fails CI until the prose follows;
 8. every ``*.md`` file named in README.md, docs/*.md or a docstring under
-   ``src/`` exists in the repo, so does every ``benchmarks/*.json`` named
-   there (a glob such as ``benchmarks/BENCH_pr*.json`` must match a file),
-   and every section quoted beside ARCHITECTURE.md
-   (``(docs/ARCHITECTURE.md, "Lanes")``) is one of its headings.
+   ``src/``, ``tests/`` or ``benchmarks/`` exists in the repo, so does
+   every ``benchmarks/*.json`` named there (a glob such as
+   ``benchmarks/BENCH_pr*.json`` must match a file), and every section
+   quoted beside ARCHITECTURE.md (``(docs/ARCHITECTURE.md, "Lanes")``) is
+   one of its headings;
+9. no roadmap item number is cited in README.md, docs/*.md or any file
+   under ``src/``, ``tests/`` or ``benchmarks/``: the roadmap is
+   renumbered when it is re-anchored, so a citation goes stale silently.
+   Name the test, the xfail or the section instead.
 
 Exit code 0 when clean; prints every violation and exits 1 otherwise.
 """
@@ -330,10 +335,17 @@ SECTION_AFTER_RE = re.compile(r'ARCHITECTURE\.md`*\)?,?\s*\(?"([^"]+)"')
 SECTION_BEFORE_RE = re.compile(r'"([^"]+)"\s+in\s+`*(?:docs/)?ARCHITECTURE\.md')
 
 
-def src_docstrings() -> list[tuple[Path, str]]:
-    """``(module, docstring)`` for every docstring under ``src/``."""
+#: directories whose docstrings may name files (check 8)
+DOCSTRING_ROOTS = ("src", "tests", "benchmarks")
+
+
+def docstrings() -> list[tuple[Path, str]]:
+    """``(module, docstring)`` for every docstring under
+    :data:`DOCSTRING_ROOTS`."""
     found = []
-    for module in sorted((REPO / "src").rglob("*.py")):
+    modules = [module for root in DOCSTRING_ROOTS
+               for module in sorted((REPO / root).rglob("*.py"))]
+    for module in modules:
         for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
                                  ast.AsyncFunctionDef)):
@@ -345,9 +357,9 @@ def src_docstrings() -> list[tuple[Path, str]]:
 
 def check_md_references() -> list[str]:
     """Every ``*.md`` and ``benchmarks/*.json`` named in the docs or a
-    ``src/`` docstring exists, and every section quoted beside
-    ARCHITECTURE.md is one of its headings.  ROADMAP.md and CHANGES.md are
-    history and are not read."""
+    docstring under ``src/``, ``tests/`` or ``benchmarks/`` exists, and
+    every section quoted beside ARCHITECTURE.md is one of its headings.
+    ROADMAP.md and CHANGES.md are history and are not read."""
     basenames = {path.name for path in REPO.rglob("*.md")
                  if ".git" not in path.parts}
     headings = HEADING_RE.findall(
@@ -356,7 +368,7 @@ def check_md_references() -> list[str]:
         re.sub(r"\s*\(.*\)$", "", h.strip()) for h in headings}
     sources = [(doc, doc.read_text(encoding="utf-8")) for doc in DOC_FILES]
     errors = []
-    for path, text in sources + src_docstrings():
+    for path, text in sources + docstrings():
         rel = path.relative_to(REPO)
         text = re.sub(r"\s+", " ", text)
         for name in MD_NAME_RE.findall(text):
@@ -380,12 +392,32 @@ def check_md_references() -> list[str]:
     return errors
 
 
+#: a citation of a numbered roadmap item (check 9)
+ROADMAP_ITEM = "ROADMAP" + " item"
+
+
+def check_roadmap_citations() -> list[str]:
+    """No file of the docs, ``src/``, ``tests/`` or ``benchmarks/`` cites
+    a roadmap item by number."""
+    files = [*DOC_FILES]
+    for root in DOCSTRING_ROOTS:
+        files += sorted(path for path in (REPO / root).rglob("*")
+                        if path.suffix in (".py", ".md", ".txt"))
+    return [f"{path.relative_to(REPO)}:{number}: cites a roadmap item by "
+            "number; name the test, xfail or section instead"
+            for path in files if path.is_file()
+            for number, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), 1)
+            if ROADMAP_ITEM in line]
+
+
 def main() -> int:
     errors = (check_links() + check_example_headers()
               + check_protocol_modules() + check_protocols_documented()
               + check_knobs_documented() + check_plugin_options_documented()
               + check_src_imports()
-              + check_documented_names() + check_md_references())
+              + check_documented_names() + check_md_references()
+              + check_roadmap_citations())
     for error in errors:
         print(f"check_docs: {error}", file=sys.stderr)
     if errors:
@@ -401,7 +433,7 @@ def main() -> int:
           "src/ imports stdlib + declared only; "
           "code-span CamelCase names all defined; "
           "*.md / benchmarks/*.json references and ARCHITECTURE sections "
-          "resolve")
+          "resolve; no roadmap item cited by number")
     return 0
 
 

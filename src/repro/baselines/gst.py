@@ -280,7 +280,7 @@ class GstPartition(StoragePartition):
 
     def _arm_aggregate(self) -> None:
         if self._aggregate_task is not None:
-            self._aggregate_task.stop()
+            self._aggregate_task.cancel()
         self._aggregate_task = self.periodic(self.timings.gst_interval,
                                              self._aggregate,
                                              phase=self.timings.gst_interval)
@@ -394,7 +394,7 @@ class GstPartition(StoragePartition):
             self._tenure_start = self.now
             self._arm_aggregate()
         elif self._aggregate_task is not None:
-            self._aggregate_task.stop()
+            self._aggregate_task.cancel()
             self._aggregate_task = None
 
     def on_gst_report(self, msg: GstReport, src: Process) -> None:
@@ -446,7 +446,7 @@ class GstPartition(StoragePartition):
                 self.aggregator_view = msg.sender
                 self.aggregator = self.local_partitions[msg.sender]
                 if self._aggregate_task is not None and not self.is_aggregator:
-                    self._aggregate_task.stop()
+                    self._aggregate_task.cancel()
                     self._aggregate_task = None
         merged = vc_merge(self.summary, msg.value)
         if merged != self.summary:

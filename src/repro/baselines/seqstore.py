@@ -96,7 +96,7 @@ class SeqPartition(ReceiverFedPartition):
         # runs never fire it: replies return well under the timeout, and the
         # sweep itself is a zero-cost local event (no messages, no RNG).
         if self._sweep_task is not None:
-            self._sweep_task.stop()
+            self._sweep_task.cancel()
         self._sweep_task = self.periodic(SEQ_RETRY_TIMEOUT,
                                          self._sweep_retries)
 

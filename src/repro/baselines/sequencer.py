@@ -28,7 +28,7 @@ from ..calibration import Calibration
 from ..core.messages import RemoteStableBatch
 from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
-from ..sim.process import CostModel, Process
+from ..sim.process import Process
 from .messages import ChainAlive, ChainForward, SeqRequest, SeqReply
 
 __all__ = ["CHAIN_ALIVE_INTERVAL", "CHAIN_SUSPECT_TIMEOUT",
@@ -82,11 +82,10 @@ class ChainSequencerNode(Process):
             per_request = cal.cost("chain_tail")
         else:
             per_request = cal.cost("chain_mid")
-        cost_model = CostModel(costs={
+        super().__init__(env, name, site=site, costs={
             "SeqRequest": per_request,
             "ChainForward": per_request,
         })
-        super().__init__(env, name, site=site, cost_model=cost_model)
         self.metrics = metrics or NullMetrics()
         self.position = position
         self.chain_length = chain_length

@@ -39,7 +39,7 @@ from ..kvstore.storage import VersionedStore
 from ..kvstore.types import Update, Versioned
 from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
-from ..sim.process import CostModel, Process
+from ..sim.process import Process
 from .config import EunomiaConfig
 from .messages import (
     ApplyRemote,
@@ -74,8 +74,7 @@ class StoragePartition(Process):
     def __init__(self, env: Environment, name: str, dc_id: int, index: int,
                  n_dcs: int, clock: PhysicalClock, costs: dict,
                  metrics: Optional[MetricsHub] = None):
-        super().__init__(env, name, site=dc_id,
-                         cost_model=CostModel(costs=costs))
+        super().__init__(env, name, site=dc_id, costs=costs)
         self.dc_id = dc_id
         self.index = index
         self.n_dcs = n_dcs

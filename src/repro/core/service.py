@@ -43,8 +43,8 @@ prunes at gossiped floors (:meth:`StabilizerBase.on_stable_announce`), and
 the process heading each replica — the service itself, or the shards'
 coordinator — plays the :class:`repro.core.replica.ReplicaRole`.
 
-CPU accounting: batch ingestion is charged through the cost model installed
-by the builder; stabilization charges a fixed round cost plus a per-op,
+CPU accounting: batch ingestion is charged through the process's cost
+table; stabilization charges a fixed round cost plus a per-op,
 per-destination propagation cost — the component the paper identifies as
 Eunomia's actual bottleneck ("the bottleneck of our Eunomia implementation
 is the propagation to other geo-locations").
@@ -57,7 +57,7 @@ from typing import Optional
 from ..datastruct.runbuffer import RunBuffer
 from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
-from ..sim.process import CostModel, Process
+from ..sim.process import Process
 from .config import RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP, EunomiaConfig
 from .messages import (
     AddOpBatch,
@@ -93,21 +93,18 @@ class StabilizerBase(Process):
                  batch_cost: float = 0.0,
                  heartbeat_cost: float = 0.0,
                  ack_cost: float = 0.0,
-                 metrics: Optional[MetricsHub] = None,
-                 cost_model: Optional[CostModel] = None):
+                 metrics: Optional[MetricsHub] = None):
         self.insert_op_cost = insert_op_cost
         self.batch_cost = batch_cost
         self.ack_cost = ack_cost
-        if cost_model is None:
-            # The batch cost must be state-aware: duplicate prefixes from
-            # at-least-once retransmissions are skipped with one comparison
-            # each in a real implementation, not re-inserted — charging
-            # full insert cost for them would invent an overload collapse.
-            cost_model = CostModel(costs={
-                "AddOpBatch": self._batch_cost_of,
-                "PartitionHeartbeat": heartbeat_cost,
-            })
-        super().__init__(env, name, site=site, cost_model=cost_model)
+        # The batch cost must be state-aware: duplicate prefixes from
+        # at-least-once retransmissions are skipped with one comparison
+        # each in a real implementation, not re-inserted — charging full
+        # insert cost for them would invent an overload collapse.
+        super().__init__(env, name, site=site, costs={
+            "AddOpBatch": self._batch_cost_of,
+            "PartitionHeartbeat": heartbeat_cost,
+        })
         self.n_partitions = n_partitions
         self.config = config
         self.metrics = metrics or NullMetrics()
@@ -134,21 +131,18 @@ class StabilizerBase(Process):
         self.recovery = None
         self._wal_op_cost = 0.0
         self._checkpoint_cost = 0.0
-        self._stab_task = None
-        self._checkpoint_task = None
 
     def start(self) -> None:
         """Arm the periodic PROCESS_STABLE tick (Alg. 3 line 7).
 
-        Both timers are uniform :meth:`repro.sim.process.Process.periodic`
-        chains now; a crash retires them via the epoch guard and recovery
-        re-arms by calling ``start()`` again.
+        Both timers are :meth:`repro.sim.process.Process.periodic` chains;
+        a crash retires them via the epoch guard and recovery re-arms by
+        calling ``start()`` again.
         """
-        self._stab_task = self.periodic(self.config.stabilization_interval,
-                                        self._stabilize)
+        self.periodic(self.config.stabilization_interval, self._stabilize)
         if self.wal is not None:
-            self._checkpoint_task = self.periodic(
-                self.config.checkpoint_interval, self._checkpoint_tick)
+            self.periodic(self.config.checkpoint_interval,
+                          self._checkpoint_tick)
 
     # ------------------------------------------------------------------
     # Durability (WAL + checkpoints, EunomiaConfig.durability="wal")
@@ -417,14 +411,13 @@ class EunomiaService(ReplicaRole, StabilizerBase):
                  heartbeat_cost: float = 0.0,
                  ack_cost: float = 0.0,
                  metrics: Optional[MetricsHub] = None,
-                 cost_model: Optional[CostModel] = None,
                  stable_mark: Optional[str] = None):
         super().__init__(env, name, site, n_partitions, config,
                          insert_op_cost=insert_op_cost,
                          batch_cost=batch_cost,
                          heartbeat_cost=heartbeat_cost,
                          ack_cost=ack_cost,
-                         metrics=metrics, cost_model=cost_model)
+                         metrics=metrics)
         self._init_role(replica_id, stable_mark)
         self.propagate_op_cost = propagate_op_cost
         self.stab_round_cost = stab_round_cost

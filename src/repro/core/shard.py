@@ -88,7 +88,7 @@ from typing import Optional
 
 from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
-from ..sim.process import CostModel, Process
+from ..sim.process import Process
 from .config import EunomiaConfig
 from .messages import ShardStableBatch, ShardStableVector, StableAnnounce
 from .replica import ReplicaRole
@@ -162,14 +162,13 @@ class EunomiaShard(StabilizerBase):
                  batch_cost: float = 0.0,
                  heartbeat_cost: float = 0.0,
                  ack_cost: float = 0.0,
-                 metrics: Optional[MetricsHub] = None,
-                 cost_model: Optional[CostModel] = None):
+                 metrics: Optional[MetricsHub] = None):
         super().__init__(env, name, site, n_partitions, config,
                          insert_op_cost=insert_op_cost,
                          batch_cost=batch_cost,
                          heartbeat_cost=heartbeat_cost,
                          ack_cost=ack_cost,
-                         metrics=metrics, cost_model=cost_model)
+                         metrics=metrics)
         if not owned:
             raise ValueError(f"shard {shard_id} owns no partitions")
         self.shard_id = shard_id
@@ -251,8 +250,8 @@ class ShardCoordinator(ReplicaRole, Process):
                  batch_cost: float = 0.0,
                  metrics: Optional[MetricsHub] = None,
                  stable_mark: Optional[str] = None):
-        cost_model = CostModel(costs={"ShardStableBatch": batch_cost})
-        super().__init__(env, name, site=site, cost_model=cost_model)
+        super().__init__(env, name, site=site,
+                         costs={"ShardStableBatch": batch_cost})
         self.n_shards = n_shards
         self.config = config
         self.forward_op_cost = forward_op_cost

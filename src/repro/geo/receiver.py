@@ -51,7 +51,7 @@ from ..kvstore.ring import ConsistentHashRing
 from ..kvstore.types import Update
 from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
-from ..sim.process import CostModel, Process
+from ..sim.process import Process
 from ..core.messages import ApplyRemote, ApplyRemoteOk, RemoteStableBatch
 
 __all__ = ["Receiver"]
@@ -66,12 +66,11 @@ class Receiver(Process):
                  metrics: Optional[MetricsHub] = None,
                  placement=None):
         cal = calibration or Calibration()
-        cost_model = CostModel(costs={
+        super().__init__(env, name, site=dc_id, costs={
             "RemoteStableBatch":
                 lambda msg: cal.cost("receiver_enqueue_op") * len(msg.ops),
             "ApplyRemoteOk": cal.overhead("receiver_flush"),
         })
-        super().__init__(env, name, site=dc_id, cost_model=cost_model)
         self.dc_id = dc_id
         self.n_dcs = n_dcs
         self.check_interval = check_interval

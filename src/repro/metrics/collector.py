@@ -52,23 +52,14 @@ class MetricsHub:
         """Register that event ``name`` occurred at ``time``."""
         self.marks[name].append(time)
 
-    def mark_many(self, name: str, time: float, n_or_times) -> None:
-        """Bulk-register occurrences of event ``name``.
-
-        ``n_or_times`` is either a count — ``n`` events all at ``time``,
+    def mark_many(self, name: str, time: float, n: int) -> None:
+        """Register ``n`` occurrences of event ``name``, all at ``time`` —
         the shape of a stabilization round marking a whole stable run at
-        once — or an iterable of explicit event times (``time`` is then
-        ignored).  One C-level ``extend`` replaces n ``mark()`` calls on
-        the propagation hot path.
-        """
-        if isinstance(n_or_times, int):
-            if n_or_times <= 0:
-                return
-            self.marks[name].extend(repeat(time, n_or_times))
-        else:
-            times = list(n_or_times)
-            if times:   # like the count branch: no phantom empty series
-                self.marks[name].extend(times)
+        once.  One C-level ``extend`` replaces n ``mark()`` calls on the
+        propagation hot path; ``n <= 0`` records nothing (no phantom empty
+        series)."""
+        if n > 0:
+            self.marks[name].extend(repeat(time, n))
 
     def point(self, name: str, time: float, value: float) -> None:
         """Append a (time, value) pair to the series ``name``."""
@@ -94,7 +85,7 @@ class NullMetrics(MetricsHub):
     def mark(self, name: str, time: float) -> None:  # noqa: D102
         pass
 
-    def mark_many(self, name: str, time: float, n_or_times) -> None:  # noqa: D102
+    def mark_many(self, name: str, time: float, n: int) -> None:  # noqa: D102
         pass
 
     def point(self, name: str, time: float, value: float) -> None:  # noqa: D102

@@ -49,18 +49,14 @@ def mean(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values) if len(values) else 0.0
 
 
-def percentile(values: Sequence[float], pct: float,
-               strict: bool = False) -> float:
+def percentile(values: Sequence[float], pct: float) -> float:
     """The ``pct``-th percentile (linear interpolation between the two
     nearest order statistics, ``pct`` in [0, 100]).
 
-    Empty input emits :class:`EmptySeriesWarning` and returns 0.0, or
-    raises ``ValueError`` when ``strict`` is true — a silent 0.0 masks
-    dead/misnamed series.
+    Empty input emits :class:`EmptySeriesWarning` and returns 0.0 — a
+    silent 0.0 would mask dead/misnamed series.
     """
     if not len(values):
-        if strict:
-            raise ValueError(f"percentile(p{pct:g}) over an empty series")
         warnings.warn(
             f"percentile(p{pct:g}) over an empty series; returning 0.0 "
             "(dead or misnamed metric name?)",

@@ -25,22 +25,19 @@ from .latency import (
     RttMatrix,
     paper_topology,
 )
-from .loop import Event, EventLoop, PeriodicHandle, SimulationError
+from .loop import EventLoop, PeriodicHandle, SimulationError
 from .network import Network
-from .process import CostModel, PeriodicTask, Process
+from .process import Process
 from .rng import RngRegistry
 
 __all__ = [
     "DiskModel",
     "Environment",
-    "Event",
     "EventLoop",
     "PeriodicHandle",
     "SimulationError",
     "Network",
     "Process",
-    "CostModel",
-    "PeriodicTask",
     "RngRegistry",
     "LatencyModel",
     "ConstantLatency",

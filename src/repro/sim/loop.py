@@ -10,10 +10,10 @@ checker rely on.
 
 There is one scheduler: a binary heap holding one plain tuple
 ``(time, seq, fn, args)`` per scheduled callback and nothing else;
-:meth:`EventLoop.schedule_at` is the only way in.  Handles
-(:class:`Event`, :class:`PeriodicHandle`) exist only for callers that may
-cancel, and cancellation is a sequence number filed in a set — see
-"Simulator hot path" in ``docs/ARCHITECTURE.md``.
+:meth:`EventLoop.schedule_at` is the only way in.  Only periodic tasks can
+be cancelled (:class:`PeriodicHandle`), and cancellation is a sequence
+number filed in a set — see "Simulator hot path" in
+``docs/ARCHITECTURE.md``.
 
 Time is a ``float`` measured in **seconds** since the start of the run.
 Protocol-level timestamps, by contrast, are integers in microseconds (see
@@ -24,9 +24,9 @@ that clock drift can be simulated.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
-__all__ = ["Event", "EventLoop", "PeriodicHandle", "SimulationError"]
+__all__ = ["EventLoop", "PeriodicHandle", "SimulationError"]
 
 _INF = float("inf")
 
@@ -35,65 +35,15 @@ class SimulationError(RuntimeError):
     """Raised for invalid uses of the event loop (e.g. scheduling in the past)."""
 
 
-class _Handle:
-    """Cancellation shared by :class:`Event` and :class:`PeriodicHandle`.
+class PeriodicHandle:
+    """Cancellable handle for a callback repeating every ``interval`` seconds.
 
-    ``_seq`` is the sequence number of the handle's queued entry (None once
-    it fired or was cancelled).  Cancelling files it in the loop's
+    Returned by :meth:`EventLoop.schedule_periodic`.  ``_seq`` is the
+    sequence number of the task's queued entry (None while its callback
+    runs, and once cancelled).  Cancelling files it in the loop's
     cancelled-seq set; the entry stays queued and is discarded when it
-    surfaces (lazy deletion), so cancellation is O(1) and only callers that
-    cancel pay for it.  Subclasses fill the slots themselves: a
-    ``super().__init__`` hop would cost more than the rest of ``schedule()``.
-    """
-
-    __slots__ = ("fn", "cancelled", "_loop", "_seq")
-
-    def cancel(self) -> None:
-        """Prevent (further) firing.  Idempotent; a no-op after a one-shot
-        fired (e.g. a timeout cancelled on completion); safe from inside
-        the callback."""
-        if not self.cancelled:
-            self.cancelled = True
-            if self._seq is not None:
-                self._loop._watched.pop(self._seq, None)
-                self._loop._cancelled.add(self._seq)
-                self._seq = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self.cancelled else "active"
-        name = getattr(self.fn, "__qualname__", repr(self.fn))
-        return f"<{type(self).__name__} {name} {state}>"
-
-
-class Event(_Handle):
-    """Cancellable handle for one callback, made by :meth:`EventLoop.schedule`.
-
-    The queue itself holds plain tuples; this object exists only for callers
-    that may want to cancel.  The loop keeps it in a seq-keyed table until
-    its entry fires, which is how a late ``cancel()`` knows to do nothing.
-    """
-
-    __slots__ = ("time",)
-
-    def __init__(self, loop: "EventLoop", time: float, fn: Callable[..., Any],
-                 seq: int):
-        self.fn = fn
-        self.cancelled = False
-        self._loop = loop
-        self._seq: Optional[int] = seq
-        self.time = time
-
-
-class PeriodicHandle(_Handle):
-    """Cancellable handle for a repeating callback.
-
-    Returned by :meth:`EventLoop.schedule_periodic`.  The interval may be a
-    number of seconds or a zero-argument callable returning one — re-read
-    before every re-arm, so callers can change the period at runtime (the
-    Figure 7 straggler injector mutates a host's batch interval this way).
-    A period that is not positive raises :class:`SimulationError` naming the
-    task, at arm and at every re-arm: re-arming at ``now`` would spin
-    ``run(until=...)`` forever.
+    surfaces (lazy deletion), so cancellation is O(1) and only periodic
+    tasks pay for it.
 
     The callback is re-armed *after* it returns, never before: any events
     the callback schedules are sequenced ahead of the next firing, exactly
@@ -101,31 +51,24 @@ class PeriodicHandle(_Handle):
     API replaces — which is what keeps golden histories bit-identical.
     """
 
-    __slots__ = ("interval", "name")
+    __slots__ = ("fn", "interval", "cancelled", "_loop", "_seq")
 
-    def __init__(self, loop: "EventLoop",
-                 interval: Union[float, Callable[[], float]],
-                 fn: Callable[[], Any], name: Optional[str] = None):
+    def __init__(self, loop: "EventLoop", interval: float,
+                 fn: Callable[[], Any]):
         self.fn = fn
+        self.interval = interval
         self.cancelled = False
         self._loop = loop
         self._seq: Optional[int] = None
-        self.interval = interval
-        self.name = name      # error label; defaults to ``fn``'s name
 
-    @property
-    def active(self) -> bool:
-        return not self.cancelled
-
-    def _period(self) -> float:
-        step = self.interval
-        if callable(step):
-            step = step()
-        if not step > 0:
-            name = self.name or getattr(self.fn, "__qualname__", repr(self.fn))
-            raise SimulationError(
-                f"periodic task {name} has non-positive period {step!r}")
-        return step
+    def cancel(self) -> None:
+        """Stop further firings.  Idempotent; safe from inside the callback
+        and from any other callback."""
+        if not self.cancelled:
+            self.cancelled = True
+            if self._seq is not None:
+                self._loop._cancelled.add(self._seq)
+                self._seq = None
 
     def _fire(self) -> None:
         self._seq = None
@@ -134,8 +77,13 @@ class PeriodicHandle(_Handle):
         finally:
             if not self.cancelled:
                 loop = self._loop
-                self._seq = loop.schedule_at(loop._now + self._period(),
+                self._seq = loop.schedule_at(loop._now + self.interval,
                                              self._fire)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "cancelled" if self.cancelled else "active"
+        name = getattr(self.fn, "__qualname__", repr(self.fn))
+        return f"<PeriodicHandle {name} every {self.interval} {state}>"
 
 
 class EventLoop:
@@ -164,7 +112,6 @@ class EventLoop:
         self._running = False
         self._cancelled: set[int] = set()   # seqs cancelled while still queued
         self._dead = 0         # cancelled entries already discarded
-        self._watched: dict[int, Event] = {}    # queued seq -> one-shot handle
 
     # ------------------------------------------------------------------
     # Introspection
@@ -191,15 +138,13 @@ class EventLoop:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` ``delay`` seconds from now; returns a
-        cancellable :class:`Event`."""
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> int:
+        """Schedule ``fn(*args)`` ``delay`` seconds from now; the relative
+        spelling of :meth:`schedule_at`, returning the entry's sequence
+        number."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay!r} seconds in the past")
-        time = self._now + delay
-        seq = self.schedule_at(time, fn, *args)
-        event = self._watched[seq] = Event(self, time, fn, seq)
-        return event
+        return self.schedule_at(self._now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> int:
         """Schedule ``fn(*args)`` at absolute simulation time ``time``.
@@ -217,62 +162,53 @@ class EventLoop:
         heappush(self._heap, (time, seq, fn, args))
         return seq
 
-    def schedule_periodic(self, interval: Union[float, Callable[[], float]],
-                          fn: Callable[[], Any],
+    def schedule_periodic(self, interval: float, fn: Callable[[], Any],
                           phase: Optional[float] = None,
                           name: Optional[str] = None) -> PeriodicHandle:
         """Run ``fn()`` every ``interval`` seconds; returns a cancellable
         :class:`PeriodicHandle`.
 
-        ``interval`` may be a callable, re-evaluated at every re-arm.
-        ``phase`` delays the first firing (defaults to one full interval);
-        ``name`` labels the task in errors (defaults to ``fn``'s name).
-        The handle re-arms *after* ``fn`` returns (even if it raises), and
-        stops as soon as :meth:`PeriodicHandle.cancel` is called — including
-        from inside ``fn`` itself.
+        ``phase`` delays the first firing (defaults to one full interval).
+        An ``interval`` that is not positive raises :class:`SimulationError`
+        naming the task (``name``, defaulting to ``fn``'s): re-arming at
+        ``now`` would spin ``run(until=...)`` forever.  The handle re-arms
+        *after* ``fn`` returns (even if it raises), and stops as soon as
+        :meth:`PeriodicHandle.cancel` is called — including from inside
+        ``fn`` itself.
         """
-        handle = PeriodicHandle(self, interval, fn, name)
-        first = handle._period()
-        if phase is not None:
-            first = phase
+        if not interval > 0:
+            name = name or getattr(fn, "__qualname__", repr(fn))
+            raise SimulationError(
+                f"periodic task {name} has non-positive period {interval!r}")
+        handle = PeriodicHandle(self, interval, fn)
+        first = interval if phase is None else phase
         handle._seq = self.schedule_at(self._now + first, handle._fire)
         return handle
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Fire the next pending event.  Returns False if none remain."""
-        before = self.processed_events
-        self.run(max_events=1)
-        return self.processed_events > before
+    def run(self, until: Optional[float] = None) -> None:
+        """Run until the heap drains or ``until`` is reached.
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run until the heap drains, ``until`` is reached, or ``max_events`` fire.
-
-        When ``until`` is given and nothing at or before it is left queued,
-        the loop's clock is advanced to exactly ``until`` even if the last
-        event fired earlier, so back-to-back ``run(until=...)`` calls behave
-        like contiguous wall-clock windows.  When ``max_events`` ran out
-        first, the clock stays at the last event fired: the entries still
-        queued before ``until`` fire next, and time never moves backwards.
+        When ``until`` is given, the loop's clock ends at exactly ``until``
+        even if the last event fired earlier, so back-to-back
+        ``run(until=...)`` calls behave like contiguous wall-clock windows.
         """
         if self._running:
             raise SimulationError("event loop is not reentrant")
         self._running = True
         # Hot loop: this drains millions of events per experiment, so each
-        # one costs a pop, an unpack, two compares, two empty-container
-        # tests, one attribute store and the call.  The heap, the cancelled
-        # set and the handle table are aliased into locals (callbacks mutate
-        # the same objects); ``self._now`` must stay instance state —
-        # callbacks read ``loop.now`` mid-drain.
+        # one costs a pop, an unpack, one compare, one empty-set test, one
+        # attribute store and the call.  The heap and the cancelled set are
+        # aliased into locals (callbacks mutate the same objects);
+        # ``self._now`` must stay instance state — callbacks read
+        # ``loop.now`` mid-drain.
         heap = self._heap
-        cancelled, watched = self._cancelled, self._watched
+        cancelled = self._cancelled
         limit = _INF if until is None else until
-        budget = _INF if max_events is None else float(max_events)
-        fired = 0.0     # a float, so the bound is a float-float compare
         try:
-            while heap and fired < budget:
+            while heap:
                 entry = heappop(heap)
                 time, seq, fn, args = entry
                 if time > limit:
@@ -282,15 +218,11 @@ class EventLoop:
                     cancelled.remove(seq)
                     self._dead += 1
                     continue
-                if watched and seq in watched:
-                    watched.pop(seq)._seq = None    # its handle: fired
-                fired += 1.0
                 self._now = time
                 fn(*args)
         finally:
             self._running = False
-        if (until is not None and self._now < until
-                and (not heap or heap[0][0] > until)):
+        if until is not None and self._now < until:
             self._now = until
 
 
@@ -301,5 +233,5 @@ class TimeWheelLoop(EventLoop):
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> int:
         return EventLoop.schedule_at(self, time, fn, *args)
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        EventLoop.run(self, until, max_events)
+    def run(self, until: Optional[float] = None) -> None:
+        EventLoop.run(self, until)

@@ -5,8 +5,9 @@ throughput results: a traditional sequencer saturates because every client
 update costs it a slice of service time on one core, while Eunomia's
 off-critical-path handling is much cheaper per operation.  Each
 :class:`Process` therefore owns a FIFO service queue: work (delivered
-messages or periodic local tasks) is served one item at a time, each item
-occupying the process for its *service cost* before its handler runs.
+messages, or local work a handler queues with :meth:`Process._enqueue`) is
+served one item at a time, each item occupying the process for its
+*service cost* before its handler runs.
 
 Handlers are discovered by naming convention: a message of class ``AddOp``
 is handled by ``on_add_op(msg, src)``.  Unhandled messages raise when their
@@ -16,9 +17,13 @@ Work is scheduled on named **lanes**, each an independent single server
 (defaulting to one lane, ``"cpu"``).  Storage partitions route remote-
 replication work to a ``"replication"`` lane — modelling the background
 scheduler threads real stores use — so geo-replication applies do not queue
-behind foreground client operations.  Declare lanes by message type in
-:attr:`Process.LANES`, or override :meth:`Process.lane_of` to choose them
-per message.
+behind foreground client operations.  Lanes are declared by message type
+in :attr:`Process.LANES`.
+
+Service costs come from a plain ``costs`` table passed to the constructor:
+message class name → seconds, or a callable taking the message and
+returning seconds for size-dependent work such as batch processing.  A type
+with no entry costs 0.0.
 
 Every message is delivered on its own: one arrival event
 (:meth:`Process.deliver`) reserves the service slot and one completion
@@ -28,7 +33,7 @@ completion is queued (see :meth:`Process.deliver` for the condition and
 why it is safe).  The first delivery of each message type builds a
 **delivery plan** ``(lane, fixed cost, bound handler, fusable)`` (see
 :meth:`Process._plan`); every later delivery of that type costs one dict
-lookup instead of a cost-model call, a lane call and a handler search.
+lookup instead of a cost-table probe, a lane probe and a handler search.
 
 Crash-stop failures are supported: :meth:`Process.crash` drops everything in
 flight for the process and makes future deliveries no-ops until
@@ -41,8 +46,9 @@ import re
 from typing import Any, Callable, Optional
 
 from .env import Environment
+from .loop import PeriodicHandle
 
-__all__ = ["CostModel", "Process", "PeriodicTask"]
+__all__ = ["Process"]
 
 _CAMEL_RE = re.compile(r"(?<!^)(?=[A-Z])")
 
@@ -51,70 +57,11 @@ def _snake(name: str) -> str:
     return _CAMEL_RE.sub("_", name).lower()
 
 
-class CostModel:
-    """Per-message-type CPU service costs, in seconds.
-
-    ``costs`` maps message class names to seconds — or to a callable taking
-    the message and returning seconds, for size-dependent work such as batch
-    processing.  ``default`` applies to everything else.  ``per_byte`` adds a
-    size-proportional component for messages that expose a ``size_bytes``
-    attribute (used to charge Cure for its fatter vector metadata, for
-    example).
-    """
-
-    __slots__ = ("costs", "default", "per_byte")
-
-    def __init__(self, default: float = 0.0,
-                 costs: Optional[dict[str, Any]] = None,
-                 per_byte: float = 0.0):
-        self.default = default
-        self.costs = dict(costs or {})
-        self.per_byte = per_byte
-
-    def cost_of(self, msg: Any) -> float:
-        base = self.costs.get(type(msg).__name__, self.default)
-        if callable(base):
-            base = base(msg)
-        if self.per_byte:
-            size = getattr(msg, "size_bytes", 0)
-            base += size * self.per_byte
-        return base
-
-
-class PeriodicTask:
-    """Handle for a repeating local task; ``stop()`` cancels future firings.
-
-    A thin crash-aware veneer over the loop-level
-    :class:`repro.sim.loop.PeriodicHandle` (wired by
-    :meth:`Process.periodic`): ``period`` is the handle's interval, a number
-    of seconds or a zero-argument callable, assignable at runtime and
-    re-read before every re-arm, so a mutation takes effect on the next
-    tick.
-    """
-
-    __slots__ = ("_handle",)
-
-    def stop(self) -> None:
-        self._handle.cancel()
-
-    @property
-    def stopped(self) -> bool:
-        return self._handle.cancelled
-
-    @property
-    def period(self):
-        return self._handle.interval
-
-    @period.setter
-    def period(self, value) -> None:
-        self._handle.interval = value
-
-
 class Process:
     """Base class for every simulated server, service, or client."""
 
     #: message class name -> lane, for the types served off ``"cpu"``
-    #: (read by the default :meth:`lane_of`; subclasses replace the table)
+    #: (subclasses replace the table)
     LANES: dict[str, str] = {}
     #: message class names whose handler may run at *arrival* on an idle
     #: lane although the type has a service cost.  Declaring a type here
@@ -125,13 +72,14 @@ class Process:
     EAGER: frozenset = frozenset()
 
     def __init__(self, env: Environment, name: str, site: int = 0,
-                 cost_model: Optional[CostModel] = None):
+                 costs: Optional[dict[str, Any]] = None):
         self.env = env
         self._loop = env.loop   # hot-path alias (the loop never changes)
         self.name = name
         self.site = site
         self.pid = env.allocate_pid()
-        self.cost_model = cost_model or CostModel()
+        #: message class name -> seconds, or a callable of the message
+        self.costs = costs or {}
         self.crashed = False
         self.state_lost = False   # set by an amnesia crash, cleared on restore
         self._epoch = 0           # bumped on crash; stale callbacks are dropped
@@ -161,38 +109,28 @@ class Process:
         if not self.crashed and self._epoch == epoch:
             fn(*args)
 
-    def periodic(self, period, fn: Callable[[], Any],
-                 cost: float = 0.0, phase: Optional[float] = None) -> PeriodicTask:
-        """Run ``fn`` every ``period`` seconds.
+    def periodic(self, period: float, fn: Callable[[], Any],
+                 phase: Optional[float] = None) -> PeriodicHandle:
+        """Run ``fn`` every ``period`` seconds; ``phase`` staggers the first
+        firing (defaults to one full period).
 
-        ``cost`` > 0 routes each firing through the service queue, charging
-        the process CPU time — this is how the periodic global-stabilization
-        work of GentleRain/Cure is made expensive.  ``phase`` staggers the
-        first firing (defaults to one full period).  ``period`` may be a
-        zero-argument callable, re-read before every firing (the straggler
-        injector mutates intervals at runtime).
-
-        Built on :meth:`repro.sim.loop.EventLoop.schedule_periodic`: the
-        returned :class:`PeriodicTask` wraps the loop-level handle, and the
-        crash guard retires the whole chain (one uniform re-arm point —
-        recovery paths simply call the owning component's ``start()`` again).
+        Built on :meth:`repro.sim.loop.EventLoop.schedule_periodic`, whose
+        handle is returned: ``cancel()`` stops the task, and the crash guard
+        retires the whole chain (one uniform re-arm point — recovery paths
+        simply call the owning component's ``start()`` again).
         """
-        task = PeriodicTask()
         epoch = self._epoch
 
         def body() -> None:
             if self.crashed or self._epoch != epoch:
-                task.stop()
+                handle.cancel()
                 return
-            if cost > 0.0:
-                self._enqueue(fn, cost)
-            else:
-                fn()
+            fn()
 
-        task._handle = self._loop.schedule_periodic(
+        handle = self._loop.schedule_periodic(
             period, body, phase=phase,
             name=f"{getattr(fn, '__qualname__', fn)} of {self.name}")
-        return task
+        return handle
 
     # ------------------------------------------------------------------
     # Messaging
@@ -205,35 +143,23 @@ class Process:
         """Fan one message out to every destination, in iteration order."""
         self.env.network.multicast(self, dsts, msg)
 
-    def lane_of(self, msg: Any) -> str:
-        """Service lane for ``msg``: its type's :attr:`LANES` entry.
-
-        An override may look at the payload; it is then called for every
-        message instead of once per type.
-        """
-        return self.LANES.get(type(msg).__name__, "cpu")
-
     def _plan(self, kind: type) -> tuple:
         """Build and cache the delivery plan of message type ``kind``.
 
         A plan is ``(lane, cost, handler, fusable)``.  ``cost`` is None when
-        the cost model has to see every message (a callable entry, or a
-        per-byte rate), ``lane`` is None when a subclass overrides
-        :meth:`lane_of`; :meth:`deliver` evaluates those per message.  A
-        missing handler is planned as :meth:`_unhandled`, which raises only
-        when dispatched.  ``fusable`` says the handler may run in the
-        arrival event when the lane is idle: the fixed cost is 0.0, or the
-        class lists the type in :attr:`EAGER`.  Plans assume what they cache
-        is fixed for the process's life: the cost table's plain numbers,
-        :attr:`LANES`, :attr:`EAGER` and the ``on_*`` methods.
+        the cost table's entry is callable; :meth:`deliver` then asks it per
+        message.  A missing handler is planned as :meth:`_unhandled`, which
+        raises only when dispatched.  ``fusable`` says the handler may run
+        in the arrival event when the lane is idle: the fixed cost is 0.0,
+        or the class lists the type in :attr:`EAGER`.  Plans assume what
+        they cache is fixed for the process's life: the cost table's plain
+        numbers, :attr:`LANES`, :attr:`EAGER` and the ``on_*`` methods.
         """
         name = kind.__name__
-        model = self.cost_model
-        cost = model.costs.get(name, model.default)
-        if callable(cost) or model.per_byte:
+        cost = self.costs.get(name, 0.0)
+        if callable(cost):
             cost = None
-        lane = (self.LANES.get(name, "cpu")
-                if type(self).lane_of is Process.lane_of else None)
+        lane = self.LANES.get(name, "cpu")
         handler = getattr(self, "on_" + _snake(name), self._unhandled)
         fusable = cost is not None and (cost == 0.0 or name in self.EAGER)
         plan = self._plans[kind] = (lane, cost, handler, fusable)
@@ -251,7 +177,7 @@ class Process:
         :meth:`_enqueue` are inlined: one dict probe, the service-slot
         reservation, and one scheduled entry carrying ``(epoch, handler,
         msg, src)`` as plain args into :meth:`_run_delivery` — no closure,
-        no per-message cost-model, lane or handler search.
+        no per-message cost, lane or handler search.
 
         **Fused delivery.**  A fusable message (see :meth:`_plan`) that
         finds its lane *strictly* idle — the last reserved slot ended before
@@ -276,9 +202,7 @@ class Process:
         except KeyError:
             lane, cost, handler, fusable = self._plan(type(msg))
         if cost is None:
-            cost = self.cost_model.cost_of(msg)
-        if lane is None:
-            lane = self.lane_of(msg)
+            cost = self.costs[type(msg).__name__](msg)
         busy = self._lane_busy
         loop = self._loop
         start = busy.get(lane, 0.0)

@@ -25,6 +25,8 @@ from typing import Iterator
 
 from repro.core.service import StabilizerBase
 from repro.core.uplink import EunomiaUplink
+from repro.geo.receiver import Receiver
+from repro.sim.loop import EventLoop
 
 __all__ = ["MUTANTS", "Mutant"]
 
@@ -84,4 +86,18 @@ MUTANTS = {m.name: m for m in (
     # ops the stabilizer never saw (the prefix property, Alg. 4).
     Mutant("gap_frame_accepted", StabilizerBase, "on_add_op_batch",
            "if msg.prev_ts > pt:", "if False:"),
+    # A cancelled periodic entry fires when it surfaces: the one
+    # cancellation path the loop has (lazy deletion by seq).
+    Mutant("cancelled_periodic_fires", EventLoop, "run",
+           "if cancelled and seq in cancelled:", "if False:"),
+    # FIND_STABLE claims one tick past min(PartitionTime): an op a
+    # partition may still send at that timestamp would arrive after the
+    # cut was shipped (Alg. 3 l.8).
+    Mutant("stable_cut_one_tick_high", StabilizerBase, "_stabilize",
+           "stable = self._stable_floor()",
+           "stable = self._stable_floor() + 1"),
+    # The receiver releases an update whose dependencies on other origins
+    # are not yet applied here (Alg. 5 l.12, SiteTime[d] >= u.vts[d]).
+    Mutant("receiver_ignores_site_time", Receiver, "_deps_satisfied",
+           "return False", "pass"),
 )}

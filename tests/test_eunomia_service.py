@@ -193,3 +193,12 @@ def test_the_ingest_guards_kill_each_seeded_fault(mutant, must_fail):
     with MUTANTS[mutant].applied():
         with pytest.raises((AssertionError, ValueError)):
             must_fail()
+
+
+def test_the_stable_cut_kills_stable_cut_one_tick_high():
+    """Ops at 10, 11 and 12 from three partitions: only 10 is stable.  A
+    cut one tick above min(PartitionTime) ships 11 too."""
+    test_stabilization_marks_throughput(_service_env())
+    with MUTANTS["stable_cut_one_tick_high"].applied():
+        with pytest.raises(AssertionError):
+            test_stabilization_marks_throughput(_service_env())

@@ -48,21 +48,23 @@ def test_run_until_stops_before_later_events():
 def test_cancelled_events_do_not_fire():
     loop = EventLoop()
     fired = []
-    keep = loop.schedule(1.0, fired.append, "keep")
-    drop = loop.schedule(1.0, fired.append, "drop")
+    keep = loop.schedule_periodic(1.0, lambda: fired.append("keep"))
+    drop = loop.schedule_periodic(1.0, lambda: fired.append("drop"))
     drop.cancel()
+    loop.run(until=2.5)
+    keep.cancel()
     loop.run()
-    assert fired == ["keep"]
-    assert keep.time == 1.0
+    assert fired == ["keep", "keep"]
 
 
 def test_cancel_is_idempotent():
     loop = EventLoop()
-    event = loop.schedule(1.0, lambda: None)
-    event.cancel()
-    event.cancel()
+    handle = loop.schedule_periodic(1.0, lambda: None)
+    handle.cancel()
+    handle.cancel()
     loop.run()
     assert loop.processed_events == 0
+    assert (loop.pending(), loop._cancelled) == (0, set())
 
 
 def test_scheduling_in_the_past_raises():
@@ -90,49 +92,11 @@ def test_events_scheduled_during_execution_fire():
     assert loop.now == 3.0
 
 
-def test_step_executes_one_event():
-    loop = EventLoop()
-    fired = []
-    loop.schedule(1.0, fired.append, 1)
-    loop.schedule(2.0, fired.append, 2)
-    assert loop.step() is True
-    assert fired == [1]
-    assert loop.step() is True
-    assert loop.step() is False
-
-
-def test_max_events_bound():
-    loop = EventLoop()
-    fired = []
-    for i in range(10):
-        loop.schedule(float(i), fired.append, i)
-    loop.run(max_events=4)
-    assert fired == [0, 1, 2, 3]
-
-
-def test_event_budget_running_out_before_until_never_moves_time_back():
-    """``run(until=T, max_events=N)`` whose budget runs out first stays at
-    the last event fired: jumping to T would leave entries before T queued,
-    and the next run would fire them with ``now`` going backwards."""
-    loop = EventLoop()
-    seen = []
-    for t in (1.0, 2.0, 3.0):
-        loop.schedule_at(t, lambda: seen.append(loop.now))
-    loop.run(until=10.0, max_events=1)
-    assert loop.now == 1.0
-    loop.run(until=10.0, max_events=5)
-    assert seen == [1.0, 2.0, 3.0]
-    assert loop.now == 10.0           # drained: the window is closed
-    loop.schedule_at(12.0, seen.append, 12.0)
-    loop.run(until=11.0, max_events=1)
-    assert loop.now == 11.0           # the head lies beyond ``until``
-
-
 def test_pending_excludes_cancelled():
     loop = EventLoop()
     loop.schedule(1.0, lambda: None)
-    event = loop.schedule(2.0, lambda: None)
-    event.cancel()
+    handle = loop.schedule_periodic(2.0, lambda: None)
+    handle.cancel()
     assert loop.pending() == 1
 
 
@@ -141,16 +105,19 @@ def test_pending_counter_tracks_schedule_cancel_and_pop():
     exact through every combination of firing, cancellation (including
     double-cancel), and partial runs."""
     loop = EventLoop()
-    events = [loop.schedule(float(i + 1), lambda: None) for i in range(6)]
+    for i in range(4):
+        loop.schedule(float(i + 1), lambda: None)
+    tasks = [loop.schedule_periodic(5.0, lambda: None, phase=float(i))
+             for i in (5, 6)]
     assert loop.pending() == 6
-    events[4].cancel()
-    events[4].cancel()          # idempotent: must not decrement twice
+    tasks[0].cancel()
+    tasks[0].cancel()           # idempotent: must not decrement twice
     assert loop.pending() == 5
-    loop.step()                 # fires t=1
+    loop.run(until=1.0)         # fires t=1
     assert loop.pending() == 4
     loop.run(until=3.0)         # fires t=2, t=3
     assert loop.pending() == 2
-    events[5].cancel()
+    tasks[1].cancel()
     assert loop.pending() == 1
     loop.run()                  # fires t=4; cancelled t=5/t=6 lazily popped
     assert loop.pending() == 0
@@ -158,16 +125,16 @@ def test_pending_counter_tracks_schedule_cancel_and_pop():
 
 
 def test_cancel_after_fire_does_not_corrupt_pending():
-    """A handle cancelled after its event already fired (e.g. a timeout
-    cancelled on completion) must be a no-op, not a double decrement."""
+    """A handle cancelled again after its chain already ended (here, from
+    inside its own callback) must be a no-op, not a double decrement."""
     loop = EventLoop()
-    event = loop.schedule(1.0, lambda: None)
+    handle = loop.schedule_periodic(1.0, lambda: handle.cancel())
     loop.run()
+    assert (loop.processed_events, loop.pending()) == (1, 0)
+    handle.cancel()
+    handle.cancel()
     assert loop.pending() == 0
-    event.cancel()
-    event.cancel()
-    assert loop.pending() == 0
-    assert event.cancelled  # the flag still reads as cancelled (harmless)
+    assert handle.cancelled
     loop.schedule(2.0, lambda: None)
     assert loop.pending() == 1
 
@@ -231,7 +198,7 @@ def test_periodic_fires_every_interval():
     handle.cancel()
     loop.run()
     assert times == [1.0, 2.0, 3.0]
-    assert not handle.active
+    assert handle.cancelled
 
 
 def test_periodic_phase_offsets_first_firing():
@@ -255,21 +222,6 @@ def test_periodic_cancel_from_inside_callback():
     assert loop.pending() == 0
 
 
-def test_periodic_callable_interval_reread_each_arming():
-    loop = EventLoop()
-    times = []
-    step = [1.0]
-
-    def fire():
-        times.append(loop.now)
-        step[0] = 0.5           # takes effect from the *next* arming on
-
-    handle = loop.schedule_periodic(lambda: step[0], fire)
-    loop.run(until=2.3)
-    handle.cancel()
-    assert times == [1.0, 1.5, 2.0]
-
-
 def test_periodic_rearms_after_callback_returns():
     """The next firing is scheduled *after* the callback body runs, so any
     events the callback schedules at the next firing time get earlier
@@ -290,22 +242,25 @@ def test_periodic_rearms_after_callback_returns():
 
 def test_schedule_at_returns_the_sequence_number_not_a_handle():
     """The queue holds plain ``(time, seq, fn, args)`` tuples; only
-    ``schedule`` / ``schedule_periodic`` callers pay for a handle."""
+    ``schedule_periodic`` callers pay for a handle."""
     loop = EventLoop()
     assert loop.schedule_at(1.0, lambda: None) == 0
     assert loop.schedule_at(0.5, lambda: None) == 1
-    assert loop._heap[0][:2] == (0.5, 1)
+    assert loop.schedule(0.25, lambda: None) == 2
+    assert loop._heap[0][:2] == (0.25, 2)
     assert all(type(entry) is tuple and len(entry) == 4
                for entry in loop._heap)
 
 
 def test_event_cancelling_itself_from_its_callback_is_a_noop():
+    """Cancelling from inside the body files nothing: the entry being run
+    was already popped, and the chain simply is not re-armed."""
     loop = EventLoop()
-    handles = []
-    handles.append(loop.schedule(1.0, lambda: handles[0].cancel()))
+    handle = loop.schedule_periodic(1.0, lambda: handle.cancel())
     loop.schedule(2.0, lambda: None)
     loop.run(until=1.5)
     assert (loop.processed_events, loop.pending()) == (1, 1)
+    assert loop._cancelled == set()
     loop.run()
     assert (loop.processed_events, loop.pending()) == (2, 0)
 
@@ -316,6 +271,8 @@ LOOPS = [EventLoop]
 @pytest.mark.parametrize("make_loop", LOOPS)
 @pytest.mark.parametrize("period", [0, 0.0, -0.5, float("nan")])
 def test_non_positive_period_is_rejected_at_arm_time(make_loop, period):
+    """Re-arming at ``now`` would spin ``run(until=...)`` forever; the
+    period is fixed, so checking it once at arm time is enough."""
     loop = make_loop()
 
     def beat():
@@ -323,28 +280,6 @@ def test_non_positive_period_is_rejected_at_arm_time(make_loop, period):
 
     with pytest.raises(SimulationError, match="beat.*non-positive period"):
         loop.schedule_periodic(period, beat)
-    with pytest.raises(SimulationError, match="non-positive period"):
-        loop.schedule_periodic(lambda: period, beat, phase=0.25)
-    assert loop.pending() == 0
-
-
-@pytest.mark.parametrize("make_loop", LOOPS)
-def test_period_turning_zero_raises_at_rearm_instead_of_spinning(make_loop):
-    """Regression: a callable interval that later returns 0 used to re-arm
-    at ``now`` forever, so ``run(until=...)`` never returned."""
-    loop = make_loop()
-    step = [0.001]
-    fired = []
-
-    def beat():
-        fired.append(loop.now)
-        if len(fired) == 3:
-            step[0] = 0.0
-
-    loop.schedule_periodic(lambda: step[0], beat, name="beat@p7")
     with pytest.raises(SimulationError, match="beat@p7.*non-positive period"):
-        loop.run(until=1.0)
-    assert len(fired) == 3
-    assert loop.pending() == 0      # the chain is dead, not re-armed
-    loop.run(until=1.0)             # and the loop is usable again
-    assert loop.now == 1.0
+        loop.schedule_periodic(period, beat, phase=0.25, name="beat@p7")
+    assert loop.pending() == 0

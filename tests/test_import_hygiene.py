@@ -144,5 +144,33 @@ def test_docs_lint_resolves_benchmark_artifact_names(tmp_path, monkeypatch):
         "src/repro/a.py: names benchmarks/RESULTS.json")
 
 
+def test_docs_lint_reads_tests_and_benchmarks(tmp_path, monkeypatch):
+    """Roadmap item numbers go stale at every re-anchor, so no file of the
+    docs, src/, tests/ or benchmarks/ may cite one; and a docstring under
+    tests/ or benchmarks/ may name only ``*.md`` files that exist."""
+    check_docs = _load_check_docs()
+    assert check_docs.check_roadmap_citations() == []   # this repo is clean
+
+    for root in ("docs", "src", "tests", "benchmarks"):
+        (tmp_path / root).mkdir()
+    (tmp_path / "docs" / "ARCHITECTURE.md").write_text("# Lanes\n")
+    cite = "ROADMAP " + "item 4(b)"     # not one literal: this file is read
+    (tmp_path / "tests" / "test_a.py").write_text(
+        f'"""Owned by {cite}."""\n')
+    (tmp_path / "benchmarks" / "bench_b.py").write_text(
+        '"""Ablations of DESIGN.md\'s choices."""\n')
+    (tmp_path / "src" / "c.py").write_text('"""The roadmap is fine."""\n')
+    readme = tmp_path / "README.md"
+    readme.write_text(f"Pinned, see {cite}.\n")
+    monkeypatch.setattr(check_docs, "REPO", tmp_path)
+    monkeypatch.setattr(check_docs, "DOC_FILES",
+                        [readme, tmp_path / "docs" / "ARCHITECTURE.md"])
+    cited = check_docs.check_roadmap_citations()
+    assert [error.split(": ")[0] for error in cited] == [
+        "README.md:1", "tests/test_a.py:1"]
+    assert check_docs.check_md_references() == [
+        "benchmarks/bench_b.py: names DESIGN.md, which is not in the repo"]
+
+
 if __name__ == "__main__":
     exec(SMOKE)

@@ -120,11 +120,9 @@ def test_observability_preserves_goldens(protocol):
 # ----------------------------------------------------------------------
 # Metrics fixes (satellites a + f)
 # ----------------------------------------------------------------------
-def test_percentile_empty_warns_and_strict_raises():
+def test_percentile_empty_warns():
     with pytest.warns(EmptySeriesWarning):
         assert percentile([], 99.0) == 0.0
-    with pytest.raises(ValueError, match="empty"):
-        percentile([], 99.0, strict=True)
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # non-empty input must not warn
         assert percentile([1.0, 3.0], 50.0) == 2.0

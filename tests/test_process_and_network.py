@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import ConstantLatency, Environment, Network, RttMatrix
-from repro.sim.process import CostModel, Process
+from repro.sim.process import Process
 
 
 @dataclass
@@ -56,7 +56,7 @@ def test_message_roundtrip(env, pair):
 
 def test_service_cost_delays_handling(env):
     Network(env, ConstantLatency(0.001))
-    echo = Echo(env, "echo", cost_model=CostModel(costs={"Ping": 0.5}))
+    echo = Echo(env, "echo", costs={"Ping": 0.5})
     caller = Caller(env, "caller")
     caller.send(echo, Ping(1))
     env.run()
@@ -65,7 +65,7 @@ def test_service_cost_delays_handling(env):
 
 def test_service_queue_serializes_work(env):
     Network(env, ConstantLatency(0.001))
-    echo = Echo(env, "echo", cost_model=CostModel(costs={"Ping": 0.1}))
+    echo = Echo(env, "echo", costs={"Ping": 0.1})
     caller = Caller(env, "caller")
     for i in range(3):
         caller.send(echo, Ping(i))
@@ -75,29 +75,27 @@ def test_service_queue_serializes_work(env):
     assert times == pytest.approx([0.101, 0.201, 0.301])
 
 
+@dataclass
+class ReplPing(Ping):
+    pass
+
+
+class TwoLane(Echo):
+    LANES = {"ReplPing": "replication"}
+
+    on_repl_ping = Echo.on_ping
+
+
 def test_lanes_are_independent_servers(env):
     Network(env, ConstantLatency(0.001))
-
-    class TwoLane(Echo):
-        def lane_of(self, msg):
-            return "replication" if msg.payload % 2 else "cpu"
-
-    echo = TwoLane(env, "echo", cost_model=CostModel(costs={"Ping": 0.1}))
+    echo = TwoLane(env, "echo", costs={"Ping": 0.1, "ReplPing": 0.1})
     caller = Caller(env, "caller")
-    caller.send(echo, Ping(0))  # cpu lane
-    caller.send(echo, Ping(1))  # replication lane
+    caller.send(echo, Ping(0))      # cpu lane
+    caller.send(echo, ReplPing(1))  # replication lane
     env.run()
     times = sorted(t for t, _ in echo.seen)
     # both served in parallel, not 0.101 then 0.201
     assert times == pytest.approx([0.101, 0.101])
-
-
-def test_cost_model_callable_and_per_byte():
-    model = CostModel(default=1.0,
-                      costs={"Ping": lambda msg: msg.payload * 0.5},
-                      per_byte=0.01)
-    assert model.cost_of(Ping(4)) == pytest.approx(4 * 0.5 + 10 * 0.01)
-    assert model.cost_of(Pong()) == pytest.approx(1.0)  # no size_bytes
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +117,7 @@ def _completions(env, echo, msgs):
 
 def test_plan_caches_fixed_cost_lane_and_handler(env):
     Network(env, ConstantLatency(0.001))
-    echo = Echo(env, "echo", cost_model=CostModel(costs={"Ping": 0.1}))
+    echo = Echo(env, "echo", costs={"Ping": 0.1})
     assert _completions(env, echo, [Ping(0), Ping(1), Ping(2)]) == [
         0.101, 0.201, 0.301]
     assert echo._plans[Ping] == ("cpu", 0.1, echo.on_ping, False)
@@ -130,36 +128,12 @@ def test_plan_caches_fixed_cost_lane_and_handler(env):
 
 def test_callable_cost_is_evaluated_per_message(env):
     Network(env, ConstantLatency(0.001))
-    echo = Echo(env, "echo", cost_model=CostModel(
-        costs={"Ping": lambda msg: 0.1 * msg.payload}))
+    echo = Echo(env, "echo", costs={"Ping": lambda msg: 0.1 * msg.payload})
     # slots of 0.1, 0.3, 0.2 back to back: a cached first cost would
     # give 0.101, 0.201, 0.301
     assert _completions(env, echo, [Ping(1), Ping(3), Ping(2)]) == [
         0.101, 0.401, 0.601]
     assert echo._plans[Ping][1] is None
-
-
-def test_per_byte_cost_is_evaluated_per_message(env):
-    Network(env, ConstantLatency(0.001))
-    echo = Echo(env, "echo", cost_model=CostModel(default=0.1, per_byte=0.01))
-    # 0.1 + 0.01 * size: slots of 0.2, 0.5, 0.1
-    msgs = [Ping(0, size_bytes=10), Ping(1, size_bytes=40), Ping(2, size_bytes=0)]
-    assert _completions(env, echo, msgs) == [0.201, 0.701, 0.801]
-    assert echo._plans[Ping][1] is None
-
-
-def test_payload_dependent_lane_override_is_called_per_message(env):
-    Network(env, ConstantLatency(0.001))
-
-    class TwoLane(Echo):
-        def lane_of(self, msg):
-            return "replication" if msg.payload % 2 else "cpu"
-
-    echo = TwoLane(env, "echo", cost_model=CostModel(costs={"Ping": 0.1}))
-    # the first message would pin the type to "cpu" if the lane were cached
-    assert _completions(env, echo, [Ping(i) for i in range(4)]) == [
-        0.101, 0.101, 0.201, 0.201]
-    assert echo._plans[Ping][0] is None
 
 
 def test_lane_table_declares_lanes_by_type(env):
@@ -171,7 +145,7 @@ def test_lane_table_declares_lanes_by_type(env):
         def on_pong(self, msg, src):
             self.seen.append((self.now, -msg.payload))
 
-    store = Store(env, "store", cost_model=CostModel(default=0.1))
+    store = Store(env, "store", costs={"Ping": 0.1, "Pong": 0.1})
     caller = Caller(env, "caller")
     for msg in (Ping(1), Pong(1), Ping(2), Pong(2)):
         caller.send(store, msg)
@@ -179,13 +153,13 @@ def test_lane_table_declares_lanes_by_type(env):
     # the two types are served in parallel, each FIFO on its own lane
     assert [(round(t, 6), p) for t, p in store.seen] == [
         (0.101, 1), (0.101, -1), (0.201, 2), (0.201, -2)]
-    assert store.lane_of(Pong()) == "replication"
-    assert store.lane_of(Ping()) == "cpu"
+    assert store._plans[Pong][0] == "replication"
+    assert store._plans[Ping][0] == "cpu"
 
 
 def test_missing_handler_raises_at_dispatch_not_at_plan_build(env):
     Network(env, ConstantLatency(0.001))
-    caller = Caller(env, "caller", cost_model=CostModel(costs={"Ping": 0.5}))
+    caller = Caller(env, "caller", costs={"Ping": 0.5})
     echo = Echo(env, "echo")
     echo.send(caller, Ping(1))      # Caller has no on_ping
     env.run(until=0.3)              # arrived at 0.001: the plan is built ...
@@ -197,7 +171,7 @@ def test_missing_handler_raises_at_dispatch_not_at_plan_build(env):
 def test_crash_and_recover_between_arrival_and_completion_drops(env):
     """The epoch guard travels in the scheduled entry, not in the plan."""
     Network(env, ConstantLatency(0.001))
-    echo = Echo(env, "echo", cost_model=CostModel(costs={"Ping": 1.0}))
+    echo = Echo(env, "echo", costs={"Ping": 1.0})
     caller = Caller(env, "caller")
     caller.send(echo, Ping(1))
     env.run(until=1.5)              # plan cached by a full delivery
@@ -241,22 +215,33 @@ class Sized:         # callable cost: never fused
     size: int = 1
 
 
+#: kind -> its twin served on the "replication" lane (lanes are by type)
+_ON_REPLICATION = {kind: type(kind.__name__ + "Repl", (kind,), {})
+                   for kind in (Free, Beat, Work, Sized)}
+
+
+def _message(kind, n, lane, size):
+    if lane == "replication":
+        kind = _ON_REPLICATION[kind]
+    return kind(n, lane, size) if issubclass(kind, Sized) else kind(n, lane)
+
+
 class Fusing(Process):
-    EAGER = frozenset({"Beat"})
+    LANES = {twin.__name__: "replication" for twin in _ON_REPLICATION.values()}
+    EAGER = frozenset({"Beat", "BeatRepl"})
     COSTS = {"Free": 0.0, "Beat": 1.0, "Work": 1.5,
              "Sized": lambda msg: 0.5 * msg.size}
+    COSTS = {**COSTS, **{name + "Repl": cost for name, cost in COSTS.items()}}
 
     def __init__(self, env, name):
-        super().__init__(env, name, cost_model=CostModel(costs=self.COSTS))
+        super().__init__(env, name, costs=self.COSTS)
         self.handled = []      # (lane, n, time)
-
-    def lane_of(self, msg):
-        return msg.lane
 
     def _handle(self, msg, src):
         self.handled.append((msg.lane, msg.n, self.now))
 
     on_free = on_beat = on_work = on_sized = _handle
+    on_free_repl = on_beat_repl = on_work_repl = on_sized_repl = _handle
 
 
 class TwoEvent(Fusing):
@@ -300,7 +285,7 @@ _ARRIVALS = st.lists(
 @given(_ARRIVALS)
 def test_fused_delivery_matches_the_two_event_path(drawn):
     drawn = sorted(drawn, key=lambda a: a[0])      # stable: ties keep order
-    arrivals = [(when, kind(n, lane, size) if kind is Sized else kind(n, lane))
+    arrivals = [(when, _message(kind, n, lane, size))
                 for n, (when, kind, lane, size) in enumerate(drawn)]
     fused, fused_events, fused_slots = _drive(Fusing, arrivals)
     ref, ref_events, ref_slots = _drive(TwoEvent, arrivals)
@@ -402,7 +387,7 @@ def test_crash_drops_deliveries_and_timers(env, pair):
 
 def test_crash_drops_inflight_service(env):
     Network(env, ConstantLatency(0.001))
-    echo = Echo(env, "echo", cost_model=CostModel(costs={"Ping": 1.0}))
+    echo = Echo(env, "echo", costs={"Ping": 1.0})
     caller = Caller(env, "caller")
     caller.send(echo, Ping(1))
     env.loop.schedule(0.5, echo.crash)  # mid-service
@@ -425,42 +410,40 @@ def test_periodic_task_fires_and_stops(env):
     count = []
     task = proc.periodic(0.1, lambda: count.append(proc.now))
     env.loop.run(until=0.55)
-    task.stop()
+    task.cancel()
     env.loop.run(until=2.0)
     assert len(count) == 5
 
 
-def test_periodic_with_cost_consumes_service_time(env):
+def test_periodic_task_dies_with_a_crash(env):
+    """The crash guard cancels the chain at its next firing; recovery
+    re-arms by calling ``periodic`` again."""
     proc = Process(env, "p")
-    times = []
-    proc.periodic(0.1, lambda: times.append(proc.now), cost=0.05)
-    env.loop.run(until=0.36)
-    # each firing runs 0.05s after its tick
-    assert times == pytest.approx([0.15, 0.25, 0.35])
+    ticks = []
+    task = proc.periodic(0.1, lambda: ticks.append(round(proc.now, 6)))
+    env.loop.schedule_at(0.25, proc.crash)
+    env.loop.schedule_at(0.35, proc.recover)
+    env.loop.run(until=1.0)
+    assert ticks == [0.1, 0.2] and task.cancelled
+    assert env.loop.pending() == 0
 
 
-def test_periodic_period_mutated_to_zero_raises_naming_task_and_process(env):
-    """The Fig. 7 straggler injector mutates ``batch_interval`` live; a zero
-    must fail loudly instead of re-arming at ``now`` forever."""
+def test_periodic_non_positive_period_raises_naming_task_and_process(env):
+    """A zero period must fail loudly at arm time instead of re-arming at
+    ``now`` forever."""
     from repro.sim import SimulationError
 
     proc = Process(env, "p7")
-    proc.batch_interval = 0.1
-    ticks = []
 
     def flush():
-        ticks.append(proc.now)
+        pass
 
-    task = proc.periodic(lambda: proc.batch_interval, flush)
-    env.loop.schedule_at(0.25, setattr, proc, "batch_interval", 0.0)
     with pytest.raises(SimulationError,
                        match=r"flush of p7 has non-positive period 0\.0"):
-        env.loop.run(until=1.0)
-    assert ticks == pytest.approx([0.1, 0.2, 0.3])
-    task.period = 0.5               # the handle's interval is assignable
-    assert task.period == 0.5
+        proc.periodic(0.0, flush)
     with pytest.raises(SimulationError, match="non-positive period -1"):
         proc.periodic(-1, flush)
+    assert env.loop.pending() == 0
 
 
 def test_network_fifo_per_link(env):

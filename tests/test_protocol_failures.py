@@ -21,7 +21,9 @@ storage partition must not stop the *other* partitions of its datacenter
 from installing remote updates.  It holds for the all-to-all stores and is
 a strict ``xfail`` for the two receiver-fed ones (``eunomia``, ``sseq``),
 where the receiver's in-flight ``ApplyRemote`` dies with the partition and
-nothing re-releases it — ROADMAP item 2(b) owns the fix.
+nothing re-releases it.  The two strict xfails of
+``test_partition_crash_leaves_its_datacenter_live`` turn into failures
+(and must be unmarked) the day something does.
 
 The chain-replicated sequencer test exercises the other new cross-
 protocol axis: ``chain_length`` builds the §7.1 fault-tolerant sequencer
@@ -128,7 +130,7 @@ def test_gentlerain_gst_stall_is_bounded_by_report_timeout():
 _RECEIVER_STALL = pytest.mark.xfail(strict=True, reason=(
     "the ApplyRemote in flight to the crashed partition is dropped and never "
     "re-released, so both origins stay in Receiver._inflight and the whole "
-    "DC stops applying remote updates (ROADMAP item 2(b))"))
+    "DC stops applying remote updates"))
 
 
 @pytest.mark.parametrize("protocol", [

@@ -5,6 +5,7 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mutants import MUTANTS
 
 from repro.checker import CausalChecker, SessionHistory
 from repro.core.config import EunomiaConfig
@@ -39,6 +40,10 @@ def make_update(dc, ts, vts, seq=None, partition=0, key="k"):
 
 @pytest.fixture
 def rig(env, metrics):
+    return _rig(env, metrics)
+
+
+def _rig(env, metrics):
     Network(env, ConstantLatency(0.0001))
     receiver = Receiver(env, "recv", dc_id=0, n_dcs=3, check_interval=0.001,
                         metrics=metrics)
@@ -72,6 +77,19 @@ def test_cross_origin_dependency_gates_apply(rig):
     sender.send(receiver, RemoteStableBatch(2, (provider,)))
     env.run(until=0.1)
     assert log == [provider.uid, dependent.uid]
+
+
+def test_the_dependency_gate_kills_receiver_ignores_site_time():
+    """Alg. 5 l.12 has teeth: a receiver that releases without checking
+    SiteTime applies the dependent update before its provider."""
+    def gate():
+        test_cross_origin_dependency_gates_apply(
+            _rig(Environment(seed=1234), MetricsHub()))
+
+    gate()
+    with MUTANTS["receiver_ignores_site_time"].applied():
+        with pytest.raises(AssertionError):
+            gate()
 
 
 def test_dependency_on_local_dc_entry_is_ignored(rig):

@@ -1,17 +1,20 @@
 """Property tests for the simulation core's cancellation and link order.
 
-1. **Cancellation is exact.**  Handles are made on demand and a cancel is
-   a sequence number filed in the loop's cancelled set; whatever the mix of
-   cancel-before-fire, cancel-after-fire, double cancel and cancel from
-   inside a callback, across ``run(until=...)`` segments, ``pending()`` and
-   ``processed_events`` must match a model and no cancelled entry may fire.
+1. **Cancellation is exact.**  Periodic tasks are the only cancellable
+   entries, and a cancel is a sequence number filed in the loop's cancelled
+   set; whatever the mix of cancel before the first firing, twice, from
+   inside the task's own body, from another task's body and from outside
+   between ``run(until=...)`` segments, ``pending()`` and
+   ``processed_events`` must match a model and no cancelled task may fire.
 
 2. **Links are FIFO and counted.**  Under loss and jitter, ``Network.send``
    never reorders a directed link, keeps every transmission's internal
    order, and its four counters add up.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
+from mutants import MUTANTS
 
 from repro.sim.env import Environment
 from repro.sim.latency import ConstantLatency, JitteredLatency
@@ -21,47 +24,52 @@ from repro.sim.process import Process
 
 #: base time unit of the generated schedules
 _U = 0.00037
+#: every program ends here: what is still live is cancelled, then drained
+_END_UNITS = 80
 
 
-def _run_cancel_program(loop, shots, cuts):
-    """Drive one cancellation program; return its log.
+def _run_cancel_program(loop, tasks, cuts):
+    """Drive one cancellation program over periodic tasks; return its log.
 
-    ``shots`` are ``(delay_units, mode, victim)`` one-shots made through
-    ``loop.schedule`` (the handle-on-demand door).  ``mode`` cancels the
-    shot's own handle ``"before"`` it can fire, ``"twice"``, or from
-    ``"inside"`` its own callback (already fired: a no-op); ``"other"``
-    cancels shot ``victim`` from inside the callback, whatever state that
-    one is in.  ``cuts`` are ``(until_units, victims)``: after each
-    ``run(until=...)`` segment the victims' handles are cancelled from
-    outside — fired ones (no-op) and pending ones, including the one that
-    was popped past the boundary and pushed back.
+    ``tasks`` are ``(interval_units, phase_units, mode, victim)``, armed
+    through ``loop.schedule_periodic`` (phase None: one full interval).
+    ``mode`` cancels the task ``"before"`` its first firing, ``"twice"``,
+    from ``"inside"`` its own body at its second firing, or — ``"other"`` —
+    cancels task ``victim`` from inside its first firing, whatever state
+    that one is in (itself included).  ``cuts`` are
+    ``(until_units, victims)``: after each ``run(until=...)`` segment the
+    victims are cancelled from outside, including ones already cancelled
+    and the one whose entry was popped past the boundary and pushed back.
 
-    After every segment ``pending()`` and ``processed_events`` must equal
-    the model: an entry is fired, dead (cancelled while queued) or pending.
+    After every step ``pending()`` and ``processed_events`` must equal the
+    model: each live task has exactly one queued entry, and every firing
+    is counted once.
     """
-    log, handles, fired, dead = [], [], set(), set()
+    log, handles, fired, dead = [], [], [], set()
 
     def cancel(j):
         if j < len(handles):
-            if j not in fired:
-                dead.add(j)
+            dead.add(j)
             handles[j].cancel()
 
-    def fire(i, mode, victim):
-        assert i not in dead, "a cancelled entry fired"
-        fired.add(i)
+    def body(i, mode, victim):
+        assert i not in dead, "a cancelled task fired"
+        fired[i] += 1
         log.append((loop.now, i))
-        if mode == "inside":
+        if mode == "inside" and fired[i] == 2:
             cancel(i)
-        elif mode == "other":
+        elif mode == "other" and fired[i] == 1:
             cancel(victim)
 
     def check():
-        assert loop.processed_events == len(fired)
-        assert loop.pending() == len(handles) - len(fired) - len(dead)
+        assert loop.processed_events == sum(fired)
+        assert loop.pending() == len(handles) - len(dead)
 
-    for i, (delay_units, mode, victim) in enumerate(shots):
-        handles.append(loop.schedule(delay_units * _U, fire, i, mode, victim))
+    for i, (interval, phase, mode, victim) in enumerate(tasks):
+        fired.append(0)
+        handles.append(loop.schedule_periodic(
+            interval * _U, lambda i=i, m=mode, v=victim: body(i, m, v),
+            phase=None if phase is None else phase * _U))
         if mode in ("before", "twice"):
             cancel(i)
         if mode == "twice":
@@ -74,34 +82,60 @@ def _run_cancel_program(loop, shots, cuts):
             cancel(j)
         check()
         log.append(("segment", loop.now, loop.pending()))
+    loop.run(until=_END_UNITS * _U)
+    check()
+    for j in range(len(handles)):
+        cancel(j)
+    check()
     loop.run()
     check()
-    assert loop.pending() == 0
+    assert loop.pending() == 0 and not loop._heap and not loop._cancelled
     return log
 
 
-@settings(max_examples=80, deadline=None)
+# one falsifying example is enough, and keeps the failure an
+# AssertionError for the kill test below (not a group of them)
+@settings(max_examples=80, deadline=None, report_multiple_bugs=False)
 @given(
-    shots=st.lists(
-        st.tuples(st.integers(0, 60),
+    tasks=st.lists(
+        st.tuples(st.integers(1, 25),
+                  st.one_of(st.none(), st.integers(0, 30)),
                   st.sampled_from(["keep", "keep", "before", "twice",
                                    "inside", "other"]),
-                  st.integers(0, 11)),
-        max_size=12),
+                  st.integers(0, 7)),
+        max_size=8),
     cuts=st.lists(
-        st.tuples(st.integers(1, 70),
-                  st.lists(st.integers(0, 11), max_size=4)),
+        st.tuples(st.integers(1, _END_UNITS - 1),
+                  st.lists(st.integers(0, 7), max_size=3)),
         max_size=4).map(lambda cs: sorted(cs, key=lambda c: c[0])),
 )
-def test_cancellation_is_exact(shots, cuts):
-    """Handles are made on demand and cancellation is a seq filed in the
-    loop's cancelled set: cancel before fire, after fire, twice, from
-    inside the callback and of an entry pushed back past an ``until``
-    boundary must all leave ``pending()`` / ``processed_events`` exact and
-    never fire a cancelled entry (checked inside the program)."""
-    log = _run_cancel_program(EventLoop(), shots, cuts)
+def test_cancellation_is_exact(tasks, cuts):
+    """Cancellation is a seq filed in the loop's cancelled set: cancel
+    before the first firing, twice, from inside the task's own body, from
+    another task's body and across ``run(until=...)`` segments must all
+    leave ``pending()`` / ``processed_events`` exact and never fire a
+    cancelled task (checked inside the program).  Firings come in time
+    order, each task's one ``interval`` apart."""
+    log = _run_cancel_program(EventLoop(), tasks, cuts)
     times = [entry[0] for entry in log if entry[0] != "segment"]
     assert times == sorted(times)
+    for i, (interval, phase, _, _) in enumerate(tasks):
+        mine = [t for t, j in (e for e in log if e[0] != "segment")
+                if j == i]
+        first = (interval if phase is None else phase) * _U
+        assert mine[:1] in ([], [first])
+        gaps = [b - a for a, b in zip(mine, mine[1:])]
+        assert all(abs(gap - interval * _U) < 1e-12 for gap in gaps)
+
+
+def test_the_cancellation_property_kills_cancelled_periodic_fires():
+    """The property above has teeth against the one cancellation path the
+    loop keeps: with ``run``'s cancelled-seq check dropped, a cancelled
+    task fires and the model's counts stop matching."""
+    test_cancellation_is_exact()
+    with MUTANTS["cancelled_periodic_fires"].applied():
+        with pytest.raises(AssertionError):
+            test_cancellation_is_exact()
 
 
 # ----------------------------------------------------------------------

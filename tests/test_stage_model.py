@@ -8,8 +8,9 @@ and ``BatchAck`` (PR 21) once queued behind foreground client work in the
 partition's ``cpu`` lane, which put ``ingest`` at 4.4 ms instead of 0.17 ms
 and ``merge`` at 7.8 ms instead of 3.5 ms, and nothing noticed for ten PRs.
 
-The closed form (ARCHITECTURE.md, "Stage waits"), with Δ the uplink tick,
-θ the stabilization period and LAN the intra-DC one-way delay:
+The closed form (ARCHITECTURE.md, "Observability", the paragraph "Stage
+waits against their closed form"), with Δ the uplink tick, θ the
+stabilization period and LAN the intra-DC one-way delay:
 
 * ``ingest`` — a frame leaves ``batch_cost + op_cost·n`` after its tick and
   is ingested one LAN hop and one service slot later: LAN plus microseconds.
