@@ -24,11 +24,7 @@ from typing import Optional
 
 from ..calibration import Calibration
 from ..clocks.physical import PhysicalClock
-from ..core.config import (
-    RECEIVER_CHECK_INTERVAL,
-    RETRY_BACKOFF_CAP,
-    SEQ_RETRY_TIMEOUT,
-)
+from ..core.config import RETRY_BACKOFF_CAP, SEQ_RETRY_TIMEOUT
 from ..core.messages import ClientUpdate, ClientUpdateReply
 from ..core.partition import ReceiverFedPartition
 from ..core.protocols import (
@@ -195,9 +191,7 @@ class SequencerProtocol(ProtocolSpec):
                             metrics=site.metrics,
                             name_prefix=f"dc{site.dc_id}/chain", repair=True)
         receiver = Receiver(site.env, f"dc{site.dc_id}/receiver", site.dc_id,
-                            site.n_dcs,
-                            check_interval=RECEIVER_CHECK_INTERVAL,
-                            calibration=site.calibration,
+                            site.n_dcs, calibration=site.calibration,
                             metrics=site.metrics,
                             placement=site.partial_placement())
         partitions = [

@@ -8,10 +8,9 @@ batches, §5).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Tuple
 
-from ..datastruct.opblock import OpBlock
 from ..kvstore.types import METADATA_OVERHEAD_BYTES, Update
 
 __all__ = [
@@ -83,6 +82,13 @@ class ClientUpdateReply:
 # ----------------------------------------------------------------------
 # Partition → Eunomia (Algorithm 2 lines 8/12, batched per §5)
 # ----------------------------------------------------------------------
+def _wire_bytes(ops: tuple[Update, ...]) -> int:
+    """A frame's §5 wire total: a metadata-only op (``value=None``) costs
+    ``metadata_bytes``, a full one ``size_bytes``."""
+    return sum(op.size_bytes if op.value is not None else op.metadata_bytes
+               for op in ops)
+
+
 @dataclass(slots=True)
 class AddOpBatch:
     """A timestamp-ordered run of updates from one partition, as a frame.
@@ -90,14 +96,11 @@ class AddOpBatch:
     With data/metadata separation the ``ops`` carry ``value=None`` — only
     ordering metadata flows through Eunomia.  ``resend`` marks at-least-once
     retransmissions to fault-tolerant replicas (charged less CPU at the
-    sender: the serialized columnar frame is reused verbatim).
+    sender: the serialized frame is reused verbatim).
 
-    The wire payload is a columnar :class:`~repro.datastruct.opblock.OpBlock`
-    (``block``); pass one directly as ``ops`` to ship with zero per-op work,
-    or a plain update tuple which is columnarized once on construction.
-    ``ops`` always reads back as the update tuple (the block's payload
-    column), so per-op consumers are unaffected.  ``size_bytes`` is the
-    block's cached §5 wire total instead of a per-op sum per read.
+    A frame is its ops: one partition's timestamp-ascending ``tuple`` of
+    updates, which the stabilizer bisects by ``ts``.  ``size_bytes`` is the
+    §5 per-op sum (see :func:`_wire_bytes`).
 
     ``prev_ts`` is the timestamp of the last op of the partition's stream
     *before* this batch: the receiving replica accepts the batch only if its
@@ -110,19 +113,10 @@ class AddOpBatch:
     ops: tuple[Update, ...]
     prev_ts: int = 0
     resend: bool = False
-    block: Optional[OpBlock] = None
-
-    def __post_init__(self) -> None:
-        if isinstance(self.ops, OpBlock):
-            self.block = self.ops
-            self.ops = self.block.payload
-        elif self.block is None:
-            self.block = OpBlock.from_updates(self.ops)
-            self.ops = self.block.payload
 
     @property
     def size_bytes(self) -> int:
-        return self.block.wire_bytes()
+        return _wire_bytes(self.ops)
 
 
 @dataclass(slots=True)
@@ -238,19 +232,10 @@ class ShardStableBatch:
     shard_id: int
     stable_ts: int
     ops: tuple[Update, ...]
-    block: Optional[OpBlock] = None
-
-    def __post_init__(self) -> None:
-        if isinstance(self.ops, OpBlock):
-            self.block = self.ops
-            self.ops = self.block.payload
-        elif self.block is None:
-            self.block = OpBlock.from_updates(self.ops)
-            self.ops = self.block.payload
 
     @property
     def size_bytes(self) -> int:
-        return 16 + self.block.wire_bytes()
+        return 16 + _wire_bytes(self.ops)
 
 
 # ----------------------------------------------------------------------
@@ -260,28 +245,18 @@ class ShardStableBatch:
 class RemoteStableBatch:
     """Eunomia → remote receiver: a stable, totally-ordered run of updates.
 
-    Frame-carrying like :class:`AddOpBatch`: the ``block`` columns are
-    ascending in the run's ``(ts, partition, seq)`` serialization order, so
-    the receiver's duplicate filter is a bisection over ``block.ts`` and
-    the cached wire total makes the propagation multicast O(1) per
-    destination instead of a per-op sum per link.
+    A frame like :class:`AddOpBatch`: ``ops`` ascend in the run's
+    ``(ts, partition, seq)`` serialization order, so the receiver's
+    duplicate filter bisects them by ``ts`` and walks ``op.order_key()``
+    over the ties.  One tuple is multicast to every destination.
     """
 
     origin_dc: int
     ops: tuple[Update, ...]
-    block: Optional[OpBlock] = None
-
-    def __post_init__(self) -> None:
-        if isinstance(self.ops, OpBlock):
-            self.block = self.ops
-            self.ops = self.block.payload
-        elif self.block is None:
-            self.block = OpBlock.from_updates(self.ops)
-            self.ops = self.block.payload
 
     @property
     def size_bytes(self) -> int:
-        return self.block.wire_bytes()
+        return _wire_bytes(self.ops)
 
 
 @dataclass(slots=True)

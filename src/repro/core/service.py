@@ -52,6 +52,8 @@ is the propagation to other geo-locations").
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import attrgetter
 from typing import Optional
 
 from ..datastruct.runbuffer import RunBuffer
@@ -68,6 +70,8 @@ from .messages import (
 from .replica import ReplicaRole
 
 __all__ = ["StabilizerBase", "EunomiaService"]
+
+_TS = attrgetter("ts")
 
 
 class StabilizerBase(Process):
@@ -210,26 +214,27 @@ class StabilizerBase(Process):
 
     def _batch_cost_of(self, msg: AddOpBatch) -> float:
         """Batch + per-*new*-op insert cost (duplicates found by bisection)."""
-        block = msg.block
-        lo = block.first_above(self.partition_time[msg.partition_index])
+        ops = msg.ops
+        lo = bisect_right(ops, self.partition_time[msg.partition_index],
+                          key=_TS)
         return (self.batch_cost
-                + (self.insert_op_cost + self._wal_op_cost)
-                * (len(block) - lo))
+                + (self.insert_op_cost + self._wal_op_cost) * (len(ops) - lo))
 
     # ------------------------------------------------------------------
     # Ingestion (Alg. 3 lines 1–6)
     # ------------------------------------------------------------------
     def on_add_op_batch(self, msg: AddOpBatch, src: Process) -> None:
-        """Batched NEW_OP ingestion (Alg. 3 lines 1–4), columnar form.
+        """Batched NEW_OP ingestion (Alg. 3 lines 1–4).
 
         Per-op branching is unnecessary: a batch is one origin's ascending
         run, so the at-least-once duplicate prefix (``ts <= PartitionTime``)
         and the already-stable slice (``ts <= StableTime``) are both found
-        by bisection and the remainder moves wholesale — an
-        :class:`~repro.datastruct.opblock.OpBlock` feeds the WAL's bulk
-        ``stage_ops`` and the buffer's ``extend_run``.  State-identical to
-        the historical per-op loop (same accepted suffix, same records,
-        same buffer contents), just without interpreting each op.
+        by bisecting ``msg.ops`` by ``ts``.  The accepted suffix's
+        ``(ts, origin, seq, op)`` entries are built once and move
+        wholesale: all of them into the WAL's ``stage_ops``, those above
+        StableTime into the buffer's ``extend_run``.  State-identical to
+        the per-op loop (same accepted suffix, same records, same buffer
+        contents), just without interpreting each op.
         """
         index = msg.partition_index
         pt = self.partition_time[index]
@@ -241,30 +246,33 @@ class StabilizerBase(Process):
             self.gap_frames_dropped += 1
             self._post_batch(msg, src)
             return
-        block = msg.block
-        lo = block.first_above(pt)
+        ops = msg.ops
+        lo = bisect_right(ops, pt, key=_TS)
         self.duplicate_ops_dropped += lo
-        if lo == len(block):
+        n = len(ops)
+        if lo == n:
             self._post_batch(msg, src)
             return
+        accepted = ops[lo:]
         tracer = self.metrics.tracer
         if tracer is not None:
             now, site = self.now, self.site
             wal_name = self.wal.name if self.wal is not None else None
-            for op in block.payload[lo:]:
+            for op in accepted:
                 tracer.ingest(op, now, site)
                 if wal_name is not None:
                     tracer.wal_staged(wal_name, op, now, site)
+        entries = [(op.ts, op.partition_index, op.seq, op) for op in accepted]
         if self.wal is not None:
             # Every accepted (PartitionTime-advancing) op is logged,
             # buffered or not — replay filters below the recovery floor.
-            self.wal.stage_ops(block.run_entries(lo))
+            self.wal.stage_ops(entries)
         # Ops at or below StableTime only advance PartitionTime; the rest
         # enter the unstable buffer as one pre-sorted run extension.
-        cut = block.first_above(self.stable_time, lo)
-        if cut < len(block):
-            self.buffer.extend_run(block.run_entries(cut))
-        self.partition_time[index] = block.ts[-1]
+        cut = bisect_right(ops, self.stable_time, lo, key=_TS)
+        if cut < n:
+            self.buffer.extend_run(entries[cut - lo:])
+        self.partition_time[index] = ops[-1].ts
         self._post_batch(msg, src)
 
     def _post_batch(self, msg: AddOpBatch, src: Process) -> None:

@@ -44,7 +44,7 @@ from typing import Optional
 
 from ..clocks.hlc import HybridLogicalClock
 from ..clocks.physical import PhysicalClock
-from ..datastruct.opblock import OpBlock, OpRunBuilder
+from ..datastruct.opblock import OpRunBuilder
 from ..kvstore.types import Update
 from ..sim.loop import SimulationError
 from ..sim.process import Process
@@ -59,12 +59,12 @@ class EunomiaUplink:
 
     The host must expose a mutable ``batch_interval`` attribute (seconds).
 
-    Pending state is columnar (:class:`OpRunBuilder`): ``record`` appends
-    to parallel arrays, a shipping window is cut as an :class:`OpBlock`
-    with column slices, and the resulting frame — wire size included — is
-    cached per ``(window, prev_ts, resend)`` so a retransmission to a
-    stalled replica (Alg. 4's ``Ack_n[f]`` resend) re-ships the already
-    serialized columnar run with near-zero sender CPU.
+    Pending state is an :class:`OpRunBuilder`: ``record`` appends the op
+    and its ``ts`` (which the window bisections read), a shipping window is
+    cut as a tuple of ops, and the resulting frame is cached per
+    ``(window, prev_ts, resend)`` so a retransmission to a stalled replica
+    (Alg. 4's ``Ack_n[f]`` resend) re-ships the already serialized run with
+    near-zero sender CPU.
     """
 
     def __init__(self, host: Process, partition_index: int,
@@ -79,8 +79,8 @@ class EunomiaUplink:
         self.batch_cost = batch_cost
         self._heartbeat_us = int(config.heartbeat_interval * 1e6)   # Δ
         self.replicas: list[Process] = []
-        #: columnar pending run, ascending ts (hlc is monotone)
-        self._pending = OpRunBuilder(partition_index)
+        #: pending run, ascending ts (hlc is monotone)
+        self._pending = OpRunBuilder()
         self._ack: dict[int, int] = {}         # replica pid -> Ack_n[f]
         self._sent: dict[int, int] = {}        # replica pid -> max ts ever sent
         self._retx_due: dict[int, float] = {}  # replica pid -> next retx time
@@ -278,11 +278,13 @@ class EunomiaUplink:
             self._prune()
         else:
             pending = self._pending
-            block = pending.cut(0)
+            ops = pending.cut(0)
             pending.drop_prefix(len(pending))
-            self._transmit(self.replicas[0], block, n_new=len(block),
-                           prev_ts=self._nonft_last_sent)
-            self._nonft_last_sent = block.ts[-1]
+            self._transmit(self.replicas[0],
+                           AddOpBatch(self.partition_index, ops,
+                                      prev_ts=self._nonft_last_sent),
+                           n_new=len(ops))
+            self._nonft_last_sent = ops[-1].ts
 
     def _ship_suffix(self, replica: Process) -> None:
         """Ship new ops; retransmit the unacked window only on ack stall."""
@@ -317,8 +319,8 @@ class EunomiaUplink:
             self._retx_due[pid] = self.host.now + self._stall_timeout(pid)
         # Frame reuse: identical windows — the common case for
         # retransmissions and for the R-replica fan-out of one tick — ship
-        # the same serialized AddOpBatch object (immutable column
-        # snapshots), so only the first build pays the column slices.
+        # the same serialized AddOpBatch object (an immutable ops tuple),
+        # so only the first build pays the slice.
         frame_key = (ts_col[start], last_ts, start_from, n_new == 0)
         frame = self._frames.get(frame_key)
         if frame is None:
@@ -330,11 +332,8 @@ class EunomiaUplink:
             self.frames_reused += 1
         self._transmit(replica, frame, n_new)
 
-    def _transmit(self, replica: Process, batch, n_new: int,
-                  prev_ts: int = 0) -> None:
-        if not isinstance(batch, AddOpBatch):
-            batch = AddOpBatch(self.partition_index, batch, prev_ts=prev_ts,
-                               resend=(n_new == 0))
+    def _transmit(self, replica: Process, batch: AddOpBatch,
+                  n_new: int) -> None:
         cost = self.batch_cost + self.op_cost * n_new
         self.ops_shipped += n_new
         metrics = getattr(self.host, "metrics", None)

@@ -102,12 +102,12 @@ class RunBuffer:
         """Bulk-append one origin's pre-built run entries.  O(n) total.
 
         ``entries`` are ``(ts, origin, seq, op)`` tuples, all for the same
-        origin, timestamp-ascending — exactly what
-        :meth:`repro.datastruct.opblock.OpBlock.run_entries` produces.  One
-        validation pass checks the same contract :meth:`add` enforces per
-        call (single origin, strictly increasing ts extending the run
-        tail), then the run grows by a single ``deque.extend``.  Returns
-        the number of entries appended.
+        origin, timestamp-ascending — the above-StableTime slice of the
+        entries :meth:`repro.core.service.StabilizerBase.on_add_op_batch`
+        builds from one frame.  One validation pass checks the same
+        contract :meth:`add` enforces per call (single origin, strictly
+        increasing ts extending the run tail), then the run grows by a
+        single ``deque.extend``.  Returns the number of entries appended.
         """
         if not entries:
             return 0

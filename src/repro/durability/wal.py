@@ -139,8 +139,9 @@ class WriteAheadLog:
         """Bulk-stage ``(ts, origin, seq, op)`` entries (one batch's suffix).
 
         Equivalent to calling :meth:`stage_op` per entry — the batched
-        ingestion path hands over a whole accepted suffix at once (see
-        :meth:`repro.datastruct.opblock.OpBlock.run_entries`).
+        ingestion path hands over a whole accepted suffix at once, built
+        once per frame by
+        :meth:`repro.core.service.StabilizerBase.on_add_op_batch`.
         """
         if not entries:
             return

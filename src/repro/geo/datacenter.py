@@ -26,7 +26,7 @@ from typing import Optional
 from ..calibration import Calibration
 from ..clocks.ntp import NtpSynchronizer
 from ..core.assembly import build_stabilizer_stack
-from ..core.config import RECEIVER_CHECK_INTERVAL, EunomiaConfig
+from ..core.config import EunomiaConfig
 from ..core.partition import EunomiaPartition
 from ..core.protocols import (
     ProtocolSpec,
@@ -87,7 +87,6 @@ class EunomiaProtocol(ProtocolSpec):
         )
         receiver = Receiver(
             site.env, f"dc{site.dc_id}/receiver", site.dc_id, site.n_dcs,
-            check_interval=RECEIVER_CHECK_INTERVAL,
             calibration=cal, metrics=site.metrics, placement=pmap,
         )
         receiver.set_partitions(site.ring, partitions)

@@ -21,9 +21,9 @@ origins progress concurrently (one in-flight release per origin); both
 gating conditions are still enforced, so the applied order is identical to
 some serialization the algorithm could produce.  Duplicate deliveries —
 possible when a new Eunomia leader re-ships the window between the last
-StableAnnounce and the crash — are filtered as a columnar prefix (one
-bisection over the frame's ``ts`` column) against the last enqueued
-position per origin.
+StableAnnounce and the crash — are filtered as a prefix (one bisection
+of the frame's ops by ``ts``, then a walk over ``op.order_key()`` ties)
+against the last enqueued position per origin.
 
 Releases are stop-and-wait per origin: one :class:`ApplyRemote` /
 :class:`ApplyRemoteOk` pair per update, so an origin's chain moves one
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from operator import attrgetter
 from typing import Optional
 
 from ..calibration import Calibration
@@ -52,16 +53,18 @@ from ..kvstore.types import Update
 from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
 from ..sim.process import Process
+from ..core.config import RECEIVER_CHECK_INTERVAL
 from ..core.messages import ApplyRemote, ApplyRemoteOk, RemoteStableBatch
 
 __all__ = ["Receiver"]
+
+_TS = attrgetter("ts")
 
 
 class Receiver(Process):
     """r_m: queues remote update streams and applies them causally."""
 
     def __init__(self, env: Environment, name: str, dc_id: int, n_dcs: int,
-                 check_interval: float,
                  calibration: Optional[Calibration] = None,
                  metrics: Optional[MetricsHub] = None,
                  placement=None):
@@ -73,7 +76,6 @@ class Receiver(Process):
         })
         self.dc_id = dc_id
         self.n_dcs = n_dcs
-        self.check_interval = check_interval
         self.metrics = metrics or NullMetrics()
         #: partial geo-replication (None = full): origins whose resident
         #: set is disjoint from ours get no queue at all — the
@@ -112,7 +114,7 @@ class Receiver(Process):
     def start(self) -> None:
         # CHECK_PENDING every ρ (Alg. 5 line 3) — a safety net for updates
         # whose dependencies were satisfied by a *different* origin's apply.
-        self.periodic(self.check_interval, self._flush_all)
+        self.periodic(RECEIVER_CHECK_INTERVAL, self._flush_all)
 
     def recover(self) -> None:
         """Resume after a crash-stop (queues and SiteTime intact).
@@ -137,24 +139,22 @@ class Receiver(Process):
     def on_remote_stable_batch(self, msg: RemoteStableBatch, src: Process) -> None:
         k = msg.origin_dc
         queue = self.queues[k]
-        # Columnar dedup: the frame's (ts, partition, seq) columns ascend in
-        # serialization order, so at-least-once duplicates (a new leader
-        # re-shipping the window between the last StableAnnounce and the
-        # crash) form a *prefix* — found by bisecting ts for the last
-        # enqueued position plus a short tie walk, then the accepted suffix
-        # extends the queue wholesale.
-        block = msg.block
-        ts_col = block.ts
+        # The frame's ops ascend in (ts, partition, seq) serialization
+        # order, so at-least-once duplicates (a new leader re-shipping the
+        # window between the last StableAnnounce and the crash) form a
+        # *prefix* — found by bisecting ts for the last enqueued position
+        # plus a short walk over the order-key ties, then the accepted
+        # suffix extends the queue wholesale.
+        ops = msg.ops
         last = self._last_enqueued[k]
-        i = bisect_left(ts_col, last[0])
-        n = len(ts_col)
-        origin_col, seq_col = block.origin, block.seq
-        while i < n and (ts_col[i], origin_col[i], seq_col[i]) <= last:
+        i = bisect_left(ops, last[0], key=_TS)
+        n = len(ops)
+        while i < n and ops[i].order_key() <= last:
             i += 1
         self.duplicates_dropped += i
         if i < n:
-            self._last_enqueued[k] = (ts_col[-1], origin_col[-1], seq_col[-1])
-            queue.extend(block.payload[i:])
+            self._last_enqueued[k] = ops[-1].order_key()
+            queue.extend(ops[i:])
         self._try_flush(k)
 
     # ------------------------------------------------------------------

@@ -81,7 +81,13 @@ MUTANTS = {m.name: m for m in (
     # A retransmitted frame's already-ingested prefix is buffered again:
     # exactly-once ingestion under at-least-once delivery (Alg. 4).
     Mutant("dedup_skipped_on_retransmit", StabilizerBase, "on_add_op_batch",
-           "lo = block.first_above(pt)", "lo = 0"),
+           "lo = bisect_right(ops, pt, key=_TS)", "lo = 0"),
+    # Ops at or below StableTime enter the unstable buffer: the buffer is
+    # fed from the PartitionTime cut instead of the StableTime cut, so a
+    # follower re-buffers what its leader already shipped (Alg. 4 l.13–15).
+    Mutant("stable_prefix_enters_buffer", StabilizerBase, "on_add_op_batch",
+           "cut = bisect_right(ops, self.stable_time, lo, key=_TS)",
+           "cut = lo"),
     # A frame that follows a lost one is accepted: PartitionTime moves past
     # ops the stabilizer never saw (the prefix property, Alg. 4).
     Mutant("gap_frame_accepted", StabilizerBase, "on_add_op_batch",
@@ -100,4 +106,10 @@ MUTANTS = {m.name: m for m in (
     # are not yet applied here (Alg. 5 l.12, SiteTime[d] >= u.vts[d]).
     Mutant("receiver_ignores_site_time", Receiver, "_deps_satisfied",
            "return False", "pass"),
+    # The receiver's duplicate walk stops at the last enqueued order key
+    # instead of past it: a re-shipped frame enqueues that update again
+    # and it is applied twice (exactly-once release, Alg. 5).
+    Mutant("receiver_reenqueues_last_key", Receiver,
+           "on_remote_stable_batch",
+           "ops[i].order_key() <= last", "ops[i].order_key() < last"),
 )}

@@ -1,14 +1,14 @@
 """The uplink frame cache is a pure memoization.
 
-Disabling it (rebuilding every retransmission suffix from the pending
-columns) must leave the whole run *bit-identical*, including under the
-loss-induced ack stalls that make the cache fire in the first place — with
-and without the observability surface attached.
+Disabling it (rebuilding every retransmission suffix from the pending run)
+must leave the whole run *bit-identical*, including under the loss-induced
+ack stalls that make the cache fire in the first place — with and without
+the observability surface attached.
 
 The cache is only safe because a frame never changes once cut, so the
-frame column contract is pinned first: a window cut from the pending
-columns equals the block built from the same ops, column for column, and
-every column is an immutable tuple.
+frame row contract is pinned first: a window cut from the pending run is
+the slice of the same ops, as a tuple, and its frame's ``size_bytes`` is
+the §5 per-op sum.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import EunomiaConfig
-from repro.datastruct.opblock import OpBlock, OpRunBuilder
+from repro.core.messages import AddOpBatch
+from repro.datastruct.opblock import OpRunBuilder
 from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.goldens import run_fingerprint
-from repro.kvstore.types import Update
+from repro.kvstore.types import METADATA_OVERHEAD_BYTES, Update
 from repro.workload.generator import WorkloadSpec
 
 SPEC = dict(n_dcs=3, partitions_per_dc=2, clients_per_dc=1)
@@ -36,10 +37,8 @@ def _system(seed: int, config: EunomiaConfig):
 
 
 # ----------------------------------------------------------------------
-# Frame column contract: OpRunBuilder.cut == OpBlock.from_updates
+# Frame row contract: OpRunBuilder.cut == the ops slice, as a tuple
 # ----------------------------------------------------------------------
-COLUMNS = ("origin", "ts", "seq", "payload")
-
 #: per op: (ts increment, metadata-only?, value bytes, vector width)
 _OPS = st.lists(st.tuples(st.integers(1, 5), st.booleans(),
                           st.integers(0, 300), st.integers(1, 3)),
@@ -57,22 +56,22 @@ def _updates(partition, specs, ts=0, seq=0):
     return ops
 
 
-def _assert_same_frame(block, ops):
-    reference = OpBlock.from_updates(ops)
-    for name in COLUMNS:
-        column = getattr(block, name)
-        assert type(column) is tuple, name      # shared by R replicas
-        assert column == getattr(reference, name), name
-    per_op = sum(op.size_bytes if op.value is not None else op.metadata_bytes
+def _assert_same_frame(window, ops):
+    assert type(window) is tuple            # shared by R replicas
+    assert window == tuple(ops)
+    # §5, written out per op: a metadata-only op ships its vector and
+    # framing, a full one its value bytes too
+    per_op = sum(8 * len(op.vts) + METADATA_OVERHEAD_BYTES
+                 + (op.value_bytes if op.value is not None else 0)
                  for op in ops)
-    assert block.wire_bytes() == reference.wire_bytes() == per_op
+    assert AddOpBatch(3, window).size_bytes == per_op
 
 
 @settings(max_examples=60, deadline=None)
 @given(specs=_OPS, more=_OPS, window=st.tuples(st.integers(0, 12),
                                               st.integers(0, 12)))
-def test_cut_equals_from_updates_column_for_column(specs, more, window):
-    builder = OpRunBuilder(3)
+def test_cut_equals_the_ops_slice_row_for_row(specs, more, window):
+    builder = OpRunBuilder()
     ops = _updates(3, specs)
     for op in ops:
         builder.append(op)
@@ -88,6 +87,7 @@ def test_cut_equals_from_updates_column_for_column(specs, more, window):
     _assert_same_frame(builder.cut(0), later)
     builder.drop_prefix(1)
     _assert_same_frame(builder.cut(0), later[1:])
+    assert builder.ts == [op.ts for op in later[1:]]
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +147,7 @@ def _arm_uplink_faults(system, plan) -> None:
 # Uplink frame cache: pure memoization, bit-identical when disabled
 # ----------------------------------------------------------------------
 def _disable_frame_cache(system) -> None:
-    """Force every retransmission suffix to be rebuilt from the columns."""
+    """Force every retransmission suffix to be rebuilt from the pending run."""
     for dc in system.datacenters:
         for p in dc.partitions:
             uplink = p.uplink

@@ -5,7 +5,7 @@ import test_replica_ft
 from mutants import MUTANTS
 
 from repro.core import EunomiaConfig, EunomiaService
-from repro.core.messages import AddOpBatch, PartitionHeartbeat
+from repro.core.messages import AddOpBatch, PartitionHeartbeat, StableAnnounce
 from repro.kvstore.types import Update
 from repro.metrics import MetricsHub
 from repro.sim import ConstantLatency, Environment, Network, Process
@@ -122,6 +122,22 @@ def test_frame_after_a_lost_frame_is_refused(service_env):
     assert [op.ts for op in sink.ops] == [10]
 
 
+def test_ops_at_or_below_stable_time_only_advance_partition_time(service_env):
+    """StableTime pruned to an announced floor of 20 — a follower's state,
+    ahead of PartitionTime — then a frame that straddles it: 10 and 20
+    were shipped already, so they only advance PartitionTime; 30 alone
+    enters the buffer, and nothing is shipped again."""
+    env, service, sink = service_env
+    feeder = Feeder(env)
+    feeder.send(service, StableAnnounce(20))
+    feeder.send(service, AddOpBatch(0, tuple(make_op(ts, 0) for ts in
+                                             (10, 20, 30))))
+    env.run(until=0.1)
+    assert service.partition_time[0] == 30
+    assert service.buffer.total_added == 1
+    assert sink.ops == []
+
+
 def test_heartbeat_never_regresses_partition_time(service_env):
     env, service, _ = service_env
     feeder = Feeder(env)
@@ -193,6 +209,18 @@ def test_the_ingest_guards_kill_each_seeded_fault(mutant, must_fail):
     with MUTANTS[mutant].applied():
         with pytest.raises((AssertionError, ValueError)):
             must_fail()
+
+
+def test_the_buffer_cut_kills_stable_prefix_enters_buffer():
+    """The buffer is fed from the StableTime cut: fed from the
+    PartitionTime cut instead, it buffers ops already shipped, and the
+    next round ships them again."""
+    test_ops_at_or_below_stable_time_only_advance_partition_time(
+        _service_env())
+    with MUTANTS["stable_prefix_enters_buffer"].applied():
+        with pytest.raises(AssertionError):
+            test_ops_at_or_below_stable_time_only_advance_partition_time(
+                _service_env())
 
 
 def test_the_stable_cut_kills_stable_cut_one_tick_high():

@@ -10,6 +10,7 @@ from mutants import MUTANTS
 from repro.checker import CausalChecker, SessionHistory
 from repro.core.config import EunomiaConfig
 from repro.core.messages import ApplyRemote, ApplyRemoteOk, RemoteStableBatch
+from repro.geo import receiver as receiver_module
 from repro.geo.receiver import Receiver
 from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.kvstore.ring import ConsistentHashRing
@@ -45,8 +46,7 @@ def rig(env, metrics):
 
 def _rig(env, metrics):
     Network(env, ConstantLatency(0.0001))
-    receiver = Receiver(env, "recv", dc_id=0, n_dcs=3, check_interval=0.001,
-                        metrics=metrics)
+    receiver = Receiver(env, "recv", dc_id=0, n_dcs=3, metrics=metrics)
     log = []
     partitions = [RecordingPartition(env, f"p{i}", log) for i in range(2)]
     receiver.set_partitions(ConsistentHashRing(2), partitions)
@@ -109,6 +109,19 @@ def test_duplicates_are_dropped(rig):
     env.run(until=0.1)
     assert log == [op.uid]
     assert receiver.duplicates_dropped == 1
+
+
+def test_the_duplicate_filter_kills_receiver_reenqueues_last_key():
+    """A frame re-shipped whole: a tie walk that stops *at* the last
+    enqueued order key enqueues that update again, and it is released
+    twice."""
+    def dedup():
+        test_duplicates_are_dropped(_rig(Environment(seed=1234), MetricsHub()))
+
+    dedup()
+    with MUTANTS["receiver_reenqueues_last_key"].applied():
+        with pytest.raises(AssertionError):
+            dedup()
 
 
 def test_timestamp_ties_across_partitions_both_apply(rig):
@@ -227,9 +240,12 @@ def test_reshipped_streams_drain_in_stream_order(plan):
     log: list[tuple] = []
     partitions = [RecordingPartition(env, f"p{i}", log) for i in range(2)]
     origins = {k: Process(env, f"origin{k}") for k in schedule}
-    receiver = Receiver(env, "r0", dc_id=0, n_dcs=3, check_interval=0.005)
+    receiver = Receiver(env, "r0", dc_id=0, n_dcs=3)
     receiver.set_partitions(ConsistentHashRing(2), partitions)
-    receiver.start()
+    with pytest.MonkeyPatch.context() as patch:
+        # a coarser CHECK_PENDING period than the deployed ρ
+        patch.setattr(receiver_module, "RECEIVER_CHECK_INTERVAL", 0.005)
+        receiver.start()
     shipped = 0
     for k, frames in schedule.items():
         for when, lo, hi in frames:
