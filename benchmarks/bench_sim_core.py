@@ -65,6 +65,54 @@ def bench_network_message_round(benchmark, model):
     benchmark(ping_pong)
 
 
+def bench_saturated_lane(benchmark):
+    """One server fed twice as fast as it serves (100k messages).
+
+    A job arrives every microsecond and costs 2 µs, so the server's
+    backlog reaches 50k.  The backlog waits in the lane, not on the heap:
+    the heap holds the next arrival and the lane's head however long the
+    queue, and the jobs are served in arrival order.
+    """
+
+    class Job:
+        __slots__ = ("n",)
+
+        def __init__(self, n):
+            self.n = n
+
+    class Server(Process):
+        def __init__(self, env):
+            super().__init__(env, "server", costs={"Job": 2e-6})
+            self.served = []
+
+        def on_job(self, msg, src):
+            self.served.append(msg.n)
+
+    jobs = 100_000
+
+    def saturate():
+        env = Environment(seed=1)
+        server = Server(env)
+        loop = env.loop
+        depths = []
+
+        def arrive(n):
+            server.deliver(Job(n), None)
+            if n % 10_000 == 9_999:
+                depths.append((loop.pending(), len(loop._heap)))
+            if n + 1 < jobs:
+                loop.schedule(1e-6, arrive, n + 1)
+
+        loop.schedule(1e-6, arrive, 0)
+        env.run()
+        assert server.served == list(range(jobs))
+        return depths
+
+    depths = benchmark(saturate)
+    assert depths[-1][0] > 45_000
+    assert max(heap for _, heap in depths) <= 2
+
+
 def bench_hybrid_clock_updates(benchmark):
     """Alg. 2 line 5 in a tight loop (100k timestamp generations)."""
     env = Environment(seed=1)

@@ -431,8 +431,8 @@ class GstPartition(StoragePartition):
         now = self.now
         # The round's work occupies the foreground server from now on:
         # client operations queue behind it, it queues behind nothing.
-        busy = self._lane_busy
-        busy["cpu"] = max(now, busy.get("cpu", 0.0)) + self._round_cost
+        cpu = self._lanes["cpu"]
+        cpu.busy = max(now, cpu.busy) + self._round_cost
         self._last_broadcast_seen = now
         if msg.sender != self.aggregator_view and self.local_partitions:
             # Someone else is aggregating.  Ω-style min-index tie-break: a

@@ -9,11 +9,15 @@ bit-identical histories, which the test suite and the causal-consistency
 checker rely on.
 
 There is one scheduler: a binary heap holding one plain tuple
-``(time, seq, fn, args)`` per scheduled callback and nothing else;
-:meth:`EventLoop.schedule_at` is the only way in.  Only periodic tasks can
-be cancelled (:class:`PeriodicHandle`), and cancellation is a sequence
-number filed in a set — see "Simulator hot path" in
-``docs/ARCHITECTURE.md``.
+``(time, seq, fn, args)`` per scheduled callback and nothing else.
+:meth:`EventLoop.schedule_at` is the way in, with one exception: a busy
+:class:`~repro.sim.process.Process` lane *parks* its later completions
+behind the one it has on the heap, each with the ``seq`` the loop's counter
+gave it when it was reserved, and pushes the next one onto the heap when
+the head fires (the loop only keeps the lanes' FIFOs, to count them).
+Only periodic tasks can be cancelled (:class:`PeriodicHandle`), and
+cancellation is a sequence number filed in a set — see "Simulator hot
+path" in ``docs/ARCHITECTURE.md``.
 
 Time is a ``float`` measured in **seconds** since the start of the run.
 Protocol-level timestamps, by contrast, are integers in microseconds (see
@@ -23,6 +27,7 @@ that clock drift can be simulated.
 
 from __future__ import annotations
 
+from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
@@ -108,6 +113,7 @@ class EventLoop:
         #: speed, and ``seq`` is unique, so comparison never reaches ``fn``.
         self._heap: list[tuple] = []
         self._seq = 0          # entries ever scheduled == next sequence number
+        self._fifos: list[deque] = []  # busy lanes' parked entries: fifo()
         self._now: float = 0.0
         self._running = False
         self._cancelled: set[int] = set()   # seqs cancelled while still queued
@@ -126,14 +132,31 @@ class EventLoop:
         """Number of events that have fired so far (cancelled ones excluded).
 
         Derived, so firing an event maintains no counter: every entry ever
-        scheduled is still queued, was discarded as cancelled, or fired.
+        scheduled is still queued (on the heap or parked behind a busy
+        lane's head), was discarded as cancelled, or fired.
         """
-        return self._seq - len(self._heap) - self._dead
+        return self._seq - len(self._heap) - self._parked() - self._dead
 
     def pending(self) -> int:
-        """Number of not-yet-fired, not-cancelled events.  O(1), so monitors
-        can poll it every tick."""
-        return len(self._heap) - len(self._cancelled)
+        """Number of not-yet-fired, not-cancelled events, parked ones
+        included.  O(lanes that ever backed up), so monitors can poll it
+        every tick."""
+        return len(self._heap) + self._parked() - len(self._cancelled)
+
+    def _parked(self) -> int:
+        return sum(map(len, self._fifos))
+
+    def fifo(self) -> deque:
+        """A new FIFO for entries parked behind a busy lane's head.
+
+        Its entries are ``(time, seq, fn, args)`` tuples whose ``seq`` came
+        from this loop's counter; whoever parks them moves each onto the
+        heap, ``seq`` unchanged, before it can fall due.  The loop counts
+        them in :attr:`processed_events` and :meth:`pending`.
+        """
+        fifo: deque = deque()
+        self._fifos.append(fifo)
+        return fifo
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -149,9 +172,10 @@ class EventLoop:
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> int:
         """Schedule ``fn(*args)`` at absolute simulation time ``time``.
 
-        The one door into the queue: every other scheduling call, in this
-        module and outside it, goes through this attribute.  Returns the
-        entry's sequence number.
+        Every scheduling call, in this module and outside it, goes through
+        this attribute; only a parked lane completion reaches the heap
+        without it (see the module docstring).  Returns the entry's
+        sequence number.
         """
         if time < self._now:
             raise SimulationError(

@@ -27,6 +27,7 @@ from repro.core.service import StabilizerBase
 from repro.core.uplink import EunomiaUplink
 from repro.geo.receiver import Receiver
 from repro.sim.loop import EventLoop
+from repro.sim.process import Process
 
 __all__ = ["MUTANTS", "Mutant"]
 
@@ -102,6 +103,17 @@ MUTANTS = {m.name: m for m in (
     Mutant("stable_cut_one_tick_high", StabilizerBase, "_stabilize",
            "stable = self._stable_floor()",
            "stable = self._stable_floor() + 1"),
+    # A parked lane completion re-enters the queue with a fresh seq when its
+    # head fires: it falls behind every same-time entry scheduled since it
+    # was reserved (the loop's (time, seq) order).
+    Mutant("parked_entry_gets_fresh_seq", Process, "_run_delivery",
+           "heappush(self._loop._heap, lane.parked.popleft())",
+           "time, _, fn, args = lane.parked.popleft(); "
+           "self._loop.schedule_at(time, fn, *args)"),
+    # A crash leaves the backlog parked behind a head its new epoch made
+    # stale: the entries never reach the heap and never fire.
+    Mutant("crash_keeps_lane_parked", Process, "crash",
+           "self._unpark_all()", "pass"),
     # The receiver releases an update whose dependencies on other origins
     # are not yet applied here (Alg. 5 l.12, SiteTime[d] >= u.vts[d]).
     Mutant("receiver_ignores_site_time", Receiver, "_deps_satisfied",

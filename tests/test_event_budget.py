@@ -19,6 +19,7 @@ from repro.baselines.gst import GstPartition
 from repro.baselines.messages import GstBroadcast
 from repro.core import EunomiaConfig
 from repro.core.protocols import available_protocols
+from repro.harness.loadgen import build_eunomia_rig
 
 
 def _run(protocol, clients_per_dc):
@@ -79,7 +80,8 @@ def test_a_summary_broadcast_on_an_idle_lane_costs_one_event(monkeypatch):
     def count(name):
         inner = getattr(GstPartition, name)
 
-        def counted(self, *args):       # (msg, src) / (epoch, handler, msg, src)
+        # args: (msg, src) / (lane, epoch, handler, msg, src)
+        def counted(self, *args):
             events[name] += type(args[-2]) is GstBroadcast
             inner(self, *args)
         monkeypatch.setattr(GstPartition, name, counted)
@@ -110,3 +112,22 @@ def test_events_per_op_stays_under_its_ceiling(protocol):
     ops = sum(client.ops_done for client in system.clients)
     assert ops > 2000
     assert events / ops <= _CEILINGS[protocol]
+
+
+def test_a_saturated_stabilizer_backlog_waits_off_the_heap():
+    """The section 7.1 rig drives one stabilizer past its capacity, so its
+    ``cpu`` lane backlog grows for the whole run.  That backlog is parked
+    in the lane, not queued on the loop's heap: the heap stays near two
+    entries per process (one head per busy lane, one in-flight message or
+    timer) while ``pending()`` grows by thousands.  With every completion
+    on the heap it held 3 535 entries at 0.4 sim-s."""
+    rig = build_eunomia_rig(75, seed=5)
+    loop = rig.env.loop
+    processes = len(rig.env.network.processes())
+    rig.start()
+    backlog = loop.pending()
+    for until in (0.4, 0.8):
+        rig.env.run(until=until)
+        assert loop.pending() > backlog + 1000
+        backlog = loop.pending()
+        assert len(loop._heap) <= 3 * processes

@@ -1,6 +1,7 @@
 """Tests for the process service-queue model and the network."""
 
 from dataclasses import dataclass
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.sim import ConstantLatency, Environment, Network, RttMatrix
 from repro.sim.process import Process
+
+from mutants import MUTANTS
 
 
 @dataclass
@@ -120,10 +123,12 @@ def test_plan_caches_fixed_cost_lane_and_handler(env):
     echo = Echo(env, "echo", costs={"Ping": 0.1})
     assert _completions(env, echo, [Ping(0), Ping(1), Ping(2)]) == [
         0.101, 0.201, 0.301]
-    assert echo._plans[Ping] == ("cpu", 0.1, echo.on_ping, False)
+    assert echo._plans[Ping] == (echo._lanes["cpu"], 0.1, echo.on_ping,
+                                 False)
     # the reply costs the caller nothing, so it may be handled on arrival
     caller = env.network.processes()[-1]
-    assert caller._plans[Pong] == ("cpu", 0.0, caller.on_pong, True)
+    assert caller._plans[Pong] == (caller._lanes["cpu"], 0.0, caller.on_pong,
+                                   True)
 
 
 def test_callable_cost_is_evaluated_per_message(env):
@@ -153,8 +158,8 @@ def test_lane_table_declares_lanes_by_type(env):
     # the two types are served in parallel, each FIFO on its own lane
     assert [(round(t, 6), p) for t, p in store.seen] == [
         (0.101, 1), (0.101, -1), (0.201, 2), (0.201, -2)]
-    assert store._plans[Pong][0] == "replication"
-    assert store._plans[Ping][0] == "cpu"
+    assert store._plans[Pong][0] is store._lanes["replication"]
+    assert store._plans[Ping][0] is store._lanes["cpu"]
 
 
 def test_missing_handler_raises_at_dispatch_not_at_plan_build(env):
@@ -256,15 +261,16 @@ class TwoEvent(Fusing):
 def _drive(cls, arrivals):
     """Deliver ``arrivals`` = [(time, msg)] straight into one ``cls``
     process; return it, the events fired and per arrival the lane's
-    ``_lane_busy`` before and after."""
+    busy clock before and after."""
     env = Environment(seed=1)
     proc = cls(env, "p")
     slots = []
 
     def arrive(msg):
-        before = proc._lane_busy.get(msg.lane, 0.0)
+        lane = proc._lanes[msg.lane]
+        before = lane.busy
         proc.deliver(msg, None)
-        slots.append((before, proc._lane_busy[msg.lane]))
+        slots.append((before, lane.busy))
 
     for when, msg in arrivals:
         env.loop.schedule_at(when, arrive, msg)
@@ -341,7 +347,7 @@ def test_fused_delivery_to_a_crashed_process_is_a_noop():
     proc.crash()
     env.loop.schedule_at(1.0, proc.deliver, Free(0, "cpu"), None)
     env.run()
-    assert proc.handled == [] and proc._lane_busy == {}
+    assert proc.handled == [] and proc._lanes == {}
 
 
 def test_crash_drops_a_fusable_message_that_had_to_queue():
@@ -355,6 +361,177 @@ def test_crash_drops_a_fusable_message_that_had_to_queue():
     env.loop.schedule_at(3.0, proc.deliver, Free(3, "cpu"), None)
     env.run()
     assert proc.handled == [("cpu", 3, 3.0)]
+
+
+# ----------------------------------------------------------------------
+# Parked lanes: a lane keeps only its head completion on the heap and
+# parks the rest in its FIFO.  The reference below schedules every
+# completion through ``schedule_at``, as every completion was before; the
+# property holds the parked lanes to it, counters included.
+# ----------------------------------------------------------------------
+
+class Parking(Fusing):
+    """:class:`Fusing` that also logs ``_enqueue`` slots and unrelated
+    events, and answers every ``Work`` with an unrelated event at the
+    instant it is handled (a same-time tie with parked completions)."""
+
+    def log(self, tag, n):
+        self.handled.append((tag, n, self.now))
+
+    def _handle(self, msg, src):
+        super()._handle(msg, src)
+        if isinstance(msg, Work):
+            self._loop.schedule_at(self.now, self.log, "echo", msg.n)
+
+    on_free = on_beat = on_work = on_sized = _handle
+    on_free_repl = on_beat_repl = on_work_repl = on_sized_repl = _handle
+
+
+class HeapOnly(Parking):
+    """The service queue before lanes parked: one ``schedule_at`` entry per
+    completion, fused delivery unchanged."""
+
+    def deliver(self, msg, src):
+        if self.crashed:
+            return
+        lane, cost, handler, fusable = (self._plans.get(type(msg))
+                                        or self._plan(type(msg)))
+        if cost is None:
+            cost = self.costs[type(msg).__name__](msg)
+        now = self.now
+        start = lane.busy
+        if start < now:
+            if fusable:
+                lane.busy = now + cost
+                handler(msg, src)
+                return
+            start = now
+        lane.busy = start + cost
+        self._loop.schedule_at(lane.busy, self._run_guarded, self._epoch,
+                               handler, (msg, src))
+
+    def _enqueue(self, fn, cost, *args, lane="cpu"):
+        slot = self._lanes[lane]
+        slot.busy = max(self.now, slot.busy) + cost
+        self._loop.schedule_at(slot.busy, self._run_guarded, self._epoch, fn,
+                               args)
+        return slot.busy
+
+
+def _scripted(cls, arrivals, slots=(), events=(), faults=()):
+    """One ``cls`` process with everything scheduled up front: ``arrivals``
+    = [(time, msg)] delivered, ``slots`` = [(time, cost, lane)] enqueued,
+    ``events`` = [time] unrelated loop events, ``faults`` = [(time,
+    "crash" | "recover")]."""
+    env = Environment(seed=1)
+    proc = cls(env, "p")
+    loop = env.loop
+    for when, msg in arrivals:
+        loop.schedule_at(when, proc.deliver, msg, None)
+    for n, (when, cost, lane) in enumerate(slots):
+        loop.schedule_at(when, partial(proc._enqueue, proc.log, cost,
+                                       "slot:" + lane, n, lane=lane))
+    for n, when in enumerate(events):
+        loop.schedule_at(when, proc.log, "event", n)
+    for when, fault in faults:
+        loop.schedule_at(when, getattr(proc, fault))
+    return proc
+
+
+def _observed(proc):
+    loop = proc._loop
+    return list(proc.handled), loop.processed_events, loop.pending()
+
+
+_HALVES = st.integers(1, 24).map(lambda k: 0.5 * k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ARRIVALS,
+       st.lists(st.tuples(_HALVES, st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                          st.sampled_from(["cpu", "replication"])),
+                max_size=12),
+       st.lists(_HALVES, max_size=8),
+       st.lists(st.tuples(_HALVES, st.sampled_from(["crash", "recover"])),
+                max_size=3),
+       st.lists(_HALVES, max_size=4))
+def test_parked_lanes_fire_what_the_heap_alone_fires(drawn, slots, events,
+                                                     faults, cuts):
+    drawn = sorted(drawn, key=lambda a: a[0])
+    arrivals = [(when, _message(kind, n, lane, size))
+                for n, (when, kind, lane, size) in enumerate(drawn)]
+    sides = [_scripted(cls, arrivals, slots, events, faults)
+             for cls in (Parking, HeapOnly)]
+    for until in sorted(cuts) + [None]:
+        for proc in sides:
+            proc._loop.run(until)
+        parked, reference = (_observed(proc) for proc in sides)
+        assert parked == reference
+    assert sides[0]._loop.pending() == 0
+
+
+def test_a_backlog_waits_in_its_lane_not_on_the_heap():
+    proc = _scripted(Parking, [(1.0, Work(n, "cpu")) for n in range(50)])
+    loop = proc._loop
+    loop.run(until=1.0)
+    assert (len(loop._heap), loop._parked(), loop.pending()) == (1, 49, 50)
+    lane = proc._lanes["cpu"]
+    assert lane.queued == 50 and len(lane.parked) == 49
+    loop.run(until=4.0)             # Work 0 and 1 done, each with its echo
+    assert [n for tag, n, _ in proc.handled if tag == "cpu"] == [0, 1]
+    assert lane.queued == 48 and loop.pending() == 48
+    loop.run()
+    assert lane.queued == 0 and not lane.parked and loop._parked() == 0
+    assert loop.processed_events == 50 + 50 + 50    # arrival, slot, echo
+
+
+def test_a_parked_completion_keeps_the_seq_of_its_reservation():
+    """Work 1 is reserved at 1.0 and parked; the event scheduled at 1.5
+    for the instant Work 1 completes is sequenced after it, so it fires
+    after it, as it would with both on the heap."""
+    for cls in (Parking, HeapOnly):
+        proc = _scripted(cls, [(1.0, Work(0, "cpu")), (1.0, Work(1, "cpu"))])
+        proc._loop.schedule_at(1.5, proc._loop.schedule_at, 4.0, proc.log,
+                               "event", 0)
+        proc._loop.run()
+        assert proc.handled == [("cpu", 0, 2.5), ("echo", 0, 2.5),
+                                ("cpu", 1, 4.0), ("event", 0, 4.0),
+                                ("echo", 1, 4.0)]
+        assert proc._loop.processed_events == 2 + 2 + 2 + 2
+
+
+def test_crash_moves_a_parked_backlog_onto_the_heap():
+    """The backlog fires as stale no-ops at its own times: nothing stays
+    parked behind a head whose epoch went stale."""
+    counts = []
+    for cls in (Parking, HeapOnly):
+        proc = _scripted(cls, [(1.0, Work(n, "cpu")) for n in range(4)],
+                         slots=[(1.0, 1.0, "cpu")], faults=[(3.0, "crash")])
+        loop = proc._loop
+        loop.run(until=3.0)
+        assert loop.pending() == 4 and loop._parked() == 0
+        loop.run(until=6.0)
+        counts.append((loop.processed_events, loop.pending()))
+        loop.run()
+        assert proc.handled == [("cpu", 0, 2.5), ("echo", 0, 2.5)]
+        assert loop.pending() == 0 and loop.now == 8.0
+    assert counts[0] == counts[1] == (5 + 1 + 1 + 2 + 1, 2)
+
+
+def test_the_parked_seq_test_kills_a_fresh_seq():
+    """Re-entering a parked entry through ``schedule_at`` gives it a new
+    seq when its head fires, behind the event scheduled at 1.5."""
+    test_a_parked_completion_keeps_the_seq_of_its_reservation()
+    with MUTANTS["parked_entry_gets_fresh_seq"].applied():
+        with pytest.raises(AssertionError):
+            test_a_parked_completion_keeps_the_seq_of_its_reservation()
+
+
+def test_the_crash_backlog_test_kills_a_lane_left_parked():
+    test_crash_moves_a_parked_backlog_onto_the_heap()
+    with MUTANTS["crash_keeps_lane_parked"].applied():
+        with pytest.raises(AssertionError):
+            test_crash_moves_a_parked_backlog_onto_the_heap()
 
 
 def test_missing_handler_of_a_zero_cost_message_raises_at_arrival(env):
