@@ -10,11 +10,13 @@ checker rely on.
 
 There is one scheduler: a binary heap holding one plain tuple
 ``(time, seq, fn, args)`` per scheduled callback and nothing else.
-:meth:`EventLoop.schedule_at` is the way in, with one exception: a busy
+:meth:`EventLoop.schedule_at` is the way in, with two exceptions: a busy
 :class:`~repro.sim.process.Process` lane *parks* its later completions
-behind the one it has on the heap, each with the ``seq`` the loop's counter
-gave it when it was reserved, and pushes the next one onto the heap when
-the head fires (the loop only keeps the lanes' FIFOs, to count them).
+behind the one it has on the heap, and a busy
+:class:`~repro.sim.network.Link` its later arrivals, each with the ``seq``
+the loop's counter gave it when it was reserved or sent, and pushes the
+next one onto the heap when the head fires (the loop only keeps the lanes'
+and links' FIFOs, to count them).
 Only periodic tasks can be cancelled (:class:`PeriodicHandle`), and
 cancellation is a sequence number filed in a set — see "Simulator hot
 path" in ``docs/ARCHITECTURE.md``.
@@ -113,7 +115,7 @@ class EventLoop:
         #: speed, and ``seq`` is unique, so comparison never reaches ``fn``.
         self._heap: list[tuple] = []
         self._seq = 0          # entries ever scheduled == next sequence number
-        self._fifos: list[deque] = []  # busy lanes' parked entries: fifo()
+        self._fifos: list[deque] = []  # parked lane / link entries: fifo()
         self._now: float = 0.0
         self._running = False
         self._cancelled: set[int] = set()   # seqs cancelled while still queued
@@ -133,21 +135,21 @@ class EventLoop:
 
         Derived, so firing an event maintains no counter: every entry ever
         scheduled is still queued (on the heap or parked behind a busy
-        lane's head), was discarded as cancelled, or fired.
+        lane's or link's head), was discarded as cancelled, or fired.
         """
         return self._seq - len(self._heap) - self._parked() - self._dead
 
     def pending(self) -> int:
         """Number of not-yet-fired, not-cancelled events, parked ones
-        included.  O(lanes that ever backed up), so monitors can poll it
-        every tick."""
+        included.  O(lanes and links that ever backed up), so monitors can
+        poll it every tick."""
         return len(self._heap) + self._parked() - len(self._cancelled)
 
     def _parked(self) -> int:
         return sum(map(len, self._fifos))
 
     def fifo(self) -> deque:
-        """A new FIFO for entries parked behind a busy lane's head.
+        """A new FIFO for entries parked behind a busy lane's or link's head.
 
         Its entries are ``(time, seq, fn, args)`` tuples whose ``seq`` came
         from this loop's counter; whoever parks them moves each onto the
@@ -173,9 +175,9 @@ class EventLoop:
         """Schedule ``fn(*args)`` at absolute simulation time ``time``.
 
         Every scheduling call, in this module and outside it, goes through
-        this attribute; only a parked lane completion reaches the heap
-        without it (see the module docstring).  Returns the entry's
-        sequence number.
+        this attribute; only a parked lane completion or link arrival
+        reaches the heap without it (see the module docstring).  Returns
+        the entry's sequence number.
         """
         if time < self._now:
             raise SimulationError(

@@ -27,6 +27,7 @@ from repro.core.service import StabilizerBase
 from repro.core.uplink import EunomiaUplink
 from repro.geo.receiver import Receiver
 from repro.sim.loop import EventLoop
+from repro.sim.network import Network
 from repro.sim.process import Process
 
 __all__ = ["MUTANTS", "Mutant"]
@@ -79,6 +80,16 @@ MUTANTS = {m.name: m for m in (
     Mutant("heartbeat_from_tick_at_frame_due", EunomiaUplink, "_tick",
            "host._loop._now > self._frame_due",
            "host._loop._now >= self._frame_due"),
+    # The heartbeat is stamped from the simulator's true time, not from the
+    # partition's physical clock that the guard read and the hybrid clock
+    # observes (Alg. 2 l.11): on a clock that lags, a later update is
+    # tagged below a heartbeat already sent (Property 2).
+    Mutant("heartbeat_stamped_from_true_time", EunomiaUplink, "_tick",
+           "PartitionHeartbeat(self.partition_index, clock_now)\n"
+           "            self.heartbeats_sent += 1",
+           "PartitionHeartbeat(self.partition_index,\n"
+           "                                      int(host._loop._now * 1e6))\n"
+           "            self.heartbeats_sent += 1"),
     # A retransmitted frame's already-ingested prefix is buffered again:
     # exactly-once ingestion under at-least-once delivery (Alg. 4).
     Mutant("dedup_skipped_on_retransmit", StabilizerBase, "on_add_op_batch",
@@ -110,6 +121,18 @@ MUTANTS = {m.name: m for m in (
            "heappush(self._loop._heap, lane.parked.popleft())",
            "time, _, fn, args = lane.parked.popleft(); "
            "self._loop.schedule_at(time, fn, *args)"),
+    # A parked link arrival re-enters the queue with a fresh seq when the
+    # link's head fires: it falls behind every same-time arrival on other
+    # links sent since it was (the loop's (time, seq) order).
+    Mutant("parked_arrival_gets_fresh_seq", Network, "_arrive",
+           "heappush(self._loop._heap, link.parked.popleft())",
+           "time, _, fn, args = link.parked.popleft(); "
+           "self._loop.schedule_at(time, fn, *args)"),
+    # A send that should become the link's tracked head parks instead,
+    # behind untracked arrivals that never move the FIFO: nothing of the
+    # link after it ever reaches the heap.
+    Mutant("link_parks_behind_untracked_head", Network, "send",
+           "if tracked:", "if tracked or link.prior > now:"),
     # A crash leaves the backlog parked behind a head its new epoch made
     # stale: the entries never reach the heap and never fire.
     Mutant("crash_keeps_lane_parked", Process, "crash",

@@ -11,7 +11,10 @@ arrival that handles it — and a zero-cost message is handled in its
 arrival event when its lane is idle.
 """
 
+from collections import Counter
+
 import pytest
+from heap_only import HeapOnlyNetwork
 
 import repro.baselines  # noqa: F401  (registers every protocol)
 from repro import GeoSystemSpec, WorkloadSpec, build_geo_system
@@ -20,6 +23,7 @@ from repro.baselines.messages import GstBroadcast
 from repro.core import EunomiaConfig
 from repro.core.protocols import available_protocols
 from repro.harness.loadgen import build_eunomia_rig
+from repro.sim import Network
 
 
 def _run(protocol, clients_per_dc):
@@ -114,13 +118,24 @@ def test_events_per_op_stays_under_its_ceiling(protocol):
     assert events / ops <= _CEILINGS[protocol]
 
 
-def test_a_saturated_stabilizer_backlog_waits_off_the_heap():
+def test_a_saturated_stabilizer_backlog_waits_off_the_heap(monkeypatch):
     """The section 7.1 rig drives one stabilizer past its capacity, so its
     ``cpu`` lane backlog grows for the whole run.  That backlog is parked
     in the lane, not queued on the loop's heap: the heap stays near two
     entries per process (one head per busy lane, one in-flight message or
     timer) while ``pending()`` grows by thousands.  With every completion
-    on the heap it held 3 535 entries at 0.4 sim-s."""
+    on the heap it held 3 535 entries at 0.4 sim-s.  Its links never hold
+    more than two messages in flight (a frame, and the heartbeat sent
+    before it lands), so no arrival is tracked: every message keeps the
+    plain ``deliver`` entry and pays no trampoline."""
+    tracked = []
+    arrive = Network._arrive
+
+    def counted(self, link, dst, msg, src):
+        tracked.append(msg)
+        arrive(self, link, dst, msg, src)
+
+    monkeypatch.setattr(Network, "_arrive", counted)
     rig = build_eunomia_rig(75, seed=5)
     loop = rig.env.loop
     processes = len(rig.env.network.processes())
@@ -131,3 +146,45 @@ def test_a_saturated_stabilizer_backlog_waits_off_the_heap():
         assert loop.pending() > backlog + 1000
         backlog = loop.pending()
         assert len(loop._heap) <= 3 * processes
+    assert tracked == []
+
+
+def _arrivals_per_link(network):
+    """(src pid, dst pid) -> arrival entries on the loop's heap: a tracked
+    arrival is ``network._arrive(link, dst, msg, src)``, a plain one the
+    destination's bound ``deliver(msg, src)``."""
+    per_link = Counter()
+    for _, _, fn, args in network._loop._heap:
+        if fn == network._arrival:
+            per_link[args[3].pid, args[1].pid] += 1
+        elif getattr(fn, "__name__", None) == "deliver":
+            per_link[args[1].pid, fn.__self__.pid] += 1
+    return per_link
+
+
+def test_a_busy_link_keeps_at_most_three_arrivals_on_the_heap():
+    """Cure keeps sibling heartbeats and payloads in flight on every WAN
+    link.  A link's arrivals behind its tracked head are parked in the
+    link, not queued on the loop's heap: at every slice boundary (no
+    same-instant ties left) a link has at most three arrival entries
+    there — two plain arrivals sent while at most one other was in flight,
+    ahead of the tracked head — while ``pending()`` equals that of the
+    twin that queues every arrival on the heap.  At 1 sim-s the twin's
+    heap holds 157 entries, this one's 34."""
+    sides = []
+    for network_cls in (Network, HeapOnlyNetwork):
+        spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=2, clients_per_dc=4,
+                             seed=5)
+        system = build_geo_system("cure", spec,
+                                  WorkloadSpec(read_ratio=0.5, n_keys=64))
+        system.env.network.__class__ = network_cls
+        system.start()
+        sides.append(system.env)
+    parking, reference = sides
+    for k in range(1, 41):
+        for env in sides:
+            env.run(until=0.025 * k)
+        assert parking.loop.pending() == reference.loop.pending()
+        assert max(_arrivals_per_link(parking.network).values()) <= 3
+    assert parking.loop._parked() > 0
+    assert 3 * len(parking.loop._heap) < len(reference.loop._heap)

@@ -484,3 +484,46 @@ def test_the_overtake_property_kills_each_seeded_fault(mutant):
     with MUTANTS[mutant].applied():
         with pytest.raises(AssertionError):
             test_heartbeat_never_overtakes_a_queued_frame()
+
+
+class StreamReplica(Process):
+    """Every op and heartbeat timestamp, in arrival order."""
+
+    def __init__(self, env, name):
+        super().__init__(env, name)
+        self.stream = []
+
+    def on_add_op_batch(self, msg, src):
+        self.stream.extend(op.ts for op in msg.ops)
+
+    def on_partition_heartbeat(self, msg, src):
+        self.stream.append(msg.ts)
+
+
+def test_a_lagging_clock_still_stamps_an_increasing_stream(env):
+    """Property 2 on a partition whose physical clock runs 3 ms behind
+    true time: its ops and heartbeats reach the stabilizer in strictly
+    increasing timestamp order.  A heartbeat carries the reading the Δ
+    guard made and the hybrid clock observes (Alg. 2 l.10–12), so the
+    update committed right after it is tagged above it."""
+    Network(env, ConstantLatency(0.0001))
+    host = Host(env, EunomiaConfig())
+    host.clock.offset_us = -3000.0
+    replica = StreamReplica(env, "r0")
+    host.uplink.set_replicas([replica])
+    host.uplink.start()
+    for k in range(1, 6):
+        env.run(until=0.01 * k)
+        host.uplink.record(make_op(host))
+    env.run(until=0.06)
+    stream = replica.stream
+    assert len(stream) > 40 and host.uplink.ops_shipped == 5
+    assert all(a < b for a, b in zip(stream, stream[1:]))
+
+
+def test_the_lagging_clock_test_kills_a_heartbeat_from_true_time(env):
+    test_a_lagging_clock_still_stamps_an_increasing_stream(env)
+    with MUTANTS["heartbeat_stamped_from_true_time"].applied():
+        with pytest.raises(AssertionError):
+            test_a_lagging_clock_still_stamps_an_increasing_stream(
+                Environment(seed=1234))
