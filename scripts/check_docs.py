@@ -44,7 +44,11 @@ Checks, with zero dependencies beyond the stdlib:
 9. no roadmap item number is cited in README.md, docs/*.md or any file
    under ``src/``, ``tests/`` or ``benchmarks/``: the roadmap is
    renumbered when it is re-anchored, so a citation goes stale silently.
-   Name the test, the xfail or the section instead.
+   Name the test, the xfail or the section instead;
+10. docs/ARCHITECTURE.md and README.md are no longer than the line counts
+   recorded in ``docs/line_counts.json``, and no shorter either: a file
+   that shrinks takes its record down with it, so the recorded numbers
+   form a ratchet that only ever tightens.
 
 Exit code 0 when clean; prints every violation and exits 1 otherwise.
 """
@@ -53,6 +57,7 @@ from __future__ import annotations
 
 import ast
 import builtins
+import json
 import re
 import sys
 from pathlib import Path
@@ -411,13 +416,33 @@ def check_roadmap_citations() -> list[str]:
             if ROADMAP_ITEM in line]
 
 
+#: the one committed record of the budgeted docs' line counts (check 10)
+LINE_COUNTS = "docs/line_counts.json"
+
+
+def check_line_counts() -> list[str]:
+    """Each budgeted doc has exactly its recorded number of lines."""
+    recorded = json.loads((REPO / LINE_COUNTS).read_text(encoding="utf-8"))
+    errors = []
+    for name, limit in recorded.items():
+        lines = len((REPO / name).read_text(encoding="utf-8").splitlines())
+        if lines > limit:
+            errors.append(f"{name}: {lines} lines, over the {limit} recorded "
+                          f"in {LINE_COUNTS}; cut it back")
+        elif lines < limit:
+            errors.append(f"{name}: {lines} lines, under the {limit} "
+                          f"recorded in {LINE_COUNTS}; lower the record "
+                          f"to {lines}")
+    return errors
+
+
 def main() -> int:
     errors = (check_links() + check_example_headers()
               + check_protocol_modules() + check_protocols_documented()
               + check_knobs_documented() + check_plugin_options_documented()
               + check_src_imports()
               + check_documented_names() + check_md_references()
-              + check_roadmap_citations())
+              + check_roadmap_citations() + check_line_counts())
     for error in errors:
         print(f"check_docs: {error}", file=sys.stderr)
     if errors:
@@ -433,7 +458,8 @@ def main() -> int:
           "src/ imports stdlib + declared only; "
           "code-span CamelCase names all defined; "
           "*.md / benchmarks/*.json references and ARCHITECTURE sections "
-          "resolve; no roadmap item cited by number")
+          "resolve; no roadmap item cited by number; "
+          f"line counts match {LINE_COUNTS}")
     return 0
 
 

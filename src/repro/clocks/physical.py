@@ -32,9 +32,17 @@ class PhysicalClock:
                  offset_us: float = 0.0):
         self.env = env
         self._loop = env.loop   # hot-path alias (the loop never changes)
-        self.drift_ppm = drift_ppm
+        self._drift_ppm = drift_ppm
+        #: ``1 + drift``, the factor :meth:`read_us` multiplies by; kept
+        #: beside the drift, which only :meth:`set_drift` changes
+        self._rate = 1.0 + drift_ppm / 1e6
         self.offset_us = offset_us
         self._last_reading = 0
+
+    @property
+    def drift_ppm(self) -> float:
+        """The oscillator's rate error, ppm (change it with :meth:`set_drift`)."""
+        return self._drift_ppm
 
     @classmethod
     def random(cls, env: Environment, rng: random.Random,
@@ -54,7 +62,7 @@ class PhysicalClock:
     def read_us(self) -> int:
         """Current clock value in integer microseconds (monotone)."""
         true_us = self._loop._now * US
-        raw = true_us * (1.0 + self.drift_ppm / 1e6) + self.offset_us
+        raw = true_us * self._rate + self.offset_us
         reading = int(raw)
         if reading < self._last_reading:
             reading = self._last_reading
@@ -78,9 +86,10 @@ class PhysicalClock:
         *after* this instant accumulates at the new rate.
         """
         true_us = self.env.loop.now * US
-        current = true_us * (1.0 + self.drift_ppm / 1e6) + self.offset_us
-        self.drift_ppm = drift_ppm
-        self.offset_us = current - true_us * (1.0 + drift_ppm / 1e6)
+        current = true_us * self._rate + self.offset_us
+        self._drift_ppm = drift_ppm
+        self._rate = 1.0 + drift_ppm / 1e6
+        self.offset_us = current - true_us * self._rate
 
     def step_us(self, delta_us: float) -> None:
         """Step the phase by ``delta_us`` (fault injection).

@@ -84,9 +84,14 @@ class ClientUpdateReply:
 # ----------------------------------------------------------------------
 def _wire_bytes(ops: tuple[Update, ...]) -> int:
     """A frame's §5 wire total: a metadata-only op (``value=None``) costs
-    ``metadata_bytes``, a full one ``size_bytes``."""
-    return sum(op.size_bytes if op.value is not None else op.metadata_bytes
-               for op in ops)
+    ``metadata_bytes``, a full one ``size_bytes`` — the two properties
+    written out in one loop, since every frame sent is sized here."""
+    total = 0
+    for op in ops:
+        total += 8 * len(op.vts) + METADATA_OVERHEAD_BYTES
+        if op.value is not None:
+            total += op.value_bytes
+    return total
 
 
 @dataclass(slots=True)

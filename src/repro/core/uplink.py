@@ -78,6 +78,9 @@ class EunomiaUplink:
         self.op_cost = op_cost
         self.batch_cost = batch_cost
         self._heartbeat_us = int(config.heartbeat_interval * 1e6)   # Δ
+        self._ft = config.fault_tolerant
+        #: the host's network, bound by :meth:`start`
+        self._network = None
         self.replicas: list[Process] = []
         #: pending run, ascending ts (hlc is monotone)
         self._pending = OpRunBuilder()
@@ -116,6 +119,7 @@ class EunomiaUplink:
     def start(self) -> None:
         """Arm the batch/heartbeat tick: :meth:`_tick` every
         ``host.batch_interval``, the first one a full interval from now."""
+        self._network = self.host.env.network
         self._chain += 1
         self._arm(self._chain, self.host._epoch)
 
@@ -192,18 +196,22 @@ class EunomiaUplink:
     # Periodic shipping
     # ------------------------------------------------------------------
     def _arm(self, chain: int, epoch: int) -> None:
-        """Queue the next tick of ``chain``, one ``host.batch_interval`` from
-        now — re-read every time, so the Figure 7 straggler injector's
+        """Queue the first tick of ``chain``, one ``host.batch_interval``
+        from now.  :meth:`_tick` re-arms itself the same way, re-reading
+        the interval every time, so the Figure 7 straggler injector's
         runtime mutation takes effect at the next re-arm."""
         host = self.host
         step = host.batch_interval
         if not step > 0:
-            # re-arming at ``now`` would spin ``run(until=...)`` forever
-            raise SimulationError(
-                f"periodic task EunomiaUplink._tick of {host.name} has "
-                f"non-positive period {step!r}")
+            raise self._period_error(step)
         loop = host._loop
         loop.schedule_at(loop._now + step, self._tick, chain, epoch)
+
+    def _period_error(self, step: float) -> SimulationError:
+        # re-arming at ``now`` would spin ``run(until=...)`` forever
+        return SimulationError(
+            f"periodic task EunomiaUplink._tick of {self.host.name} has "
+            f"non-positive period {step!r}")
 
     def _tick(self, chain: int, epoch: int) -> None:
         """Ship what is pending, heartbeat if idle, re-arm.
@@ -245,7 +253,7 @@ class EunomiaUplink:
             hlc = self.hlc
             if clock_now < hlc.last + self._heartbeat_us:
                 return
-            if self.config.fault_tolerant:
+            if self._ft:
                 last_ts = ts_col[-1] if ts_col else 0
                 ack = self._ack
                 targets = [replica for replica in replicas
@@ -254,13 +262,13 @@ class EunomiaUplink:
                     return
                 beat = PartitionHeartbeat(self.partition_index, clock_now)
                 self.heartbeats_sent += len(targets)
-                send, to = host.env.network.multicast, targets
+                send, to = self._network.multicast, targets
             elif ts_col:
                 return
             else:
                 beat = PartitionHeartbeat(self.partition_index, clock_now)
                 self.heartbeats_sent += 1
-                send, to = host.env.network.send, replicas[0]
+                send, to = self._network.send, replicas[0]
             if host._loop._now > self._frame_due:
                 send(host, to, beat)
             else:
@@ -268,18 +276,23 @@ class EunomiaUplink:
             if clock_now > hlc.last:
                 hlc.last = clock_now
         finally:
-            self._arm(chain, epoch)
+            # :meth:`_arm` written out, as this is the hop's hottest call;
+            # ``schedule_at`` is looked up here, never cached (the tracer
+            # patches it)
+            step = host.batch_interval
+            if not step > 0:
+                raise self._period_error(step)
+            loop = host._loop
+            loop.schedule_at(loop._now + step, self._tick, chain, epoch)
 
     def _ship(self) -> None:
         """Alg. 2 lines 8–9 for a non-empty pending run."""
-        if self.config.fault_tolerant:
+        if self._ft:
             for replica in self.replicas:
                 self._ship_suffix(replica)
             self._prune()
         else:
-            pending = self._pending
-            ops = pending.cut(0)
-            pending.drop_prefix(len(pending))
+            ops = self._pending.take()
             self._transmit(self.replicas[0],
                            AddOpBatch(self.partition_index, ops,
                                       prev_ts=self._nonft_last_sent),
@@ -334,18 +347,19 @@ class EunomiaUplink:
 
     def _transmit(self, replica: Process, batch: AddOpBatch,
                   n_new: int) -> None:
+        host = self.host
         cost = self.batch_cost + self.op_cost * n_new
         self.ops_shipped += n_new
-        metrics = getattr(self.host, "metrics", None)
+        metrics = getattr(host, "metrics", None)
         tracer = metrics.tracer if metrics is not None else None
         if tracer is not None:
             # stage_once: retransmissions re-ship the same window; only
             # the first departure is the pipeline latency
-            now, site = self.host.now, self.host.site
+            now, site = host.now, host.site
             for op in batch.ops:
                 tracer.stage_once(op, "uplink_ship", now, site)
-        self._frame_due = self.host._enqueue(self.host.send, cost, replica,
-                                             batch, lane=self._lane)
+        self._frame_due = host._enqueue(self._network.send, cost, host,
+                                        replica, batch, lane=self._lane)
 
     def _prune(self) -> None:
         """Drop the prefix acknowledged by *every* replica."""

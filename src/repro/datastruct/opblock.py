@@ -47,6 +47,13 @@ class OpRunBuilder:
         """The ops ``[start:end)`` as an immutable tuple (a frame's ops)."""
         return tuple(self.payload[start:end])
 
+    def take(self) -> tuple:
+        """Every pending op as one tuple, leaving the run empty."""
+        ops = tuple(self.payload)
+        self.ts.clear()
+        self.payload.clear()
+        return ops
+
     def drop_prefix(self, n: int) -> None:
         """Discard the first ``n`` entries (the fully acknowledged prefix)."""
         if n <= 0:

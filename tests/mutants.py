@@ -23,6 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.clocks.physical import PhysicalClock
 from repro.core.service import StabilizerBase
 from repro.core.uplink import EunomiaUplink
 from repro.geo.receiver import Receiver
@@ -90,6 +91,10 @@ MUTANTS = {m.name: m for m in (
            "PartitionHeartbeat(self.partition_index,\n"
            "                                      int(host._loop._now * 1e6))\n"
            "            self.heartbeats_sent += 1"),
+    # A re-rated clock keeps multiplying by the old rate while ``drift_ppm``
+    # reports the new one: a drift fault injected mid-run moves nothing.
+    Mutant("clock_rate_stale_after_set_drift", PhysicalClock, "set_drift",
+           "self._rate = 1.0 + drift_ppm / 1e6", "pass"),
     # A retransmitted frame's already-ingested prefix is buffered again:
     # exactly-once ingestion under at-least-once delivery (Alg. 4).
     Mutant("dedup_skipped_on_retransmit", StabilizerBase, "on_add_op_batch",

@@ -37,7 +37,7 @@ def _system(seed: int, config: EunomiaConfig):
 
 
 # ----------------------------------------------------------------------
-# Frame row contract: OpRunBuilder.cut == the ops slice, as a tuple
+# Frame row contract: OpRunBuilder.cut / take == the ops slice, as a tuple
 # ----------------------------------------------------------------------
 #: per op: (ts increment, metadata-only?, value bytes, vector width)
 _OPS = st.lists(st.tuples(st.integers(1, 5), st.booleans(),
@@ -78,9 +78,10 @@ def test_cut_equals_the_ops_slice_row_for_row(specs, more, window):
     _assert_same_frame(builder.cut(0), ops)
     start, end = sorted(min(i, len(ops) - 1) for i in window)
     _assert_same_frame(builder.cut(start, end + 1), ops[start:end + 1])
-    # a whole-run drop leaves a builder that keeps cutting correct frames
-    builder.drop_prefix(len(builder))
-    assert len(builder) == 0
+    # taking the whole run (a non-fault-tolerant ship) leaves a builder
+    # that keeps cutting correct frames
+    _assert_same_frame(builder.take(), ops)
+    assert len(builder) == 0 and builder.ts == []
     later = _updates(3, more, ts=ops[-1].ts, seq=ops[-1].seq)
     for op in later:
         builder.append(op)

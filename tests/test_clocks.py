@@ -1,8 +1,9 @@
 """Tests for physical, hybrid, and NTP clock models."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mutants import MUTANTS
 
 from repro.clocks import (
     HybridLogicalClock,
@@ -51,6 +52,46 @@ class TestPhysicalClock:
                                          max_offset_us=500)
             assert abs(clock.drift_ppm) <= 50
             assert abs(clock.offset_us) <= 500
+
+
+_CLOCK_OPS = st.lists(st.one_of(
+    st.tuples(st.just("advance"), st.floats(0.0, 5.0)),
+    st.tuples(st.just("set_drift"), st.floats(-1000.0, 1000.0)),
+    st.tuples(st.just("step_us"), st.floats(-5000.0, 5000.0)),
+    st.tuples(st.just("ntp_correct"), st.floats(-100.0, 100.0))),
+    max_size=12)
+
+
+@given(drift=st.floats(-1000.0, 1000.0), offset=st.floats(-5000.0, 5000.0),
+       ops=_CLOCK_OPS)
+@example(drift=0.0, offset=0.0,
+         ops=[("advance", 1.0), ("set_drift", 100.0), ("advance", 1.0)])
+@settings(max_examples=200, deadline=None)
+def test_a_reading_is_the_formula_over_the_public_fields(drift, offset, ops):
+    """After any sequence of re-rates, steps, NTP corrections and time
+    advances, ``read_us()`` is ``true_us · (1 + drift) + offset`` over the
+    public fields, truncated and clamped to the previous reading — bit for
+    bit, whatever the clock caches to compute it."""
+    env = Environment(seed=1)
+    clock = PhysicalClock(env, drift_ppm=drift, offset_us=offset)
+    previous = 0
+    for op, arg in [("advance", 0.0), *ops]:
+        if op == "advance":
+            advance(env, arg)
+        else:
+            getattr(clock, op)(arg)
+        expected = max(previous, int(env.loop.now * 1_000_000
+                                     * (1.0 + clock.drift_ppm / 1e6)
+                                     + clock.offset_us))
+        assert clock.read_us() == expected, (op, arg)
+        previous = expected
+
+
+def test_the_formula_property_kills_a_rate_left_stale_by_set_drift():
+    test_a_reading_is_the_formula_over_the_public_fields()
+    with MUTANTS["clock_rate_stale_after_set_drift"].applied():
+        with pytest.raises(AssertionError):
+            test_a_reading_is_the_formula_over_the_public_fields()
 
 
 class TestNtp:

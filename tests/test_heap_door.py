@@ -1,0 +1,117 @@
+"""The loop's heap has two doors, and this scan keeps it that way.
+
+docs/ARCHITECTURE.md, "Simulator hot path", states the rule "no third
+door exists": every entry reaches ``EventLoop``'s heap through the
+``schedule_at`` attribute, looked up at call time (``perf/trace.py``
+patches exactly that attribute), or is a parked lane completion or link
+arrival that ``sim/`` moves onto the heap with a direct ``heappush``, its
+``seq`` taken from the loop's counter when it was reserved.  A cached
+bound ``schedule_at`` would escape the tracer, and a ``heappush`` with a
+fresh ``seq`` would reorder same-instant entries.
+
+The scan reads ``src/repro`` as syntax, not by running it:
+
+* no module outside ``sim/`` touches a loop's ``_heap`` or ``_seq``, or
+  imports ``heappush``;
+* the direct ``heappush(...)`` sites in ``sim/`` outside the loop's own
+  module do not grow in number;
+* nothing in ``src/repro`` holds ``schedule_at`` without calling it.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: direct ``heappush(...)`` calls in ``sim/`` beside ``loop.py``: three
+#: parked lane completions in ``process.py`` (two trampolines and the
+#: crash/recover unpark) and one parked link arrival in ``network.py``.
+#: Lower it when a site goes; never raise it.
+HEAPPUSH_SITES = 4
+
+
+def _modules() -> list[tuple[Path, ast.AST]]:
+    return [(path.relative_to(SRC),
+             ast.parse(path.read_text(encoding="utf-8"), str(path)))
+            for path in sorted(SRC.rglob("*.py"))]
+
+
+def _is_loop(node: ast.AST) -> bool:
+    """``loop``, ``_loop``, ``self._loop``, ``env.loop`` …"""
+    name = (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else "")
+    return name in ("loop", "_loop")
+
+
+def _outside_sim_violations(rel: Path, tree: ast.AST) -> list[str]:
+    """Where a module outside ``sim/`` reaches past ``schedule_at``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (
+                node.attr == "_heap"
+                or node.attr == "_seq" and _is_loop(node.value)
+                or node.attr == "heappush"):
+            found.append(f"{rel}:{node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "heapq" \
+                and any(alias.name == "heappush" for alias in node.names):
+            found.append(f"{rel}:{node.lineno}: imports heappush")
+    return found
+
+
+def _heappush_calls(tree: ast.AST) -> list[int]:
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Name) and node.func.id == "heappush"
+                 or isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "heappush")]
+
+
+def _held_schedule_at(rel: Path, tree: ast.AST) -> list[str]:
+    """``schedule_at`` read as a value instead of called on the spot."""
+    called = {id(node.func) for node in ast.walk(tree)
+              if isinstance(node, ast.Call)}
+    return [f"{rel}:{node.lineno}: schedule_at held, not called"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "schedule_at"
+            and id(node) not in called]
+
+
+def test_no_module_outside_sim_touches_the_heap_or_the_loop_seq():
+    found = [hit for rel, tree in _modules() if rel.parts[0] != "sim"
+             for hit in _outside_sim_violations(rel, tree)]
+    assert found == []
+
+
+def test_direct_heappush_sites_in_sim_do_not_grow():
+    sites = {f"{rel}:{line}" for rel, tree in _modules()
+             if rel.parts[0] == "sim" and rel.name != "loop.py"
+             for line in _heappush_calls(tree)}
+    assert len(sites) <= HEAPPUSH_SITES, sorted(sites)
+
+
+def test_schedule_at_is_called_where_it_is_looked_up():
+    found = [hit for rel, tree in _modules()
+             for hit in _held_schedule_at(rel, tree)]
+    assert found == []
+
+
+def test_the_scan_flags_each_kind_of_third_door():
+    """The scan has teeth: each way round the door is reported."""
+    rel = Path("core") / "door.py"
+    doors = {
+        "heap": "self.host._loop._heap.append(entry)",
+        "seq": "seq = env.loop._seq",
+        "import": "from heapq import heappop, heappush",
+        "module": "heapq.heappush(self._loop._heap, entry)",
+    }
+    for kind, source in doors.items():
+        assert _outside_sim_violations(rel, ast.parse(source)), kind
+    # a process's own ``_seq`` counter is not the loop's
+    assert _outside_sim_violations(
+        rel, ast.parse("self._seq = seq = self._seq + 1")) == []
+    assert _held_schedule_at(
+        rel, ast.parse("arm = loop.schedule_at\narm(1.0, fn)"))
+    assert _held_schedule_at(
+        rel, ast.parse("loop.schedule_at(loop._now + step, fn)")) == []
+    assert _heappush_calls(ast.parse("heappush(heap, e)\nq.heappush(h, e)")) \
+        == [1, 2]

@@ -174,3 +174,22 @@ def test_docs_lint_reads_tests_and_benchmarks(tmp_path, monkeypatch):
 
 if __name__ == "__main__":
     exec(SMOKE)
+
+
+def test_docs_lint_holds_the_line_count_ratchet(tmp_path, monkeypatch):
+    check_docs = _load_check_docs()
+    assert check_docs.check_line_counts() == []     # this repo is clean
+
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "line_counts.json").write_text(
+        '{"README.md": 2, "docs/ARCHITECTURE.md": 2}')
+    (tmp_path / "README.md").write_text("one\ntwo\n")
+    (tmp_path / "docs" / "ARCHITECTURE.md").write_text("one\ntwo\n")
+    monkeypatch.setattr(check_docs, "REPO", tmp_path)
+    assert check_docs.check_line_counts() == []
+    (tmp_path / "README.md").write_text("one\ntwo\nthree\n")
+    (tmp_path / "docs" / "ARCHITECTURE.md").write_text("one\n")
+    errors = check_docs.check_line_counts()
+    assert len(errors) == 2
+    assert "README.md: 3 lines, over the 2 recorded" in errors[0]
+    assert "lower the record to 1" in errors[1]

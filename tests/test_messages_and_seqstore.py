@@ -1,6 +1,8 @@
 """Tests for wire-size accounting and the S-Seq/A-Seq partition logic."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.messages import SeqReply, SeqRequest
 from repro.baselines.seqstore import SeqPartition
@@ -11,6 +13,7 @@ from repro.core.messages import (
     ClientUpdate,
     RemoteData,
     RemoteStableBatch,
+    ShardStableBatch,
 )
 from repro.kvstore.types import METADATA_OVERHEAD_BYTES, Update
 from repro.metrics import MetricsHub
@@ -54,6 +57,23 @@ class TestWireSizes:
     def test_seq_request_metadata_sized(self):
         request = SeqRequest(make_update(value=None, value_bytes=5000))
         assert request.size_bytes == 8 * 3 + METADATA_OVERHEAD_BYTES
+
+    @given(ops=st.lists(st.builds(
+        make_update,
+        value=st.sampled_from([None, "v", 0, b"", ()]),
+        value_bytes=st.integers(min_value=0, max_value=10_000),
+        vts=st.lists(st.integers(min_value=0, max_value=10**9),
+                     max_size=6).map(tuple)), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_every_frame_is_sized_by_the_update_properties(self, ops):
+        """A frame that mixes payload and metadata-only ops (falsy payloads
+        included) is the per-op sum of ``Update``'s own size properties."""
+        ops = tuple(ops)
+        expected = sum(op.size_bytes if op.value is not None
+                       else op.metadata_bytes for op in ops)
+        assert AddOpBatch(0, ops).size_bytes == expected
+        assert RemoteStableBatch(0, ops).size_bytes == expected
+        assert ShardStableBatch(0, 0, ops).size_bytes == 16 + expected
 
 
 class FakeSequencer(Process):
