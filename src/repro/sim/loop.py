@@ -10,13 +10,9 @@ checker rely on.
 
 There is one scheduler: a binary heap holding one plain tuple
 ``(time, seq, fn, args)`` per scheduled callback and nothing else.
-:meth:`EventLoop.schedule_at` is the way in, with two exceptions: a busy
-:class:`~repro.sim.process.Process` lane *parks* its later completions
-behind the one it has on the heap, and a busy
-:class:`~repro.sim.network.Link` its later arrivals, each with the ``seq``
-the loop's counter gave it when it was reserved or sent, and pushes the
-next one onto the heap when the head fires (the loop only keeps the lanes'
-and links' FIFOs, to count them).
+:meth:`EventLoop.schedule_at` is the way in, except for entries parked
+behind the head of a :class:`Fifo` (a busy process lane or network link),
+which this module alone moves onto the heap.
 Only periodic tasks can be cancelled (:class:`PeriodicHandle`), and
 cancellation is a sequence number filed in a set — see "Simulator hot
 path" in ``docs/ARCHITECTURE.md``.
@@ -33,7 +29,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
-__all__ = ["EventLoop", "PeriodicHandle", "SimulationError"]
+__all__ = ["EventLoop", "Fifo", "PeriodicHandle", "SimulationError"]
 
 _INF = float("inf")
 
@@ -93,6 +89,81 @@ class PeriodicHandle:
         return f"<PeriodicHandle {name} every {self.interval} {state}>"
 
 
+def apply(fn: Callable[..., Any], args: tuple) -> None:
+    """``fn(*args)``: the ``fn`` of a :class:`Fifo` entry whose body does
+    not take two arguments."""
+    fn(*args)
+
+
+class Fifo:
+    """Entries with non-decreasing ``(time, seq)`` of which only the head
+    is on the loop's heap: a busy process lane's completions, a busy
+    link's arrivals.
+
+    ``queued`` counts the entries of generation ``gen`` still to fire.
+    When it is 0 the owner sets it to 1 and schedules its head through
+    ``schedule_at`` as ``fire(gen, fn, a, b)``; otherwise it hands the
+    entry to :meth:`park`.  ``fire`` (bound once) drops an entry of an
+    older generation; otherwise it counts the entry out, pushes the next
+    parked one onto the heap and calls ``fn(a, b)`` — a message handler's
+    ``(msg, src)``; other bodies go through :func:`apply`.  The next entry
+    follows the one firing in the loop's order, so it is on the heap
+    before it can fall due and the loop fires what it would with every
+    entry on the heap.
+    """
+
+    __slots__ = ("queued", "gen", "parked", "fire", "_loop")
+
+    def __init__(self, loop: "EventLoop"):
+        self.queued = 0
+        self.gen = 0
+        #: ``(time, seq, fire, args)`` entries behind the head, built on
+        #: first use and registered with the loop, which counts them
+        self.parked: Optional[deque] = None
+        # bound once: a bound method made per entry cost geo_cure_mix
+        # about 1.5 % of its host time
+        self.fire = self._fire
+        self._loop = loop
+
+    def park(self, time: float, args: tuple) -> None:
+        """Count in ``fire(*args)`` at ``time`` and queue it behind the
+        head, with the ``seq`` that ``schedule_at`` would have given it
+        now; ``args`` is ``(gen, fn, a, b)``."""
+        self.queued += 1
+        loop = self._loop
+        seq = loop._seq
+        loop._seq = seq + 1
+        parked = self.parked
+        if parked is None:
+            parked = self.parked = deque()
+            loop._fifos.append(parked)
+        parked.append((time, seq, self.fire, args))
+
+    def _fire(self, gen: int, fn: Callable[[Any, Any], Any], a: Any,
+              b: Any) -> None:
+        # Two fixed arguments, not ``*args``: ``fn(*args)`` cost every
+        # parked delivery a tuple and an unspecialised call.
+        if gen != self.gen:
+            return
+        queued = self.queued - 1
+        self.queued = queued
+        if queued:
+            heappush(self._loop._heap, self.parked.popleft())
+        fn(a, b)
+
+    def release_all(self) -> None:
+        """Push every parked entry onto the heap and start a new
+        generation: everything queued so far fires as a no-op."""
+        parked = self.parked
+        if parked:
+            heap = self._loop._heap
+            for entry in parked:
+                heappush(heap, entry)
+            parked.clear()
+        self.queued = 0
+        self.gen += 1
+
+
 class EventLoop:
     """A priority-queue driven simulation clock.
 
@@ -115,7 +186,7 @@ class EventLoop:
         #: speed, and ``seq`` is unique, so comparison never reaches ``fn``.
         self._heap: list[tuple] = []
         self._seq = 0          # entries ever scheduled == next sequence number
-        self._fifos: list[deque] = []  # parked lane / link entries: fifo()
+        self._fifos: list[deque] = []  # every Fifo's parked entries
         self._now: float = 0.0
         self._running = False
         self._cancelled: set[int] = set()   # seqs cancelled while still queued
@@ -148,18 +219,6 @@ class EventLoop:
     def _parked(self) -> int:
         return sum(map(len, self._fifos))
 
-    def fifo(self) -> deque:
-        """A new FIFO for entries parked behind a busy lane's or link's head.
-
-        Its entries are ``(time, seq, fn, args)`` tuples whose ``seq`` came
-        from this loop's counter; whoever parks them moves each onto the
-        heap, ``seq`` unchanged, before it can fall due.  The loop counts
-        them in :attr:`processed_events` and :meth:`pending`.
-        """
-        fifo: deque = deque()
-        self._fifos.append(fifo)
-        return fifo
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
@@ -175,9 +234,8 @@ class EventLoop:
         """Schedule ``fn(*args)`` at absolute simulation time ``time``.
 
         Every scheduling call, in this module and outside it, goes through
-        this attribute; only a parked lane completion or link arrival
-        reaches the heap without it (see the module docstring).  Returns
-        the entry's sequence number.
+        this attribute; only a :class:`Fifo`'s parked entries reach the
+        heap without it.  Returns the entry's sequence number.
         """
         if time < self._now:
             raise SimulationError(

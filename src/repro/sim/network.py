@@ -17,16 +17,12 @@ destination's service queue (:meth:`repro.sim.process.Process.deliver`), so
 a message to an overloaded server queues behind its backlog — the effect
 underlying every throughput result in the paper.
 
-A busy link is a FIFO, not heap entries.  Its arrivals are already sorted
-by ``(time, seq)``, so once a message is sent while the two arrivals
-before it on the link are still in flight, that message becomes the
-link's *tracked head* on the loop's heap, and every later one is
-**parked** in the link behind it, with the sequence number the loop's
-counter gives it at send time; the head's trampoline
-(:meth:`Network._arrive`) pushes the next one onto the heap before it
-delivers.  The loop fires exactly the order it would with every arrival
-on the heap.  Otherwise a message is the plain ``dst.deliver`` entry, so
-links that never hold more than two messages in flight pay nothing.
+A busy link is a :class:`~repro.sim.loop.Fifo` of its arrivals, which
+its FIFO clock keeps sorted by ``(time, seq)``.  A message sent while
+the two arrivals before it on the link are still in flight becomes the
+link's head, and later ones park behind it; otherwise a message is the
+plain ``dst.deliver`` entry, so links that never hold more than two
+messages in flight pay nothing.
 
 Everything the network knows about one directed pair lives in one
 :class:`Link` of that network, built on the pair's first use: the FIFO
@@ -36,12 +32,11 @@ model said about the pair.
 
 from __future__ import annotations
 
-from collections import deque
-from heapq import heappush
 from typing import Any, Iterable, Optional, Sequence
 
 from .env import Environment
 from .latency import ConstantLatency, LatencyModel, LinkRule
+from .loop import EventLoop, Fifo
 from .process import Process
 
 __all__ = ["Link", "Network"]
@@ -60,23 +55,19 @@ def _link_rule(model: LatencyModel, src: Process,
     return None
 
 
-class Link:
-    """One directed pair of one :class:`Network`.
+class Link(Fifo):
+    """One directed pair of one :class:`Network`, and the :class:`Fifo` of
+    its arrivals from the head on (see :meth:`Network.send`).
 
     ``last`` is the FIFO clock, the latest delivery time scheduled on the
-    link, and ``prior`` the one scheduled before it.  ``tracked`` counts
-    the link's *tracked* arrivals still to fire: the head, on the loop's
-    heap, plus ``parked``, the FIFO of ``(time, seq, fn, args)`` entries
-    waiting behind it (built the first time the link backs up; see
-    :meth:`Network.send`).  ``blocked`` (a disconnect
-    or partition), ``loss`` (None: the network's global ``loss_rate``) and
-    ``extra`` (a gray link's added delay) are the fault state.  ``base`` /
-    ``jitter`` / ``relative`` are the latency model's
+    link, and ``prior`` the one scheduled before it.  ``blocked`` (a
+    disconnect or partition), ``loss`` (None: the network's global
+    ``loss_rate``) and ``extra`` (a gray link's added delay) are the fault
+    state.  ``base`` / ``jitter`` / ``relative`` are the latency model's
     :meth:`LatencyModel.link_rule` for the pair; ``base`` is None when the
     model has no rule.
 
-    The destination's bound ``deliver`` is deliberately not cached here
-    (a tracked arrival carries the network's trampoline, bound once).
+    The destination's bound ``deliver`` is deliberately not cached here.
     CPython's collector runs when its count of tracked allocations minus
     frees passes a threshold, and a bound method made at send time and
     freed at delivery, across a collection, lowers that count.  Caching it
@@ -85,14 +76,13 @@ class Link:
     nothing measurable on the other workloads.
     """
 
-    __slots__ = ("last", "prior", "tracked", "parked", "blocked", "loss",
-                 "extra", "base", "jitter", "relative")
+    __slots__ = ("last", "prior", "blocked", "loss", "extra", "base",
+                 "jitter", "relative")
 
-    def __init__(self, rule: Optional[LinkRule]):
+    def __init__(self, loop: EventLoop, rule: Optional[LinkRule]):
+        super().__init__(loop)
         self.last = float("-inf")
         self.prior = float("-inf")
-        self.tracked = 0
-        self.parked: Optional[deque] = None
         self.blocked = False
         self.loss: Optional[float] = None
         self.extra = 0.0
@@ -122,8 +112,6 @@ class Network:
         self.messages_dropped = 0
         #: bytes of delivered-path messages (same rule as ``messages_sent``)
         self.bytes_sent = 0
-        # The arrival trampoline, bound once (see :meth:`_arrive`).
-        self._arrival = self._arrive
         env.network = self
 
     # ------------------------------------------------------------------
@@ -140,7 +128,8 @@ class Network:
         row = self._links.setdefault(src.pid, {})
         link = row.get(dst.pid)
         if link is None:
-            link = row[dst.pid] = Link(_link_rule(self.latency, src, dst))
+            link = row[dst.pid] = Link(self._loop,
+                                       _link_rule(self.latency, src, dst))
         return link
 
     # ------------------------------------------------------------------
@@ -245,40 +234,17 @@ class Network:
         if deliver_at < last:
             deliver_at = last
         link.last = deliver_at
-        tracked = link.tracked
-        if tracked:
-            # Parked behind the link's tracked head, with the seq
-            # ``schedule_at`` would have given it; :meth:`_arrive` of the
-            # arrival ahead moves it onto the heap.
-            link.tracked = tracked + 1
-            seq = loop._seq
-            loop._seq = seq + 1
-            parked = link.parked
-            if parked is None:
-                parked = link.parked = loop.fifo()
-            parked.append((deliver_at, seq, self._arrival,
-                           (link, dst, msg, src)))
+        # a link never starts a new generation: its entries carry gen 0
+        if link.queued:
+            link.park(deliver_at, (0, dst.deliver, msg, src))
         elif link.prior > now:
             # the two arrivals before this one are both still in flight:
-            # track this one, so that the next ones can wait behind it
-            link.tracked = 1
-            loop.schedule_at(deliver_at, self._arrival, link, dst, msg, src)
+            # make this one the head, so that the next ones can park
+            link.queued = 1
+            loop.schedule_at(deliver_at, link.fire, 0, dst.deliver, msg, src)
         else:
             loop.schedule_at(deliver_at, dst.deliver, msg, src)
         link.prior = last
-
-    def _arrive(self, link: Link, dst: Process, msg: Any,
-                src: Process) -> None:
-        """A tracked arrival: move the link's next parked arrival onto the
-        heap, then deliver — whatever state ``dst`` is in, as the plain
-        ``dst.deliver`` entry would have."""
-        tracked = link.tracked - 1
-        link.tracked = tracked
-        if tracked:
-            # the next parked arrival follows this one in (time, seq) order,
-            # so it reaches the heap before it can fall due
-            heappush(self._loop._heap, link.parked.popleft())
-        dst.deliver(msg, src)
 
     def send_many(self, src: Process, dst: Process,
                   msgs: Sequence[Any]) -> None:

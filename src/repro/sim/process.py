@@ -20,15 +20,10 @@ scheduler threads real stores use — so geo-replication applies do not queue
 behind foreground client operations.  Lanes are declared by message type
 in :attr:`Process.LANES`.
 
-A lane is a busy clock plus a FIFO (:class:`_Lane`).  Only the lane's
-*head* — its earliest completion still to fire — is an entry on the loop's
-heap; every later completion reserved while the head is queued is
-**parked** in the lane's FIFO with the sequence number the loop's counter
-gives it at that moment, and the head's completion pushes the next one
-onto the heap before it runs its handler.  A lane's completions are already
-sorted by ``(time, seq)``, so the loop fires exactly the order it would
-with every completion on the heap, while a saturated server's backlog
-costs the heap one entry instead of one per waiting message.
+A lane (:class:`_Lane`) is a busy clock on a :class:`~repro.sim.loop.Fifo`
+of its completions: each slot starts where the last ended, so they are
+sorted by ``(time, seq)``, and a saturated server's backlog costs the
+loop's heap one entry instead of one per waiting message.
 
 Service costs come from a plain ``costs`` table passed to the constructor:
 message class name → seconds, or a callable taking the message and
@@ -48,19 +43,17 @@ cost-table probe, a lane probe and a handler search.
 
 Crash-stop failures are supported: :meth:`Process.crash` drops everything in
 flight for the process and makes future deliveries no-ops until
-:meth:`Process.recover`.  Both move every parked entry onto the heap, where
-it fires as the no-op its stale epoch makes it.
+:meth:`Process.recover`.  Both start a new generation of every lane, so
+what was queued fires as a no-op.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
-from heapq import heappush
 from typing import Any, Callable, Optional
 
 from .env import Environment
-from .loop import PeriodicHandle
+from .loop import EventLoop, Fifo, PeriodicHandle, apply
 
 __all__ = ["Process"]
 
@@ -71,28 +64,32 @@ def _snake(name: str) -> str:
     return _CAMEL_RE.sub("_", name).lower()
 
 
-class _Lane:
-    """One single-server lane of a :class:`Process`.
+def _noop(*args: Any) -> None:
+    """The body of a slot reserved while its process is crashed."""
 
-    ``busy`` is the end of the last reserved slot.  ``queued`` counts the
-    lane's completions of the current epoch still to fire: the head, on
-    the loop's heap, plus ``parked``, the FIFO of ``(time, seq, fn, args)``
-    entries waiting behind it (built the first time the lane backs up).
-    """
 
-    __slots__ = ("busy", "queued", "parked")
+class _Lane(Fifo):
+    """One single-server lane of a :class:`Process`: the :class:`Fifo` of
+    its completions, and ``busy``, the end of the last reserved slot."""
 
-    def __init__(self) -> None:
+    __slots__ = ("busy",)
+
+    def __init__(self, loop: EventLoop) -> None:
+        super().__init__(loop)
         self.busy = 0.0
-        self.queued = 0
-        self.parked: Optional[deque] = None
 
 
 class _Lanes(dict):
     """Lane name -> :class:`_Lane`, built on first use."""
 
+    __slots__ = ("loop",)
+
+    def __init__(self, loop: EventLoop) -> None:
+        super().__init__()
+        self.loop = loop
+
     def __missing__(self, name: str) -> _Lane:
-        lane = self[name] = _Lane()
+        lane = self[name] = _Lane(self.loop)
         return lane
 
 
@@ -122,11 +119,7 @@ class Process:
         self.crashed = False
         self.state_lost = False   # set by an amnesia crash, cleared on restore
         self._epoch = 0           # bumped on crash; stale callbacks are dropped
-        self._lanes = _Lanes()
-        # The completion trampolines, bound once: a bound method made per
-        # entry cost geo_cure_mix about 1.5 % of its host time.
-        self._delivery_done = self._run_delivery
-        self._slot_done = self._run_slot
+        self._lanes = _Lanes(env.loop)
         #: message type -> ``(lane, cost, handler, fusable)``, see :meth:`_plan`
         self._plans: dict[type, tuple] = {}
         if env.network is not None:
@@ -218,11 +211,10 @@ class Process:
 
         The hottest path in the simulator, so the plan lookup and
         :meth:`_enqueue` are inlined: one dict probe, the service-slot
-        reservation, and one completion entry carrying ``(lane, epoch,
-        handler, msg, src)`` as plain args into :meth:`_run_delivery` — no
-        closure, no per-message cost, lane or handler search.  The entry
-        goes onto the heap when the lane has no completion queued, and is
-        parked behind the lane's head otherwise (see the module docstring).
+        reservation, and one completion entry ``lane.fire(gen, handler,
+        msg, src)`` — no closure, no per-message cost, lane or handler
+        search.  The entry is the lane's head on the heap when the lane has
+        no completion queued, and is parked behind the head otherwise.
 
         **Fused delivery.**  A fusable message (see :meth:`_plan`) that
         finds its lane *strictly* idle — the last reserved slot ended before
@@ -259,38 +251,11 @@ class Process:
             start = now
         complete = start + cost
         lane.busy = complete
-        queued = lane.queued
-        lane.queued = queued + 1
-        if queued:
-            # Parked behind the lane's head, with the seq ``schedule_at``
-            # would have given it; :meth:`_run_delivery` of the entry ahead
-            # moves it onto the heap.
-            seq = loop._seq
-            loop._seq = seq + 1
-            parked = lane.parked
-            if parked is None:
-                parked = lane.parked = loop.fifo()
-            parked.append((complete, seq, self._delivery_done,
-                           (lane, self._epoch, handler, msg, src)))
+        if lane.queued:
+            lane.park(complete, (lane.gen, handler, msg, src))
         else:
-            loop.schedule_at(complete, self._delivery_done, lane, self._epoch,
-                             handler, msg, src)
-
-    def _run_delivery(self, lane: _Lane, epoch: int, handler: Callable,
-                      msg: Any, src: "Process") -> None:
-        """Service-slot completion: move the lane's next parked entry onto
-        the heap, then handle unless crashed.  A re-epoched entry is a
-        no-op: its lane was reset when the epoch moved."""
-        if self._epoch != epoch:
-            return
-        queued = lane.queued - 1
-        lane.queued = queued
-        if queued:
-            # the next parked entry follows this one in (time, seq) order,
-            # so it reaches the heap before it can fall due
-            heappush(self._loop._heap, lane.parked.popleft())
-        if not self.crashed:
-            handler(msg, src)
+            lane.queued = 1
+            loop.schedule_at(complete, lane.fire, lane.gen, handler, msg, src)
 
     def deliver_batch(self, msgs: tuple, src: "Process") -> None:
         """Loop over :meth:`deliver`; kept for the frozen perf/ harness."""
@@ -301,7 +266,9 @@ class Process:
                  lane: str = "cpu") -> float:
         """Reserve a ``cost``-second slot on ``lane``, then run ``fn(*args)``.
 
-        Returns the slot's completion time — when ``fn`` will run.
+        Returns the slot's completion time — when ``fn`` will run.  A slot
+        reserved while crashed runs nothing: it fires while the process is
+        still down, or goes stale at :meth:`recover`.
         """
         loop = self._loop
         slot = self._lanes[lane]
@@ -311,44 +278,20 @@ class Process:
             start = now
         complete = start + cost
         slot.busy = complete
-        queued = slot.queued
-        slot.queued = queued + 1
-        if queued:                  # parked, as in :meth:`deliver`
-            seq = loop._seq
-            loop._seq = seq + 1
-            parked = slot.parked
-            if parked is None:
-                parked = slot.parked = loop.fifo()
-            parked.append((complete, seq, self._slot_done,
-                           (slot, self._epoch, fn, args)))
+        if self.crashed:
+            fn = _noop
+        if slot.queued:
+            slot.park(complete, (slot.gen, apply, fn, args))
         else:
-            loop.schedule_at(complete, self._slot_done, slot, self._epoch, fn,
-                             args)
+            slot.queued = 1
+            loop.schedule_at(complete, slot.fire, slot.gen, apply, fn, args)
         return complete
 
-    def _run_slot(self, lane: _Lane, epoch: int, fn: Callable[..., Any],
-                  args: tuple) -> None:
-        """:meth:`_enqueue` slot completion, as :meth:`_run_delivery`."""
-        if self._epoch != epoch:
-            return
-        queued = lane.queued - 1
-        lane.queued = queued
-        if queued:
-            heappush(self._loop._heap, lane.parked.popleft())
-        if not self.crashed:
-            fn(*args)
-
     def _unpark_all(self) -> None:
-        """Move every parked entry onto the heap and forget the lanes'
-        queued completions, whose epoch is about to go stale."""
-        heap = self._loop._heap
+        """Start a new generation of every lane: its queued completions
+        fire as no-ops."""
         for lane in self._lanes.values():
-            parked = lane.parked
-            if parked:
-                for entry in parked:
-                    heappush(heap, entry)
-                parked.clear()
-            lane.queued = 0
+            lane.release_all()
 
     # ------------------------------------------------------------------
     # Failure injection
@@ -381,8 +324,8 @@ class Process:
     def recover(self) -> None:
         """Restart the process with an empty service queue.
 
-        Every lane comes back idle: anything reserved while crashed is
-        moved onto the heap as a stale no-op, and the busy clocks reset.
+        Every lane comes back idle: anything reserved while crashed goes
+        stale, and the busy clocks reset.
         Protocol state is *not* reset here; subclasses that need clean-slate
         recovery override this and re-initialize their own fields.
         """

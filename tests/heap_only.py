@@ -1,59 +1,46 @@
-"""The network before link parking, kept as a test-side reference.
+"""The loop before parking, kept as a test-side reference.
 
-``Network.send`` parks a link's later arrivals behind its tracked head and
-lets only the head onto the loop's heap.  :class:`HeapOnlyNetwork` is the
-same network with every arrival its own ``dst.deliver`` heap entry, as
-``send`` was written before: the equivalence properties run both side by
-side and hold parking to the delivery log, counters, RNG state,
-``processed_events`` and ``pending()`` of this one.
+A :class:`repro.sim.loop.Fifo` — a busy process lane or network link —
+keeps only its head on the loop's heap and parks the entries behind it.
+Under :func:`heap_only`, ``Fifo.park`` schedules each entry through
+``schedule_at`` instead, taking the same ``seq``, and nothing is ever
+released: one heap entry per completion or arrival, as before parking.
+The equivalence properties run a parking side and a heap-only side and
+hold the first to the delivery log, counters, ``processed_events`` and
+``pending()`` of the second.
 
-    net = HeapOnlyNetwork(env, latency)     # same constructor as Network
+    with heap_only():
+        env.run(until=...)      # every step of the heap-only side
 """
 
 from __future__ import annotations
 
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator
 
-from repro.sim import Network, Process
+from repro.sim.loop import Fifo
 
-__all__ = ["HeapOnlyNetwork"]
+__all__ = ["heap_only"]
 
 
-class HeapOnlyNetwork(Network):
-    """:class:`Network` with one heap entry per in-flight message."""
+def _run_current(fifo: Fifo, gen: int, fn: Callable[[Any, Any], Any],
+                 a: Any, b: Any) -> None:
+    """A would-be parked entry on the heap: a no-op once its generation is
+    stale, and never counted."""
+    if gen == fifo.gen:
+        fn(a, b)
 
-    def send(self, src: Process, dst: Process, msg: Any) -> None:
-        self.messages_attempted += 1
-        try:
-            link = self._links[src.pid][dst.pid]
-        except KeyError:
-            link = self._link(src, dst)
-        if src.crashed or link.blocked:
-            self.messages_dropped += 1
-            return
-        rate = link.loss
-        if rate is None:
-            rate = self.loss_rate
-        if rate > 0.0 and self._rng.random() < rate:
-            self.messages_dropped += 1
-            return
-        self.messages_sent += 1
-        self.bytes_sent += getattr(msg, "size_bytes", 0)
-        jitter = link.jitter
-        if jitter is None:
-            delay = link.base
-            if delay is None:
-                delay = self.latency.delay(src, dst, self._rng)
-        elif link.relative:
-            delay = link.base * (1.0 + self._rng.random() * jitter)
-        else:
-            delay = link.base + self._rng.random() * jitter
-        if link.extra:
-            delay += link.extra
-        loop = self._loop
-        deliver_at = loop._now + delay
-        # FIFO per directed link: never overtake the previous delivery.
-        if deliver_at < link.last:
-            deliver_at = link.last
-        link.last = deliver_at
-        loop.schedule_at(deliver_at, dst.deliver, msg, src)
+
+def _park_on_heap(self: Fifo, time: float, args: tuple) -> None:
+    self._loop.schedule_at(time, _run_current, self, *args)
+
+
+@contextmanager
+def heap_only() -> Iterator[None]:
+    """Patch ``Fifo.park`` to schedule every entry on the heap."""
+    original = vars(Fifo)["park"]
+    Fifo.park = _park_on_heap
+    try:
+        yield
+    finally:
+        Fifo.park = original

@@ -12,7 +12,9 @@ silently stop applying when the code it mutates is rewritten.
         ...   # the test that should now fail
 
 Each mutant's comment names the property it breaks; the test that must
-fail under it applies it.
+fail under it applies it.  A :class:`repro.sim.loop.Fifo` binds its
+trampoline when it is built, so a mutant of ``Fifo._fire`` reaches only
+the lanes and links built while it is applied.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.clocks.physical import PhysicalClock
 from repro.core.service import StabilizerBase
 from repro.core.uplink import EunomiaUplink
 from repro.geo.receiver import Receiver
-from repro.sim.loop import EventLoop
+from repro.sim.loop import EventLoop, Fifo
 from repro.sim.network import Network
 from repro.sim.process import Process
 
@@ -53,10 +55,19 @@ class Mutant:
                 f"mutant {self.name}: {self.fragment!r} occurs "
                 f"{source.count(self.fragment)} times in "
                 f"{self.owner.__name__}.{self.method}")
+        source = source.replace(self.fragment, self.replacement)
+        cell = "__class__" in original.__code__.co_freevars
+        if cell:
+            # a zero-argument ``super()`` reads the ``__class__`` cell that
+            # a class body gives its methods: give the copy one too
+            source = (f"def _enclose(__class__):\n"
+                      f"{textwrap.indent(source, '    ')}"
+                      f"    return {original.__name__}\n")
         namespace: dict = {}
-        exec(compile(source.replace(self.fragment, self.replacement),
-                     inspect.getsourcefile(original), "exec"),
+        exec(compile(source, inspect.getsourcefile(original), "exec"),
              original.__globals__, namespace)
+        if cell:
+            return namespace["_enclose"](self.owner)
         return namespace[original.__name__]
 
     @contextmanager
@@ -119,29 +130,31 @@ MUTANTS = {m.name: m for m in (
     Mutant("stable_cut_one_tick_high", StabilizerBase, "_stabilize",
            "stable = self._stable_floor()",
            "stable = self._stable_floor() + 1"),
-    # A parked lane completion re-enters the queue with a fresh seq when its
-    # head fires: it falls behind every same-time entry scheduled since it
-    # was reserved (the loop's (time, seq) order).
-    Mutant("parked_entry_gets_fresh_seq", Process, "_run_delivery",
-           "heappush(self._loop._heap, lane.parked.popleft())",
-           "time, _, fn, args = lane.parked.popleft(); "
-           "self._loop.schedule_at(time, fn, *args)"),
-    # A parked link arrival re-enters the queue with a fresh seq when the
-    # link's head fires: it falls behind every same-time arrival on other
-    # links sent since it was (the loop's (time, seq) order).
-    Mutant("parked_arrival_gets_fresh_seq", Network, "_arrive",
-           "heappush(self._loop._heap, link.parked.popleft())",
-           "time, _, fn, args = link.parked.popleft(); "
-           "self._loop.schedule_at(time, fn, *args)"),
-    # A send that should become the link's tracked head parks instead,
-    # behind untracked arrivals that never move the FIFO: nothing of the
-    # link after it ever reaches the heap.
+    # A parked entry — a lane completion or a link arrival — re-enters the
+    # queue with a fresh seq when its head fires: it falls behind every
+    # same-time entry scheduled since it was parked (the loop's (time, seq)
+    # order).
+    Mutant("parked_entry_gets_fresh_seq", Fifo, "_fire",
+           "heappush(self._loop._heap, self.parked.popleft())",
+           "time, _, head, rest = self.parked.popleft(); "
+           "self._loop.schedule_at(time, head, *rest)"),
+    # An entry of an older generation fires: a completion queued before a
+    # crash runs its handler and counts out an entry of the new generation.
+    Mutant("stale_entry_releases", Fifo, "_fire",
+           "if gen != self.gen:", "if False:"),
+    # A send that should become the link's head parks instead, behind
+    # plain arrivals that never move the FIFO: nothing of the link after
+    # it ever reaches the heap.
     Mutant("link_parks_behind_untracked_head", Network, "send",
-           "if tracked:", "if tracked or link.prior > now:"),
-    # A crash leaves the backlog parked behind a head its new epoch made
-    # stale: the entries never reach the heap and never fire.
+           "if link.queued:", "if link.queued or link.prior > now:"),
+    # A crash keeps the lanes' generation: the backlog queued before it
+    # runs its handlers on the crashed process.
     Mutant("crash_keeps_lane_parked", Process, "crash",
            "self._unpark_all()", "pass"),
+    # A slot reserved while the process is crashed keeps its body, and runs
+    # it if it fires before the recovery (the lane's crash check).
+    Mutant("slot_reserved_while_crashed_runs", Process, "_enqueue",
+           "fn = _noop", "pass"),
     # The receiver releases an update whose dependencies on other origins
     # are not yet applied here (Alg. 5 l.12, SiteTime[d] >= u.vts[d]).
     Mutant("receiver_ignores_site_time", Receiver, "_deps_satisfied",
@@ -152,4 +165,9 @@ MUTANTS = {m.name: m for m in (
     Mutant("receiver_reenqueues_last_key", Receiver,
            "on_remote_stable_batch",
            "ops[i].order_key() <= last", "ops[i].order_key() < last"),
+    # A recovered receiver keeps its in-flight heads instead of releasing
+    # them again: a head whose ApplyRemote or ack the crash dropped is
+    # never acknowledged, and its origin's queue stalls.
+    Mutant("receiver_recover_keeps_inflight", Receiver, "recover",
+           "self._inflight.clear()", "pass"),
 )}

@@ -12,9 +12,10 @@ arrival event when its lane is idle.
 """
 
 from collections import Counter
+from contextlib import nullcontext
 
 import pytest
-from heap_only import HeapOnlyNetwork
+from heap_only import heap_only
 
 import repro.baselines  # noqa: F401  (registers every protocol)
 from repro import GeoSystemSpec, WorkloadSpec, build_geo_system
@@ -23,7 +24,8 @@ from repro.baselines.messages import GstBroadcast
 from repro.core import EunomiaConfig
 from repro.core.protocols import available_protocols
 from repro.harness.loadgen import build_eunomia_rig
-from repro.sim import Network
+from repro.sim.loop import Fifo
+from repro.sim.network import Link
 
 
 def _run(protocol, clients_per_dc):
@@ -79,19 +81,20 @@ def test_a_summary_broadcast_on_an_idle_lane_costs_one_event(monkeypatch):
     ``stabilization`` lane, idle but for 3 µs heartbeats and reports, it is
     handled in its arrival event.  Served from ``cpu`` with the round as its
     service cost it was two events, every time (ratio 2.0)."""
-    events = {"deliver": 0, "_run_delivery": 0}
+    events = {"deliver": 0, "completion": 0}
+    deliver, fire = GstPartition.deliver, Fifo._fire
 
-    def count(name):
-        inner = getattr(GstPartition, name)
+    def counted_deliver(self, msg, src):
+        events["deliver"] += type(msg) is GstBroadcast
+        deliver(self, msg, src)
 
-        # args: (msg, src) / (lane, epoch, handler, msg, src)
-        def counted(self, *args):
-            events[name] += type(args[-2]) is GstBroadcast
-            inner(self, *args)
-        monkeypatch.setattr(GstPartition, name, counted)
+    def counted_fire(self, gen, fn, a, b):      # a lane's or a link's entry
+        if not isinstance(self, Link):
+            events["completion"] += type(a) is GstBroadcast
+        fire(self, gen, fn, a, b)
 
-    count("deliver")
-    count("_run_delivery")
+    monkeypatch.setattr(GstPartition, "deliver", counted_deliver)
+    monkeypatch.setattr(Fifo, "_fire", counted_fire)   # before lanes are built
     _run("cure", clients_per_dc=4)
     assert events["deliver"] > 1000
     assert sum(events.values()) / events["deliver"] <= 1.1
@@ -126,16 +129,17 @@ def test_a_saturated_stabilizer_backlog_waits_off_the_heap(monkeypatch):
     timer) while ``pending()`` grows by thousands.  With every completion
     on the heap it held 3 535 entries at 0.4 sim-s.  Its links never hold
     more than two messages in flight (a frame, and the heartbeat sent
-    before it lands), so no arrival is tracked: every message keeps the
+    before it lands), so no link gets a head: every message keeps the
     plain ``deliver`` entry and pays no trampoline."""
-    tracked = []
-    arrive = Network._arrive
+    heads = []
+    fire = Fifo._fire
 
-    def counted(self, link, dst, msg, src):
-        tracked.append(msg)
-        arrive(self, link, dst, msg, src)
+    def counted(self, gen, fn, a, b):
+        if isinstance(self, Link):
+            heads.append(a)
+        fire(self, gen, fn, a, b)
 
-    monkeypatch.setattr(Network, "_arrive", counted)
+    monkeypatch.setattr(Fifo, "_fire", counted)     # before links are built
     rig = build_eunomia_rig(75, seed=5)
     loop = rig.env.loop
     processes = len(rig.env.network.processes())
@@ -146,17 +150,17 @@ def test_a_saturated_stabilizer_backlog_waits_off_the_heap(monkeypatch):
         assert loop.pending() > backlog + 1000
         backlog = loop.pending()
         assert len(loop._heap) <= 3 * processes
-    assert tracked == []
+    assert heads == []
 
 
 def _arrivals_per_link(network):
-    """(src pid, dst pid) -> arrival entries on the loop's heap: a tracked
-    arrival is ``network._arrive(link, dst, msg, src)``, a plain one the
+    """(src pid, dst pid) -> arrival entries on the loop's heap: a link's
+    head is ``link.fire(gen, dst.deliver, msg, src)``, a plain arrival the
     destination's bound ``deliver(msg, src)``."""
     per_link = Counter()
     for _, _, fn, args in network._loop._heap:
-        if fn == network._arrival:
-            per_link[args[3].pid, args[1].pid] += 1
+        if isinstance(getattr(fn, "__self__", None), Link):
+            per_link[args[3].pid, args[1].__self__.pid] += 1
         elif getattr(fn, "__name__", None) == "deliver":
             per_link[args[1].pid, fn.__self__.pid] += 1
     return per_link
@@ -164,26 +168,27 @@ def _arrivals_per_link(network):
 
 def test_a_busy_link_keeps_at_most_three_arrivals_on_the_heap():
     """Cure keeps sibling heartbeats and payloads in flight on every WAN
-    link.  A link's arrivals behind its tracked head are parked in the
+    link.  A link's arrivals behind its head are parked in the
     link, not queued on the loop's heap: at every slice boundary (no
     same-instant ties left) a link has at most three arrival entries
     there — two plain arrivals sent while at most one other was in flight,
-    ahead of the tracked head — while ``pending()`` equals that of the
+    ahead of the head — while ``pending()`` equals that of the
     twin that queues every arrival on the heap.  At 1 sim-s the twin's
     heap holds 157 entries, this one's 34."""
     sides = []
-    for network_cls in (Network, HeapOnlyNetwork):
+    for side in (nullcontext, heap_only):
         spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=2, clients_per_dc=4,
                              seed=5)
-        system = build_geo_system("cure", spec,
-                                  WorkloadSpec(read_ratio=0.5, n_keys=64))
-        system.env.network.__class__ = network_cls
-        system.start()
-        sides.append(system.env)
-    parking, reference = sides
+        with side():
+            system = build_geo_system("cure", spec,
+                                      WorkloadSpec(read_ratio=0.5, n_keys=64))
+            system.start()
+        sides.append((side, system.env))
+    (_, parking), (_, reference) = sides
     for k in range(1, 41):
-        for env in sides:
-            env.run(until=0.025 * k)
+        for side, env in sides:
+            with side():
+                env.run(until=0.025 * k)
         assert parking.loop.pending() == reference.loop.pending()
         assert max(_arrivals_per_link(parking.network).values()) <= 3
     assert parking.loop._parked() > 0

@@ -9,14 +9,14 @@ through ``send`` in ``tests/test_process_and_network.py``.
 The per-pair ``Link`` objects are held to the network they replaced: four
 pid-pair tables (FIFO clock, loss overrides, extra delay, blocked pairs)
 and a latency-model call per message, kept below as ``TableNetwork``.
-The arrivals a link parks behind its tracked head are held to one heap
-entry per message, ``heap_only.HeapOnlyNetwork``.
+The arrivals a link parks behind its head are held to one heap entry
+per message, ``heap_only.heap_only``.
 """
 
 from dataclasses import dataclass
 
 import pytest
-from heap_only import HeapOnlyNetwork
+from heap_only import heap_only
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mutants import MUTANTS
@@ -295,7 +295,7 @@ def test_a_zero_link_loss_overrides_a_global_rate():
 # Parked links against one heap entry per message
 # ----------------------------------------------------------------------
 #: a burst that parks whatever else is drawn: the first two sends are
-#: plain, the third the link's tracked head, the fourth and fifth wait
+#: plain, the third the link's head, the fourth and fifth wait
 #: behind it
 _BURST = [("loss", 0, 1, 0.0)] + [("send", 0, 1)] * 5
 
@@ -306,7 +306,7 @@ _BURST = [("loss", 0, 1, 0.0)] + [("send", 0, 1)] * 5
        steps=st.lists(_STEP, min_size=1, max_size=60))
 def test_parked_links_deliver_what_the_heap_alone_delivers(model, loss_rate,
                                                            steps):
-    """A link's arrivals parked behind its tracked head fire exactly as
+    """A link's arrivals parked behind its head fire exactly as
     one heap entry per message does: the same delivery log, and the same
     ``processed_events`` and ``pending()`` after every ``run(until=...)``
     slice, counters and RNG state — under exact ties (constant latency),
@@ -323,15 +323,16 @@ def test_parked_links_deliver_what_the_heap_alone_delivers(model, loss_rate,
 
     links = _replay(Watched, model, loss_rate, steps)
     assert any(link.parked is not None for link in built), "nothing parked"
-    assert links == _replay(HeapOnlyNetwork, model, loss_rate, steps)
+    with heap_only():
+        assert links == _replay(Network, model, loss_rate, steps)
 
 
-def _tie(network_cls):
+def _tie():
     """a sends four messages to b and c one, all due at 1.0: a's first
-    two arrivals are plain, the third its link's tracked head, the fourth
+    two arrivals are plain, the third its link's head, the fourth
     parked, and c's is sequenced after all four."""
     env = Environment(seed=1)
-    net = network_cls(env, ConstantLatency(1.0))
+    net = Network(env, ConstantLatency(1.0))
     a, b, c = (Recorder(env, name) for name in "abc")
     for n in range(4):
         net.send(a, b, Ping(n))
@@ -347,7 +348,9 @@ def test_a_parked_arrival_keeps_the_seq_of_its_send():
     have given it at send time, so it fires before c's message, sent
     later for the same instant, as it does with every arrival on the
     heap."""
-    parked, reference = _tie(Network), _tie(HeapOnlyNetwork)
+    parked = _tie()
+    with heap_only():
+        reference = _tie()
     assert parked[0] == (4, 5) and reference[0] == (5, 5)
     # five arrivals; b's lane is busy until 1.0 after the first, so the
     # other four take a completion event each
@@ -357,7 +360,7 @@ def test_a_parked_arrival_keeps_the_seq_of_its_send():
 
 def test_a_burst_waits_behind_its_links_head():
     """Fifty messages in flight on one link are three heap entries — the
-    two plain arrivals sent first and the tracked head — and all fifty
+    two plain arrivals sent first and the head — and all fifty
     arrive, in order, 1 ms apart, while the link's FIFO drains one by
     one."""
     env = Environment(seed=1)
@@ -369,11 +372,11 @@ def test_a_burst_waits_behind_its_links_head():
         net.send(a, b, Ping(n))
     assert (len(loop._heap), loop._parked(), loop.pending()) == (3, 47, 50)
     link = net._links[a.pid][b.pid]
-    assert link.tracked == 48 and len(link.parked) == 47
+    assert link.queued == 48 and len(link.parked) == 47
     env.run()
     assert b.seen == [(pytest.approx(0.05 + n * 0.001), n)
                       for n in range(50)]
-    assert link.tracked == 0 and not link.parked
+    assert link.queued == 0 and not link.parked
     assert loop.processed_events == 50 and loop.pending() == 0
 
 
@@ -381,13 +384,13 @@ def test_the_parked_seq_test_kills_a_fresh_seq_on_the_link():
     """Re-entering a parked arrival through ``schedule_at`` gives it a new
     seq when the head fires, behind c's message of the same instant."""
     test_a_parked_arrival_keeps_the_seq_of_its_send()
-    with MUTANTS["parked_arrival_gets_fresh_seq"].applied():
+    with MUTANTS["parked_entry_gets_fresh_seq"].applied():
         with pytest.raises(AssertionError):
             test_a_parked_arrival_keeps_the_seq_of_its_send()
 
 
 def test_the_burst_test_kills_parking_behind_an_untracked_head():
-    """Parking the would-be tracked head leaves nothing of the link on
+    """Parking the would-be head leaves nothing of the link on
     the heap to move the burst: 48 messages never arrive."""
     test_a_burst_waits_behind_its_links_head()
     with MUTANTS["link_parks_behind_untracked_head"].applied():

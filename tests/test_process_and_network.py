@@ -1,9 +1,11 @@
 """Tests for the process service-queue model and the network."""
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 
 import pytest
+from heap_only import heap_only
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -365,9 +367,9 @@ def test_crash_drops_a_fusable_message_that_had_to_queue():
 
 # ----------------------------------------------------------------------
 # Parked lanes: a lane keeps only its head completion on the heap and
-# parks the rest in its FIFO.  The reference below schedules every
-# completion through ``schedule_at``, as every completion was before; the
-# property holds the parked lanes to it, counters included.
+# parks the rest in its FIFO.  The reference, ``heap_only``, schedules
+# every completion through ``schedule_at``, as every completion was
+# before; the property holds the parked lanes to it, counters included.
 # ----------------------------------------------------------------------
 
 class Parking(Fusing):
@@ -387,44 +389,13 @@ class Parking(Fusing):
     on_free_repl = on_beat_repl = on_work_repl = on_sized_repl = _handle
 
 
-class HeapOnly(Parking):
-    """The service queue before lanes parked: one ``schedule_at`` entry per
-    completion, fused delivery unchanged."""
-
-    def deliver(self, msg, src):
-        if self.crashed:
-            return
-        lane, cost, handler, fusable = (self._plans.get(type(msg))
-                                        or self._plan(type(msg)))
-        if cost is None:
-            cost = self.costs[type(msg).__name__](msg)
-        now = self.now
-        start = lane.busy
-        if start < now:
-            if fusable:
-                lane.busy = now + cost
-                handler(msg, src)
-                return
-            start = now
-        lane.busy = start + cost
-        self._loop.schedule_at(lane.busy, self._run_guarded, self._epoch,
-                               handler, (msg, src))
-
-    def _enqueue(self, fn, cost, *args, lane="cpu"):
-        slot = self._lanes[lane]
-        slot.busy = max(self.now, slot.busy) + cost
-        self._loop.schedule_at(slot.busy, self._run_guarded, self._epoch, fn,
-                               args)
-        return slot.busy
-
-
-def _scripted(cls, arrivals, slots=(), events=(), faults=()):
-    """One ``cls`` process with everything scheduled up front: ``arrivals``
-    = [(time, msg)] delivered, ``slots`` = [(time, cost, lane)] enqueued,
-    ``events`` = [time] unrelated loop events, ``faults`` = [(time,
-    "crash" | "recover")]."""
+def _scripted(arrivals, slots=(), events=(), faults=()):
+    """One :class:`Parking` process with everything scheduled up front:
+    ``arrivals`` = [(time, msg)] delivered, ``slots`` = [(time, cost,
+    lane)] enqueued, ``events`` = [time] unrelated loop events, ``faults``
+    = [(time, "crash" | "recover")]."""
     env = Environment(seed=1)
-    proc = cls(env, "p")
+    proc = Parking(env, "p")
     loop = env.loop
     for when, msg in arrivals:
         loop.schedule_at(when, proc.deliver, msg, None)
@@ -460,18 +431,18 @@ def test_parked_lanes_fire_what_the_heap_alone_fires(drawn, slots, events,
     drawn = sorted(drawn, key=lambda a: a[0])
     arrivals = [(when, _message(kind, n, lane, size))
                 for n, (when, kind, lane, size) in enumerate(drawn)]
-    sides = [_scripted(cls, arrivals, slots, events, faults)
-             for cls in (Parking, HeapOnly)]
+    sides = [_scripted(arrivals, slots, events, faults) for _ in range(2)]
     for until in sorted(cuts) + [None]:
-        for proc in sides:
-            proc._loop.run(until)
+        sides[0]._loop.run(until)
+        with heap_only():
+            sides[1]._loop.run(until)
         parked, reference = (_observed(proc) for proc in sides)
         assert parked == reference
     assert sides[0]._loop.pending() == 0
 
 
 def test_a_backlog_waits_in_its_lane_not_on_the_heap():
-    proc = _scripted(Parking, [(1.0, Work(n, "cpu")) for n in range(50)])
+    proc = _scripted([(1.0, Work(n, "cpu")) for n in range(50)])
     loop = proc._loop
     loop.run(until=1.0)
     assert (len(loop._heap), loop._parked(), loop.pending()) == (1, 49, 50)
@@ -489,11 +460,12 @@ def test_a_parked_completion_keeps_the_seq_of_its_reservation():
     """Work 1 is reserved at 1.0 and parked; the event scheduled at 1.5
     for the instant Work 1 completes is sequenced after it, so it fires
     after it, as it would with both on the heap."""
-    for cls in (Parking, HeapOnly):
-        proc = _scripted(cls, [(1.0, Work(0, "cpu")), (1.0, Work(1, "cpu"))])
+    for side in (nullcontext, heap_only):
+        proc = _scripted([(1.0, Work(0, "cpu")), (1.0, Work(1, "cpu"))])
         proc._loop.schedule_at(1.5, proc._loop.schedule_at, 4.0, proc.log,
                                "event", 0)
-        proc._loop.run()
+        with side():
+            proc._loop.run()
         assert proc.handled == [("cpu", 0, 2.5), ("echo", 0, 2.5),
                                 ("cpu", 1, 4.0), ("event", 0, 4.0),
                                 ("echo", 1, 4.0)]
@@ -504,18 +476,45 @@ def test_crash_moves_a_parked_backlog_onto_the_heap():
     """The backlog fires as stale no-ops at its own times: nothing stays
     parked behind a head whose epoch went stale."""
     counts = []
-    for cls in (Parking, HeapOnly):
-        proc = _scripted(cls, [(1.0, Work(n, "cpu")) for n in range(4)],
+    for side in (nullcontext, heap_only):
+        proc = _scripted([(1.0, Work(n, "cpu")) for n in range(4)],
                          slots=[(1.0, 1.0, "cpu")], faults=[(3.0, "crash")])
         loop = proc._loop
-        loop.run(until=3.0)
-        assert loop.pending() == 4 and loop._parked() == 0
-        loop.run(until=6.0)
-        counts.append((loop.processed_events, loop.pending()))
-        loop.run()
+        with side():
+            loop.run(until=3.0)
+            assert loop.pending() == 4 and loop._parked() == 0
+            loop.run(until=6.0)
+            counts.append((loop.processed_events, loop.pending()))
+            loop.run()
         assert proc.handled == [("cpu", 0, 2.5), ("echo", 0, 2.5)]
         assert loop.pending() == 0 and loop.now == 8.0
     assert counts[0] == counts[1] == (5 + 1 + 1 + 2 + 1, 2)
+
+
+def test_a_stale_completion_neither_runs_nor_counts():
+    """Slot 0 is the head when the process crashes and recovers; when it
+    fires, stale, it runs nothing and leaves the count of slot 1, the new
+    generation's head, alone."""
+    proc = _scripted([], slots=[(1.0, 2.0, "cpu"), (2.0, 2.0, "cpu")],
+                     faults=[(1.5, "crash"), (1.5, "recover")])
+    loop = proc._loop
+    loop.run(until=3.0)
+    assert proc.handled == [] and proc._lanes["cpu"].queued == 1
+    loop.run()
+    assert proc.handled == [("slot:cpu", 1, 4.0)]
+    assert proc._lanes["cpu"].queued == 0 and loop.pending() == 0
+
+
+def test_a_slot_reserved_while_crashed_runs_nothing():
+    """Slot 0 is reserved while down and fires while still down; slot 1
+    is reserved while down and fires after the recovery, stale; slot 2
+    runs."""
+    proc = _scripted([], slots=[(1.5, 1.0, "cpu"),
+                                (1.5, 3.0, "replication"),
+                                (5.0, 1.0, "cpu")],
+                     faults=[(1.0, "crash"), (3.0, "recover")])
+    proc._loop.run()
+    assert proc.handled == [("slot:cpu", 2, 6.0)]
 
 
 def test_the_parked_seq_test_kills_a_fresh_seq():
@@ -532,6 +531,23 @@ def test_the_crash_backlog_test_kills_a_lane_left_parked():
     with MUTANTS["crash_keeps_lane_parked"].applied():
         with pytest.raises(AssertionError):
             test_crash_moves_a_parked_backlog_onto_the_heap()
+
+
+def test_the_stale_completion_test_kills_a_stale_entry_that_releases():
+    """Without the generation check the stale slot 0 runs at 3.0 and
+    counts the new head out."""
+    test_a_stale_completion_neither_runs_nor_counts()
+    with MUTANTS["stale_entry_releases"].applied():
+        with pytest.raises(AssertionError):
+            test_a_stale_completion_neither_runs_nor_counts()
+
+
+def test_the_crashed_slot_test_kills_a_slot_reserved_while_crashed_running():
+    """Without the no-op body slot 0 runs at 2.5 on a crashed process."""
+    test_a_slot_reserved_while_crashed_runs_nothing()
+    with MUTANTS["slot_reserved_while_crashed_runs"].applied():
+        with pytest.raises(AssertionError):
+            test_a_slot_reserved_while_crashed_runs_nothing()
 
 
 def test_missing_handler_of_a_zero_cost_message_raises_at_arrival(env):

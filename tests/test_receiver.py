@@ -290,6 +290,19 @@ def test_second_ack_of_a_rereleased_update_is_dropped(rig):
         env.run(until=0.2)
 
 
+def test_the_rerelease_test_kills_a_recover_that_keeps_inflight_heads():
+    """A receiver that keeps its in-flight heads across a crash releases
+    the head once, not again, and the dropped first ack is never sent."""
+    def rerelease():
+        test_second_ack_of_a_rereleased_update_is_dropped(
+            _rig(Environment(seed=1234), MetricsHub()))
+
+    rerelease()
+    with MUTANTS["receiver_recover_keeps_inflight"].applied():
+        with pytest.raises(AssertionError):
+            rerelease()
+
+
 def _hold_stream_while_down(receiver):
     """Re-offer, on recovery, the stream frames that reached ``receiver``
     while it was down.  The propagator → receiver lane is fire-and-forget
