@@ -113,55 +113,6 @@ def bench_saturated_lane(benchmark):
     assert max(heap for _, heap in depths) <= 2
 
 
-def bench_deep_link(benchmark):
-    """One 50 ms link carrying a message every microsecond (100k messages).
-
-    About 50k messages are in flight at once.  They wait in the link, not
-    on the heap: while a send runs, the heap holds the two arrivals sent
-    first and the link's tracked head, however many messages are in
-    flight, and they arrive in send order.
-    """
-
-    class Note:
-        __slots__ = ("n",)
-
-        def __init__(self, n):
-            self.n = n
-
-    class Sink(Process):
-        def __init__(self, env):
-            super().__init__(env, "sink")
-            self.seen = []
-
-        def on_note(self, msg, src):
-            self.seen.append(msg.n)
-
-    messages = 100_000
-
-    def flood():
-        env = Environment(seed=1)
-        net = Network(env, ConstantLatency(0.05))
-        source, sink = Process(env, "source"), Sink(env)
-        loop = env.loop
-        depths = []
-
-        def send(n):
-            net.send(source, sink, Note(n))
-            if n % 10_000 == 9_999:
-                depths.append((loop.pending(), len(loop._heap)))
-            if n + 1 < messages:
-                loop.schedule(1e-6, send, n + 1)
-
-        loop.schedule(1e-6, send, 0)
-        env.run()
-        assert sink.seen == list(range(messages))
-        return depths
-
-    depths = benchmark(flood)
-    assert depths[-1][0] > 45_000
-    assert max(heap for _, heap in depths) <= 3
-
-
 def bench_hybrid_clock_updates(benchmark):
     """Alg. 2 line 5 in a tight loop (100k timestamp generations)."""
     env = Environment(seed=1)

@@ -97,15 +97,6 @@ class GstTimings:
     heartbeat_interval: float = 0.010
     gst_interval: float = 0.005
 
-    #: Aggregator liveness bound: a partition that has seen no GST/GSV
-    #: broadcast for this long presumes the aggregator dead and advances
-    #: its aggregator view round-robin (``None`` → ``10 × gst_interval``).
-    #: The same bound ages out reports at the aggregator, so a dead
-    #: partition stops capping the minimum.  This is the bounded timeout
-    #: behind aggregator re-election; without it a crashed aggregator
-    #: freezes the whole DC's stabilization forever.
-    aggregator_timeout: Optional[float] = None
-
 
 class _DeferredRuns:
     """The deferred-update set: one FIFO run per origin datacenter.
@@ -286,8 +277,14 @@ class GstPartition(StoragePartition):
                                              phase=self.timings.gst_interval)
 
     def _aggregator_timeout(self) -> float:
-        timeout = self.timings.aggregator_timeout
-        return timeout if timeout is not None else 10 * self.timings.gst_interval
+        """Aggregator liveness bound, ``10 × gst_interval``: a partition
+        that has seen no GST/GSV broadcast for this long presumes the
+        aggregator dead and advances its aggregator view round-robin.  The
+        same bound ages out reports at the aggregator, so a dead partition
+        stops capping the minimum.  This is the bounded timeout behind
+        aggregator re-election; without it a crashed aggregator freezes the
+        whole DC's stabilization forever."""
+        return 10 * self.timings.gst_interval
 
     def recover(self) -> None:
         """Restart after a crash-stop with protocol state intact.
@@ -370,7 +367,7 @@ class GstPartition(StoragePartition):
     def _report(self) -> None:
         # Aggregator liveness check rides the report tick (no extra timer,
         # no extra messages): broadcasts normally arrive every gst_interval,
-        # so a silence of aggregator_timeout means the aggregator is gone —
+        # so ten silent intervals mean the aggregator is gone —
         # advance the view round-robin.  Every partition advances from the
         # same view, so they converge on the same successor; if that one is
         # dead too, the next timeout advances again (recovery is bounded by

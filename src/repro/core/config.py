@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = ["EunomiaConfig", "MAX_BATCH_OPS", "RECEIVER_CHECK_INTERVAL",
-           "RETRY_BACKOFF_BASE", "RETRY_BACKOFF_CAP", "SEQ_RETRY_TIMEOUT"]
+           "RESEND_TIMEOUT", "RETRY_BACKOFF_BASE", "RETRY_BACKOFF_CAP",
+           "SEQ_RETRY_TIMEOUT"]
 
 #: Retry-with-backoff shape shared by the recovery idioms (uplink
 #: retransmission escalation, failed-fsync commit retries, sequencer
@@ -25,6 +26,13 @@ RETRY_BACKOFF_CAP = 0.1
 #: slow or dead replica (at-least-once delivery stays correct; a lagging
 #: replica simply catches up over more batches).
 MAX_BATCH_OPS = 1000
+
+#: Retransmission timeout for the fault-tolerant uplink: the unacked
+#: suffix is resent only when acknowledgements from a replica stall for
+#: this long.  Without it, a saturated (slow-acking) leader would trigger
+#: full-window retransmissions every batch tick — a positive feedback loop
+#: no real implementation would ship.
+RESEND_TIMEOUT = 0.05
 
 #: Sequencer-request retry timeout: a partition (or load client) that
 #: has waited this long for a SeqReply re-issues the request — a
@@ -61,13 +69,6 @@ class EunomiaConfig:
     #: ack/resend machinery runs even for a single replica.
     n_replicas: int = 1
     fault_tolerant: bool = False
-
-    #: Retransmission timeout for the fault-tolerant uplink: the unacked
-    #: suffix is resent only when acknowledgements from a replica stall for
-    #: this long.  Without it, a saturated (slow-acking) leader would
-    #: trigger full-window retransmissions every batch tick — a positive
-    #: feedback loop no real implementation would ship.
-    resend_timeout: float = 0.05
 
     #: Ω failure-detector timing for replica leader election.
     replica_alive_interval: float = 0.5

@@ -48,7 +48,8 @@ from ..datastruct.opblock import OpRunBuilder
 from ..kvstore.types import Update
 from ..sim.loop import SimulationError
 from ..sim.process import Process
-from .config import MAX_BATCH_OPS, RETRY_BACKOFF_CAP, EunomiaConfig
+from .config import (MAX_BATCH_OPS, RESEND_TIMEOUT, RETRY_BACKOFF_CAP,
+                     EunomiaConfig)
 from .messages import AddOpBatch, BatchAck, PartitionHeartbeat
 
 __all__ = ["EunomiaUplink"]
@@ -149,13 +150,13 @@ class EunomiaUplink:
         self.start()    # a new chain: the old one, if still queued, is retired
 
     def _stall_timeout(self, pid: int) -> float:
-        """Current retransmission timeout for a replica: the configured
-        resend timeout, doubling per consecutive unacknowledged resend up
-        to the bounded-backoff cap — a dead or partitioned replica is
-        probed ever more gently, never abandoned, and the cap bounds how
-        stale the probe cadence can be when the replica returns."""
+        """Current retransmission timeout for a replica: ``RESEND_TIMEOUT``,
+        doubling per consecutive unacknowledged resend up to the
+        bounded-backoff cap — a dead or partitioned replica is probed ever
+        more gently, never abandoned, and the cap bounds how stale the probe
+        cadence can be when the replica returns."""
         strikes = self._retx_strikes.get(pid, 0)
-        base = self.config.resend_timeout
+        base = RESEND_TIMEOUT
         if not strikes:
             return base
         return min(base * (1 << strikes), max(base, RETRY_BACKOFF_CAP))
@@ -188,8 +189,7 @@ class EunomiaUplink:
             if self._ack[src.pid] >= self._sent.get(src.pid, 0):
                 self._retx_due[src.pid] = float("inf")
             else:
-                self._retx_due[src.pid] = (self.host.now
-                                           + self.config.resend_timeout)
+                self._retx_due[src.pid] = self.host.now + RESEND_TIMEOUT
         self._prune()
 
     # ------------------------------------------------------------------
@@ -327,7 +327,7 @@ class EunomiaUplink:
         # postpone recovery of a lost one indefinitely.  The timeout
         # escalates with consecutive fruitless resends (capped backoff), so
         # a long-dead replica is not blasted with the full window every
-        # resend_timeout.
+        # RESEND_TIMEOUT.
         if retransmit or self._retx_due[pid] == float("inf"):
             self._retx_due[pid] = self.host.now + self._stall_timeout(pid)
         # Frame reuse: identical windows — the common case for

@@ -1,7 +1,7 @@
 """Deterministic discrete-event loop.
 
 This is the heart of the simulation substrate.  Every other component
-(processes, network links, clocks, failure injectors) schedules callbacks on a
+(processes, the network, clocks, failure injectors) schedules callbacks on a
 single :class:`EventLoop`.  The loop is deterministic: events fire in
 ``(time, sequence-number)`` order, where the sequence number is the order in
 which events were scheduled.  Two runs with the same seed therefore produce
@@ -11,8 +11,8 @@ checker rely on.
 There is one scheduler: a binary heap holding one plain tuple
 ``(time, seq, fn, args)`` per scheduled callback and nothing else.
 :meth:`EventLoop.schedule_at` is the way in, except for entries parked
-behind the head of a :class:`Fifo` (a busy process lane or network link),
-which this module alone moves onto the heap.
+behind the head of a :class:`Fifo` (a busy process lane), which this
+module alone moves onto the heap.
 Only periodic tasks can be cancelled (:class:`PeriodicHandle`), and
 cancellation is a sequence number filed in a set — see "Simulator hot
 path" in ``docs/ARCHITECTURE.md``.
@@ -96,14 +96,15 @@ def apply(fn: Callable[..., Any], args: tuple) -> None:
 
 
 class Fifo:
-    """Entries with non-decreasing ``(time, seq)`` of which only the head
-    is on the loop's heap: a busy process lane's completions, a busy
-    link's arrivals.
+    """A single-server process lane: ``busy``, the end of the last slot
+    reserved on it, and its completions, of which only the head is on the
+    loop's heap.  Each slot starts where the last ended, so the entries
+    have non-decreasing ``(time, seq)``.
 
     ``queued`` counts the entries of generation ``gen`` still to fire.
-    When it is 0 the owner sets it to 1 and schedules its head through
-    ``schedule_at`` as ``fire(gen, fn, a, b)``; otherwise it hands the
-    entry to :meth:`park`.  ``fire`` (bound once) drops an entry of an
+    When it is 0 the lane's process sets it to 1 and schedules its head
+    through ``schedule_at`` as ``fire(gen, fn, a, b)``; otherwise it hands
+    the entry to :meth:`park`.  ``fire`` (bound once) drops an entry of an
     older generation; otherwise it counts the entry out, pushes the next
     parked one onto the heap and calls ``fn(a, b)`` — a message handler's
     ``(msg, src)``; other bodies go through :func:`apply`.  The next entry
@@ -112,9 +113,10 @@ class Fifo:
     entry on the heap.
     """
 
-    __slots__ = ("queued", "gen", "parked", "fire", "_loop")
+    __slots__ = ("busy", "queued", "gen", "parked", "fire", "_loop")
 
     def __init__(self, loop: "EventLoop"):
+        self.busy = 0.0
         self.queued = 0
         self.gen = 0
         #: ``(time, seq, fire, args)`` entries behind the head, built on
@@ -206,14 +208,14 @@ class EventLoop:
 
         Derived, so firing an event maintains no counter: every entry ever
         scheduled is still queued (on the heap or parked behind a busy
-        lane's or link's head), was discarded as cancelled, or fired.
+        lane's head), was discarded as cancelled, or fired.
         """
         return self._seq - len(self._heap) - self._parked() - self._dead
 
     def pending(self) -> int:
         """Number of not-yet-fired, not-cancelled events, parked ones
-        included.  O(lanes and links that ever backed up), so monitors can
-        poll it every tick."""
+        included.  O(lanes that ever backed up), so monitors can poll it
+        every tick."""
         return len(self._heap) + self._parked() - len(self._cancelled)
 
     def _parked(self) -> int:

@@ -17,13 +17,6 @@ destination's service queue (:meth:`repro.sim.process.Process.deliver`), so
 a message to an overloaded server queues behind its backlog — the effect
 underlying every throughput result in the paper.
 
-A busy link is a :class:`~repro.sim.loop.Fifo` of its arrivals, which
-its FIFO clock keeps sorted by ``(time, seq)``.  A message sent while
-the two arrivals before it on the link are still in flight becomes the
-link's head, and later ones park behind it; otherwise a message is the
-plain ``dst.deliver`` entry, so links that never hold more than two
-messages in flight pay nothing.
-
 Everything the network knows about one directed pair lives in one
 :class:`Link` of that network, built on the pair's first use: the FIFO
 clock, the fault state the injection methods write, and what the latency
@@ -36,7 +29,6 @@ from typing import Any, Iterable, Optional, Sequence
 
 from .env import Environment
 from .latency import ConstantLatency, LatencyModel, LinkRule
-from .loop import EventLoop, Fifo
 from .process import Process
 
 __all__ = ["Link", "Network"]
@@ -55,17 +47,15 @@ def _link_rule(model: LatencyModel, src: Process,
     return None
 
 
-class Link(Fifo):
-    """One directed pair of one :class:`Network`, and the :class:`Fifo` of
-    its arrivals from the head on (see :meth:`Network.send`).
+class Link:
+    """One directed pair of one :class:`Network`.
 
     ``last`` is the FIFO clock, the latest delivery time scheduled on the
-    link, and ``prior`` the one scheduled before it.  ``blocked`` (a
-    disconnect or partition), ``loss`` (None: the network's global
-    ``loss_rate``) and ``extra`` (a gray link's added delay) are the fault
-    state.  ``base`` / ``jitter`` / ``relative`` are the latency model's
-    :meth:`LatencyModel.link_rule` for the pair; ``base`` is None when the
-    model has no rule.
+    link.  ``blocked`` (a disconnect or partition), ``loss`` (None: the
+    network's global ``loss_rate``) and ``extra`` (a gray link's added
+    delay) are the fault state.  ``base`` / ``jitter`` / ``relative`` are
+    the latency model's :meth:`LatencyModel.link_rule` for the pair;
+    ``base`` is None when the model has no rule.
 
     The destination's bound ``deliver`` is deliberately not cached here.
     CPython's collector runs when its count of tracked allocations minus
@@ -76,13 +66,11 @@ class Link(Fifo):
     nothing measurable on the other workloads.
     """
 
-    __slots__ = ("last", "prior", "blocked", "loss", "extra", "base",
-                 "jitter", "relative")
+    __slots__ = ("last", "blocked", "loss", "extra", "base", "jitter",
+                 "relative")
 
-    def __init__(self, loop: EventLoop, rule: Optional[LinkRule]):
-        super().__init__(loop)
+    def __init__(self, rule: Optional[LinkRule]):
         self.last = float("-inf")
-        self.prior = float("-inf")
         self.blocked = False
         self.loss: Optional[float] = None
         self.extra = 0.0
@@ -128,8 +116,7 @@ class Network:
         row = self._links.setdefault(src.pid, {})
         link = row.get(dst.pid)
         if link is None:
-            link = row[dst.pid] = Link(self._loop,
-                                       _link_rule(self.latency, src, dst))
+            link = row[dst.pid] = Link(_link_rule(self.latency, src, dst))
         return link
 
     # ------------------------------------------------------------------
@@ -227,24 +214,12 @@ class Network:
         if link.extra:
             delay += link.extra
         loop = self._loop
-        now = loop._now
-        deliver_at = now + delay
-        last = link.last
+        deliver_at = loop._now + delay
         # FIFO per directed link: never overtake the previous delivery.
-        if deliver_at < last:
-            deliver_at = last
+        if deliver_at < link.last:
+            deliver_at = link.last
         link.last = deliver_at
-        # a link never starts a new generation: its entries carry gen 0
-        if link.queued:
-            link.park(deliver_at, (0, dst.deliver, msg, src))
-        elif link.prior > now:
-            # the two arrivals before this one are both still in flight:
-            # make this one the head, so that the next ones can park
-            link.queued = 1
-            loop.schedule_at(deliver_at, link.fire, 0, dst.deliver, msg, src)
-        else:
-            loop.schedule_at(deliver_at, dst.deliver, msg, src)
-        link.prior = last
+        loop.schedule_at(deliver_at, dst.deliver, msg, src)
 
     def send_many(self, src: Process, dst: Process,
                   msgs: Sequence[Any]) -> None:

@@ -20,8 +20,8 @@ scheduler threads real stores use — so geo-replication applies do not queue
 behind foreground client operations.  Lanes are declared by message type
 in :attr:`Process.LANES`.
 
-A lane (:class:`_Lane`) is a busy clock on a :class:`~repro.sim.loop.Fifo`
-of its completions: each slot starts where the last ended, so they are
+A lane is a :class:`~repro.sim.loop.Fifo`: a busy clock and the queue of
+its completions.  Each slot starts where the last ended, so they are
 sorted by ``(time, seq)``, and a saturated server's backlog costs the
 loop's heap one entry instead of one per waiting message.
 
@@ -37,7 +37,7 @@ its lane strictly idle, the arrival event runs the handler itself and no
 completion is queued (see :meth:`Process.deliver` for the condition and
 why it is safe).  The first delivery of each message type builds a
 **delivery plan** ``(lane, fixed cost, bound handler, fusable)`` (see
-:meth:`Process._plan`), whose lane is the :class:`_Lane` object itself;
+:meth:`Process._plan`), whose lane is the :class:`Fifo` object itself;
 every later delivery of that type costs one dict lookup instead of a
 cost-table probe, a lane probe and a handler search.
 
@@ -68,19 +68,8 @@ def _noop(*args: Any) -> None:
     """The body of a slot reserved while its process is crashed."""
 
 
-class _Lane(Fifo):
-    """One single-server lane of a :class:`Process`: the :class:`Fifo` of
-    its completions, and ``busy``, the end of the last reserved slot."""
-
-    __slots__ = ("busy",)
-
-    def __init__(self, loop: EventLoop) -> None:
-        super().__init__(loop)
-        self.busy = 0.0
-
-
 class _Lanes(dict):
-    """Lane name -> :class:`_Lane`, built on first use."""
+    """Lane name -> lane (a :class:`Fifo`), built on first use."""
 
     __slots__ = ("loop",)
 
@@ -88,8 +77,8 @@ class _Lanes(dict):
         super().__init__()
         self.loop = loop
 
-    def __missing__(self, name: str) -> _Lane:
-        lane = self[name] = _Lane(self.loop)
+    def __missing__(self, name: str) -> Fifo:
+        lane = self[name] = Fifo(self.loop)
         return lane
 
 
@@ -182,7 +171,7 @@ class Process:
         """Build and cache the delivery plan of message type ``kind``.
 
         A plan is ``(lane, cost, handler, fusable)``, ``lane`` the
-        :class:`_Lane` object the type is served on.  ``cost`` is None when
+        :class:`Fifo` object the type is served on.  ``cost`` is None when
         the cost table's entry is callable; :meth:`deliver` then asks it per
         message.  A missing handler is planned as :meth:`_unhandled`, which
         raises only when dispatched.  ``fusable`` says the handler may run

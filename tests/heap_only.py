@@ -1,12 +1,12 @@
 """The loop before parking, kept as a test-side reference.
 
-A :class:`repro.sim.loop.Fifo` — a busy process lane or network link —
-keeps only its head on the loop's heap and parks the entries behind it.
+A busy process lane, a :class:`repro.sim.loop.Fifo`, keeps only its head
+completion on the loop's heap and parks the completions behind it.
 Under :func:`heap_only`, ``Fifo.park`` schedules each entry through
 ``schedule_at`` instead, taking the same ``seq``, and nothing is ever
-released: one heap entry per completion or arrival, as before parking.
-The equivalence properties run a parking side and a heap-only side and
-hold the first to the delivery log, counters, ``processed_events`` and
+released: one heap entry per completion, as before parking.  The
+equivalence properties run a parking side and a heap-only side and hold
+the first to the delivery log, counters, ``processed_events`` and
 ``pending()`` of the second.
 
     with heap_only():

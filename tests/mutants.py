@@ -12,9 +12,9 @@ silently stop applying when the code it mutates is rewritten.
         ...   # the test that should now fail
 
 Each mutant's comment names the property it breaks; the test that must
-fail under it applies it.  A :class:`repro.sim.loop.Fifo` binds its
-trampoline when it is built, so a mutant of ``Fifo._fire`` reaches only
-the lanes and links built while it is applied.
+fail under it applies it.  A :class:`repro.sim.loop.Fifo` (a process
+lane) binds its trampoline when it is built, so a mutant of
+``Fifo._fire`` reaches only the lanes built while it is applied.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.core.service import StabilizerBase
 from repro.core.uplink import EunomiaUplink
 from repro.geo.receiver import Receiver
 from repro.sim.loop import EventLoop, Fifo
-from repro.sim.network import Network
 from repro.sim.process import Process
 
 __all__ = ["MUTANTS", "Mutant"]
@@ -130,10 +129,15 @@ MUTANTS = {m.name: m for m in (
     Mutant("stable_cut_one_tick_high", StabilizerBase, "_stabilize",
            "stable = self._stable_floor()",
            "stable = self._stable_floor() + 1"),
-    # A parked entry — a lane completion or a link arrival — re-enters the
-    # queue with a fresh seq when its head fires: it falls behind every
-    # same-time entry scheduled since it was parked (the loop's (time, seq)
-    # order).
+    # A write-ahead-logged stabilizer acks a batch without committing its
+    # records: the uplink prunes ops that an amnesia crash then loses
+    # (ack implies durability, Alg. 4 with a WAL).
+    Mutant("ack_before_fsync", StabilizerBase, "_post_batch",
+           "lambda: self._commit_and_ack(src, ack)",
+           "lambda: self.send(src, ack)"),
+    # A parked lane completion re-enters the queue with a fresh seq when
+    # its head fires: it falls behind every same-time entry scheduled since
+    # it was parked (the loop's (time, seq) order).
     Mutant("parked_entry_gets_fresh_seq", Fifo, "_fire",
            "heappush(self._loop._heap, self.parked.popleft())",
            "time, _, head, rest = self.parked.popleft(); "
@@ -142,11 +146,6 @@ MUTANTS = {m.name: m for m in (
     # crash runs its handler and counts out an entry of the new generation.
     Mutant("stale_entry_releases", Fifo, "_fire",
            "if gen != self.gen:", "if False:"),
-    # A send that should become the link's head parks instead, behind
-    # plain arrivals that never move the FIFO: nothing of the link after
-    # it ever reaches the heap.
-    Mutant("link_parks_behind_untracked_head", Network, "send",
-           "if link.queued:", "if link.queued or link.prior > now:"),
     # A crash keeps the lanes' generation: the backlog queued before it
     # runs its handlers on the crashed process.
     Mutant("crash_keeps_lane_parked", Process, "crash",

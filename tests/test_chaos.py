@@ -40,7 +40,7 @@ WL = WorkloadSpec(read_ratio=0.75, n_keys=32)
 # Stall closures
 # ----------------------------------------------------------------------
 def test_gst_aggregator_reelection_bounds_the_stall():
-    """An unreachable aggregator loses office within aggregator_timeout:
+    """An unreachable aggregator loses office within 10 × gst_interval:
     the surviving partition elects itself, the GST keeps advancing while
     the old aggregator is cut off, and office converges back after heal."""
     system = build_system("gentlerain", SPEC, WL)

@@ -12,6 +12,7 @@ K ∈ {1, 4} × R ∈ {2, 3}.
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mutants import MUTANTS
 
 from repro.calibration import Calibration
 from repro.core import EunomiaConfig, build_stabilizer_stack
@@ -214,6 +215,14 @@ class TestAckDurability:
         entries = shard.wal.replay(partition_time, floor_ts=0)
         assert partition_time[0] == 100
         assert [(e[0], e[1], e[2]) for e in entries] == [(100, 0, 1)]
+
+    def test_the_ack_test_kills_ack_before_fsync(self):
+        """An ack sent without the commit leaves the acked op staged, and
+        the amnesia crash loses it."""
+        self.test_ack_implies_durability()
+        with MUTANTS["ack_before_fsync"].applied():
+            with pytest.raises(AssertionError):
+                self.test_ack_implies_durability()
 
     def test_heartbeat_advances_are_staged_not_flushed(self):
         env, stack = self._shard_stack()

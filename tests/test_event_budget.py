@@ -11,11 +11,7 @@ arrival that handles it — and a zero-cost message is handled in its
 arrival event when its lane is idle.
 """
 
-from collections import Counter
-from contextlib import nullcontext
-
 import pytest
-from heap_only import heap_only
 
 import repro.baselines  # noqa: F401  (registers every protocol)
 from repro import GeoSystemSpec, WorkloadSpec, build_geo_system
@@ -25,7 +21,6 @@ from repro.core import EunomiaConfig
 from repro.core.protocols import available_protocols
 from repro.harness.loadgen import build_eunomia_rig
 from repro.sim.loop import Fifo
-from repro.sim.network import Link
 
 
 def _run(protocol, clients_per_dc):
@@ -88,9 +83,8 @@ def test_a_summary_broadcast_on_an_idle_lane_costs_one_event(monkeypatch):
         events["deliver"] += type(msg) is GstBroadcast
         deliver(self, msg, src)
 
-    def counted_fire(self, gen, fn, a, b):      # a lane's or a link's entry
-        if not isinstance(self, Link):
-            events["completion"] += type(a) is GstBroadcast
+    def counted_fire(self, gen, fn, a, b):
+        events["completion"] += type(a) is GstBroadcast
         fire(self, gen, fn, a, b)
 
     monkeypatch.setattr(GstPartition, "deliver", counted_deliver)
@@ -121,25 +115,13 @@ def test_events_per_op_stays_under_its_ceiling(protocol):
     assert events / ops <= _CEILINGS[protocol]
 
 
-def test_a_saturated_stabilizer_backlog_waits_off_the_heap(monkeypatch):
+def test_a_saturated_stabilizer_backlog_waits_off_the_heap():
     """The section 7.1 rig drives one stabilizer past its capacity, so its
     ``cpu`` lane backlog grows for the whole run.  That backlog is parked
     in the lane, not queued on the loop's heap: the heap stays near two
     entries per process (one head per busy lane, one in-flight message or
     timer) while ``pending()`` grows by thousands.  With every completion
-    on the heap it held 3 535 entries at 0.4 sim-s.  Its links never hold
-    more than two messages in flight (a frame, and the heartbeat sent
-    before it lands), so no link gets a head: every message keeps the
-    plain ``deliver`` entry and pays no trampoline."""
-    heads = []
-    fire = Fifo._fire
-
-    def counted(self, gen, fn, a, b):
-        if isinstance(self, Link):
-            heads.append(a)
-        fire(self, gen, fn, a, b)
-
-    monkeypatch.setattr(Fifo, "_fire", counted)     # before links are built
+    on the heap it held 3 535 entries at 0.4 sim-s."""
     rig = build_eunomia_rig(75, seed=5)
     loop = rig.env.loop
     processes = len(rig.env.network.processes())
@@ -150,46 +132,3 @@ def test_a_saturated_stabilizer_backlog_waits_off_the_heap(monkeypatch):
         assert loop.pending() > backlog + 1000
         backlog = loop.pending()
         assert len(loop._heap) <= 3 * processes
-    assert heads == []
-
-
-def _arrivals_per_link(network):
-    """(src pid, dst pid) -> arrival entries on the loop's heap: a link's
-    head is ``link.fire(gen, dst.deliver, msg, src)``, a plain arrival the
-    destination's bound ``deliver(msg, src)``."""
-    per_link = Counter()
-    for _, _, fn, args in network._loop._heap:
-        if isinstance(getattr(fn, "__self__", None), Link):
-            per_link[args[3].pid, args[1].__self__.pid] += 1
-        elif getattr(fn, "__name__", None) == "deliver":
-            per_link[args[1].pid, fn.__self__.pid] += 1
-    return per_link
-
-
-def test_a_busy_link_keeps_at_most_three_arrivals_on_the_heap():
-    """Cure keeps sibling heartbeats and payloads in flight on every WAN
-    link.  A link's arrivals behind its head are parked in the
-    link, not queued on the loop's heap: at every slice boundary (no
-    same-instant ties left) a link has at most three arrival entries
-    there — two plain arrivals sent while at most one other was in flight,
-    ahead of the head — while ``pending()`` equals that of the
-    twin that queues every arrival on the heap.  At 1 sim-s the twin's
-    heap holds 157 entries, this one's 34."""
-    sides = []
-    for side in (nullcontext, heap_only):
-        spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=2, clients_per_dc=4,
-                             seed=5)
-        with side():
-            system = build_geo_system("cure", spec,
-                                      WorkloadSpec(read_ratio=0.5, n_keys=64))
-            system.start()
-        sides.append((side, system.env))
-    (_, parking), (_, reference) = sides
-    for k in range(1, 41):
-        for side, env in sides:
-            with side():
-                env.run(until=0.025 * k)
-        assert parking.loop.pending() == reference.loop.pending()
-        assert max(_arrivals_per_link(parking.network).values()) <= 3
-    assert parking.loop._parked() > 0
-    assert 3 * len(parking.loop._heap) < len(reference.loop._heap)

@@ -9,17 +9,12 @@ through ``send`` in ``tests/test_process_and_network.py``.
 The per-pair ``Link`` objects are held to the network they replaced: four
 pid-pair tables (FIFO clock, loss overrides, extra delay, blocked pairs)
 and a latency-model call per message, kept below as ``TableNetwork``.
-The arrivals a link parks behind its head are held to one heap entry
-per message, ``heap_only.heap_only``.
 """
 
 from dataclasses import dataclass
 
-import pytest
-from heap_only import heap_only
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mutants import MUTANTS
 
 from repro.sim import Environment, Network, Process
 from repro.sim.latency import ConstantLatency, JitteredLatency, RttMatrix
@@ -225,7 +220,7 @@ def _replay(network_cls, model, loss_rate, steps):
         def deliver(msg, src, _deliver=proc.deliver, _name=proc.name):
             delivered.append((loop.now, _name, msg.seq))
             _deliver(msg, src)
-        proc.deliver = deliver          # read by send and by the trampoline
+        proc.deliver = deliver          # read by send
 
     def run_slice(seconds):
         env.run(until=env.now + seconds)
@@ -289,113 +284,6 @@ def test_a_zero_link_loss_overrides_a_global_rate():
     assert slices[-1][2] == 0
     assert _replay(TableNetwork, "jittered", 1.0, steps)[:2] == (delivered,
                                                                  slices)
-
-
-# ----------------------------------------------------------------------
-# Parked links against one heap entry per message
-# ----------------------------------------------------------------------
-#: a burst that parks whatever else is drawn: the first two sends are
-#: plain, the third the link's head, the fourth and fifth wait
-#: behind it
-_BURST = [("loss", 0, 1, 0.0)] + [("send", 0, 1)] * 5
-
-
-@settings(max_examples=150, deadline=None)
-@given(model=st.sampled_from(sorted(_MODELS)),
-       loss_rate=st.sampled_from([0.0, 0.25]),
-       steps=st.lists(_STEP, min_size=1, max_size=60))
-def test_parked_links_deliver_what_the_heap_alone_delivers(model, loss_rate,
-                                                           steps):
-    """A link's arrivals parked behind its head fire exactly as
-    one heap entry per message does: the same delivery log, and the same
-    ``processed_events`` and ``pending()`` after every ``run(until=...)``
-    slice, counters and RNG state — under exact ties (constant latency),
-    jitter and the RTT matrix, with gray links, cuts, and destinations
-    crashing and recovering while arrivals wait.  The burst up front parks
-    two arrivals on one link in every example."""
-    steps = _BURST + steps
-    built = []
-
-    class Watched(Network):
-        def _link(self, src, dst):
-            built.append(super()._link(src, dst))
-            return built[-1]
-
-    links = _replay(Watched, model, loss_rate, steps)
-    assert any(link.parked is not None for link in built), "nothing parked"
-    with heap_only():
-        assert links == _replay(Network, model, loss_rate, steps)
-
-
-def _tie():
-    """a sends four messages to b and c one, all due at 1.0: a's first
-    two arrivals are plain, the third its link's head, the fourth
-    parked, and c's is sequenced after all four."""
-    env = Environment(seed=1)
-    net = Network(env, ConstantLatency(1.0))
-    a, b, c = (Recorder(env, name) for name in "abc")
-    for n in range(4):
-        net.send(a, b, Ping(n))
-    net.send(c, b, Ping(4))
-    loop = env.loop
-    heap_and_pending = (len(loop._heap), loop.pending())
-    env.run()
-    return heap_and_pending, b.seen, loop.processed_events
-
-
-def test_a_parked_arrival_keeps_the_seq_of_its_send():
-    """Message 3 waits behind message 2 with the seq ``schedule_at`` would
-    have given it at send time, so it fires before c's message, sent
-    later for the same instant, as it does with every arrival on the
-    heap."""
-    parked = _tie()
-    with heap_only():
-        reference = _tie()
-    assert parked[0] == (4, 5) and reference[0] == (5, 5)
-    # five arrivals; b's lane is busy until 1.0 after the first, so the
-    # other four take a completion event each
-    assert parked[1:] == reference[1:] == (
-        [(1.0, n) for n in range(5)], 5 + 4)
-
-
-def test_a_burst_waits_behind_its_links_head():
-    """Fifty messages in flight on one link are three heap entries — the
-    two plain arrivals sent first and the head — and all fifty
-    arrive, in order, 1 ms apart, while the link's FIFO drains one by
-    one."""
-    env = Environment(seed=1)
-    net = Network(env, ConstantLatency(0.05))
-    a, b = Recorder(env, "a"), Recorder(env, "b")
-    loop = env.loop
-    for n in range(50):
-        env.run(until=n * 0.001)
-        net.send(a, b, Ping(n))
-    assert (len(loop._heap), loop._parked(), loop.pending()) == (3, 47, 50)
-    link = net._links[a.pid][b.pid]
-    assert link.queued == 48 and len(link.parked) == 47
-    env.run()
-    assert b.seen == [(pytest.approx(0.05 + n * 0.001), n)
-                      for n in range(50)]
-    assert link.queued == 0 and not link.parked
-    assert loop.processed_events == 50 and loop.pending() == 0
-
-
-def test_the_parked_seq_test_kills_a_fresh_seq_on_the_link():
-    """Re-entering a parked arrival through ``schedule_at`` gives it a new
-    seq when the head fires, behind c's message of the same instant."""
-    test_a_parked_arrival_keeps_the_seq_of_its_send()
-    with MUTANTS["parked_entry_gets_fresh_seq"].applied():
-        with pytest.raises(AssertionError):
-            test_a_parked_arrival_keeps_the_seq_of_its_send()
-
-
-def test_the_burst_test_kills_parking_behind_an_untracked_head():
-    """Parking the would-be head leaves nothing of the link on
-    the heap to move the burst: 48 messages never arrive."""
-    test_a_burst_waits_behind_its_links_head()
-    with MUTANTS["link_parks_behind_untracked_head"].applied():
-        with pytest.raises(AssertionError):
-            test_a_burst_waits_behind_its_links_head()
 
 
 def test_a_second_network_on_the_same_env_builds_its_own_links():

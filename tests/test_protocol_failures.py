@@ -21,9 +21,20 @@ storage partition must not stop the *other* partitions of its datacenter
 from installing remote updates.  It holds for the all-to-all stores and is
 a strict ``xfail`` for the two receiver-fed ones (``eunomia``, ``sseq``),
 where the receiver's in-flight ``ApplyRemote`` dies with the partition and
-nothing re-releases it.  The two strict xfails of
-``test_partition_crash_leaves_its_datacenter_live`` turn into failures
-(and must be unmarked) the day something does.
+nothing re-releases it.  Re-releasing it is not enough.  With the receiver
+sending its in-flight ``ApplyRemote`` messages to the victim again 0.1 ms
+after the recovery:
+
+* ``eunomia`` installs both heads (their §5 payloads were held), then
+  wedges on each origin's next update: that update's ``RemoteData`` landed
+  during the outage and was dropped, and the victim's ``_pending_apply``
+  ends holding 2;
+* ``sseq`` wedges at once: the heads' payloads were never held.
+
+What flips the marks is a reliable ``ApplyRemote`` + payload hop: both
+the receiver's releases and the §5 payloads resent until acknowledged.
+The two strict xfails of ``test_partition_crash_leaves_its_datacenter_live``
+turn into failures (and must be unmarked) the day it lands.
 
 The chain-replicated sequencer test exercises the other new cross-
 protocol axis: ``chain_length`` builds the §7.1 fault-tolerant sequencer
@@ -98,7 +109,7 @@ def test_gentlerain_survives_partition_crash():
 def test_gentlerain_gst_stall_is_bounded_by_report_timeout():
     """The datacenter-wide min cannot advance past a dead partition's last
     report — but only until the aggregator's freshness gate expires that
-    report (``aggregator_timeout``, default 10 × gst_interval = 50 ms).
+    report (``_aggregator_timeout()``, 10 × gst_interval = 50 ms).
     The unbounded freeze used to be GentleRain's failure mode; now the
     stall is bounded and the GST resumes while the partition is still down."""
     system = build_system("gentlerain", SPEC, WL)
@@ -130,7 +141,11 @@ def test_gentlerain_gst_stall_is_bounded_by_report_timeout():
 _RECEIVER_STALL = pytest.mark.xfail(strict=True, reason=(
     "the ApplyRemote in flight to the crashed partition is dropped and never "
     "re-released, so both origins stay in Receiver._inflight and the whole "
-    "DC stops applying remote updates"))
+    "DC stops applying remote updates; re-releasing the heads at recovery "
+    "+ 0.1 ms does not help: eunomia installs them, then wedges on each "
+    "origin's next update, whose RemoteData was dropped during the outage "
+    "(_pending_apply ends holding 2), and sseq wedges at once, its heads' "
+    "payloads never held"))
 
 
 @pytest.mark.parametrize("protocol", [

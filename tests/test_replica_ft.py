@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import EunomiaConfig, EunomiaService
+from repro.core import uplink as uplink_module
 from repro.core.election import OmegaElection
 from repro.core.messages import AddOpBatch, ReplicaAlive
 from repro.harness.loadgen import (
@@ -164,12 +165,12 @@ def test_leadership_change_callback(env, net):
     assert changes and changes[-1] == 1  # took over after silence
 
 
-def test_end_to_end_ft_pipeline_with_loss(env):
+def test_end_to_end_ft_pipeline_with_loss(env, monkeypatch):
     """Emulated partitions + lossy links + replicas: nothing is lost."""
+    monkeypatch.setattr(uplink_module, "RESEND_TIMEOUT", 0.02)
     net = Network(env, ConstantLatency(0.0001))
     config = EunomiaConfig(fault_tolerant=True, n_replicas=2,
-                           stabilization_interval=0.005,
-                           resend_timeout=0.02)
+                           stabilization_interval=0.005)
     metrics = MetricsHub()
     replicas = [
         EunomiaService(env, f"r{i}", 0, 2, config, replica_id=i,

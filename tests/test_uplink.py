@@ -57,8 +57,7 @@ def make_op(host, key="k"):
 @pytest.fixture
 def rig(env):
     Network(env, ConstantLatency(0.0001))
-    config = EunomiaConfig(fault_tolerant=True, n_replicas=2,
-                           resend_timeout=0.05)
+    config = EunomiaConfig(fault_tolerant=True, n_replicas=2)
     host = Host(env, config)
     replicas = [FakeReplica(env, "r0"), FakeReplica(env, "r1")]
     host.uplink.set_replicas(replicas)
@@ -102,10 +101,10 @@ def test_no_retransmissions_when_acks_flow(rig):
     assert host.uplink.retransmissions == 0
 
 
-def test_lost_batches_recovered_by_retransmission(env):
+def test_lost_batches_recovered_by_retransmission(env, monkeypatch):
+    monkeypatch.setattr(uplink_module, "RESEND_TIMEOUT", 0.02)
     net = Network(env, ConstantLatency(0.0001))
-    config = EunomiaConfig(fault_tolerant=True, n_replicas=1,
-                           resend_timeout=0.02)
+    config = EunomiaConfig(fault_tolerant=True, n_replicas=1)
     host = Host(env, config)
     replica = FakeReplica(env, "r0")
     host.uplink.set_replicas([replica])
