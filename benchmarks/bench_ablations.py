@@ -45,8 +45,7 @@ def bench_batching_interval_sweep(benchmark):
     def sweep():
         rows = []
         for interval_ms in (1, 5, 20):
-            config = EunomiaConfig(batch_interval=interval_ms / 1e3,
-                                   heartbeat_interval=interval_ms / 1e3)
+            config = EunomiaConfig(batch_interval=interval_ms / 1e3)
             system = build_geo_system("eunomia", SPEC, WL, config=config)
             system.run(4.0)
             rows.append((interval_ms, system.total_throughput(),

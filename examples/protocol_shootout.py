@@ -18,7 +18,7 @@ Run:
     python examples/protocol_shootout.py
 """
 
-from repro import GeoSystemSpec, WorkloadSpec, build_system
+from repro import GeoSystemSpec, WorkloadSpec, build_geo_system
 from repro.core.protocols import PROTOCOL_ORDER, available_protocols
 from repro.harness.report import format_table
 from repro.metrics import percentile
@@ -40,7 +40,7 @@ def main() -> None:
     baseline = None
     thpt_by, vis_by = {}, {}
     for protocol in ORDER:
-        system = build_system(protocol, spec, workload)
+        system = build_geo_system(protocol, spec, workload)
         system.run(6.0)
         thpt = system.total_throughput()
         if protocol == "eventual":

@@ -10,7 +10,7 @@ Run:
     python examples/quickstart.py
 """
 
-from repro import GeoSystemSpec, WorkloadSpec, build_system
+from repro import GeoSystemSpec, WorkloadSpec, build_geo_system
 from repro.metrics import percentile
 
 
@@ -19,7 +19,7 @@ def main() -> None:
                          seed=2026)
     workload = WorkloadSpec(read_ratio=0.9, n_keys=1000, value_bytes=100)
 
-    system = build_system("eunomia", spec, workload)
+    system = build_geo_system("eunomia", spec, workload)
     print("running 5 simulated seconds of EunomiaKV ...")
     system.run(duration=5.0)
 

@@ -21,7 +21,7 @@ Run:
     python examples/social_network.py
 """
 
-from repro import GeoSystemSpec, WorkloadSpec, build_system
+from repro import GeoSystemSpec, WorkloadSpec, build_geo_system
 from repro.core.messages import ClientRead, ClientUpdate
 from repro.sim.latency import RttMatrix
 from repro.sim.process import Process
@@ -145,7 +145,7 @@ class Carol(Session):
 def run_scenario(protocol: str) -> tuple[int, int]:
     spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=1,
                          seed=7, rtt=TRIANGLE)
-    system = build_system(protocol, spec, WorkloadSpec(read_ratio=1.0))
+    system = build_geo_system(protocol, spec, WorkloadSpec(read_ratio=1.0))
     for client in system.clients:
         client.stop()  # the actors below replace the generic workload
     ring = system.clients[0].ring

@@ -15,7 +15,7 @@ Run:
     python examples/straggler_analysis.py
 """
 
-from repro import GeoSystemSpec, WorkloadSpec, build_system
+from repro import GeoSystemSpec, WorkloadSpec, build_geo_system
 from repro.metrics import windowed_points
 from repro.sim.failure import FailureSchedule, Straggler
 
@@ -58,7 +58,7 @@ def main() -> None:
     print(f"EunomiaKV: dc3 partition 0 straggles "
           f"(reports every {STRAGGLE * 1e3:.0f} ms) "
           f"for t in [{PHASE:.0f}s, {2 * PHASE:.0f}s)\n")
-    system = build_system("eunomia", spec, workload)
+    system = build_geo_system("eunomia", spec, workload)
     schedule = FailureSchedule(system.env)
     straggler = system.datacenters[ORIGIN].partitions[0]
     Straggler(straggler, start=PHASE, end=2 * PHASE,
@@ -71,7 +71,7 @@ def main() -> None:
     ascii_plot(windowed_points(series, 0, duration, 1.0, agg="p90"))
 
     print("\nS-Seq under the same fault (slow partition->sequencer link):")
-    system = build_system("sseq", spec, workload)
+    system = build_geo_system("sseq", spec, workload)
     partition = system.datacenters[ORIGIN].partitions[0]
     network = system.env.network
     schedule = FailureSchedule(system.env)

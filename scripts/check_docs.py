@@ -48,7 +48,12 @@ Checks, with zero dependencies beyond the stdlib:
 10. docs/ARCHITECTURE.md and README.md are no longer than the line counts
    recorded in ``docs/line_counts.json``, and no shorter either: a file
    that shrinks takes its record down with it, so the recorded numbers
-   form a ratchet that only ever tightens.
+   form a ratchet that only ever tightens;
+11. every ``EunomiaConfig`` ``__init__`` field and every name a plugin's
+   ``option_names()`` returns is set — ``name=`` or ``"name":`` — in some
+   file under ``src/`` (``core/config.py`` aside), ``benchmarks/`` or
+   ``perf/``: a knob that no figure, bench or workload turns is a module
+   constant, not a knob.
 
 Exit code 0 when clean; prints every violation and exits 1 otherwise.
 """
@@ -224,15 +229,20 @@ OPTION_NAMES_RE = re.compile(
     r"def option_names\(self\)[^\n]*\n\s+return \(([^)]*)\)")
 
 
+def plugin_options(module: str) -> set[str]:
+    """The names a plugin module's ``option_names()`` bodies return."""
+    source = (REPO / "src" / Path(*module.split("."))).with_suffix(".py")
+    return {name
+            for body in OPTION_NAMES_RE.findall(
+                source.read_text(encoding="utf-8"))
+            for name in re.findall(r'"(\w+)"', body)}
+
+
 def check_plugin_options_documented() -> list[str]:
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     errors = []
     for protocol, module in registered_plugins():
-        source = (REPO / "src" / Path(*module.split("."))).with_suffix(".py")
-        options = {name
-                   for body in OPTION_NAMES_RE.findall(
-                       source.read_text(encoding="utf-8"))
-                   for name in re.findall(r'"(\w+)"', body)}
+        options = plugin_options(module)
         rows = [line for line in readme.splitlines()
                 if line.startswith("|")
                 and f"`{protocol}`" in line.split("|")[1]]
@@ -436,13 +446,53 @@ def check_line_counts() -> list[str]:
     return errors
 
 
+#: where a knob counts as turned (check 11), and the file that declares
+#: ``EunomiaConfig``, whose defaults do not count
+KNOB_CALLER_ROOTS = ("src", "benchmarks", "perf")
+CONFIG_MODULE = "src/repro/core/config.py"
+
+
+def config_fields() -> list[str]:
+    """``EunomiaConfig``'s ``__init__`` fields: its annotated class
+    attributes other than the ``ClassVar`` constants."""
+    tree = ast.parse((REPO / CONFIG_MODULE).read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "EunomiaConfig":
+            return [stmt.target.id for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and "ClassVar" not in ast.unparse(stmt.annotation)]
+    return []
+
+
+def check_knobs_turned() -> list[str]:
+    """Every config field and plugin option is set by some caller."""
+    fields = config_fields()
+    if not fields:
+        return [f"{CONFIG_MODULE}: class EunomiaConfig not found"]
+    knobs = [(f"EunomiaConfig.{name}", name) for name in fields]
+    knobs += [(f"option {name}= of `{protocol}`", name)
+              for protocol, module in registered_plugins()
+              for name in sorted(plugin_options(module))]
+    config = REPO / CONFIG_MODULE
+    texts = [path.read_text(encoding="utf-8")
+             for root in KNOB_CALLER_ROOTS
+             for path in sorted((REPO / root).rglob("*.py")) if path != config]
+    return [f"{label} is set by no file under {', '.join(KNOB_CALLER_ROOTS)}; "
+            "make it a module constant"
+            for label, name in knobs
+            if not any(re.search(rf'\b{name}=(?!=)|"{name}"\s*:', text)
+                       for text in texts)]
+
+
 def main() -> int:
     errors = (check_links() + check_example_headers()
               + check_protocol_modules() + check_protocols_documented()
               + check_knobs_documented() + check_plugin_options_documented()
               + check_src_imports()
               + check_documented_names() + check_md_references()
-              + check_roadmap_citations() + check_line_counts())
+              + check_roadmap_citations() + check_line_counts()
+              + check_knobs_turned())
     for error in errors:
         print(f"check_docs: {error}", file=sys.stderr)
     if errors:
@@ -459,7 +509,9 @@ def main() -> int:
           "code-span CamelCase names all defined; "
           "*.md / benchmarks/*.json references and ARCHITECTURE sections "
           "resolve; no roadmap item cited by number; "
-          f"line counts match {LINE_COUNTS}")
+          f"line counts match {LINE_COUNTS}; "
+          f"{len(config_fields())} config fields and every plugin option "
+          "set by a caller")
     return 0
 
 

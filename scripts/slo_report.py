@@ -30,8 +30,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.baselines import build_system                       # noqa: E402
-from repro.geo.system import GeoSystemSpec                     # noqa: E402
+from repro.geo.system import GeoSystemSpec, build_geo_system   # noqa: E402
 from repro.metrics import percentile                           # noqa: E402
 from repro.obs import render_slo_report, write_chrome_trace    # noqa: E402
 from repro.workload.generator import WorkloadSpec              # noqa: E402
@@ -64,7 +63,7 @@ def main(argv=None) -> int:
     spec = GeoSystemSpec(n_dcs=args.dcs, partitions_per_dc=args.partitions,
                          clients_per_dc=args.clients, seed=args.seed)
     workload = WorkloadSpec(read_ratio=args.read_ratio, n_keys=500)
-    system = build_system(args.protocol, spec, workload)
+    system = build_geo_system(args.protocol, spec, workload)
     obs = system.observe(sample_every=args.sample_every)
     system.run(args.duration)
     system.quiesce(args.drain)

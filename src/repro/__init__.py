@@ -18,15 +18,14 @@ A from-scratch reproduction of Gunawardhana, Bravo & Rodrigues (USENIX ATC
 
 Quickstart::
 
-    from repro import GeoSystemSpec, WorkloadSpec, build_system
+    from repro import GeoSystemSpec, WorkloadSpec, build_geo_system
 
-    system = build_system("eunomia", GeoSystemSpec(seed=1),
-                          WorkloadSpec(read_ratio=0.9))
+    system = build_geo_system("eunomia", GeoSystemSpec(seed=1),
+                              WorkloadSpec(read_ratio=0.9))
     system.run(duration=5.0)
     print(system.total_throughput(), "ops/s")
 """
 
-from .baselines import build_system
 from .calibration import Calibration
 from .core import EunomiaConfig
 from .core.protocols import (
@@ -41,22 +40,12 @@ from .workload import WorkloadSpec
 __version__ = "1.0.0"
 
 
-def __getattr__(name: str):
-    if name == "PROTOCOLS":
-        # Live view: plugins registered after import appear immediately
-        # (available_protocols() is the explicit spelling of the same).
-        return available_protocols()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "build_system",
     "build_geo_system",
     "ProtocolSpec",
     "get_protocol",
     "register_protocol",
     "available_protocols",
-    "PROTOCOLS",
     "GeoSystem",
     "GeoSystemSpec",
     "WorkloadSpec",

@@ -13,23 +13,15 @@ plugin, so every baseline deploys through the same
 :func:`~repro.geo.system.build_geo_system` spine as EunomiaKV — the same
 topology, NTP-disciplined clocks, ring, closed-loop clients, and failure
 injection (the paper makes the same point: GentleRain and Cure "are
-implemented using the codebase of EunomiaKV").  ``build_system``
-dispatches to any of them (plus EunomiaKV) by name.
+implemented using the codebase of EunomiaKV").
 """
 
-from typing import Optional
-
-from ..core.protocols import available_protocols
-from ..geo.system import GeoSystem, GeoSystemSpec, build_geo_system
-from ..metrics.collector import MetricsHub
-from ..workload.generator import WorkloadSpec
 from .eventual import EventualPartition, EventualProtocol
 from .gst import (
     CurePartition,
     GentleRainPartition,
     GstPartition,
     GstProtocol,
-    GstTimings,
 )
 from .messages import (
     ChainForward,
@@ -47,15 +39,12 @@ __all__ = [
     "build_chain",
     "SeqPartition",
     "SequencerProtocol",
-    "GstTimings",
     "GstPartition",
     "GstProtocol",
     "GentleRainPartition",
     "CurePartition",
     "EventualPartition",
     "EventualProtocol",
-    "build_system",
-    "PROTOCOLS",
     "SeqRequest",
     "SeqReply",
     "ChainForward",
@@ -63,23 +52,3 @@ __all__ = [
     "GstReport",
     "GstBroadcast",
 ]
-
-def __getattr__(name: str):
-    if name == "PROTOCOLS":
-        # Live view, not an import-time snapshot: protocols registered
-        # after import (via repro.register_protocol) appear immediately.
-        return available_protocols()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def build_system(protocol: str, spec: GeoSystemSpec, workload: WorkloadSpec,
-                 metrics: Optional[MetricsHub] = None, **kwargs) -> GeoSystem:
-    """Uniform entry point: build any of the paper's systems by name.
-
-    A thin alias of :func:`repro.geo.system.build_geo_system` — every
-    protocol, EunomiaKV included, goes through the one deployment spine.
-    """
-    if protocol in ("sseq", "aseq") and "synchronous" in kwargs:
-        raise TypeError("pick the protocol name, not a synchronous= flag")
-    return build_geo_system(protocol, spec, workload, metrics=metrics,
-                            **kwargs)

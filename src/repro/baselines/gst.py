@@ -55,9 +55,7 @@ pieces are the partitions themselves and the per-DC aggregator wiring.
 
 from __future__ import annotations
 
-
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..calibration import Calibration
@@ -77,8 +75,8 @@ from ..sim.env import Environment
 from ..sim.process import Process
 from .messages import GstBroadcast, GstHeartbeat, GstReport
 
-__all__ = ["GstTimings", "GstPartition", "GentleRainPartition",
-           "CurePartition", "GstProtocol", "UNTRACKED"]
+__all__ = ["GST_HEARTBEAT_INTERVAL", "DEFAULT_GST_INTERVAL", "GstPartition",
+           "GentleRainPartition", "CurePartition", "GstProtocol", "UNTRACKED"]
 
 #: Summary entry for an origin DC a partition does not track (partial
 #: placement: no sibling there).  Acts as +inf under the aggregator's
@@ -89,13 +87,13 @@ __all__ = ["GstTimings", "GstPartition", "GentleRainPartition",
 #: here either (it could never be read at this DC).
 UNTRACKED = 1 << 62
 
+#: Sibling-heartbeat period (paper §7.2: 10 ms).  No figure varies it.
+GST_HEARTBEAT_INTERVAL = 0.010
 
-@dataclass
-class GstTimings:
-    """Stabilization cadence (paper §7.2: heartbeats 10 ms, GST 5 ms)."""
-
-    heartbeat_interval: float = 0.010
-    gst_interval: float = 0.005
+#: The GST round's period — report, aggregate, broadcast — when the
+#: ``gst_interval=`` option is not given (paper §7.2: 5 ms).  Figure 1
+#: sweeps the option.
+DEFAULT_GST_INTERVAL = 0.005
 
 
 class _DeferredRuns:
@@ -202,7 +200,7 @@ class GstPartition(StoragePartition):
         raise NotImplementedError
 
     def __init__(self, env: Environment, name: str, dc_id: int, index: int,
-                 n_dcs: int, clock: PhysicalClock, timings: GstTimings,
+                 n_dcs: int, clock: PhysicalClock, gst_interval: float,
                  calibration: Optional[Calibration] = None,
                  metrics: Optional[MetricsHub] = None):
         cal = calibration or Calibration()
@@ -220,7 +218,7 @@ class GstPartition(StoragePartition):
             "GstBroadcast": 0.0,
         }, metrics=metrics)
         self._round_cost = cal.overhead(f"{flavor}_gst_round")
-        self.timings = timings
+        self.gst_interval = gst_interval
         self.summary_width = self.summary_width_static(n_dcs)
         self.zero_vts = vc_zero(self.summary_width)
         self.vv = [0] * n_dcs                  # VV[d]: max ts seen from dc d
@@ -257,9 +255,9 @@ class GstPartition(StoragePartition):
         return self.aggregator_view == self.roster_pos
 
     def start(self) -> None:
-        self.periodic(self.timings.heartbeat_interval, self._send_heartbeats)
-        self.periodic(self.timings.gst_interval, self._report,
-                      phase=self.timings.gst_interval * 0.5)
+        self.periodic(GST_HEARTBEAT_INTERVAL, self._send_heartbeats)
+        self.periodic(self.gst_interval, self._report,
+                      phase=self.gst_interval * 0.5)
         # Fresh grace periods: a just-(re)started partition gives the
         # aggregator a full timeout before suspecting it, and — if it is the
         # aggregator — gives every roster member a full timeout to report
@@ -272,9 +270,9 @@ class GstPartition(StoragePartition):
     def _arm_aggregate(self) -> None:
         if self._aggregate_task is not None:
             self._aggregate_task.cancel()
-        self._aggregate_task = self.periodic(self.timings.gst_interval,
+        self._aggregate_task = self.periodic(self.gst_interval,
                                              self._aggregate,
-                                             phase=self.timings.gst_interval)
+                                             phase=self.gst_interval)
 
     def _aggregator_timeout(self) -> float:
         """Aggregator liveness bound, ``10 × gst_interval``: a partition
@@ -284,7 +282,7 @@ class GstPartition(StoragePartition):
         stops capping the minimum.  This is the bounded timeout behind
         aggregator re-election; without it a crashed aggregator freezes the
         whole DC's stabilization forever."""
-        return 10 * self.timings.gst_interval
+        return 10 * self.gst_interval
 
     def recover(self) -> None:
         """Restart after a crash-stop with protocol state intact.
@@ -535,7 +533,8 @@ class GstProtocol(ProtocolSpec):
     separate stabilizer process and no remote receiver — updates travel
     sibling→sibling and visibility is gated locally by the summary.
     Everything else (frame, clocks, clients, failure injection) comes from
-    the spine.  Option: ``timings`` (:class:`GstTimings`).
+    the spine.  Option: ``gst_interval`` (seconds, default
+    :data:`DEFAULT_GST_INTERVAL`).
     """
 
     def __init__(self, partition_cls: type):
@@ -546,10 +545,10 @@ class GstProtocol(ProtocolSpec):
         return self.partition_cls.summary_width_static(n_dcs)
 
     def option_names(self) -> tuple:
-        return ("timings",)
+        return ("gst_interval",)
 
     def prepare(self, spec, options: dict) -> dict:
-        options["timings"] = options.get("timings") or GstTimings()
+        options.setdefault("gst_interval", DEFAULT_GST_INTERVAL)
         return options
 
     def build_site(self, site: SiteContext) -> SitePlan:
@@ -558,7 +557,7 @@ class GstProtocol(ProtocolSpec):
         partitions = [
             self.partition_cls(site.env, site.pname(i), site.dc_id, i,
                                site.n_dcs, site.clock(),
-                               site.options["timings"],
+                               site.options["gst_interval"],
                                calibration=site.calibration,
                                metrics=site.metrics)
             for i in range(site.n_partitions)

@@ -9,6 +9,7 @@ heartbeats fire when a partition has been idle for Δ = one batching interval.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 __all__ = ["EunomiaConfig", "MAX_BATCH_OPS", "RECEIVER_CHECK_INTERVAL",
            "RESEND_TIMEOUT", "RETRY_BACKOFF_BASE", "RETRY_BACKOFF_CAP",
@@ -50,15 +51,17 @@ class EunomiaConfig:
     """Protocol timing and feature switches (times in seconds)."""
 
     #: Partition → Eunomia batching interval (§5); the straggler experiment
-    #: (Fig. 7) inflates this on one partition to 10/100/1000 ms.
+    #: (Fig. 7) inflates this on one partition to 10/100/1000 ms.  It is
+    #: also the idle-partition heartbeat threshold Δ (Alg. 2 line 11): a
+    #: heartbeat is sent when the physical clock is Δ ahead of the last
+    #: update timestamp.  The uplink reads Δ from here once, so a
+    #: straggler's inflated host interval leaves it alone.
     batch_interval: float = 0.001
 
-    #: Idle-partition heartbeat threshold Δ (Alg. 2 line 11).  A heartbeat is
-    #: sent when the physical clock is Δ ahead of the last update timestamp.
-    heartbeat_interval: float = 0.001
-
-    #: θ — period of Eunomia's PROCESS_STABLE (Alg. 3 line 7).
-    stabilization_interval: float = 0.005
+    #: θ — period of Eunomia's PROCESS_STABLE (Alg. 3 line 7).  A class
+    #: constant, not a field: no figure varies it; a test that runs at
+    #: another θ patches the class attribute.
+    stabilization_interval: ClassVar[float] = 0.005
 
     #: Ship update payloads partition→sibling-partition, metadata-only
     #: through Eunomia (§5 "Separation of Data and Metadata").
@@ -111,10 +114,8 @@ class EunomiaConfig:
             raise ValueError("need at least one Eunomia replica")
         if self.n_replicas > 1 and not self.fault_tolerant:
             raise ValueError("multiple replicas require fault_tolerant=True")
-        for name in ("batch_interval", "heartbeat_interval",
-                     "stabilization_interval"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.batch_interval <= 0:
+            raise ValueError("batch_interval must be positive")
         if self.replica_suspect_timeout <= self.replica_alive_interval:
             raise ValueError("suspect timeout must exceed the alive interval")
         if self.n_shards < 1:

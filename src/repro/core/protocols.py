@@ -75,8 +75,8 @@ class SiteContext:
     Created by :class:`repro.geo.datacenter.Datacenter`; plugins consume
     it in :meth:`ProtocolSpec.build_site`.  ``options`` is the normalized
     per-system option dict returned by :meth:`ProtocolSpec.prepare` —
-    protocol tunables (``config``, ``timings``, ``chain_length``) travel
-    through it uniformly.
+    protocol tunables (``config``, ``gst_interval``, ``chain_length``)
+    travel through it uniformly.
     """
 
     env: Environment

@@ -34,7 +34,8 @@ Every Eunomia-aware partition (and the §7.1 partition emulators) owns an
   independently — the invariant the sharded failover argument rests on.
 
 The straggler experiment (Figure 7) works by inflating the *host's*
-``batch_interval`` attribute, which the uplink re-reads before every tick.
+``batch_interval`` attribute, which the uplink re-reads before every tick;
+Δ stays at the configured batch interval.
 """
 
 from __future__ import annotations
@@ -78,7 +79,9 @@ class EunomiaUplink:
         self.clock = clock
         self.op_cost = op_cost
         self.batch_cost = batch_cost
-        self._heartbeat_us = int(config.heartbeat_interval * 1e6)   # Δ
+        #: Δ is one batching interval, read from the config (never from
+        #: the host's live ``batch_interval``, which a straggler inflates)
+        self._heartbeat_us = int(config.batch_interval * 1e6)
         self._ft = config.fault_tolerant
         #: the host's network, bound by :meth:`start`
         self._network = None
@@ -216,9 +219,10 @@ class EunomiaUplink:
     def _tick(self, chain: int, epoch: int) -> None:
         """Ship what is pending, heartbeat if idle, re-arm.
 
-        Fires once per Δ per partition — more often than anything else in a
-        deployment — so it is :meth:`repro.sim.process.Process.periodic`
-        written out flat, contract unchanged: a crashed or re-epoched host
+        Fires once per batch interval per partition — more often than
+        anything else in a deployment — so it is
+        :meth:`repro.sim.process.Process.periodic` written out flat,
+        contract unchanged: a crashed or re-epoched host
         retires the chain, as does a later :meth:`start` (never two
         ticks); the re-arm comes *after* the body (so what the body
         schedules is sequenced ahead of the next tick), even when it

@@ -217,7 +217,7 @@ def build_geo_system(protocol: Union[str, ProtocolSpec],
     receiver/sibling wiring, and identical closed-loop clients.
     ``options`` are protocol tunables, normalized once by the plugin's
     :meth:`~repro.core.protocols.ProtocolSpec.prepare` (e.g. ``config=``
-    for EunomiaKV, ``timings=`` for the GST stores,
+    for EunomiaKV, ``gst_interval=`` for the GST stores,
     ``chain_length=`` for the chain-replicated sequencer).
     """
     proto = get_protocol(protocol) if isinstance(protocol, str) else protocol

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as dc_replace
 from typing import Optional
 
-from ...baselines.gst import GstTimings
 from ...geo.system import GeoSystemSpec
 from ...workload.generator import WorkloadSpec
 from ..experiment import run_geo, visibility_p
@@ -67,9 +66,8 @@ def run(params: Optional[Fig1Params] = None) -> FigureResult:
 
     for protocol in ("gentlerain", "cure"):
         for interval_ms in p.intervals_ms:
-            timings = GstTimings(gst_interval=interval_ms / 1e3)
             system = run_geo(protocol, spec, workload, p.duration,
-                             timings=timings)
+                             gst_interval=interval_ms / 1e3)
             thpt = system.total_throughput()
             result.add_row(f"{protocol}@{interval_ms}ms", interval_ms, thpt,
                            penalty(thpt), visibility_p(system, 0, 1, 90.0))

@@ -105,7 +105,6 @@ def run(params: Optional[Fig4Params] = None) -> FigureResult:
         return EunomiaConfig(fault_tolerant=ft, n_replicas=replicas,
                              n_shards=p.n_shards,
                              batch_interval=p.batch_interval,
-                             heartbeat_interval=p.batch_interval,
                              durability=p.durability)
 
     base_rig = build_eunomia_rig(p.n_partitions,

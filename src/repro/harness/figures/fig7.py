@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ...baselines import build_system
-from ...geo.system import GeoSystemSpec
+from ...geo.system import GeoSystemSpec, build_geo_system
 from ...metrics import percentile, windowed_points
 from ...sim.failure import FailureSchedule, Straggler
 from ...workload.generator import WorkloadSpec
@@ -77,7 +76,7 @@ def run(params: Optional[Fig7Params] = None) -> FigureResult:
     duration = 3 * p.phase
 
     for interval in p.straggle_intervals:
-        system = build_system("eunomia", spec, workload)
+        system = build_geo_system("eunomia", spec, workload)
         straggler_partition = system.datacenters[ORIGIN_DC].partitions[0]
         schedule = FailureSchedule(system.env)
         Straggler(straggler_partition, start=p.phase, end=2 * p.phase,
@@ -102,7 +101,7 @@ def run(params: Optional[Fig7Params] = None) -> FigureResult:
 
     if p.include_sequencer:
         interval = p.straggle_intervals[-1]
-        system = build_system("sseq", spec, workload)
+        system = build_geo_system("sseq", spec, workload)
         partition = system.datacenters[ORIGIN_DC].partitions[0]
         sequencer = partition.sequencer
         network = system.env.network

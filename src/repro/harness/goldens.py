@@ -96,13 +96,12 @@ def capture_golden(protocol: str, seed: int,
     so the digest must not depend on this flag — the golden-preservation
     test asserts exactly that.
     """
-    from ..baselines import build_system
-    from ..geo.system import GeoSystemSpec
+    from ..geo.system import GeoSystemSpec, build_geo_system
     from ..workload.generator import WorkloadSpec
 
     spec = GeoSystemSpec(seed=seed, **GOLDEN_SPEC)
     workload = WorkloadSpec(**GOLDEN_WORKLOAD)
-    system = build_system(protocol, spec, workload, **kwargs)
+    system = build_geo_system(protocol, spec, workload, **kwargs)
     if observe:
         system.observe(sample_every=16)
     system.run(run_seconds)

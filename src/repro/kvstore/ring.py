@@ -20,7 +20,10 @@ import bisect
 import zlib
 from typing import Any
 
-__all__ = ["ConsistentHashRing"]
+__all__ = ["ConsistentHashRing", "VNODES_PER_PARTITION"]
+
+#: Virtual ring points per logical partition: enough for balance (tested).
+VNODES_PER_PARTITION = 64
 
 
 def _hash32(data: str) -> int:
@@ -30,14 +33,13 @@ def _hash32(data: str) -> int:
 class ConsistentHashRing:
     """Maps keys to one of ``n_partitions`` logical partitions."""
 
-    def __init__(self, n_partitions: int, vnodes_per_partition: int = 64):
+    def __init__(self, n_partitions: int):
         if n_partitions < 1:
             raise ValueError("need at least one partition")
         self.n_partitions = n_partitions
-        self.vnodes_per_partition = vnodes_per_partition
         points: list[tuple[int, int]] = []
         for partition in range(n_partitions):
-            for vnode in range(vnodes_per_partition):
+            for vnode in range(VNODES_PER_PARTITION):
                 points.append((_hash32(f"p{partition}/v{vnode}"), partition))
         points.sort()
         self._ring_hashes = [h for h, _ in points]

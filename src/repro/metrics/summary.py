@@ -35,6 +35,9 @@ __all__ = [
     "trim_marks",
 ]
 
+#: Share of a run that :func:`steady_window` cuts off at each end.
+STEADY_TRIM_FRAC = 0.15
+
 
 class EmptySeriesWarning(UserWarning):
     """A statistic was requested over an empty series.
@@ -103,11 +106,10 @@ def cdf(values: Sequence[float], resolution: Optional[float] = None
     return out
 
 
-def steady_window(start: float, end: float, warmup_frac: float = 0.15,
-                  cooldown_frac: float = 0.15) -> tuple[float, float]:
+def steady_window(start: float, end: float) -> tuple[float, float]:
     """Trim warm-up and cool-down, like the paper's first/last-minute cut."""
     span = end - start
-    return (start + span * warmup_frac, end - span * cooldown_frac)
+    return (start + span * STEADY_TRIM_FRAC, end - span * STEADY_TRIM_FRAC)
 
 
 def trim_marks(marks: Sequence[float], window: tuple[float, float]) -> list[float]:

@@ -32,6 +32,12 @@ PAPER_RTT_MS: tuple[tuple[float, float, float], ...] = (
 )
 
 
+#: The paper's intra-site LAN hop (a Gigabit switch), microseconds, and
+#: the relative jitter :func:`paper_topology` puts on every delay.
+PAPER_INTRA_US = 150.0
+PAPER_JITTER_FRAC = 0.02
+
+
 #: ``(base, jitter, relative)``, see :meth:`LatencyModel.link_rule`
 LinkRule = tuple[float, Optional[float], bool]
 
@@ -93,7 +99,8 @@ class RttMatrix(LatencyModel):
     """
 
     def __init__(self, rtt_ms: Sequence[Sequence[float]] = PAPER_RTT_MS,
-                 intra_us: float = 150.0, jitter_frac: float = 0.02):
+                 intra_us: float = PAPER_INTRA_US,
+                 jitter_frac: float = PAPER_JITTER_FRAC):
         self.rtt_ms = [list(row) for row in rtt_ms]
         self.intra_us = intra_us
         self.jitter_frac = jitter_frac
@@ -127,8 +134,7 @@ class RttMatrix(LatencyModel):
                 self.jitter_frac or None, True)
 
 
-def paper_topology(n_sites: int = 3, intra_us: float = 150.0,
-                   jitter_frac: float = 0.02) -> RttMatrix:
+def paper_topology(n_sites: int = 3) -> RttMatrix:
     """The paper's 3-DC topology; for other sizes, a ring-distance synthetic.
 
     For ``n_sites != 3`` we synthesize RTTs of ``80 * ring-distance`` ms,
@@ -136,11 +142,11 @@ def paper_topology(n_sites: int = 3, intra_us: float = 150.0,
     as others (the ingredient behind GentleRain's false-dependency delays).
     """
     if n_sites == 3:
-        return RttMatrix(PAPER_RTT_MS, intra_us=intra_us, jitter_frac=jitter_frac)
+        return RttMatrix(PAPER_RTT_MS)
     rtt = [[0.0] * n_sites for _ in range(n_sites)]
     for i in range(n_sites):
         for j in range(n_sites):
             if i != j:
                 ring = min(abs(i - j), n_sites - abs(i - j))
                 rtt[i][j] = 80.0 * ring
-    return RttMatrix(rtt, intra_us=intra_us, jitter_frac=jitter_frac)
+    return RttMatrix(rtt)

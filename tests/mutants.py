@@ -25,7 +25,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.baselines.gst import GstPartition
 from repro.clocks.physical import PhysicalClock
+from repro.core.replica import ReplicaGroup
 from repro.core.service import StabilizerBase
 from repro.core.uplink import EunomiaUplink
 from repro.geo.receiver import Receiver
@@ -169,4 +171,18 @@ MUTANTS = {m.name: m for m in (
     # never acknowledged, and its origin's queue stalls.
     Mutant("receiver_recover_keeps_inflight", Receiver, "recover",
            "self._inflight.clear()", "pass"),
+    # A recovered replica is not started again: the crash's epoch bump
+    # retired its θ tick and Ω broadcasts, so it rejoins as a zombie that
+    # never stabilizes and, once it is the last replica, never ships.
+    Mutant("replica_recover_skips_restart", ReplicaGroup, "recover",
+           "proc.start()", "pass"),
+    # A recovered GST partition is not started again: its heartbeat,
+    # report and aggregation ticks stay retired and the DC's GST freezes.
+    Mutant("gst_recover_skips_restart", GstPartition, "recover",
+           "self.start()", "pass"),
+    # The checkpoint floor is the running StableTime, not the shipped
+    # floor: truncation drops ops that were popped but not yet shipped,
+    # and an amnesia crash in that window loses them.
+    Mutant("checkpoint_above_shipped_floor", StabilizerBase, "_durable_floor",
+           "return self.shipped_stable", "return self.stable_time"),
 )}

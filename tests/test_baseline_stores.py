@@ -3,10 +3,8 @@ Cure, and the eventually consistent yardstick."""
 
 import pytest
 
-from repro.baselines import build_system
-from repro.baselines.gst import GstTimings
 from repro.checker import CausalChecker, SessionHistory
-from repro.geo.system import GeoSystemSpec
+from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.metrics import percentile
 from repro.workload import WorkloadSpec
 
@@ -16,7 +14,7 @@ WL = WorkloadSpec(read_ratio=0.75, n_keys=48)
 
 
 def run_protocol(protocol, duration=2.5, drain=3.0, history=None, **kwargs):
-    system = build_system(protocol, SPEC, WL, history=history, **kwargs)
+    system = build_geo_system(protocol, SPEC, WL, history=history, **kwargs)
     system.run(duration)
     system.quiesce(drain)
     return system
@@ -69,9 +67,9 @@ def test_cure_beats_gentlerain_on_near_pair():
 
 def test_gentlerain_interval_trades_visibility(env):
     fast = run_protocol("gentlerain", duration=3.0,
-                        timings=GstTimings(gst_interval=0.002))
+                        gst_interval=0.002)
     slow = run_protocol("gentlerain", duration=3.0,
-                        timings=GstTimings(gst_interval=0.050))
+                        gst_interval=0.050)
     fast_p90 = percentile(fast.visibility_extra_ms(0, 1), 90)
     slow_p90 = percentile(slow.visibility_extra_ms(0, 1), 90)
     assert slow_p90 > fast_p90 + 20.0  # interval dominates the extra delay
@@ -93,11 +91,11 @@ def test_eventual_exposes_no_causal_metadata():
 
 def test_unknown_protocol_rejected():
     with pytest.raises(ValueError):
-        build_system("nonsense", SPEC, WL)
+        build_geo_system("nonsense", SPEC, WL)
 
 
 def test_gst_partitions_track_remote_heartbeats():
-    system = build_system("gentlerain", SPEC, WL)
+    system = build_geo_system("gentlerain", SPEC, WL)
     system.run(1.0)
     partition = system.datacenters[0].partitions[0]
     # heartbeats every 10ms must have advanced both remote VV entries
@@ -106,7 +104,7 @@ def test_gst_partitions_track_remote_heartbeats():
 
 
 def test_gst_summary_is_monotone():
-    system = build_system("cure", SPEC, WL)
+    system = build_geo_system("cure", SPEC, WL)
     system.start()
     partition = system.datacenters[0].partitions[1]
     seen = []

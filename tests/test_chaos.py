@@ -15,7 +15,6 @@ issue named, and asserts *bounded* recovery — not just eventual health:
 
 import pytest
 
-from repro.baselines import build_system
 from repro.checker import CausalChecker, SessionHistory
 from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.loadgen import build_eunomia_rig
@@ -43,7 +42,7 @@ def test_gst_aggregator_reelection_bounds_the_stall():
     """An unreachable aggregator loses office within 10 × gst_interval:
     the surviving partition elects itself, the GST keeps advancing while
     the old aggregator is cut off, and office converges back after heal."""
-    system = build_system("gentlerain", SPEC, WL)
+    system = build_geo_system("gentlerain", SPEC, WL)
     dc0 = system.datacenters[0]
     old, other = dc0.partitions[0], dc0.partitions[1]
     samples = {}
@@ -68,7 +67,8 @@ def test_chain_repair_bounds_sequencer_outage():
     assigning numbers *during* the outage; requesters' retries make the
     client path exactly-once; everything still converges and stays causal."""
     history = SessionHistory()
-    system = build_system("sseq", SPEC, WL, history=history, chain_length=3)
+    system = build_geo_system("sseq", SPEC, WL, history=history,
+                              chain_length=3)
     head = system.datacenters[0].extras[0]
     fs = system.failures()
     fs.crash_at(0.8, head)
@@ -93,7 +93,7 @@ def test_plain_sequencer_crash_recovers_via_retries():
     recovers: partition retries (deduplicated at the sequencer) re-drive
     every lost request instead of stranding clients forever."""
     history = SessionHistory()
-    system = build_system("sseq", SPEC, WL, history=history)
+    system = build_geo_system("sseq", SPEC, WL, history=history)
     seq = system.datacenters[0].extras[0]
     fs = system.failures()
     fs.crash_at(0.8, seq)
@@ -247,7 +247,7 @@ def test_failure_log_repeats_for_a_seed(protocol):
     def run():
         spec = GeoSystemSpec(n_dcs=2, partitions_per_dc=2, clients_per_dc=2,
                              seed=17)
-        system = build_system(protocol, spec, WL)
+        system = build_geo_system(protocol, spec, WL)
         victim = system.datacenters[0].partitions[1]
         other = system.datacenters[1].partitions[0]
         fs = system.failures()

@@ -9,6 +9,8 @@ identical to the crash-free run.  The hypothesis property checks it at
 K ∈ {1, 4} × R ∈ {2, 3}.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -278,9 +280,41 @@ def test_checkpoint_floor_capped_at_shipped_stable_time():
     assert [e[0] for e in entries] == [80]
 
 
+def test_plain_checkpoint_keeps_popped_but_unshipped_ops():
+    """A plain stabilizer pops a stable run in one round and ships it from
+    a later lane slot.  A checkpoint taken in between must record the
+    shipped floor, not StableTime, or its truncation drops the run an
+    amnesia crash before the ship would then lose."""
+    env = Environment(seed=4)
+    Network(env, ConstantLatency(0.0001))
+    stack = build_stabilizer_stack(env, 0, 1, EunomiaConfig(durability="wal"),
+                                   Calibration())
+    service, = stack.heads
+    sink = DedupSink(env)
+    service.add_destination(sink)
+    feeder = AckFeeder(env, "feeder")
+    feeder.send(service, AddOpBatch(0, (make_op(40), make_op(80))))
+    feeder.send(service, PartitionHeartbeat(0, 100))
+    env.run(until=0.01)                 # ingested and logged, never started
+    service._stabilize()                # pops both; the ship is queued
+    assert (service.stable_time, service.shipped_stable) == (100, 0)
+    service._checkpoint_tick()
+    env.run(until=0.02)
+    assert [op.ts for op in sink.ops] == [40, 80]
+    assert service.checkpoints.latest.floor == 0
+    assert [e[0] for e in service.wal.replay([0], floor_ts=0)] == [40, 80]
+
+
+def test_the_floor_test_kills_checkpoint_above_shipped_floor():
+    with MUTANTS["checkpoint_above_shipped_floor"].applied():
+        with pytest.raises(AssertionError):
+            test_plain_checkpoint_keeps_popped_but_unshipped_ops()
+
+
 # ----------------------------------------------------------------------
 # Amnesia crash + rejoin: op-for-op identical delivered stream
 # ----------------------------------------------------------------------
+@mock.patch.object(EunomiaConfig, "stabilization_interval", 0.004)
 def run_reference(ts_by_partition, batch_size=3):
     """K=1 single-stabilizer serialization of fixed per-partition timelines
     (the canonical reference, as in test_sharded_stabilization)."""
@@ -289,7 +323,7 @@ def run_reference(ts_by_partition, batch_size=3):
     env = Environment(seed=42)
     Network(env, ConstantLatency(0.0001))
     n_parts = len(ts_by_partition)
-    config = EunomiaConfig(stabilization_interval=0.004)
+    config = EunomiaConfig()
     sink = DedupSink(env)
     service = EunomiaService(env, "eunomia", 0, n_parts, config)
     service.add_destination(sink)
@@ -311,6 +345,7 @@ def run_reference(ts_by_partition, batch_size=3):
     return [op.uid for op in sink.ops]
 
 
+@mock.patch.object(EunomiaConfig, "stabilization_interval", 0.004)
 def run_amnesia_rejoin(ts_by_partition, n_shards, n_replicas, batch_size=3):
     """Feed fixed timelines into an Alg. 4 × K deployment with
     ``durability="wal"``; amnesia-crash the leader mid-feed, rejoin it
@@ -320,8 +355,7 @@ def run_amnesia_rejoin(ts_by_partition, n_shards, n_replicas, batch_size=3):
     env = Environment(seed=42)
     Network(env, ConstantLatency(0.0001))
     n_parts = len(ts_by_partition)
-    config = EunomiaConfig(stabilization_interval=0.004,
-                           n_shards=n_shards, n_replicas=n_replicas,
+    config = EunomiaConfig(n_shards=n_shards, n_replicas=n_replicas,
                            fault_tolerant=True, durability="wal",
                            checkpoint_interval=0.02,
                            state_transfer_timeout=0.1,

@@ -1,5 +1,7 @@
 """Tests for the Eunomia service (Algorithm 3) and the partition uplink."""
 
+from unittest import mock
+
 import pytest
 import test_replica_ft
 from mutants import MUTANTS
@@ -35,10 +37,11 @@ def service_env():
     return _service_env()
 
 
+@mock.patch.object(EunomiaConfig, "stabilization_interval", 0.01)
 def _service_env():
     env = Environment(seed=5)
     Network(env, ConstantLatency(0.0001))
-    config = EunomiaConfig(stabilization_interval=0.01)
+    config = EunomiaConfig()
     service = EunomiaService(env, "eunomia", 0, n_partitions=3, config=config,
                              metrics=MetricsHub())
     sink = Sink(env)
@@ -171,11 +174,11 @@ def test_batch_cost_skips_duplicate_prefix():
     assert service._batch_cost_of(AddOpBatch(0, ops)) == pytest.approx(0.5)
 
 
+@mock.patch.object(EunomiaConfig, "stabilization_interval", 0.01)
 def test_multiple_destinations_each_get_the_stream():
     env = Environment(seed=2)
     Network(env, ConstantLatency(0.0001))
-    service = EunomiaService(env, "e", 0, 1,
-                             EunomiaConfig(stabilization_interval=0.01))
+    service = EunomiaService(env, "e", 0, 1, EunomiaConfig())
     sinks = [Sink(env), Sink(env)]
     for sink in sinks:
         service.add_destination(sink)

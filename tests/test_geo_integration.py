@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.baselines import build_system
 from repro.checker import CausalChecker, SessionHistory
 from repro.core import EunomiaConfig
 from repro.core.service import StabilizerBase
@@ -144,7 +143,7 @@ def test_zipf_workload_converges():
 def test_eunomia_throughput_close_to_eventual():
     """The headline Figure 5 claim at small scale."""
     eunomia = run_eunomia(duration=3.0)
-    eventual = build_system("eventual", SPEC, WL)
+    eventual = build_geo_system("eventual", SPEC, WL)
     eventual.run(3.0)
     ratio = eunomia.total_throughput() / eventual.total_throughput()
     assert ratio > 0.90

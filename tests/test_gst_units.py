@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines.gst import (
     CurePartition,
+    DEFAULT_GST_INTERVAL,
     GentleRainPartition,
-    GstTimings,
 )
 from repro.baselines.messages import GstBroadcast, GstHeartbeat
 from repro.clocks import PhysicalClock
@@ -19,7 +19,7 @@ from repro.sim import ConstantLatency, Environment, Network, Process
 def make_partition(env, cls, dc_id=0, index=1, metrics=None, **kwargs):
     """index=1: not the aggregator, so no periodic aggregation interferes."""
     return cls(env, f"dc{dc_id}/p{index}", dc_id, index, 3,
-               PhysicalClock(env), GstTimings(),
+               PhysicalClock(env), DEFAULT_GST_INTERVAL,
                metrics=metrics or MetricsHub(), **kwargs)
 
 
@@ -166,7 +166,7 @@ class TestCureUnit:
 class TestAggregation:
     def test_aggregator_broadcasts_min_of_reports(self, env, net, metrics):
         aggregator = GentleRainPartition(
-            env, "p0", 0, 0, 3, PhysicalClock(env), GstTimings(),
+            env, "p0", 0, 0, 3, PhysicalClock(env), DEFAULT_GST_INTERVAL,
             metrics=metrics)
         follower = make_partition(env, GentleRainPartition, metrics=metrics)
         aggregator.local_partitions = [aggregator, follower]
@@ -177,7 +177,7 @@ class TestAggregation:
 
     def test_aggregator_waits_for_all_reports(self, env, net, metrics):
         aggregator = GentleRainPartition(
-            env, "p0", 0, 0, 3, PhysicalClock(env), GstTimings(),
+            env, "p0", 0, 0, 3, PhysicalClock(env), DEFAULT_GST_INTERVAL,
             metrics=metrics)
         follower = make_partition(env, GentleRainPartition, metrics=metrics)
         aggregator.local_partitions = [aggregator, follower]

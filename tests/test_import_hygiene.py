@@ -119,6 +119,32 @@ def test_docs_lint_rejects_a_documented_name_nothing_defines(
     assert errors[1].startswith("docs/GUIDE.md: `RenamedThing`")
 
 
+def test_docs_lint_rejects_a_knob_no_caller_turns(tmp_path, monkeypatch):
+    check_docs = _load_check_docs()
+    assert check_docs.check_knobs_turned() == []        # this repo is clean
+
+    core = tmp_path / "src" / "repro" / "core"
+    core.mkdir(parents=True)
+    (core / "config.py").write_text(
+        "class EunomiaConfig:\n"
+        "    batch_interval: float = 0.001\n"
+        "    theta: ClassVar[float] = 0.005\n"
+        "    unturned: int = 1\n")
+    (core / "protocols.py").write_text(
+        '_LAZY_MODULES = {\n    "toy": "repro.toy",\n}\n')
+    (tmp_path / "src" / "repro" / "toy.py").write_text(
+        "class Toy:\n    def option_names(self) -> tuple:\n"
+        '        return ("turned", "idle")\n')
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "bench_toy.py").write_text(
+        'EunomiaConfig(batch_interval=0.002)\nbuild("toy", **{"turned": 1})\n'
+        "assert config.unturned == 1 and toy.idle==2\n")
+    monkeypatch.setattr(check_docs, "REPO", tmp_path)
+    errors = check_docs.check_knobs_turned()
+    assert [error.split(" is set")[0] for error in errors] == [
+        "EunomiaConfig.unturned", "option idle= of `toy`"]
+
+
 def test_docs_lint_resolves_benchmark_artifact_names(tmp_path, monkeypatch):
     check_docs = _load_check_docs()
     (tmp_path / "benchmarks").mkdir()

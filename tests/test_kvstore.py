@@ -37,7 +37,7 @@ class TestRing:
         assert owners == set(range(8))
 
     def test_reasonably_balanced(self):
-        ring = ConsistentHashRing(8, vnodes_per_partition=64)
+        ring = ConsistentHashRing(8)
         hist = ring.histogram(range(20000))
         assert min(hist) > 0.3 * (20000 / 8)
         assert max(hist) < 2.5 * (20000 / 8)

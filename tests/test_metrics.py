@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.baselines import build_system
-from repro.geo.system import GeoSystemSpec
+from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.loadgen import build_eunomia_rig, build_sequencer_rig
 from repro.metrics import (
     MetricsHub,
@@ -104,8 +103,8 @@ class TestStoredAsDoubles:
         _float_only(monkeypatch)
         spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=2, clients_per_dc=2,
                              seed=5)
-        system = build_system(protocol, spec,
-                              WorkloadSpec(read_ratio=0.5, n_keys=32))
+        system = build_geo_system(protocol, spec,
+                                  WorkloadSpec(read_ratio=0.5, n_keys=32))
         system.observe(sample_every=4)      # gauges record points too
         system.run(0.5)
         system.quiesce(0.5)
@@ -118,8 +117,8 @@ class TestStoredAsDoubles:
         names are the ones figures, goldens and ``perf/`` look up."""
         spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=2, clients_per_dc=2,
                              seed=5)
-        system = build_system(protocol, spec,
-                              WorkloadSpec(read_ratio=0.5, n_keys=32))
+        system = build_geo_system(protocol, spec,
+                                  WorkloadSpec(read_ratio=0.5, n_keys=32))
         system.run(1.0)
         system.quiesce(1.0)
         pairs = [(k, m) for k in range(3) for m in range(3) if k != m]

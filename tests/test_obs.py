@@ -21,11 +21,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.baselines import build_system
-from repro.baselines.gst import GstTimings
+from repro.baselines.gst import GST_HEARTBEAT_INTERVAL
 from repro.core import EunomiaConfig
 from repro.core.partition import StoragePartition
-from repro.geo.system import GeoSystemSpec
+from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.goldens import capture_golden
 from repro.metrics.collector import MetricsHub
 from repro.metrics.summary import EmptySeriesWarning, cdf, percentile
@@ -147,8 +146,8 @@ def test_metrics_hub_queries_return_copies():
 def observed_run():
     spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=2, clients_per_dc=2,
                          seed=11)
-    system = build_system("eunomia", spec, WorkloadSpec(read_ratio=0.75,
-                                                        n_keys=64))
+    system = build_geo_system("eunomia", spec,
+                              WorkloadSpec(read_ratio=0.75, n_keys=64))
     obs = system.observe(sample_every=4)
     system.run(1.5)
     system.quiesce(1.5)
@@ -176,7 +175,7 @@ def test_default_scrape_is_no_multiple_of_a_protocol_interval():
     chains were 45 % busy; the default walks the phase instead."""
     config = EunomiaConfig()
     for interval in (config.batch_interval, config.stabilization_interval,
-                     GstTimings().heartbeat_interval):
+                     GST_HEARTBEAT_INTERVAL):
         periods = SCRAPE_INTERVAL / interval
         assert abs(periods - round(periods)) > 0.02
 
@@ -184,8 +183,8 @@ def test_default_scrape_is_no_multiple_of_a_protocol_interval():
 def test_gst_family_reports_pending_depth_gauge():
     spec = GeoSystemSpec(n_dcs=2, partitions_per_dc=2, clients_per_dc=2,
                          seed=3)
-    system = build_system("gentlerain", spec,
-                          WorkloadSpec(read_ratio=0.5, n_keys=32))
+    system = build_geo_system("gentlerain", spec,
+                              WorkloadSpec(read_ratio=0.5, n_keys=32))
     system.observe(sample_every=8)
     system.run(1.0)
     system.quiesce(1.0)
@@ -202,8 +201,8 @@ def test_shard_merge_lag_gauge_only_where_shards_merge(n_shards,
     such series."""
     spec = GeoSystemSpec(n_dcs=2, partitions_per_dc=4, clients_per_dc=4,
                          seed=2)
-    system = build_system("eunomia", spec, WorkloadSpec(read_ratio=0.3),
-                          config=EunomiaConfig(n_shards=n_shards))
+    system = build_geo_system("eunomia", spec, WorkloadSpec(read_ratio=0.3),
+                              config=EunomiaConfig(n_shards=n_shards))
     system.observe()
     system.run(0.5)
     for dc in range(2):
@@ -221,8 +220,8 @@ def test_visibility_accounting_is_the_same_under_every_protocol(protocol):
     commit opens one span, ``issue`` no later than ``commit``."""
     spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=2, clients_per_dc=2,
                          seed=5)
-    system = build_system(protocol, spec,
-                          WorkloadSpec(read_ratio=0.5, n_keys=32))
+    system = build_geo_system(protocol, spec,
+                              WorkloadSpec(read_ratio=0.5, n_keys=32))
     obs = system.observe(sample_every=1)
     system.run(1.0)
     system.quiesce(1.5)

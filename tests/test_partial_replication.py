@@ -21,6 +21,7 @@ Three layers of guarantees, each tested here:
 """
 
 import json
+from unittest import mock
 from pathlib import Path
 
 import pytest
@@ -35,10 +36,10 @@ from repro.core.messages import AddOpBatch, PartitionHeartbeat, RemoteData
 from repro.core.placement import PLACEMENT_POLICIES, PlacementMap
 from repro.core.protocols import available_protocols
 from repro.baselines.gst import (
+    DEFAULT_GST_INTERVAL,
     UNTRACKED,
     CurePartition,
     GentleRainPartition,
-    GstTimings,
 )
 from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.goldens import (
@@ -157,6 +158,7 @@ class _AckFeeder(Process):
         pass
 
 
+@mock.patch.object(EunomiaConfig, "stabilization_interval", 0.004)
 def run_stack(ts_by_partition, indices, n_shards):
     """Feed fixed per-partition timelines into one DC's stabilizer stack
     (restricted to ``indices`` when not None) and return the delivered
@@ -164,7 +166,7 @@ def run_stack(ts_by_partition, indices, n_shards):
     env = Environment(seed=11)
     Network(env, ConstantLatency(0.0001))
     n_parts = len(ts_by_partition)
-    config = EunomiaConfig(stabilization_interval=0.004, n_shards=n_shards)
+    config = EunomiaConfig(n_shards=n_shards)
     config.validate()
     stack = build_stabilizer_stack(env, 0, n_parts, config, Calibration(),
                                    indices=indices)
@@ -249,7 +251,8 @@ def drive_gst_partition(tracked, origin1_present):
     env = Environment(seed=5)
     Network(env, ConstantLatency(0.0001))
     part = _RecordingGR(env, "p0", dc_id=0, index=0, n_dcs=3,
-                        clock=PhysicalClock(env), timings=GstTimings())
+                        clock=PhysicalClock(env),
+                        gst_interval=DEFAULT_GST_INTERVAL)
     part.local_partitions = [part]      # single-partition DC roster
     part.aggregator = part
     part.tracked = tracked
@@ -294,7 +297,8 @@ def test_cure_untracked_origins_report_sentinel():
     env = Environment(seed=5)
     Network(env, ConstantLatency(0.0001))
     part = CurePartition(env, "p0", dc_id=0, index=0, n_dcs=3,
-                         clock=PhysicalClock(env), timings=GstTimings())
+                         clock=PhysicalClock(env),
+                         gst_interval=DEFAULT_GST_INTERVAL)
     part.vv = [7, 0, 9]
     assert part._local_summary() == (7, 0, 9)
     part.tracked = (0, 2)

@@ -42,10 +42,10 @@ as a full end-to-end deployment on the same spine.
 """
 
 import pytest
+from mutants import MUTANTS
 
-from repro.baselines import build_system
 from repro.checker import CausalChecker, SessionHistory
-from repro.geo.system import GeoSystemSpec
+from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.workload import WorkloadSpec
 
 SPEC = GeoSystemSpec(n_dcs=3, partitions_per_dc=2, clients_per_dc=3, seed=23)
@@ -56,7 +56,7 @@ CRASH_AT, RECOVER_AT = 0.8, 1.6
 
 def run_with_partition_crash(protocol, **kwargs):
     history = SessionHistory()
-    system = build_system(protocol, SPEC, WL, history=history, **kwargs)
+    system = build_geo_system(protocol, SPEC, WL, history=history, **kwargs)
     # partition 1 of dc0: not the GST aggregator (index 0), so the
     # datacenter keeps aggregating — from a stale report — while it's down
     victim = system.datacenters[0].partitions[1]
@@ -102,8 +102,17 @@ def test_gentlerain_survives_partition_crash():
     # the victim resumed stabilization: its GST advanced past the value it
     # held when recovery fired (periodics re-armed by GstPartition.recover)
     assert victim.summary > probes["summary"]
-    # and remote updates deferred behind the frozen GST did drain
-    assert victim.pending_count() == 0
+    # and remote updates deferred behind the frozen GST did drain — in
+    # every DC, as the victim's sibling heartbeats resumed and thawed the
+    # remote GSTs its silence had pinned
+    assert all(partition.pending_count() == 0
+               for dc in system.datacenters for partition in dc.partitions)
+
+
+def test_the_gst_thaw_test_kills_a_recover_that_skips_restart():
+    with MUTANTS["gst_recover_skips_restart"].applied():
+        with pytest.raises(AssertionError):
+            test_gentlerain_survives_partition_crash()
 
 
 def test_gentlerain_gst_stall_is_bounded_by_report_timeout():
@@ -112,7 +121,7 @@ def test_gentlerain_gst_stall_is_bounded_by_report_timeout():
     report (``_aggregator_timeout()``, 10 × gst_interval = 50 ms).
     The unbounded freeze used to be GentleRain's failure mode; now the
     stall is bounded and the GST resumes while the partition is still down."""
-    system = build_system("gentlerain", SPEC, WL)
+    system = build_geo_system("gentlerain", SPEC, WL)
     victim = system.datacenters[0].partitions[1]
     sibling = system.datacenters[0].partitions[0]
     samples = {}
@@ -159,7 +168,7 @@ def test_partition_crash_leaves_its_datacenter_live(protocol):
     updates after the recovery, and the receiver's in-flight set drains."""
     spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=4,
                          seed=1)
-    system = build_system(protocol, spec, WorkloadSpec(read_ratio=0.5))
+    system = build_geo_system(protocol, spec, WorkloadSpec(read_ratio=0.5))
     dc = system.datacenters[0]
     victim = dc.partitions[1]
     healthy = [p for p in dc.partitions if p is not victim]
@@ -183,7 +192,7 @@ def test_partition_crash_leaves_its_datacenter_live(protocol):
 def test_failure_actions_added_mid_run_still_fire():
     """system.failures() arms at start; actions added *after* that (or
     between run() windows) must schedule immediately, not vanish."""
-    system = build_system("eventual", SPEC, WL)
+    system = build_geo_system("eventual", SPEC, WL)
     system.run(0.5)
     victim = system.datacenters[0].partitions[1]
     system.failures().crash_at(1.0, victim)
@@ -201,8 +210,8 @@ def test_chain_sequencer_end_to_end(chain_length):
     """sseq × chain_length: the §7.1 chain-replicated sequencer as a full
     deployment — converges and passes the causal checker like plain sseq."""
     history = SessionHistory()
-    system = build_system("sseq", SPEC, WL, history=history,
-                          chain_length=chain_length)
+    system = build_geo_system("sseq", SPEC, WL, history=history,
+                              chain_length=chain_length)
     system.run(2.0)
     system.quiesce(2.5)
     assert system.converged()

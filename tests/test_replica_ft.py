@@ -1,6 +1,9 @@
 """Tests for fault-tolerant Eunomia (Algorithm 4) and leader election."""
 
+from unittest import mock
+
 import pytest
+from mutants import MUTANTS
 
 from repro.core import EunomiaConfig, EunomiaService
 from repro.core import uplink as uplink_module
@@ -17,12 +20,12 @@ from repro.sim import ConstantLatency, Environment, Network, Process
 from repro.sim.failure import FailureSchedule
 
 
+@mock.patch.object(EunomiaConfig, "stabilization_interval", 0.01)
 def build_group(env, n_replicas, n_partitions=2,
                 alive=0.05, suspect=0.16):
     config = EunomiaConfig(fault_tolerant=True, n_replicas=n_replicas,
                            replica_alive_interval=alive,
-                           replica_suspect_timeout=suspect,
-                           stabilization_interval=0.01)
+                           replica_suspect_timeout=suspect)
     metrics = MetricsHub()
     replicas = [
         EunomiaService(env, f"r{i}", 0, n_partitions, config, replica_id=i,
@@ -169,8 +172,7 @@ def test_end_to_end_ft_pipeline_with_loss(env, monkeypatch):
     """Emulated partitions + lossy links + replicas: nothing is lost."""
     monkeypatch.setattr(uplink_module, "RESEND_TIMEOUT", 0.02)
     net = Network(env, ConstantLatency(0.0001))
-    config = EunomiaConfig(fault_tolerant=True, n_replicas=2,
-                           stabilization_interval=0.005)
+    config = EunomiaConfig(fault_tolerant=True, n_replicas=2)
     metrics = MetricsHub()
     replicas = [
         EunomiaService(env, f"r{i}", 0, 2, config, replica_id=i,
@@ -238,6 +240,12 @@ def test_recovered_replica_ships_again(n_shards):
     for _, partition, seq in rig.sink.collected:
         assert seq == last_seq.get(partition, 0) + 1
         last_seq[partition] = seq
+
+
+def test_the_rejoin_test_kills_a_recover_that_skips_restart():
+    with MUTANTS["replica_recover_skips_restart"].applied():
+        with pytest.raises(AssertionError):
+            test_recovered_replica_ships_again(1)
 
 
 def test_recovered_replica_stream_is_shard_count_independent():

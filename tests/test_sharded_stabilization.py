@@ -10,6 +10,7 @@ crashes mid-run and a follower takes over.
 """
 
 import heapq
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -143,12 +144,13 @@ class TestShardAssignment:
 # ----------------------------------------------------------------------
 # Determinism: K-shard output == K=1 output, op for op
 # ----------------------------------------------------------------------
+@mock.patch.object(EunomiaConfig, "stabilization_interval", 0.004)
 def run_stabilization(ts_by_partition, n_shards, batch_size=3):
     """Feed fixed per-partition timelines; return the emitted stable order."""
     env = Environment(seed=42)
     Network(env, ConstantLatency(0.0001))
     n_parts = len(ts_by_partition)
-    config = EunomiaConfig(stabilization_interval=0.004, n_shards=n_shards)
+    config = EunomiaConfig(n_shards=n_shards)
     sink = Sink(env)
 
     if n_shards == 1:
@@ -196,6 +198,7 @@ timelines = st.lists(
 ).map(lambda per_part: [sorted(set(ts)) for ts in per_part])
 
 
+@mock.patch.object(EunomiaConfig, "stabilization_interval", 0.004)
 def run_replicated_stabilization(ts_by_partition, n_shards, n_replicas,
                                  crash_leader=False, batch_size=3):
     """Feed fixed timelines into an Alg. 4 × K deployment; return the
@@ -203,8 +206,7 @@ def run_replicated_stabilization(ts_by_partition, n_shards, n_replicas,
     env = Environment(seed=42)
     Network(env, ConstantLatency(0.0001))
     n_parts = len(ts_by_partition)
-    config = EunomiaConfig(stabilization_interval=0.004,
-                           n_shards=n_shards, n_replicas=n_replicas,
+    config = EunomiaConfig(n_shards=n_shards, n_replicas=n_replicas,
                            fault_tolerant=True,
                            replica_alive_interval=0.03,
                            replica_suspect_timeout=0.1)
@@ -312,11 +314,12 @@ class TestMergeDeterminism:
         env.run(until=0.02)
         assert [op.ts for op in sink.ops] == [42]
 
+    @mock.patch.object(EunomiaConfig, "stabilization_interval", 0.004)
     def test_shard_only_bounded_by_owned_partitions(self):
         """A shard's ShardStableTime ignores partitions it does not own."""
         env = Environment(seed=9)
         Network(env, ConstantLatency(0.0001))
-        config = EunomiaConfig(stabilization_interval=0.004, n_shards=2)
+        config = EunomiaConfig(n_shards=2)
         shard = EunomiaShard(env, "shard0", 0, 4, config,
                              shard_id=0, owned=[0, 2])
         shard_sink = ShardSink(env)

@@ -238,8 +238,8 @@ class CrashOnFirst(Recorder):
 
 def test_same_instant_deliveries_stop_when_handler_crashes():
     """A handler that crashes the process must drop the deliveries already
-    queued behind it at the same instant (the epoch guard of
-    ``_run_delivery``)."""
+    queued behind it at the same instant (the crash check that opens
+    ``Process.deliver``)."""
     env = Environment(seed=7)
     net = Network(env, latency=ConstantLatency(0.0001))
     sender = Recorder(env, "sender")

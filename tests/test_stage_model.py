@@ -83,7 +83,7 @@ import statistics
 import pytest
 
 from repro import GeoSystemSpec, WorkloadSpec, build_geo_system
-from repro.baselines.gst import GstTimings
+from repro.baselines.gst import DEFAULT_GST_INTERVAL, GST_HEARTBEAT_INTERVAL
 from repro.calibration import Calibration
 from repro.core import EunomiaConfig
 from repro.metrics import percentile
@@ -227,10 +227,8 @@ def test_receiver_side_waits_match_their_closed_form(eunomia_run):
 def test_gst_visibility_matches_its_closed_form(protocol):
     spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=8,
                          seed=21)
-    timings = GstTimings()
     system = build_geo_system(protocol, spec,
-                              WorkloadSpec(read_ratio=0.9, n_keys=500),
-                              timings=timings)
+                              WorkloadSpec(read_ratio=0.9, n_keys=500))
     tracer = system.observe(sample_every=1, gauges=False).tracer
     system.run(1.5)
 
@@ -243,8 +241,8 @@ def test_gst_visibility_matches_its_closed_form(protocol):
                 (visible - committed) * 1e3 - one_way[k][m])
     assert len(extra) == spec.n_dcs * (spec.n_dcs - 1)
 
-    beat = timings.heartbeat_interval * 1e3      # H
-    round_ = timings.gst_interval * 1e3          # G
+    beat = GST_HEARTBEAT_INTERVAL * 1e3          # H
+    round_ = DEFAULT_GST_INTERVAL * 1e3          # G
     for (k, m), waits in sorted(extra.items()):
         assert len(waits) > 150
         farthest = (one_way[k][m] if protocol == "cure" else

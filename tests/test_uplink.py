@@ -15,6 +15,7 @@ from repro.core import uplink as uplink_module
 from repro.core.uplink import EunomiaUplink
 from repro.kvstore.types import Update
 from repro.sim import ConstantLatency, Environment, Network, Process
+from repro.sim.failure import FailureSchedule, Straggler
 
 
 class Host(Process):
@@ -265,6 +266,34 @@ def test_crash_retires_the_chain_and_restart_is_a_noop_if_never_started(env):
     idle = Host(env, EunomiaConfig())       # never started (an S-Seq host)
     idle.uplink.restart()
     assert env.loop.pending() == 1          # still only ``host``'s tick
+
+
+# ----------------------------------------------------------------------
+# Δ (Alg. 2 l.11) is the configured batch interval, read once.
+# ----------------------------------------------------------------------
+
+def test_idle_heartbeat_waits_one_configured_interval(env):
+    """Δ = ``batch_interval``: a tick heartbeats only once the clock is
+    4 ms past the hybrid clock's last timestamp."""
+    host, replica = _idle_host(env, batch_interval=0.004)
+    env.loop.schedule_at(0.005, host.hlc.tick)  # a timestamp at 5 ms
+    env.run(until=0.013)                        # ticks at 4, 8 and 12 ms
+    assert [beat.ts for beat in replica.heartbeats] == [4000, 12000]
+
+
+def test_a_straggler_leaves_delta_at_the_configured_interval(env):
+    """Fig. 7's straggler inflates the host's interval, which paces the
+    ticks; Δ stays at the config's 1 ms, so a tick 3 ms after the last
+    timestamp still heartbeats."""
+    host, replica = _idle_host(env)
+    schedule = FailureSchedule(env)
+    Straggler(host, 0.0005, 1.0, straggle_interval=0.01).arm(schedule)
+    schedule.arm()
+    env.loop.schedule_at(0.028, host.hlc.tick)  # a timestamp at 28 ms
+    env.run(until=0.035)                        # ticks at 1, 11, 21, 31 ms
+    assert host.batch_interval == 0.01
+    assert [round(beat.ts, -3) for beat in replica.heartbeats] == [
+        1000, 11000, 21000, 31000]
 
 
 # ----------------------------------------------------------------------
