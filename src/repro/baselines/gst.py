@@ -234,9 +234,9 @@ class GstPartition(StoragePartition):
         self.local_partitions: list[Process] = []
         self.roster_pos = index
         #: origins contributing to the stable summary: the DCs that also
-        #: store this partition (ascending, including this DC).  None =
-        #: all M DCs — full replication.
-        self.tracked: Optional[tuple] = None
+        #: store this partition (ascending, including this DC); all M
+        #: until the site's placement narrows it
+        self.tracked: tuple = tuple(range(n_dcs))
         self._reports: dict[int, tuple] = {}        # current aggregator only
         self._report_seen: dict[int, float] = {}    # report freshness times
         #: which roster index this partition currently believes aggregates
@@ -475,13 +475,12 @@ class GentleRainPartition(GstPartition):
         return self.summary[0]      # the whole gate: nothing under it blocks
 
     def _local_summary(self) -> tuple:
-        # Partial placement: the scalar minimum spans only the tracked
-        # origins (DCs that also store this partition, plus ourselves) —
-        # an origin with no sibling here sends no heartbeats, and letting
-        # its frozen VV entry into the min would pin the GST at zero.
-        if self.tracked is None:
-            return (min(self.vv),)
-        return (min(self.vv[d] for d in self.tracked),)
+        # The scalar minimum spans only the tracked origins (DCs that also
+        # store this partition, plus ourselves) — an origin with no sibling
+        # here sends no heartbeats, and letting its frozen VV entry into
+        # the min would pin the GST at zero.
+        vv = self.vv
+        return (min([vv[d] for d in self.tracked]),)
 
 
 class CurePartition(GstPartition):
@@ -512,16 +511,17 @@ class CurePartition(GstPartition):
         return self.summary[origin]     # other entries may still block
 
     def _local_summary(self) -> tuple:
-        # Partial placement: entries for origins this partition does not
-        # track report the UNTRACKED sentinel (+inf under the aggregator's
-        # min), so the DC-wide GSV entry for origin d is bounded only by
-        # the partitions that actually receive d's stream — and is the
-        # sentinel itself when none does, releasing dependencies on d
-        # unconditionally (nothing from d can be resident here then).
-        if self.tracked is None:
-            return tuple(self.vv)
-        return tuple(self.vv[d] if d in self.tracked else UNTRACKED
-                     for d in range(self.n_dcs))
+        # Entries for origins this partition does not track report the
+        # UNTRACKED sentinel (+inf under the aggregator's min), so the
+        # DC-wide GSV entry for origin d is bounded only by the partitions
+        # that actually receive d's stream — and is the sentinel itself
+        # when none does, releasing dependencies on d unconditionally
+        # (nothing from d can be resident here then).
+        vv = self.vv
+        summary = [UNTRACKED] * len(vv)
+        for d in self.tracked:
+            summary[d] = vv[d]
+        return tuple(summary)
 
 
 class GstProtocol(ProtocolSpec):
@@ -562,10 +562,8 @@ class GstProtocol(ProtocolSpec):
                                metrics=site.metrics)
             for i in range(site.n_partitions)
         ]
-        pmap = site.partial_placement()
-        roster = (partitions if pmap is None else
-                  [partitions[i]
-                   for i in pmap.resident_partitions(site.dc_id)])
+        pmap = site.placement
+        roster = [partitions[i] for i in pmap.resident_partitions(site.dc_id)]
         aggregator = roster[0]
         for pos, partition in enumerate(roster):
             # Every resident partition knows the roster: re-election
@@ -573,10 +571,9 @@ class GstProtocol(ProtocolSpec):
             partition.local_partitions = list(roster)
             partition.aggregator = aggregator
             partition.roster_pos = pos
-            if pmap is not None:
-                # Stable summaries span only the origins that also store
-                # this partition — the placement-aware stable cut.
-                partition.tracked = pmap.residents(partition.index)
+            # Stable summaries span only the origins that also store this
+            # partition — the placement-aware stable cut.
+            partition.tracked = pmap.residents(partition.index)
         return SitePlan(partitions=partitions)
 
 

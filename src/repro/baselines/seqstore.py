@@ -191,9 +191,9 @@ class SequencerProtocol(ProtocolSpec):
                             metrics=site.metrics,
                             name_prefix=f"dc{site.dc_id}/chain", repair=True)
         receiver = Receiver(site.env, f"dc{site.dc_id}/receiver", site.dc_id,
-                            site.n_dcs, calibration=site.calibration,
-                            metrics=site.metrics,
-                            placement=site.partial_placement())
+                            site.n_dcs, site.placement,
+                            calibration=site.calibration,
+                            metrics=site.metrics)
         partitions = [
             SeqPartition(site.env, site.pname(i), site.dc_id, i, site.n_dcs,
                          site.clock(), synchronous=self.synchronous,

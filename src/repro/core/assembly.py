@@ -124,21 +124,21 @@ def build_stabilizer_stack(env: Environment, site: int, n_partitions: int,
     ``name_prefix`` namespaces process names (datacenters pass ``"dc0/"``
     etc., rigs pass ``""``); ``stable_mark`` overrides the metric name
     stable ops are marked under (defaults to ``eunomia_stable:dc{site}``).
-    ``indices`` restricts the stable cut to a subset of partition indices
-    (partial geo-replication: only the site's *resident* partitions feed
-    the stabilizer, so only they may bound StableTime — a non-resident
-    index never streams ops and would pin the floor at zero forever).
-    ``None`` keeps the historical all-partitions cut.
+    ``indices`` are the partition indices that bound the stable cut: the
+    site's *resident* partitions, the only ones that feed the stabilizer
+    (a non-resident index never streams ops and would pin the floor at
+    zero forever).  Omitted, they are all ``n_partitions`` — the rigs'
+    and unit tests' shape.
 
     Process identity lives in construction order and names — pids follow
     the former (each head before its shards), WAL and checkpoint names
     derive from the latter — so neither may change.
     """
+    indices = range(n_partitions) if indices is None else indices
     metrics = metrics or NullMetrics()
     stack = StabilizerStack(config=config)
     if config.n_shards > 1:
-        stack.shard_map = ShardMap(n_partitions, config.n_shards,
-                                   indices=indices)
+        stack.shard_map = ShardMap(indices, config.n_shards)
 
     for rid in range(config.n_replicas):
         tag = f"{name_prefix}eunomia{rid if config.fault_tolerant else ''}"

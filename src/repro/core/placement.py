@@ -1,27 +1,30 @@
-"""Partial geo-replication placement maps.
+"""Geo-replication placement maps: which partitions each DC stores.
 
-Every deployment so far stored every partition at every datacenter.  Real
-multi-region stores do not: each DC holds a *subset* of the key space and
-forwards operations on the rest.  Xiang & Vaidya's *Global Stabilization
-for Causally Consistent Partial Replication* (PAPERS.md) generalizes the
+Real multi-region stores need not keep every partition at every
+datacenter: each DC may hold a *subset* of the key space and forward
+operations on the rest.  Xiang & Vaidya's *Global Stabilization for
+Causally Consistent Partial Replication* (PAPERS.md) generalizes the
 paper's deferred-stabilization scheme to exactly this setting, and a
 :class:`PlacementMap` is the declarative input: for each DC, the set of
-partition indices it stores.
+partition indices it stores.  Full replication is the special case
+:meth:`PlacementMap.full`, and it takes the same path as every other map
+— the spine has no second, placement-free wiring.
 
 The map is consumed in three places:
 
 * **wiring** (:mod:`repro.geo.system` / :mod:`repro.geo.datacenter`):
-  non-resident partitions are constructed but never started or linked
-  (construction order is preserved so the per-DC clock RNG streams — and
-  hence the goldens — are untouched), sibling links and propagator →
-  receiver edges exist only between DCs whose resident sets overlap, and
-  each client's routing table points non-resident indices at the nearest
-  resident DC (read/write forwarding);
+  every DC constructs all N partitions in index order (so the per-DC
+  clock RNG streams — and hence the goldens — do not depend on the
+  placement) but starts and links only the ones it stores; sibling links
+  and propagator → receiver edges exist only between DCs whose resident
+  sets overlap, and each client's routing table points every index at
+  its nearest resident DC (itself when resident: read/write forwarding);
 * **the stable cut**: Eunomia stabilizers min their ``PartitionTime`` over
-  resident partitions only, receivers skip stream entries for partitions
-  they do not store, and the GST/GSV summaries in
-  :mod:`repro.baselines.gst` are computed over *tracked* origins only —
-  so a DC that stores no partition from some origin never stalls on it;
+  resident partitions only, receivers queue only overlapping origins and
+  skip stream entries for partitions they do not store, and the GST/GSV
+  summaries in :mod:`repro.baselines.gst` are computed over *tracked*
+  origins only — so a DC that stores no partition from some origin never
+  stalls on it;
 * **checking**: convergence is per-partition across that partition's
   resident DCs, and :meth:`repro.checker.causal.CausalChecker.
   check_placement_routing` asserts every operation was served by a
@@ -153,9 +156,6 @@ class PlacementMap:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def is_full(self) -> bool:
-        return all(len(t) == self.n_partitions for t in self._resident)
-
     def is_resident(self, dc: int, index: int) -> bool:
         return index in self._sets[dc]
 

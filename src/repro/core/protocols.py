@@ -76,7 +76,10 @@ class SiteContext:
     it in :meth:`ProtocolSpec.build_site`.  ``options`` is the normalized
     per-system option dict returned by :meth:`ProtocolSpec.prepare` —
     protocol tunables (``config``, ``gst_interval``, ``chain_length``)
-    travel through it uniformly.
+    travel through it uniformly.  ``placement`` is always a map — full
+    replication is :meth:`PlacementMap.full` — so a plugin wires every
+    deployment through ``placement.resident_partitions(dc_id)`` and
+    ``placement.residents(index)``, with no full-replication special case.
     """
 
     env: Environment
@@ -86,10 +89,10 @@ class SiteContext:
     ring: "ConsistentHashRing"
     calibration: Calibration
     metrics: MetricsHub
+    #: which partition indices each DC stores
+    placement: "PlacementMap"
     ntp: Optional["NtpSynchronizer"] = None
     options: dict = field(default_factory=dict)
-    #: which partition indices this DC stores (None = full replication)
-    placement: Optional["PlacementMap"] = None
 
     def clock(self) -> PhysicalClock:
         """Draw the next NTP-disciplined physical clock for this site.
@@ -107,23 +110,6 @@ class SiteContext:
     def pname(self, index: int) -> str:
         """Canonical partition process name (``dc0/p3``)."""
         return f"dc{self.dc_id}/p{index}"
-
-    def resident(self, index: int) -> bool:
-        """Does this DC store partition ``index``? (always True when full)"""
-        return (self.placement is None
-                or self.placement.is_resident(self.dc_id, index))
-
-    def partial_placement(self) -> Optional["PlacementMap"]:
-        """The placement map when genuinely partial, else None.
-
-        Plugins branch on this: the None path must stay byte-identical to
-        the pre-placement wiring (the goldens pin it), so ``full`` maps
-        normalize to None here.
-        """
-        pmap = self.placement
-        if pmap is None or pmap.is_full():
-            return None
-        return pmap
 
 
 @dataclass

@@ -113,9 +113,9 @@ class StabilizerBase(Process):
         self.config = config
         self.metrics = metrics or NullMetrics()
         self.partition_time = [0] * n_partitions
-        #: partial geo-replication: the partition indices that bound the
-        #: stable cut (None = all N; see :meth:`set_tracked`)
-        self.tracked = None
+        #: the partition indices that bound the stable cut, ascending (all
+        #: N until :meth:`set_tracked` narrows them)
+        self.tracked = list(range(n_partitions))
         self.buffer = RunBuffer()
         self.stable_time = 0
         #: highest floor known shipped to remote receivers (≤ stable_time;
@@ -373,16 +373,14 @@ class StabilizerBase(Process):
         subset; a site's resident partitions under partial placement).
 
         A partition that never streams ops here would, left in the min,
-        pin StableTime at zero forever; ``None`` is the all-partitions cut.
+        pin StableTime at zero forever.
         """
-        self.tracked = None if indices is None else sorted(indices)
+        self.tracked = sorted(indices)
 
     def _stable_floor(self) -> int:
         """The timestamp below which no tracked partition can still produce."""
-        if self.tracked is None:
-            return min(self.partition_time)
         times = self.partition_time
-        return min(times[p] for p in self.tracked)
+        return min([times[p] for p in self.tracked])
 
     def _stabilize(self) -> None:
         if not self._should_stabilize():

@@ -103,30 +103,27 @@ _ORDER_KEY = attrgetter("ts", "partition_index", "seq")
 class ShardMap:
     """Partition → shard assignment for one datacenter.
 
-    Round-robin: the ``j``-th resident partition goes to shard ``j % K``
-    (``p % K`` under full replication).  Shard loads stay within one
-    partition of each other, and a shard's subset is decorrelated from any
-    locality in partition numbering (e.g. one hot rack of consecutive
-    indices).
+    Round-robin over ``indices``, the site's resident partition indices:
+    the ``j``-th goes to shard ``j % K`` (``p % K`` under full
+    replication).  Shard loads stay within one partition of each other,
+    and a shard's subset is decorrelated from any locality in partition
+    numbering (e.g. one hot rack of consecutive indices).
     """
 
-    def __init__(self, n_partitions: int, n_shards: int,
-                 indices: Optional[list] = None):
+    def __init__(self, indices, n_shards: int):
         if n_shards < 1:
             raise ValueError("need at least one Eunomia shard")
-        # Partial geo-replication: only the site's resident partition
-        # indices participate in stabilization; the assignment spreads the
-        # resident universe (not raw index arithmetic), so loads stay
-        # within one partition of each other for any placement.
-        universe = (list(range(n_partitions)) if indices is None
-                    else sorted(indices))
+        # Only the site's resident partition indices participate in
+        # stabilization; the assignment spreads that universe (not raw
+        # index arithmetic), so loads stay within one partition of each
+        # other for any placement.
+        universe = sorted(indices)
         if n_shards > len(universe):
             raise ValueError(
                 f"cannot split {len(universe)} partitions across "
                 f"{n_shards} shards: some shards would track no partition "
                 f"and pin StableTime at zero forever"
             )
-        self.n_partitions = n_partitions
         self.n_shards = n_shards
         self._assign = {p: j % n_shards for j, p in enumerate(universe)}
 

@@ -6,9 +6,10 @@ discipline, ring, metrics), asks the protocol's
 :class:`~repro.core.protocols.ProtocolSpec` plugin for the
 protocol-specific pieces (partitions, stabilizer/sequencer complex,
 receiver), and then owns cross-datacenter wiring (``connect``: every
-stable-stream propagator gains every remote receiver as a destination,
-and every partition learns its remote siblings for the §5 direct data
-shipping), start order, and store introspection.
+stable-stream propagator gains every overlapping remote receiver as a
+destination, and every stored partition learns its remote co-resident
+siblings for the §5 direct data shipping), start order, and store
+introspection.
 
 For EunomiaKV the plugin (:class:`EunomiaProtocol`, registered here) is a
 datacenter of N partitions (Alg. 2), an Eunomia stabilizer complex — R
@@ -28,6 +29,7 @@ from ..clocks.ntp import NtpSynchronizer
 from ..core.assembly import build_stabilizer_stack
 from ..core.config import EunomiaConfig
 from ..core.partition import EunomiaPartition
+from ..core.placement import PlacementMap
 from ..core.protocols import (
     ProtocolSpec,
     SiteContext,
@@ -65,10 +67,10 @@ class EunomiaProtocol(ProtocolSpec):
 
         config = site.options["config"]
         cal = site.calibration
-        pmap = site.partial_placement()
-        # All N partitions are constructed in index order even under a
-        # partial placement (the per-DC clock RNG stream depends on it);
-        # non-resident ones are never started, wired, or routed to.
+        stored = site.placement.resident_partitions(site.dc_id)
+        # All N partitions are constructed in index order under any
+        # placement (the per-DC clock RNG stream depends on it); the ones
+        # this DC does not store are never started, wired, or routed to.
         partitions = [
             EunomiaPartition(
                 site.env, site.pname(index), site.dc_id, index, site.n_dcs,
@@ -76,48 +78,43 @@ class EunomiaProtocol(ProtocolSpec):
             )
             for index in range(site.n_partitions)
         ]
-        resident = (partitions if pmap is None else
-                    [partitions[i]
-                     for i in pmap.resident_partitions(site.dc_id)])
         stack = build_stabilizer_stack(
             site.env, site.dc_id, site.n_partitions, config, cal,
             metrics=site.metrics, name_prefix=f"dc{site.dc_id}/",
-            indices=None if pmap is None else
-            pmap.resident_partitions(site.dc_id),
+            indices=stored,
         )
         receiver = Receiver(
             site.env, f"dc{site.dc_id}/receiver", site.dc_id, site.n_dcs,
-            calibration=cal, metrics=site.metrics, placement=pmap,
+            site.placement, calibration=cal, metrics=site.metrics,
         )
         receiver.set_partitions(site.ring, partitions)
-        stack.wire_uplinks(resident)
+        stack.wire_uplinks([partitions[i] for i in stored])
         return SitePlan(
             partitions=partitions, extras=stack.processes(),
             receiver=receiver, propagators=stack.propagators(), stack=stack,
         )
 
 
-_EUNOMIA = register_protocol(EunomiaProtocol())
+register_protocol(EunomiaProtocol())
 
 
 class Datacenter:
     """One site of a geo-replicated deployment, any registered protocol.
 
-    ``Datacenter(env, dc_id, n_dcs, n_partitions, ring, config)`` builds
-    an EunomiaKV site (``config=`` is that protocol's one option); passing
-    ``protocol=`` (a :class:`ProtocolSpec`) with its prepared ``options``
-    dict builds any plugin over the identical frame.
+    Built one way: ``protocol`` (a :class:`ProtocolSpec`), its prepared
+    ``options`` dict and the deployment's ``placement`` map
+    (:meth:`~repro.core.placement.PlacementMap.full` for full
+    replication).  :func:`repro.geo.system.build_geo_system` is the
+    builder; every protocol's site is assembled over the identical frame.
     """
 
     def __init__(self, env: Environment, dc_id: int, n_dcs: int,
                  n_partitions: int, ring: ConsistentHashRing,
-                 config: Optional[EunomiaConfig] = None,
+                 protocol: ProtocolSpec, options: dict,
+                 placement: PlacementMap,
                  calibration: Optional[Calibration] = None,
                  metrics: Optional[MetricsHub] = None,
-                 ntp: Optional[NtpSynchronizer] = None,
-                 protocol: Optional[ProtocolSpec] = None,
-                 options: Optional[dict] = None,
-                 placement=None):
+                 ntp: Optional[NtpSynchronizer] = None):
         self.env = env
         self.dc_id = dc_id
         self.n_dcs = n_dcs
@@ -125,23 +122,14 @@ class Datacenter:
         cal = calibration or Calibration()
         self.calibration = cal
         self.metrics = metrics or NullMetrics()
-        if protocol is None:
-            if options is not None:
-                raise TypeError(
-                    "options= requires protocol=; without one the site is "
-                    "EunomiaKV and takes config= directly")
-            protocol = _EUNOMIA
-            options = {"config": config or EunomiaConfig()}
         self.protocol = protocol
+        #: which partition indices each DC stores
+        self.placement = placement
         self.site = SiteContext(
             env=env, dc_id=dc_id, n_dcs=n_dcs, n_partitions=n_partitions,
-            ring=ring, calibration=cal, metrics=self.metrics, ntp=ntp,
-            options=options if options is not None else {},
-            placement=placement,
+            ring=ring, calibration=cal, metrics=self.metrics,
+            placement=placement, ntp=ntp, options=options,
         )
-        #: the placement map when genuinely partial, else None — the full
-        #: path through connect/start/introspection must stay identical
-        self.placement = self.site.partial_placement()
         self.plan = protocol.build_site(self.site)
         self.partitions = self.plan.partitions
         self.extras = self.plan.extras
@@ -150,7 +138,6 @@ class Datacenter:
         # -- Eunomia introspection sugar (empty for other protocols) -------
         stack = self.plan.stack
         self.stack = stack
-        self.config = options.get("config") if options else None
         #: the stabilizer replicas (head + shards each), in election order
         self.replica_groups = stack.groups if stack else []
         #: their heads — the processes that can ship this site's stable runs
@@ -162,27 +149,23 @@ class Datacenter:
     def connect(self, other: "Datacenter") -> None:
         """Wire this datacenter to a remote one (directional; call both ways).
 
-        Under a partial placement only overlapping DCs exchange streams:
-        the propagator → receiver edge exists iff some partition is
-        resident at both sites, and sibling links exist per co-resident
-        index — a DC never receives (and never waits on) traffic for data
-        it does not store.
+        Only overlapping DCs exchange streams: the propagator → receiver
+        edge exists iff some partition is resident at both sites, and
+        sibling links exist per co-resident index — a DC never receives
+        (and never waits on) traffic for data it does not store.  Under
+        full replication every pair overlaps at every index.
         """
         if other.dc_id == self.dc_id:
             raise ValueError("cannot connect a datacenter to itself")
         pmap = self.placement
-        if other.receiver is not None and (
-                pmap is None or pmap.overlaps(self.dc_id, other.dc_id)):
+        if other.receiver is not None and pmap.overlaps(self.dc_id,
+                                                        other.dc_id):
             for propagator in self.propagators():
                 propagator.add_destination(other.receiver)
-        if pmap is None:
-            for mine, theirs in zip(self.partitions, other.partitions):
-                mine.set_sibling(other.dc_id, theirs)
-        else:
-            for index in pmap.resident_partitions(self.dc_id):
-                if pmap.is_resident(other.dc_id, index):
-                    self.partitions[index].set_sibling(
-                        other.dc_id, other.partitions[index])
+        for index in pmap.resident_partitions(self.dc_id):
+            if pmap.is_resident(other.dc_id, index):
+                self.partitions[index].set_sibling(
+                    other.dc_id, other.partitions[index])
 
     def propagators(self) -> list:
         """The processes that ship ordered streams to remote receivers."""
@@ -192,10 +175,9 @@ class Datacenter:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        for index, partition in enumerate(self.partitions):
-            if self.placement is not None and not self.placement.is_resident(
-                    self.dc_id, index):
-                continue  # constructed for clock-stream parity, never run
+        # a partition this DC does not store was built only for
+        # clock-stream parity and never runs
+        for partition in self.resident_partitions():
             start = getattr(partition, "start", None)
             if start is not None:
                 start()
@@ -215,9 +197,7 @@ class Datacenter:
         return self.protocol.leader(self.plan)
 
     def resident_partitions(self) -> list:
-        """The partition processes this DC actually stores (all, if full)."""
-        if self.placement is None:
-            return list(self.partitions)
+        """The partition processes this DC stores, in index order."""
         return [self.partitions[i]
                 for i in self.placement.resident_partitions(self.dc_id)]
 

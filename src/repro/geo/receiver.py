@@ -54,6 +54,7 @@ from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
 from ..sim.process import Process
 from ..core.config import RECEIVER_CHECK_INTERVAL
+from ..core.placement import PlacementMap
 from ..core.messages import ApplyRemote, ApplyRemoteOk, RemoteStableBatch
 
 __all__ = ["Receiver"]
@@ -65,9 +66,9 @@ class Receiver(Process):
     """r_m: queues remote update streams and applies them causally."""
 
     def __init__(self, env: Environment, name: str, dc_id: int, n_dcs: int,
+                 placement: PlacementMap,
                  calibration: Optional[Calibration] = None,
-                 metrics: Optional[MetricsHub] = None,
-                 placement=None):
+                 metrics: Optional[MetricsHub] = None):
         cal = calibration or Calibration()
         super().__init__(env, name, site=dc_id, costs={
             "RemoteStableBatch":
@@ -77,17 +78,16 @@ class Receiver(Process):
         self.dc_id = dc_id
         self.n_dcs = n_dcs
         self.metrics = metrics or NullMetrics()
-        #: partial geo-replication (None = full): origins whose resident
-        #: set is disjoint from ours get no queue at all — the
-        #: placement-aware stable cut.  Their entries are skipped in
-        #: :meth:`_deps_satisfied`, so this DC never stalls waiting for a
-        #: stream that will never arrive.
-        self.placement = placement
+        #: the placement-aware stable cut: origins whose resident set is
+        #: disjoint from ours get no queue at all.  Their entries are
+        #: skipped in :meth:`_deps_satisfied`, so this DC never stalls
+        #: waiting for a stream that will never arrive.
         self.queues: dict[int, deque[Update]] = {
             k: deque() for k in range(n_dcs)
-            if k != dc_id and (placement is None
-                               or placement.overlaps(k, dc_id))
+            if k != dc_id and placement.overlaps(k, dc_id)
         }
+        #: the partition indices this DC stores
+        self._stored = frozenset(placement.resident_partitions(dc_id))
         self.site_time = [0] * n_dcs
         # Dedup uses the full (ts, partition, seq) order key: concurrent
         # updates from different partitions may legally share a timestamp.
@@ -184,7 +184,8 @@ class Receiver(Process):
         # never be read at this DC, so nothing here may depend on it being
         # visible locally) — while still advancing SiteTime so ops that
         # name it as a cross-DC dependency do not stall.
-        while queue and not self._resident(queue[0]):
+        stored = self._stored
+        while queue and queue[0].partition_index not in stored:
             self._advance_site_time(k, queue.popleft())
             self.skipped_nonresident += 1
             skipped = True
@@ -200,11 +201,6 @@ class Receiver(Process):
         self.send(self.partitions[self.ring.partition_for(update.key)],
                   ApplyRemote(update))
         return skipped
-
-    def _resident(self, update: Update) -> bool:
-        return (self.placement is None
-                or self.placement.is_resident(self.dc_id,
-                                              update.partition_index))
 
     def _advance_site_time(self, k: int, update: Update) -> None:
         # Tie-aware SiteTime advance: updates with equal timestamps are

@@ -54,9 +54,8 @@ class GeoSystemSpec:
     ntp_residual_us: float = 100.0
     #: selects nothing; kept for the frozen perf/ harness ("heap" | "wheel")
     scheduler: str = "heap"
-    #: partial geo-replication: which partition indices each DC stores.
-    #: ``None``/``"full"`` is full replication (bit-identical to the
-    #: pre-placement spine); ``"stride:K"``, an explicit ``"dc0=0,1;..."``
+    #: which partition indices each DC stores.  ``None``/``"full"`` is
+    #: full replication; ``"stride:K"``, an explicit ``"dc0=0,1;..."``
     #: string, a ``{dc: indices}`` dict, or a
     #: :class:`~repro.core.placement.PlacementMap` select partial shapes
     #: with client forwarding to the nearest resident DC.
@@ -70,11 +69,11 @@ class GeoSystemSpec:
     def topology(self) -> RttMatrix:
         return self.rtt if self.rtt is not None else paper_topology(self.n_dcs)
 
-    def placement_map(self) -> Optional[PlacementMap]:
-        """The normalized placement, or None for full replication."""
-        pmap = PlacementMap.from_spec(self.n_dcs, self.partitions_per_dc,
+    def placement_map(self) -> PlacementMap:
+        """The normalized placement (:meth:`PlacementMap.full` for full
+        replication)."""
+        return PlacementMap.from_spec(self.n_dcs, self.partitions_per_dc,
                                       self.placement)
-        return None if pmap.is_full() else pmap
 
 
 class GeoSystem:
@@ -83,14 +82,14 @@ class GeoSystem:
     def __init__(self, env: Environment, spec: GeoSystemSpec,
                  metrics: MetricsHub, datacenters: Sequence,
                  clients: Sequence[SessionClient], protocol: str,
-                 ntp=None, placement: Optional[PlacementMap] = None):
+                 placement: PlacementMap, ntp=None):
         self.env = env
         self.spec = spec
         self.metrics = metrics
         self.datacenters = list(datacenters)
         self.clients = list(clients)
         self.protocol = protocol
-        #: normalized placement map (None = full replication)
+        #: the normalized placement map
         self.placement = placement
         #: observability handle, set by :meth:`observe` (None = unobserved)
         self.obs = None
@@ -185,12 +184,8 @@ class GeoSystem:
 
     def converged(self) -> bool:
         """True iff every partition's resident DCs hold identical data
-        (call after quiesce).  Under full replication this is the classic
-        whole-DC fingerprint comparison; under a partial placement each
-        partition is compared only across the DCs that store it."""
-        if self.placement is None:
-            prints = {dc.fingerprint() for dc in self.datacenters}
-            return len(prints) == 1
+        (call after quiesce): each partition is compared across the DCs
+        that store it (all of them under full replication)."""
         for index in range(self.placement.n_partitions):
             prints = {
                 self.datacenters[dc].partitions[index].datastore().fingerprint()
@@ -253,18 +248,16 @@ def build_geo_system(protocol: Union[str, ProtocolSpec],
     n_entries = proto.client_entries(spec.n_dcs)
     clients = []
     for dc in datacenters:
-        if pmap is None:
-            routing = dc.partitions
-        else:
-            # Read/write forwarding: a non-resident index routes to the
-            # nearest resident DC's same-index partition over the normal
-            # client lanes; the reply's vector metadata merges into the
-            # session clock exactly as for a local operation.
-            routing = [
-                datacenters[pmap.nearest_resident(dc.dc_id, index,
-                                                  topo)].partitions[index]
-                for index in range(spec.partitions_per_dc)
-            ]
+        # Read/write forwarding: a non-resident index routes to the
+        # nearest resident DC's same-index partition over the normal
+        # client lanes; the reply's vector metadata merges into the
+        # session clock exactly as for a local operation.  A resident
+        # index routes home.
+        routing = [
+            datacenters[pmap.nearest_resident(dc.dc_id, index,
+                                              topo)].partitions[index]
+            for index in range(spec.partitions_per_dc)
+        ]
         for c in range(spec.clients_per_dc):
             clients.append(SessionClient(
                 env, f"dc{dc.dc_id}/client{c}", dc.dc_id,
@@ -274,4 +267,4 @@ def build_geo_system(protocol: Union[str, ProtocolSpec],
                 history=history, retry_timeout=spec.client_retry,
             ))
     return GeoSystem(env, spec, metrics, datacenters, clients,
-                     protocol=proto.name, ntp=ntp, placement=pmap)
+                     protocol=proto.name, placement=pmap, ntp=ntp)

@@ -2,7 +2,8 @@
 
 The paper evaluates protocols on a healthy testbed; this module asks the
 complementary question — *do the implementations keep their promises under
-faults?* — using two oracles:
+faults?* — using two oracles (plus, on every case, the placement-routing
+check that each op was served by a DC storing its partition):
 
 1. the **causal checker** (:mod:`repro.checker`): every recorded session
    must satisfy the causal session guarantees, and every read must return
@@ -45,6 +46,7 @@ from typing import Optional
 
 from ..checker import CausalChecker, SessionHistory
 from ..core.config import EunomiaConfig
+from ..core.placement import PlacementMap
 from ..geo.system import GeoSystemSpec, build_geo_system
 from ..workload.generator import WorkloadSpec
 from .loadgen import build_eunomia_rig
@@ -112,8 +114,8 @@ _DRAIN = 3.0            # generous: covers re-election + retry backoff caps
 #: ``region_outage`` fault class is gated on.  Partial-placement runs get
 #: client retries: forwarded sessions would otherwise stall forever when
 #: their remote target crashes.
-CHAOS_PLACEMENTS: dict[str, Optional[str]] = {
-    "full": None,
+CHAOS_PLACEMENTS: dict[str, str] = {
+    "full": "full",
     "island": "dc0=0,1;dc1=0,1;dc2=2,3",
 }
 _CLIENT_RETRY = 0.25    # > any RTT + backoff; << the post-heal drain
@@ -195,17 +197,12 @@ def sample_schedule(protocol: str, seed: int,
     if protocol not in _MENU:
         raise ValueError(f"no chaos menu for protocol {protocol!r}; "
                          f"known: {sorted(_MENU)}")
-    placement_spec = CHAOS_PLACEMENTS[placement]
     menu = _MENU[protocol]
-    islands: tuple = ()
-    if placement_spec is not None:
-        from ..core.placement import PlacementMap
-
-        islands = PlacementMap.from_spec(
-            _SPEC["n_dcs"], _SPEC["partitions_per_dc"],
-            placement_spec).island_dcs()
-        if islands:
-            menu = menu + ("region_outage",)
+    islands = PlacementMap.from_spec(
+        _SPEC["n_dcs"], _SPEC["partitions_per_dc"],
+        CHAOS_PLACEMENTS[placement]).island_dcs()
+    if islands:
+        menu = menu + ("region_outage",)
     # str hash is process-randomized; use a stable digest so a (protocol,
     # seed) pair names the same schedule in every interpreter
     tag = zlib.crc32(protocol.encode())
@@ -330,8 +327,7 @@ def apply_schedule(system, schedule: ChaosSchedule) -> None:
         dc = system.datacenters[event.params.get("dc", 0)
                                 % len(system.datacenters)]
         if event.cls == "region_outage":
-            if system.placement is None or dc.dc_id not in \
-                    system.placement.island_dcs():
+            if dc.dc_id not in system.placement.island_dcs():
                 raise ValueError(
                     f"region_outage targets dc{dc.dc_id}, which is not an "
                     f"island of the placement — a replicated region's "
@@ -421,9 +417,8 @@ def run_case(schedule: ChaosSchedule, observe: bool = True) -> CaseResult:
     """
     history = SessionHistory()
     spec_kwargs = dict(_SPEC)
-    placement_spec = CHAOS_PLACEMENTS[schedule.placement]
-    if placement_spec is not None:
-        spec_kwargs["placement"] = placement_spec
+    spec_kwargs["placement"] = CHAOS_PLACEMENTS[schedule.placement]
+    if schedule.placement != "full":
         spec_kwargs["client_retry"] = _CLIENT_RETRY
     if schedule.clock_mode == "physical":
         spec_kwargs["ntp_residual_us"] = _PHYSICAL_RESIDUAL_US
@@ -448,11 +443,10 @@ def run_case(schedule: ChaosSchedule, observe: bool = True) -> CaseResult:
     pairs = checker.check_write_read_pairs()
     if pairs:
         failures.append(f"write/read pair violations: {pairs[:3]}")
-    if system.placement is not None:
-        routing = checker.check_placement_routing(
-            system.placement, system.datacenters[0].ring)
-        if routing:
-            failures.append(f"placement routing violations: {routing[:3]}")
+    routing = checker.check_placement_routing(
+        system.placement, system.datacenters[0].ring)
+    if routing:
+        failures.append(f"placement routing violations: {routing[:3]}")
     if not system.converged():
         failures.append("datacenters did not converge after heal + drain")
     throughput = system.total_throughput()

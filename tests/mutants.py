@@ -25,11 +25,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
-from repro.baselines.gst import GstPartition
+from repro.baselines.gst import GentleRainPartition, GstPartition
 from repro.clocks.physical import PhysicalClock
 from repro.core.replica import ReplicaGroup
 from repro.core.service import StabilizerBase
+from repro.core.shard import ShardCoordinator
 from repro.core.uplink import EunomiaUplink
+from repro.geo.datacenter import EunomiaProtocol
 from repro.geo.receiver import Receiver
 from repro.sim.loop import EventLoop, Fifo
 from repro.sim.process import Process
@@ -185,4 +187,25 @@ MUTANTS = {m.name: m for m in (
     # and an amnesia crash in that window loses them.
     Mutant("checkpoint_above_shipped_floor", StabilizerBase, "_durable_floor",
            "return self.shipped_stable", "return self.stable_time"),
+    # The placement-aware cut includes an origin whose resident set is
+    # disjoint from this DC's: no stream ever arrives from it, so a remote
+    # update that names it as a dependency waits in the receiver forever.
+    Mutant("receiver_queues_disjoint_origin", Receiver, "__init__",
+           " and placement.overlaps(k, dc_id)", ""),
+    # The site's stabilizer stack is not told about its first resident
+    # partition: StableTime runs ahead of that partition's PartitionTime,
+    # and its ops arrive below a cut that was already shipped (Alg. 3 l.8).
+    Mutant("stack_cut_omits_resident_partition", EunomiaProtocol,
+           "build_site", "indices=stored,", "indices=stored[1:],"),
+    # A GentleRain partition leaves its first tracked origin out of the
+    # GST minimum: the GST passes what that origin has shipped, and an
+    # update becomes visible before one it depends on.
+    Mutant("gst_summary_drops_origin", GentleRainPartition, "_local_summary",
+           "for d in self.tracked]", "for d in self.tracked[1:]]"),
+    # The leader gossips each shard's own floor, not its floor capped at
+    # the StableTime it released: followers prune ops the leader popped
+    # but has not shipped yet, and a leader crash in that window loses
+    # them (the prefix property, Alg. 4 l.13–15).
+    Mutant("prune_above_shipped_floor", ShardCoordinator, "_prune_floors",
+           "min(s, released)", "s"),
 )}

@@ -1,6 +1,7 @@
 """End-to-end EunomiaKV integration tests: the full 3-DC deployment."""
 
 import pytest
+from mutants import MUTANTS
 
 from repro.checker import CausalChecker, SessionHistory
 from repro.core import EunomiaConfig
@@ -39,6 +40,15 @@ def test_convergence_and_causality():
     assert checker.check() == []
     assert checker.check_write_read_pairs() == []
     assert ops_refused(system) == (0, 0)
+
+
+def test_the_convergence_test_kills_a_stack_cut_that_omits_a_partition():
+    """The site's stable cut spans every resident partition: one left out
+    lets StableTime run past its PartitionTime, so its later ops arrive
+    below a cut already shipped and never reach the other sites."""
+    with MUTANTS["stack_cut_omits_resident_partition"].applied():
+        with pytest.raises(AssertionError):
+            test_convergence_and_causality()
 
 
 def test_visibility_within_paper_band():

@@ -4,6 +4,8 @@ import pytest
 
 from repro.calibration import Calibration
 from repro.core import EunomiaConfig
+from repro.core.placement import PlacementMap
+from repro.core.protocols import get_protocol
 from repro.geo.datacenter import Datacenter
 from repro.geo.system import GeoSystem, GeoSystemSpec, build_geo_system
 from repro.kvstore.ring import ConsistentHashRing
@@ -27,6 +29,15 @@ class TestSpec:
         assert isinstance(GeoSystemSpec().calibration, Calibration)
 
 
+def eunomia_site(env, dc_id, ring, config, metrics=None):
+    """One EunomiaKV site of a fully replicated 2-DC x 2-partition world,
+    built the way :func:`build_geo_system` builds it."""
+    protocol = get_protocol("eunomia")
+    return Datacenter(env, dc_id, 2, 2, ring, protocol=protocol,
+                      options=protocol.prepare(None, {"config": config}),
+                      placement=PlacementMap.full(2, 2), metrics=metrics)
+
+
 class TestDatacenterAssembly:
     @pytest.fixture
     def dc_pair(self):
@@ -35,7 +46,7 @@ class TestDatacenterAssembly:
         ring = ConsistentHashRing(2)
         config = EunomiaConfig()
         metrics = MetricsHub()
-        dcs = [Datacenter(env, i, 2, 2, ring, config, metrics=metrics)
+        dcs = [eunomia_site(env, i, ring, config, metrics=metrics)
                for i in range(2)]
         return env, dcs
 
@@ -61,7 +72,7 @@ class TestDatacenterAssembly:
         env = Environment(seed=3)
         Network(env, ConstantLatency(0.0001))
         config = EunomiaConfig(fault_tolerant=True, n_replicas=3)
-        dc = Datacenter(env, 0, 2, 2, ConsistentHashRing(2), config)
+        dc = eunomia_site(env, 0, ConsistentHashRing(2), config)
         assert len(dc.heads) == 3
         assert dc.heads[0].peers == dc.heads[1:]
 
@@ -69,7 +80,7 @@ class TestDatacenterAssembly:
         env = Environment(seed=3)
         Network(env, ConstantLatency(0.0001))
         config = EunomiaConfig(fault_tolerant=True, n_replicas=2)
-        dc = Datacenter(env, 0, 2, 2, ConsistentHashRing(2), config)
+        dc = eunomia_site(env, 0, ConsistentHashRing(2), config)
         dc.start()
         env.run(until=0.1)
         assert dc.leader() is dc.heads[0]

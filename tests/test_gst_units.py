@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mutants import MUTANTS
 
 from repro.baselines.gst import (
     CurePartition,
@@ -96,6 +97,12 @@ class TestGentleRainUnit:
         partition = make_partition(env, GentleRainPartition, metrics=metrics)
         partition.vv = [100, 50, 70]
         assert partition._local_summary() == (50,)
+        # Whichever tracked origin lags bounds the report: a GST above it
+        # would release updates that may depend on that origin's writes
+        # not yet received here.
+        for lagging in range(3):
+            partition.vv = [30 if d == lagging else 100 for d in range(3)]
+            assert partition._local_summary() == (30,), lagging
 
     def test_update_stamp_scalar(self, env, net, metrics):
         partition = make_partition(env, GentleRainPartition, metrics=metrics)
@@ -161,6 +168,14 @@ class TestCureUnit:
         points = metrics.point_series("vis_extra_ms:1->0")
         assert len(points) == 1
         assert points[0][1] == pytest.approx(50.0, abs=5.0)
+
+
+def test_the_summary_min_test_kills_a_gst_that_drops_an_origin(
+        env, net, metrics):
+    with MUTANTS["gst_summary_drops_origin"].applied():
+        with pytest.raises(AssertionError):
+            TestGentleRainUnit().test_local_summary_is_min_of_vv(
+                env, net, metrics)
 
 
 class TestAggregation:

@@ -2,10 +2,11 @@
 
 Three layers of guarantees, each tested here:
 
-1. **Full placement is bit-for-bit the old spine.**  ``placement="full"``
-   must reproduce every protocol's pre-placement golden digest exactly —
-   the placement map, forwarding tables, and placement-aware stable cut
-   are provably inert until a partial shape is requested.
+1. **Full replication is one more map.**  A default spec carries
+   :meth:`PlacementMap.full` through the system and every site, so full
+   deployments run the same placement-aware wiring, forwarding tables
+   and stable cut as partial ones; ``placement="full"`` must still
+   reproduce every protocol's golden digest exactly.
 2. **Restriction equivalence.**  A partial deployment's stable output is
    the full deployment's output *restricted* to the partitions it stores:
    same ops, same (ts, origin, seq) order, nothing extra, nothing
@@ -27,6 +28,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mutants import MUTANTS
 
 from repro.calibration import Calibration
 from repro.checker import CausalChecker, SessionHistory
@@ -69,7 +71,8 @@ SPARSE = "stride:1"
 class TestPlacementMap:
     def test_full_is_canonical_and_inert(self):
         pmap = PlacementMap.full(3, 4)
-        assert pmap.is_full()
+        assert all(pmap.resident_partitions(dc) == (0, 1, 2, 3)
+                   for dc in range(3))
         assert PlacementMap.from_spec(3, 4, None) == pmap
         assert PlacementMap.from_spec(3, 4, "full") == pmap
         assert pmap.island_dcs() == ()
@@ -113,10 +116,22 @@ def test_policy_knob_names_are_exported():
 
 
 # ----------------------------------------------------------------------
-# Layer 1: placement="full" is bit-for-bit the pre-placement spine
+# Layer 1: full replication takes the placement path
 # ----------------------------------------------------------------------
 def test_every_registered_protocol_has_a_golden():
     assert set(available_protocols()) == {g["protocol"] for g in GOLDENS}
+
+
+def test_default_spec_carries_the_full_map_to_every_site():
+    """One spine path: no protocol's full deployment runs without a map."""
+    spec = GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=1)
+    full = PlacementMap.full(3, 4)
+    for protocol in available_protocols():
+        system = build_geo_system(protocol, spec, WorkloadSpec())
+        assert system.placement == full, protocol
+        for dc in system.datacenters:
+            assert dc.placement is system.placement, protocol
+            assert dc.site.placement is system.placement, protocol
 
 
 @pytest.mark.parametrize(
@@ -280,7 +295,7 @@ def test_gst_tracked_cut_restricts_and_does_not_stall():
     partition installs from the origins that exist — and does so without
     dc1's heartbeats, while the untracked-and-silent origin pins the
     *full* partition's GST at zero forever (the stall the cut removes)."""
-    full = drive_gst_partition(tracked=None, origin1_present=True)
+    full = drive_gst_partition(tracked=(0, 1, 2), origin1_present=True)
     partial = drive_gst_partition(tracked=(0, 2), origin1_present=False)
     assert full.installed, "full run installed nothing - harness broken"
     assert partial.installed == full.installed
@@ -288,7 +303,7 @@ def test_gst_tracked_cut_restricts_and_does_not_stall():
     assert partial.pending_count() == 0
     # and the counterfactual: without the tracked cut, the silent origin
     # stalls visibility forever
-    stalled = drive_gst_partition(tracked=None, origin1_present=False)
+    stalled = drive_gst_partition(tracked=(0, 1, 2), origin1_present=False)
     assert stalled.installed == []
     assert stalled.pending_count() == 3
 
@@ -444,3 +459,13 @@ def test_zero_overlap_origins_do_not_stall(protocol, options):
                 assert part.summary[0] > 0, (
                     f"dc{dc.dc_id}/p{part.index} stable summary never "
                     f"advanced - zero-overlap stall")
+
+
+def test_the_zero_overlap_test_kills_a_receiver_queueing_disjoint_origins():
+    """One origin too many in the receiver's cut: a mainland update whose
+    session read at the island names it as a dependency, and waits for an
+    island stream that never comes."""
+    with MUTANTS["receiver_queues_disjoint_origin"].applied():
+        with pytest.raises(AssertionError):
+            test_zero_overlap_origins_do_not_stall(
+                "eunomia", {"config": EunomiaConfig(n_shards=2)})

@@ -10,6 +10,7 @@ from mutants import MUTANTS
 from repro.checker import CausalChecker, SessionHistory
 from repro.core.config import EunomiaConfig
 from repro.core.messages import ApplyRemote, ApplyRemoteOk, RemoteStableBatch
+from repro.core.placement import PlacementMap
 from repro.geo import receiver as receiver_module
 from repro.geo.receiver import Receiver
 from repro.geo.system import GeoSystemSpec, build_geo_system
@@ -46,7 +47,8 @@ def rig(env, metrics):
 
 def _rig(env, metrics):
     Network(env, ConstantLatency(0.0001))
-    receiver = Receiver(env, "recv", dc_id=0, n_dcs=3, metrics=metrics)
+    receiver = Receiver(env, "recv", dc_id=0, n_dcs=3,
+                        placement=PlacementMap.full(3, 2), metrics=metrics)
     log = []
     partitions = [RecordingPartition(env, f"p{i}", log) for i in range(2)]
     receiver.set_partitions(ConsistentHashRing(2), partitions)
@@ -240,7 +242,8 @@ def test_reshipped_streams_drain_in_stream_order(plan):
     log: list[tuple] = []
     partitions = [RecordingPartition(env, f"p{i}", log) for i in range(2)]
     origins = {k: Process(env, f"origin{k}") for k in schedule}
-    receiver = Receiver(env, "r0", dc_id=0, n_dcs=3)
+    receiver = Receiver(env, "r0", dc_id=0, n_dcs=3,
+                        placement=PlacementMap.full(3, 2))
     receiver.set_partitions(ConsistentHashRing(2), partitions)
     with pytest.MonkeyPatch.context() as patch:
         # a coarser CHECK_PENDING period than the deployed ρ

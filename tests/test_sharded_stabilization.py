@@ -15,6 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mutants import MUTANTS
 
 from repro.calibration import Calibration
 from repro.checker import CausalChecker, SessionHistory
@@ -108,21 +109,21 @@ class AckFeeder(Process):
 # ----------------------------------------------------------------------
 class TestShardAssignment:
     def test_stride_policy_round_robins(self):
-        m = ShardMap(8, 4)
+        m = ShardMap(range(8), 4)
         assert [m.shard_of(p) for p in range(8)] == [0, 1, 2, 3, 0, 1, 2, 3]
         assert m.owned_by(1) == [1, 5]
 
     def test_every_shard_owns_something(self):
         for n_parts in (2, 3, 8, 13):
             for k in range(1, n_parts + 1):
-                m = ShardMap(n_parts, k)
+                m = ShardMap(range(n_parts), k)
                 assert all(m.owned_by(s) for s in range(k))
                 assert sorted(sum((m.owned_by(s) for s in range(k)), [])) \
                     == list(range(n_parts))
 
     def test_more_shards_than_partitions_rejected(self):
         with pytest.raises(ValueError, match="some shards would track no"):
-            ShardMap(2, 4)
+            ShardMap(range(2), 4)
 
     def test_zero_shards_rejected_by_config(self):
         with pytest.raises(ValueError, match="at least one Eunomia shard"):
@@ -159,7 +160,7 @@ def run_stabilization(ts_by_partition, n_shards, batch_size=3):
         service.start()
         targets = {p: service for p in range(n_parts)}
     else:
-        shard_map = ShardMap(n_parts, n_shards)
+        shard_map = ShardMap(range(n_parts), n_shards)
         coordinator = ShardCoordinator(env, "coord", 0, n_shards, config)
         coordinator.add_destination(sink)
         targets = {}
@@ -510,6 +511,11 @@ class TestReplicatedSharding:
         assert fshards[0].buffer.min_ts() == 80
         assert fshards[0].stable_time == 50
         assert follower.stable_time == 50
+
+    def test_the_prune_cap_test_kills_a_prune_above_the_shipped_floor(self):
+        with MUTANTS["prune_above_shipped_floor"].applied():
+            with pytest.raises(AssertionError):
+                self.test_prune_floor_capped_at_shipped_stable_time()
 
 
 # ----------------------------------------------------------------------
