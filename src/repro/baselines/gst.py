@@ -44,10 +44,16 @@ ordering effect and differs only by that negligible wait (§3.2 of the
 Eunomia paper discusses exactly this trade).
 
 :class:`GstPartition` is the whole machinery over the shared
-:class:`~repro.core.partition.StoragePartition` — the deferred set
-(:class:`_DeferredRuns`), aggregation and re-election, the cost table; :class:`GentleRainPartition` and :class:`CurePartition` add
-only what differs between a scalar and a vector cut (the stamp, the
-release gate with its per-origin bound, and the summary contribution).
+:class:`~repro.core.partition.StoragePartition` — the deferred set,
+aggregation and re-election, the cost table; :class:`GentleRainPartition`
+and :class:`CurePartition` add only what differs between a scalar and a
+vector cut (the stamp, the release gate with its per-origin bound, and the
+summary contribution).  The deferred set is the repository's one deferral
+structure, a :class:`~repro.datastruct.runbuffer.RunBuffer`: one run per
+origin DC of ``(ts, origin, update, arrival)`` entries — each origin's
+updates arrive over one FIFO sibling link with a growing ``ts``
+(Property 2) — drained by its gated per-origin drain, origins in the order
+each first deferred, FIFO within an origin.
 Each is deployed over the shared spine by a :class:`GstProtocol` plugin
 (:mod:`repro.core.protocols`) — the only protocol-specific deployment
 pieces are the partitions themselves and the per-DC aggregator wiring.
@@ -55,8 +61,7 @@ pieces are the partitions themselves and the per-DC aggregator wiring.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Optional
+from typing import Optional
 
 from ..calibration import Calibration
 from ..clocks.physical import PhysicalClock
@@ -69,6 +74,7 @@ from ..core.protocols import (
     SitePlan,
     register_protocol,
 )
+from ..datastruct.runbuffer import RunBuffer
 from ..kvstore.types import Update
 from ..metrics.collector import MetricsHub
 from ..sim.env import Environment
@@ -94,86 +100,6 @@ GST_HEARTBEAT_INTERVAL = 0.010
 #: ``gst_interval=`` option is not given (paper §7.2: 5 ms).  Figure 1
 #: sweeps the option.
 DEFAULT_GST_INTERVAL = 0.005
-
-
-class _DeferredRuns:
-    """The deferred-update set: one FIFO run per origin datacenter.
-
-    A release gate that is a *vector* comparison (Cure: ``vts[d] <= GSV[d]``
-    for every remote ``d``) admits no total order — two deferred updates
-    can each be blocked by a different entry, so no single priority admits
-    pop-until-blocked.  Per-origin runs work for it, and for the scalar
-    gate as the special case, on two facts:
-
-    1. Updates from origin ``k`` arrive over one FIFO link (the same-index
-       sibling partition) with a strictly increasing own entry ``ts``
-       (hybrid-clock Property 2), so appending keeps each run sorted by it
-       — O(1) ingestion, and :meth:`add` *checks* the contract instead of
-       silently corrupting the order.
-    2. Every gate includes the origin's own entry, so an update with
-       ``ts`` above the origin's bound is unreleasable *regardless of its
-       other entries*.  Scanning only each run's prefix under the bound
-       can therefore never miss a releasable update; the suffix is
-       untouched.
-
-    Within that covered prefix an update may still be blocked by *another*
-    entry (never under the scalar gate, whose bound is the whole gate);
-    blocked items are put back at the head in their original relative
-    order, which preserves fact 1's sortedness.  A round costs O(covered
-    prefixes), not O(whole set), and installs stay deterministic: origins
-    in dict insertion order — the order each origin first deferred, itself
-    deterministic under the simulator — FIFO within an origin.
-    """
-
-    __slots__ = ("_runs", "_tail", "_size")
-
-    def __init__(self) -> None:
-        #: origin dc -> deque[(update, arrival)], own-entry ascending
-        self._runs: dict[int, deque] = {}
-        #: origin dc -> largest own entry ever deferred (survives drains)
-        self._tail: dict[int, int] = {}
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def add(self, update: Update, arrival: float) -> None:
-        """Append to the origin's run.  O(1); raises ``ValueError`` when
-        the origin's own entry does not grow (a FIFO/Property 2 violation
-        upstream, which would break fact 1 for every later release)."""
-        origin, ts = update.origin_dc, update.ts
-        last = self._tail.get(origin)
-        if last is not None and last >= ts:
-            raise ValueError(
-                f"non-monotone insert for origin {origin}: ts={ts} does not "
-                f"exceed the run tail ts={last} — FIFO/Property 2 violated "
-                f"upstream")
-        self._tail[origin] = ts
-        run = self._runs.get(origin)
-        if run is None:
-            run = self._runs[origin] = deque()
-        run.append((update, arrival))
-        self._size += 1
-
-    def pop_releasable(self, bound: Callable[[int], int],
-                       releasable: Callable[[Update], bool]) -> list:
-        """Remove and return every releasable ``(update, arrival)``, in
-        per-origin FIFO order.  ``bound(origin)`` caps the origin's own
-        entry; blocked items of the covered prefix stay queued."""
-        released = []
-        for origin, run in self._runs.items():
-            limit = bound(origin)
-            blocked = []
-            while run and run[0][0].ts <= limit:
-                item = run.popleft()
-                if releasable(item[0]):
-                    released.append(item)
-                else:
-                    blocked.append(item)
-            if blocked:
-                run.extendleft(reversed(blocked))
-        self._size -= len(released)
-        return released
 
 
 class GstPartition(StoragePartition):
@@ -224,9 +150,8 @@ class GstPartition(StoragePartition):
         self.vv = [0] * n_dcs                  # VV[d]: max ts seen from dc d
         self.summary = (0,) * self.summary_width  # GST (w=1) / GSV (w=M)
         self.aggregator: Optional[Process] = None
-        #: every partition knows the DC roster now (re-election needs it);
-        #: empty for bare partitions wired by hand in unit tests.  Under a
-        #: partial placement the roster holds only the DC's *resident*
+        #: every resident partition knows the DC roster, wired by the site
+        #: (re-election needs it).  It holds only the DC's *resident*
         #: partitions, and ``roster_pos`` is this partition's position in
         #: it (== ``index`` under full replication) — all aggregator
         #: bookkeeping (views, report keys, broadcast senders) runs on
@@ -245,7 +170,8 @@ class GstPartition(StoragePartition):
         self._tenure_start = 0.0                    # when we last took office
         self._aggregate_task = None
         self.aggregator_failovers = 0
-        self._pending = _DeferredRuns()
+        #: the deferred set: origin dc -> (ts, origin, update, arrival)
+        self._pending = RunBuffer()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -334,14 +260,16 @@ class GstPartition(StoragePartition):
 
     def _defer(self, update: Update, arrival: float) -> None:
         """Queue an update whose visibility the summary does not yet cover."""
-        self._pending.add(update, arrival)
+        self._pending.add(update.ts, update.origin_dc, update, arrival)
 
     def _release_ready(self) -> None:
         """Install every deferred update the new summary covers.  Installs
         are summary-gated, never store-gated, so draining after the pop is
         order-identical to interleaved per-update installs."""
-        self._install(self._pending.pop_releasable(self._covered_bound,
-                                                   self._releasable))
+        releasable = self._releasable
+        released = self._pending.pop_releasable(
+            self._covered_bound, lambda entry: releasable(entry[2]))
+        self._install([entry[2:] for entry in released])
 
     # ------------------------------------------------------------------
     # Stabilization rounds
@@ -369,11 +297,8 @@ class GstPartition(StoragePartition):
         # advance the view round-robin.  Every partition advances from the
         # same view, so they converge on the same successor; if that one is
         # dead too, the next timeout advances again (recovery is bounded by
-        # roster_size × timeout).  Bare unit-test partitions (no roster)
-        # keep the historical static wiring.
-        if (self.local_partitions
-                and self.now - self._last_broadcast_seen
-                > self._aggregator_timeout()):
+        # roster_size × timeout).
+        if self.now - self._last_broadcast_seen > self._aggregator_timeout():
             self._advance_aggregator()
         self.vv[self.dc_id] = max(self.vv[self.dc_id], self.clock.read_us())
         self.send(self.aggregator,
@@ -402,13 +327,10 @@ class GstPartition(StoragePartition):
         now = self.now
         timeout = self._aggregator_timeout()
         values = []
-        for i in range(max(len(self.local_partitions), len(self._reports))):
+        for i in range(len(self.local_partitions)):
             value = self._reports.get(i)
-            seen = self._report_seen.get(i)
-            if value is not None and (seen is None or now - seen <= timeout):
-                # Fresh report (reports planted directly by tests carry no
-                # freshness stamp and count as fresh).
-                values.append(value)
+            if value is not None and now - self._report_seen[i] <= timeout:
+                values.append(value)            # a fresh report
             elif value is None and now - self._tenure_start <= timeout:
                 # Never reported, but this aggregator is newly in office:
                 # wait the full grace before aggregating without it — on a
@@ -429,7 +351,7 @@ class GstPartition(StoragePartition):
         cpu = self._lanes["cpu"]
         cpu.busy = max(now, cpu.busy) + self._round_cost
         self._last_broadcast_seen = now
-        if msg.sender != self.aggregator_view and self.local_partitions:
+        if msg.sender != self.aggregator_view:
             # Someone else is aggregating.  Ω-style min-index tie-break: a
             # partition that is itself aggregating stands down only for a
             # lower-index sender (so a recovered index-0 aggregator retakes

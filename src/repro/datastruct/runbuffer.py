@@ -1,65 +1,63 @@
-"""Run-aware unstable-op buffer: O(1) monotone ingestion, one-sort drain.
+"""Per-origin monotone runs: the one deferral structure of every release gate.
 
-The paper's implementation (§6) keeps the unstable set in a balanced tree so
-that FIND_STABLE is an ordered prefix scan — paying a pointer-chasing
-O(log n) insert for *every* operation.  But Algorithm 3's own invariant makes
-that general-purpose structure unnecessary: FIFO links plus Property 2
-guarantee each partition's operations reach the stabilizer in strictly
-increasing timestamp order, and :meth:`StabilizerBase.on_add_op_batch`
-enforces exactly that via ``PartitionTime`` (duplicates and regressions never
-reach the buffer).  Global-stabilization systems exploit the same
-monotonicity to replace per-op structure maintenance with cheap per-source
-cursors merged at read time (Xiang & Vaidya's global stabilization; Okapi's
-coarse stable-time metadata).
+The paper's design rests on one mechanism: per-origin streams that are
+monotone by construction, held until a cut covers them.  Global-
+stabilization systems exploit the same monotonicity to replace per-op
+structure maintenance with cheap per-source cursors merged at read time
+(Xiang & Vaidya's global stabilization; Okapi's coarse stable-time
+metadata).  :class:`RunBuffer` is that structure, and every gate in the
+repository holds one:
 
-:class:`RunBuffer` realizes that design:
+* the stabilizer's unstable set (Alg. 3), drained by the **sorted cut**
+  :meth:`RunBuffer.pop_stable` / :meth:`RunBuffer.drop_stable`;
+* the GentleRain/Cure deferred set (:mod:`repro.baselines.gst`), drained
+  by the **gated per-origin drain** :meth:`RunBuffer.pop_releasable`;
+* the receiver's per-origin queues (Alg. 5, :mod:`repro.geo.receiver`),
+  drained one **head** at a time (:meth:`RunBuffer.head` /
+  :meth:`RunBuffer.pop_head`).
 
-* one append-only **run** per origin partition — a ``deque`` of
-  ``(ts, origin, seq, op)`` entries, sorted by construction because each
-  origin's timestamps only ever grow;
-* ``add()`` is an O(1) amortized append (plus a tail comparison that
-  *checks* the monotonicity contract instead of silently corrupting order);
-* ``min_ts()`` is a min over the run heads — O(#active origins), taken once
-  per stabilization round rather than maintained on every insert;
-* ``pop_stable()`` concatenates each run's stable prefix and sorts the
-  result once under the same ``(ts, origin, seq)`` total order the
-  red–black tree produces, so the emitted stable serialization is
-  op-for-op identical to :class:`TreeOpBuffer`'s (the property tests in
-  ``tests/test_runbuffer.py`` prove this, and that it equals a k-way
-  ``heapq.merge`` of the prefixes);
-* ``drop_stable()`` prunes the stable prefix in place without materializing
-  it — the follower-replica fast path (Alg. 4 lines 13–15).
+An entry is a tuple whose ``entry[0]`` is its run's strictly increasing
+key and whose ``entry[1]`` is the run's origin; the rest is the caller's.
+The stabilizer and the GST key by the int ``ts`` — FIFO links plus
+Property 2 make each origin's timestamps grow.  The receiver keys by
+``Update.order_key()``, because its stream carries cross-partition ``ts``
+ties.  One validation loop (:meth:`RunBuffer.extend_run`) *checks* that
+contract instead of silently corrupting the order, and the per-origin
+tail it keeps is the receiver's duplicate watermark.
 
-Entries are plain tuples whose first three fields *are* the ordering key, so
-the sort runs entirely on CPython's C tuple comparison — no key callable —
-and its run detection merges the already-sorted prefixes in C, several
-times faster than a Python-level ``heapq.merge`` generator at the §7.1
-rig's 75 origins.  Keys are unique (origins partition the runs; within a
-run ``(ts, seq)`` is strictly increasing), hence comparisons never reach the
-non-orderable ``op`` payload in the fourth slot, and the sorted order is
-the merge order.
+The stabilizer's entries are ``(ts, origin, seq, op)``: the first three
+fields *are* the §6 tree's ``(ts, origin, seq)`` ordering key, so
+:meth:`pop_stable`'s one sort runs entirely on CPython's C tuple
+comparison, and its run detection merges the already-sorted prefixes in C,
+several times faster than a Python-level ``heapq.merge`` at the §7.1 rig's
+75 origins.  Keys are unique (origins partition the runs; within a run
+``(ts, seq)`` is strictly increasing), so comparisons never reach the
+non-orderable ``op`` payload, and the stable serialization is op-for-op
+identical to :class:`~repro.datastruct.rbtree.TreeOpBuffer`'s (the property
+tests in ``tests/test_runbuffer.py`` prove this, and that it equals a
+k-way ``heapq.merge`` of the prefixes).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 __all__ = ["RunBuffer"]
 
 
 class RunBuffer:
-    """Per-origin monotone runs with sorted prefix extraction."""
+    """Per-origin monotone runs with three drains."""
 
     __slots__ = ("_runs", "_tail", "_size", "total_added")
 
     def __init__(self) -> None:
-        #: origin partition id -> deque[(ts, origin, seq, op)], ascending
-        self._runs: dict[int, deque] = {}
-        #: origin -> largest ts ever added; survives drains, so the
+        #: origin -> deque of entries, key-ascending; in first-add order
+        self._runs: dict[Any, deque] = {}
+        #: origin -> largest key ever added; survives drains, so the
         #: monotonicity contract is enforced across the buffer's lifetime
         #: (matching PartitionTime, which also never regresses)
-        self._tail: dict[int, int] = {}
+        self._tail: dict[Any, Any] = {}
         self._size = 0
         self.total_added = 0
 
@@ -72,57 +70,38 @@ class RunBuffer:
     # ------------------------------------------------------------------
     # Ingestion (the hot path)
     # ------------------------------------------------------------------
-    def add(self, ts: int, origin: int, seq: int, op: Any) -> None:
-        """Append ``op`` to its origin's run.  O(1) amortized.
-
-        Raises ``ValueError`` when ``(ts, seq)`` does not extend the run —
-        an out-of-order same-origin insert would silently break the sorted-
-        run invariant every other operation relies on, so it fails loudly
-        instead (the stabilizer's ``PartitionTime`` dedup makes this
-        unreachable in the protocol; hitting it means a FIFO/Property-2
-        violation upstream).
-        """
-        tail = self._tail
-        last = tail.get(origin)
-        if last is not None and last >= ts:
-            raise ValueError(
-                f"non-monotone insert for origin {origin}: "
-                f"ts={ts} does not exceed the run tail ts={last} "
-                f"— FIFO/Property 2 violated upstream"
-            )
-        tail[origin] = ts
-        run = self._runs.get(origin)
-        if run is None:
-            run = self._runs[origin] = deque()
-        run.append((ts, origin, seq, op))
-        self._size += 1
-        self.total_added += 1
+    def add(self, *entry: Any) -> None:
+        """Append one entry ``(key, origin, ...)``: :meth:`extend_run` of
+        one."""
+        self.extend_run([entry])
 
     def extend_run(self, entries: list) -> int:
-        """Bulk-append one origin's pre-built run entries.  O(n) total.
+        """Bulk-append one origin's entries, key-ascending.  O(n) total.
 
-        ``entries`` are ``(ts, origin, seq, op)`` tuples, all for the same
-        origin, timestamp-ascending — the above-StableTime slice of the
-        entries :meth:`repro.core.service.StabilizerBase.on_add_op_batch`
-        builds from one frame.  One validation pass checks the same
-        contract :meth:`add` enforces per call (single origin, strictly
-        increasing ts extending the run tail), then the run grows by a
-        single ``deque.extend``.  Returns the number of entries appended.
+        The one validation of the ingestion contract: every entry has the
+        first entry's origin, and keys strictly increase from the run's
+        tail on.  A violation raises ``ValueError`` before anything is
+        appended — an out-of-order same-origin insert would silently break
+        the sorted-run invariant every drain relies on (the gates' dedup
+        makes this unreachable in the protocol; hitting it means a
+        FIFO/Property-2 violation upstream).  Returns the number appended.
         """
         if not entries:
             return 0
         origin = entries[0][1]
-        last = self._tail.get(origin)
-        prev = last if last is not None else -1
-        for entry in entries:
+        rest = iter(entries)
+        prev = self._tail.get(origin)
+        if prev is None:                # a new run: its head extends nothing
+            prev = next(rest)[0]
+        for entry in rest:
             if entry[1] != origin:
                 raise ValueError(
                     f"extend_run entries mix origins {origin} and {entry[1]}"
                 )
             if entry[0] <= prev:
                 raise ValueError(
-                    f"non-monotone extend_run for origin {origin}: "
-                    f"ts={entry[0]} does not exceed ts={prev} "
+                    f"non-monotone insert for origin {origin}: "
+                    f"{entry[0]} does not exceed the run tail {prev} "
                     f"— FIFO/Property 2 violated upstream"
                 )
             prev = entry[0]
@@ -136,6 +115,10 @@ class RunBuffer:
         self.total_added += n
         return n
 
+    def tail(self, origin: Any, default: Any = None) -> Any:
+        """The largest key ever added for ``origin`` (drains keep it)."""
+        return self._tail.get(origin, default)
+
     def contains(self, ts: int, origin: int, seq: int) -> bool:
         """Membership test (diagnostics; O(run length), not a hot path)."""
         run = self._runs.get(origin)
@@ -144,14 +127,11 @@ class RunBuffer:
         return (ts, origin, seq) in ((e[0], e[1], e[2]) for e in run)
 
     # ------------------------------------------------------------------
-    # Stabilization
+    # The sorted cut (the stabilizer, Alg. 3)
     # ------------------------------------------------------------------
     def min_ts(self) -> Optional[int]:
-        """Timestamp of the oldest buffered op, or None when empty.
-
-        A min over the run heads: each run is ascending, so its head is its
-        minimum, and the global minimum is the smallest head.
-        """
+        """Key of the oldest entry, or None when empty: a min over the run
+        heads, each run's minimum."""
         heads = [run[0][0] for run in self._runs.values() if run]
         return min(heads) if heads else None
 
@@ -201,3 +181,52 @@ class RunBuffer:
                 dropped += 1
         self._size -= dropped
         return dropped
+
+    # ------------------------------------------------------------------
+    # The gated per-origin drain (GentleRain / Cure)
+    # ------------------------------------------------------------------
+    def pop_releasable(self, bound: Callable[[Any], Any],
+                       releasable: Callable[[tuple], bool]) -> list:
+        """Remove and return every entry with ``key <= bound(origin)`` that
+        ``releasable(entry)`` admits: origins in first-add order, FIFO
+        within an origin.
+
+        A vector gate (Cure: ``vts[d] <= GSV[d]`` for every remote ``d``)
+        admits no total order — two entries can each be blocked by a
+        different term — but every gate includes the origin's own entry,
+        and ``bound(origin)`` is that term.  An entry above it is refused
+        whatever its other terms, so scanning each run's prefix under the
+        bound never misses one, and a round costs O(covered prefixes).
+        Within that prefix another term may still refuse an entry (never
+        under the scalar gate, whose bound is the whole gate); refused
+        entries go back to the head in their own order, keeping the run
+        sorted.
+        """
+        released = []
+        for origin, run in self._runs.items():
+            limit = bound(origin)
+            blocked = []
+            while run and run[0][0] <= limit:
+                entry = run.popleft()
+                if releasable(entry):
+                    released.append(entry)
+                else:
+                    blocked.append(entry)
+            if blocked:
+                run.extendleft(reversed(blocked))
+        self._size -= len(released)
+        return released
+
+    # ------------------------------------------------------------------
+    # Head peek / pop (the receiver, Alg. 5)
+    # ------------------------------------------------------------------
+    def head(self, origin: Any) -> Optional[tuple]:
+        """The oldest entry of ``origin``'s run, or None when it is empty."""
+        run = self._runs.get(origin)
+        return run[0] if run else None
+
+    def pop_head(self, origin: Any) -> tuple:
+        """Remove and return the oldest entry of ``origin``'s run."""
+        entry = self._runs[origin].popleft()
+        self._size -= 1
+        return entry

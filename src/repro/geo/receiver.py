@@ -19,11 +19,16 @@ the local partition stored it.
 Unlike Algorithm 5's single tail-recursive FLUSH, queues of *different*
 origins progress concurrently (one in-flight release per origin); both
 gating conditions are still enforced, so the applied order is identical to
-some serialization the algorithm could produce.  Duplicate deliveries —
+some serialization the algorithm could produce.  The queues are the
+repository's one deferral structure, a
+:class:`~repro.datastruct.runbuffer.RunBuffer`: one run per origin of
+``(order_key, origin, update)`` entries, drained one head at a time.  The
+key is ``Update.order_key()``, not ``ts``: concurrent updates from
+different partitions may share a timestamp.  Duplicate deliveries —
 possible when a new Eunomia leader re-ships the window between the last
 StableAnnounce and the crash — are filtered as a prefix (one bisection
 of the frame's ops by ``ts``, then a walk over ``op.order_key()`` ties)
-against the last enqueued position per origin.
+against the run's tail, the last order key enqueued from that origin.
 
 Releases are stop-and-wait per origin: one :class:`ApplyRemote` /
 :class:`ApplyRemoteOk` pair per update, so an origin's chain moves one
@@ -43,11 +48,11 @@ docs/ARCHITECTURE.md.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from operator import attrgetter
 from typing import Optional
 
 from ..calibration import Calibration
+from ..datastruct.runbuffer import RunBuffer
 from ..kvstore.ring import ConsistentHashRing
 from ..kvstore.types import Update
 from ..metrics.collector import MetricsHub, NullMetrics
@@ -60,6 +65,8 @@ from ..core.messages import ApplyRemote, ApplyRemoteOk, RemoteStableBatch
 __all__ = ["Receiver"]
 
 _TS = attrgetter("ts")
+#: the duplicate watermark of an origin that has enqueued nothing yet
+_NOTHING_ENQUEUED = (0, -1, -1)
 
 
 class Receiver(Process):
@@ -78,20 +85,18 @@ class Receiver(Process):
         self.dc_id = dc_id
         self.n_dcs = n_dcs
         self.metrics = metrics or NullMetrics()
-        #: the placement-aware stable cut: origins whose resident set is
-        #: disjoint from ours get no queue at all.  Their entries are
-        #: skipped in :meth:`_deps_satisfied`, so this DC never stalls
+        #: the placement-aware stable cut, ascending: origins whose
+        #: resident set is disjoint from ours are left out.  Their entries
+        #: are skipped in :meth:`_deps_satisfied`, so this DC never stalls
         #: waiting for a stream that will never arrive.
-        self.queues: dict[int, deque[Update]] = {
-            k: deque() for k in range(n_dcs)
-            if k != dc_id and placement.overlaps(k, dc_id)
-        }
+        self.origins = tuple(
+            k for k in range(n_dcs)
+            if k != dc_id and placement.overlaps(k, dc_id))
+        #: the per-origin queues: origin -> (order_key, origin, update)
+        self._queued = RunBuffer()
         #: the partition indices this DC stores
         self._stored = frozenset(placement.resident_partitions(dc_id))
         self.site_time = [0] * n_dcs
-        # Dedup uses the full (ts, partition, seq) order key: concurrent
-        # updates from different partitions may legally share a timestamp.
-        self._last_enqueued: list[tuple] = [(0, -1, -1)] * n_dcs
         #: origin -> the one released, not yet acknowledged update
         self._inflight: dict[int, Update] = {}
         #: uids re-released by :meth:`recover`, whose first release may
@@ -138,23 +143,22 @@ class Receiver(Process):
     # ------------------------------------------------------------------
     def on_remote_stable_batch(self, msg: RemoteStableBatch, src: Process) -> None:
         k = msg.origin_dc
-        queue = self.queues[k]
+        queued = self._queued
         # The frame's ops ascend in (ts, partition, seq) serialization
         # order, so at-least-once duplicates (a new leader re-shipping the
         # window between the last StableAnnounce and the crash) form a
-        # *prefix* — found by bisecting ts for the last enqueued position
-        # plus a short walk over the order-key ties, then the accepted
-        # suffix extends the queue wholesale.
+        # *prefix* — found by bisecting ts for the run's tail plus a short
+        # walk over the order-key ties, then the accepted suffix extends
+        # the run wholesale.
         ops = msg.ops
-        last = self._last_enqueued[k]
+        last = queued.tail(k, _NOTHING_ENQUEUED)
         i = bisect_left(ops, last[0], key=_TS)
         n = len(ops)
         while i < n and ops[i].order_key() <= last:
             i += 1
         self.duplicates_dropped += i
         if i < n:
-            self._last_enqueued[k] = ops[-1].order_key()
-            queue.extend(ops[i:])
+            queued.extend_run([(op.order_key(), k, op) for op in ops[i:]])
         self._try_flush(k)
 
     # ------------------------------------------------------------------
@@ -168,7 +172,7 @@ class Receiver(Process):
         progress = True
         while progress:
             progress = False
-            for k in self.queues:
+            for k in self.origins:
                 if self._try_flush(k):
                     progress = True
 
@@ -176,7 +180,7 @@ class Receiver(Process):
         """Advance origin ``k``'s queue; True iff any head was skipped."""
         if k in self._inflight:
             return False  # condition (1): strictly in-order within an origin
-        queue = self.queues[k]
+        queued = self._queued
         skipped = False
         # Partial placement: the origin's stream interleaves ops for every
         # partition *it* stores; ops for partitions not resident here are
@@ -185,13 +189,16 @@ class Receiver(Process):
         # visible locally) — while still advancing SiteTime so ops that
         # name it as a cross-DC dependency do not stall.
         stored = self._stored
-        while queue and queue[0].partition_index not in stored:
-            self._advance_site_time(k, queue.popleft())
+        head = queued.head(k)
+        while head is not None and head[2].partition_index not in stored:
+            queued.pop_head(k)
+            self._advance_site_time(k, head[2])
             self.skipped_nonresident += 1
             skipped = True
-        if not queue:
+            head = queued.head(k)
+        if head is None:
             return skipped
-        update = queue[0]
+        update = head[2]
         if not self._deps_satisfied(update, k):
             return skipped
         tracer = self.metrics.tracer
@@ -209,9 +216,9 @@ class Receiver(Process):
         # (All T-ties arrive in the same stabilization round: later rounds
         # carry strictly larger timestamps, so the queue head is the only
         # place a tie can still hide.)
-        queue = self.queues[k]
+        head = self._queued.head(k)
         ts = update.vts[k]
-        if queue and queue[0].vts[k] == ts:
+        if head is not None and head[2].vts[k] == ts:
             self.site_time[k] = ts - 1
         else:
             self.site_time[k] = ts
@@ -219,13 +226,13 @@ class Receiver(Process):
     def _deps_satisfied(self, update: Update, k: int) -> bool:
         """Condition (2): SiteTime covers every other remote entry.
 
-        Origins without a queue (partial placement, zero overlap) are
-        exempt: no stream ever arrives from them, and — by the same
+        Origins outside :attr:`origins` (partial placement, zero overlap)
+        are exempt: no stream ever arrives from them, and — by the same
         residency argument as the skip above — no dependency on them can
         be resident here either.
         """
         for d in range(self.n_dcs):
-            if d in (self.dc_id, k) or d not in self.queues:
+            if d in (self.dc_id, k) or d not in self.origins:
                 continue
             if self.site_time[d] < update.vts[d]:
                 return False
@@ -241,7 +248,7 @@ class Receiver(Process):
                 f"receiver {self.name}: unexpected apply ack {msg.uid}"
             )
         del self._inflight[k]
-        self.queues[k].popleft()
+        self._queued.pop_head(k)
         self._advance_site_time(k, update)
         self.applied += 1
         # An apply may unblock heads of *other* origins (their vts[k] was
@@ -253,4 +260,4 @@ class Receiver(Process):
     # ------------------------------------------------------------------
     def backlog(self) -> int:
         """Updates queued but not yet applied (all origins)."""
-        return sum(len(q) for q in self.queues.values())
+        return len(self._queued)

@@ -31,6 +31,7 @@ from repro.core.replica import ReplicaGroup
 from repro.core.service import StabilizerBase
 from repro.core.shard import ShardCoordinator
 from repro.core.uplink import EunomiaUplink
+from repro.datastruct.runbuffer import RunBuffer
 from repro.geo.datacenter import EunomiaProtocol
 from repro.geo.receiver import Receiver
 from repro.sim.loop import EventLoop, Fifo
@@ -168,6 +169,11 @@ MUTANTS = {m.name: m for m in (
     Mutant("receiver_reenqueues_last_key", Receiver,
            "on_remote_stable_batch",
            "ops[i].order_key() <= last", "ops[i].order_key() < last"),
+    # The receiver claims a timestamp while an op tied at it is still
+    # queued: a dependency on (k, ts) reads as met when only some of the
+    # ops at ts are applied (the tie-aware SiteTime, Alg. 5 l.12).
+    Mutant("receiver_claims_tied_ts", Receiver, "_advance_site_time",
+           "self.site_time[k] = ts - 1", "self.site_time[k] = ts"),
     # A recovered receiver keeps its in-flight heads instead of releasing
     # them again: a head whose ApplyRemote or ack the crash dropped is
     # never acknowledged, and its origin's queue stalls.
@@ -208,4 +214,11 @@ MUTANTS = {m.name: m for m in (
     # them (the prefix property, Alg. 4 l.13–15).
     Mutant("prune_above_shipped_floor", ShardCoordinator, "_prune_floors",
            "min(s, released)", "s"),
+    # A run accepts an entry whose key does not exceed its tail: one
+    # origin's stream enters out of order, and every drain that trusts a
+    # run's sortedness — the stabilizer's cut, the GST's covered prefix,
+    # the receiver's head — releases out of order (the one ingestion
+    # contract of every release gate).
+    Mutant("run_accepts_non_monotone_append", RunBuffer, "extend_run",
+           "if entry[0] <= prev:", "if False:"),
 )}

@@ -125,6 +125,18 @@ def test_frame_after_a_lost_frame_is_refused(service_env):
     assert [op.ts for op in sink.ops] == [10]
 
 
+def test_a_frame_out_of_timestamp_order_is_refused(service_env):
+    """The unstable set checks the ingestion contract: a frame whose ops
+    do not ascend (a FIFO/Property-2 violation upstream) fails loudly at
+    ingest instead of entering the buffer out of order."""
+    env, service, sink = service_env
+    feeder = Feeder(env)
+    feeder.send(service, AddOpBatch(0, (make_op(30, 0, 1), make_op(20, 0, 2))))
+    with pytest.raises(ValueError, match="non-monotone insert"):
+        env.run(until=0.1)
+    assert len(service.buffer) == 0
+
+
 def test_ops_at_or_below_stable_time_only_advance_partition_time(service_env):
     """StableTime pruned to an announced floor of 20 — a follower's state,
     ahead of PartitionTime — then a frame that straddles it: 10 and 20

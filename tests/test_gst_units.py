@@ -9,7 +9,7 @@ from repro.baselines.gst import (
     DEFAULT_GST_INTERVAL,
     GentleRainPartition,
 )
-from repro.baselines.messages import GstBroadcast, GstHeartbeat
+from repro.baselines.messages import GstBroadcast, GstHeartbeat, GstReport
 from repro.clocks import PhysicalClock
 from repro.core.messages import ClientUpdate, RemoteData
 from repro.kvstore.types import Update
@@ -179,24 +179,33 @@ def test_the_summary_min_test_kills_a_gst_that_drops_an_origin(
 
 
 class TestAggregation:
-    def test_aggregator_broadcasts_min_of_reports(self, env, net, metrics):
+    """Reports reach the aggregator the way they do in a deployment:
+    through ``on_gst_report``, from the members of its roster."""
+
+    @staticmethod
+    def _roster(env, metrics):
         aggregator = GentleRainPartition(
             env, "p0", 0, 0, 3, PhysicalClock(env), DEFAULT_GST_INTERVAL,
             metrics=metrics)
         follower = make_partition(env, GentleRainPartition, metrics=metrics)
-        aggregator.local_partitions = [aggregator, follower]
-        aggregator._reports = {0: (50,), 1: (30,)}
+        for partition in (aggregator, follower):
+            partition.local_partitions = [aggregator, follower]
+            partition.aggregator = aggregator
+        return aggregator, follower
+
+    def test_aggregator_broadcasts_min_of_reports(self, env, net, metrics):
+        aggregator, follower = self._roster(env, metrics)
+        aggregator.send(aggregator, GstReport(0, (50,)))
+        follower.send(aggregator, GstReport(1, (30,)))
+        env.run(until=0.001)
         aggregator._aggregate()
         env.run(until=0.01)
         assert follower.summary == (30,)
 
     def test_aggregator_waits_for_all_reports(self, env, net, metrics):
-        aggregator = GentleRainPartition(
-            env, "p0", 0, 0, 3, PhysicalClock(env), DEFAULT_GST_INTERVAL,
-            metrics=metrics)
-        follower = make_partition(env, GentleRainPartition, metrics=metrics)
-        aggregator.local_partitions = [aggregator, follower]
-        aggregator._reports = {0: (50,)}  # follower hasn't reported yet
+        aggregator, follower = self._roster(env, metrics)
+        aggregator.send(aggregator, GstReport(0, (50,)))  # follower silent
+        env.run(until=0.001)
         aggregator._aggregate()
         env.run(until=0.01)
         assert follower.summary == (0,)

@@ -115,14 +115,14 @@ def test_duplicates_are_dropped(rig):
 
 def test_the_duplicate_filter_kills_receiver_reenqueues_last_key():
     """A frame re-shipped whole: a tie walk that stops *at* the last
-    enqueued order key enqueues that update again, and it is released
-    twice."""
+    enqueued order key offers that update again — the queue's run refuses
+    it (``ValueError``), or, past that guard, it is released twice."""
     def dedup():
         test_duplicates_are_dropped(_rig(Environment(seed=1234), MetricsHub()))
 
     dedup()
     with MUTANTS["receiver_reenqueues_last_key"].applied():
-        with pytest.raises(AssertionError):
+        with pytest.raises((AssertionError, ValueError)):
             dedup()
 
 
@@ -147,12 +147,26 @@ def test_site_time_held_back_until_tie_fully_applied(rig):
     def spy():
         observed.append((len(log), receiver.site_time[1]))
 
-    env.loop.schedule(0.0002, spy)  # between the two applies (RTT ~0.2ms)
+    # a is applied at 0.23 ms and its ack handled at 0.33 ms; b is applied
+    # at 0.43 ms.  The spy lands between a's ack and b's apply.
+    env.loop.schedule(0.00038, spy)
     env.run(until=0.1)
-    # whenever only one tied op had been applied, SiteTime must be < 10
-    for applied, site in observed:
-        if applied == 1:
-            assert site == 9
+    # one of the tied ops applied, and SiteTime still short of 10
+    assert observed == [(1, 9)]
+    assert receiver.site_time[1] == 10
+
+
+def test_the_tie_test_kills_receiver_claims_tied_ts():
+    """A receiver that claims ts 10 while a tie at 10 is still queued
+    tells dependents on (dc1, 10) that every such op is applied here."""
+    def tie():
+        test_site_time_held_back_until_tie_fully_applied(
+            _rig(Environment(seed=1234), MetricsHub()))
+
+    tie()
+    with MUTANTS["receiver_claims_tied_ts"].applied():
+        with pytest.raises(AssertionError):
+            tie()
 
 
 def test_origins_progress_independently(rig):
@@ -165,6 +179,19 @@ def test_origins_progress_independently(rig):
     assert free.uid in log          # dc2's stream is not head-blocked
     assert blocked.uid not in log
     assert receiver.backlog() == 1
+
+
+def test_a_frame_out_of_stream_order_is_refused(rig):
+    """The queues check the stream contract: a frame whose ops do not
+    ascend in order key (a broken serialization upstream) fails loudly at
+    ingest instead of being released out of order."""
+    env, receiver, sender, log = rig
+    late = make_update(1, 20, (0, 20, 0))
+    early = make_update(1, 10, (0, 10, 0))
+    sender.send(receiver, RemoteStableBatch(1, (late, early)))
+    with pytest.raises(ValueError, match="non-monotone insert"):
+        env.run(until=0.1)
+    assert receiver.backlog() == 0 and log == []
 
 
 def test_unexpected_ack_raises(rig):

@@ -21,14 +21,21 @@ the per-origin prefixes it replaced.
 import heapq
 
 import pytest
+import test_eunomia_service
+import test_gst_units
+import test_receiver
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mutants import MUTANTS
 
+from repro.baselines.gst import CurePartition, GentleRainPartition
 from repro.core import EunomiaConfig
 from repro.core.service import StabilizerBase
 from repro.datastruct import RunBuffer, TreeOpBuffer
 from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.loadgen import build_eunomia_rig
+from repro.metrics import MetricsHub
+from repro.sim import Environment
 from repro.workload import WorkloadSpec
 
 
@@ -233,6 +240,25 @@ class TestMonotonicityContract:
         assert len(stab.buffer) == 3
         stab.heartbeat(1, 20)
         assert stab.stabilize() == [(5, 0, 1), (9, 0, 2), (12, 0, 3)]
+
+
+@pytest.mark.parametrize("must_fail", [
+    lambda: test_eunomia_service.test_a_frame_out_of_timestamp_order_is_refused(
+        test_eunomia_service._service_env()),
+    lambda: test_gst_units.test_deferred_set_matches_whole_set_rescan(
+        GentleRainPartition),
+    lambda: test_gst_units.test_deferred_set_matches_whole_set_rescan(
+        CurePartition),
+    lambda: test_receiver.test_a_frame_out_of_stream_order_is_refused(
+        test_receiver._rig(Environment(seed=1234), MetricsHub())),
+], ids=["stabilizer-ingest", "gst-gentlerain", "gst-cure", "receiver"])
+def test_the_run_contract_kills_run_accepts_non_monotone_append(must_fail):
+    """One check guards all three gates: without it, each gate's stream
+    contract test stops seeing the refusal it asserts."""
+    must_fail()
+    with MUTANTS["run_accepts_non_monotone_append"].applied():
+        with pytest.raises((AssertionError, pytest.fail.Exception)):
+            must_fail()
 
 
 # ----------------------------------------------------------------------
