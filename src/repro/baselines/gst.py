@@ -266,9 +266,10 @@ class GstPartition(StoragePartition):
         """Install every deferred update the new summary covers.  Installs
         are summary-gated, never store-gated, so draining after the pop is
         order-identical to interleaved per-update installs."""
-        releasable = self._releasable
-        released = self._pending.pop_releasable(
-            self._covered_bound, lambda entry: releasable(entry[2]))
+        if not self._pending:
+            return
+        released = self._pending.pop_releasable(self._covered_bound,
+                                                self._releasable)
         self._install([entry[2:] for entry in released])
 
     # ------------------------------------------------------------------
@@ -339,8 +340,7 @@ class GstPartition(StoragePartition):
                 return
         if not values:
             return
-        minimum = tuple(min(v[i] for v in values)
-                        for i in range(self.summary_width))
+        minimum = tuple(map(min, zip(*values)))
         broadcast = GstBroadcast(minimum, self.roster_pos)
         self.multicast(self.local_partitions, broadcast)
 
@@ -410,6 +410,13 @@ class CurePartition(GstPartition):
 
     flavor = "cure"
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        #: the entries the gate checks: local dependencies are locally
+        #: visible already
+        self._remote_dcs = tuple(d for d in range(self.n_dcs)
+                                 if d != self.dc_id)
+
     @staticmethod
     def summary_width_static(n_dcs: int) -> int:
         return n_dcs
@@ -422,10 +429,9 @@ class CurePartition(GstPartition):
 
     def _releasable(self, update: Update) -> bool:
         gsv = self.summary
-        for d in range(self.n_dcs):
-            if d == self.dc_id:
-                continue  # local dependencies are locally visible already
-            if update.vts[d] > gsv[d]:
+        vts = update.vts
+        for d in self._remote_dcs:
+            if vts[d] > gsv[d]:
                 return False
         return True
 

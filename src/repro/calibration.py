@@ -32,7 +32,7 @@ report the scaled measurements.
 
 What is **not** scale invariant is a *queue wait behind a scaled cost*
 inside a latency reported in real milliseconds.  Remote-update visibility is
-built from the protocol intervals (Δ, θ, ρ) and network delays, none of
+built from the protocol intervals (Δ, θ) and network delays, none of
 which ``scale`` touches, so anything on that path that waits for a client
 operation to finish waits ten times longer than it would at paper scale and
 the error lands, unscaled, in a number compared against Fig. 6.  Hence the

@@ -2,8 +2,9 @@
 
 Defaults mirror the paper's evaluation: partitions contact Eunomia every
 millisecond (batching, §5/§7.1), Eunomia computes stability every few
-milliseconds (θ), receivers poll pending queues every millisecond (ρ), and
-heartbeats fire when a partition has been idle for Δ = one batching interval.
+milliseconds (θ), and heartbeats fire when a partition has been idle for
+Δ = one batching interval.  Receivers release on the events that unblock a
+queue (:mod:`repro.geo.receiver`), so they have no period.
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar
 
-__all__ = ["EunomiaConfig", "MAX_BATCH_OPS", "RECEIVER_CHECK_INTERVAL",
-           "RESEND_TIMEOUT", "RETRY_BACKOFF_BASE", "RETRY_BACKOFF_CAP",
-           "SEQ_RETRY_TIMEOUT"]
+__all__ = ["EunomiaConfig", "MAX_BATCH_OPS", "RESEND_TIMEOUT",
+           "RETRY_BACKOFF_BASE", "RETRY_BACKOFF_CAP", "SEQ_RETRY_TIMEOUT"]
 
 #: Retry-with-backoff shape shared by the recovery idioms (uplink
 #: retransmission escalation, failed-fsync commit retries, sequencer
@@ -41,9 +41,6 @@ RESEND_TIMEOUT = 0.05
 #: backoff above; the §7.1 load client to the head again —
 #: closing the "sequencer crash strands every in-flight request" stall.
 SEQ_RETRY_TIMEOUT = 0.05
-
-#: ρ — period of the receiver's CHECK_PENDING (Alg. 5 line 3).
-RECEIVER_CHECK_INTERVAL = 0.001
 
 
 @dataclass

@@ -20,7 +20,7 @@ Every Eunomia-aware partition (and the §7.1 partition emulators) owns an
   frame is on the wire ``batch_cost + op_cost·n`` after its tick and an ack
   is handled when it arrives: nothing Eunomia does waits behind a client
   operation, whose service time is scaled by ``Calibration.scale`` while
-  Δ, θ and ρ are not.  The §7.1 partition emulator is by definition one
+  Δ and θ are not.  The §7.1 partition emulator is by definition one
   client thread that generates *and* ships, so it stays on ``"cpu"``;
 * **fault-tolerant delivery** (Alg. 4 lines 1–6, prefix property): with
   ``fault_tolerant=True`` the uplink tracks, per replica, the highest

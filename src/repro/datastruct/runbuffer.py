@@ -119,22 +119,9 @@ class RunBuffer:
         """The largest key ever added for ``origin`` (drains keep it)."""
         return self._tail.get(origin, default)
 
-    def contains(self, ts: int, origin: int, seq: int) -> bool:
-        """Membership test (diagnostics; O(run length), not a hot path)."""
-        run = self._runs.get(origin)
-        if not run:
-            return False
-        return (ts, origin, seq) in ((e[0], e[1], e[2]) for e in run)
-
     # ------------------------------------------------------------------
     # The sorted cut (the stabilizer, Alg. 3)
     # ------------------------------------------------------------------
-    def min_ts(self) -> Optional[int]:
-        """Key of the oldest entry, or None when empty: a min over the run
-        heads, each run's minimum."""
-        heads = [run[0][0] for run in self._runs.values() if run]
-        return min(heads) if heads else None
-
     def pop_stable(self, stable_ts: int) -> list:
         """Extract every op with ``ts <= stable_ts`` in total order.
 
@@ -186,10 +173,10 @@ class RunBuffer:
     # The gated per-origin drain (GentleRain / Cure)
     # ------------------------------------------------------------------
     def pop_releasable(self, bound: Callable[[Any], Any],
-                       releasable: Callable[[tuple], bool]) -> list:
-        """Remove and return every entry with ``key <= bound(origin)`` that
-        ``releasable(entry)`` admits: origins in first-add order, FIFO
-        within an origin.
+                       releasable: Callable[[Any], bool]) -> list:
+        """Remove and return every entry with ``key <= bound(origin)`` whose
+        payload ``entry[2]`` ``releasable`` admits: origins in first-add
+        order, FIFO within an origin.
 
         A vector gate (Cure: ``vts[d] <= GSV[d]`` for every remote ``d``)
         admits no total order — two entries can each be blocked by a
@@ -208,7 +195,7 @@ class RunBuffer:
             blocked = []
             while run and run[0][0] <= limit:
                 entry = run.popleft()
-                if releasable(entry):
+                if releasable(entry[2]):
                     released.append(entry)
                 else:
                     blocked.append(entry)

@@ -63,16 +63,12 @@ _DIGEST_BYTES = 8
 
 
 def _varint_len(value: int) -> int:
-    """Bytes a zigzag varint encoding of ``value`` occupies (≥ 1)."""
-    if value < 0:
-        value = (-value << 1) - 1
-    else:
-        value <<= 1
-    n = 1
-    while value >= 0x80:
-        value >>= 7
-        n += 1
-    return n
+    """Bytes a zigzag varint encoding of ``value`` occupies (≥ 1).
+
+    Zigzag maps ``v ≥ 0`` to ``2v`` and ``v < 0`` to ``2·~v + 1``: one bit
+    more than ``v`` (or ``~v``) has, and a varint byte carries 7 bits.
+    """
+    return ((~value if value < 0 else value).bit_length() + 7) // 7
 
 
 class WriteAheadLog:

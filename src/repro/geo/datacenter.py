@@ -185,8 +185,6 @@ class Datacenter:
             start = getattr(proc, "start", None)
             if start is not None:
                 start()
-        if self.receiver is not None:
-            self.receiver.start()
 
     # ------------------------------------------------------------------
     # Introspection

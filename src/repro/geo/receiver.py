@@ -19,8 +19,16 @@ the local partition stored it.
 Unlike Algorithm 5's single tail-recursive FLUSH, queues of *different*
 origins progress concurrently (one in-flight release per origin); both
 gating conditions are still enforced, so the applied order is identical to
-some serialization the algorithm could produce.  The queues are the
-repository's one deferral structure, a
+some serialization the algorithm could produce.
+
+Release is event-driven; Alg. 5's periodic CHECK_PENDING is not run.  A
+head is unblocked only by an event the receiver handles itself: an
+enqueue tries its own origin, and an apply ack, a skipped non-resident
+head or a recovery (each of which can advance SiteTime or clear an
+in-flight slot) rescans every origin.  A poll would find nothing that
+those handlers had not already released.
+
+The queues are the repository's one deferral structure, a
 :class:`~repro.datastruct.runbuffer.RunBuffer`: one run per origin of
 ``(order_key, origin, update)`` entries, drained one head at a time.  The
 key is ``Update.order_key()``, not ``ts``: concurrent updates from
@@ -58,7 +66,6 @@ from ..kvstore.types import Update
 from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
 from ..sim.process import Process
-from ..core.config import RECEIVER_CHECK_INTERVAL
 from ..core.placement import PlacementMap
 from ..core.messages import ApplyRemote, ApplyRemoteOk, RemoteStableBatch
 
@@ -92,6 +99,10 @@ class Receiver(Process):
         self.origins = tuple(
             k for k in range(n_dcs)
             if k != dc_id and placement.overlaps(k, dc_id))
+        #: origin -> the other origins whose SiteTime gates its heads
+        #: (condition (2)); every other entry is exempt
+        self._gating = {k: tuple(d for d in self.origins if d != k)
+                        for k in self.origins}
         #: the per-origin queues: origin -> (order_key, origin, update)
         self._queued = RunBuffer()
         #: the partition indices this DC stores
@@ -116,26 +127,19 @@ class Receiver(Process):
         self.ring = ring
         self.partitions = list(partitions)
 
-    def start(self) -> None:
-        # CHECK_PENDING every ρ (Alg. 5 line 3) — a safety net for updates
-        # whose dependencies were satisfied by a *different* origin's apply.
-        self.periodic(RECEIVER_CHECK_INTERVAL, self._flush_all)
-
     def recover(self) -> None:
         """Resume after a crash-stop (queues and SiteTime intact).
 
-        The crash retired the CHECK_PENDING periodic and may have dropped
-        an ApplyRemoteOk, so every in-flight head is released again: the
-        partition acknowledges an update it already installed without
-        executing it twice.  An outage shorter than the round trip lets the
-        first release's ack through as well, so the re-released uids are
-        remembered and their second ack is dropped
-        (:meth:`on_apply_remote_ok`).
+        The crash may have dropped an ApplyRemoteOk, so every in-flight
+        head is released again: the partition acknowledges an update it
+        already installed without executing it twice.  An outage shorter
+        than the round trip lets the first release's ack through as well,
+        so the re-released uids are remembered and their second ack is
+        dropped (:meth:`on_apply_remote_ok`).
         """
         super().recover()
         self._rereleased.update(u.uid for u in self._inflight.values())
         self._inflight.clear()
-        self.start()
         self._flush_all()
 
     # ------------------------------------------------------------------
@@ -159,21 +163,28 @@ class Receiver(Process):
         self.duplicates_dropped += i
         if i < n:
             queued.extend_run([(op.order_key(), k, op) for op in ops[i:]])
-        self._try_flush(k)
+        # A skipped non-resident head advanced SiteTime[k], which may have
+        # unblocked another origin's head: release it now.
+        if self._try_flush(k):
+            self._flush_all()
 
     # ------------------------------------------------------------------
     # FLUSH (Alg. 5 lines 5–20, one release in flight per origin)
     # ------------------------------------------------------------------
     def _flush_all(self) -> None:
-        # Skipping a non-resident head advances SiteTime, which can
-        # unblock origins already visited this pass — loop until a pass
-        # makes no skip progress.  Full replication never skips, so this
-        # is exactly one pass (the historical behavior).
+        # Only an origin with a queued head and nothing in flight can
+        # release.  Skipping a non-resident head advances SiteTime, which
+        # can unblock origins already visited this pass — loop until a
+        # pass makes no skip progress.  Full replication never skips, so
+        # this is exactly one pass.
+        inflight = self._inflight
+        head = self._queued.head
         progress = True
         while progress:
             progress = False
             for k in self.origins:
-                if self._try_flush(k):
+                if (k not in inflight and head(k) is not None
+                        and self._try_flush(k)):
                     progress = True
 
     def _try_flush(self, k: int) -> bool:
@@ -231,10 +242,10 @@ class Receiver(Process):
         residency argument as the skip above — no dependency on them can
         be resident here either.
         """
-        for d in range(self.n_dcs):
-            if d in (self.dc_id, k) or d not in self.origins:
-                continue
-            if self.site_time[d] < update.vts[d]:
+        site_time = self.site_time
+        vts = update.vts
+        for d in self._gating[k]:
+            if site_time[d] < vts[d]:
                 return False
         return True
 

@@ -179,6 +179,18 @@ MUTANTS = {m.name: m for m in (
     # never acknowledged, and its origin's queue stalls.
     Mutant("receiver_recover_keeps_inflight", Receiver, "recover",
            "self._inflight.clear()", "pass"),
+    # A frame whose non-resident head is skipped advances SiteTime but
+    # rescans no other origin: a head that waited on that timestamp stays
+    # queued until some later event (the skip under partial placement).
+    Mutant("receiver_batch_drops_skip_progress", Receiver,
+           "on_remote_stable_batch",
+           "if self._try_flush(k):\n        self._flush_all()",
+           "self._try_flush(k)"),
+    # An apply ack advances SiteTime and frees its origin's slot without a
+    # rescan: the origin's next head and every head that waited on the
+    # applied timestamp stall (Alg. 5's FLUSH after an apply).
+    Mutant("receiver_ack_skips_flush", Receiver, "on_apply_remote_ok",
+           "self._flush_all()", "pass"),
     # A recovered replica is not started again: the crash's epoch bump
     # retired its θ tick and Ω broadcasts, so it rejoins as a zombie that
     # never stabilizes and, once it is the last replica, never ships.

@@ -25,6 +25,7 @@ from repro.durability import (
     RecoveryManager,
     WriteAheadLog,
 )
+from repro.durability.wal import _varint_len
 from repro.harness.loadgen import build_eunomia_rig
 from repro.sim import (
     ConstantLatency,
@@ -130,6 +131,31 @@ class TestWriteAheadLog:
         entries = wal.replay(partition_time, floor_ts=10)
         assert partition_time == [30, 25, 50]
         assert [(e[0], e[1]) for e in entries] == [(30, 0), (25, 1)]
+
+
+def _zigzag_varint(value: int) -> bytes:
+    """Reference encoder: zigzag, then 7 bits per byte, low group first,
+    the high bit set on every byte but the last."""
+    value = (-value << 1) - 1 if value < 0 else value << 1
+    out = bytearray()
+    while True:
+        low, value = value & 0x7F, value >> 7
+        if not value:
+            out.append(low)
+            return bytes(out)
+        out.append(low | 0x80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=st.one_of(st.integers(-2**70, 2**70),
+                       st.integers(-2**300, 2**300),
+                       st.integers(0, 300).map(lambda k: 2**k),
+                       st.integers(0, 300).map(lambda k: -2**k),
+                       st.integers(0, 300).map(lambda k: 2**k - 1)))
+def test_varint_len_is_the_encoded_length(value):
+    """The WAL's byte count is the length of the record it stands for:
+    negative deltas, the 7-bit boundaries and values past 2**63 included."""
+    assert _varint_len(value) == len(_zigzag_varint(value))
 
 
 class TestCheckpointStore:

@@ -51,16 +51,19 @@ def test_host_tracer_charges_periodic_bodies_to_their_owners():
     """``perf/trace.py`` wraps the task function passed as positional
     argument 2 of ``Process.periodic`` / ``EventLoop.schedule_periodic``;
     a signature that moves it would charge every stabilization round and
-    receiver check to the closure in ``repro.sim`` instead."""
+    GST report to the closure in ``repro.sim`` instead."""
     shape = dict(n_dcs=2, partitions_per_dc=2, clients_per_dc=2, seed=3)
-    with HostTracer() as tracer:
-        system = build_geo_system("eunomia", GeoSystemSpec(**shape),
-                                  WorkloadSpec())
-        system.run(0.2)
-    calls = {key: entry[0] for key, entry in tracer.aggregates.items()}
+    calls = {}
+    for protocol in ("eunomia", "cure"):
+        with HostTracer() as tracer:
+            system = build_geo_system(protocol, GeoSystemSpec(**shape),
+                                      WorkloadSpec())
+            system.run(0.2)
+        calls.update((key, entry[0])
+                     for key, entry in tracer.aggregates.items())
     # StabilizerBase._stabilize, named by the class of the bound method
     assert calls.get(("core.service", "EunomiaService._stabilize"), 0) > 0
-    assert calls.get(("geo.receiver", "Receiver._flush_all"), 0) > 0
+    assert calls.get(("baselines.gst", "CurePartition._report"), 0) > 0
 
 
 def test_scheduler_wheel_still_builds_and_runs_on_the_heap():

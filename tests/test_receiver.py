@@ -11,7 +11,6 @@ from repro.checker import CausalChecker, SessionHistory
 from repro.core.config import EunomiaConfig
 from repro.core.messages import ApplyRemote, ApplyRemoteOk, RemoteStableBatch
 from repro.core.placement import PlacementMap
-from repro.geo import receiver as receiver_module
 from repro.geo.receiver import Receiver
 from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.kvstore.ring import ConsistentHashRing
@@ -52,7 +51,6 @@ def _rig(env, metrics):
     log = []
     partitions = [RecordingPartition(env, f"p{i}", log) for i in range(2)]
     receiver.set_partitions(ConsistentHashRing(2), partitions)
-    receiver.start()
     sender = Process(env, "eunomia-remote")
     return env, receiver, sender, log
 
@@ -92,6 +90,56 @@ def test_the_dependency_gate_kills_receiver_ignores_site_time():
     with MUTANTS["receiver_ignores_site_time"].applied():
         with pytest.raises(AssertionError):
             gate()
+
+
+def test_the_dependency_gate_kills_receiver_ack_skips_flush():
+    """An apply ack is the only event that can release a head waiting on
+    the applied timestamp: without its rescan the dependent stays queued
+    (no periodic check runs to pick it up later)."""
+    def gate():
+        test_cross_origin_dependency_gates_apply(
+            _rig(Environment(seed=1234), MetricsHub()))
+
+    gate()
+    with MUTANTS["receiver_ack_skips_flush"].applied():
+        with pytest.raises(AssertionError):
+            gate()
+
+
+def test_a_skipped_head_releases_what_waited_on_it():
+    """Partial placement: dc0 stores partition 0 only.  Origin 2's head
+    depends on origin 1's ts 10, which only an op for partition 1 carries.
+    The frame that brings that op skips it, advancing SiteTime[1], and the
+    same handler releases origin 2's head — no later event is needed."""
+    env = Environment(seed=1234)
+    Network(env, ConstantLatency(0.0001))
+    placement = PlacementMap(3, 2, {0: [0], 1: [0, 1], 2: [0, 1]})
+    receiver = Receiver(env, "recv", dc_id=0, n_dcs=3, placement=placement)
+    log = []
+    receiver.set_partitions(ConsistentHashRing(2), [
+        RecordingPartition(env, f"p{i}", log) for i in range(2)])
+    sender = Process(env, "eunomia-remote")
+    dependent = make_update(2, 5, (0, 10, 5), partition=0)
+    sender.send(receiver, RemoteStableBatch(2, (dependent,)))
+    env.run(until=0.05)
+    assert log == [] and receiver.backlog() == 1     # waits on SiteTime[1]
+    provider = make_update(1, 10, (0, 10, 0), partition=1)
+    receiver.on_remote_stable_batch(RemoteStableBatch(1, (provider,)), sender)
+    assert receiver.skipped_nonresident == 1
+    assert receiver.site_time[1] == 10
+    assert receiver._inflight.get(2) is dependent
+    env.run(until=0.1)
+    assert log == [dependent.uid]
+    assert receiver.backlog() == 0 and receiver.applied == 1
+
+
+def test_the_skip_test_kills_receiver_batch_drops_skip_progress():
+    """A frame whose skip advances SiteTime but rescans no other origin
+    leaves the dependent head queued with nothing left to release it."""
+    test_a_skipped_head_releases_what_waited_on_it()
+    with MUTANTS["receiver_batch_drops_skip_progress"].applied():
+        with pytest.raises(AssertionError):
+            test_a_skipped_head_releases_what_waited_on_it()
 
 
 def test_dependency_on_local_dc_entry_is_ignored(rig):
@@ -204,18 +252,39 @@ def test_unexpected_ack_raises(rig):
 # ----------------------------------------------------------------------
 # At-least-once streams: scripted frames against a real Receiver
 # ----------------------------------------------------------------------
+#: partitions per DC in the drawn placements
+_N_PARTS = 3
+
+
+@st.composite
+def _placements(draw):
+    """A 3-DC placement of :data:`_N_PARTS` partitions: each DC stores a
+    drawn non-empty subset, and a partition no DC drew lands at DC
+    ``p % 3``.  Full placement is one of the draws."""
+    resident = {dc: draw(st.sets(st.integers(0, _N_PARTS - 1), min_size=1))
+                for dc in range(3)}
+    for p in range(_N_PARTS):
+        if not any(p in parts for parts in resident.values()):
+            resident[p % 3].add(p)
+    return PlacementMap(3, _N_PARTS, resident)
+
+
 @st.composite
 def _stream_plans(draw):
     """An at-least-once stable-stream schedule for a 3-DC receiver.
 
-    Returns (per-origin update lists, per-origin frame schedule).  Ops are
-    generated in one global interleaving; each op's cross-DC dependency
-    (when drawn) names a timestamp some *earlier-generated* op of the
-    other origin carries, so a topological apply order always exists and
-    the run must fully drain.  Frames chunk each stream with drawn overlap
-    (re-shipped prefixes — the observable form of loss + at-least-once
-    retry on this lane) and staggered send times.
+    Returns (placement, per-origin update lists, per-origin frame
+    schedule).  Ops are generated in one global interleaving, each on a
+    partition its origin stores; each op's cross-DC dependency (when
+    drawn) names a timestamp some *earlier-generated* op of the other
+    origin carries — possibly one for a partition dc0 does not store, so
+    a skip is what releases the dependent.  A topological apply order
+    always exists and the run must fully drain.  Frames chunk each stream
+    with drawn overlap (re-shipped prefixes — the observable form of loss
+    + at-least-once retry on this lane) and staggered send times.  Only
+    origins that share a partition with dc0 ship to it.
     """
+    placement = draw(_placements())
     origins = (1, 2)
     n_ops = draw(st.integers(min_value=12, max_value=48))
     order = draw(st.lists(st.sampled_from(origins),
@@ -223,8 +292,12 @@ def _stream_plans(draw):
     dep_flags = draw(st.lists(st.booleans(), min_size=n_ops, max_size=n_ops))
     keys = draw(st.lists(st.integers(min_value=0, max_value=15),
                          min_size=n_ops, max_size=n_ops))
-    parts = draw(st.lists(st.integers(min_value=0, max_value=1),
+    picks = draw(st.lists(st.integers(min_value=0, max_value=_N_PARTS - 1),
                           min_size=n_ops, max_size=n_ops))
+    parts = []
+    for k, pick in zip(order, picks):
+        own = placement.resident_partitions(k)
+        parts.append(own[pick % len(own)])
     streams: dict[int, list[Update]] = {k: [] for k in origins}
     last_ts = {k: 0 for k in origins}
     seq = defaultdict(int)
@@ -245,6 +318,8 @@ def _stream_plans(draw):
 
     schedule: dict[int, list[tuple[float, int, int]]] = {}
     for k in origins:
+        if not placement.overlaps(k, 0):
+            continue
         n = len(streams[k])
         frames, pos, t = [], 0, 0.0
         while pos < n:
@@ -254,28 +329,26 @@ def _stream_plans(draw):
             frames.append((t, max(0, pos - overlap), min(n, pos + size)))
             pos += size
         schedule[k] = frames
-    return streams, schedule
+    return placement, streams, schedule
 
 
 @settings(max_examples=30, deadline=None)
 @given(plan=_stream_plans())
 def test_reshipped_streams_drain_in_stream_order(plan):
-    """Whatever the framing, overlap and cross-origin dependencies, every
-    update is released exactly once, in its origin's stream order, and the
-    re-shipped prefixes are counted as duplicates."""
-    streams, schedule = plan
+    """Whatever the placement, framing, overlap and cross-origin
+    dependencies, every update dc0 stores is released exactly once, in its
+    origin's stream order, every other one is skipped, and the re-shipped
+    prefixes are counted as duplicates."""
+    placement, streams, schedule = plan
+    stored = placement.resident_partitions(0)
     env = Environment(seed=5)
     net = Network(env, JitteredLatency(base_s=0.001, jitter_s=0.0004))
     log: list[tuple] = []
-    partitions = [RecordingPartition(env, f"p{i}", log) for i in range(2)]
+    partitions = [RecordingPartition(env, f"p{i}", log)
+                  for i in range(_N_PARTS)]
     origins = {k: Process(env, f"origin{k}") for k in schedule}
-    receiver = Receiver(env, "r0", dc_id=0, n_dcs=3,
-                        placement=PlacementMap.full(3, 2))
-    receiver.set_partitions(ConsistentHashRing(2), partitions)
-    with pytest.MonkeyPatch.context() as patch:
-        # a coarser CHECK_PENDING period than the deployed ρ
-        patch.setattr(receiver_module, "RECEIVER_CHECK_INTERVAL", 0.005)
-        receiver.start()
+    receiver = Receiver(env, "r0", dc_id=0, n_dcs=3, placement=placement)
+    receiver.set_partitions(ConsistentHashRing(_N_PARTS), partitions)
     shipped = 0
     for k, frames in schedule.items():
         for when, lo, hi in frames:
@@ -284,14 +357,20 @@ def test_reshipped_streams_drain_in_stream_order(plan):
                 when, net.send, origins[k], receiver,
                 RemoteStableBatch(origin_dc=k, ops=tuple(streams[k][lo:hi])))
     env.run(until=2.0)
-    for k, stream in streams.items():
-        assert [uid for uid in log if uid[0] == k] == [u.uid for u in stream]
-    total = sum(len(stream) for stream in streams.values())
-    assert receiver.applied == total
+    total = applied = 0
+    for k in schedule:
+        resident = [u.uid for u in streams[k] if u.partition_index in stored]
+        assert [uid for uid in log if uid[0] == k] == resident
+        total += len(streams[k])
+        applied += len(resident)
+    assert len(log) == applied
+    assert receiver.applied == applied
+    assert receiver.skipped_nonresident == total - applied
     assert receiver.duplicates_dropped == shipped - total
     assert receiver.backlog() == 0
-    assert receiver.site_time[1:] == [streams[k][-1].ts if streams[k] else 0
-                                      for k in (1, 2)]
+    assert receiver.site_time[1:] == [
+        streams[k][-1].ts if k in schedule and streams[k] else 0
+        for k in (1, 2)]
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mutants import MUTANTS
+from runbuffer_probes import min_ts
 
 from repro.calibration import Calibration
 from repro.checker import CausalChecker, SessionHistory
@@ -508,7 +509,7 @@ class TestReplicatedSharding:
         assert [op.ts for op in sink.ops] == [40, 45]
         # Gossip pruned the follower's ts=40 but kept the unshipped ts=80.
         assert len(fshards[0].buffer) == 1
-        assert fshards[0].buffer.min_ts() == 80
+        assert min_ts(fshards[0].buffer) == 80
         assert fshards[0].stable_time == 50
         assert follower.stable_time == 50
 

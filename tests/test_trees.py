@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from runbuffer_probes import contains, min_ts
 
 from repro.datastruct import RedBlackTree, RunBuffer, TreeOpBuffer
 
@@ -141,16 +142,16 @@ class TestOpBuffer:
             buf.add(ts, 0, ts, ts)
         assert buf.pop_stable(2) == [1, 2]
         assert len(buf) == 2
-        assert buf.min_ts() == 3
+        assert min_ts(buf) == 3
 
     def test_min_ts_empty(self, backend):
-        assert BUFFERS[backend]().min_ts() is None
+        assert min_ts(BUFFERS[backend]()) is None
 
     def test_contains_and_counts(self, backend):
         buf = BUFFERS[backend]()
         buf.add(1, 0, 1, "x")
-        assert buf.contains(1, 0, 1)
-        assert not buf.contains(1, 0, 2)
+        assert contains(buf, 1, 0, 1)
+        assert not contains(buf, 1, 0, 2)
         assert buf.total_added == 1
 
     def test_drop_stable_returns_count(self, backend):
@@ -159,7 +160,7 @@ class TestOpBuffer:
             buf.add(ts, 0, ts, ts)
         assert buf.drop_stable(3) == 3  # ts 1, 2, 3
         assert len(buf) == 2
-        assert buf.min_ts() == 4
+        assert min_ts(buf) == 4
 
     @given(ops=st.lists(st.tuples(st.integers(0, 100), st.integers(0, 5),
                                   st.integers(0, 10**6)),
