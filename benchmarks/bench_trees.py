@@ -24,7 +24,8 @@ from collections import deque
 
 import pytest
 
-from repro.datastruct import RedBlackTree, RunBuffer, TreeOpBuffer
+from rbtree import RedBlackTree, TreeOpBuffer
+from repro.datastruct import RunBuffer
 
 N_OPS = 20_000
 

@@ -1,4 +1,4 @@
-"""Shared helper for the figure benchmarks.
+"""Shared helper for the figure benchmarks, and ``tests/`` on the path.
 
 Each ``bench_figN.py`` runs the corresponding experiment exactly once under
 pytest-benchmark (the experiment *is* the workload; repeating it would only
@@ -8,6 +8,13 @@ in its output.
 """
 
 from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+# the test-side reference structures (``tests/rbtree.py``) that the §6
+# micro-benchmarks measure the run buffer against
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 def run_figure(benchmark, module, params):

@@ -12,7 +12,7 @@ The unstable set is a :class:`repro.datastruct.runbuffer.RunBuffer` —
 per-origin monotone runs; Alg. 3's PartitionTime dedup guarantees the
 strictly increasing per-partition inserts it requires.  Extraction of the
 stable prefix is its ``pop_stable``.  (The paper's §6 red–black tree
-survives as :class:`repro.datastruct.rbtree.TreeOpBuffer`, the reference
+survives as ``TreeOpBuffer`` in ``tests/rbtree.py``, the reference
 the run buffer is tested and benchmarked against.)
 
 Algorithm 3 ↔ this module:

@@ -34,7 +34,8 @@ Every Eunomia-aware partition (and the §7.1 partition emulators) owns an
   independently — the invariant the sharded failover argument rests on.
 
 The straggler experiment (Figure 7) works by inflating the *host's*
-``batch_interval`` attribute, which the uplink re-reads before every tick;
+``batch_interval`` attribute, which the uplink re-reads before every tick
+(the inflated interval's ticks wait in another period's Fifo of the loop);
 Δ stays at the configured batch interval.
 """
 
@@ -67,6 +68,8 @@ class EunomiaUplink:
     ``(window, prev_ts, resend)`` so a retransmission to a stalled replica
     (Alg. 4's ``Ack_n[f]`` resend) re-ships the already serialized run with
     near-zero sender CPU.
+    The tick re-arms in the loop's Fifo for its period (``loop.every``):
+    all uplinks' ticks of one instant cost the heap one entry.
     """
 
     def __init__(self, host: Process, partition_index: int,
@@ -207,8 +210,7 @@ class EunomiaUplink:
         step = host.batch_interval
         if not step > 0:
             raise self._period_error(step)
-        loop = host._loop
-        loop.schedule_at(loop._now + step, self._tick, chain, epoch)
+        host._loop.every(step, self._tick, chain, epoch)
 
     def _period_error(self, step: float) -> SimulationError:
         # re-arming at ``now`` would spin ``run(until=...)`` forever
@@ -281,13 +283,12 @@ class EunomiaUplink:
                 hlc.last = clock_now
         finally:
             # :meth:`_arm` written out, as this is the hop's hottest call;
-            # ``schedule_at`` is looked up here, never cached (the tracer
-            # patches it)
+            # ``every`` (the tracer sees only its Fifo's head) is looked up
+            # here, never cached, like ``schedule_at``
             step = host.batch_interval
             if not step > 0:
                 raise self._period_error(step)
-            loop = host._loop
-            loop.schedule_at(loop._now + step, self._tick, chain, epoch)
+            host._loop.every(step, self._tick, chain, epoch)
 
     def _ship(self) -> None:
         """Alg. 2 lines 8–9 for a non-empty pending run."""

@@ -1,17 +1,14 @@
 """Ordered structures: :class:`RunBuffer`, per-origin monotone runs (the
 one deferral structure behind the stabilizer's unstable set, the GST
-deferred set and the receiver's queues), the uplink's pending
-:class:`OpRunBuilder`, and the red–black tree the paper's implementation
-is built on (§6) with the :class:`TreeOpBuffer` over it — kept as the
-reference the run buffer is tested and benchmarked against."""
+deferred set and the receiver's queues), and the uplink's pending
+:class:`OpRunBuilder`.  The red–black tree the paper's implementation is
+built on (§6) and the ``TreeOpBuffer`` over it live in ``tests/rbtree.py``,
+the reference the run buffer is tested and benchmarked against."""
 
 from .opblock import OpRunBuilder
-from .rbtree import RedBlackTree, TreeOpBuffer
 from .runbuffer import RunBuffer
 
 __all__ = [
-    "RedBlackTree",
     "OpRunBuilder",
-    "TreeOpBuffer",
     "RunBuffer",
 ]

@@ -33,7 +33,7 @@ several times faster than a Python-level ``heapq.merge`` at the §7.1 rig's
 75 origins.  Keys are unique (origins partition the runs; within a run
 ``(ts, seq)`` is strictly increasing), so comparisons never reach the
 non-orderable ``op`` payload, and the stable serialization is op-for-op
-identical to :class:`~repro.datastruct.rbtree.TreeOpBuffer`'s (the property
+identical to the reference ``TreeOpBuffer``'s (``tests/rbtree.py``; the property
 tests in ``tests/test_runbuffer.py`` prove this, and that it equals a
 k-way ``heapq.merge`` of the prefixes).
 """

@@ -11,11 +11,12 @@ checker rely on.
 There is one scheduler: a binary heap holding one plain tuple
 ``(time, seq, fn, args)`` per scheduled callback and nothing else.
 :meth:`EventLoop.schedule_at` is the way in, except for entries parked
-behind the head of a :class:`Fifo` (a busy process lane), which this
-module alone moves onto the heap.
-Only periodic tasks can be cancelled (:class:`PeriodicHandle`), and
-cancellation is a sequence number filed in a set — see "Simulator hot
-path" in ``docs/ARCHITECTURE.md``.
+behind the head of a :class:`Fifo` (a busy process lane, or the loop's
+Fifo for one timer period, see :meth:`EventLoop.every`), which this
+module alone moves onto the heap or fires in place.
+Only periodic tasks can be cancelled (:class:`PeriodicHandle`), and a
+cancelled entry fires as an uncounted no-op — see "Simulator hot path"
+in ``docs/ARCHITECTURE.md``.
 
 Time is a ``float`` measured in **seconds** since the start of the run.
 Protocol-level timestamps, by contrast, are integers in microseconds (see
@@ -41,12 +42,12 @@ class SimulationError(RuntimeError):
 class PeriodicHandle:
     """Cancellable handle for a callback repeating every ``interval`` seconds.
 
-    Returned by :meth:`EventLoop.schedule_periodic`.  ``_seq`` is the
-    sequence number of the task's queued entry (None while its callback
-    runs, and once cancelled).  Cancelling files it in the loop's
-    cancelled-seq set; the entry stays queued and is discarded when it
-    surfaces (lazy deletion), so cancellation is O(1) and only periodic
-    tasks pay for it.
+    Returned by :meth:`EventLoop.schedule_periodic`; re-armed through
+    :meth:`EventLoop.every`.  Cancelling sets ``cancelled``: the queued
+    entry stays and fires as a no-op that ``processed_events`` does not
+    count, so cancellation is O(1) and only periodic tasks pay for it.
+    ``process`` / ``epoch`` are :meth:`repro.sim.process.Process.periodic`'s
+    crash guard, data so that a deep copy of a system copies it.
 
     The callback is re-armed *after* it returns, never before: any events
     the callback schedules are sequenced ahead of the next firing, exactly
@@ -54,34 +55,45 @@ class PeriodicHandle:
     API replaces — which is what keeps golden histories bit-identical.
     """
 
-    __slots__ = ("fn", "interval", "cancelled", "_loop", "_seq")
+    __slots__ = ("fn", "interval", "cancelled", "process", "epoch", "_loop",
+                 "_queued")
 
     def __init__(self, loop: "EventLoop", interval: float,
-                 fn: Callable[[], Any]):
+                 fn: Callable[[], Any], process: Any = None):
         self.fn = fn
         self.interval = interval
         self.cancelled = False
+        self.process = process
+        self.epoch = 0 if process is None else process._epoch
         self._loop = loop
-        self._seq: Optional[int] = None
+        self._queued = True     # an entry of the task is scheduled
 
     def cancel(self) -> None:
         """Stop further firings.  Idempotent; safe from inside the callback
         and from any other callback."""
         if not self.cancelled:
             self.cancelled = True
-            if self._seq is not None:
-                self._loop._cancelled.add(self._seq)
-                self._seq = None
+            if self._queued:
+                self._loop._cancelled += 1
 
-    def _fire(self) -> None:
-        self._seq = None
+    def _fire(self, _: Any) -> None:
+        loop = self._loop
+        self._queued = False
+        if self.cancelled:
+            loop._cancelled -= 1
+            loop._dead += 1
+            return
+        process = self.process
+        if process is not None and (process.crashed
+                                    or process._epoch != self.epoch):
+            self.cancelled = True
+            return
         try:
             self.fn()
         finally:
             if not self.cancelled:
-                loop = self._loop
-                self._seq = loop.schedule_at(loop._now + self.interval,
-                                             self._fire)
+                self._queued = True
+                loop.every(self.interval, PeriodicHandle._fire, self, None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "active"
@@ -96,21 +108,26 @@ def apply(fn: Callable[..., Any], args: tuple) -> None:
 
 
 class Fifo:
-    """A single-server process lane: ``busy``, the end of the last slot
-    reserved on it, and its completions, of which only the head is on the
-    loop's heap.  Each slot starts where the last ended, so the entries
-    have non-decreasing ``(time, seq)``.
+    """A single-server queue of loop entries with non-decreasing
+    ``(time, seq)``, of which only the head is on the loop's heap: a
+    process lane (``busy`` is the end of the last slot reserved on it, and
+    each slot starts where the last ended) or the loop's Fifo for one
+    timer period (:meth:`EventLoop.every`).
 
     ``queued`` counts the entries of generation ``gen`` still to fire.
-    When it is 0 the lane's process sets it to 1 and schedules its head
-    through ``schedule_at`` as ``fire(gen, fn, a, b)``; otherwise it hands
-    the entry to :meth:`park`.  ``fire`` (bound once) drops an entry of an
-    older generation; otherwise it counts the entry out, pushes the next
-    parked one onto the heap and calls ``fn(a, b)`` — a message handler's
-    ``(msg, src)``; other bodies go through :func:`apply`.  The next entry
-    follows the one firing in the loop's order, so it is on the heap
-    before it can fall due and the loop fires what it would with every
-    entry on the heap.
+    When it is 0 the owner sets it to 1 and schedules its head through
+    ``schedule_at`` as ``fire(gen, fn, a, b)``; otherwise it hands the
+    entry to :meth:`park`.  ``fire`` (bound once) drops an entry of an
+    older generation; otherwise it counts the entry out and calls
+    ``fn(a, b)`` — a message handler's ``(msg, src)``; other bodies go
+    through :func:`apply`.
+
+    The next parked entry follows the one firing in the loop's order.
+    When it already trails the heap's head it is pushed before the body;
+    otherwise it is fired in place after the body, with no push or pop,
+    while it precedes the heap's head and ``run``'s bound and every
+    queued entry of the lane is parked (a body may crash the process or
+    queue a new head).  The first that fails the test is pushed.
     """
 
     __slots__ = ("busy", "queued", "gen", "parked", "fire", "_loop")
@@ -149,9 +166,36 @@ class Fifo:
             return
         queued = self.queued - 1
         self.queued = queued
-        if queued:
-            heappush(self._loop._heap, self.parked.popleft())
-        fn(a, b)
+        if not queued:
+            fn(a, b)
+            return
+        parked = self.parked
+        loop = self._loop
+        heap = loop._heap
+        if heap and heap[0] < parked[0]:
+            heappush(heap, parked.popleft())
+            fn(a, b)
+            return
+        until = loop._until
+        try:
+            while True:
+                fn(a, b)
+                if not parked or self.queued != len(parked):
+                    return
+                entry = parked[0]
+                if heap and heap[0] < entry or entry[0] > until:
+                    heappush(heap, parked.popleft())
+                    return
+                parked.popleft()
+                self.queued -= 1
+                loop._now = entry[0]
+                _, fn, a, b = entry[3]
+        except BaseException:
+            # a body raised: leave the lane's next entry where ``run``
+            # finds it
+            if parked and self.queued == len(parked):
+                heappush(heap, parked.popleft())
+            raise
 
     def release_all(self) -> None:
         """Push every parked entry onto the heap and start a new
@@ -189,10 +233,14 @@ class EventLoop:
         self._heap: list[tuple] = []
         self._seq = 0          # entries ever scheduled == next sequence number
         self._fifos: list[deque] = []  # every Fifo's parked entries
+        #: timer period -> the Fifo its :meth:`every` entries wait in
+        self._periods: dict[float, Fifo] = {}
         self._now: float = 0.0
+        #: the bound of the running :meth:`run`; no Fifo fires past it
+        self._until = _INF
         self._running = False
-        self._cancelled: set[int] = set()   # seqs cancelled while still queued
-        self._dead = 0         # cancelled entries already discarded
+        self._cancelled = 0    # cancelled entries still queued
+        self._dead = 0         # cancelled entries already surfaced
 
     # ------------------------------------------------------------------
     # Introspection
@@ -207,8 +255,8 @@ class EventLoop:
         """Number of events that have fired so far (cancelled ones excluded).
 
         Derived, so firing an event maintains no counter: every entry ever
-        scheduled is still queued (on the heap or parked behind a busy
-        lane's head), was discarded as cancelled, or fired.
+        scheduled is still queued (on the heap or parked behind a Fifo's
+        head), surfaced cancelled, or fired.
         """
         return self._seq - len(self._heap) - self._parked() - self._dead
 
@@ -216,7 +264,7 @@ class EventLoop:
         """Number of not-yet-fired, not-cancelled events, parked ones
         included.  O(lanes that ever backed up), so monitors can poll it
         every tick."""
-        return len(self._heap) + self._parked() - len(self._cancelled)
+        return len(self._heap) + self._parked() - self._cancelled
 
     def _parked(self) -> int:
         return sum(map(len, self._fifos))
@@ -248,9 +296,26 @@ class EventLoop:
         heappush(self._heap, (time, seq, fn, args))
         return seq
 
+    def every(self, step: float, fn: Callable[[Any, Any], Any], a: Any,
+              b: Any) -> None:
+        """Schedule ``fn(a, b)`` ``step`` (> 0, unchecked) seconds from now
+        in the loop's :class:`Fifo` for period ``step``, whose entries fall
+        due in scheduling order: a timer re-arms here, and an instant's
+        ticks cost the heap one entry.  Call it where it is looked up."""
+        lane = self._periods.get(step)
+        if lane is None:
+            lane = self._periods[step] = Fifo(self)
+        # a period's Fifo never starts a new generation: ``gen`` stays 0
+        if lane.queued:
+            lane.park(self._now + step, (0, fn, a, b))
+        else:
+            lane.queued = 1
+            self.schedule_at(self._now + step, lane.fire, 0, fn, a, b)
+
     def schedule_periodic(self, interval: float, fn: Callable[[], Any],
                           phase: Optional[float] = None,
-                          name: Optional[str] = None) -> PeriodicHandle:
+                          name: Optional[str] = None,
+                          process: Any = None) -> PeriodicHandle:
         """Run ``fn()`` every ``interval`` seconds; returns a cancellable
         :class:`PeriodicHandle`.
 
@@ -260,15 +325,19 @@ class EventLoop:
         ``now`` would spin ``run(until=...)`` forever.  The handle re-arms
         *after* ``fn`` returns (even if it raises), and stops as soon as
         :meth:`PeriodicHandle.cancel` is called — including from inside
-        ``fn`` itself.
+        ``fn`` itself — or, given a ``process``, once that process crashes
+        or starts a new epoch.
         """
         if not interval > 0:
             name = name or getattr(fn, "__qualname__", repr(fn))
             raise SimulationError(
                 f"periodic task {name} has non-positive period {interval!r}")
-        handle = PeriodicHandle(self, interval, fn)
-        first = interval if phase is None else phase
-        handle._seq = self.schedule_at(self._now + first, handle._fire)
+        handle = PeriodicHandle(self, interval, fn, process)
+        if phase is None:
+            self.every(interval, PeriodicHandle._fire, handle, None)
+        else:
+            self.schedule_at(self._now + phase, PeriodicHandle._fire, handle,
+                             None)
         return handle
 
     # ------------------------------------------------------------------
@@ -285,25 +354,19 @@ class EventLoop:
             raise SimulationError("event loop is not reentrant")
         self._running = True
         # Hot loop: this drains millions of events per experiment, so each
-        # one costs a pop, an unpack, one compare, one empty-set test, one
-        # attribute store and the call.  The heap and the cancelled set are
-        # aliased into locals (callbacks mutate the same objects);
-        # ``self._now`` must stay instance state — callbacks read
-        # ``loop.now`` mid-drain.
+        # one costs a pop, an unpack, one compare, one attribute store and
+        # the call.  ``self._now`` must stay instance state — callbacks
+        # read ``loop.now`` mid-drain — and so must ``self._until``, which
+        # a Fifo firing in place reads.
         heap = self._heap
-        cancelled = self._cancelled
-        limit = _INF if until is None else until
+        limit = self._until = _INF if until is None else until
         try:
             while heap:
                 entry = heappop(heap)
-                time, seq, fn, args = entry
+                time, _, fn, args = entry
                 if time > limit:
                     heappush(heap, entry)
                     break
-                if cancelled and seq in cancelled:
-                    cancelled.remove(seq)
-                    self._dead += 1
-                    continue
                 self._now = time
                 fn(*args)
         finally:

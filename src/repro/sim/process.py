@@ -141,20 +141,14 @@ class Process:
         Built on :meth:`repro.sim.loop.EventLoop.schedule_periodic`, whose
         handle is returned: ``cancel()`` stops the task, and the crash guard
         retires the whole chain (one uniform re-arm point — recovery paths
-        simply call the owning component's ``start()`` again).
+        simply call the owning component's ``start()`` again).  The guard
+        is the handle's ``process`` and ``epoch``, data rather than a
+        closure, so a deep copy of the process copies its tasks too.
         """
-        epoch = self._epoch
-
-        def body() -> None:
-            if self.crashed or self._epoch != epoch:
-                handle.cancel()
-                return
-            fn()
-
-        handle = self._loop.schedule_periodic(
-            period, body, phase=phase,
-            name=f"{getattr(fn, '__qualname__', fn)} of {self.name}")
-        return handle
+        return self._loop.schedule_periodic(
+            period, fn, phase=phase,
+            name=f"{getattr(fn, '__qualname__', fn)} of {self.name}",
+            process=self)
 
     # ------------------------------------------------------------------
     # Messaging

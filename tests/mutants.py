@@ -34,7 +34,7 @@ from repro.core.uplink import EunomiaUplink
 from repro.datastruct.runbuffer import RunBuffer
 from repro.geo.datacenter import EunomiaProtocol
 from repro.geo.receiver import Receiver
-from repro.sim.loop import EventLoop, Fifo
+from repro.sim.loop import Fifo, PeriodicHandle
 from repro.sim.process import Process
 
 __all__ = ["MUTANTS", "Mutant"]
@@ -125,9 +125,24 @@ MUTANTS = {m.name: m for m in (
     Mutant("gap_frame_accepted", StabilizerBase, "on_add_op_batch",
            "if msg.prev_ts > pt:", "if False:"),
     # A cancelled periodic entry fires when it surfaces: the one
-    # cancellation path the loop has (lazy deletion by seq).
-    Mutant("cancelled_periodic_fires", EventLoop, "run",
-           "if cancelled and seq in cancelled:", "if False:"),
+    # cancellation path the loop has (the entry stays queued, a no-op).
+    Mutant("cancelled_periodic_fires", PeriodicHandle, "_fire",
+           "if self.cancelled:", "if False:"),
+    # The crash guard of ``Process.periodic`` closes over its process
+    # again, as a nested function: a deep copy of the system shares the
+    # closure, so the copy's periodic tasks read the original's state.
+    Mutant("periodic_body_closes_over_process", Process, "periodic",
+           "return self._loop.schedule_periodic(\n"
+           "        period, fn, phase=phase,",
+           "proc, epoch, task = self, self._epoch, fn\n"
+           "\n"
+           "    def fn():\n"
+           "        if proc.crashed or proc._epoch != epoch:\n"
+           "            return\n"
+           "        task()\n"
+           "\n"
+           "    return self._loop.schedule_periodic(\n"
+           "        period, fn, phase=phase,"),
     # FIND_STABLE claims one tick past min(PartitionTime): an op a
     # partition may still send at that timestamp would arrive after the
     # cut was shipped (Alg. 3 l.8).
@@ -144,9 +159,21 @@ MUTANTS = {m.name: m for m in (
     # its head fires: it falls behind every same-time entry scheduled since
     # it was parked (the loop's (time, seq) order).
     Mutant("parked_entry_gets_fresh_seq", Fifo, "_fire",
-           "heappush(self._loop._heap, self.parked.popleft())",
-           "time, _, head, rest = self.parked.popleft(); "
-           "self._loop.schedule_at(time, head, *rest)"),
+           "entry[0] > until:\n"
+           "                heappush(heap, parked.popleft())",
+           "entry[0] > until:\n"
+           "                time, _, head, rest = parked.popleft(); "
+           "loop.schedule_at(time, head, *rest)"),
+    # A Fifo fires its next entry in place although the heap's head
+    # precedes it: an entry of another lane or a timer falls behind.
+    Mutant("drain_fires_past_heap_head", Fifo, "_fire",
+           "if heap and heap[0] < entry or entry[0] > until:",
+           "if entry[0] > until:"),
+    # A Fifo fires its next entry in place past ``run(until=...)``'s bound:
+    # the loop's clock passes the bound and an event of the next segment
+    # fires in this one.
+    Mutant("drain_ignores_until", Fifo, "_fire",
+           " or entry[0] > until:", ":"),
     # An entry of an older generation fires: a completion queued before a
     # crash runs its handler and counts out an entry of the new generation.
     Mutant("stale_entry_releases", Fifo, "_fire",

@@ -1,4 +1,5 @@
-"""Red–black tree (Guibas & Sedgewick), the core of the Eunomia service.
+"""Red–black tree (Guibas & Sedgewick), the core of the paper's Eunomia
+service, kept beside the tests as the reference the run buffer is held to.
 
 The paper (§6) reports that Eunomia's performance hinges on the structure
 holding the set of unstable operations: it must support cheap inserts (every
@@ -14,10 +15,12 @@ invariants and is exercised by property-based tests.
 
 :class:`TreeOpBuffer` is the paper's §6 unstable-op buffer over that tree:
 O(log n) everything, no ingestion-order assumptions.  Nothing in the
-simulator runs it any more — the stabilizers hold a
-:class:`~repro.datastruct.runbuffer.RunBuffer` — it is the *reference*:
-``tests/test_runbuffer.py`` proves the run buffer emits its serialization
-op for op, and the §6 micro-benchmarks measure the two side by side.
+simulator runs it — the stabilizers hold a
+:class:`~repro.datastruct.runbuffer.RunBuffer` — so it lives with the
+tests, not under ``src/``: ``tests/test_runbuffer.py`` proves the run
+buffer emits its serialization op for op, and the §6 micro-benchmarks
+(``benchmarks/bench_trees.py``, which put ``tests/`` on the path in their
+``conftest.py``) measure the two side by side.
 """
 
 from __future__ import annotations

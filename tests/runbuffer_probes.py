@@ -2,7 +2,7 @@
 
 :class:`repro.datastruct.RunBuffer` ships the drains its gates call and
 nothing else; these two reads compare it with its §6 tree reference
-(:class:`repro.datastruct.TreeOpBuffer`, which has both as methods) and
+(``TreeOpBuffer`` in ``rbtree.py``, which has both as methods) and
 inspect a stabilizer's buffer.  A tree buffer answers for itself.
 """
 

@@ -11,7 +11,10 @@ arrival that handles it — and a zero-cost message is handled in its
 arrival event when its lane is idle.
 """
 
+from contextlib import nullcontext
+
 import pytest
+from heap_only import heap_only
 
 import repro.baselines  # noqa: F401  (registers every protocol)
 from repro import GeoSystemSpec, WorkloadSpec, build_geo_system
@@ -20,7 +23,6 @@ from repro.baselines.messages import GstBroadcast
 from repro.core import EunomiaConfig
 from repro.core.protocols import available_protocols
 from repro.harness.loadgen import build_eunomia_rig
-from repro.sim.loop import Fifo
 
 
 def _run(protocol, clients_per_dc):
@@ -77,18 +79,25 @@ def test_a_summary_broadcast_on_an_idle_lane_costs_one_event(monkeypatch):
     handled in its arrival event.  Served from ``cpu`` with the round as its
     service cost it was two events, every time (ratio 2.0)."""
     events = {"deliver": 0, "completion": 0}
-    deliver, fire = GstPartition.deliver, Fifo._fire
+    arriving = []   # per open ``deliver`` call: is it a broadcast's?
+    deliver, handle = GstPartition.deliver, GstPartition.on_gst_broadcast
 
     def counted_deliver(self, msg, src):
         events["deliver"] += type(msg) is GstBroadcast
-        deliver(self, msg, src)
+        arriving.append(type(msg) is GstBroadcast)
+        try:
+            deliver(self, msg, src)
+        finally:
+            arriving.pop()
 
-    def counted_fire(self, gen, fn, a, b):
-        events["completion"] += type(a) is GstBroadcast
-        fire(self, gen, fn, a, b)
+    def counted_handle(self, msg, src):
+        # handled outside its arrival event: a completion event, whether
+        # the heap fired it or its lane fired it in place
+        events["completion"] += not (arriving and arriving[-1])
+        handle(self, msg, src)
 
     monkeypatch.setattr(GstPartition, "deliver", counted_deliver)
-    monkeypatch.setattr(Fifo, "_fire", counted_fire)   # before lanes are built
+    monkeypatch.setattr(GstPartition, "on_gst_broadcast", counted_handle)
     _run("cure", clients_per_dc=4)
     assert events["deliver"] > 1000
     assert sum(events.values()) / events["deliver"] <= 1.1
@@ -132,3 +141,24 @@ def test_a_saturated_stabilizer_backlog_waits_off_the_heap():
         assert loop.pending() > backlog + 1000
         backlog = loop.pending()
         assert len(loop._heap) <= 3 * processes
+
+
+def test_an_instants_ticks_cost_the_heap_one_entry():
+    """The rig's 75 emulated partitions tick at the same instants, and a
+    tick re-arms through the loop's Fifo for its period, so one instant's
+    ticks cost the heap one entry: at 0.4 sim-s it holds 78 entries (152
+    with every tick on it).  Nothing fires differently: ``pending()`` and
+    ``processed_events`` are the heap-only reference's."""
+    counts = []
+    for side in (nullcontext, heap_only):
+        rig = build_eunomia_rig(75, seed=5)
+        loop = rig.env.loop
+        with side():
+            rig.start()
+            rig.env.run(until=0.4)
+        counts.append((len(loop._heap), loop.pending(),
+                       loop.processed_events))
+    (heap, pending, events), reference = counts
+    assert (pending, events) == reference[1:]
+    assert pending > 3000
+    assert heap <= 80

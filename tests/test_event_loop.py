@@ -64,7 +64,7 @@ def test_cancel_is_idempotent():
     handle.cancel()
     loop.run()
     assert loop.processed_events == 0
-    assert (loop.pending(), loop._cancelled) == (0, set())
+    assert (loop.pending(), loop._cancelled) == (0, 0)
 
 
 def test_scheduling_in_the_past_raises():
@@ -260,7 +260,7 @@ def test_event_cancelling_itself_from_its_callback_is_a_noop():
     loop.schedule(2.0, lambda: None)
     loop.run(until=1.5)
     assert (loop.processed_events, loop.pending()) == (1, 1)
-    assert loop._cancelled == set()
+    assert loop._cancelled == 0
     loop.run()
     assert (loop.processed_events, loop.pending()) == (2, 0)
 

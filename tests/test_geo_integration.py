@@ -112,7 +112,7 @@ def test_geo_survives_eunomia_leader_crash():
 def test_rbtree_backed_eunomia_behaves_identically():
     """§6 reference: the paper's tree buffer, swapped into every stabilizer
     before the run, changes nothing a client can see."""
-    from repro.datastruct import TreeOpBuffer
+    from rbtree import TreeOpBuffer
 
     runs = run_eunomia()
     rbtree = build_geo_system("eunomia", SPEC, WL)

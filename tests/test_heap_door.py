@@ -2,18 +2,23 @@
 
 docs/ARCHITECTURE.md, "Simulator hot path", states the rule: outside
 ``sim/loop.py`` every entry reaches ``EventLoop``'s heap through the
-``schedule_at`` attribute, looked up at call time (``perf/trace.py``
-patches exactly that attribute); only the loop's own module, where a
-``Fifo`` moves its parked entries, touches the heap or the seq counter.
-A cached bound ``schedule_at`` would escape the tracer, and a
-``heappush`` with a fresh ``seq`` would reorder same-instant entries.
+``schedule_at`` or ``every`` attribute, looked up at call time
+(``perf/trace.py`` patches ``schedule_at``, which ``every`` calls for a
+period Fifo's head); only the loop's own module, where a ``Fifo`` moves
+its parked entries or fires them in place, touches the heap, the seq
+counter, the timer table or ``run``'s bound.  A cached bound
+``schedule_at`` would escape the tracer, a ``heappush`` with a fresh
+``seq`` would reorder same-instant entries, an entry parked by hand in a
+period's Fifo could precede its head, and a moved bound would let a Fifo
+fire past ``run(until=...)``.
 
 The scan reads ``src/repro`` as syntax, not by running it:
 
-* no module but ``sim/loop.py`` touches a loop's ``_heap`` or ``_seq``,
-  or imports ``heappush``;
+* no module but ``sim/loop.py`` touches a loop's ``_heap``, ``_seq``,
+  ``_periods`` or ``_until``, or imports ``heappush``;
 * no module but ``sim/loop.py`` calls ``heappush(...)``;
-* nothing in ``src/repro`` holds ``schedule_at`` without calling it.
+* nothing in ``src/repro`` holds ``schedule_at`` or ``every`` without
+  calling it.
 """
 
 import ast
@@ -23,6 +28,13 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: the module that owns the heap, its seq counter and ``Fifo``
 LOOP = Path("sim") / "loop.py"
+
+#: loop attributes only ``sim/loop.py`` may touch: the timer table and
+#: ``run``'s bound (``_heap`` and the loop's ``_seq`` are checked apart)
+LOOP_PRIVATE = ("_periods", "_until")
+
+#: the loop's scheduling doors, called where they are looked up
+DOORS = ("schedule_at", "every")
 
 #: direct ``heappush(...)`` calls in ``sim/`` beside ``loop.py``; never
 #: raise it.
@@ -51,6 +63,7 @@ def _door_violations(rel: Path, tree: ast.AST) -> list[str]:
         if isinstance(node, ast.Attribute) and (
                 node.attr == "_heap"
                 or node.attr == "_seq" and _is_loop(node.value)
+                or node.attr in LOOP_PRIVATE
                 or node.attr == "heappush"):
             found.append(f"{rel}:{node.lineno}: .{node.attr}")
         elif isinstance(node, ast.ImportFrom) and node.module == "heapq" \
@@ -68,12 +81,13 @@ def _heappush_calls(tree: ast.AST) -> list[int]:
 
 
 def _held_schedule_at(rel: Path, tree: ast.AST) -> list[str]:
-    """``schedule_at`` read as a value instead of called on the spot."""
+    """``schedule_at`` or ``every`` read as a value instead of called on
+    the spot."""
     called = {id(node.func) for node in ast.walk(tree)
               if isinstance(node, ast.Call)}
-    return [f"{rel}:{node.lineno}: schedule_at held, not called"
+    return [f"{rel}:{node.lineno}: {node.attr} held, not called"
             for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "schedule_at"
+            if isinstance(node, ast.Attribute) and node.attr in DOORS
             and id(node) not in called]
 
 
@@ -105,6 +119,8 @@ def test_the_scan_flags_each_kind_of_third_door():
         "seq": "seq = env.loop._seq",
         "import": "from heapq import heappop, heappush",
         "module": "heapq.heappush(self._loop._heap, entry)",
+        "periods": "lane = host._loop._periods[step]",
+        "until": "late = when > self._loop._until",
     }
     for kind, source in doors.items():
         assert _door_violations(rel, ast.parse(source)), kind
@@ -119,5 +135,9 @@ def test_the_scan_flags_each_kind_of_third_door():
         rel, ast.parse("arm = loop.schedule_at\narm(1.0, fn)"))
     assert _held_schedule_at(
         rel, ast.parse("loop.schedule_at(loop._now + step, fn)")) == []
+    assert _held_schedule_at(
+        rel, ast.parse("self._rearm = host._loop.every"))
+    assert _held_schedule_at(
+        rel, ast.parse("host._loop.every(step, self._tick, a, b)")) == []
     assert _heappush_calls(ast.parse("heappush(heap, e)\nq.heappush(h, e)")) \
         == [1, 2]

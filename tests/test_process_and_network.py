@@ -526,6 +526,68 @@ def test_the_parked_seq_test_kills_a_fresh_seq():
             test_a_parked_completion_keeps_the_seq_of_its_reservation()
 
 
+def test_a_backlog_fires_in_place_up_to_the_heap_head_and_the_bound():
+    """A 1.5 s Work and three 1.0 s completions reserved at 1.0 fall due
+    at 2.5 … 5.5; the Work's echo at 2.5 and the cut at 4.0 interleave
+    with them.  The completion at 3.5 waits for the echo its predecessor
+    scheduled, and the one at 4.5, next in place after 3.5, waits for the
+    next segment."""
+    arrivals = [(1.0, Work(0, "cpu"))] + [
+        (1.0, _message(Sized, n, "cpu", 2)) for n in (1, 2, 3)]
+    for side in (nullcontext, heap_only):
+        proc = _scripted(arrivals)
+        loop = proc._loop
+        with side():
+            loop.run(until=4.0)
+            assert proc.handled == [("cpu", 0, 2.5), ("echo", 0, 2.5),
+                                    ("cpu", 1, 3.5)]
+            assert (loop.now, loop.pending()) == (4.0, 2)
+            loop.run()
+        assert proc.handled[3:] == [("cpu", 2, 4.5), ("cpu", 3, 5.5)]
+        assert loop.processed_events == 4 + 4 + 1
+
+
+class Raising(Parking):
+    """:class:`Parking` whose handler raises on message 1, after logging."""
+
+    def _handle(self, msg, src):
+        super()._handle(msg, src)
+        if msg.n == 1:
+            raise RuntimeError("handler failed")
+
+    on_sized = _handle
+
+
+def test_a_body_that_raises_leaves_its_lane_next_entry_queued():
+    """Completion 1 is fired in place after completion 0 and raises out of
+    ``run``; completion 2 must still fire in the next ``run``."""
+    for side in (nullcontext, heap_only):
+        env = Environment(seed=1)
+        proc = Raising(env, "p")
+        for n in range(3):
+            env.loop.schedule_at(1.0, proc.deliver,
+                                 _message(Sized, n, "cpu", 2), None)
+        with side():
+            with pytest.raises(RuntimeError, match="handler failed"):
+                env.loop.run()
+            env.loop.run()
+        assert proc.handled == [("cpu", 0, 2.0), ("cpu", 1, 3.0),
+                                ("cpu", 2, 4.0)]
+        assert env.loop.pending() == 0
+
+
+@pytest.mark.parametrize("mutant", ["drain_fires_past_heap_head",
+                                    "drain_ignores_until"])
+def test_the_in_place_test_kills_a_drain_past_its_bounds(mutant):
+    """Fired in place ahead of the heap's head, the completion at 3.5
+    overtakes the echo at 2.5; fired past ``run(until=...)``'s bound,
+    the one at 4.5 runs in the first segment."""
+    test_a_backlog_fires_in_place_up_to_the_heap_head_and_the_bound()
+    with MUTANTS[mutant].applied():
+        with pytest.raises(AssertionError):
+            test_a_backlog_fires_in_place_up_to_the_heap_head_and_the_bound()
+
+
 def test_the_crash_backlog_test_kills_a_lane_left_parked():
     test_crash_moves_a_parked_backlog_onto_the_heap()
     with MUTANTS["crash_keeps_lane_parked"].applied():

@@ -27,12 +27,13 @@ import test_receiver
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mutants import MUTANTS
+from rbtree import TreeOpBuffer
 from runbuffer_probes import min_ts
 
 from repro.baselines.gst import CurePartition, GentleRainPartition
 from repro.core import EunomiaConfig
 from repro.core.service import StabilizerBase
-from repro.datastruct import RunBuffer, TreeOpBuffer
+from repro.datastruct import RunBuffer
 from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.loadgen import build_eunomia_rig
 from repro.metrics import MetricsHub

@@ -1,18 +1,24 @@
 """Property tests for the simulation core's cancellation and link order.
 
 1. **Cancellation is exact.**  Periodic tasks are the only cancellable
-   entries, and a cancel is a sequence number filed in the loop's cancelled
-   set; whatever the mix of cancel before the first firing, twice, from
-   inside the task's own body, from another task's body and from outside
-   between ``run(until=...)`` segments, ``pending()`` and
-   ``processed_events`` must match a model and no cancelled task may fire.
+   entries, and a cancelled entry stays queued and fires as an uncounted
+   no-op; whatever the mix of cancel before the first firing, twice, from
+   inside the task's own body, from another task's body (a sibling in the
+   same period's Fifo among them) and from outside between
+   ``run(until=...)`` segments (a period Fifo's queued head among them),
+   ``pending()`` and ``processed_events`` must match a model, no cancelled
+   task may fire, and the loop must fire what the heap-only reference
+   fires, with ``schedule_at`` wrapped as the host tracer wraps it or not.
 
 2. **Links are FIFO and counted.**  Under loss and jitter, ``Network.send``
    never reorders a directed link, keeps every transmission's internal
    order, and its four counters add up.
 """
 
+from contextlib import nullcontext
+
 import pytest
+from heap_only import heap_only, wrapped_schedule_at
 from hypothesis import given, settings, strategies as st
 from mutants import MUTANTS
 
@@ -32,11 +38,13 @@ def _run_cancel_program(loop, tasks, cuts):
     """Drive one cancellation program over periodic tasks; return its log.
 
     ``tasks`` are ``(interval_units, phase_units, mode, victim)``, armed
-    through ``loop.schedule_periodic`` (phase None: one full interval).
+    through ``loop.schedule_periodic`` (phase None: one full interval;
+    tasks with one interval re-arm through one period Fifo).
     ``mode`` cancels the task ``"before"`` its first firing, ``"twice"``,
-    from ``"inside"`` its own body at its second firing, or — ``"other"`` —
+    or from ``"inside"`` its own body at its second firing; ``"other"``
     cancels task ``victim`` from inside its first firing, whatever state
-    that one is in (itself included).  ``cuts`` are
+    that one is in (itself included), and ``"siblings"`` cancels every
+    other task of its interval there.  ``cuts`` are
     ``(until_units, victims)``: after each ``run(until=...)`` segment the
     victims are cancelled from outside, including ones already cancelled
     and the one whose entry was popped past the boundary and pushed back.
@@ -60,6 +68,10 @@ def _run_cancel_program(loop, tasks, cuts):
             cancel(i)
         elif mode == "other" and fired[i] == 1:
             cancel(victim)
+        elif mode == "siblings" and fired[i] == 1:
+            for j, task in enumerate(tasks):
+                if j != i and task[0] == tasks[i][0]:
+                    cancel(j)
 
     def check():
         assert loop.processed_events == sum(fired)
@@ -81,7 +93,8 @@ def _run_cancel_program(loop, tasks, cuts):
         for j in victims:
             cancel(j)
         check()
-        log.append(("segment", loop.now, loop.pending()))
+        log.append(("segment", loop.now, loop.pending(),
+                    loop.processed_events))
     loop.run(until=_END_UNITS * _U)
     check()
     for j in range(len(handles)):
@@ -93,15 +106,20 @@ def _run_cancel_program(loop, tasks, cuts):
     return log
 
 
+#: the three ways to run one program: parking, the heap-only reference,
+#: and parking under a tracer-style ``schedule_at`` wrapper
+_SIDES = (nullcontext, heap_only, wrapped_schedule_at)
+
+
 # one falsifying example is enough, and keeps the failure an
 # AssertionError for the kill test below (not a group of them)
 @settings(max_examples=80, deadline=None, report_multiple_bugs=False)
 @given(
     tasks=st.lists(
-        st.tuples(st.integers(1, 25),
+        st.tuples(st.one_of(st.sampled_from([3, 4]), st.integers(1, 25)),
                   st.one_of(st.none(), st.integers(0, 30)),
                   st.sampled_from(["keep", "keep", "before", "twice",
-                                   "inside", "other"]),
+                                   "inside", "other", "siblings"]),
                   st.integers(0, 7)),
         max_size=8),
     cuts=st.lists(
@@ -110,13 +128,20 @@ def _run_cancel_program(loop, tasks, cuts):
         max_size=4).map(lambda cs: sorted(cs, key=lambda c: c[0])),
 )
 def test_cancellation_is_exact(tasks, cuts):
-    """Cancellation is a seq filed in the loop's cancelled set: cancel
-    before the first firing, twice, from inside the task's own body, from
-    another task's body and across ``run(until=...)`` segments must all
-    leave ``pending()`` / ``processed_events`` exact and never fire a
-    cancelled task (checked inside the program).  Firings come in time
-    order, each task's one ``interval`` apart."""
-    log = _run_cancel_program(EventLoop(), tasks, cuts)
+    """Cancellation leaves the cancelled entry queued as an uncounted
+    no-op: cancel before the first firing, twice, from inside the task's
+    own body, from another task's body and across ``run(until=...)``
+    segments must all leave ``pending()`` / ``processed_events`` exact and
+    never fire a cancelled task (checked inside the program).  Firings
+    come in time order, each task's one ``interval`` apart, and the log
+    is the heap-only reference's, with or without a wrapped
+    ``schedule_at``."""
+    logs = []
+    for side in _SIDES:
+        with side():
+            logs.append(_run_cancel_program(EventLoop(), tasks, cuts))
+    log = logs[0]
+    assert logs[1] == log and logs[2] == log
     times = [entry[0] for entry in log if entry[0] != "segment"]
     assert times == sorted(times)
     for i, (interval, phase, _, _) in enumerate(tasks):

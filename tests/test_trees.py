@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from rbtree import RedBlackTree, TreeOpBuffer
 from runbuffer_probes import contains, min_ts
 
-from repro.datastruct import RedBlackTree, RunBuffer, TreeOpBuffer
+from repro.datastruct import RunBuffer
 
 keys = st.lists(st.integers(min_value=-1000, max_value=1000), max_size=200)
 
