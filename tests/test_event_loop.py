@@ -67,6 +67,21 @@ def test_cancel_is_idempotent():
     assert (loop.pending(), loop._cancelled) == (0, 0)
 
 
+def test_a_cancelled_period_head_releases_the_tasks_behind_it():
+    """Two tasks of one interval share their period's Fifo; ``a``'s entry
+    at 2.0 is its head on the heap when ``a`` is cancelled, and it still
+    lets ``b``'s entries behind it fire."""
+    loop = EventLoop()
+    fired = []
+    a = loop.schedule_periodic(1.0, lambda: fired.append(("a", loop.now)))
+    loop.schedule_periodic(1.0, lambda: fired.append(("b", loop.now)))
+    loop.run(until=1.5)
+    a.cancel()
+    loop.run(until=3.5)
+    assert fired == [("a", 1.0), ("b", 1.0), ("b", 2.0), ("b", 3.0)]
+    assert (loop.pending(), loop.processed_events) == (1, 4)
+
+
 def test_scheduling_in_the_past_raises():
     loop = EventLoop()
     loop.schedule(1.0, lambda: None)
