@@ -124,9 +124,8 @@ class SessionClient(Process):
                 issued_at=self._issued_at,
             ))
         if self.retry_timeout is not None:
-            request_id = self._request_id
-            self.after(self.retry_timeout,
-                       lambda: self._maybe_retry(request_id))
+            self.after(self.retry_timeout, self._maybe_retry,
+                       self._request_id)
 
     def _maybe_retry(self, request_id: int) -> None:
         """Re-issue a request whose reply never came (dropped by a crash
@@ -183,7 +182,7 @@ class SessionClient(Process):
         self.metrics.mark(self.op_mark, now)
         self.metrics.mark(self._dc_mark, now)
         if self.think_time > 0.0:
-            self.after(self.think_time,
-                       lambda: self._enqueue(self._issue, self.op_cost))
+            self.after(self.think_time, self._enqueue, self._issue,
+                       self.op_cost)
         else:
             self._enqueue(self._issue, self.op_cost)

@@ -252,7 +252,7 @@ class RemoteStableBatch:
 
     A frame like :class:`AddOpBatch`: ``ops`` ascend in the run's
     ``(ts, partition, seq)`` serialization order, so the receiver's
-    duplicate filter bisects them by ``ts`` and walks ``op.order_key()``
+    duplicate filter bisects them by ``ts`` and walks ``ORDER_KEY(op)``
     over the ties.  One tuple is multicast to every destination.
     """
 

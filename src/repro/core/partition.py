@@ -36,7 +36,7 @@ from ..clocks.hlc import HybridLogicalClock
 from ..clocks.physical import PhysicalClock
 from ..clocks.vector import vc_zero
 from ..kvstore.storage import VersionedStore
-from ..kvstore.types import Update, Versioned
+from ..kvstore.types import ORDER_KEY, Update, Versioned
 from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
 from ..sim.process import Process
@@ -235,7 +235,7 @@ class ReceiverFedPartition(StoragePartition):
 
     def on_apply_remote(self, msg: ApplyRemote, src: Process) -> None:
         update = msg.update
-        if update.order_key() <= self._last_installed[update.origin_dc]:
+        if ORDER_KEY(update) <= self._last_installed[update.origin_dc]:
             # Released again by a receiver that crashed before the ack got
             # back: it is installed (and its §5 payload consumed), so only
             # the acknowledgement is repeated.
@@ -260,7 +260,7 @@ class ReceiverFedPartition(StoragePartition):
                         receiver: Process) -> None:
         self._install(((update, data_arrival),))
         k = update.origin_dc
-        self._last_installed[k] = update.order_key()
+        self._last_installed[k] = ORDER_KEY(update)
         # Per-origin-partition breakdown: the straggler experiment (Fig. 7)
         # distinguishes updates born on healthy partitions from the
         # straggler's own.

@@ -179,8 +179,7 @@ class StabilizerBase(Process):
                                 self._durable_floor(), self.now)
         cost = (self._checkpoint_cost
                 + checkpoint.size_bytes * self.wal.disk.byte_time_s)
-        self._enqueue(lambda: self._write_checkpoint(checkpoint), cost,
-                      lane="disk")
+        self._enqueue(self._write_checkpoint, cost, checkpoint, lane="disk")
 
     def _write_checkpoint(self, checkpoint) -> None:
         # Flush first so the checkpoint never refers past the durable log,
@@ -294,7 +293,7 @@ class StabilizerBase(Process):
         ack = BatchAck(msg.partition_index,
                        self.partition_time[msg.partition_index])
         if wal is None:
-            self._enqueue(lambda: self.send(src, ack), self.ack_cost)
+            self._enqueue(self.send, self.ack_cost, src, ack)
             return
         # Ack-after-fsync: the acknowledgement rides the disk lane behind
         # the flush covering this batch's records.  The uplink prunes an op
@@ -303,8 +302,8 @@ class StabilizerBase(Process):
         # imply durability.  (The ack_ts was snapshotted above, so it never
         # claims more than this flush covers.)
         cost = wal.flush_cost()
-        self._enqueue(lambda: self._commit_and_ack(src, ack),
-                      cost + self.ack_cost, lane="disk")
+        self._enqueue(self._commit_and_ack, cost + self.ack_cost, src, ack,
+                      lane="disk")
 
     def _commit_and_ack(self, src: Process, ack: BatchAck,
                         attempt: int = 0) -> None:
@@ -327,8 +326,8 @@ class StabilizerBase(Process):
         # Re-pay the barrier on the disk lane (flush_cost was reset by the
         # failed commit, so this charges the full pending bytes again).
         cost = self.wal.flush_cost()
-        self._enqueue(lambda: self._commit_and_ack(src, ack, attempt),
-                      cost + self.ack_cost, lane="disk")
+        self._enqueue(self._commit_and_ack, cost + self.ack_cost, src, ack,
+                      attempt, lane="disk")
 
     def on_stable_announce(self, msg: StableAnnounce, src: Process) -> None:
         """Follower pruning (Alg. 4 lines 13–15).
@@ -443,7 +442,7 @@ class EunomiaService(ReplicaRole, StabilizerBase):
             return
         cost = (self.stab_round_cost
                 + self.propagate_op_cost * len(ops) * max(1, len(self.destinations)))
-        self._enqueue(lambda: self._propagate(stable_ts, ops), cost)
+        self._enqueue(self._propagate, cost, stable_ts, ops)
 
     def _propagate(self, stable_ts: int, ops: list) -> None:
         """PROCESS(StableOps): ship the stable run, then tell followers what

@@ -83,9 +83,9 @@ unreplicated K-shard pipelines, including under a forced leader crash.
 from __future__ import annotations
 
 from collections import deque
-from operator import attrgetter
 from typing import Optional
 
+from ..kvstore.types import ORDER_KEY
 from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
 from ..sim.process import Process
@@ -95,10 +95,6 @@ from .replica import ReplicaRole
 from .service import StabilizerBase
 
 __all__ = ["ShardMap", "EunomiaShard", "ShardCoordinator"]
-
-#: ``Update.order_key``'s ``(ts, partition_index, seq)``, evaluated in C
-_ORDER_KEY = attrgetter("ts", "partition_index", "seq")
-
 
 class ShardMap:
     """Partition → shard assignment for one datacenter.
@@ -217,7 +213,7 @@ class EunomiaShard(StabilizerBase):
         self.ops_stabilized += len(ops)
         batch = ShardStableBatch(self.shard_id, stable_ts, tuple(ops))
         cost = self.stab_round_cost + self.serialize_op_cost * len(ops)
-        self._enqueue(lambda: self.send(self.coordinator, batch), cost)
+        self._enqueue(self.send, cost, self.coordinator, batch)
 
 
 class ShardCoordinator(ReplicaRole, Process):
@@ -292,13 +288,13 @@ class ShardCoordinator(ReplicaRole, Process):
                 ops.append(queue.popleft())
         if not ops:
             return
-        # Each shard's run is already order_key()-ordered — the same (ts,
+        # Each shard's run is already ORDER_KEY-ordered — the same (ts,
         # origin, seq) key the RunBuffer sorts by — and runs never
         # interleave with future arrivals (a shard never re-announces below
         # its ShardStableTime), so sorting the shard-order concatenation
         # re-serializes the global order.  The sort is stable: on equal
         # keys the earlier shard comes first, as in a K-way heapq.merge.
-        ops.sort(key=_ORDER_KEY)
+        ops.sort(key=ORDER_KEY)
         tracer = self.metrics.tracer
         if tracer is not None:
             now, site = self.now, self.site
@@ -312,7 +308,7 @@ class ShardCoordinator(ReplicaRole, Process):
         floors = self._prune_floors()
         cost = (self.merge_round_cost
                 + self.forward_op_cost * len(ops) * max(1, len(self.destinations)))
-        self._enqueue(lambda: self._propagate(ops, floors), cost)
+        self._enqueue(self._propagate, cost, ops, floors)
 
     def _prune_floors(self):
         """Per-shard floors this release covers: each shard's announced

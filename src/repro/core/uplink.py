@@ -260,12 +260,15 @@ class EunomiaUplink:
             if clock_now < hlc.last + self._heartbeat_us:
                 return
             if self._ft:
-                last_ts = ts_col[-1] if ts_col else 0
-                ack = self._ack
-                targets = [replica for replica in replicas
-                           if ack[replica.pid] >= last_ts]  # nothing outstanding
-                if not targets:
-                    return
+                if ts_col:
+                    last_ts = ts_col[-1]
+                    ack = self._ack
+                    targets = [replica for replica in replicas
+                               if ack[replica.pid] >= last_ts]  # all acked
+                    if not targets:
+                        return
+                else:
+                    targets = replicas   # nothing pending, nothing owed
                 beat = PartitionHeartbeat(self.partition_index, clock_now)
                 self.heartbeats_sent += len(targets)
                 send, to = self._network.multicast, targets
@@ -368,7 +371,7 @@ class EunomiaUplink:
 
     def _prune(self) -> None:
         """Drop the prefix acknowledged by *every* replica."""
-        if not self._ack or not self._pending:
+        if not self._ack or not self._pending.ts:
             return
         min_ack = min(self._ack.values())
         cut = bisect.bisect_right(self._pending.ts, min_ack)

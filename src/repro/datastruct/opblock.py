@@ -5,7 +5,7 @@ timestamp-ascending ``tuple`` of updates and nothing else.  Ingestion
 bisects that tuple by ``ts`` and builds its ``(ts, origin, seq, op)``
 entries once per accepted suffix
 (:meth:`repro.core.service.StabilizerBase.on_add_op_batch`); the receiver
-walks ``op.order_key()``.
+walks ``ORDER_KEY(op)``.
 
 :class:`OpRunBuilder` is the uplink's pending state: the ``ts`` list its
 window bisections read, beside the ops themselves.  A window is cut as a

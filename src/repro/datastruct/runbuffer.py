@@ -20,10 +20,10 @@ An entry is a tuple whose ``entry[0]`` is its run's strictly increasing
 key and whose ``entry[1]`` is the run's origin; the rest is the caller's.
 The stabilizer and the GST key by the int ``ts`` — FIFO links plus
 Property 2 make each origin's timestamps grow.  The receiver keys by
-``Update.order_key()``, because its stream carries cross-partition ``ts``
-ties.  One validation loop (:meth:`RunBuffer.extend_run`) *checks* that
-contract instead of silently corrupting the order, and the per-origin
-tail it keeps is the receiver's duplicate watermark.
+``kvstore.types.ORDER_KEY``, because its stream carries cross-partition
+``ts`` ties.  One validation loop (:meth:`RunBuffer.extend_run`) *checks*
+that contract instead of silently corrupting the order, and the
+per-origin tail it keeps is the receiver's duplicate watermark.
 
 The stabilizer's entries are ``(ts, origin, seq, op)``: the first three
 fields *are* the §6 tree's ``(ts, origin, seq)`` ordering key, so

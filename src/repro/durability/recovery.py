@@ -39,6 +39,10 @@ from ..sim.disk import DiskModel
 __all__ = ["RecoveryManager", "RestoreReport"]
 
 
+def _replayed() -> None:
+    """The body of a replay's CPU slot: the slot itself is the work."""
+
+
 @dataclass(slots=True)
 class RestoreReport:
     """What one checkpoint+WAL restore rebuilt."""
@@ -89,7 +93,7 @@ class RecoveryManager:
         cost = self.disk.replay_cost(len(wal.records))
         if cost > 0.0:
             # Replay occupies the CPU: deliveries queue behind the restore.
-            proc._enqueue(lambda: None, cost)
+            proc._enqueue(_replayed, cost)
         report = RestoreReport(
             name=proc.name,
             records_replayed=len(wal.records),

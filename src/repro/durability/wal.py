@@ -60,15 +60,13 @@ PT_RECORD = 1
 #: Tag byte + truncated content digest per op record.
 _TAG_BYTES = 1
 _DIGEST_BYTES = 8
+_OP_FIXED_BYTES = _TAG_BYTES + _DIGEST_BYTES
 
-
-def _varint_len(value: int) -> int:
-    """Bytes a zigzag varint encoding of ``value`` occupies (≥ 1).
-
-    Zigzag maps ``v ≥ 0`` to ``2v`` and ``v < 0`` to ``2·~v + 1``: one bit
-    more than ``v`` (or ``~v``) has, and a varint byte carries 7 bits.
-    """
-    return ((~value if value < 0 else value).bit_length() + 7) // 7
+# A field's zigzag varint length is written out where it is needed as
+# ``((~v if v < 0 else v).bit_length() + 7) // 7``: zigzag maps ``v ≥ 0``
+# to ``2v`` and ``v < 0`` to ``2·~v + 1``, one bit more than ``v`` (or
+# ``~v``) has, and a varint byte carries 7 bits.  Inline, because it runs
+# for three fields of every op record and two of every heartbeat record.
 
 
 class WriteAheadLog:
@@ -118,18 +116,9 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # Staging (volatile)
     # ------------------------------------------------------------------
-    def _op_record_bytes(self, ts: int, origin: int, seq: int) -> int:
-        size = (_TAG_BYTES + _DIGEST_BYTES
-                + _varint_len(ts - self._last_staged_ts)
-                + _varint_len(origin) + _varint_len(seq))
-        self._last_staged_ts = ts
-        return size
-
     def stage_op(self, ts: int, origin: int, seq: int, op: Any) -> None:
         """Stage one accepted operation record."""
-        self._staged.append((OP_RECORD, ts, origin, seq, op))
-        self._staged_bytes += self._op_record_bytes(ts, origin, seq)
-        self.appends += 1
+        self.stage_ops([(ts, origin, seq, op)])
 
     def stage_ops(self, entries: list) -> None:
         """Bulk-stage ``(ts, origin, seq, op)`` entries (one batch's suffix).
@@ -137,25 +126,37 @@ class WriteAheadLog:
         Equivalent to calling :meth:`stage_op` per entry — the batched
         ingestion path hands over a whole accepted suffix at once, built
         once per frame by
-        :meth:`repro.core.service.StabilizerBase.on_add_op_batch`.
+        :meth:`repro.core.service.StabilizerBase.on_add_op_batch` — and
+        sized in the same loop that stages the records.
         """
         if not entries:
             return
-        record_bytes = self._op_record_bytes
+        append = self._staged.append
+        last = self._last_staged_ts
         size = 0
-        for ts, origin, seq, _ in entries:
-            size += record_bytes(ts, origin, seq)
-        self._staged.extend((OP_RECORD, ts, origin, seq, op)
-                            for ts, origin, seq, op in entries)
+        for ts, origin, seq, op in entries:
+            delta = ts - last
+            last = ts
+            size += (_OP_FIXED_BYTES
+                     + ((~delta if delta < 0 else delta).bit_length() + 7) // 7
+                     + ((~origin if origin < 0 else origin).bit_length()
+                        + 7) // 7
+                     + ((~seq if seq < 0 else seq).bit_length() + 7) // 7)
+            append((OP_RECORD, ts, origin, seq, op))
+        self._last_staged_ts = last
         self._staged_bytes += size
         self.appends += len(entries)
 
     def stage_partition_time(self, partition_index: int, ts: int) -> None:
         """Stage a heartbeat-driven PartitionTime advance."""
         self._staged.append((PT_RECORD, partition_index, ts, None, None))
-        self._staged_bytes += (_TAG_BYTES + _varint_len(partition_index)
-                               + _varint_len(ts - self._last_staged_ts))
+        delta = ts - self._last_staged_ts
         self._last_staged_ts = ts
+        self._staged_bytes += (
+            _TAG_BYTES
+            + ((~partition_index if partition_index < 0
+                else partition_index).bit_length() + 7) // 7
+            + ((~delta if delta < 0 else delta).bit_length() + 7) // 7)
         self.appends += 1
 
     # ------------------------------------------------------------------

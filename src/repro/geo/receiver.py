@@ -30,12 +30,13 @@ those handlers had not already released.
 
 The queues are the repository's one deferral structure, a
 :class:`~repro.datastruct.runbuffer.RunBuffer`: one run per origin of
-``(order_key, origin, update)`` entries, drained one head at a time.  The
-key is ``Update.order_key()``, not ``ts``: concurrent updates from
+``(ORDER_KEY(update), origin, update)`` entries, drained one head at a
+time.  The key is :data:`~repro.kvstore.types.ORDER_KEY`'s ``(ts,
+partition_index, seq)``, not ``ts``: concurrent updates from
 different partitions may share a timestamp.  Duplicate deliveries —
 possible when a new Eunomia leader re-ships the window between the last
 StableAnnounce and the crash — are filtered as a prefix (one bisection
-of the frame's ops by ``ts``, then a walk over ``op.order_key()`` ties)
+of the frame's ops by ``ts``, then a walk over the order-key ties)
 against the run's tail, the last order key enqueued from that origin.
 
 Releases are stop-and-wait per origin: one :class:`ApplyRemote` /
@@ -62,7 +63,7 @@ from typing import Optional
 from ..calibration import Calibration
 from ..datastruct.runbuffer import RunBuffer
 from ..kvstore.ring import ConsistentHashRing
-from ..kvstore.types import Update
+from ..kvstore.types import ORDER_KEY, Update
 from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
 from ..sim.process import Process
@@ -103,7 +104,7 @@ class Receiver(Process):
         #: (condition (2)); every other entry is exempt
         self._gating = {k: tuple(d for d in self.origins if d != k)
                         for k in self.origins}
-        #: the per-origin queues: origin -> (order_key, origin, update)
+        #: the per-origin queues: origin -> (ORDER_KEY, origin, update)
         self._queued = RunBuffer()
         #: the partition indices this DC stores
         self._stored = frozenset(placement.resident_partitions(dc_id))
@@ -158,11 +159,11 @@ class Receiver(Process):
         last = queued.tail(k, _NOTHING_ENQUEUED)
         i = bisect_left(ops, last[0], key=_TS)
         n = len(ops)
-        while i < n and ops[i].order_key() <= last:
+        while i < n and ORDER_KEY(ops[i]) <= last:
             i += 1
         self.duplicates_dropped += i
         if i < n:
-            queued.extend_run([(op.order_key(), k, op) for op in ops[i:]])
+            queued.extend_run([(ORDER_KEY(op), k, op) for op in ops[i:]])
         # A skipped non-resident head advanced SiteTime[k], which may have
         # unblocked another origin's head: release it now.
         if self._try_flush(k):

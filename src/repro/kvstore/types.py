@@ -15,9 +15,11 @@ value size, which the tests assert.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Optional, Tuple
 
-__all__ = ["Update", "Versioned", "UpdateId", "METADATA_OVERHEAD_BYTES"]
+__all__ = ["Update", "Versioned", "UpdateId", "ORDER_KEY",
+           "METADATA_OVERHEAD_BYTES"]
 
 #: Fixed per-update metadata footprint (key hash, origin, seq, framing).
 METADATA_OVERHEAD_BYTES = 32
@@ -39,10 +41,9 @@ class Update:
     commit_time: float = 0.0      # sim time the origin partition committed it
     value_bytes: int = 0          # payload size (for network accounting)
 
-    @property
-    def uid(self) -> UpdateId:
-        """Globally unique, order-stable identifier."""
-        return (self.origin_dc, self.partition_index, self.seq)
+    # read in C: no Python frame per access
+    uid = property(attrgetter("origin_dc", "partition_index", "seq"),
+                   doc="Globally unique, order-stable identifier.")
 
     @property
     def size_bytes(self) -> int:
@@ -54,10 +55,6 @@ class Update:
         """Wire size of the metadata-only form shipped through Eunomia (§5)."""
         return 8 * len(self.vts) + METADATA_OVERHEAD_BYTES
 
-    def order_key(self) -> Tuple[int, int, int]:
-        """Total-order key used by Eunomia's op buffer (ties → any order)."""
-        return (self.ts, self.partition_index, self.seq)
-
     def with_value(self, value: Any) -> "Update":
         """Copy with a different payload (metadata↔data pairing, §5).
 
@@ -68,6 +65,12 @@ class Update:
         return Update(self.key, value, self.origin_dc, self.partition_index,
                       self.seq, self.ts, self.vts, self.commit_time,
                       self.value_bytes)
+
+
+#: ``ORDER_KEY(update)`` is ``(ts, partition_index, seq)``, the total order
+#: of Eunomia's stable stream (ties on ``ts`` broken by origin partition,
+#: then sequence number), evaluated in C — a sort key as it stands
+ORDER_KEY = attrgetter("ts", "partition_index", "seq")
 
 
 @dataclass(slots=True)

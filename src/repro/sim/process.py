@@ -50,6 +50,7 @@ what was queued fires as a no-op.
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 from typing import Any, Callable, Optional
 
 from .env import Environment
@@ -117,9 +118,9 @@ class Process:
     # ------------------------------------------------------------------
     # Time helpers
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self._loop._now
+    # read in C: no Python frame per access (the loop never changes)
+    now = property(attrgetter("_loop._now"),
+                   doc="Current simulation time in seconds.")
 
     def after(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Run ``fn`` after ``delay`` seconds (no CPU cost, crash-aware)."""
@@ -251,7 +252,9 @@ class Process:
 
         Returns the slot's completion time — when ``fn`` will run.  A slot
         reserved while crashed runs nothing: it fires while the process is
-        still down, or goes stale at :meth:`recover`.
+        still down, or goes stale at :meth:`recover`.  A body of two
+        arguments is queued as the lane's ``(gen, fn, a, b)`` and called
+        directly; any other goes through :func:`~repro.sim.loop.apply`.
         """
         loop = self._loop
         slot = self._lanes[lane]
@@ -263,11 +266,15 @@ class Process:
         slot.busy = complete
         if self.crashed:
             fn = _noop
+        if len(args) == 2:
+            a, b = args
+        else:
+            fn, a, b = apply, fn, args
         if slot.queued:
-            slot.park(complete, (slot.gen, apply, fn, args))
+            slot.park(complete, (slot.gen, fn, a, b))
         else:
             slot.queued = 1
-            loop.schedule_at(complete, slot.fire, slot.gen, apply, fn, args)
+            loop.schedule_at(complete, slot.fire, slot.gen, fn, a, b)
         return complete
 
     def _unpark_all(self) -> None:

@@ -32,6 +32,7 @@ from repro.core.service import StabilizerBase
 from repro.core.shard import ShardCoordinator
 from repro.core.uplink import EunomiaUplink
 from repro.datastruct.runbuffer import RunBuffer
+from repro.durability.wal import WriteAheadLog
 from repro.geo.datacenter import EunomiaProtocol
 from repro.geo.receiver import Receiver
 from repro.sim.loop import Fifo, PeriodicHandle
@@ -153,8 +154,15 @@ MUTANTS = {m.name: m for m in (
     # records: the uplink prunes ops that an amnesia crash then loses
     # (ack implies durability, Alg. 4 with a WAL).
     Mutant("ack_before_fsync", StabilizerBase, "_post_batch",
-           "lambda: self._commit_and_ack(src, ack)",
-           "lambda: self.send(src, ack)"),
+           "self._enqueue(self._commit_and_ack,", "self._enqueue(self.send,"),
+    # The disk lane's commit-and-ack body is a closure: a deep copy
+    # of the system shares it, so the fork's queued flush commits the
+    # original's log and acks from the original's stabilizer.
+    Mutant("post_batch_body_closes_over_stabilizer", StabilizerBase,
+           "_post_batch",
+           "self._enqueue(self._commit_and_ack, cost + self.ack_cost, src, ack,",
+           "self._enqueue(lambda: self._commit_and_ack(src, ack),\n"
+           "                      cost + self.ack_cost,"),
     # A parked lane completion re-enters the queue with a fresh seq when
     # its head fires: it falls behind every same-time entry scheduled since
     # it was parked (the loop's (time, seq) order).
@@ -195,7 +203,7 @@ MUTANTS = {m.name: m for m in (
     # and it is applied twice (exactly-once release, Alg. 5).
     Mutant("receiver_reenqueues_last_key", Receiver,
            "on_remote_stable_batch",
-           "ops[i].order_key() <= last", "ops[i].order_key() < last"),
+           "ORDER_KEY(ops[i]) <= last", "ORDER_KEY(ops[i]) < last"),
     # The receiver claims a timestamp while an op tied at it is still
     # queued: a dependency on (k, ts) reads as met when only some of the
     # ops at ts are applied (the tie-aware SiteTime, Alg. 5 l.12).
@@ -253,6 +261,12 @@ MUTANTS = {m.name: m for m in (
     # them (the prefix property, Alg. 4 l.13–15).
     Mutant("prune_above_shipped_floor", ShardCoordinator, "_prune_floors",
            "min(s, released)", "s"),
+    # A heartbeat's PartitionTime record is sized without the zigzag
+    # fold: a negative timestamp delta (a heartbeat behind the last staged
+    # op) is charged by its magnitude, and fsync bytes drift from the
+    # codec the WAL claims.
+    Mutant("wal_pt_size_drops_zigzag", WriteAheadLog, "stage_partition_time",
+           "~delta", "delta"),
     # A run accepts an entry whose key does not exceed its tail: one
     # origin's stream enters out of order, and every drain that trusts a
     # run's sortedness — the stabilizer's cut, the GST's covered prefix,

@@ -25,7 +25,6 @@ from repro.durability import (
     RecoveryManager,
     WriteAheadLog,
 )
-from repro.durability.wal import _varint_len
 from repro.harness.loadgen import build_eunomia_rig
 from repro.sim import (
     ConstantLatency,
@@ -35,7 +34,7 @@ from repro.sim import (
     Network,
     Process,
 )
-from repro.kvstore.types import Update
+from repro.kvstore.types import ORDER_KEY, Update
 
 
 def make_op(ts, partition=0, seq=None):
@@ -58,7 +57,7 @@ class DedupSink(Process):
     def on_remote_stable_batch(self, msg, src):
         last = self._last.get(msg.origin_dc, (0, -1, -1))
         for op in msg.ops:
-            key = op.order_key()
+            key = ORDER_KEY(op)
             if key <= last:
                 self.duplicates += 1
                 continue
@@ -133,6 +132,12 @@ class TestWriteAheadLog:
         assert [(e[0], e[1]) for e in entries] == [(30, 0), (25, 1)]
 
 
+def _varint_len(value: int) -> int:
+    """Bytes a zigzag varint encoding of ``value`` occupies (≥ 1): the
+    reference the WAL's inline sizing is held to."""
+    return ((~value if value < 0 else value).bit_length() + 7) // 7
+
+
 def _zigzag_varint(value: int) -> bytes:
     """Reference encoder: zigzag, then 7 bits per byte, low group first,
     the high bit set on every byte but the last."""
@@ -156,6 +161,69 @@ def test_varint_len_is_the_encoded_length(value):
     """The WAL's byte count is the length of the record it stands for:
     negative deltas, the 7-bit boundaries and values past 2**63 included."""
     assert _varint_len(value) == len(_zigzag_varint(value))
+
+
+#: negative deltas, every 7-bit boundary from 2**7 to 2**70 (each side),
+#: and values past 2**63
+_FIELD = st.one_of(
+    st.integers(-2**70, 2**70),
+    st.integers(1, 10).map(lambda k: 2**(7 * k)),
+    st.integers(1, 10).map(lambda k: 2**(7 * k) - 1),
+    st.integers(1, 10).map(lambda k: -2**(7 * k)),
+    st.integers(1, 10).map(lambda k: -2**(7 * k) - 1),
+    st.integers(2**63, 2**80))
+#: one staging call: a ``stage_ops`` run of ``(ts, origin, seq)`` or a
+#: ``stage_partition_time(index, ts)``
+_CALLS = st.lists(
+    st.one_of(st.lists(st.tuples(_FIELD, _FIELD, _FIELD), min_size=1,
+                       max_size=4),
+              st.tuples(_FIELD, _FIELD)),
+    max_size=8)
+
+
+def _staged_sizes(calls):
+    """The staged byte count after each call, and the per-field
+    ``_varint_len`` sum the codec defines for it: tag (+ digest) bytes,
+    then each field, the timestamp delta-encoded against the previous
+    staged record."""
+    wal = WriteAheadLog("w")
+    staged, expected = [], []
+    total = last = 0
+    for call in calls:
+        if isinstance(call, list):
+            wal.stage_ops([(ts, origin, seq, None)
+                           for ts, origin, seq in call])
+            for ts, origin, seq in call:
+                total += (1 + 8 + _varint_len(ts - last)
+                          + _varint_len(origin) + _varint_len(seq))
+                last = ts
+        else:
+            index, ts = call
+            wal.stage_partition_time(index, ts)
+            total += 1 + _varint_len(index) + _varint_len(ts - last)
+            last = ts
+        staged.append(wal.unflushed_bytes)
+        expected.append(total)
+    return staged, expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(calls=_CALLS)
+def test_staged_bytes_are_the_per_field_varint_sum(calls):
+    """``stage_ops`` and ``stage_partition_time`` size their records inline;
+    what they stage is, record for record, the tag and digest bytes plus
+    each field's ``_varint_len`` with the timestamp delta-encoded against
+    the previous staged record."""
+    staged, expected = _staged_sizes(calls)
+    assert staged == expected
+
+
+def test_the_staging_oracle_kills_a_pt_size_without_zigzag():
+    """``delta`` for ``~delta`` sizes a negative heartbeat delta by its
+    magnitude: -64 takes two bytes instead of one."""
+    with MUTANTS["wal_pt_size_drops_zigzag"].applied():
+        staged, expected = _staged_sizes([[(100, 0, 1)], (0, 36)])
+        assert staged != expected
 
 
 class TestCheckpointStore:
@@ -483,7 +551,7 @@ class TestAmnesiaRejoinEquivalence:
         # The adopted floor came from the survivors' shipped vector, not
         # the stale checkpoint: nothing below it was re-shipped into the
         # sink twice without being dropped.
-        assert sink.ops == sorted(sink.ops, key=Update.order_key)
+        assert sink.ops == sorted(sink.ops, key=ORDER_KEY)
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,7 @@ from repro.kvstore import (
     Versioned,
     VersionedStore,
 )
+from repro.kvstore.types import ORDER_KEY
 
 vec = st.tuples(*[st.integers(min_value=0, max_value=30)] * 3)
 
@@ -157,7 +158,7 @@ class TestUpdateType:
     def test_uid_and_order_key(self):
         u = self.make()
         assert u.uid == (0, 2, 9)
-        assert u.order_key() == (5, 2, 9)
+        assert ORDER_KEY(u) == (5, 2, 9)
 
     def test_size_accounting(self):
         u = self.make()

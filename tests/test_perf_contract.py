@@ -17,7 +17,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from perf.trace import HostTracer, _entry_points  # noqa: E402
-from perf.workloads import counters  # noqa: E402
+from perf.workloads import GeoRun, counters  # noqa: E402
 from repro import GeoSystemSpec, WorkloadSpec  # noqa: E402
 from repro.geo.system import build_geo_system  # noqa: E402
 from repro.sim.loop import EventLoop, TimeWheelLoop  # noqa: E402
@@ -81,3 +81,21 @@ def test_scheduler_wheel_still_builds_and_runs_on_the_heap():
     with pytest.raises(ValueError, match="scheduler"):
         build_geo_system("eunomia", GeoSystemSpec(scheduler="calendar"),
                          WorkloadSpec())
+
+
+def test_every_client_request_goes_through_its_own_send():
+    """``perf/workloads.py``'s checked repetition counts requests by
+    shadowing ``send`` on each client instance (``GeoRun.count_requests``)
+    and fails the run by the difference to ``ops_done``.  A client that
+    issues a request any other way (``env.network.send`` directly, a
+    class-level alias bound before the shadow) is counted short, and the
+    drained run reads as ops "issued, never completed"."""
+    system = build_geo_system("eunomia", GeoSystemSpec(
+        n_dcs=2, partitions_per_dc=2, clients_per_dc=2, seed=3),
+        WorkloadSpec(read_ratio=0.5))
+    run = GeoRun(system)
+    run.count_requests()
+    system.run(0.3)
+    system.quiesce(1.0)
+    assert run.ops() > 100
+    assert run._sent[0] == run.ops()

@@ -31,7 +31,7 @@ from repro.core import (
 from repro.core.messages import AddOpBatch, PartitionHeartbeat, ShardStableBatch
 from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.loadgen import build_eunomia_rig
-from repro.kvstore.types import Update
+from repro.kvstore.types import ORDER_KEY, Update
 from repro.sim import ConstantLatency, Environment, Network, Process
 from repro.workload import WorkloadSpec
 
@@ -89,7 +89,7 @@ class DedupSink(Process):
     def on_remote_stable_batch(self, msg, src):
         last = self._last.get(msg.origin_dc, (0, -1, -1))
         for op in msg.ops:
-            key = op.order_key()
+            key = ORDER_KEY(op)
             if key <= last:
                 self.duplicates += 1
                 continue
@@ -364,7 +364,7 @@ def drain_through_coordinator(runs):
     return sink.ops
 
 
-#: 2–4 shards, each an order_key-sorted run over a tiny key space, so equal
+#: 2–4 shards, each an ORDER_KEY-sorted run over a tiny key space, so equal
 #: (ts, partition, seq) keys across shards are common
 shard_key_runs = st.lists(
     st.lists(st.tuples(st.integers(1, 4), st.integers(0, 2),
@@ -379,7 +379,7 @@ class TestCoordinatorMergeOrder:
     def test_drain_equals_heapq_merge(self, keys):
         runs = [[tagged_op(f"s{k}#{i}", *key) for i, key in enumerate(run)]
                 for k, run in enumerate(keys)]
-        expected = heapq.merge(*runs, key=Update.order_key)
+        expected = heapq.merge(*runs, key=ORDER_KEY)
         assert ([op.key for op in drain_through_coordinator(runs)]
                 == [op.key for op in expected])
 
@@ -392,7 +392,7 @@ class TestCoordinatorMergeOrder:
         shipped = [op.key for op in drain_through_coordinator(runs)]
         assert shipped == ["a0", "a1", "b0", "c0", "b1"]
         assert shipped == [op.key for op in
-                           heapq.merge(*runs, key=Update.order_key)]
+                           heapq.merge(*runs, key=ORDER_KEY)]
 
 
 # ----------------------------------------------------------------------
