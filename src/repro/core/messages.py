@@ -104,14 +104,12 @@ class AddOpBatch:
     sender: the serialized frame is reused verbatim).
 
     A frame is its ops: one partition's timestamp-ascending ``tuple`` of
-    updates, which the stabilizer bisects by ``ts``.  ``size_bytes`` is the
-    §5 per-op sum (see :func:`_wire_bytes`).
+    updates.  ``size_bytes`` is the §5 per-op sum (see :func:`_wire_bytes`).
 
     ``prev_ts`` is the timestamp of the last op of the partition's stream
-    *before* this batch: the receiving replica accepts the batch only if its
-    ``PartitionTime`` already covers ``prev_ts``.  This preserves the prefix
-    property under message loss — a gap batch is dropped whole and recovered
-    by the sender's retransmission from the acknowledged floor.
+    *before* this batch: the stream's prefix filter
+    (:meth:`~repro.core.stream.ReliableStream.accepted_from`) refuses a
+    batch whose ``prev_ts`` its receiver's ``PartitionTime`` does not cover.
     """
 
     partition_index: int
@@ -250,10 +248,9 @@ class ShardStableBatch:
 class RemoteStableBatch:
     """Eunomia → remote receiver: a stable, totally-ordered run of updates.
 
-    A frame like :class:`AddOpBatch`: ``ops`` ascend in the run's
-    ``(ts, partition, seq)`` serialization order, so the receiver's
-    duplicate filter bisects them by ``ts`` and walks ``ORDER_KEY(op)``
-    over the ties.  One tuple is multicast to every destination.
+    A frame like :class:`AddOpBatch`, its ``ops`` ascending in
+    ``ORDER_KEY``: the receiver's prefix filter drops a re-shipped prefix
+    by that key.  One tuple is multicast to every destination.
     """
 
     origin_dc: int

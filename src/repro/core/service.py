@@ -68,6 +68,7 @@ from .messages import (
     StableAnnounce,
 )
 from .replica import ReplicaRole
+from .stream import GAP, ReliableStream
 
 __all__ = ["StabilizerBase", "EunomiaService"]
 
@@ -212,10 +213,11 @@ class StabilizerBase(Process):
         self.state_lost = False
 
     def _batch_cost_of(self, msg: AddOpBatch) -> float:
-        """Batch + per-*new*-op insert cost (duplicates found by bisection)."""
+        """Batch + per-*new*-op insert cost: the ops above PartitionTime
+        at arrival, before the gap check (the handler reads it again)."""
         ops = msg.ops
-        lo = bisect_right(ops, self.partition_time[msg.partition_index],
-                          key=_TS)
+        pt = self.partition_time[msg.partition_index]
+        lo = ReliableStream.accepted_from(ops, pt, pt, _TS)
         return (self.batch_cost
                 + (self.insert_op_cost + self._wal_op_cost) * (len(ops) - lo))
 
@@ -225,28 +227,23 @@ class StabilizerBase(Process):
     def on_add_op_batch(self, msg: AddOpBatch, src: Process) -> None:
         """Batched NEW_OP ingestion (Alg. 3 lines 1–4).
 
-        Per-op branching is unnecessary: a batch is one origin's ascending
-        run, so the at-least-once duplicate prefix (``ts <= PartitionTime``)
-        and the already-stable slice (``ts <= StableTime``) are both found
-        by bisecting ``msg.ops`` by ``ts``.  The accepted suffix's
-        ``(ts, origin, seq, op)`` entries are built once and move
-        wholesale: all of them into the WAL's ``stage_ops``, those above
-        StableTime into the buffer's ``extend_run``.  State-identical to
-        the per-op loop (same accepted suffix, same records, same buffer
-        contents), just without interpreting each op.
+        A batch is one origin's ascending run: the stream's prefix filter
+        (keyed by ``ts`` against PartitionTime) refuses a gap frame or
+        finds the duplicate prefix, and one more bisection finds the
+        already-stable slice (``ts <= StableTime``).  The accepted suffix's
+        ``(ts, origin, seq, op)`` entries are built once: all of them go
+        to the WAL's ``stage_ops``, those above StableTime to the buffer's
+        ``extend_run``.
         """
         index = msg.partition_index
-        pt = self.partition_time[index]
-        if msg.prev_ts > pt:
-            # Gap: an earlier batch from this partition was lost.  Accepting
-            # this one would advance PartitionTime past ops we never saw and
-            # break the prefix property — drop it whole; the ack below tells
-            # the sender where to retransmit from.
+        ops = msg.ops
+        lo = ReliableStream.accepted_from(ops, self.partition_time[index],
+                                          msg.prev_ts, _TS)
+        if lo == GAP:
+            # the ack below tells the sender where to retransmit from
             self.gap_frames_dropped += 1
             self._post_batch(msg, src)
             return
-        ops = msg.ops
-        lo = bisect_right(ops, pt, key=_TS)
         self.duplicate_ops_dropped += lo
         n = len(ops)
         if lo == n:

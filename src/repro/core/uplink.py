@@ -22,16 +22,11 @@ Every Eunomia-aware partition (and the §7.1 partition emulators) owns an
   operation, whose service time is scaled by ``Calibration.scale`` while
   Δ and θ are not.  The §7.1 partition emulator is by definition one
   client thread that generates *and* ships, so it stays on ``"cpu"``;
-* **fault-tolerant delivery** (Alg. 4 lines 1–6, prefix property): with
-  ``fault_tolerant=True`` the uplink tracks, per replica, the highest
-  acknowledged timestamp (``Ack_n[f]``, line 5) and retransmits the
-  unacknowledged suffix when acks stall (line 6) — at-least-once delivery
-  over lossy links, with resends charged almost no sender CPU (the
-  serialized run is reused).  The targets are opaque processes: in a
-  K-sharded replica group they are the partition's *owning shard in every
-  replica* (:meth:`repro.core.assembly.StabilizerStack.uplink_targets`),
-  so each (partition → shard) stream gets the prefix property
-  independently — the invariant the sharded failover argument rests on.
+* **fault-tolerant delivery** (Alg. 4 lines 1–6): each replica is a
+  destination of the pending run's :class:`~repro.core.stream.ReliableStream`
+  — in a K-sharded group, the partition's *owning shard in every replica*
+  (:meth:`repro.core.assembly.StabilizerStack.uplink_targets`), so each
+  (partition → shard) stream gets the prefix property independently.
 
 The straggler experiment (Figure 7) works by inflating the *host's*
 ``batch_interval`` attribute, which the uplink re-reads before every tick
@@ -41,18 +36,14 @@ The straggler experiment (Figure 7) works by inflating the *host's*
 
 from __future__ import annotations
 
-import bisect
-from typing import Optional
-
 from ..clocks.hlc import HybridLogicalClock
 from ..clocks.physical import PhysicalClock
-from ..datastruct.opblock import OpRunBuilder
 from ..kvstore.types import Update
 from ..sim.loop import SimulationError
 from ..sim.process import Process
-from .config import (MAX_BATCH_OPS, RESEND_TIMEOUT, RETRY_BACKOFF_CAP,
-                     EunomiaConfig)
+from .config import EunomiaConfig
 from .messages import AddOpBatch, BatchAck, PartitionHeartbeat
+from .stream import ReliableStream
 
 __all__ = ["EunomiaUplink"]
 
@@ -61,13 +52,6 @@ class EunomiaUplink:
     """Batching/ack/heartbeat state machine bound to a host process.
 
     The host must expose a mutable ``batch_interval`` attribute (seconds).
-
-    Pending state is an :class:`OpRunBuilder`: ``record`` appends the op
-    and its ``ts`` (which the window bisections read), a shipping window is
-    cut as a tuple of ops, and the resulting frame is cached per
-    ``(window, prev_ts, resend)`` so a retransmission to a stalled replica
-    (Alg. 4's ``Ack_n[f]`` resend) re-ships the already serialized run with
-    near-zero sender CPU.
     The tick re-arms in the loop's Fifo for its period (``loop.every``):
     all uplinks' ticks of one instant cost the heap one entry.
     """
@@ -77,7 +61,6 @@ class EunomiaUplink:
                  clock: PhysicalClock, op_cost: float, batch_cost: float):
         self.host = host
         self.partition_index = partition_index
-        self.config = config
         self.hlc = hlc
         self.clock = clock
         self.op_cost = op_cost
@@ -89,16 +72,9 @@ class EunomiaUplink:
         #: the host's network, bound by :meth:`start`
         self._network = None
         self.replicas: list[Process] = []
-        #: pending run, ascending ts (hlc is monotone)
-        self._pending = OpRunBuilder()
-        self._ack: dict[int, int] = {}         # replica pid -> Ack_n[f]
-        self._sent: dict[int, int] = {}        # replica pid -> max ts ever sent
-        self._retx_due: dict[int, float] = {}  # replica pid -> next retx time
-        self._retx_strikes: dict[int, int] = {}  # consecutive unacked resends
+        #: the pending run (ascending ts: hlc is monotone)
+        self.stream = ReliableStream(partition_index, self)
         self._nonft_last_sent = 0              # stream position, non-FT mode
-        #: serialized-frame cache: (first_ts, last_ts, prev_ts, resend) ->
-        #: AddOpBatch — cleared whenever the acked prefix is pruned
-        self._frames: dict[tuple, AddOpBatch] = {}
         #: the host's service lane that frames and queued heartbeats wait
         #: in: the one its class declares as ``UPLINK_LANE``, else ``"cpu"``
         self._lane = getattr(host, "UPLINK_LANE", "cpu")
@@ -117,18 +93,20 @@ class EunomiaUplink:
     # ------------------------------------------------------------------
     def set_replicas(self, replicas: list[Process]) -> None:
         self.replicas = list(replicas)
-        for replica in replicas:
-            self._ack.setdefault(replica.pid, 0)
-            self._sent.setdefault(replica.pid, 0)
-            self._retx_due.setdefault(replica.pid, float("inf"))
-            self._retx_strikes.setdefault(replica.pid, 0)
+        self.stream.add_destinations(replicas)
 
     def start(self) -> None:
         """Arm the batch/heartbeat tick: :meth:`_tick` every
-        ``host.batch_interval``, the first one a full interval from now."""
-        self._network = self.host.env.network
+        ``host.batch_interval``, the first one a full interval from now.
+        Each tick re-arms itself the same way, re-reading the interval, so
+        the Figure 7 straggler's mutation takes effect at the next one."""
+        host = self.host
+        self._network = host.env.network
         self._chain += 1
-        self._arm(self._chain, self.host._epoch)
+        step = host.batch_interval
+        if not step > 0:
+            raise self._period_error(step)
+        host._loop.every(step, self._tick, self._chain, host._epoch)
 
     def restart(self) -> None:
         """Re-arm after the host recovers from a crash.
@@ -138,34 +116,15 @@ class EunomiaUplink:
         uplink single-point stall.  No-op for hosts that never armed the
         tick (a partition its DC does not store is built but never run).
 
-        Retransmission state is reset to *probe promptly*: any replica with
-        an outstanding window is due for retransmission immediately and the
-        backoff escalation starts over, so a peer that recovered while this
-        host was down is re-fed within one batch tick instead of one
-        (escalated) stall timeout.
+        The stream probes promptly, so a peer that recovered while this
+        host was down is re-fed within one tick, not one stall timeout.
         """
         if not self._chain:
             return
         # the crash dropped the queued frame and emptied the lane
         self._frame_due = 0.0
-        now = self.host.now
-        for pid, due in self._retx_due.items():
-            self._retx_strikes[pid] = 0
-            if due != float("inf"):
-                self._retx_due[pid] = now
+        self.stream.restart(self.host.now)
         self.start()    # a new chain: the old one, if still queued, is retired
-
-    def _stall_timeout(self, pid: int) -> float:
-        """Current retransmission timeout for a replica: ``RESEND_TIMEOUT``,
-        doubling per consecutive unacknowledged resend up to the
-        bounded-backoff cap — a dead or partitioned replica is probed ever
-        more gently, never abandoned, and the cap bounds how stale the probe
-        cadence can be when the replica returns."""
-        strikes = self._retx_strikes.get(pid, 0)
-        base = RESEND_TIMEOUT
-        if not strikes:
-            return base
-        return min(base * (1 << strikes), max(base, RETRY_BACKOFF_CAP))
 
     # ------------------------------------------------------------------
     # Producer side (called by the host partition)
@@ -176,42 +135,22 @@ class EunomiaUplink:
         Timestamps arrive in increasing order because the host's hybrid
         clock is strictly monotone (Property 2).
         """
-        ts_col = self._pending.ts
+        pending = self.stream.pending
+        ts_col = pending.ts
         if ts_col and op.ts <= ts_col[-1]:
             raise ValueError(
                 f"non-monotone uplink timestamps: {op.ts} after "
                 f"{ts_col[-1]} (Property 2 violated by host)"
             )
-        self._pending.append(op)
+        pending.append(op)
 
     def on_ack(self, msg: BatchAck, src: Process) -> None:
         """Handle a replica's cumulative acknowledgement (Alg. 4 line 5)."""
-        if msg.ack_ts > self._ack.get(src.pid, 0):
-            self._ack[src.pid] = msg.ack_ts
-            # Progress resets the retransmission clock (and the backoff
-            # escalation): retransmit only when a replica's
-            # acknowledgements actually stall.
-            self._retx_strikes[src.pid] = 0
-            if self._ack[src.pid] >= self._sent.get(src.pid, 0):
-                self._retx_due[src.pid] = float("inf")
-            else:
-                self._retx_due[src.pid] = self.host.now + RESEND_TIMEOUT
-        self._prune()
+        self.stream.on_ack(src.pid, msg.ack_ts, self.host.now)
 
     # ------------------------------------------------------------------
     # Periodic shipping
     # ------------------------------------------------------------------
-    def _arm(self, chain: int, epoch: int) -> None:
-        """Queue the first tick of ``chain``, one ``host.batch_interval``
-        from now.  :meth:`_tick` re-arms itself the same way, re-reading
-        the interval every time, so the Figure 7 straggler injector's
-        runtime mutation takes effect at the next re-arm."""
-        host = self.host
-        step = host.batch_interval
-        if not step > 0:
-            raise self._period_error(step)
-        host._loop.every(step, self._tick, chain, epoch)
-
     def _period_error(self, step: float) -> SimulationError:
         # re-arming at ``now`` would spin ``run(until=...)`` forever
         return SimulationError(
@@ -252,9 +191,17 @@ class EunomiaUplink:
             replicas = self.replicas
             if not replicas:
                 return
-            ts_col = self._pending.ts
-            if ts_col:
-                self._ship()
+            stream = self.stream
+            ts_col = stream.pending.ts
+            if ts_col:             # Alg. 2 lines 8–9
+                if self._ft:
+                    stream.ship(replicas, host.now)
+                else:              # the whole run, one frame, no acks
+                    ops = stream.pending.take()
+                    self.transmit(replicas[0], AddOpBatch(
+                        self.partition_index, ops,
+                        prev_ts=self._nonft_last_sent), len(ops))
+                    self._nonft_last_sent = ops[-1].ts
             clock_now = self.clock.read_us()
             hlc = self.hlc
             if clock_now < hlc.last + self._heartbeat_us:
@@ -262,9 +209,9 @@ class EunomiaUplink:
             if self._ft:
                 if ts_col:
                     last_ts = ts_col[-1]
-                    ack = self._ack
+                    windows = stream.windows
                     targets = [replica for replica in replicas
-                               if ack[replica.pid] >= last_ts]  # all acked
+                               if windows[replica.pid].ack >= last_ts]
                     if not targets:
                         return
                 else:
@@ -285,7 +232,7 @@ class EunomiaUplink:
             if clock_now > hlc.last:
                 hlc.last = clock_now
         finally:
-            # :meth:`_arm` written out, as this is the hop's hottest call;
+            # the re-arm written out, as this is the hop's hottest call;
             # ``every`` (the tracer sees only its Fifo's head) is looked up
             # here, never cached, like ``schedule_at``
             step = host.batch_interval
@@ -293,68 +240,9 @@ class EunomiaUplink:
                 raise self._period_error(step)
             host._loop.every(step, self._tick, chain, epoch)
 
-    def _ship(self) -> None:
-        """Alg. 2 lines 8–9 for a non-empty pending run."""
-        if self._ft:
-            for replica in self.replicas:
-                self._ship_suffix(replica)
-            self._prune()
-        else:
-            ops = self._pending.take()
-            self._transmit(self.replicas[0],
-                           AddOpBatch(self.partition_index, ops,
-                                      prev_ts=self._nonft_last_sent),
-                           n_new=len(ops))
-            self._nonft_last_sent = ops[-1].ts
-
-    def _ship_suffix(self, replica: Process) -> None:
-        """Ship new ops; retransmit the unacked window only on ack stall."""
-        pid = replica.pid
-        ack = self._ack[pid]
-        sent = self._sent[pid]
-        retransmit = (ack < sent
-                      and self.host.now >= self._retx_due[pid])
-        start_from = ack if retransmit else sent
-        ts_col = self._pending.ts
-        start = bisect.bisect_right(ts_col, start_from)
-        if start >= len(ts_col):
-            return
-        end = min(len(ts_col), start + MAX_BATCH_OPS)
-        last_ts = ts_col[end - 1]
-        # New ops in the window counted by bisection (ts ascending): the
-        # suffix above this replica's high-water ``sent`` mark.
-        n_new = end - bisect.bisect_right(ts_col, sent, start, end)
-        if retransmit:
-            self.retransmissions += 1
-            self._retx_strikes[pid] = self._retx_strikes.get(pid, 0) + 1
-        if last_ts > sent:
-            self._sent[pid] = last_ts
-        # Arm the stall timer for the *oldest* unacked transmission: only
-        # when idle (nothing was outstanding) or when the timer just fired.
-        # Re-arming on every send would let a steady stream of new batches
-        # postpone recovery of a lost one indefinitely.  The timeout
-        # escalates with consecutive fruitless resends (capped backoff), so
-        # a long-dead replica is not blasted with the full window every
-        # RESEND_TIMEOUT.
-        if retransmit or self._retx_due[pid] == float("inf"):
-            self._retx_due[pid] = self.host.now + self._stall_timeout(pid)
-        # Frame reuse: identical windows — the common case for
-        # retransmissions and for the R-replica fan-out of one tick — ship
-        # the same serialized AddOpBatch object (an immutable ops tuple),
-        # so only the first build pays the slice.
-        frame_key = (ts_col[start], last_ts, start_from, n_new == 0)
-        frame = self._frames.get(frame_key)
-        if frame is None:
-            frame = AddOpBatch(self.partition_index,
-                               self._pending.cut(start, end),
-                               prev_ts=start_from, resend=(n_new == 0))
-            self._frames[frame_key] = frame
-        else:
-            self.frames_reused += 1
-        self._transmit(replica, frame, n_new)
-
-    def _transmit(self, replica: Process, batch: AddOpBatch,
-                  n_new: int) -> None:
+    def transmit(self, replica: Process, batch: AddOpBatch,
+                 n_new: int) -> None:
+        """Queue ``batch`` in the uplink lane, charged for its new ops."""
         host = self.host
         cost = self.batch_cost + self.op_cost * n_new
         self.ops_shipped += n_new
@@ -369,23 +257,5 @@ class EunomiaUplink:
         self._frame_due = host._enqueue(self._network.send, cost, host,
                                         replica, batch, lane=self._lane)
 
-    def _prune(self) -> None:
-        """Drop the prefix acknowledged by *every* replica."""
-        if not self._ack or not self._pending.ts:
-            return
-        min_ack = min(self._ack.values())
-        cut = bisect.bisect_right(self._pending.ts, min_ack)
-        if cut:
-            self._pending.drop_prefix(cut)
-            # Cached frames are immutable snapshots, so pruning never
-            # invalidates one — this just bounds the cache to live windows.
-            self._frames.clear()
-
-    # ------------------------------------------------------------------
-    # Introspection (tests)
-    # ------------------------------------------------------------------
     def pending_count(self) -> int:
-        return len(self._pending)
-
-    def acked_ts(self, replica: Process) -> int:
-        return self._ack.get(replica.pid, 0)
+        return len(self.stream.pending)

@@ -1,16 +1,11 @@
 """The uplink's pending run, and the one name the frozen ``perf/`` keeps.
 
 A frame is its ops: the three frame messages carry one origin's
-timestamp-ascending ``tuple`` of updates and nothing else.  Ingestion
-bisects that tuple by ``ts`` and builds its ``(ts, origin, seq, op)``
-entries once per accepted suffix
-(:meth:`repro.core.service.StabilizerBase.on_add_op_batch`); the receiver
-walks ``ORDER_KEY(op)``.
-
-:class:`OpRunBuilder` is the uplink's pending state: the ``ts`` list its
-window bisections read, beside the ops themselves.  A window is cut as a
-``tuple`` because one cached frame is shared by all R replicas and must
-never change under a receiver.
+timestamp-ascending ``tuple`` of updates and nothing else.
+:class:`OpRunBuilder` is a :class:`~repro.core.stream.ReliableStream`'s
+pending run: the ``ts`` list its window cuts bisect, beside the ops.  A
+window is cut as a ``tuple`` because one cached frame is shared by all R
+replicas and must never change under a receiver.
 """
 
 from __future__ import annotations
@@ -32,13 +27,6 @@ class OpRunBuilder:
     def __len__(self) -> int:
         return len(self.ts)
 
-    def __bool__(self) -> bool:
-        return bool(self.ts)
-
-    def __getitem__(self, i):
-        """Index/slice the pending ops (introspection convenience)."""
-        return self.payload[i]
-
     def append(self, op: Any) -> None:
         self.ts.append(op.ts)
         self.payload.append(op)
@@ -56,8 +44,6 @@ class OpRunBuilder:
 
     def drop_prefix(self, n: int) -> None:
         """Discard the first ``n`` entries (the fully acknowledged prefix)."""
-        if n <= 0:
-            return
         del self.ts[:n]
         del self.payload[:n]
 

@@ -33,11 +33,10 @@ The queues are the repository's one deferral structure, a
 ``(ORDER_KEY(update), origin, update)`` entries, drained one head at a
 time.  The key is :data:`~repro.kvstore.types.ORDER_KEY`'s ``(ts,
 partition_index, seq)``, not ``ts``: concurrent updates from
-different partitions may share a timestamp.  Duplicate deliveries —
-possible when a new Eunomia leader re-ships the window between the last
-StableAnnounce and the crash — are filtered as a prefix (one bisection
-of the frame's ops by ``ts``, then a walk over the order-key ties)
-against the run's tail, the last order key enqueued from that origin.
+different partitions may share a timestamp.  Duplicate deliveries (a new
+Eunomia leader re-ships the window since the last StableAnnounce) are
+dropped as a prefix by :meth:`~repro.core.stream.ReliableStream.accepted_from`,
+keyed by ``ORDER_KEY`` against the run's tail.
 
 Releases are stop-and-wait per origin: one :class:`ApplyRemote` /
 :class:`ApplyRemoteOk` pair per update, so an origin's chain moves one
@@ -56,8 +55,6 @@ docs/ARCHITECTURE.md.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from operator import attrgetter
 from typing import Optional
 
 from ..calibration import Calibration
@@ -69,10 +66,10 @@ from ..sim.env import Environment
 from ..sim.process import Process
 from ..core.placement import PlacementMap
 from ..core.messages import ApplyRemote, ApplyRemoteOk, RemoteStableBatch
+from ..core.stream import ReliableStream
 
 __all__ = ["Receiver"]
 
-_TS = attrgetter("ts")
 #: the duplicate watermark of an origin that has enqueued nothing yet
 _NOTHING_ENQUEUED = (0, -1, -1)
 
@@ -149,18 +146,13 @@ class Receiver(Process):
     def on_remote_stable_batch(self, msg: RemoteStableBatch, src: Process) -> None:
         k = msg.origin_dc
         queued = self._queued
-        # The frame's ops ascend in (ts, partition, seq) serialization
-        # order, so at-least-once duplicates (a new leader re-shipping the
-        # window between the last StableAnnounce and the crash) form a
-        # *prefix* — found by bisecting ts for the run's tail plus a short
-        # walk over the order-key ties, then the accepted suffix extends
-        # the run wholesale.
+        # At-least-once duplicates (a new leader re-shipping the window
+        # since the last StableAnnounce) form a prefix of the frame; its
+        # frames carry no predecessor to check (``prev=floor``).
         ops = msg.ops
         last = queued.tail(k, _NOTHING_ENQUEUED)
-        i = bisect_left(ops, last[0], key=_TS)
+        i = ReliableStream.accepted_from(ops, last, last, ORDER_KEY)
         n = len(ops)
-        while i < n and ORDER_KEY(ops[i]) <= last:
-            i += 1
         self.duplicates_dropped += i
         if i < n:
             queued.extend_run([(ORDER_KEY(op), k, op) for op in ops[i:]])

@@ -30,6 +30,7 @@ from repro.clocks.physical import PhysicalClock
 from repro.core.replica import ReplicaGroup
 from repro.core.service import StabilizerBase
 from repro.core.shard import ShardCoordinator
+from repro.core.stream import ReliableStream
 from repro.core.uplink import EunomiaUplink
 from repro.datastruct.runbuffer import RunBuffer
 from repro.durability.wal import WriteAheadLog
@@ -54,26 +55,29 @@ class Mutant:
     def build(self):
         """The mutated function, compiled where the original lives."""
         original = vars(self.owner)[self.method]
-        source = textwrap.dedent(inspect.getsource(original))
+        # a staticmethod's source carries its decorator, so the copy is
+        # one too; its code and globals are the wrapped function's
+        fn = getattr(original, "__func__", original)
+        source = textwrap.dedent(inspect.getsource(fn))
         if source.count(self.fragment) != 1:
             raise LookupError(
                 f"mutant {self.name}: {self.fragment!r} occurs "
                 f"{source.count(self.fragment)} times in "
                 f"{self.owner.__name__}.{self.method}")
         source = source.replace(self.fragment, self.replacement)
-        cell = "__class__" in original.__code__.co_freevars
+        cell = "__class__" in fn.__code__.co_freevars
         if cell:
             # a zero-argument ``super()`` reads the ``__class__`` cell that
             # a class body gives its methods: give the copy one too
             source = (f"def _enclose(__class__):\n"
                       f"{textwrap.indent(source, '    ')}"
-                      f"    return {original.__name__}\n")
+                      f"    return {fn.__name__}\n")
         namespace: dict = {}
-        exec(compile(source, inspect.getsourcefile(original), "exec"),
-             original.__globals__, namespace)
+        exec(compile(source, inspect.getsourcefile(fn), "exec"),
+             fn.__globals__, namespace)
         if cell:
             return namespace["_enclose"](self.owner)
-        return namespace[original.__name__]
+        return namespace[fn.__name__]
 
     @contextmanager
     def applied(self) -> Iterator[None]:
@@ -111,10 +115,11 @@ MUTANTS = {m.name: m for m in (
     # reports the new one: a drift fault injected mid-run moves nothing.
     Mutant("clock_rate_stale_after_set_drift", PhysicalClock, "set_drift",
            "self._rate = 1.0 + drift_ppm / 1e6", "pass"),
-    # A retransmitted frame's already-ingested prefix is buffered again:
-    # exactly-once ingestion under at-least-once delivery (Alg. 4).
-    Mutant("dedup_skipped_on_retransmit", StabilizerBase, "on_add_op_batch",
-           "lo = bisect_right(ops, pt, key=_TS)", "lo = 0"),
+    # A retransmitted frame's already-ingested prefix is accepted again:
+    # exactly-once ingestion under at-least-once delivery (Alg. 4), at
+    # the stream's one prefix filter.
+    Mutant("dedup_skipped_on_retransmit", ReliableStream, "accepted_from",
+           "return bisect_right(ops, floor, key=key)", "return 0"),
     # Ops at or below StableTime enter the unstable buffer: the buffer is
     # fed from the PartitionTime cut instead of the StableTime cut, so a
     # follower re-buffers what its leader already shipped (Alg. 4 l.13–15).
@@ -123,8 +128,23 @@ MUTANTS = {m.name: m for m in (
            "cut = lo"),
     # A frame that follows a lost one is accepted: PartitionTime moves past
     # ops the stabilizer never saw (the prefix property, Alg. 4).
-    Mutant("gap_frame_accepted", StabilizerBase, "on_add_op_batch",
-           "if msg.prev_ts > pt:", "if False:"),
+    Mutant("gap_frame_accepted", ReliableStream, "accepted_from",
+           "if prev > floor:", "if False:"),
+    # A stalled window is resent from its ``sent`` mark, not from the
+    # acknowledged floor: an op lost in flight is never sent again and
+    # its destination waits for it forever (Alg. 4 l.6).
+    Mutant("resend_skips_acked_floor", ReliableStream, "ship",
+           "start_from = ack if retransmit else sent", "start_from = sent"),
+    # The run is pruned at the fastest destination's ack: an op a slower
+    # replica has not acknowledged is dropped, and a resend to it skips
+    # that op (pruning at min Ack_n[f], Alg. 4 l.5).
+    Mutant("prune_at_fastest_replica", ReliableStream, "prune",
+           "min(map(_ACK, self.windows.values()))",
+           "max(map(_ACK, self.windows.values()))"),
+    # The stall timer is re-armed on every send: a steady stream of new
+    # frames keeps postponing the resend of a lost one (Alg. 4 l.6).
+    Mutant("stall_timer_rearmed_every_send", ReliableStream, "ship",
+           "if retransmit or w.due == _INF:", "if True:"),
     # A cancelled periodic entry fires when it surfaces: the one
     # cancellation path the loop has (the entry stays queued, a no-op).
     Mutant("cancelled_periodic_fires", PeriodicHandle, "_fire",
@@ -198,12 +218,12 @@ MUTANTS = {m.name: m for m in (
     # are not yet applied here (Alg. 5 l.12, SiteTime[d] >= u.vts[d]).
     Mutant("receiver_ignores_site_time", Receiver, "_deps_satisfied",
            "return False", "pass"),
-    # The receiver's duplicate walk stops at the last enqueued order key
-    # instead of past it: a re-shipped frame enqueues that update again
-    # and it is applied twice (exactly-once release, Alg. 5).
-    Mutant("receiver_reenqueues_last_key", Receiver,
-           "on_remote_stable_batch",
-           "ORDER_KEY(ops[i]) <= last", "ORDER_KEY(ops[i]) < last"),
+    # The prefix filter stops at the last key the receiver holds instead
+    # of past it: a re-shipped frame enqueues that update again and it is
+    # applied twice (exactly-once release, Alg. 5).
+    Mutant("receiver_reenqueues_last_key", ReliableStream, "accepted_from",
+           "bisect_right(ops, floor, key=key)",
+           "__import__('bisect').bisect_left(ops, floor, key=key)"),
     # The receiver claims a timestamp while an op tied at it is still
     # queued: a dependency on (k, ts) reads as met when only some of the
     # ops at ts are applied (the tie-aware SiteTime, Alg. 5 l.12).

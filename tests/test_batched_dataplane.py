@@ -147,18 +147,18 @@ def _arm_uplink_faults(system, plan) -> None:
 # ----------------------------------------------------------------------
 # Uplink frame cache: pure memoization, bit-identical when disabled
 # ----------------------------------------------------------------------
+class _NeverCached(dict):
+    """A frame cache that keeps nothing: every window is rebuilt."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 def _disable_frame_cache(system) -> None:
     """Force every retransmission suffix to be rebuilt from the pending run."""
     for dc in system.datacenters:
         for p in dc.partitions:
-            uplink = p.uplink
-            orig = uplink._ship_suffix
-
-            def rebuild(replica, _up=uplink, _orig=orig):
-                _up._frames.clear()
-                return _orig(replica)
-
-            uplink._ship_suffix = rebuild
+            p.uplink.stream.frames = _NeverCached()
 
 
 def _run_uplink(seed: int, plan, cache: bool, observe: bool = False):

@@ -446,3 +446,77 @@ def test_the_zero_overlap_test_kills_a_receiver_queueing_disjoint_origins():
         with pytest.raises(AssertionError):
             test_zero_overlap_origins_do_not_stall(
                 "eunomia", {"config": EunomiaConfig(n_shards=2)})
+
+
+# ----------------------------------------------------------------------
+# The tracking condition (Xiang & Vaidya): a DC depends on exactly the
+# origins whose resident set overlaps its own.  One origin too few is a
+# safety bug (a GST above a stream it never waited for); one too many is
+# a stall (a cut waiting for a stream that never comes).
+# ----------------------------------------------------------------------
+
+@st.composite
+def resident_sets(draw):
+    """``(n_partitions, {dc: set of partitions})``, every DC storing one
+    partition or more and every partition stored somewhere."""
+    n_dcs = draw(st.integers(2, 4))
+    n_partitions = draw(st.integers(1, 4))
+    resident = {dc: draw(st.sets(st.integers(0, n_partitions - 1),
+                                 min_size=1))
+                for dc in range(n_dcs)}
+    for p in range(n_partitions):
+        if not any(p in held for held in resident.values()):
+            resident[p % n_dcs].add(p)
+    return n_partitions, resident
+
+
+def _summary_origins(partition, n_dcs):
+    """The origins whose VV entry the partition's summary reads: the one
+    lagging entry shows through exactly when it is tracked."""
+    origins = set()
+    for d in range(n_dcs):
+        partition.vv = [30 if k == d else 100 for k in range(n_dcs)]
+        summary = partition._local_summary()
+        if summary[0 if len(summary) == 1 else d] == 30:
+            origins.add(d)
+    return origins
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=resident_sets())
+def test_every_dc_tracks_exactly_the_origins_it_overlaps(case):
+    n_partitions, resident = case
+    n_dcs = len(resident)
+    pmap = PlacementMap(n_dcs, n_partitions, resident)
+    spec = GeoSystemSpec(n_dcs=n_dcs, partitions_per_dc=n_partitions,
+                         clients_per_dc=1, seed=1, placement=pmap)
+    overlapping = {m: {k for k in range(n_dcs) if resident[k] & resident[m]}
+                   for m in range(n_dcs)}
+    eunomia = build_geo_system("eunomia", spec, WorkloadSpec())
+    for dc in eunomia.datacenters:
+        m = dc.dc_id
+        assert set(dc.receiver.origins) == overlapping[m] - {m}
+    for protocol in ("gentlerain", "cure"):
+        system = build_geo_system(protocol, spec, WorkloadSpec())
+        for dc in system.datacenters:
+            m = dc.dc_id
+            tracked = set()
+            for p in sorted(resident[m]):
+                origins = _summary_origins(dc.partitions[p], n_dcs)
+                assert origins == {k for k in range(n_dcs)
+                                   if p in resident[k]}, (protocol, m, p)
+                tracked |= origins
+            assert tracked == overlapping[m], (protocol, m)
+
+
+@pytest.mark.parametrize("mutant", ["gst_summary_drops_origin",
+                                    "receiver_queues_disjoint_origin"])
+def test_the_tracking_property_kills_one_origin_too_few_or_many(mutant):
+    """dc2 of :data:`ISLAND` overlaps nobody, and dc0 is the first home
+    of the partitions it shares with dc1."""
+    case = (4, {0: {0, 1}, 1: {0, 1}, 2: {2, 3}})
+    test = test_every_dc_tracks_exactly_the_origins_it_overlaps
+    test.hypothesis.inner_test(case=case)
+    with MUTANTS[mutant].applied():
+        with pytest.raises(AssertionError):
+            test.hypothesis.inner_test(case=case)

@@ -126,7 +126,7 @@ class TestDataMetadataSeparation:
         for sink in siblings.values():
             assert sink.data[0].value == "payload"
         # metadata queued for Eunomia is value-free
-        assert partition.uplink._pending[0].value is None
+        assert partition.uplink.stream.pending.payload[0].value is None
 
     def test_without_separation_value_goes_through_eunomia(self, env, metrics):
         Network(env, ConstantLatency(0.0001))
@@ -136,7 +136,7 @@ class TestDataMetadataSeparation:
         client = FakeClient(env)
         client.send(partition, update_msg(value="inline"))
         env.run()
-        assert partition.uplink._pending[0].value == "inline"
+        assert partition.uplink.stream.pending.payload[0].value == "inline"
 
     def test_sibling_registration_ignores_self(self, rig):
         env, partition, _ = rig

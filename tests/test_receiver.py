@@ -162,7 +162,7 @@ def test_duplicates_are_dropped(rig):
 
 
 def test_the_duplicate_filter_kills_receiver_reenqueues_last_key():
-    """A frame re-shipped whole: a tie walk that stops *at* the last
+    """A frame re-shipped whole: a prefix filter that stops *at* the last
     enqueued order key offers that update again — the queue's run refuses
     it (``ValueError``), or, past that guard, it is released twice."""
     def dedup():

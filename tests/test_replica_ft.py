@@ -6,7 +6,7 @@ import pytest
 from mutants import MUTANTS
 
 from repro.core import EunomiaConfig, EunomiaService
-from repro.core import uplink as uplink_module
+from repro.core import stream as stream_module
 from repro.core.election import OmegaElection
 from repro.core.messages import AddOpBatch, ReplicaAlive
 from repro.harness.loadgen import (
@@ -170,7 +170,7 @@ def test_leadership_change_callback(env, net):
 
 def test_end_to_end_ft_pipeline_with_loss(env, monkeypatch):
     """Emulated partitions + lossy links + replicas: nothing is lost."""
-    monkeypatch.setattr(uplink_module, "RESEND_TIMEOUT", 0.02)
+    monkeypatch.setattr(stream_module, "RESEND_TIMEOUT", 0.02)
     net = Network(env, ConstantLatency(0.0001))
     config = EunomiaConfig(fault_tolerant=True, n_replicas=2)
     metrics = MetricsHub()

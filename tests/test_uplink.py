@@ -11,7 +11,7 @@ from repro.clocks import HybridLogicalClock, PhysicalClock
 from repro.core import EunomiaConfig
 from repro.core.messages import AddOpBatch, BatchAck, PartitionHeartbeat
 from repro.core.service import StabilizerBase
-from repro.core import uplink as uplink_module
+from repro.core import stream as stream_module
 from repro.core.uplink import EunomiaUplink
 from repro.kvstore.types import Update
 from repro.sim import ConstantLatency, Environment, Network, Process
@@ -80,7 +80,7 @@ def test_acked_ops_are_pruned(rig):
         host.uplink.record(make_op(host))
     env.run(until=0.05)
     assert host.uplink.pending_count() == 0
-    assert host.uplink.acked_ts(replicas[0]) > 0
+    assert host.uplink.stream.windows[replicas[0].pid].ack > 0
 
 
 def test_unacked_ops_retransmit_after_timeout(rig):
@@ -103,7 +103,7 @@ def test_no_retransmissions_when_acks_flow(rig):
 
 
 def test_lost_batches_recovered_by_retransmission(env, monkeypatch):
-    monkeypatch.setattr(uplink_module, "RESEND_TIMEOUT", 0.02)
+    monkeypatch.setattr(stream_module, "RESEND_TIMEOUT", 0.02)
     net = Network(env, ConstantLatency(0.0001))
     config = EunomiaConfig(fault_tolerant=True, n_replicas=1)
     host = Host(env, config)
@@ -121,7 +121,7 @@ def test_lost_batches_recovered_by_retransmission(env, monkeypatch):
 
 
 def test_batch_respects_max_batch_ops(env, monkeypatch):
-    monkeypatch.setattr(uplink_module, "MAX_BATCH_OPS", 3)
+    monkeypatch.setattr(stream_module, "MAX_BATCH_OPS", 3)
     Network(env, ConstantLatency(0.0001))
     config = EunomiaConfig(fault_tolerant=True, n_replicas=1)
     host = Host(env, config)
