@@ -99,9 +99,10 @@ class AddOpBatch:
     """A timestamp-ordered run of updates from one partition, as a frame.
 
     With data/metadata separation the ``ops`` carry ``value=None`` — only
-    ordering metadata flows through Eunomia.  ``resend`` marks at-least-once
-    retransmissions to fault-tolerant replicas (charged less CPU at the
-    sender: the serialized frame is reused verbatim).
+    ordering metadata flows through Eunomia.  A retransmission to a
+    fault-tolerant replica is the same frame again; the sender charges a
+    frame for the ops new to its destination (``n_new`` in
+    :meth:`~repro.core.uplink.EunomiaUplink.transmit`).
 
     A frame is its ops: one partition's timestamp-ascending ``tuple`` of
     updates.  ``size_bytes`` is the §5 per-op sum (see :func:`_wire_bytes`).
@@ -115,7 +116,6 @@ class AddOpBatch:
     partition_index: int
     ops: tuple[Update, ...]
     prev_ts: int = 0
-    resend: bool = False
 
     @property
     def size_bytes(self) -> int:

@@ -46,8 +46,8 @@ class ReliableStream:
     """The send half of one origin's stream, and the receive-half filter.
 
     Positions (``ts``) strictly increase along ``pending``.  A frame is
-    cached per ``(first ts, last ts, prev_ts, resend)``: every destination
-    and every resend the window fits ships the same frame."""
+    cached per ``(first ts, last ts, prev_ts, n_new == 0)``: every
+    destination and every resend the window fits ships the same frame."""
 
     def __init__(self, origin: int, sender):
         self.origin = origin
@@ -91,12 +91,14 @@ class ReliableStream:
             if retransmit or w.due == _INF:
                 w.due = now + min(RESEND_TIMEOUT * (1 << w.strikes),
                                   max(RESEND_TIMEOUT, RETRY_BACKOFF_CAP))
+            # ``n_new == 0`` no longer changes the frame; it stays in the
+            # key so ``frames_reused`` counts the cache as it always has
             key = (ts_col[start], last_ts, start_from, n_new == 0)
             frame = frames.get(key)
             if frame is None:
                 frame = frames[key] = AddOpBatch(
                     self.origin, self.pending.cut(start, end),
-                    prev_ts=start_from, resend=(n_new == 0))
+                    prev_ts=start_from)
             else:
                 sender.frames_reused += 1
             sender.transmit(dest, frame, n_new)
