@@ -59,6 +59,7 @@ __all__ = [
     "ChaosSchedule",
     "sample_schedule",
     "apply_schedule",
+    "build_case",
     "run_case",
     "run_exactly_once_drill",
     "run_matrix",
@@ -404,18 +405,9 @@ def _mttr_samples(system, schedule: ChaosSchedule) -> list:
     return samples
 
 
-def run_case(schedule: ChaosSchedule, observe: bool = True) -> CaseResult:
-    """Run one chaos case and evaluate every oracle.
-
-    Never raises on an oracle failure — the verdict (and the evidence)
-    comes back in the :class:`CaseResult` so the matrix can keep going
-    and artifacts can be written for every failing seed.  ``observe``
-    (default on: it is golden-invisible and the runs are small) attaches
-    the repro.obs surface so every result carries a Perfetto-loadable
-    trace with fault windows, MTTR slices, spans, and gauges on one
-    timeline.
-    """
-    history = SessionHistory()
+def build_case(schedule: ChaosSchedule, history=None):
+    """The deployment one chaos case runs, ``schedule`` programmed into
+    its failure schedule (armed when the system starts)."""
     spec_kwargs = dict(_SPEC)
     spec_kwargs["placement"] = CHAOS_PLACEMENTS[schedule.placement]
     if schedule.placement != "full":
@@ -428,6 +420,22 @@ def run_case(schedule: ChaosSchedule, observe: bool = True) -> CaseResult:
                               **_options_for(schedule.protocol,
                                              schedule.placement))
     apply_schedule(system, schedule)
+    return system
+
+
+def run_case(schedule: ChaosSchedule, observe: bool = True) -> CaseResult:
+    """Run one chaos case and evaluate every oracle.
+
+    Never raises on an oracle failure — the verdict (and the evidence)
+    comes back in the :class:`CaseResult` so the matrix can keep going
+    and artifacts can be written for every failing seed.  ``observe``
+    (default on: it is golden-invisible and the runs are small) attaches
+    the repro.obs surface so every result carries a Perfetto-loadable
+    trace with fault windows, MTTR slices, spans, and gauges on one
+    timeline.
+    """
+    history = SessionHistory()
+    system = build_case(schedule, history)
     obs = system.observe(sample_every=16) if observe else None
     failures: list[str] = []
     try:

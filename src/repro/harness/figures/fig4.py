@@ -128,8 +128,7 @@ def run(params: Optional[Fig4Params] = None) -> FigureResult:
             # rejoins at t2 through the WAL/checkpoint/state-transfer path
             # (ReplicaGroup.recover).
             target = groups[0]
-            rig.env.loop.schedule_at(
-                p.crash1, lambda t=target: t.crash(lose_state=True))
+            rig.env.loop.schedule_at(p.crash1, target.crash, True)
             rig.env.loop.schedule_at(p.rejoin_at, target.recover)
             t2 = p.rejoin_at
         else:

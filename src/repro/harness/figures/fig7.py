@@ -106,14 +106,10 @@ def run(params: Optional[Fig7Params] = None) -> FigureResult:
         sequencer = partition.sequencer
         network = system.env.network
         schedule = FailureSchedule(system.env)
-        schedule.at(p.phase,
-                    lambda: network.set_link_extra_delay(partition, sequencer,
-                                                         interval),
-                    "straggle seq link")
-        schedule.at(2 * p.phase,
-                    lambda: network.set_link_extra_delay(partition, sequencer,
-                                                         0.0),
-                    "heal seq link")
+        schedule.at(p.phase, network.set_link_extra_delay,
+                    "straggle seq link", (partition, sequencer, interval))
+        schedule.at(2 * p.phase, network.set_link_extra_delay,
+                    "heal seq link", (partition, sequencer, 0.0))
         schedule.arm()
         system.run(duration)
 

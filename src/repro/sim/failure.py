@@ -32,6 +32,10 @@ Every action appends ``(time, label)`` to :attr:`FailureSchedule.log` when
 it fires, so a schedule's observable timeline is comparable across runs
 (the log is deterministic for a fixed seed and schedule).
 
+An action is data — a callable (a bound method or a module function) and
+its argument tuple, never a closure — so a ``copy.deepcopy`` of a system
+with an armed schedule fires its actions on the copy's objects.
+
 All injection state lives in tables the hot paths test for emptiness
 (``Network``) or neutral defaults (``DiskModel``), so an un-armed schedule
 costs nothing.
@@ -51,7 +55,8 @@ __all__ = ["FailureSchedule", "Straggler"]
 @dataclass
 class _Action:
     time: float
-    fn: Callable[[], Any]
+    fn: Callable[..., Any]
+    args: tuple
     label: str
     armed: bool = False
 
@@ -73,8 +78,7 @@ class FailureSchedule:
         state is wiped and only durable media (WAL, checkpoints) survive.
         """
         label = ("amnesia-crash " if lose_state else "crash ") + process.name
-        return self.at(time, lambda: process.crash(lose_state=lose_state),
-                       label)
+        return self.at(time, process.crash, label, (lose_state,))
 
     def recover_at(self, time: float, process: Process) -> "FailureSchedule":
         """Recover ``process`` at absolute simulation time ``time``."""
@@ -94,17 +98,14 @@ class FailureSchedule:
         """
         label = (("amnesia-crash " if lose_state else "crash ")
                  + f"{group.name} shard {shard_id}")
-        return self.at(time,
-                       lambda: group.crash_shard(shard_id,
-                                                 lose_state=lose_state),
-                       label)
+        return self.at(time, group.crash_shard, label, (shard_id, lose_state))
 
     def recover_shard_at(self, time: float, group,
                          shard_id: int) -> "FailureSchedule":
         """Rejoin one crashed shard of ``group`` (durable restore if the
         crash was an amnesia crash)."""
-        return self.at(time, lambda: group.recover_shard(shard_id),
-                       f"recover {group.name} shard {shard_id}")
+        return self.at(time, group.recover_shard,
+                       f"recover {group.name} shard {shard_id}", (shard_id,))
 
     # ------------------------------------------------------------------
     # Network partitions & gray links
@@ -123,10 +124,8 @@ class FailureSchedule:
         a, b = list(group_a), list(group_b)
         arrow = "<->" if symmetric else "->"
         label = (f"partition {_group_label(a)} {arrow} {_group_label(b)}")
-        return self.at(
-            time, lambda: self.env.network.partition(a, b,
-                                                     symmetric=symmetric),
-            label)
+        return self.at(time, self.env.network.partition, label,
+                       (a, b, symmetric))
 
     def heal_at(self, time: float, group_a: Iterable[Process],
                 group_b: Iterable[Process]) -> "FailureSchedule":
@@ -134,7 +133,7 @@ class FailureSchedule:
         (idempotent; heals asymmetric partitions too)."""
         a, b = list(group_a), list(group_b)
         label = f"heal {_group_label(a)} <-> {_group_label(b)}"
-        return self.at(time, lambda: self.env.network.heal(a, b), label)
+        return self.at(time, self.env.network.heal, label, (a, b))
 
     def degrade_links_at(self, time: float,
                          pairs: Iterable[tuple[Process, Process]],
@@ -145,25 +144,19 @@ class FailureSchedule:
         """
         pairs = [tuple(p) for p in pairs]
         label = f"gray-links +{extra_s * 1e3:.1f}ms x{len(pairs)}"
-
-        def apply() -> None:
-            for src, dst in pairs:
-                self.env.network.set_link_extra_delay(src, dst, extra_s)
-
-        return self.at(time, apply, label)
+        return self.at(time, self._set_extra_delay, label, (pairs, extra_s))
 
     def restore_links_at(self, time: float,
                          pairs: Iterable[tuple[Process, Process]],
                          ) -> "FailureSchedule":
         """End a gray-link window: remove the extra delay on each pair."""
         pairs = [tuple(p) for p in pairs]
-        label = f"heal-links x{len(pairs)}"
+        return self.at(time, self._set_extra_delay,
+                       f"heal-links x{len(pairs)}", (pairs, 0.0))
 
-        def apply() -> None:
-            for src, dst in pairs:
-                self.env.network.set_link_extra_delay(src, dst, 0.0)
-
-        return self.at(time, apply, label)
+    def _set_extra_delay(self, pairs: list, extra_s: float) -> None:
+        for src, dst in pairs:
+            self.env.network.set_link_extra_delay(src, dst, extra_s)
 
     # ------------------------------------------------------------------
     # Gray disks & WAL faults
@@ -172,12 +165,12 @@ class FailureSchedule:
                         factor: float) -> "FailureSchedule":
         """Gray disk: multiply every fsync's cost by ``factor`` (≥ 1) —
         group commits stall without failing, the slow-not-dead device."""
-        return self.at(time, lambda: disk.degrade(factor),
-                       f"gray-disk x{factor:g}")
+        return self.at(time, disk.degrade, f"gray-disk x{factor:g}",
+                       (factor,))
 
     def restore_disk_at(self, time: float, disk) -> "FailureSchedule":
         """End a gray-disk window: restore normal fsync latency."""
-        return self.at(time, lambda: disk.degrade(1.0), "heal-disk")
+        return self.at(time, disk.degrade, "heal-disk", (1.0,))
 
     def wal_fail_fsyncs_at(self, time: float, wal,
                            count: int) -> "FailureSchedule":
@@ -187,8 +180,8 @@ class FailureSchedule:
         stabilizers must *not* acknowledge and instead retry with backoff
         (see :meth:`repro.core.service.StabilizerBase._commit_and_ack`).
         """
-        return self.at(time, lambda: wal.fail_fsyncs(count),
-                       f"fsync-fail {wal.name} x{count}")
+        return self.at(time, wal.fail_fsyncs,
+                       f"fsync-fail {wal.name} x{count}", (count,))
 
     def wal_tear_tail_at(self, time: float, wal,
                          records: int) -> "FailureSchedule":
@@ -200,8 +193,8 @@ class FailureSchedule:
         per-origin monotonicity) and the at-least-once uplink / peer state
         transfer re-covers the torn suffix.
         """
-        return self.at(time, lambda: wal.tear_tail(records),
-                       f"torn-tail {wal.name} x{records}")
+        return self.at(time, wal.tear_tail,
+                       f"torn-tail {wal.name} x{records}", (records,))
 
     # ------------------------------------------------------------------
     # Clock trouble
@@ -216,14 +209,10 @@ class FailureSchedule:
         offset); a positive ``step_us`` additionally steps the phase
         forward.  Backward steps are absorbed by the monotone read clamp.
         """
-        def apply() -> None:
-            clock.set_drift(drift_ppm)
-            if step_us:
-                clock.step_us(step_us)
-
-        return self.at(time, apply,
+        return self.at(time, _redrift,
                        label or f"clock-drift {drift_ppm:g}ppm"
-                       + (f" step {step_us:g}us" if step_us else ""))
+                       + (f" step {step_us:g}us" if step_us else ""),
+                       (clock, drift_ppm, step_us))
 
     def ntp_outage(self, start: float, end: float, ntp) -> "FailureSchedule":
         """Suspend NTP discipline during ``[start, end)``: clock offsets
@@ -234,15 +223,16 @@ class FailureSchedule:
         self.at(end, ntp.resume, "ntp-outage end")
         return self
 
-    def at(self, time: float, fn: Callable[[], Any], label: str = "") -> "FailureSchedule":
-        """Run an arbitrary action at ``time`` (builder style, returns self).
+    def at(self, time: float, fn: Callable[..., Any], label: str = "",
+           args: tuple = ()) -> "FailureSchedule":
+        """Run ``fn(*args)`` at ``time`` (builder style, returns self).
 
         Actions added after :meth:`arm` are scheduled immediately, so a
         schedule can keep growing mid-run; a late addition whose time is
         already in the past fails loudly (the event loop rejects it)
         rather than silently never firing.
         """
-        action = _Action(time, fn,
+        action = _Action(time, fn, args,
                          label or getattr(fn, "__name__", "action"))
         self._actions.append(action)
         if self._armed:
@@ -251,12 +241,11 @@ class FailureSchedule:
 
     def _schedule(self, action: _Action) -> None:
         action.armed = True
+        self.env.loop.schedule_at(action.time, self._fire, action)
 
-        def fire() -> None:
-            self.log.append((self.env.now, action.label))
-            action.fn()
-
-        self.env.loop.schedule_at(action.time, fire)
+    def _fire(self, action: _Action) -> None:
+        self.log.append((self.env.now, action.label))
+        action.fn(*action.args)
 
     def arm(self) -> None:
         """Schedule every recorded action on the event loop (idempotent:
@@ -265,6 +254,13 @@ class FailureSchedule:
         for action in self._actions:
             if not action.armed:
                 self._schedule(action)
+
+
+def _redrift(clock, drift_ppm: float, step_us: float) -> None:
+    """Re-rate ``clock`` and, when ``step_us`` is non-zero, step it."""
+    clock.set_drift(drift_ppm)
+    if step_us:
+        clock.step_us(step_us)
 
 
 def _group_label(procs: list) -> str:

@@ -13,7 +13,10 @@ The check: fork a 3 DC × 4 partition × 4 client system (seed 7) at
 0.3 sim-s, run the original and the fork 0.3 sim-s further, and compare
 the run fingerprint and ``processed_events``.  The fault-tolerant shape is
 forked a second time at an instant when a stabilizer's disk lane holds a
-queued commit-and-ack body.
+queued commit-and-ack body, and a chaos case is forked while its failure
+schedule is armed and none of its faults has fired: each action is a
+bound method (or module function) and its arguments, so the fork's
+faults strike the fork.
 """
 
 import copy
@@ -24,6 +27,7 @@ from mutants import MUTANTS
 import repro.baselines  # noqa: F401  (registers every protocol)
 from repro import GeoSystemSpec, WorkloadSpec, build_geo_system
 from repro.core import EunomiaConfig
+from repro.harness.chaos import build_case, sample_schedule
 from repro.harness.goldens import run_fingerprint
 from repro.sim.loop import Fifo, apply
 
@@ -69,13 +73,14 @@ def _warmed(protocol, at=0.3):
     return system
 
 
-def _continuations(system):
-    """Fork ``system``, run it and its fork 0.3 sim-s on."""
+def _continuations(system, seconds=0.3):
+    """Fork ``system``, run it and its fork ``seconds`` on."""
     fork = copy.deepcopy(system)
     out = []
     for side in (system, fork):
-        side.run(0.3)
-        out.append((run_fingerprint(side), side.env.loop.processed_events))
+        side.run(seconds)
+        out.append((run_fingerprint(side), side.env.loop.processed_events,
+                    side.failures().log))
     return out
 
 
@@ -95,6 +100,17 @@ def test_a_fork_with_a_commit_and_ack_queued_continues_as_the_original():
     system = _warmed("eunomia", COMMIT_QUEUED_AT)
     assert _commit_and_ack_queued(system) == 4
     original, fork = _continuations(system)
+    assert fork == original
+
+
+def test_a_fork_with_its_failure_schedule_armed_continues_as_the_original():
+    """Chaos seed 0: a gray link, an NTP outage, an isolation and a WAL
+    fault, all in [0.5, 1.7) sim-s; forked at 0.3, run to 1.8."""
+    system = build_case(sample_schedule("eunomia", 0))
+    system.run(0.3)
+    assert system.failures()._armed and not system.failures().log
+    original, fork = _continuations(system, 1.5)
+    assert len(original[2]) == 7   # every action fired (WAL faults never heal)
     assert fork == original
 
 
