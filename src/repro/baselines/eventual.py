@@ -21,7 +21,6 @@ from ..core.protocols import (
     SitePlan,
     register_protocol,
 )
-from ..metrics.collector import MetricsHub
 from ..sim.process import Process
 
 __all__ = ["EventualPartition", "EventualProtocol"]
@@ -32,14 +31,13 @@ class EventualPartition(StoragePartition):
 
     def __init__(self, env, name: str, dc_id: int, index: int, n_dcs: int,
                  clock: PhysicalClock,
-                 calibration: Optional[Calibration] = None,
-                 metrics: Optional[MetricsHub] = None):
+                 calibration: Optional[Calibration] = None):
         cal = calibration or Calibration()
         super().__init__(env, name, dc_id, index, n_dcs, clock, {
             "ClientRead": cal.cost("partition_read"),
             "ClientUpdate": cal.cost("partition_update"),
             "RemoteData": cal.cost("partition_apply_remote"),
-        }, metrics=metrics)
+        })
         self.zero_vts = ()  # this store exposes no causal metadata at all
 
     def on_client_update(self, msg: ClientUpdate, src: Process) -> None:
@@ -67,8 +65,7 @@ class EventualProtocol(ProtocolSpec):
         partitions = [
             EventualPartition(site.env, site.pname(i), site.dc_id, i,
                               site.n_dcs, site.clock(),
-                              calibration=site.calibration,
-                              metrics=site.metrics)
+                              calibration=site.calibration)
             for i in range(site.n_partitions)
         ]
         return SitePlan(partitions=partitions)

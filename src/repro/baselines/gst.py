@@ -76,7 +76,6 @@ from ..core.protocols import (
 )
 from ..datastruct.runbuffer import RunBuffer
 from ..kvstore.types import Update
-from ..metrics.collector import MetricsHub
 from ..sim.env import Environment
 from ..sim.process import Process
 from .messages import GstBroadcast, GstHeartbeat, GstReport
@@ -127,8 +126,7 @@ class GstPartition(StoragePartition):
 
     def __init__(self, env: Environment, name: str, dc_id: int, index: int,
                  n_dcs: int, clock: PhysicalClock, gst_interval: float,
-                 calibration: Optional[Calibration] = None,
-                 metrics: Optional[MetricsHub] = None):
+                 calibration: Optional[Calibration] = None):
         cal = calibration or Calibration()
         flavor = self.flavor
         super().__init__(env, name, dc_id, index, n_dcs, clock, {
@@ -142,7 +140,7 @@ class GstPartition(StoragePartition):
             # handled on arrival; the round's cost is a ``cpu`` slot that
             # :meth:`on_gst_broadcast` reserves (module docstring)
             "GstBroadcast": 0.0,
-        }, metrics=metrics)
+        })
         self._round_cost = cal.overhead(f"{flavor}_gst_round")
         self.gst_interval = gst_interval
         self.summary_width = self.summary_width_static(n_dcs)
@@ -486,8 +484,7 @@ class GstProtocol(ProtocolSpec):
             self.partition_cls(site.env, site.pname(i), site.dc_id, i,
                                site.n_dcs, site.clock(),
                                site.options["gst_interval"],
-                               calibration=site.calibration,
-                               metrics=site.metrics)
+                               calibration=site.calibration)
             for i in range(site.n_partitions)
         ]
         pmap = site.placement

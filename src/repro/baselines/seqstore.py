@@ -35,7 +35,6 @@ from ..core.protocols import (
 )
 from ..geo.receiver import Receiver
 from ..kvstore.types import Update
-from ..metrics.collector import MetricsHub
 from ..sim.process import Process
 from .messages import SeqReply, SeqRequest
 from .sequencer import build_chain
@@ -52,8 +51,7 @@ class SeqPartition(ReceiverFedPartition):
 
     def __init__(self, env, name: str, dc_id: int, index: int, n_dcs: int,
                  clock: PhysicalClock, synchronous: bool = True,
-                 calibration: Optional[Calibration] = None,
-                 metrics: Optional[MetricsHub] = None):
+                 calibration: Optional[Calibration] = None):
         cal = calibration or Calibration()
         super().__init__(env, name, dc_id, index, n_dcs, clock, {
             "ClientRead": cal.cost("partition_read"),
@@ -64,7 +62,7 @@ class SeqPartition(ReceiverFedPartition):
             # (StoragePartition._install)
             "RemoteData": cal.cost("partition_apply_remote"),
             "ApplyRemote": cal.cost("partition_remote_data"),
-        }, metrics=metrics)
+        })
         self.synchronous = synchronous
         self.sequencer: Optional[Process] = None
         self.sequencer_group: list[Process] = []
@@ -188,16 +186,14 @@ class SequencerProtocol(ProtocolSpec):
         # build_chain defaults to the static §7.1 chain.)
         nodes = build_chain(site.env, site.dc_id, chain_length,
                             calibration=site.calibration,
-                            metrics=site.metrics,
                             name_prefix=f"dc{site.dc_id}/chain", repair=True)
         receiver = Receiver(site.env, f"dc{site.dc_id}/receiver", site.dc_id,
                             site.n_dcs, site.placement,
-                            calibration=site.calibration,
-                            metrics=site.metrics)
+                            calibration=site.calibration)
         partitions = [
             SeqPartition(site.env, site.pname(i), site.dc_id, i, site.n_dcs,
                          site.clock(), synchronous=self.synchronous,
-                         calibration=site.calibration, metrics=site.metrics)
+                         calibration=site.calibration)
             for i in range(site.n_partitions)
         ]
         for partition in partitions:

@@ -26,7 +26,6 @@ from typing import Optional
 
 from ..calibration import Calibration
 from ..core.messages import RemoteStableBatch
-from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
 from ..sim.process import Process
 from .messages import ChainAlive, ChainForward, SeqRequest, SeqReply
@@ -70,7 +69,6 @@ class ChainSequencerNode(Process):
     def __init__(self, env: Environment, name: str, site: int, position: int,
                  chain_length: int,
                  calibration: Optional[Calibration] = None,
-                 metrics: Optional[MetricsHub] = None,
                  repair: bool = False):
         cal = calibration or Calibration()
         if chain_length == 1:
@@ -86,7 +84,6 @@ class ChainSequencerNode(Process):
             "SeqRequest": per_request,
             "ChainForward": per_request,
         })
-        self.metrics = metrics or NullMetrics()
         self.position = position
         self.chain_length = chain_length
         self.counter = 0
@@ -249,7 +246,6 @@ class ChainSequencerNode(Process):
 
 def build_chain(env: Environment, site: int, length: int,
                 calibration: Optional[Calibration] = None,
-                metrics: Optional[MetricsHub] = None,
                 name_prefix: str = "chain",
                 repair: bool = False) -> list[ChainSequencerNode]:
     """Create and link a sequencer chain; returns [head, ..., tail].
@@ -263,8 +259,7 @@ def build_chain(env: Environment, site: int, length: int,
         raise ValueError("chain needs at least one node")
     nodes = [
         ChainSequencerNode(env, f"{name_prefix}{i}", site, i, length,
-                           calibration=calibration, metrics=metrics,
-                           repair=repair)
+                           calibration=calibration, repair=repair)
         for i in range(length)
     ]
     for node, successor in zip(nodes, nodes[1:]):

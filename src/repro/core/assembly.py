@@ -39,7 +39,6 @@ from typing import Optional
 
 from ..calibration import Calibration
 from ..durability import CheckpointStore, RecoveryManager, WriteAheadLog
-from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.disk import DiskModel
 from ..sim.env import Environment
 from ..sim.process import Process
@@ -114,7 +113,6 @@ class StabilizerStack:
 
 def build_stabilizer_stack(env: Environment, site: int, n_partitions: int,
                            config: EunomiaConfig, cal: Calibration,
-                           metrics: Optional[MetricsHub] = None,
                            name_prefix: str = "",
                            stable_mark: Optional[str] = None,
                            indices: Optional[list] = None
@@ -135,7 +133,6 @@ def build_stabilizer_stack(env: Environment, site: int, n_partitions: int,
     derive from the latter — so neither may change.
     """
     indices = range(n_partitions) if indices is None else indices
-    metrics = metrics or NullMetrics()
     stack = StabilizerStack(config=config)
     if config.n_shards > 1:
         stack.shard_map = ShardMap(indices, config.n_shards)
@@ -151,7 +148,7 @@ def build_stabilizer_stack(env: Environment, site: int, n_partitions: int,
                 batch_cost=cal.overhead("eunomia_batch"),
                 heartbeat_cost=cal.overhead("eunomia_heartbeat"),
                 ack_cost=cal.overhead("eunomia_ack"),
-                metrics=metrics, stable_mark=stable_mark,
+                stable_mark=stable_mark,
             )
             head.set_tracked(indices)
             shards = []
@@ -162,7 +159,7 @@ def build_stabilizer_stack(env: Environment, site: int, n_partitions: int,
                 forward_op_cost=cal.cost("eunomia_coord_op"),
                 merge_round_cost=cal.overhead("eunomia_coord_round"),
                 batch_cost=cal.overhead("eunomia_batch"),
-                metrics=metrics, stable_mark=stable_mark,
+                stable_mark=stable_mark,
             )
             shards = [
                 EunomiaShard(
@@ -174,7 +171,6 @@ def build_stabilizer_stack(env: Environment, site: int, n_partitions: int,
                     batch_cost=cal.overhead("eunomia_batch"),
                     heartbeat_cost=cal.overhead("eunomia_heartbeat"),
                     ack_cost=cal.overhead("eunomia_ack"),
-                    metrics=metrics,
                 )
                 for sid in range(config.n_shards)
             ]

@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 from ..calibration import Calibration
 from ..clocks.vector import vc_merge, vc_zero
 from ..kvstore.ring import ConsistentHashRing
-from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
 from ..sim.process import Process
 from .messages import ClientRead, ClientReadReply, ClientUpdate, ClientUpdateReply
@@ -36,7 +35,6 @@ class SessionClient(Process):
                  n_entries: int, partitions: Sequence[Process],
                  ring: ConsistentHashRing, workload,
                  calibration: Optional[Calibration] = None,
-                 metrics: Optional[MetricsHub] = None,
                  think_time: float = 0.0,
                  op_mark: str = "ops",
                  history=None,
@@ -53,7 +51,6 @@ class SessionClient(Process):
         self.partitions = list(partitions)
         self.ring = ring
         self.workload = workload
-        self.metrics = metrics or NullMetrics()
         self.think_time = think_time
         self.op_mark = op_mark
         # series names, formatted once instead of per completed op

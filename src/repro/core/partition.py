@@ -37,7 +37,6 @@ from ..clocks.physical import PhysicalClock
 from ..clocks.vector import vc_zero
 from ..kvstore.storage import VersionedStore
 from ..kvstore.types import ORDER_KEY, Update, Versioned
-from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
 from ..sim.process import Process
 from .config import EunomiaConfig
@@ -72,13 +71,11 @@ class StoragePartition(Process):
     LANES = {"RemoteData": "replication"}
 
     def __init__(self, env: Environment, name: str, dc_id: int, index: int,
-                 n_dcs: int, clock: PhysicalClock, costs: dict,
-                 metrics: Optional[MetricsHub] = None):
+                 n_dcs: int, clock: PhysicalClock, costs: dict):
         super().__init__(env, name, site=dc_id, costs=costs)
         self.dc_id = dc_id
         self.index = index
         self.n_dcs = n_dcs
-        self.metrics = metrics or NullMetrics()
         self.clock = clock
         self.hlc = HybridLogicalClock(clock)
         self.store = VersionedStore()
@@ -208,10 +205,8 @@ class ReceiverFedPartition(StoragePartition):
     LANES = {"ApplyRemote": "release", "RemoteData": "replication"}
 
     def __init__(self, env: Environment, name: str, dc_id: int, index: int,
-                 n_dcs: int, clock: PhysicalClock, costs: dict,
-                 metrics: Optional[MetricsHub] = None):
-        super().__init__(env, name, dc_id, index, n_dcs, clock, costs,
-                         metrics=metrics)
+                 n_dcs: int, clock: PhysicalClock, costs: dict):
+        super().__init__(env, name, dc_id, index, n_dcs, clock, costs)
         self._pending_data: dict[tuple, tuple[Update, float]] = {}
         self._pending_apply: dict[tuple, tuple[Update, Process]] = {}
         #: per origin DC, the order key of the last remote update installed
@@ -288,8 +283,7 @@ class EunomiaPartition(ReceiverFedPartition):
 
     def __init__(self, env: Environment, name: str, dc_id: int, index: int,
                  n_dcs: int, clock: PhysicalClock, config: EunomiaConfig,
-                 calibration: Optional[Calibration] = None,
-                 metrics: Optional[MetricsHub] = None):
+                 calibration: Optional[Calibration] = None):
         cal = calibration or Calibration()
         # The write rides the message that carries the payload
         # (StoragePartition._install): RemoteData — or, unseparated, when
@@ -303,7 +297,7 @@ class EunomiaPartition(ReceiverFedPartition):
                              + cal.cost("eunomia_update_extra")),
             written_on: cal.cost("partition_apply_remote"),
             touched_on: cal.cost("partition_remote_data"),
-        }, metrics=metrics)
+        })
         self.config = config
         #: mutable so the straggler injector (Fig. 7) can inflate it live
         self.batch_interval = config.batch_interval

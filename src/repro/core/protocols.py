@@ -48,7 +48,6 @@ from typing import Any, Optional, TYPE_CHECKING
 
 from ..calibration import Calibration
 from ..clocks.physical import PhysicalClock
-from ..metrics.collector import MetricsHub
 from ..sim.env import Environment
 from ..sim.process import Process
 
@@ -88,7 +87,6 @@ class SiteContext:
     n_partitions: int
     ring: "ConsistentHashRing"
     calibration: Calibration
-    metrics: MetricsHub
     #: which partition indices each DC stores
     placement: "PlacementMap"
     ntp: Optional["NtpSynchronizer"] = None

@@ -57,7 +57,6 @@ from operator import attrgetter
 from typing import Optional
 
 from ..datastruct.runbuffer import RunBuffer
-from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
 from ..sim.process import Process
 from .config import RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP, EunomiaConfig
@@ -97,8 +96,7 @@ class StabilizerBase(Process):
                  insert_op_cost: float = 0.0,
                  batch_cost: float = 0.0,
                  heartbeat_cost: float = 0.0,
-                 ack_cost: float = 0.0,
-                 metrics: Optional[MetricsHub] = None):
+                 ack_cost: float = 0.0):
         self.insert_op_cost = insert_op_cost
         self.batch_cost = batch_cost
         self.ack_cost = ack_cost
@@ -112,7 +110,6 @@ class StabilizerBase(Process):
         })
         self.n_partitions = n_partitions
         self.config = config
-        self.metrics = metrics or NullMetrics()
         self.partition_time = [0] * n_partitions
         #: the partition indices that bound the stable cut, ascending (all
         #: N until :meth:`set_tracked` narrows them)
@@ -412,14 +409,12 @@ class EunomiaService(ReplicaRole, StabilizerBase):
                  batch_cost: float = 0.0,
                  heartbeat_cost: float = 0.0,
                  ack_cost: float = 0.0,
-                 metrics: Optional[MetricsHub] = None,
                  stable_mark: Optional[str] = None):
         super().__init__(env, name, site, n_partitions, config,
                          insert_op_cost=insert_op_cost,
                          batch_cost=batch_cost,
                          heartbeat_cost=heartbeat_cost,
-                         ack_cost=ack_cost,
-                         metrics=metrics)
+                         ack_cost=ack_cost)
         self._init_role(replica_id, stable_mark)
         self.propagate_op_cost = propagate_op_cost
         self.stab_round_cost = stab_round_cost

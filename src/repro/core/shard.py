@@ -86,7 +86,6 @@ from collections import deque
 from typing import Optional
 
 from ..kvstore.types import ORDER_KEY
-from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
 from ..sim.process import Process
 from .config import EunomiaConfig
@@ -154,14 +153,12 @@ class EunomiaShard(StabilizerBase):
                  insert_op_cost: float = 0.0,
                  batch_cost: float = 0.0,
                  heartbeat_cost: float = 0.0,
-                 ack_cost: float = 0.0,
-                 metrics: Optional[MetricsHub] = None):
+                 ack_cost: float = 0.0):
         super().__init__(env, name, site, n_partitions, config,
                          insert_op_cost=insert_op_cost,
                          batch_cost=batch_cost,
                          heartbeat_cost=heartbeat_cost,
-                         ack_cost=ack_cost,
-                         metrics=metrics)
+                         ack_cost=ack_cost)
         if not owned:
             raise ValueError(f"shard {shard_id} owns no partitions")
         self.shard_id = shard_id
@@ -241,7 +238,6 @@ class ShardCoordinator(ReplicaRole, Process):
                  forward_op_cost: float = 0.0,
                  merge_round_cost: float = 0.0,
                  batch_cost: float = 0.0,
-                 metrics: Optional[MetricsHub] = None,
                  stable_mark: Optional[str] = None):
         super().__init__(env, name, site=site,
                          costs={"ShardStableBatch": batch_cost})
@@ -249,7 +245,6 @@ class ShardCoordinator(ReplicaRole, Process):
         self.config = config
         self.forward_op_cost = forward_op_cost
         self.merge_round_cost = merge_round_cost
-        self.metrics = metrics or NullMetrics()
         self._init_role(replica_id, stable_mark)
         self.local_shards: list[EunomiaShard] = []
         self.shard_stable = [0] * n_shards

@@ -246,8 +246,7 @@ class EunomiaUplink:
         host = self.host
         cost = self.batch_cost + self.op_cost * n_new
         self.ops_shipped += n_new
-        metrics = getattr(host, "metrics", None)
-        tracer = metrics.tracer if metrics is not None else None
+        tracer = host.metrics.tracer
         if tracer is not None:
             # stage_once: retransmissions re-ship the same window; only
             # the first departure is the pipeline latency

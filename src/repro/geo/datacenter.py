@@ -2,7 +2,7 @@
 
 A :class:`Datacenter` owns the wiring every protocol shares: it creates
 the :class:`~repro.core.protocols.SiteContext` (per-DC clock stream, NTP
-discipline, ring, metrics), asks the protocol's
+discipline, ring), asks the protocol's
 :class:`~repro.core.protocols.ProtocolSpec` plugin for the
 protocol-specific pieces (partitions, stabilizer/sequencer complex,
 receiver), and then owns cross-datacenter wiring (``connect``: every
@@ -37,7 +37,6 @@ from ..core.protocols import (
     register_protocol,
 )
 from ..kvstore.ring import ConsistentHashRing
-from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
 
 __all__ = ["Datacenter", "EunomiaProtocol"]
@@ -74,18 +73,17 @@ class EunomiaProtocol(ProtocolSpec):
         partitions = [
             EunomiaPartition(
                 site.env, site.pname(index), site.dc_id, index, site.n_dcs,
-                site.clock(), config, calibration=cal, metrics=site.metrics,
+                site.clock(), config, calibration=cal,
             )
             for index in range(site.n_partitions)
         ]
         stack = build_stabilizer_stack(
             site.env, site.dc_id, site.n_partitions, config, cal,
-            metrics=site.metrics, name_prefix=f"dc{site.dc_id}/",
-            indices=stored,
+            name_prefix=f"dc{site.dc_id}/", indices=stored,
         )
         receiver = Receiver(
             site.env, f"dc{site.dc_id}/receiver", site.dc_id, site.n_dcs,
-            site.placement, calibration=cal, metrics=site.metrics,
+            site.placement, calibration=cal,
         )
         receiver.set_partitions(site.ring, partitions)
         stack.wire_uplinks([partitions[i] for i in stored])
@@ -113,7 +111,6 @@ class Datacenter:
                  protocol: ProtocolSpec, options: dict,
                  placement: PlacementMap,
                  calibration: Optional[Calibration] = None,
-                 metrics: Optional[MetricsHub] = None,
                  ntp: Optional[NtpSynchronizer] = None):
         self.env = env
         self.dc_id = dc_id
@@ -121,13 +118,12 @@ class Datacenter:
         self.ring = ring
         cal = calibration or Calibration()
         self.calibration = cal
-        self.metrics = metrics or NullMetrics()
         self.protocol = protocol
         #: which partition indices each DC stores
         self.placement = placement
         self.site = SiteContext(
             env=env, dc_id=dc_id, n_dcs=n_dcs, n_partitions=n_partitions,
-            ring=ring, calibration=cal, metrics=self.metrics,
+            ring=ring, calibration=cal,
             placement=placement, ntp=ntp, options=options,
         )
         self.plan = protocol.build_site(self.site)

@@ -61,7 +61,6 @@ from ..calibration import Calibration
 from ..datastruct.runbuffer import RunBuffer
 from ..kvstore.ring import ConsistentHashRing
 from ..kvstore.types import ORDER_KEY, Update
-from ..metrics.collector import MetricsHub, NullMetrics
 from ..sim.env import Environment
 from ..sim.process import Process
 from ..core.placement import PlacementMap
@@ -79,8 +78,7 @@ class Receiver(Process):
 
     def __init__(self, env: Environment, name: str, dc_id: int, n_dcs: int,
                  placement: PlacementMap,
-                 calibration: Optional[Calibration] = None,
-                 metrics: Optional[MetricsHub] = None):
+                 calibration: Optional[Calibration] = None):
         cal = calibration or Calibration()
         super().__init__(env, name, site=dc_id, costs={
             "RemoteStableBatch":
@@ -89,7 +87,6 @@ class Receiver(Process):
         })
         self.dc_id = dc_id
         self.n_dcs = n_dcs
-        self.metrics = metrics or NullMetrics()
         #: the placement-aware stable cut, ascending: origins whose
         #: resident set is disjoint from ours are left out.  Their entries
         #: are skipped in :meth:`_deps_satisfied`, so this DC never stalls

@@ -31,7 +31,7 @@ from ..core.client import SessionClient
 from ..core.placement import PlacementMap
 from ..core.protocols import ProtocolSpec, get_protocol
 from ..kvstore.ring import ConsistentHashRing
-from ..metrics import MetricsHub, steady_window, throughput
+from ..metrics import steady_window, throughput
 from ..sim.env import Environment
 from ..sim.latency import RttMatrix, paper_topology
 from ..sim.network import Network
@@ -80,12 +80,13 @@ class GeoSystem:
     """A running multi-datacenter deployment plus its measurement state."""
 
     def __init__(self, env: Environment, spec: GeoSystemSpec,
-                 metrics: MetricsHub, datacenters: Sequence,
+                 datacenters: Sequence,
                  clients: Sequence[SessionClient], protocol: str,
                  placement: PlacementMap, ntp=None):
         self.env = env
         self.spec = spec
-        self.metrics = metrics
+        #: the run's hub (``env.metrics``), read after the run
+        self.metrics = env.metrics
         self.datacenters = list(datacenters)
         self.clients = list(clients)
         self.protocol = protocol
@@ -202,7 +203,6 @@ class GeoSystem:
 def build_geo_system(protocol: Union[str, ProtocolSpec],
                      spec: GeoSystemSpec,
                      workload: WorkloadSpec,
-                     metrics: Optional[MetricsHub] = None,
                      history=None,
                      **options) -> GeoSystem:
     """Construct a complete deployment of any registered protocol.
@@ -223,7 +223,6 @@ def build_geo_system(protocol: Union[str, ProtocolSpec],
             f"{sorted(unknown)}; it understands "
             f"{sorted(proto.option_names()) or 'no options'}")
     options = proto.prepare(spec, dict(options))
-    metrics = metrics or MetricsHub()
     pmap = spec.placement_map()
     if spec.scheduler not in ("heap", "wheel"):
         raise ValueError(f"unknown scheduler {spec.scheduler!r}")
@@ -235,7 +234,7 @@ def build_geo_system(protocol: Union[str, ProtocolSpec],
 
     datacenters = [
         Datacenter(env, dc_id, spec.n_dcs, spec.partitions_per_dc, ring,
-                   calibration=spec.calibration, metrics=metrics, ntp=ntp,
+                   calibration=spec.calibration, ntp=ntp,
                    protocol=proto, options=options, placement=pmap)
         for dc_id in range(spec.n_dcs)
     ]
@@ -263,8 +262,8 @@ def build_geo_system(protocol: Union[str, ProtocolSpec],
                 env, f"dc{dc.dc_id}/client{c}", dc.dc_id,
                 n_entries=n_entries, partitions=routing, ring=ring,
                 workload=built, calibration=spec.calibration,
-                metrics=metrics, think_time=workload.think_time,
+                think_time=workload.think_time,
                 history=history, retry_timeout=spec.client_retry,
             ))
-    return GeoSystem(env, spec, metrics, datacenters, clients,
+    return GeoSystem(env, spec, datacenters, clients,
                      protocol=proto.name, placement=pmap, ntp=ntp)

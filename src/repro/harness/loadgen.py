@@ -194,7 +194,6 @@ class ServiceRig:
     """A service (Eunomia or sequencer) under synthetic partition load."""
 
     env: Environment
-    metrics: MetricsHub
     drivers: list
     service_processes: list
     sink: RemoteSink
@@ -204,6 +203,11 @@ class ServiceRig:
     #: has no replicas to crash
     groups: list = field(default_factory=list)
     _run_window: tuple[float, float] = field(default=(0.0, 0.0))
+
+    @property
+    def metrics(self) -> MetricsHub:
+        """The run's hub (``env.metrics``)."""
+        return self.env.metrics
 
     def start(self) -> None:
         for proc in self.service_processes:
@@ -220,8 +224,7 @@ class ServiceRig:
         """
         from ..obs import attach_tracer  # local import keeps obs optional here
 
-        return attach_tracer(self.metrics, self.env, self.service_processes,
-                             sample_every)
+        return attach_tracer(self.env, self.service_processes, sample_every)
 
     def run(self, duration: float) -> None:
         self.start()
@@ -245,19 +248,16 @@ class ServiceRig:
 def build_eunomia_rig(n_partitions: int,
                       config: Optional[EunomiaConfig] = None,
                       calibration: Optional[Calibration] = None,
-                      seed: int = 0,
-                      metrics: Optional[MetricsHub] = None) -> ServiceRig:
+                      seed: int = 0) -> ServiceRig:
     """Eunomia under emulator load: R replicas of a K-shard pipeline, any
     R and K the config names."""
     config = config or EunomiaConfig()
     config.validate()
     cal = calibration or Calibration()
-    metrics = metrics or MetricsHub()
     env = Environment(seed=seed)
     Network(env, ConstantLatency(INTRA_DC_LATENCY))
 
     stack = build_stabilizer_stack(env, 0, n_partitions, config, cal,
-                                   metrics=metrics,
                                    stable_mark="eunomia_stable:dc0")
     sink = RemoteSink(env)
     for propagator in stack.propagators():
@@ -269,29 +269,26 @@ def build_eunomia_rig(n_partitions: int,
     ]
     stack.wire_uplinks(drivers)
 
-    return ServiceRig(env, metrics, drivers, stack.processes(), sink,
+    return ServiceRig(env, drivers, stack.processes(), sink,
                       throughput_mark="eunomia_stable:dc0",
                       groups=stack.crash_units())
 
 
 def build_sequencer_rig(n_clients: int, chain_length: int = 1,
                         calibration: Optional[Calibration] = None,
-                        seed: int = 0,
-                        metrics: Optional[MetricsHub] = None) -> ServiceRig:
+                        seed: int = 0) -> ServiceRig:
     """A sequencer (a chain of ``chain_length`` nodes) under load."""
     cal = calibration or Calibration()
-    metrics = metrics or MetricsHub()
     env = Environment(seed=seed)
     Network(env, ConstantLatency(INTRA_DC_LATENCY))
 
     sink = RemoteSink(env)
-    nodes = build_chain(env, 0, chain_length, calibration=cal,
-                        metrics=metrics)
+    nodes = build_chain(env, 0, chain_length, calibration=cal)
     nodes[-1].add_destination(sink)
 
     drivers = [
         SequencerLoadClient(env, f"client{i}", i, nodes[0], calibration=cal)
         for i in range(n_clients)
     ]
-    return ServiceRig(env, metrics, drivers, [], sink,
+    return ServiceRig(env, drivers, [], sink,
                       throughput_mark="seq_assigned:dc0")

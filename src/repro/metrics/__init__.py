@@ -2,7 +2,7 @@
 statistics (percentiles, CDFs, windowed throughput) matching the paper's
 methodology (steady-state trimming, ms-granularity visibility CDFs)."""
 
-from .collector import MetricsHub, NullMetrics
+from .collector import MetricsHub
 from .summary import (
     cdf,
     mean,
@@ -16,7 +16,6 @@ from .summary import (
 
 __all__ = [
     "MetricsHub",
-    "NullMetrics",
     "cdf",
     "mean",
     "percentile",

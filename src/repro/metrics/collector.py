@@ -10,8 +10,11 @@ value is stored once, here:
   serving DC, visibility latency per DC pair, gauge readings.
 
 Recording is O(1) appends; all statistics are computed after the run by
-:mod:`repro.metrics.summary`.  Components receive the hub by injection so
-that unit tests can run protocols without one (see :class:`NullMetrics`).
+:mod:`repro.metrics.summary`.  The hub belongs to the run's
+:class:`~repro.sim.env.Environment`, which builds it; every process reads
+it once as ``self.metrics`` (``Process.__init__``), so no component is
+built without one and no component can record into another.  A test that
+wants a silent run monkeypatches the recording methods.
 
 The store is columnar: every mark series is one ``array('d')`` and every
 point series two parallel ones (times, values) — 8 bytes per recorded
@@ -27,7 +30,7 @@ from array import array
 from collections import defaultdict
 from itertools import repeat
 
-__all__ = ["MetricsHub", "NullMetrics"]
+__all__ = ["MetricsHub"]
 
 
 def _column() -> array:
@@ -78,15 +81,3 @@ class MetricsHub:
         columns = self.points.get(name)
         return list(zip(*columns)) if columns else []
 
-
-class NullMetrics(MetricsHub):
-    """A hub that discards everything (for tests that don't measure)."""
-
-    def mark(self, name: str, time: float) -> None:  # noqa: D102
-        pass
-
-    def mark_many(self, name: str, time: float, n: int) -> None:  # noqa: D102
-        pass
-
-    def point(self, name: str, time: float, value: float) -> None:  # noqa: D102
-        pass

@@ -10,10 +10,11 @@ GeoSystem` (any protocol on the ProtocolSpec spine)::
     write_chrome_trace("trace.json", tracer=obs.tracer,
                        metrics=system.metrics)
 
-Every measured value lives in the already-injected :class:`MetricsHub`'s
-exact series; the SLO report computes its percentiles from them.  Components
-read ``metrics.tracer`` (``None`` when no tracer is attached), so an
-unobserved run pays one attribute fetch per call site and goldens stay
+Every measured value lives in the exact series of the run's one
+:class:`MetricsHub` (``env.metrics``); the SLO report computes its
+percentiles from them.  Components read ``self.metrics.tracer`` (``None``
+when no tracer is attached), so an unobserved run pays one attribute
+fetch per call site and goldens stay
 bit-for-bit identical whether observability is attached or not (the
 tracer draws no randomness and schedules nothing; the gauge scraper only
 reads state).
@@ -43,13 +44,13 @@ class Observability:
     gauges: Optional[GaugeScraper] = None
 
 
-def attach_tracer(metrics, env, processes,
-                  sample_every: int = 16) -> Tracer:
-    """Hang a sampled :class:`Tracer` on ``metrics`` and hook the group
-    commit of every WAL among ``processes``, so durable deployments get the
-    ``wal_stage``/``wal_fsync`` stages.  Returns the tracer."""
+def attach_tracer(env, processes, sample_every: int = 16) -> Tracer:
+    """Hang a sampled :class:`Tracer` on the run's hub (``env.metrics``)
+    and hook the group commit of every WAL among ``processes``, so durable
+    deployments get the ``wal_stage``/``wal_fsync`` stages.  Returns the
+    tracer."""
     tracer = Tracer(sample_every=sample_every)
-    metrics.tracer = tracer
+    env.metrics.tracer = tracer
     for proc in processes:
         wal = getattr(proc, "wal", None)
         if wal is not None:
@@ -65,8 +66,8 @@ def attach_observability(system, sample_every: int = 16,
     processes = [proc for dc in system.datacenters
                  if getattr(dc, "stack", None) is not None
                  for proc in dc.stack.processes()]
-    obs = Observability(tracer=attach_tracer(
-        system.metrics, system.env, processes, sample_every))
+    obs = Observability(tracer=attach_tracer(system.env, processes,
+                                             sample_every))
     if gauges:
         obs.gauges = GaugeScraper(system).attach()
     return obs

@@ -1,16 +1,19 @@
 """Simulation environment: the bundle every simulated component hangs off.
 
 An :class:`Environment` owns the event loop (always the heap
-:class:`~repro.sim.loop.EventLoop`) and the root RNG registry, and —
-once a :class:`repro.sim.network.Network` is attached — gives processes a way
+:class:`~repro.sim.loop.EventLoop`), the root RNG registry and the run's
+one :class:`~repro.metrics.collector.MetricsHub`, and — once a
+:class:`repro.sim.network.Network` is attached — gives processes a way
 to reach each other.  Builders (``repro.geo.system``, baselines, the harness)
-create one Environment per experiment.
+create one Environment per experiment; every process records into its
+hub.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from ..metrics.collector import MetricsHub
 from .loop import EventLoop
 from .rng import RngRegistry
 
@@ -18,11 +21,12 @@ __all__ = ["Environment"]
 
 
 class Environment:
-    """Shared simulation state: event loop, RNG streams, network."""
+    """Shared simulation state: event loop, RNG streams, metrics, network."""
 
     def __init__(self, seed: int = 0):
         self.loop = EventLoop()
         self.rng = RngRegistry(seed)
+        self.metrics = MetricsHub()
         self.network = None  # attached by Network.__init__
         self._next_pid = 0
 

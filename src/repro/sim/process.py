@@ -101,6 +101,7 @@ class Process:
                  costs: Optional[dict[str, Any]] = None):
         self.env = env
         self._loop = env.loop   # hot-path alias (the loop never changes)
+        self.metrics = env.metrics   # the run's one hub, read per record
         self.name = name
         self.site = site
         self.pid = env.allocate_pid()

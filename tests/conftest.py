@@ -15,12 +15,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.calibration import Calibration
-from repro.core.config import EunomiaConfig
-from repro.geo.system import GeoSystemSpec
 from repro.metrics import MetricsHub
 from repro.sim import ConstantLatency, Environment, Network
-from repro.workload import WorkloadSpec
 
 #: address-space bound of the pytest process: a whole tier-1 run peaks at
 #: 236 MB of virtual memory (119 MB resident) on CPython 3.11
@@ -89,24 +85,3 @@ def net(env):
 def metrics():
     return MetricsHub()
 
-
-@pytest.fixture
-def small_spec():
-    """A 3-DC deployment small enough for fast integration tests."""
-    return GeoSystemSpec(n_dcs=3, partitions_per_dc=2, clients_per_dc=3,
-                         seed=99)
-
-
-@pytest.fixture
-def small_workload():
-    return WorkloadSpec(read_ratio=0.8, n_keys=64)
-
-
-@pytest.fixture
-def config():
-    return EunomiaConfig()
-
-
-@pytest.fixture
-def calibration():
-    return Calibration()

@@ -50,12 +50,15 @@ def _rig():
     return rig, lambda: sum(d.generated for d in rig.drivers)
 
 
-#: name -> (build, ceiling): Python calls per op over 0.4 sim-s after a
-#: 0.2 sim-s warm-up, measured and raised 5 % (317.8, 71.7, 41.3 and 94.1;
-#: with a frame per derived key and per varint field, an ``apply`` per
-#: lane body and a list per idle tick, the first two were 386.6 and
-#: 76.6).  The Cure shape runs no Eunomia uplink, stabilizer or receiver
-#: code: it is the control for a change to those.
+#: name -> (build, ceiling, metrics ceiling): Python calls per op over
+#: 0.4 sim-s after a 0.2 sim-s warm-up, measured and raised 5 % (317.8,
+#: 71.7, 41.3 and 94.1; with a frame per derived key and per varint field,
+#: an ``apply`` per lane body and a list per idle tick, the first two were
+#: 386.6 and 76.6), and those opened in ``repro.metrics`` frames (the
+#: hub's ``mark`` / ``mark_many`` / ``point`` and its column factories:
+#: 8.632, 3.690, 0.003 — one mark per stable run — and 4.887).  The Cure
+#: shape runs no Eunomia uplink, stabilizer or receiver code: it is the
+#: control for a change to those.
 SHAPES = {
     "fault_tolerant_10_90": (
         _geo("eunomia",
@@ -64,33 +67,21 @@ SHAPES = {
              WorkloadSpec(read_ratio=0.1, n_keys=500),
              config=EunomiaConfig(fault_tolerant=True, n_replicas=2,
                                   n_shards=2, durability="wal")),
-        333.6),
+        333.6, 9.06),
     "plain_90_10": (
         _geo("eunomia",
              GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=8,
                            seed=5),
              WorkloadSpec(read_ratio=0.9, n_keys=1000)),
-        75.3),
-    "rig_75": (_rig, 43.3),
+        75.3, 3.87),
+    "rig_75": (_rig, 43.3, 0.01),
     "cure_50_50": (
         _geo("cure",
              GeoSystemSpec(n_dcs=3, partitions_per_dc=4, clients_per_dc=8,
                            seed=5),
              WorkloadSpec(read_ratio=0.5, n_keys=1000, distribution="zipf",
                           zipf_s=0.99)),
-        98.8),
-}
-
-
-#: name -> ceiling on the Python calls per op opened in ``repro.metrics``
-#: frames (the hub's ``mark`` / ``mark_many`` / ``point`` and the column
-#: factories), measured and raised 5 % (8.632, 3.690, 4.887; the rig
-#: records one mark per stable run, 0.003).
-METRICS_CEILINGS = {
-    "fault_tolerant_10_90": 9.06,
-    "plain_90_10": 3.87,
-    "cure_50_50": 5.13,
-    "rig_75": 0.01,
+        98.8, 5.13),
 }
 
 
@@ -125,6 +116,6 @@ def test_python_calls_per_op_stay_under_their_ceiling(shape):
     assert _calls_per_op(shape)[0] <= SHAPES[shape][1]
 
 
-@pytest.mark.parametrize("shape", sorted(METRICS_CEILINGS))
+@pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_metrics_calls_per_op_stay_under_their_ceiling(shape):
-    assert _calls_per_op(shape)[1] <= METRICS_CEILINGS[shape]
+    assert _calls_per_op(shape)[1] <= SHAPES[shape][2]

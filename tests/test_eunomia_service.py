@@ -9,7 +9,6 @@ from mutants import MUTANTS
 from repro.core import EunomiaConfig, EunomiaService
 from repro.core.messages import AddOpBatch, PartitionHeartbeat, StableAnnounce
 from repro.kvstore.types import Update
-from repro.metrics import MetricsHub
 from repro.sim import ConstantLatency, Environment, Network, Process
 
 
@@ -42,8 +41,7 @@ def _service_env():
     env = Environment(seed=5)
     Network(env, ConstantLatency(0.0001))
     config = EunomiaConfig()
-    service = EunomiaService(env, "eunomia", 0, n_partitions=3, config=config,
-                             metrics=MetricsHub())
+    service = EunomiaService(env, "eunomia", 0, n_partitions=3, config=config)
     sink = Sink(env)
     service.add_destination(sink)
     service.start()

@@ -9,7 +9,6 @@ from repro.core.protocols import get_protocol
 from repro.geo.datacenter import Datacenter
 from repro.geo.system import GeoSystem, GeoSystemSpec, build_geo_system
 from repro.kvstore.ring import ConsistentHashRing
-from repro.metrics import MetricsHub
 from repro.sim import ConstantLatency, Environment, Network
 from repro.sim.latency import RttMatrix
 from repro.workload import WorkloadSpec
@@ -29,13 +28,13 @@ class TestSpec:
         assert isinstance(GeoSystemSpec().calibration, Calibration)
 
 
-def eunomia_site(env, dc_id, ring, config, metrics=None):
+def eunomia_site(env, dc_id, ring, config):
     """One EunomiaKV site of a fully replicated 2-DC x 2-partition world,
     built the way :func:`build_geo_system` builds it."""
     protocol = get_protocol("eunomia")
     return Datacenter(env, dc_id, 2, 2, ring, protocol=protocol,
                       options=protocol.prepare(None, {"config": config}),
-                      placement=PlacementMap.full(2, 2), metrics=metrics)
+                      placement=PlacementMap.full(2, 2))
 
 
 class TestDatacenterAssembly:
@@ -45,9 +44,7 @@ class TestDatacenterAssembly:
         Network(env, ConstantLatency(0.0001))
         ring = ConsistentHashRing(2)
         config = EunomiaConfig()
-        metrics = MetricsHub()
-        dcs = [eunomia_site(env, i, ring, config, metrics=metrics)
-               for i in range(2)]
+        dcs = [eunomia_site(env, i, ring, config) for i in range(2)]
         return env, dcs
 
     def test_structure(self, dc_pair):

@@ -13,15 +13,13 @@ from repro.baselines.messages import GstBroadcast, GstHeartbeat, GstReport
 from repro.clocks import PhysicalClock
 from repro.core.messages import ClientUpdate, RemoteData
 from repro.kvstore.types import Update
-from repro.metrics import MetricsHub
 from repro.sim import ConstantLatency, Environment, Network, Process
 
 
-def make_partition(env, cls, dc_id=0, index=1, metrics=None, **kwargs):
+def make_partition(env, cls, dc_id=0, index=1, **kwargs):
     """index=1: not the aggregator, so no periodic aggregation interferes."""
     return cls(env, f"dc{dc_id}/p{index}", dc_id, index, 3,
-               PhysicalClock(env), DEFAULT_GST_INTERVAL,
-               metrics=metrics or MetricsHub(), **kwargs)
+               PhysicalClock(env), DEFAULT_GST_INTERVAL, **kwargs)
 
 
 def remote(dc, ts, vts, seq=1, key="rk", value="rv"):
@@ -34,8 +32,8 @@ class Sender(Process):
 
 
 class TestGentleRainUnit:
-    def test_remote_update_gated_until_gst(self, env, net, metrics):
-        partition = make_partition(env, GentleRainPartition, metrics=metrics)
+    def test_remote_update_gated_until_gst(self, env, net):
+        partition = make_partition(env, GentleRainPartition)
         sender = Sender(env, "s")
         sender.send(partition, RemoteData(remote(1, 100, (100,))))
         env.run(until=0.01)
@@ -46,10 +44,10 @@ class TestGentleRainUnit:
         assert partition.store.get("rk").value == "rv"
         assert partition.pending_count() == 0
 
-    def test_release_in_timestamp_order(self, env, net, metrics):
+    def test_release_in_timestamp_order(self, env, net):
         # Arrival order across origins is arbitrary (only each origin's own
         # stream is FIFO): the later-arriving, older update goes first.
-        partition = make_partition(env, GentleRainPartition, metrics=metrics)
+        partition = make_partition(env, GentleRainPartition)
         sender = Sender(env, "s")
         for dc, ts in ((1, 30), (2, 10), (2, 20)):
             sender.send(partition, RemoteData(
@@ -61,9 +59,9 @@ class TestGentleRainUnit:
         assert partition.store.get("k20") is None
         assert partition.pending_count() == 2
 
-    def test_runs_pending_releases_partial_prefix(self, env, net, metrics):
+    def test_runs_pending_releases_partial_prefix(self, env, net):
         """The per-origin runs under realistic FIFO streams."""
-        partition = make_partition(env, GentleRainPartition, metrics=metrics)
+        partition = make_partition(env, GentleRainPartition)
         sender = Sender(env, "s")
         for dc, ts in ((1, 10), (2, 25), (1, 30), (2, 35)):   # FIFO per origin
             sender.send(partition, RemoteData(
@@ -77,24 +75,24 @@ class TestGentleRainUnit:
         assert partition.store.get("k30") is None
         assert partition.pending_count() == 2
 
-    def test_runs_pending_rejects_non_fifo_stream(self, env, net, metrics):
+    def test_runs_pending_rejects_non_fifo_stream(self, env, net):
         """The deferred set's contract: a FIFO violation fails loudly."""
-        partition = make_partition(env, GentleRainPartition, metrics=metrics)
+        partition = make_partition(env, GentleRainPartition)
         sender = Sender(env, "s")
         sender.send(partition, RemoteData(remote(1, 30, (30,), seq=3)))
         sender.send(partition, RemoteData(remote(1, 10, (10,), seq=1)))
         with pytest.raises(ValueError, match="non-monotone insert"):
             env.run(until=0.01)
 
-    def test_heartbeat_advances_vv(self, env, net, metrics):
-        partition = make_partition(env, GentleRainPartition, metrics=metrics)
+    def test_heartbeat_advances_vv(self, env, net):
+        partition = make_partition(env, GentleRainPartition)
         sender = Sender(env, "s")
         sender.send(partition, GstHeartbeat(2, 0, 12345))
         env.run(until=0.01)
         assert partition.vv[2] == 12345
 
-    def test_local_summary_is_min_of_vv(self, env, net, metrics):
-        partition = make_partition(env, GentleRainPartition, metrics=metrics)
+    def test_local_summary_is_min_of_vv(self, env, net):
+        partition = make_partition(env, GentleRainPartition)
         partition.vv = [100, 50, 70]
         assert partition._local_summary() == (50,)
         # Whichever tracked origin lags bounds the report: a GST above it
@@ -104,14 +102,14 @@ class TestGentleRainUnit:
             partition.vv = [30 if d == lagging else 100 for d in range(3)]
             assert partition._local_summary() == (30,), lagging
 
-    def test_update_stamp_scalar(self, env, net, metrics):
-        partition = make_partition(env, GentleRainPartition, metrics=metrics)
+    def test_update_stamp_scalar(self, env, net):
+        partition = make_partition(env, GentleRainPartition)
         update = partition._stamp(ClientUpdate("k", "v", (500_000,)))
         assert update.vts == (update.ts,)
         assert update.ts > 500_000
 
-    def test_gst_broadcast_monotone_merge(self, env, net, metrics):
-        partition = make_partition(env, GentleRainPartition, metrics=metrics)
+    def test_gst_broadcast_monotone_merge(self, env, net):
+        partition = make_partition(env, GentleRainPartition)
         sender = Sender(env, "s")
         sender.send(partition, GstBroadcast((100,)))
         sender.send(partition, GstBroadcast((60,)))  # stale broadcast
@@ -120,8 +118,8 @@ class TestGentleRainUnit:
 
 
 class TestCureUnit:
-    def test_release_requires_every_remote_entry(self, env, net, metrics):
-        partition = make_partition(env, CurePartition, metrics=metrics)
+    def test_release_requires_every_remote_entry(self, env, net):
+        partition = make_partition(env, CurePartition)
         sender = Sender(env, "s")
         # from dc1, also depends on dc2's ts 80
         sender.send(partition, RemoteData(remote(1, 100, (0, 100, 80))))
@@ -133,8 +131,8 @@ class TestCureUnit:
         env.run(until=0.03)
         assert partition.store.get("rk").value == "rv"
 
-    def test_local_entry_not_required(self, env, net, metrics):
-        partition = make_partition(env, CurePartition, metrics=metrics)
+    def test_local_entry_not_required(self, env, net):
+        partition = make_partition(env, CurePartition)
         sender = Sender(env, "s")
         # vts[0] is the local DC: must not gate visibility
         sender.send(partition, RemoteData(remote(1, 10, (999_999, 10, 0))))
@@ -143,39 +141,38 @@ class TestCureUnit:
         env.run(until=0.02)
         assert partition.store.get("rk") is not None
 
-    def test_update_stamp_vector(self, env, net, metrics):
-        partition = make_partition(env, CurePartition, metrics=metrics)
+    def test_update_stamp_vector(self, env, net):
+        partition = make_partition(env, CurePartition)
         update = partition._stamp(ClientUpdate("k", "v", (7, 0, 9)))
         # dc_id=0: local entry is index 0, remote entries copied verbatim
         assert update.vts[0] > 7
         assert update.vts[1] == 0 and update.vts[2] == 9
         assert update.ts == update.vts[partition.dc_id]
 
-    def test_local_summary_is_full_vv(self, env, net, metrics):
-        partition = make_partition(env, CurePartition, metrics=metrics)
+    def test_local_summary_is_full_vv(self, env, net):
+        partition = make_partition(env, CurePartition)
         partition.vv = [5, 6, 7]
         assert partition._local_summary() == (5, 6, 7)
 
     def test_visibility_metrics_recorded_on_release(self, env, net):
-        metrics = MetricsHub()
-        partition = make_partition(env, CurePartition, metrics=metrics)
+        partition = make_partition(env, CurePartition)
         sender = Sender(env, "s")
         sender.send(partition, RemoteData(remote(1, 10, (0, 10, 0))))
         env.run(until=0.01)
         env.loop.schedule_at(0.05, lambda: sender.send(
             partition, GstBroadcast((0, 10, 0))))
         env.run(until=0.1)
-        points = metrics.point_series("vis_extra_ms:1->0")
+        points = env.metrics.point_series("vis_extra_ms:1->0")
         assert len(points) == 1
         assert points[0][1] == pytest.approx(50.0, abs=5.0)
 
 
 def test_the_summary_min_test_kills_a_gst_that_drops_an_origin(
-        env, net, metrics):
+        env, net):
     with MUTANTS["gst_summary_drops_origin"].applied():
         with pytest.raises(AssertionError):
             TestGentleRainUnit().test_local_summary_is_min_of_vv(
-                env, net, metrics)
+                env, net)
 
 
 class TestAggregation:
@@ -183,18 +180,17 @@ class TestAggregation:
     through ``on_gst_report``, from the members of its roster."""
 
     @staticmethod
-    def _roster(env, metrics):
+    def _roster(env):
         aggregator = GentleRainPartition(
-            env, "p0", 0, 0, 3, PhysicalClock(env), DEFAULT_GST_INTERVAL,
-            metrics=metrics)
-        follower = make_partition(env, GentleRainPartition, metrics=metrics)
+            env, "p0", 0, 0, 3, PhysicalClock(env), DEFAULT_GST_INTERVAL)
+        follower = make_partition(env, GentleRainPartition)
         for partition in (aggregator, follower):
             partition.local_partitions = [aggregator, follower]
             partition.aggregator = aggregator
         return aggregator, follower
 
-    def test_aggregator_broadcasts_min_of_reports(self, env, net, metrics):
-        aggregator, follower = self._roster(env, metrics)
+    def test_aggregator_broadcasts_min_of_reports(self, env, net):
+        aggregator, follower = self._roster(env)
         aggregator.send(aggregator, GstReport(0, (50,)))
         follower.send(aggregator, GstReport(1, (30,)))
         env.run(until=0.001)
@@ -202,8 +198,8 @@ class TestAggregation:
         env.run(until=0.01)
         assert follower.summary == (30,)
 
-    def test_aggregator_waits_for_all_reports(self, env, net, metrics):
-        aggregator, follower = self._roster(env, metrics)
+    def test_aggregator_waits_for_all_reports(self, env, net):
+        aggregator, follower = self._roster(env)
         aggregator.send(aggregator, GstReport(0, (50,)))  # follower silent
         env.run(until=0.001)
         aggregator._aggregate()

@@ -16,7 +16,6 @@ from repro.core.messages import (
     ShardStableBatch,
 )
 from repro.kvstore.types import METADATA_OVERHEAD_BYTES, Update
-from repro.metrics import MetricsHub
 from repro.sim import ConstantLatency, Environment, Network, Process
 
 
@@ -109,8 +108,7 @@ def seq_rig(env):
 
     def build(synchronous):
         partition = SeqPartition(env, "p0", 0, 0, 3, PhysicalClock(env),
-                                 synchronous=synchronous,
-                                 metrics=MetricsHub())
+                                 synchronous=synchronous)
         partition.set_sequencer(sequencer)
         return partition
 

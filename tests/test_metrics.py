@@ -8,7 +8,6 @@ from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.loadgen import build_eunomia_rig, build_sequencer_rig
 from repro.metrics import (
     MetricsHub,
-    NullMetrics,
     cdf,
     mean,
     percentile,
@@ -69,14 +68,14 @@ class TestHub:
         bulk.mark_many("ops", 2.5, 5)
         assert bulk.mark_times("ops") == metrics.mark_times("ops")
 
-    def test_null_hub_discards(self):
-        hub = NullMetrics()
-        hub.mark("z", 1.0)
-        hub.mark_many("z", 1.0, 7)
-        hub.point("w", 1.0, 2.0)
-        assert hub.mark_times("z") == []
-        assert hub.point_series("w") == []
-        assert not (hub.marks or hub.points)
+    def test_every_process_records_into_its_environment_hub(self):
+        system = build_geo_system("eunomia", GeoSystemSpec(),
+                                  WorkloadSpec())
+        rig = build_eunomia_rig(4)
+        for run in (system, rig):
+            assert run.metrics is run.env.metrics
+            assert all(p.metrics is run.metrics
+                       for p in run.env.network.processes())
 
 
 def _float_only(monkeypatch):

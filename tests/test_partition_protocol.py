@@ -12,7 +12,6 @@ from repro.core.messages import (
     RemoteData,
 )
 from repro.kvstore.types import Update
-from repro.metrics import MetricsHub
 from repro.sim import ConstantLatency, Environment, Network, Process
 
 
@@ -48,12 +47,11 @@ class SiblingSink(Process):
 
 
 @pytest.fixture
-def rig(env, metrics):
+def rig(env):
     Network(env, ConstantLatency(0.0001))
     config = EunomiaConfig()
     partition = EunomiaPartition(env, "p0", dc_id=0, index=0, n_dcs=3,
-                                 clock=PhysicalClock(env), config=config,
-                                 metrics=metrics)
+                                 clock=PhysicalClock(env), config=config)
     client = FakeClient(env)
     return env, partition, client
 
@@ -128,11 +126,11 @@ class TestDataMetadataSeparation:
         # metadata queued for Eunomia is value-free
         assert partition.uplink.stream.pending.payload[0].value is None
 
-    def test_without_separation_value_goes_through_eunomia(self, env, metrics):
+    def test_without_separation_value_goes_through_eunomia(self, env):
         Network(env, ConstantLatency(0.0001))
         config = EunomiaConfig(separate_data_metadata=False)
         partition = EunomiaPartition(env, "p0", 0, 0, 3, PhysicalClock(env),
-                                     config, metrics=metrics)
+                                     config)
         client = FakeClient(env)
         client.send(partition, update_msg(value="inline"))
         env.run()
@@ -168,7 +166,7 @@ class TestRemoteExecution:
         env.run()
         assert partition.store.get("rk").value == "rv"
 
-    def test_visibility_extra_zero_when_data_arrives_last(self, rig, metrics):
+    def test_visibility_extra_zero_when_data_arrives_last(self, rig):
         env, partition, _ = rig
         receiver = FakeReceiver(env)
         receiver.send(partition, ApplyRemote(remote_update()))
@@ -238,12 +236,12 @@ class TestWhereTheRemoteWriteIsCharged:
         # not the release's wait (releases have a lane of their own)
         pytest.param(True, True, PUBLISH, id="separated-unrelated-payload"),
     ])
-    def test_release_to_install(self, env, metrics, separate, unrelated,
+    def test_release_to_install(self, env, separate, unrelated,
                                 release_cost):
         Network(env, ConstantLatency(self.LAN))
         config = EunomiaConfig(separate_data_metadata=separate)
         partition = EunomiaPartition(env, "p0", 0, 0, 3, PhysicalClock(env),
-                                     config, metrics=metrics)
+                                     config)
         receiver = FakeReceiver(env)
         if separate:
             receiver.send(partition,
@@ -256,7 +254,7 @@ class TestWhereTheRemoteWriteIsCharged:
         receiver.send(partition,
                       ApplyRemote(remote_update(metadata_only=separate)))
         env.run()
-        (installed, _), = metrics.point_series("vis_extra_ms:1->0")
+        (installed, _), = env.metrics.point_series("vis_extra_ms:1->0")
         assert installed - released == pytest.approx(self.LAN + release_cost)
         assert partition.store.get("rk").value == "rv"
 

@@ -15,7 +15,6 @@ from repro.geo.receiver import Receiver
 from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.kvstore.ring import ConsistentHashRing
 from repro.kvstore.types import Update
-from repro.metrics import MetricsHub
 from repro.sim import ConstantLatency, Environment, Network, Process
 from repro.sim.latency import JitteredLatency
 from repro.workload import WorkloadSpec
@@ -40,14 +39,14 @@ def make_update(dc, ts, vts, seq=None, partition=0, key="k"):
 
 
 @pytest.fixture
-def rig(env, metrics):
-    return _rig(env, metrics)
+def rig(env):
+    return _rig(env)
 
 
-def _rig(env, metrics):
+def _rig(env):
     Network(env, ConstantLatency(0.0001))
     receiver = Receiver(env, "recv", dc_id=0, n_dcs=3,
-                        placement=PlacementMap.full(3, 2), metrics=metrics)
+                        placement=PlacementMap.full(3, 2))
     log = []
     partitions = [RecordingPartition(env, f"p{i}", log) for i in range(2)]
     receiver.set_partitions(ConsistentHashRing(2), partitions)
@@ -84,7 +83,7 @@ def test_the_dependency_gate_kills_receiver_ignores_site_time():
     SiteTime applies the dependent update before its provider."""
     def gate():
         test_cross_origin_dependency_gates_apply(
-            _rig(Environment(seed=1234), MetricsHub()))
+            _rig(Environment(seed=1234)))
 
     gate()
     with MUTANTS["receiver_ignores_site_time"].applied():
@@ -98,7 +97,7 @@ def test_the_dependency_gate_kills_receiver_ack_skips_flush():
     (no periodic check runs to pick it up later)."""
     def gate():
         test_cross_origin_dependency_gates_apply(
-            _rig(Environment(seed=1234), MetricsHub()))
+            _rig(Environment(seed=1234)))
 
     gate()
     with MUTANTS["receiver_ack_skips_flush"].applied():
@@ -166,7 +165,7 @@ def test_the_duplicate_filter_kills_receiver_reenqueues_last_key():
     enqueued order key offers that update again — the queue's run refuses
     it (``ValueError``), or, past that guard, it is released twice."""
     def dedup():
-        test_duplicates_are_dropped(_rig(Environment(seed=1234), MetricsHub()))
+        test_duplicates_are_dropped(_rig(Environment(seed=1234)))
 
     dedup()
     with MUTANTS["receiver_reenqueues_last_key"].applied():
@@ -209,7 +208,7 @@ def test_the_tie_test_kills_receiver_claims_tied_ts():
     tells dependents on (dc1, 10) that every such op is applied here."""
     def tie():
         test_site_time_held_back_until_tie_fully_applied(
-            _rig(Environment(seed=1234), MetricsHub()))
+            _rig(Environment(seed=1234)))
 
     tie()
     with MUTANTS["receiver_claims_tied_ts"].applied():
@@ -404,7 +403,7 @@ def test_the_rerelease_test_kills_a_recover_that_keeps_inflight_heads():
     the head once, not again, and the dropped first ack is never sent."""
     def rerelease():
         test_second_ack_of_a_rereleased_update_is_dropped(
-            _rig(Environment(seed=1234), MetricsHub()))
+            _rig(Environment(seed=1234)))
 
     rerelease()
     with MUTANTS["receiver_recover_keeps_inflight"].applied():

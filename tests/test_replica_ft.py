@@ -15,7 +15,6 @@ from repro.harness.loadgen import (
     build_eunomia_rig,
 )
 from repro.kvstore.types import Update
-from repro.metrics import MetricsHub
 from repro.sim import ConstantLatency, Environment, Network, Process
 from repro.sim.failure import FailureSchedule
 
@@ -26,10 +25,9 @@ def build_group(env, n_replicas, n_partitions=2,
     config = EunomiaConfig(fault_tolerant=True, n_replicas=n_replicas,
                            replica_alive_interval=alive,
                            replica_suspect_timeout=suspect)
-    metrics = MetricsHub()
     replicas = [
         EunomiaService(env, f"r{i}", 0, n_partitions, config, replica_id=i,
-                       metrics=metrics, stable_mark="stable")
+                       stable_mark="stable")
         for i in range(n_replicas)
     ]
     for replica in replicas:
@@ -38,7 +36,7 @@ def build_group(env, n_replicas, n_partitions=2,
     for replica in replicas:
         replica.add_destination(sink)
         replica.start()
-    return config, metrics, replicas, sink
+    return config, env.metrics, replicas, sink
 
 
 class Feeder(Process):
@@ -173,10 +171,9 @@ def test_end_to_end_ft_pipeline_with_loss(env, monkeypatch):
     monkeypatch.setattr(stream_module, "RESEND_TIMEOUT", 0.02)
     net = Network(env, ConstantLatency(0.0001))
     config = EunomiaConfig(fault_tolerant=True, n_replicas=2)
-    metrics = MetricsHub()
     replicas = [
         EunomiaService(env, f"r{i}", 0, 2, config, replica_id=i,
-                       metrics=metrics, stable_mark="stable")
+                       stable_mark="stable")
         for i in range(2)
     ]
     for replica in replicas:

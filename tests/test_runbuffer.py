@@ -36,7 +36,6 @@ from repro.core.service import StabilizerBase
 from repro.datastruct import RunBuffer
 from repro.geo.system import GeoSystemSpec, build_geo_system
 from repro.harness.loadgen import build_eunomia_rig
-from repro.metrics import MetricsHub
 from repro.sim import Environment
 from repro.workload import WorkloadSpec
 
@@ -258,7 +257,7 @@ _STEPS = [("arrive", 1, 2, 0), ("arrive", 2, 3, 5), ("advance", 3, 4)]
     lambda: _deferred_set_example(GentleRainPartition, _STEPS),
     lambda: _deferred_set_example(CurePartition, _STEPS),
     lambda: test_receiver.test_a_frame_out_of_stream_order_is_refused(
-        test_receiver._rig(Environment(seed=1234), MetricsHub())),
+        test_receiver._rig(Environment(seed=1234))),
 ], ids=["stabilizer-ingest", "gst-gentlerain", "gst-cure", "receiver"])
 def test_the_run_contract_kills_run_accepts_non_monotone_append(must_fail):
     """One check guards all three gates: without it, each gate's stream

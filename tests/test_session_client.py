@@ -11,7 +11,6 @@ from repro.core.messages import (
     ClientUpdateReply,
 )
 from repro.kvstore.ring import ConsistentHashRing
-from repro.metrics import MetricsHub
 from repro.sim import ConstantLatency, Environment, Network, Process
 
 
@@ -49,20 +48,20 @@ class FixedWorkload:
         return op
 
 
-def make_client(env, metrics, script, history=None, think=0.0):
+def make_client(env, script, history=None, think=0.0):
     Network(env, ConstantLatency(0.0001))
     partition = ScriptedPartition(env, "p0")
     client = SessionClient(
         env, "c0", dc_id=0, n_entries=2, partitions=[partition],
         ring=ConsistentHashRing(1), workload=FixedWorkload(script),
-        metrics=metrics, history=history, think_time=think,
+        history=history, think_time=think,
     )
     return client, partition
 
 
-def test_closed_loop_issues_serially(env, metrics):
+def test_closed_loop_issues_serially(env):
     client, partition = make_client(
-        env, metrics, [("read", 1, 0), ("update", 2, 10)])
+        env, [("read", 1, 0), ("update", 2, 10)])
     client.start()
     env.run(until=0.05)
     # strictly alternating read/update per the script
@@ -70,36 +69,36 @@ def test_closed_loop_issues_serially(env, metrics):
     assert client.ops_done > 10
 
 
-def test_session_clock_merges_read_vectors(env, metrics):
-    client, partition = make_client(env, metrics, [("read", 1, 0)])
+def test_session_clock_merges_read_vectors(env):
+    client, partition = make_client(env, [("read", 1, 0)])
     partition.read_vts = (7, 3)
     client.start()
     env.run(until=0.002)
     assert client.vclock == (7, 3)
 
 
-def test_update_piggybacks_session_clock(env, metrics):
+def test_update_piggybacks_session_clock(env):
     client, partition = make_client(
-        env, metrics, [("read", 1, 0), ("update", 2, 10)])
+        env, [("read", 1, 0), ("update", 2, 10)])
     partition.read_vts = (5, 5)
     client.start()
     env.run(until=0.01)
     assert partition.updates[0].client_vts == (5, 5)
 
 
-def test_latency_and_marks_recorded(env, metrics):
-    client, _ = make_client(env, metrics, [("update", 1, 10)])
+def test_latency_and_marks_recorded(env):
+    client, _ = make_client(env, [("update", 1, 10)])
     client.start()
     env.run(until=0.01)
-    assert len(metrics.point_series("latency_ms:update:dc0")) == (
+    assert len(env.metrics.point_series("latency_ms:update:dc0")) == (
         client.ops_done)
-    assert len(metrics.mark_times("ops")) == client.ops_done
-    assert len(metrics.mark_times("ops:dc0")) == client.ops_done
+    assert len(env.metrics.mark_times("ops")) == client.ops_done
+    assert len(env.metrics.mark_times("ops:dc0")) == client.ops_done
 
 
-def test_history_records_session_vts_before_merge(env, metrics):
+def test_history_records_session_vts_before_merge(env):
     history = SessionHistory()
-    client, partition = make_client(env, metrics, [("update", 1, 10)],
+    client, partition = make_client(env, [("update", 1, 10)],
                                     history=history)
     client.start()
     env.run(until=0.005)
@@ -109,8 +108,8 @@ def test_history_records_session_vts_before_merge(env, metrics):
     assert records[1].session_vts == (10, 10)
 
 
-def test_stop_finishes_current_op_only(env, metrics):
-    client, _ = make_client(env, metrics, [("read", 1, 0)])
+def test_stop_finishes_current_op_only(env):
+    client, _ = make_client(env, [("read", 1, 0)])
     client.start()
     env.run(until=0.01)
     done = client.ops_done
@@ -119,20 +118,19 @@ def test_stop_finishes_current_op_only(env, metrics):
     assert client.ops_done <= done + 1
 
 
-def test_think_time_slows_rate(env, metrics):
-    fast, _ = make_client(env, metrics, [("read", 1, 0)])
+def test_think_time_slows_rate(env):
+    fast, _ = make_client(env, [("read", 1, 0)])
     fast.start()
     env.run(until=0.2)
     env2 = Environment(seed=1)
-    metrics2 = MetricsHub()
-    slow, _ = make_client(env2, metrics2, [("read", 1, 0)], think=0.01)
+    slow, _ = make_client(env2, [("read", 1, 0)], think=0.01)
     slow.start()
     env2.run(until=0.2)
     assert slow.ops_done < fast.ops_done / 2
 
 
-def test_stale_replies_ignored(env, metrics):
-    client, partition = make_client(env, metrics, [("read", 1, 0)])
+def test_stale_replies_ignored(env):
+    client, partition = make_client(env, [("read", 1, 0)])
     client.start()
     env.run(until=0.005)
     done = client.ops_done
