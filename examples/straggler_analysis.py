@@ -75,10 +75,11 @@ def main() -> None:
     partition = system.datacenters[ORIGIN].partitions[0]
     network = system.env.network
     schedule = FailureSchedule(system.env)
-    schedule.at(PHASE, lambda: network.set_link_extra_delay(
-        partition, partition.sequencer, STRAGGLE), "straggle link")
-    schedule.at(2 * PHASE, lambda: network.set_link_extra_delay(
-        partition, partition.sequencer, 0.0), "heal link")
+    schedule.at(PHASE, network.set_link_extra_delay,
+                partition, partition.sequencer, STRAGGLE,
+                label="straggle link")
+    schedule.at(2 * PHASE, network.set_link_extra_delay,
+                partition, partition.sequencer, 0.0, label="heal link")
     schedule.arm()
     system.run(duration)
 

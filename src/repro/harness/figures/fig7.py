@@ -107,9 +107,9 @@ def run(params: Optional[Fig7Params] = None) -> FigureResult:
         network = system.env.network
         schedule = FailureSchedule(system.env)
         schedule.at(p.phase, network.set_link_extra_delay,
-                    "straggle seq link", (partition, sequencer, interval))
+                    partition, sequencer, interval, label="straggle seq link")
         schedule.at(2 * p.phase, network.set_link_extra_delay,
-                    "heal seq link", (partition, sequencer, 0.0))
+                    partition, sequencer, 0.0, label="heal seq link")
         schedule.arm()
         system.run(duration)
 

@@ -78,11 +78,12 @@ class FailureSchedule:
         state is wiped and only durable media (WAL, checkpoints) survive.
         """
         label = ("amnesia-crash " if lose_state else "crash ") + process.name
-        return self.at(time, process.crash, label, (lose_state,))
+        return self.at(time, process.crash, lose_state, label=label)
 
     def recover_at(self, time: float, process: Process) -> "FailureSchedule":
         """Recover ``process`` at absolute simulation time ``time``."""
-        return self.at(time, process.recover, f"recover {process.name}")
+        return self.at(time, process.recover,
+                       label=f"recover {process.name}")
 
     # ------------------------------------------------------------------
     # Partial-group failures: one shard of a sharded replica group
@@ -98,14 +99,15 @@ class FailureSchedule:
         """
         label = (("amnesia-crash " if lose_state else "crash ")
                  + f"{group.name} shard {shard_id}")
-        return self.at(time, group.crash_shard, label, (shard_id, lose_state))
+        return self.at(time, group.crash_shard, shard_id, lose_state,
+                       label=label)
 
     def recover_shard_at(self, time: float, group,
                          shard_id: int) -> "FailureSchedule":
         """Rejoin one crashed shard of ``group`` (durable restore if the
         crash was an amnesia crash)."""
-        return self.at(time, group.recover_shard,
-                       f"recover {group.name} shard {shard_id}", (shard_id,))
+        return self.at(time, group.recover_shard, shard_id,
+                       label=f"recover {group.name} shard {shard_id}")
 
     # ------------------------------------------------------------------
     # Network partitions & gray links
@@ -124,8 +126,8 @@ class FailureSchedule:
         a, b = list(group_a), list(group_b)
         arrow = "<->" if symmetric else "->"
         label = (f"partition {_group_label(a)} {arrow} {_group_label(b)}")
-        return self.at(time, self.env.network.partition, label,
-                       (a, b, symmetric))
+        return self.at(time, self.env.network.partition, a, b, symmetric,
+                       label=label)
 
     def heal_at(self, time: float, group_a: Iterable[Process],
                 group_b: Iterable[Process]) -> "FailureSchedule":
@@ -133,7 +135,7 @@ class FailureSchedule:
         (idempotent; heals asymmetric partitions too)."""
         a, b = list(group_a), list(group_b)
         label = f"heal {_group_label(a)} <-> {_group_label(b)}"
-        return self.at(time, self.env.network.heal, label, (a, b))
+        return self.at(time, self.env.network.heal, a, b, label=label)
 
     def degrade_links_at(self, time: float,
                          pairs: Iterable[tuple[Process, Process]],
@@ -144,15 +146,16 @@ class FailureSchedule:
         """
         pairs = [tuple(p) for p in pairs]
         label = f"gray-links +{extra_s * 1e3:.1f}ms x{len(pairs)}"
-        return self.at(time, self._set_extra_delay, label, (pairs, extra_s))
+        return self.at(time, self._set_extra_delay, pairs, extra_s,
+                       label=label)
 
     def restore_links_at(self, time: float,
                          pairs: Iterable[tuple[Process, Process]],
                          ) -> "FailureSchedule":
         """End a gray-link window: remove the extra delay on each pair."""
         pairs = [tuple(p) for p in pairs]
-        return self.at(time, self._set_extra_delay,
-                       f"heal-links x{len(pairs)}", (pairs, 0.0))
+        return self.at(time, self._set_extra_delay, pairs, 0.0,
+                       label=f"heal-links x{len(pairs)}")
 
     def _set_extra_delay(self, pairs: list, extra_s: float) -> None:
         for src, dst in pairs:
@@ -165,12 +168,12 @@ class FailureSchedule:
                         factor: float) -> "FailureSchedule":
         """Gray disk: multiply every fsync's cost by ``factor`` (≥ 1) —
         group commits stall without failing, the slow-not-dead device."""
-        return self.at(time, disk.degrade, f"gray-disk x{factor:g}",
-                       (factor,))
+        return self.at(time, disk.degrade, factor,
+                       label=f"gray-disk x{factor:g}")
 
     def restore_disk_at(self, time: float, disk) -> "FailureSchedule":
         """End a gray-disk window: restore normal fsync latency."""
-        return self.at(time, disk.degrade, "heal-disk", (1.0,))
+        return self.at(time, disk.degrade, 1.0, label="heal-disk")
 
     def wal_fail_fsyncs_at(self, time: float, wal,
                            count: int) -> "FailureSchedule":
@@ -180,8 +183,8 @@ class FailureSchedule:
         stabilizers must *not* acknowledge and instead retry with backoff
         (see :meth:`repro.core.service.StabilizerBase._commit_and_ack`).
         """
-        return self.at(time, wal.fail_fsyncs,
-                       f"fsync-fail {wal.name} x{count}", (count,))
+        return self.at(time, wal.fail_fsyncs, count,
+                       label=f"fsync-fail {wal.name} x{count}")
 
     def wal_tear_tail_at(self, time: float, wal,
                          records: int) -> "FailureSchedule":
@@ -193,8 +196,8 @@ class FailureSchedule:
         per-origin monotonicity) and the at-least-once uplink / peer state
         transfer re-covers the torn suffix.
         """
-        return self.at(time, wal.tear_tail,
-                       f"torn-tail {wal.name} x{records}", (records,))
+        return self.at(time, wal.tear_tail, records,
+                       label=f"torn-tail {wal.name} x{records}")
 
     # ------------------------------------------------------------------
     # Clock trouble
@@ -209,22 +212,21 @@ class FailureSchedule:
         offset); a positive ``step_us`` additionally steps the phase
         forward.  Backward steps are absorbed by the monotone read clamp.
         """
-        return self.at(time, _redrift,
-                       label or f"clock-drift {drift_ppm:g}ppm"
-                       + (f" step {step_us:g}us" if step_us else ""),
-                       (clock, drift_ppm, step_us))
+        return self.at(time, _redrift, clock, drift_ppm, step_us,
+                       label=label or f"clock-drift {drift_ppm:g}ppm"
+                       + (f" step {step_us:g}us" if step_us else ""))
 
     def ntp_outage(self, start: float, end: float, ntp) -> "FailureSchedule":
         """Suspend NTP discipline during ``[start, end)``: clock offsets
         re-grow at each clock's full drift rate, unbounded, until the
         synchronizer resumes — the paper's hybrid-vs-physical stress axis.
         """
-        self.at(start, ntp.suspend, "ntp-outage begin")
-        self.at(end, ntp.resume, "ntp-outage end")
+        self.at(start, ntp.suspend, label="ntp-outage begin")
+        self.at(end, ntp.resume, label="ntp-outage end")
         return self
 
-    def at(self, time: float, fn: Callable[..., Any], label: str = "",
-           args: tuple = ()) -> "FailureSchedule":
+    def at(self, time: float, fn: Callable[..., Any], *args: Any,
+           label: str = "") -> "FailureSchedule":
         """Run ``fn(*args)`` at ``time`` (builder style, returns self).
 
         Actions added after :meth:`arm` are scheduled immediately, so a
@@ -308,6 +310,6 @@ class Straggler:
 
     def arm(self, schedule: FailureSchedule) -> None:
         schedule.at(self.start, self.begin,
-                    f"straggle {self.partition.name} "
+                    label=f"straggle {self.partition.name} "
                     f"@{self.straggle_interval * 1e3:.0f}ms")
-        schedule.at(self.end, self.heal, f"heal {self.partition.name}")
+        schedule.at(self.end, self.heal, label=f"heal {self.partition.name}")

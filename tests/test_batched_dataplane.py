@@ -140,8 +140,8 @@ def _arm_uplink_faults(system, plan) -> None:
                 for s, d in ps:
                     net.set_link_loss(s, d, 0.0)
 
-            sched.at(start, begin, "uplink-loss-on")
-            sched.at(start + dur, end, "uplink-loss-off")
+            sched.at(start, begin, label="uplink-loss-on")
+            sched.at(start + dur, end, label="uplink-loss-off")
 
 
 # ----------------------------------------------------------------------

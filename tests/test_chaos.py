@@ -48,8 +48,8 @@ def test_gst_aggregator_reelection_bounds_the_stall():
     samples = {}
     fs = system.failures()
     fs.partition_at(0.8, [old], [other])
-    fs.at(0.9, lambda: samples.__setitem__("cut", other.summary), "s0")
-    fs.at(1.3, lambda: samples.__setitem__("alone", other.summary), "s1")
+    fs.at(0.9, lambda: samples.__setitem__("cut", other.summary), label="s0")
+    fs.at(1.3, lambda: samples.__setitem__("alone", other.summary), label="s1")
     fs.heal_at(1.4, [old], [other])
     system.run(2.4)
     # re-election happened, bounded: within [0.8, 1.3] the survivor took

@@ -52,7 +52,7 @@ def test_schedule_amnesia_crash_wipes_state(env, net):
 def test_schedule_custom_action(env):
     hits = []
     schedule = FailureSchedule(env)
-    schedule.at(0.5, lambda: hits.append(env.now), "poke")
+    schedule.at(0.5, lambda: hits.append(env.now), label="poke")
     schedule.arm()
     env.run(until=1.0)
     assert hits == [0.5]
@@ -129,10 +129,10 @@ class TestFaultDsl:
         fs = FailureSchedule(env)
         fs.partition_at(1.0, [a], [b]).heal_at(2.0, [a], [b])
         fs.arm()
-        fs.at(0.5, lambda: env.network.send(a, b, _ping(0)), "t0")
-        fs.at(1.5, lambda: env.network.send(a, b, _ping(1)), "t1")
-        fs.at(1.5, lambda: env.network.send(b, a, _ping(2)), "t2")
-        fs.at(2.5, lambda: env.network.send(a, b, _ping(3)), "t3")
+        fs.at(0.5, lambda: env.network.send(a, b, _ping(0)), label="t0")
+        fs.at(1.5, lambda: env.network.send(a, b, _ping(1)), label="t1")
+        fs.at(1.5, lambda: env.network.send(b, a, _ping(2)), label="t2")
+        fs.at(2.5, lambda: env.network.send(a, b, _ping(3)), label="t3")
         env.run(until=3.0)
         assert [s for _, s in b.got] == [0, 3]    # 1 dropped both ways
         assert [s for _, s in a.got] == []        # symmetric: 2 dropped too
@@ -142,8 +142,8 @@ class TestFaultDsl:
         fs = FailureSchedule(env)
         fs.partition_at(1.0, [a], [b], symmetric=False)
         fs.arm()
-        fs.at(1.5, lambda: env.network.send(a, b, _ping(1)), "t1")
-        fs.at(1.5, lambda: env.network.send(b, a, _ping(2)), "t2")
+        fs.at(1.5, lambda: env.network.send(a, b, _ping(1)), label="t1")
+        fs.at(1.5, lambda: env.network.send(b, a, _ping(2)), label="t2")
         env.run(until=2.0)
         assert [s for _, s in b.got] == []        # a -> b cut
         assert [s for _, s in a.got] == [2]       # b -> a still up
@@ -154,8 +154,8 @@ class TestFaultDsl:
         fs.degrade_links_at(1.0, [(a, b)], extra_s=0.05)
         fs.restore_links_at(2.0, [(a, b)])
         fs.arm()
-        fs.at(1.1, lambda: env.network.send(a, b, _ping(0)), "t0")
-        fs.at(2.1, lambda: env.network.send(a, b, _ping(1)), "t1")
+        fs.at(1.1, lambda: env.network.send(a, b, _ping(0)), label="t0")
+        fs.at(2.1, lambda: env.network.send(a, b, _ping(1)), label="t1")
         env.run(until=3.0)
         (t_gray, _), (t_ok, _) = b.got
         assert t_gray == pytest.approx(1.1 + 0.0001 + 0.05)

@@ -67,7 +67,7 @@ def run_with_partition_crash(protocol, **kwargs):
     schedule.at(RECOVER_AT - 0.01,
                 lambda: probes.__setitem__("summary", getattr(
                     victim, "summary", None)),
-                "probe summary before recovery")
+                label="probe summary before recovery")
     system.run(3.5)
     system.quiesce(2.5)
     return system, history, victim, probes
@@ -131,15 +131,15 @@ def test_gentlerain_gst_stall_is_bounded_by_report_timeout():
     # the min: the GST is genuinely frozen.
     schedule.at(CRASH_AT + 0.015,
                 lambda: samples.__setitem__("early", sibling.summary),
-                "sample frozen GST")
+                label="sample frozen GST")
     schedule.at(CRASH_AT + 0.045,
                 lambda: samples.__setitem__("pinned", sibling.summary),
-                "sample GST still frozen")
+                label="sample GST still frozen")
     # Past the window the aggregator drops the stale report and the GST
     # advances again — with the victim still down.
     schedule.at(CRASH_AT + 0.4,
                 lambda: samples.__setitem__("thawed", sibling.summary),
-                "sample GST past the stall")
+                label="sample GST past the stall")
     schedule.recover_at(RECOVER_AT + 0.5, victim)
     system.run(3.5)
     assert samples["pinned"] == samples["early"]        # frozen inside window
@@ -178,7 +178,7 @@ def test_partition_crash_leaves_its_datacenter_live(protocol):
     schedule.recover_at(1.2, victim)
     schedule.at(1.5, lambda: applied.update(
         (p.name, p.remote_applies) for p in healthy),
-        "count remote applies after the recovery")
+        label="count remote applies after the recovery")
     system.run(2.5)
     system.quiesce(1.5)
     assert not victim.crashed
