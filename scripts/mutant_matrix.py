@@ -22,13 +22,21 @@ when the child did not finish (cut at ``CHILD_SECONDS``, or killed), why.
 A mutant whose child finished with no test failing is a survivor, listed
 by name.
 
+Before the mutants, one control child runs tier-1 with no mutant applied
+and must pass: a test that fails on the unmutated tree would otherwise
+count as a kill of every mutant.  A child that pytest ends with exit code
+3, 4 or 5 (internal error, usage error, no tests collected) outside any
+test ran no oracle at all; that is an error of the runner, not a kill, and
+ends the run without a record.
+
     python scripts/mutant_matrix.py --out tests/golden/mutant_kills.json
     python scripts/mutant_matrix.py --check     # survivors must match
     python scripts/mutant_matrix.py --only gap_frame_accepted --out \
         tests/golden/mutant_kills.json      # re-run one entry of the record
 
 ``--check`` exits non-zero when the set of survivors differs from the
-committed record; a changed list of failing ids is printed, not failed on
+committed record (as every form does when the control fails or a child
+breaks); a changed list of failing ids is printed, not failed on
 (a test near its time bound may come and go on a slower machine).
 """
 
@@ -49,12 +57,18 @@ RECORD = REPO / "tests" / "golden" / "mutant_kills.json"
 #: the children's failure logs
 SCRATCH = REPO / ".mutant-matrix"
 BUDGET_FILES = ("tests/test_event_budget.py", "tests/test_call_budget.py")
+#: children at a time: each may hold conftest's 2 GiB address-space bound
+JOBS = 2
+#: pytest's exit codes for a session that broke before or around its tests
+HARNESS_CODES = (3, 4, 5)
 #: whole-session bound of one child (tier-1 takes about 90 s unmutated)
 CHILD_SECONDS = 900
 #: hard bound of one test, all phases (conftest bounds each phase at 30 s)
 TEST_SECONDS = 120
 _MUTANT = "MUTANT_MATRIX_APPLY"
 _FAILED = "MUTANT_MATRIX_FAILED"
+#: the name of the child that runs with no mutant
+CONTROL = "no-mutant"
 
 
 # ----------------------------------------------------------------------
@@ -74,8 +88,10 @@ def pytest_configure(config):
     sys.path.insert(0, str(REPO / "tests"))
     from mutants import MUTANTS
 
-    _applied = MUTANTS[os.environ[_MUTANT]].applied()
-    _applied.__enter__()
+    name = os.environ.get(_MUTANT)
+    if name:        # the control child runs with none
+        _applied = MUTANTS[name].applied()
+        _applied.__enter__()
 
 
 def pytest_unconfigure(config):
@@ -107,25 +123,33 @@ def pytest_runtest_logreport(report):
 # ----------------------------------------------------------------------
 # The runner
 # ----------------------------------------------------------------------
+class HarnessError(RuntimeError):
+    """A child that ran no oracle, or a control run that did not pass."""
+
+
 def run_mutant(name: str) -> dict:
-    """One pytest child under ``name``: its failing ids, in run order."""
+    """One pytest child under ``name`` (``CONTROL``: none): its failing
+    ids, in run order."""
     failed_log = SCRATCH / f"{name}.failed"
+    output = SCRATCH / f"{name}.log"
     failed_log.unlink(missing_ok=True)
     Path(f"{failed_log}.running").unlink(missing_ok=True)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(REPO / "src"), str(REPO / "scripts")]),
-        **{_MUTANT: name, _FAILED: str(failed_log)})
+        **{_MUTANT: "" if name == CONTROL else name,
+           _FAILED: str(failed_log)})
     cmd = [sys.executable, "-m", "pytest", "-q", "-p", "mutant_matrix",
            "-p", "no:cacheprovider", "-k", "not kill", "tests"]
     started = time.monotonic()
     try:
-        code = subprocess.run(
-            cmd, cwd=REPO, env=env, timeout=CHILD_SECONDS,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+        with open(output, "w") as out:
+            code = subprocess.run(
+                cmd, cwd=REPO, env=env, timeout=CHILD_SECONDS,
+                stdout=out, stderr=subprocess.STDOUT).returncode
         # pytest exits 0 (all passed) or 1 (some failed) when it finishes
         aborted = None if code in (0, 1) else f"exit code {code}"
     except subprocess.TimeoutExpired:
-        aborted = f"cut after {CHILD_SECONDS} s"
+        code, aborted = None, f"cut after {CHILD_SECONDS} s"
     seconds = time.monotonic() - started
     ids = (failed_log.read_text().splitlines()
            if failed_log.exists() else [])
@@ -134,6 +158,9 @@ def run_mutant(name: str) -> dict:
         ids.append(running.read_text())
         aborted = f"ran away in {ids[-1]}"
         running.unlink()
+    elif code in HARNESS_CODES:
+        raise HarnessError(f"{name}: pytest exit code {code} outside any "
+                           f"test; see {output.relative_to(REPO)}")
     failed = list(dict.fromkeys(ids))       # a test failing twice counts once
     oracle = next((t for t in failed
                    if not t.startswith(BUDGET_FILES)), None)
@@ -152,15 +179,22 @@ def survivors(entries: dict) -> list:
                   if not entry["failed"] and "aborted" not in entry)
 
 
-def run_matrix(names, jobs: int) -> dict:
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+def run_matrix(names) -> dict:
+    """The control child, then every mutant's, ``JOBS`` at a time."""
+    control = run_mutant(CONTROL)
+    if control["failed"] or "aborted" in control:
+        raise HarnessError("tier-1 does not pass with no mutant applied: "
+                           f"{control}")
+    pool = ThreadPoolExecutor(max_workers=JOBS)
+    try:
         return dict(zip(names, pool.map(run_mutant, names)))
+    finally:
+        # on a harness error, start no further child
+        pool.shutdown(cancel_futures=True)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="pytest children at a time (default 2)")
     parser.add_argument("--only", nargs="+", metavar="NAME",
                         help="run these mutants only")
     parser.add_argument("--out", type=Path,
@@ -181,7 +215,11 @@ def main(argv=None) -> int:
         parser.error(f"unknown mutant(s): {unknown}")
     SCRATCH.mkdir(exist_ok=True)
     started = time.monotonic()
-    entries = run_matrix(names, args.jobs)
+    try:
+        entries = run_matrix(names)
+    except HarnessError as error:
+        print(f"ERROR: {error}")
+        return 2
     print(f"{len(names)} mutants in {time.monotonic() - started:.0f} s; "
           f"survivors: {survivors(entries) or 'none'}")
     if args.out:
