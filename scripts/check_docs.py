@@ -53,7 +53,13 @@ Checks, with zero dependencies beyond the stdlib:
    ``option_names()`` returns is set — ``name=`` or ``"name":`` — in some
    file under ``src/`` (``core/config.py`` aside), ``benchmarks/`` or
    ``perf/``: a knob that no figure, bench or workload turns is a module
-   constant, not a knob.
+   constant, not a knob;
+12. a run has one ``Calibration`` and one ``MetricsHub``, its
+   environment's: under ``src/`` only ``sim/env.py`` constructs either,
+   no ``def`` takes a parameter named ``metrics``, and only
+   ``Environment.__init__`` and the two rig builders take one named
+   ``calibration`` — every process reads ``env.calibration`` and
+   ``env.metrics``.
 
 Exit code 0 when clean; prints every violation and exits 1 otherwise.
 """
@@ -485,6 +491,61 @@ def check_knobs_turned() -> list[str]:
                        for text in texts)]
 
 
+#: the module that builds each run's singletons, the singleton classes,
+#: and the only defs that take a ``calibration`` parameter (check 12)
+SINGLETON_MODULE = "src/repro/sim/env.py"
+SINGLETONS = ("Calibration", "MetricsHub")
+CALIBRATION_TAKERS = {
+    ("src/repro/sim/env.py", "Environment.__init__"),
+    ("src/repro/harness/loadgen.py", "build_eunomia_rig"),
+    ("src/repro/harness/loadgen.py", "build_sequencer_rig"),
+}
+
+
+def qualified_defs(node: ast.AST, prefix: str = ""):
+    """``(qualified name, node)`` of every def under ``node``, methods as
+    ``Class.method``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef)):
+            name = prefix + child.name
+            if not isinstance(child, ast.ClassDef):
+                yield name, child
+            yield from qualified_defs(child, name + ".")
+        else:
+            yield from qualified_defs(child, prefix)
+
+
+def check_single_sources() -> list[str]:
+    """Only the environment builds a calibration or a hub, and nothing
+    else accepts one."""
+    errors = []
+    for module in sorted((REPO / "src").rglob("*.py")):
+        rel = module.relative_to(REPO).as_posix()
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        found = []
+        if rel != SINGLETON_MODULE:
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in SINGLETONS:
+                    found.append((node.lineno, f"constructs a {name}; only "
+                                  f"{SINGLETON_MODULE} does"))
+        for qualname, fn in qualified_defs(tree):
+            args = fn.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
+                if arg.arg == "metrics" or (
+                        arg.arg == "calibration"
+                        and (rel, qualname) not in CALIBRATION_TAKERS):
+                    found.append((fn.lineno, f"{qualname}() takes a "
+                                  f"{arg.arg!r} parameter; read "
+                                  f"env.{arg.arg}"))
+        errors += [f"{rel}:{line}: {text}" for line, text in sorted(found)]
+    return errors
+
+
 def main() -> int:
     errors = (check_links() + check_example_headers()
               + check_protocol_modules() + check_protocols_documented()
@@ -492,7 +553,7 @@ def main() -> int:
               + check_src_imports()
               + check_documented_names() + check_md_references()
               + check_roadmap_citations() + check_line_counts()
-              + check_knobs_turned())
+              + check_knobs_turned() + check_single_sources())
     for error in errors:
         print(f"check_docs: {error}", file=sys.stderr)
     if errors:
@@ -511,7 +572,7 @@ def main() -> int:
           "resolve; no roadmap item cited by number; "
           f"line counts match {LINE_COUNTS}; "
           f"{len(config_fields())} config fields and every plugin option "
-          "set by a caller")
+          "set by a caller; one calibration and one hub per run")
     return 0
 
 

@@ -76,7 +76,7 @@ def main(argv=None) -> int:
 
     if args.export is not None:
         trace = write_chrome_trace(args.export, tracer=obs.tracer,
-                                   metrics=system.metrics)
+                                   hub=system.metrics)
         print(f"chrome trace ({len(trace['traceEvents'])} events) "
               f"written to {args.export}")
 

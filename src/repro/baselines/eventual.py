@@ -8,10 +8,6 @@ this baseline, exactly as the paper normalizes its Figures 1 and 5.
 
 from __future__ import annotations
 
-
-from typing import Optional
-
-from ..calibration import Calibration
 from ..clocks.physical import PhysicalClock
 from ..core.messages import ClientUpdate, ClientUpdateReply, RemoteData
 from ..core.partition import StoragePartition
@@ -30,9 +26,8 @@ class EventualPartition(StoragePartition):
     """A partition that replicates without ordering constraints."""
 
     def __init__(self, env, name: str, dc_id: int, index: int, n_dcs: int,
-                 clock: PhysicalClock,
-                 calibration: Optional[Calibration] = None):
-        cal = calibration or Calibration()
+                 clock: PhysicalClock):
+        cal = env.calibration
         super().__init__(env, name, dc_id, index, n_dcs, clock, {
             "ClientRead": cal.cost("partition_read"),
             "ClientUpdate": cal.cost("partition_update"),
@@ -57,6 +52,7 @@ class EventualProtocol(ProtocolSpec):
     causal metadata (clients carry a zero-width session vector)."""
 
     name = "eventual"
+    causal = False
 
     def client_entries(self, n_dcs: int) -> int:
         return 0
@@ -64,8 +60,7 @@ class EventualProtocol(ProtocolSpec):
     def build_site(self, site: SiteContext) -> SitePlan:
         partitions = [
             EventualPartition(site.env, site.pname(i), site.dc_id, i,
-                              site.n_dcs, site.clock(),
-                              calibration=site.calibration)
+                              site.n_dcs, site.clock())
             for i in range(site.n_partitions)
         ]
         return SitePlan(partitions=partitions)

@@ -63,7 +63,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..calibration import Calibration
 from ..clocks.physical import PhysicalClock
 from ..clocks.vector import vc_merge, vc_zero
 from ..core.messages import ClientUpdate, ClientUpdateReply, RemoteData
@@ -125,9 +124,8 @@ class GstPartition(StoragePartition):
         raise NotImplementedError
 
     def __init__(self, env: Environment, name: str, dc_id: int, index: int,
-                 n_dcs: int, clock: PhysicalClock, gst_interval: float,
-                 calibration: Optional[Calibration] = None):
-        cal = calibration or Calibration()
+                 n_dcs: int, clock: PhysicalClock, gst_interval: float):
+        cal = env.calibration
         flavor = self.flavor
         super().__init__(env, name, dc_id, index, n_dcs, clock, {
             "ClientRead": (cal.cost("partition_read")
@@ -483,8 +481,7 @@ class GstProtocol(ProtocolSpec):
         partitions = [
             self.partition_cls(site.env, site.pname(i), site.dc_id, i,
                                site.n_dcs, site.clock(),
-                               site.options["gst_interval"],
-                               calibration=site.calibration)
+                               site.options["gst_interval"])
             for i in range(site.n_partitions)
         ]
         pmap = site.placement

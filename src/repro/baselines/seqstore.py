@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from ..calibration import Calibration
 from ..clocks.physical import PhysicalClock
 from ..core.config import RETRY_BACKOFF_CAP, SEQ_RETRY_TIMEOUT
 from ..core.messages import ClientUpdate, ClientUpdateReply
@@ -50,9 +49,8 @@ class SeqPartition(ReceiverFedPartition):
     """
 
     def __init__(self, env, name: str, dc_id: int, index: int, n_dcs: int,
-                 clock: PhysicalClock, synchronous: bool = True,
-                 calibration: Optional[Calibration] = None):
-        cal = calibration or Calibration()
+                 clock: PhysicalClock, synchronous: bool = True):
+        cal = env.calibration
         super().__init__(env, name, dc_id, index, n_dcs, clock, {
             "ClientRead": cal.cost("partition_read"),
             "ClientUpdate": (cal.cost("partition_update")
@@ -167,6 +165,8 @@ class SequencerProtocol(ProtocolSpec):
     def __init__(self, synchronous: bool):
         self.synchronous = synchronous
         self.name = "sseq" if synchronous else "aseq"
+        #: A-Seq replies before its update is ordered (module docstring)
+        self.causal = synchronous
 
     def client_entries(self, n_dcs: int) -> int:
         return n_dcs
@@ -185,15 +185,12 @@ class SequencerProtocol(ProtocolSpec):
         # head/tail, standby failover.  (Direct construction via
         # build_chain defaults to the static §7.1 chain.)
         nodes = build_chain(site.env, site.dc_id, chain_length,
-                            calibration=site.calibration,
                             name_prefix=f"dc{site.dc_id}/chain", repair=True)
         receiver = Receiver(site.env, f"dc{site.dc_id}/receiver", site.dc_id,
-                            site.n_dcs, site.placement,
-                            calibration=site.calibration)
+                            site.n_dcs, site.placement)
         partitions = [
             SeqPartition(site.env, site.pname(i), site.dc_id, i, site.n_dcs,
-                         site.clock(), synchronous=self.synchronous,
-                         calibration=site.calibration)
+                         site.clock(), synchronous=self.synchronous)
             for i in range(site.n_partitions)
         ]
         for partition in partitions:

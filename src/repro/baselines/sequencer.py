@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from ..calibration import Calibration
 from ..core.messages import RemoteStableBatch
 from ..sim.env import Environment
 from ..sim.process import Process
@@ -67,10 +66,8 @@ class ChainSequencerNode(Process):
     """
 
     def __init__(self, env: Environment, name: str, site: int, position: int,
-                 chain_length: int,
-                 calibration: Optional[Calibration] = None,
-                 repair: bool = False):
-        cal = calibration or Calibration()
+                 chain_length: int, repair: bool = False):
+        cal = env.calibration
         if chain_length == 1:
             # head and tail at once: it neither forwards nor is forwarded to
             per_request = cal.cost("sequencer_request")
@@ -245,7 +242,6 @@ class ChainSequencerNode(Process):
 
 
 def build_chain(env: Environment, site: int, length: int,
-                calibration: Optional[Calibration] = None,
                 name_prefix: str = "chain",
                 repair: bool = False) -> list[ChainSequencerNode]:
     """Create and link a sequencer chain; returns [head, ..., tail].
@@ -259,7 +255,7 @@ def build_chain(env: Environment, site: int, length: int,
         raise ValueError("chain needs at least one node")
     nodes = [
         ChainSequencerNode(env, f"{name_prefix}{i}", site, i, length,
-                           calibration=calibration, repair=repair)
+                           repair=repair)
         for i in range(length)
     ]
     for node, successor in zip(nodes, nodes[1:]):

@@ -2,8 +2,11 @@
 
 Every throughput number in the paper is ultimately a statement about how much
 CPU one operation costs at some bottleneck process.  This module is the
-single place those costs live, with the rationale for each; experiments and
-builders take a :class:`Calibration` and never hard-code times.
+single place those costs live, with the rationale for each.  A run has one
+:class:`Calibration`, its :class:`~repro.sim.env.Environment`'s
+(``env.calibration``; ``GeoSystemSpec.calibration`` or a rig builder's
+``calibration=`` chooses it): every process reads its service times there
+when it is built, and nothing hard-codes a time.
 
 The anchors, from the paper's evaluation:
 

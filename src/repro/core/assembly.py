@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..calibration import Calibration
 from ..durability import CheckpointStore, RecoveryManager, WriteAheadLog
 from ..sim.disk import DiskModel
 from ..sim.env import Environment
@@ -112,7 +111,7 @@ class StabilizerStack:
 
 
 def build_stabilizer_stack(env: Environment, site: int, n_partitions: int,
-                           config: EunomiaConfig, cal: Calibration,
+                           config: EunomiaConfig,
                            name_prefix: str = "",
                            stable_mark: Optional[str] = None,
                            indices: Optional[list] = None
@@ -128,10 +127,13 @@ def build_stabilizer_stack(env: Environment, site: int, n_partitions: int,
     zero forever).  Omitted, they are all ``n_partitions`` — the rigs'
     and unit tests' shape.
 
+    Service times come from ``env.calibration``.
+
     Process identity lives in construction order and names — pids follow
     the former (each head before its shards), WAL and checkpoint names
     derive from the latter — so neither may change.
     """
+    cal = env.calibration
     indices = range(n_partitions) if indices is None else indices
     stack = StabilizerStack(config=config)
     if config.n_shards > 1:
@@ -187,7 +189,7 @@ def build_stabilizer_stack(env: Environment, site: int, n_partitions: int,
         # none (they are rebuilt from their shards — floors are
         # shipped-capped, so every queued-but-unshipped op survives in some
         # shard's log).
-        disk = DiskModel.from_calibration(cal)
+        disk = DiskModel(cal)
         stack.recovery = RecoveryManager(disk)
         for group in stack.groups:
             for proc in group.stabilizers():

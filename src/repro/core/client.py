@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..calibration import Calibration
 from ..clocks.vector import vc_merge, vc_zero
 from ..kvstore.ring import ConsistentHashRing
 from ..sim.env import Environment
@@ -34,13 +33,11 @@ class SessionClient(Process):
     def __init__(self, env: Environment, name: str, dc_id: int,
                  n_entries: int, partitions: Sequence[Process],
                  ring: ConsistentHashRing, workload,
-                 calibration: Optional[Calibration] = None,
                  think_time: float = 0.0,
                  op_mark: str = "ops",
                  history=None,
                  retry_timeout: Optional[float] = None):
         super().__init__(env, name, site=dc_id)
-        cal = calibration or Calibration()
         #: optional repro.checker.SessionHistory for consistency checking
         self.history = history
         self.dc_id = dc_id
@@ -56,7 +53,7 @@ class SessionClient(Process):
         # series names, formatted once instead of per completed op
         self._dc_mark = f"{op_mark}:dc{dc_id}"
         self._latency_labels: dict[str, str] = {}
-        self.op_cost = cal.cost("client_op")
+        self.op_cost = env.calibration.cost("client_op")
         self.vclock = vc_zero(n_entries)
         self.ops_done = 0
         #: re-issue timeout for a lost in-flight request.  None (default)

@@ -29,9 +29,6 @@ logical Riak partition.  Responsibilities:
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..calibration import Calibration
 from ..clocks.hlc import HybridLogicalClock
 from ..clocks.physical import PhysicalClock
 from ..clocks.vector import vc_zero
@@ -282,9 +279,8 @@ class EunomiaPartition(ReceiverFedPartition):
     LANES = {**ReceiverFedPartition.LANES, "BatchAck": UPLINK_LANE}
 
     def __init__(self, env: Environment, name: str, dc_id: int, index: int,
-                 n_dcs: int, clock: PhysicalClock, config: EunomiaConfig,
-                 calibration: Optional[Calibration] = None):
-        cal = calibration or Calibration()
+                 n_dcs: int, clock: PhysicalClock, config: EunomiaConfig):
+        cal = env.calibration
         # The write rides the message that carries the payload
         # (StoragePartition._install): RemoteData — or, unseparated, when
         # none is sent, the ApplyRemote that holds the value.

@@ -46,7 +46,6 @@ import importlib
 from dataclasses import dataclass, field
 from typing import Any, Optional, TYPE_CHECKING
 
-from ..calibration import Calibration
 from ..clocks.physical import PhysicalClock
 from ..sim.env import Environment
 from ..sim.process import Process
@@ -86,7 +85,6 @@ class SiteContext:
     n_dcs: int
     n_partitions: int
     ring: "ConsistentHashRing"
-    calibration: Calibration
     #: which partition indices each DC stores
     placement: "PlacementMap"
     ntp: Optional["NtpSynchronizer"] = None
@@ -140,6 +138,11 @@ class ProtocolSpec:
 
     #: registry key; also the :class:`~repro.geo.system.GeoSystem` label
     name = "?"
+    #: whether client sessions are promised causal consistency (the
+    #: session guarantees :class:`repro.checker.CausalChecker` checks);
+    #: the eventual yardstick and the asynchronous-sequencer ablation
+    #: clear it
+    causal = True
 
     def client_entries(self, n_dcs: int) -> int:
         """Width of the client session vector (0 = no causal metadata)."""

@@ -31,7 +31,6 @@ which calls :meth:`restore` per member and then runs the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..datastruct.runbuffer import RunBuffer
 from ..sim.disk import DiskModel
@@ -58,8 +57,8 @@ class RestoreReport:
 class RecoveryManager:
     """Restores amnesia-crashed stabilizer processes from durable state."""
 
-    def __init__(self, disk: Optional[DiskModel] = None):
-        self.disk = disk or DiskModel()
+    def __init__(self, disk: DiskModel):
+        self.disk = disk
         self.reports: list[RestoreReport] = []
 
     def restore(self, proc, extra_floor: int = 0) -> RestoreReport:

@@ -47,7 +47,7 @@ exactly what a re-opened log file would delta against.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ..sim.disk import DiskModel
 
@@ -78,9 +78,9 @@ class WriteAheadLog:
                  "records_truncated", "_fail_fsyncs", "fsync_failures",
                  "records_torn", "obs_hook")
 
-    def __init__(self, name: str, disk: Optional[DiskModel] = None):
+    def __init__(self, name: str, disk: DiskModel):
         self.name = name
-        self.disk = disk or DiskModel()
+        self.disk = disk
         #: durable records, in acceptance order (survives amnesia crashes)
         self.records: list[tuple] = []
         self._staged: list[tuple] = []      # volatile: lost on amnesia crash

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..calibration import Calibration
 from ..clocks.ntp import NtpSynchronizer
 from ..core.assembly import build_stabilizer_stack
 from ..core.config import EunomiaConfig
@@ -65,7 +64,6 @@ class EunomiaProtocol(ProtocolSpec):
         from .receiver import Receiver  # local import avoids cycle at load
 
         config = site.options["config"]
-        cal = site.calibration
         stored = site.placement.resident_partitions(site.dc_id)
         # All N partitions are constructed in index order under any
         # placement (the per-DC clock RNG stream depends on it); the ones
@@ -73,17 +71,17 @@ class EunomiaProtocol(ProtocolSpec):
         partitions = [
             EunomiaPartition(
                 site.env, site.pname(index), site.dc_id, index, site.n_dcs,
-                site.clock(), config, calibration=cal,
+                site.clock(), config,
             )
             for index in range(site.n_partitions)
         ]
         stack = build_stabilizer_stack(
-            site.env, site.dc_id, site.n_partitions, config, cal,
+            site.env, site.dc_id, site.n_partitions, config,
             name_prefix=f"dc{site.dc_id}/", indices=stored,
         )
         receiver = Receiver(
             site.env, f"dc{site.dc_id}/receiver", site.dc_id, site.n_dcs,
-            site.placement, calibration=cal,
+            site.placement,
         )
         receiver.set_partitions(site.ring, partitions)
         stack.wire_uplinks([partitions[i] for i in stored])
@@ -110,21 +108,17 @@ class Datacenter:
                  n_partitions: int, ring: ConsistentHashRing,
                  protocol: ProtocolSpec, options: dict,
                  placement: PlacementMap,
-                 calibration: Optional[Calibration] = None,
                  ntp: Optional[NtpSynchronizer] = None):
         self.env = env
         self.dc_id = dc_id
         self.n_dcs = n_dcs
         self.ring = ring
-        cal = calibration or Calibration()
-        self.calibration = cal
         self.protocol = protocol
         #: which partition indices each DC stores
         self.placement = placement
         self.site = SiteContext(
             env=env, dc_id=dc_id, n_dcs=n_dcs, n_partitions=n_partitions,
-            ring=ring, calibration=cal,
-            placement=placement, ntp=ntp, options=options,
+            ring=ring, placement=placement, ntp=ntp, options=options,
         )
         self.plan = protocol.build_site(self.site)
         self.partitions = self.plan.partitions

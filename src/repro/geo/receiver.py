@@ -57,7 +57,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..calibration import Calibration
 from ..datastruct.runbuffer import RunBuffer
 from ..kvstore.ring import ConsistentHashRing
 from ..kvstore.types import ORDER_KEY, Update
@@ -77,9 +76,8 @@ class Receiver(Process):
     """r_m: queues remote update streams and applies them causally."""
 
     def __init__(self, env: Environment, name: str, dc_id: int, n_dcs: int,
-                 placement: PlacementMap,
-                 calibration: Optional[Calibration] = None):
-        cal = calibration or Calibration()
+                 placement: PlacementMap):
+        cal = env.calibration
         super().__init__(env, name, site=dc_id, costs={
             "RemoteStableBatch":
                 lambda msg: cal.cost("receiver_enqueue_op") * len(msg.ops),

@@ -226,7 +226,7 @@ def build_geo_system(protocol: Union[str, ProtocolSpec],
     pmap = spec.placement_map()
     if spec.scheduler not in ("heap", "wheel"):
         raise ValueError(f"unknown scheduler {spec.scheduler!r}")
-    env = Environment(seed=spec.seed)
+    env = Environment(seed=spec.seed, calibration=spec.calibration)
     topo = spec.topology()
     Network(env, topo)
     ntp = NtpSynchronizer(env, residual_us=spec.ntp_residual_us)
@@ -234,7 +234,7 @@ def build_geo_system(protocol: Union[str, ProtocolSpec],
 
     datacenters = [
         Datacenter(env, dc_id, spec.n_dcs, spec.partitions_per_dc, ring,
-                   calibration=spec.calibration, ntp=ntp,
+                   ntp=ntp,
                    protocol=proto, options=options, placement=pmap)
         for dc_id in range(spec.n_dcs)
     ]
@@ -261,8 +261,7 @@ def build_geo_system(protocol: Union[str, ProtocolSpec],
             clients.append(SessionClient(
                 env, f"dc{dc.dc_id}/client{c}", dc.dc_id,
                 n_entries=n_entries, partitions=routing, ring=ring,
-                workload=built, calibration=spec.calibration,
-                think_time=workload.think_time,
+                workload=built, think_time=workload.think_time,
                 history=history, retry_timeout=spec.client_retry,
             ))
     return GeoSystem(env, spec, datacenters, clients,

@@ -470,7 +470,7 @@ def run_case(schedule: ChaosSchedule, observe: bool = True) -> CaseResult:
     if obs is not None:
         from ..obs import chrome_trace
 
-        trace = chrome_trace(tracer=obs.tracer, metrics=system.metrics,
+        trace = chrome_trace(tracer=obs.tracer, hub=system.metrics,
                              fault_log=system.failures().log, mttr=mttr)
     return CaseResult(schedule, not failures, failures,
                       [l for _, l in system.failures().log], throughput,

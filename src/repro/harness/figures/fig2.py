@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ...calibration import Calibration
 from ...core.config import EunomiaConfig
 from ..loadgen import build_eunomia_rig, build_sequencer_rig
 from ..report import FigureResult
@@ -34,7 +33,6 @@ class Fig2Params:
 
 def run(params: Optional[Fig2Params] = None) -> FigureResult:
     p = params or Fig2Params()
-    cal = Calibration()
     result = FigureResult(
         "Figure 2", "Maximum throughput: Eunomia vs sequencer",
         ["partitions", "eunomia_ops_s", "sequencer_ops_s", "ratio",
@@ -43,18 +41,18 @@ def run(params: Optional[Fig2Params] = None) -> FigureResult:
     peak_ratio = 0.0
     for count in p.partition_counts:
         eunomia = build_eunomia_rig(count, config=EunomiaConfig(),
-                                    calibration=cal, seed=p.seed)
+                                    seed=p.seed)
         eunomia.run(p.duration)
         eu_thpt = eunomia.throughput()
 
-        sequencer = build_sequencer_rig(count, calibration=cal, seed=p.seed)
+        sequencer = build_sequencer_rig(count, seed=p.seed)
         sequencer.run(p.duration)
         seq_thpt = sequencer.throughput()
 
         ratio = eu_thpt / seq_thpt if seq_thpt else float("inf")
         peak_ratio = max(peak_ratio, ratio)
         result.add_row(count, eu_thpt, seq_thpt, ratio,
-                       eu_thpt * cal.throughput_scale())
+                       eu_thpt * eunomia.env.calibration.throughput_scale())
     result.note(f"peak Eunomia/sequencer ratio: {peak_ratio:.1f}x "
                 "(paper: 7.7x)")
     result.note("paper shape: sequencer flat at its ceiling; Eunomia scales "

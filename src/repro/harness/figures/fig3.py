@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ...calibration import Calibration
 from ...core.config import EunomiaConfig
 from ..loadgen import build_eunomia_rig, build_sequencer_rig
 from ..report import FigureResult
@@ -47,22 +46,20 @@ class Fig3Params:
 
 def run(params: Optional[Fig3Params] = None) -> FigureResult:
     p = params or Fig3Params()
-    cal = Calibration()
     result = FigureResult(
         "Figure 3", "Fault-tolerance overhead (normalized max throughput)",
         ["variant", "ops_s", "normalized"],
     )
 
     base_rig = build_eunomia_rig(p.n_partitions, config=EunomiaConfig(),
-                                 calibration=cal, seed=p.seed)
+                                 seed=p.seed)
     base_rig.run(p.duration)
     base = base_rig.throughput()
     result.add_row("eunomia non-FT", base, 1.0)
 
     for replicas in p.replica_counts:
         config = EunomiaConfig(fault_tolerant=True, n_replicas=replicas)
-        rig = build_eunomia_rig(p.n_partitions, config=config,
-                                calibration=cal, seed=p.seed)
+        rig = build_eunomia_rig(p.n_partitions, config=config, seed=p.seed)
         rig.run(p.duration)
         thpt = rig.throughput()
         result.add_row(f"eunomia {replicas}-FT", thpt, thpt / base)
@@ -74,29 +71,26 @@ def run(params: Optional[Fig3Params] = None) -> FigureResult:
         # never coordinate — only the leader's shards ack and serialize.
         k, r = p.sharded_ft
         shard_rig = build_eunomia_rig(
-            p.n_partitions, config=EunomiaConfig(n_shards=k),
-            calibration=cal, seed=p.seed)
+            p.n_partitions, config=EunomiaConfig(n_shards=k), seed=p.seed)
         shard_rig.run(p.duration)
         shard_base = shard_rig.throughput()
         result.add_row(f"eunomia K{k} non-FT", shard_base, 1.0)
         config = EunomiaConfig(n_shards=k, n_replicas=r, fault_tolerant=True)
         ft_rig = build_eunomia_rig(p.n_partitions, config=config,
-                                   calibration=cal, seed=p.seed)
+                                   seed=p.seed)
         ft_rig.run(p.duration)
         ft = ft_rig.throughput()
         result.add_row(f"eunomia K{k}x{r}-FT", ft, ft / shard_base)
         result.note(f"K{k} rows are normalized against the K{k} non-FT "
                     "baseline, not the single-stabilizer one")
 
-    seq_rig = build_sequencer_rig(p.n_partitions, calibration=cal,
-                                  seed=p.seed)
+    seq_rig = build_sequencer_rig(p.n_partitions, seed=p.seed)
     seq_rig.run(p.duration)
     seq = seq_rig.throughput()
     result.add_row("sequencer non-FT", seq, seq / base)
 
     chain_rig = build_sequencer_rig(p.n_partitions,
-                                    chain_length=p.chain_length,
-                                    calibration=cal, seed=p.seed)
+                                    chain_length=p.chain_length, seed=p.seed)
     chain_rig.run(p.duration)
     chain = chain_rig.throughput()
     result.add_row(f"sequencer {p.chain_length}-FT", chain, chain / base)

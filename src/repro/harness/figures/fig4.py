@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ...calibration import Calibration
 from ...core.config import EunomiaConfig
 from ...metrics import mean
 from ..loadgen import build_eunomia_rig
@@ -95,7 +94,6 @@ def run(params: Optional[Fig4Params] = None) -> FigureResult:
         raise ValueError(
             "the amnesia->rejoin timeline (rejoin_at) requires "
             "durability='wal'")
-    cal = Calibration()
     result = FigureResult(
         "Figure 4", "Impact of replica failures (normalized throughput)",
         ["variant", "before_crash1", "between_crashes", "after_crash2"],
@@ -108,8 +106,7 @@ def run(params: Optional[Fig4Params] = None) -> FigureResult:
                              durability=p.durability)
 
     base_rig = build_eunomia_rig(p.n_partitions,
-                                 config=make_config(False, 1),
-                                 calibration=cal, seed=p.seed)
+                                 config=make_config(False, 1), seed=p.seed)
     base_rig.run(p.duration)
     base_rate = mean([r for _, r in base_rig.throughput_timeline(p.window)])
     result.add_row("non-FT (baseline)", 1.0, 1.0, 1.0)
@@ -117,7 +114,7 @@ def run(params: Optional[Fig4Params] = None) -> FigureResult:
     for replicas in p.replica_counts:
         rig = build_eunomia_rig(p.n_partitions,
                                 config=make_config(True, replicas),
-                                calibration=cal, seed=p.seed)
+                                seed=p.seed)
         # Crash the initial leader at t1 and its successor at t2.  Replica
         # ids are elected lowest-first, so the leadership order is 0, 1, 2.
         # ``rig.groups`` holds the crash units — one ReplicaGroup per

@@ -28,7 +28,8 @@ from ..calibration import Calibration
 from ..clocks.hlc import HybridLogicalClock
 from ..clocks.physical import PhysicalClock
 from ..core.assembly import build_stabilizer_stack
-from ..core.config import SEQ_RETRY_TIMEOUT, EunomiaConfig
+from ..core.config import (RETRY_BACKOFF_CAP, SEQ_RETRY_TIMEOUT,
+                           EunomiaConfig)
 from ..core.messages import BatchAck
 from ..core.uplink import EunomiaUplink
 from ..kvstore.types import Update
@@ -80,10 +81,9 @@ class PartitionEmulator(Process):
     """An eagerly-updating partition without the storage substrate."""
 
     def __init__(self, env: Environment, name: str, index: int,
-                 config: EunomiaConfig,
-                 calibration: Optional[Calibration] = None):
+                 config: EunomiaConfig):
         super().__init__(env, name, site=0)
-        cal = calibration or Calibration()
+        cal = env.calibration
         self.index = index
         self.config = config
         self.clock = PhysicalClock.random(env, env.rng.stream(f"empart/{name}"))
@@ -138,19 +138,18 @@ class SequencerLoadClient(Process):
     """Closed-loop driver of a (possibly chain-replicated) sequencer.
 
     Fault-tolerant like the real partitions: an in-flight request that
-    outlives ``SEQ_RETRY_TIMEOUT`` is re-sent to the head with capped
-    exponential backoff, and a late original reply racing the retry's is
-    deduplicated by uid so one request never completes twice.
+    outlives ``SEQ_RETRY_TIMEOUT`` is re-sent to the head with exponential
+    backoff capped at ``RETRY_BACKOFF_CAP``, and a late original reply
+    racing the retry's is deduplicated by uid so one request never
+    completes twice.
     """
 
     def __init__(self, env: Environment, name: str, index: int,
-                 head: Process,
-                 calibration: Optional[Calibration] = None):
+                 head: Process):
         super().__init__(env, name, site=0)
-        cal = calibration or Calibration()
         self.index = index
         self.head = head
-        self.gen_cost = cal.cost("emulated_partition_gen")
+        self.gen_cost = env.calibration.cost("emulated_partition_gen")
         self._seq = 0
         self._outstanding = None        # uid of the in-flight request
         self.completed = 0
@@ -177,7 +176,7 @@ class SequencerLoadClient(Process):
         self.retries += 1
         self.send(self.head, SeqRequest(replace(update, value=None)))
         delay = min(SEQ_RETRY_TIMEOUT * (1 << (attempt + 1)),
-                    max(SEQ_RETRY_TIMEOUT, 0.5))
+                    RETRY_BACKOFF_CAP)
         self.after(delay, self._maybe_retry, update, attempt + 1)
 
     def on_seq_reply(self, msg: SeqReply, src: Process) -> None:
@@ -250,21 +249,20 @@ def build_eunomia_rig(n_partitions: int,
                       calibration: Optional[Calibration] = None,
                       seed: int = 0) -> ServiceRig:
     """Eunomia under emulator load: R replicas of a K-shard pipeline, any
-    R and K the config names."""
+    R and K the config names; ``calibration`` is the rig environment's."""
     config = config or EunomiaConfig()
     config.validate()
-    cal = calibration or Calibration()
-    env = Environment(seed=seed)
+    env = Environment(seed=seed, calibration=calibration)
     Network(env, ConstantLatency(INTRA_DC_LATENCY))
 
-    stack = build_stabilizer_stack(env, 0, n_partitions, config, cal,
+    stack = build_stabilizer_stack(env, 0, n_partitions, config,
                                    stable_mark="eunomia_stable:dc0")
     sink = RemoteSink(env)
     for propagator in stack.propagators():
         propagator.add_destination(sink)
 
     drivers = [
-        PartitionEmulator(env, f"part{i}", i, config, calibration=cal)
+        PartitionEmulator(env, f"part{i}", i, config)
         for i in range(n_partitions)
     ]
     stack.wire_uplinks(drivers)
@@ -277,17 +275,17 @@ def build_eunomia_rig(n_partitions: int,
 def build_sequencer_rig(n_clients: int, chain_length: int = 1,
                         calibration: Optional[Calibration] = None,
                         seed: int = 0) -> ServiceRig:
-    """A sequencer (a chain of ``chain_length`` nodes) under load."""
-    cal = calibration or Calibration()
-    env = Environment(seed=seed)
+    """A sequencer (a chain of ``chain_length`` nodes) under load;
+    ``calibration`` is the rig environment's."""
+    env = Environment(seed=seed, calibration=calibration)
     Network(env, ConstantLatency(INTRA_DC_LATENCY))
 
     sink = RemoteSink(env)
-    nodes = build_chain(env, 0, chain_length, calibration=cal)
+    nodes = build_chain(env, 0, chain_length)
     nodes[-1].add_destination(sink)
 
     drivers = [
-        SequencerLoadClient(env, f"client{i}", i, nodes[0], calibration=cal)
+        SequencerLoadClient(env, f"client{i}", i, nodes[0])
         for i in range(n_clients)
     ]
     return ServiceRig(env, drivers, [], sink,

@@ -8,7 +8,7 @@ GeoSystem` (any protocol on the ProtocolSpec spine)::
     system.run(2.0); system.quiesce(2.5)
     print(render_slo_report(system.metrics, tracer=obs.tracer))
     write_chrome_trace("trace.json", tracer=obs.tracer,
-                       metrics=system.metrics)
+                       hub=system.metrics)
 
 Every measured value lives in the exact series of the run's one
 :class:`MetricsHub` (``env.metrics``); the SLO report computes its

@@ -38,7 +38,7 @@ FAULT_TRACK_PID = 9999
 _GAUGE_RE = re.compile(r"^gauge:(?P<name>.+):dc(?P<dc>\d+)$")
 
 
-def chrome_trace(tracer=None, metrics=None, fault_log=None,
+def chrome_trace(tracer=None, hub=None, fault_log=None,
                  mttr=None, dc_ids=None) -> dict:
     """Build a Chrome-trace-event dict from any subset of sources."""
     events = []
@@ -62,14 +62,14 @@ def chrome_trace(tracer=None, metrics=None, fault_log=None,
                 })
 
     # --- gauge counters ------------------------------------------------
-    if metrics is not None:
-        for name in sorted(metrics.points):
+    if hub is not None:
+        for name in sorted(hub.points):
             match = _GAUGE_RE.match(name)
             if match is None:
                 continue
             gauge, pid = match.group("name"), int(match.group("dc"))
             pids.add(pid)
-            for t, value in metrics.point_series(name):
+            for t, value in hub.point_series(name):
                 events.append({
                     "ph": "C",
                     "name": gauge,
@@ -121,10 +121,10 @@ def chrome_trace(tracer=None, metrics=None, fault_log=None,
     return {"traceEvents": meta + events, "displayTimeUnit": "ms"}
 
 
-def write_chrome_trace(path, tracer=None, metrics=None, fault_log=None,
+def write_chrome_trace(path, tracer=None, hub=None, fault_log=None,
                        mttr=None, dc_ids=None) -> dict:
     """Write :func:`chrome_trace` output to ``path``; return the dict."""
-    trace = chrome_trace(tracer=tracer, metrics=metrics,
+    trace = chrome_trace(tracer=tracer, hub=hub,
                          fault_log=fault_log, mttr=mttr, dc_ids=dc_ids)
     with open(path, "w") as fh:
         json.dump(trace, fh)
@@ -137,16 +137,16 @@ def write_chrome_trace(path, tracer=None, metrics=None, fault_log=None,
 _QUANTILES = (50.0, 99.0, 99.9)
 
 
-def _series(metrics, pattern: str) -> list:
+def _series(hub, pattern: str) -> list:
     """``(key, values)`` of every non-empty point series whose name matches
     ``pattern`` in full, ordered by key: the pattern's groups, digit groups
     as ints (so dc10 sorts after dc2)."""
     rows = []
-    for name in metrics.points:
+    for name in hub.points:
         match = re.fullmatch(pattern, name)
         if match is None:
             continue
-        values = [v for _, v in metrics.point_series(name)]
+        values = [v for _, v in hub.point_series(name)]
         if values:
             key = tuple(int(g) if g.isdigit() else g for g in match.groups())
             rows.append((key, values))
@@ -159,7 +159,7 @@ def _cells(values) -> str:
     return f"{len(values):>8d}  {cells}"
 
 
-def render_slo_report(metrics, tracer=None) -> str:
+def render_slo_report(hub, tracer=None) -> str:
     """Render the per-DC × op-kind SLO table as a plain-text report.
 
     Every table reads the hub's point series; sections with no data are
@@ -169,7 +169,7 @@ def render_slo_report(metrics, tracer=None) -> str:
     header = f"{'count':>8s}  " + "  ".join(
         f"{'p' + str(q).rstrip('0').rstrip('.'):>9s}" for q in _QUANTILES)
 
-    ops = _series(metrics, r"latency_ms:(\w+):dc(\d+)")
+    ops = _series(hub, r"latency_ms:(\w+):dc(\d+)")
     if ops:
         lines.append("operation latency (ms) per DC x op kind")
         lines.append(f"  {'dc':>3s} {'kind':<8s} {header}")
@@ -177,20 +177,20 @@ def render_slo_report(metrics, tracer=None) -> str:
             lines.append(f"  {dc:>3d} {kind:<8s} {_cells(values)}")
         lines.append("")
 
-    vis = _series(metrics, r"vis_total_ms:(\d+)->(\d+)")
+    vis = _series(hub, r"vis_total_ms:(\d+)->(\d+)")
     if vis:
         lines.append("remote visibility latency (ms) per origin->dest")
         lines.append(f"  {'path':>8s} {header}   "
                      f"{'extra p99':>9s}")
         for (k, m), values in vis:
-            extra = [v for _, v in metrics.point_series(
+            extra = [v for _, v in hub.point_series(
                 f"vis_extra_ms:{k}->{m}")]
             extra_p99 = percentile(extra, 99.0) if extra else 0.0
             lines.append(f"  dc{k}->dc{m:<2d} {_cells(values)}   "
                          f"{extra_p99:>9.3f}")
         lines.append("")
 
-    stab_lag = _series(metrics, r"gauge:stab_lag_ms:dc(\d+)")
+    stab_lag = _series(hub, r"gauge:stab_lag_ms:dc(\d+)")
     if stab_lag:
         lines.append("stabilization lag (ms), now - StableTime per DC")
         lines.append(f"  {'dc':>3s} {header}")
@@ -199,7 +199,7 @@ def render_slo_report(metrics, tracer=None) -> str:
         lines.append("")
 
     inflight = {dc: values for (dc,), values
-                in _series(metrics, r"gauge:receiver_inflight:dc(\d+)")}
+                in _series(hub, r"gauge:receiver_inflight:dc(\d+)")}
     if inflight:
         # mean in-flight / tracked origins = utilisation of the Alg. 5
         # stop-and-wait chains; the backlog is what queues behind them
@@ -207,7 +207,7 @@ def render_slo_report(metrics, tracer=None) -> str:
                      "a release in flight (mean, max)")
         lines.append(f"  {'dc':>3s} {'count':>8s}  {'backlog':>9s}  "
                      f"{'max':>9s}  {'in-flight':>9s}  {'max':>9s}")
-        for (dc,), backlog in _series(metrics,
+        for (dc,), backlog in _series(hub,
                                       r"gauge:receiver_backlog:dc(\d+)"):
             out = inflight[dc]
             lines.append(f"  {dc:>3d} {len(backlog):>8d}  "

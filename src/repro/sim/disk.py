@@ -19,21 +19,23 @@ real deployment where the WAL lives on its own NVMe queue and only the
 
 from __future__ import annotations
 
+from ..calibration import Calibration
+
 __all__ = ["DiskModel"]
 
 
 class DiskModel:
-    """Fsync/replay cost model, in seconds (one device per process)."""
+    """Fsync/replay cost model, in seconds (one device per process), built
+    from a :class:`~repro.calibration.Calibration`'s durability overheads
+    (``wal_fsync``, ``wal_byte``, ``wal_replay_record``)."""
 
     __slots__ = ("fsync_latency_s", "byte_time_s", "replay_record_s",
                  "_slowdown")
 
-    def __init__(self, fsync_latency_s: float = 30e-6,
-                 byte_time_s: float = 1e-9,
-                 replay_record_s: float = 0.5e-6):
-        self.fsync_latency_s = fsync_latency_s
-        self.byte_time_s = byte_time_s
-        self.replay_record_s = replay_record_s
+    def __init__(self, cal: Calibration):
+        self.fsync_latency_s = cal.overhead("wal_fsync")
+        self.byte_time_s = cal.overhead("wal_byte")
+        self.replay_record_s = cal.overhead("wal_replay_record")
         self._slowdown = 1.0
 
     def degrade(self, factor: float) -> None:
@@ -48,15 +50,6 @@ class DiskModel:
         if factor < 1.0:
             raise ValueError("degradation factor must be >= 1.0")
         self._slowdown = factor
-
-    @classmethod
-    def from_calibration(cls, cal) -> "DiskModel":
-        """Build from :class:`repro.calibration.Calibration` overheads."""
-        return cls(
-            fsync_latency_s=cal.overhead("wal_fsync"),
-            byte_time_s=cal.overhead("wal_byte"),
-            replay_record_s=cal.overhead("wal_replay_record"),
-        )
 
     def fsync_cost(self, n_bytes: int) -> float:
         """One flush barrier covering ``n_bytes`` of staged log records."""

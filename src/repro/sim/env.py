@@ -1,18 +1,21 @@
 """Simulation environment: the bundle every simulated component hangs off.
 
 An :class:`Environment` owns the event loop (always the heap
-:class:`~repro.sim.loop.EventLoop`), the root RNG registry and the run's
-one :class:`~repro.metrics.collector.MetricsHub`, and — once a
+:class:`~repro.sim.loop.EventLoop`), the root RNG registry, the run's one
+:class:`~repro.metrics.collector.MetricsHub` and its one
+:class:`~repro.calibration.Calibration`, and — once a
 :class:`repro.sim.network.Network` is attached — gives processes a way
-to reach each other.  Builders (``repro.geo.system``, baselines, the harness)
+to reach each other.  Builders (``repro.geo.system``, the harness rigs)
 create one Environment per experiment; every process records into its
-hub.
+hub and reads its service times from its calibration, so a deployment's
+costs reach every process by construction.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from ..calibration import Calibration
 from ..metrics.collector import MetricsHub
 from .loop import EventLoop
 from .rng import RngRegistry
@@ -21,12 +24,15 @@ __all__ = ["Environment"]
 
 
 class Environment:
-    """Shared simulation state: event loop, RNG streams, metrics, network."""
+    """Shared simulation state: event loop, RNG streams, metrics, service
+    times, network."""
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int = 0,
+                 calibration: Optional[Calibration] = None):
         self.loop = EventLoop()
         self.rng = RngRegistry(seed)
         self.metrics = MetricsHub()
+        self.calibration = calibration or Calibration()
         self.network = None  # attached by Network.__init__
         self._next_pid = 0
 

@@ -62,10 +62,11 @@ def test_sequencer_ships_ordered_stream(env, net):
     assert [op.ts for op in dest.ops] == [1, 2, 3, 4]
 
 
-def test_sequencer_service_cost_bounds_throughput(env):
+def test_sequencer_service_cost_bounds_throughput():
+    # real scale: 20.8µs per request
+    env = Environment(seed=1234, calibration=Calibration(scale=1.0))
     Network(env, ConstantLatency(0.0001))
-    cal = Calibration(scale=1.0)  # real-scale: 20.8µs per request
-    (seq,) = build_chain(env, 0, 1, calibration=cal)
+    (seq,) = build_chain(env, 0, 1)
     requester = Requester(env)
     for i in range(1, 1002):
         requester.send(seq, SeqRequest(make_update(i)))

@@ -6,7 +6,9 @@ a checker that never fires proves nothing.
 
 import pytest
 
+from repro import GeoSystemSpec, WorkloadSpec, build_geo_system
 from repro.checker import CausalChecker, OpRecord, SessionHistory
+from repro.core.protocols import get_protocol
 
 
 def rec(t, client, kind, key, vts, session_vts, value=None):
@@ -141,3 +143,20 @@ class TestHistory:
 
         text = str(Violation("monotonic-reads", "c", record, "detail"))
         assert "monotonic-reads" in text and "detail" in text
+
+
+@pytest.mark.unaudited("builds aseq with a causal promise it breaks")
+def test_the_audit_flags_a_protocol_that_breaks_its_promise(monkeypatch):
+    """The audit in tests/conftest.py records every geo system a test
+    builds and checks what its protocol promises: ``aseq`` replies before
+    its update is ordered, so holding it to a causal promise fails."""
+    import conftest
+
+    aseq = get_protocol("aseq")
+    system = build_geo_system("aseq", GeoSystemSpec(seed=1), WorkloadSpec())
+    system.run(0.5)
+    (history,) = [h for built, h in conftest._BUILT if built is system]
+    assert history.total_ops > 0
+    assert conftest._violations(system, history) == []
+    monkeypatch.setattr(aseq, "causal", True)
+    assert conftest._violations(system, history)

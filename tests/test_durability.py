@@ -87,7 +87,7 @@ def dedup_uids(collected):
 # ----------------------------------------------------------------------
 class TestWriteAheadLog:
     def test_staged_records_are_volatile_until_commit(self):
-        wal = WriteAheadLog("w")
+        wal = WriteAheadLog("w", DiskModel(Calibration()))
         wal.stage_op(10, 0, 1, make_op(10))
         wal.stage_partition_time(1, 20)
         assert wal.staged == 2 and len(wal) == 0
@@ -99,7 +99,7 @@ class TestWriteAheadLog:
         assert len(wal) == 1
 
     def test_flush_cost_covers_only_new_bytes(self):
-        disk = DiskModel(fsync_latency_s=1e-3, byte_time_s=0.0)
+        disk = DiskModel(Calibration(wal_fsync_us=1000.0, wal_byte_us=0.0))
         wal = WriteAheadLog("w", disk)
         wal.stage_op(10, 0, 1, make_op(10))
         assert wal.flush_cost() == pytest.approx(1e-3)
@@ -110,8 +110,21 @@ class TestWriteAheadLog:
         wal.commit()
         assert wal.flush_cost() == 0.0
 
+    def test_a_partition_time_record_pins_its_delta_bytes(self):
+        """A PartitionTime record is a tag byte, then the partition index
+        and the timestamp delta as zigzag varints: a delta of −64 still
+        fits one byte (zigzag 127), −65 does not, and −8192 fits two."""
+        added = {}
+        for delta in (-63, -64, -65, -8192, 63, 64):
+            wal = WriteAheadLog("w", DiskModel(Calibration()))
+            wal.stage_partition_time(1, 10_000)
+            before = wal.unflushed_bytes
+            wal.stage_partition_time(1, 10_000 + delta)
+            added[delta] = wal.unflushed_bytes - before
+        assert added == {-63: 3, -64: 3, -65: 4, -8192: 4, 63: 3, 64: 4}
+
     def test_truncate_drops_shipped_ops_and_all_pt_records(self):
-        wal = WriteAheadLog("w")
+        wal = WriteAheadLog("w", DiskModel(Calibration()))
         for ts in (10, 20, 30):
             wal.stage_op(ts, 0, ts, make_op(ts))
         wal.stage_partition_time(1, 40)
@@ -120,7 +133,7 @@ class TestWriteAheadLog:
         assert [r[1] for r in wal.records] == [30]
 
     def test_replay_rebuilds_partition_time_and_filters_floor(self):
-        wal = WriteAheadLog("w")
+        wal = WriteAheadLog("w", DiskModel(Calibration()))
         wal.stage_op(10, 0, 1, make_op(10))
         wal.stage_op(30, 0, 2, make_op(30, 0, 2))
         wal.stage_op(25, 1, 1, make_op(25, 1))
@@ -186,7 +199,7 @@ def _staged_sizes(calls):
     ``_varint_len`` sum the codec defines for it: tag (+ digest) bytes,
     then each field, the timestamp delta-encoded against the previous
     staged record."""
-    wal = WriteAheadLog("w")
+    wal = WriteAheadLog("w", DiskModel(Calibration()))
     staged, expected = [], []
     total = last = 0
     for call in calls:
@@ -255,7 +268,7 @@ class TestDurabilityConfig:
         Network(env, ConstantLatency(0.0001))
         config = EunomiaConfig(n_shards=2, n_replicas=2, fault_tolerant=True,
                                durability="wal")
-        stack = build_stabilizer_stack(env, 0, 4, config, Calibration())
+        stack = build_stabilizer_stack(env, 0, 4, config)
         assert stack.recovery is not None
         assert all(s.wal is not None and s.checkpoints is not None
                    for s in stack.shards)
@@ -268,7 +281,7 @@ class TestDurabilityConfig:
         env = Environment(seed=2)
         Network(env, ConstantLatency(0.0001))
         config = EunomiaConfig(n_shards=2, n_replicas=2, fault_tolerant=True)
-        stack = build_stabilizer_stack(env, 0, 4, config, Calibration())
+        stack = build_stabilizer_stack(env, 0, 4, config)
         group = stack.groups[0]
         group.crash(lose_state=True)
         with pytest.raises(RuntimeError, match="durability"):
@@ -284,7 +297,7 @@ class TestAckDurability:
         Network(env, ConstantLatency(0.0001))
         config = EunomiaConfig(n_shards=2, n_replicas=2, fault_tolerant=True,
                                durability="wal", checkpoint_interval=0.05)
-        stack = build_stabilizer_stack(env, 0, 4, config, Calibration())
+        stack = build_stabilizer_stack(env, 0, 4, config)
         for proc in stack.processes():
             proc.start()
         return env, stack
@@ -344,7 +357,7 @@ def test_checkpoint_floor_capped_at_shipped_stable_time():
     Network(env, ConstantLatency(0.0001))
     config = EunomiaConfig(n_shards=2, n_replicas=2, fault_tolerant=True,
                            durability="wal")
-    stack = build_stabilizer_stack(env, 0, 4, config, Calibration())
+    stack = build_stabilizer_stack(env, 0, 4, config)
     sink = DedupSink(env)
     for propagator in stack.propagators():
         propagator.add_destination(sink)
@@ -381,8 +394,7 @@ def test_plain_checkpoint_keeps_popped_but_unshipped_ops():
     amnesia crash before the ship would then lose."""
     env = Environment(seed=4)
     Network(env, ConstantLatency(0.0001))
-    stack = build_stabilizer_stack(env, 0, 1, EunomiaConfig(durability="wal"),
-                                   Calibration())
+    stack = build_stabilizer_stack(env, 0, 1, EunomiaConfig(durability="wal"))
     service, = stack.heads
     sink = DedupSink(env)
     service.add_destination(sink)
@@ -456,7 +468,7 @@ def run_amnesia_rejoin(ts_by_partition, n_shards, n_replicas, batch_size=3):
                            replica_alive_interval=0.03,
                            replica_suspect_timeout=0.1)
     config.validate()
-    stack = build_stabilizer_stack(env, 0, n_parts, config, Calibration())
+    stack = build_stabilizer_stack(env, 0, n_parts, config)
     sink = DedupSink(env)
     for propagator in stack.propagators():
         propagator.add_destination(sink)
@@ -702,7 +714,7 @@ class TestPartialGroupFailure:
         env = Environment(seed=6)
         Network(env, ConstantLatency(0.0001))
         config = EunomiaConfig(n_shards=2, n_replicas=2, fault_tolerant=True)
-        stack = build_stabilizer_stack(env, 0, 4, config, Calibration())
+        stack = build_stabilizer_stack(env, 0, 4, config)
         group = stack.groups[0]
         group.crash_shard(0, lose_state=True)
         with pytest.raises(RuntimeError, match="durability"):

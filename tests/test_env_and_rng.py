@@ -2,6 +2,11 @@
 
 import pytest
 
+from repro import GeoSystemSpec, WorkloadSpec, build_geo_system
+from repro.calibration import Calibration
+from repro.core import EunomiaConfig
+from repro.core.protocols import available_protocols
+from repro.harness.loadgen import build_eunomia_rig, build_sequencer_rig
 from repro.sim import Environment
 from repro.sim.rng import RngRegistry
 
@@ -28,6 +33,34 @@ class TestEnvironment:
         assert fired == []
         env.run()
         assert fired == [1]
+
+
+    def test_every_cost_reads_the_environment_calibration(self, monkeypatch):
+        """Six protocols and both rigs built from one calibration: every
+        ``cost`` / ``overhead`` read, at construction and while running,
+        is a read of that object (the K2×R2 WAL rig covers the disk)."""
+        readers = []
+        for method in ("cost", "overhead"):
+            def spy(cal, name, _read=getattr(Calibration, method)):
+                readers.append(cal)
+                return _read(cal, name)
+            monkeypatch.setattr(Calibration, method, spy)
+        cal = Calibration(scale=5.0)
+        spec = GeoSystemSpec(n_dcs=2, partitions_per_dc=2, clients_per_dc=2,
+                             calibration=cal)
+        wal_ft = EunomiaConfig(fault_tolerant=True, n_replicas=2, n_shards=2,
+                               durability="wal")
+        builds = [
+            *(lambda p=p: build_geo_system(p, spec, WorkloadSpec())
+              for p in available_protocols()),
+            lambda: build_eunomia_rig(4, config=wal_ft, calibration=cal),
+            lambda: build_sequencer_rig(4, calibration=cal),
+        ]
+        for build in builds:
+            before = len(readers)
+            build().run(0.2)
+            assert len(readers) > before
+        assert all(reader is cal for reader in readers)
 
 
 class TestRngRegistry:

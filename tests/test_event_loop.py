@@ -70,11 +70,17 @@ def test_cancel_is_idempotent():
 def test_a_cancelled_period_head_releases_the_tasks_behind_it():
     """Two tasks of one interval share their period's Fifo; ``a``'s entry
     at 2.0 is its head on the heap when ``a`` is cancelled, and it still
-    lets ``b``'s entries behind it fire."""
+    lets ``b``'s entries behind it fire.  Each body fails once more than
+    four have fired, so a loop that runs past its ``until`` fails here."""
     loop = EventLoop()
     fired = []
-    a = loop.schedule_periodic(1.0, lambda: fired.append(("a", loop.now)))
-    loop.schedule_periodic(1.0, lambda: fired.append(("b", loop.now)))
+
+    def tick(name):
+        fired.append((name, loop.now))
+        assert len(fired) <= 4, "the loop ran past its until"
+
+    a = loop.schedule_periodic(1.0, lambda: tick("a"))
+    loop.schedule_periodic(1.0, lambda: tick("b"))
     loop.run(until=1.5)
     a.cancel()
     loop.run(until=3.5)

@@ -162,7 +162,7 @@ class TestFaultDsl:
         assert t_ok == pytest.approx(2.1 + 0.0001)
 
     def test_gray_disk_degrades_and_restores_fsync_cost(self, env):
-        disk = DiskModel(fsync_latency_s=30e-6)
+        disk = DiskModel(Calibration())
         healthy = disk.fsync_cost(128)
         fs = FailureSchedule(env)
         fs.degrade_disk_at(1.0, disk, factor=40.0)
@@ -174,7 +174,7 @@ class TestFaultDsl:
         assert disk.fsync_cost(128) == pytest.approx(healthy)
 
     def test_wal_fsync_fault_window(self, env):
-        wal = WriteAheadLog("w", disk=DiskModel())
+        wal = WriteAheadLog("w", disk=DiskModel(Calibration()))
         fs = FailureSchedule(env)
         fs.wal_fail_fsyncs_at(1.0, wal, count=2)
         fs.arm()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.calibration import Calibration
 from repro.core import EunomiaConfig
+from repro.core.config import RETRY_BACKOFF_CAP
 from repro.harness import (
     FigureResult,
     build_eunomia_rig,
@@ -11,6 +12,7 @@ from repro.harness import (
     format_table,
 )
 from repro.harness.figures import FIGURES
+from repro.sim.failure import FailureSchedule
 
 
 class TestRigs:
@@ -45,6 +47,30 @@ class TestRigs:
         sequencer = build_sequencer_rig(30, calibration=cal, seed=1)
         sequencer.run(1.0)
         assert eunomia.throughput() > 3 * sequencer.throughput()
+
+    @pytest.mark.parametrize("outage", [0.2, 0.5, 1.0])
+    def test_a_sequencer_outage_delays_the_next_assignment_by_at_most_the_cap(
+            self, outage):
+        """The head is down for ``outage`` s: every client's request is
+        dropped and re-sent with backoff, and the first number handed out
+        after the recovery lands within ``RETRY_BACKOFF_CAP`` of it; every
+        request is assigned one number and completes exactly once."""
+        rig = build_sequencer_rig(20, seed=1)
+        rig.sink.record = True
+        head = rig.drivers[0].head
+        down, up = 0.5, 0.5 + outage
+        FailureSchedule(rig.env).crash_at(down, head).recover_at(
+            up, head).arm()
+        rig.run(up + 0.5)
+        assigned = rig.metrics.mark_times("seq_assigned:dc0")
+        first_after = min(t for t in assigned if t >= up)
+        assert first_after - up <= RETRY_BACKOFF_CAP
+        for driver in rig.drivers:
+            in_flight = driver._outstanding is not None
+            assert driver.completed + in_flight == driver._seq
+        shipped = rig.sink.collected
+        assert len(set(shipped)) == len(shipped) == sum(
+            driver.completed for driver in rig.drivers)
 
     def test_eunomia_rig_ft_mode(self):
         config = EunomiaConfig(fault_tolerant=True, n_replicas=2)

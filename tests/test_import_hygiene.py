@@ -93,6 +93,33 @@ def test_docs_lint_rejects_an_undeclared_import(tmp_path, monkeypatch):
     assert "bad.py:3: imports 'scipy'" in errors[1]
 
 
+def test_docs_lint_rejects_a_second_calibration_source(tmp_path, monkeypatch):
+    check_docs = _load_check_docs()
+    assert check_docs.check_single_sources() == []      # this repo is clean
+
+    package = tmp_path / "src" / "repro"
+    (package / "sim").mkdir(parents=True)
+    (package / "sim" / "env.py").write_text(
+        "class Environment:\n"
+        "    def __init__(self, seed, calibration=None):\n"
+        "        self.calibration = calibration or Calibration()\n"
+        "        self.metrics = MetricsHub()\n")
+    (package / "bad.py").write_text(
+        "class Partition:\n"
+        "    def __init__(self, env, calibration=None):\n"
+        "        cal = calibration or Calibration()\n"
+        "def probe(env, *, metrics):\n"
+        "    return metrics or hub.MetricsHub()\n")
+    monkeypatch.setattr(check_docs, "REPO", tmp_path)
+    errors = check_docs.check_single_sources()
+    assert len(errors) == 4
+    assert ("bad.py:2: Partition.__init__() takes a 'calibration' "
+            "parameter") in errors[0]
+    assert "bad.py:3: constructs a Calibration" in errors[1]
+    assert "bad.py:4: probe() takes a 'metrics' parameter" in errors[2]
+    assert "bad.py:5: constructs a MetricsHub" in errors[3]
+
+
 def test_docs_lint_rejects_a_documented_name_nothing_defines(
         tmp_path, monkeypatch):
     check_docs = _load_check_docs()

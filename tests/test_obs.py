@@ -299,7 +299,7 @@ def test_slo_report_prints_the_exact_percentiles_of_the_hub_series(
 
 def test_chrome_trace_export_shape(observed_run):
     system, obs = observed_run
-    trace = chrome_trace(tracer=obs.tracer, metrics=system.metrics)
+    trace = chrome_trace(tracer=obs.tracer, hub=system.metrics)
     events = trace["traceEvents"]
     assert trace["displayTimeUnit"] == "ms"
     phases = {e["ph"] for e in events}
@@ -377,7 +377,7 @@ def test_exports_byte_identical_to_list_backed_hub(observed_run):
     system, obs = observed_run
     assert render_slo_report(system.metrics,
                              tracer=obs.tracer) == _SLO_REPORT_AT_PARENT
-    trace = chrome_trace(tracer=obs.tracer, metrics=system.metrics)
+    trace = chrome_trace(tracer=obs.tracer, hub=system.metrics)
     blob = json.dumps(trace, sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == (
         _CHROME_TRACE_SHA_AT_PARENT)

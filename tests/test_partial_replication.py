@@ -30,7 +30,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mutants import MUTANTS
 
-from repro.calibration import Calibration
 from repro.checker import CausalChecker, SessionHistory
 from repro.clocks.physical import PhysicalClock
 from repro.core import EunomiaConfig, build_stabilizer_stack
@@ -160,8 +159,7 @@ def run_stack(ts_by_partition, indices, n_shards):
     n_parts = len(ts_by_partition)
     config = EunomiaConfig(n_shards=n_shards)
     config.validate()
-    stack = build_stabilizer_stack(env, 0, n_parts, config, Calibration(),
-                                   indices=indices)
+    stack = build_stabilizer_stack(env, 0, n_parts, config, indices=indices)
     sink = _StableSink(env)
     for propagator in stack.propagators():
         propagator.add_destination(sink)

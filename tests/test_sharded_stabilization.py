@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from mutants import MUTANTS
 from runbuffer_probes import min_ts
 
-from repro.calibration import Calibration
 from repro.checker import CausalChecker, SessionHistory
 from repro.core import (
     EunomiaConfig,
@@ -213,7 +212,7 @@ def run_replicated_stabilization(ts_by_partition, n_shards, n_replicas,
                            replica_alive_interval=0.03,
                            replica_suspect_timeout=0.1)
     config.validate()
-    stack = build_stabilizer_stack(env, 0, n_parts, config, Calibration())
+    stack = build_stabilizer_stack(env, 0, n_parts, config)
     sink = DedupSink(env)
     for propagator in stack.propagators():
         propagator.add_destination(sink)
